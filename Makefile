@@ -14,7 +14,7 @@ LOAD_REPORT_OUT ?= $(REPORT_DIR)/load_report.json
 SHARDED_LOAD_REPORT_OUT ?= $(REPORT_DIR)/sharded_load_report.json
 SHARDED1_LOAD_REPORT_OUT ?= $(REPORT_DIR)/sharded1_load_report.json
 
-.PHONY: test test-cov bench bench-smoke bench-gate lint docs-check serve-demo chaos load load-smoke check
+.PHONY: test test-cov bench bench-smoke bench-gate bench-e2e-smoke lint docs-check serve-demo chaos load load-smoke check
 
 test:
 	$(PYTHON) -m pytest -x -q tests
@@ -35,6 +35,12 @@ bench-smoke:
 # >1.5x regression of any pinned metric (machine-speed normalized).
 bench-gate: bench-smoke
 	$(PYTHON) benchmarks/check_regression.py --report $(BENCH_SMOKE_OUT)
+
+# The wall-clock end-to-end benchmark (BENCHMARK.json) at tiny sizes: every
+# workload, one untraced and one traced round each, outputs and exact
+# counters checked.  Full runs: see benchmarks/e2e/README.md.
+bench-e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --smoke
 
 lint:
 	ruff check .

@@ -28,6 +28,12 @@ from repro.models.tensor_ops import softmax
 __all__ = ["entropy", "BaseScore", "AccumulatedAttentionScore", "KeyformerScore"]
 
 
+#: Query rows scored at a time in the prompt phase: large enough that the
+#: per-block Python overhead vanishes, small enough that a block's softmax
+#: temporaries stay cache-resident at a few thousand keys.
+_PROMPT_BLOCK_ROWS = 32
+
+
 def entropy(probabilities: np.ndarray, axis: int = -1) -> np.ndarray:
     """Shannon entropy ``H(p) = -Σ p log p`` along ``axis`` (natural log)."""
     p = np.asarray(probabilities, dtype=np.float64)
@@ -133,16 +139,15 @@ class BaseScore:
     def gather(self, layer_idx: int, indices: np.ndarray) -> None:
         """Keep only the accumulator entries selected by ``indices`` (B, H, K).
 
-        Compacts the slab in place; an identity selection is a no-op.
+        Compacts the slab in place through one flat row-gather.  ``indices``
+        is the policy's own selection; it is validated where it reaches the
+        KV pages (:meth:`repro.kvcache.paged.BlockPool.gather`), not here.
         """
         key = self._key(layer_idx)
         if key not in self._slabs:
             return
         indices = np.asarray(indices)
-        length = self._lens[key]
         k = indices.shape[-1]
-        if k == length and bool((indices == np.arange(length)).all()):
-            return
         slab = self._slabs[key]
         n_rows = int(np.prod(slab.shape[:-1]))
         offsets = self._offsets.get(key)
@@ -316,13 +321,33 @@ class KeyformerScore(BaseScore):
         if attn_logits is None:
             raise ValueError("KeyformerScore requires the unnormalized prompt logits")
         tau = self.tau_schedule(0)
-        seq_len = attn_logits.shape[-1]
+        logits = np.asarray(attn_logits)
+        n_queries, seq_len = logits.shape[-2:]
         pos = np.arange(seq_len) if positions is None else np.asarray(positions)
-        noisy = self.noisy_softmax(attn_logits, pos, tau)
-        if self.prompt_mode == "all":
-            contribution = noisy.sum(axis=-2)
-        else:
-            contribution = noisy[..., -1, :]
+        # Streamed over blocks of query rows, so nothing of the logits' full
+        # (B, H, T, T) size is ever allocated (the per-step noise alone was
+        # four such float64 tensors).  Bit-identical to one whole-tensor
+        # ``noisy_softmax(logits).sum(-2)`` / ``[..., -1, :]``: the generator
+        # is consumed element by element in C order, the softmax is row-wise,
+        # and ``sum`` over rows adds them one after another — a sequence the
+        # running sum continues by entering each block as part of its first
+        # row (float addition commutes; it does not associate, which is why
+        # per-block partial sums would not do).
+        lead = logits.shape[:-2]
+        scored = []
+        for at in np.ndindex(*lead):
+            rows = logits[at]
+            running = None
+            for start in range(0, n_queries, _PROMPT_BLOCK_ROWS):
+                noisy = self.noisy_softmax(rows[start : start + _PROMPT_BLOCK_ROWS], pos, tau)
+                if self.prompt_mode != "all":
+                    running = noisy[-1]
+                else:
+                    if running is not None:
+                        noisy[0] += running
+                    running = noisy.sum(axis=0)
+            scored.append(running)
+        contribution = np.stack(scored).reshape(lead + (seq_len,))
         return self._accumulate(layer_idx, contribution)
 
     def update(

@@ -693,8 +693,7 @@ class BatchedCacheManager:
                 unwound += extra
             keep = pages_needed(table.end, ps)
             if len(table.pages) > keep:
-                cache.pool.release(table.pages[keep:])
-                table.pages = table.pages[:keep]
+                cache.pool.release(table.drop_pages(keep))
         if adjust_stats and unwound and row < len(self.stats):
             self.stats[row].total_appended -= unwound
         return unwound

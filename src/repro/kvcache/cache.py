@@ -200,8 +200,7 @@ class LayerKVCache:
         cache._tables = []
         for table in tables:
             clone = table.clone()
-            live_pages = pages_needed(clone.end, pool.page_size)
-            del clone.pages[live_pages:]
+            clone.drop_pages(pages_needed(clone.end, pool.page_size))
             pool.retain(clone.pages)
             cache._tables.append(clone)
         cache._version = 0
@@ -346,19 +345,13 @@ class LayerKVCache:
         return self._resolve("rotated")
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _is_identity(indices: np.ndarray, length: int) -> bool:
-        if indices.shape[-1] != length:
-            return False
-        return bool((indices == np.arange(length)).all())
-
     def gather(self, indices: np.ndarray) -> None:
         """Retain only the entries selected by ``indices`` of shape ``(B, H, K)``.
 
         Indices must be sorted ascending per head so chronological order inside
-        the cache is preserved.  An identity selection is a no-op and a pure
-        suffix selection is an O(1) page-table bump; anything else compacts
-        the pages in place (copy-on-write when any page is shared).
+        the cache is preserved.  The pool validates the selection and picks
+        the cheapest of its eviction paths (identity, suffix bump, evict-one
+        shift, compaction — see :meth:`BlockPool.gather`).
         """
         indices = np.asarray(indices, dtype=np.int64)
         if indices.ndim == 1:
@@ -368,11 +361,6 @@ class LayerKVCache:
                 f"indices shape {indices.shape} incompatible with cache "
                 f"({self.batch_size}, {self.n_heads}, ...)"
             )
-        length = self.length
-        if indices.size and (indices.min() < 0 or indices.max() >= length):
-            raise IndexError("gather indices out of range")
-        if self._is_identity(indices, length):
-            return
         evicted = 0
         for row, table in enumerate(self._tables):
             evicted = self._pool.gather(table, indices[row])

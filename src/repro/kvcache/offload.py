@@ -588,8 +588,7 @@ class _TieredMixin:
         data = [keys, values, positions, k_rot]
         n_needed = self.pages_for(max(k, 1))
         if self._exclusive(table):
-            self.release(table.pages[n_needed:])
-            del table.pages[n_needed:]
+            self.release(table.drop_pages(n_needed))
         else:
             fresh = self.alloc(n_needed)
             self.release(table.pages)
@@ -628,7 +627,7 @@ class _TieredMixin:
             except BaseException:
                 self.release([fresh])
                 raise
-            table.pages[page_index] = fresh
+            table.replace_page(page_index, fresh)
             self.release([page])
         finally:
             self._unpin([page])

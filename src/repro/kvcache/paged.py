@@ -101,14 +101,74 @@ class PageTable:
     slots ``offset .. offset + length`` of the concatenated pages.  A nonzero
     ``offset`` arises from the suffix-eviction fast path (sliding-window
     policies dropping the oldest tokens bump the offset instead of copying).
+
+    The table remembers whether its pages form one ascending run (the
+    zero-copy condition, asked on every cache access), so the page list may
+    only change through the methods below or by assignment to ``pages``;
+    mutating the returned list in place leaves the answer stale, which
+    :meth:`BlockPool.check_invariants` reports.
     """
 
-    __slots__ = ("pages", "offset", "length")
+    __slots__ = ("_pages", "_contiguous", "offset", "length")
 
     def __init__(self) -> None:
-        self.pages: list[int] = []
+        self._pages: list[int] = []
+        #: ``True``/``False`` when known, ``None`` = rescan on next ask.
+        self._contiguous: bool | None = True
         self.offset = 0
         self.length = 0
+
+    @property
+    def pages(self) -> list[int]:
+        """Physical page ids in logical order (read-only by convention)."""
+        return self._pages
+
+    @pages.setter
+    def pages(self, pages: list[int]) -> None:
+        self._pages = pages
+        self._contiguous = None
+
+    def scan_contiguous(self) -> bool:
+        """Recompute from the page ids whether they form one ascending run."""
+        pages = self._pages
+        return len(pages) <= 1 or pages == list(range(pages[0], pages[0] + len(pages)))
+
+    def is_contiguous(self) -> bool:
+        """True when the pages form one ascending run of page ids (cached)."""
+        known = self._contiguous
+        if known is None:
+            known = self._contiguous = self.scan_contiguous()
+        return known
+
+    def push_pages(self, pages: list[int]) -> None:
+        """Map ``pages`` after the current last page."""
+        # A known run stays one when the single next page id follows it;
+        # anything else needs a rescan.  A fragmented table (False) stays
+        # fragmented whatever is appended.
+        if self._contiguous and (
+            len(pages) != 1 or not self._pages or pages[0] != self._pages[-1] + 1
+        ):
+            self._contiguous = None
+        self._pages.extend(pages)
+
+    def drop_pages(self, keep: int) -> list[int]:
+        """Unmap and return every page after the first ``keep``."""
+        dropped = self._pages[keep:]
+        del self._pages[keep:]
+        if not self._contiguous:
+            self._contiguous = None  # a shorter list may be one run again
+        return dropped
+
+    def pop_front(self) -> int:
+        """Unmap and return the first page."""
+        if not self._contiguous:
+            self._contiguous = None
+        return self._pages.pop(0)
+
+    def replace_page(self, index: int, page: int) -> None:
+        """Remap logical page ``index`` onto physical ``page`` (copy-on-write)."""
+        self._pages[index] = page
+        self._contiguous = None
 
     @property
     def end(self) -> int:
@@ -117,12 +177,13 @@ class PageTable:
 
     def allocated(self, page_size: int) -> int:
         """Total token slots covered by this table's pages."""
-        return len(self.pages) * page_size
+        return len(self._pages) * page_size
 
     def clone(self) -> "PageTable":
         """Shallow copy sharing the same physical pages (caller must retain)."""
         table = PageTable()
-        table.pages = list(self.pages)
+        table._pages = list(self._pages)
+        table._contiguous = self._contiguous
         table.offset = self.offset
         table.length = self.length
         return table
@@ -410,7 +471,9 @@ class BlockPool:
         tables mapping this pool; together with ``pinned`` (one entry per
         registry pin, duplicates allowed) the per-page reference totals are
         then cross-checked exactly — any mismatch is a leaked or corrupted
-        page.  ``label`` prefixes each violation for multi-pool reports.
+        page — and each table's remembered contiguity is compared with a
+        rescan of its page ids.  ``label`` prefixes each violation for
+        multi-pool reports.
         """
         violations: list[str] = []
         n_pages = self.n_pages
@@ -462,6 +525,12 @@ class BlockPool:
                 violations.append(
                     f"{label}: table {t} spans {table.end} slots but maps only "
                     f"{table.allocated(self.page_size)}"
+                )
+            if table._contiguous not in (None, table.scan_contiguous()):
+                violations.append(
+                    f"{label}: table {t} remembers contiguous={table._contiguous} "
+                    f"but its pages say {table.scan_contiguous()} (page list "
+                    "mutated behind the table's back)"
                 )
             for page in table.pages:
                 if not 0 <= page < n_pages:
@@ -521,12 +590,9 @@ class BlockPool:
         return runs
 
     def is_contiguous(self, table: PageTable) -> bool:
-        """True when the table's pages form one ascending run of page ids."""
-        pages = table.pages
-        if len(pages) <= 1:
-            return True
-        first = pages[0]
-        return all(pages[i] == first + i for i in range(1, len(pages)))
+        """True when the table's pages form one ascending run of page ids
+        (the table remembers the answer between mutations)."""
+        return table.is_contiguous()
 
     def _exclusive(self, table: PageTable) -> bool:
         if self._n_shared == 0:
@@ -581,7 +647,7 @@ class BlockPool:
         needed_slots = max(table.end + t, table.offset + reserve_tokens)
         needed_pages = self.pages_for(max(needed_slots, 1))
         if needed_pages > len(table.pages):
-            table.pages.extend(self.alloc(needed_pages - len(table.pages)))
+            table.push_pages(self.alloc(needed_pages - len(table.pages)))
         if t == 0:
             return
         start = table.end
@@ -632,7 +698,7 @@ class BlockPool:
             if slab is not None:
                 slab[:, dst : dst + ps] = slab[:, src : src + ps]
         self._copy_page_state(page, fresh)
-        table.pages[page_index] = fresh
+        table.replace_page(page_index, fresh)
         self.release([page])
 
     def append(self, table: PageTable, k: np.ndarray, v: np.ndarray, position: int) -> None:
@@ -656,7 +722,7 @@ class BlockPool:
         ps = self.page_size
         end = table.end
         if end == table.allocated(ps):
-            table.pages.extend(self.alloc(1))
+            table.push_pages(self.alloc(1))
         else:
             self._copy_on_write(table, end // ps)
         page = table.pages[end // ps]
@@ -707,13 +773,22 @@ class BlockPool:
         """Retain only the live entries selected by ``indices`` of shape
         ``(heads, K)`` (ascending per head, relative to the live region).
 
-        Fast paths: an identity selection is a no-op; a pure suffix selection
-        (all heads keeping exactly the newest ``K`` tokens) bumps the offset
-        and frees fully-skipped leading pages without touching any data.  The
-        general path compacts through a flat row-gather — into the table's
-        own pages when they are exclusively owned, into freshly allocated
-        pages when any are shared (copy-on-write).  Returns the number of
-        evicted entries.
+        The one place a selection is validated (shape and range), for every
+        cache front-end.  Four paths, cheapest first (``docs/kvcache.md``,
+        "Eviction paths"): an *identity* selection moves nothing; a pure
+        *suffix* (every head keeps exactly the newest ``K``) bumps the offset
+        and frees fully-skipped leading pages without touching data; when
+        every head drops exactly one entry — the steady state of a
+        fixed-budget score policy — each head's tail *shifts* down one slot
+        (:meth:`_shift_out`); everything else *compacts* (:meth:`_compact`).
+        The shift is taken only where it leaves slabs, table, refcounts and
+        free list exactly as compaction would: the pool stores the compute
+        dtype itself (int8 survivors are re-quantized), the pages are one
+        exclusively owned ascending run, and the live region starts at slot
+        0.  It keeps cache order, which the softmax / value reduction order
+        and "the last ``w`` entries are the recent window" rest on; writing
+        the incoming token into the evicted slot would move nothing but
+        break both, so it is not done.  Returns the number of evicted entries.
         """
         indices = np.asarray(indices, dtype=np.int64)
         if indices.ndim == 3:
@@ -728,7 +803,11 @@ class BlockPool:
         k = indices.shape[-1]
         dropped = length - k
         ps = self.page_size
-        if bool((indices == np.arange(dropped, length)).all()):
+        base = np.arange(k)
+        # How far each survivor moves down: 0 before a head's first evicted
+        # entry, and ``dropped`` everywhere exactly when the newest K survive.
+        shift = indices - base
+        if bool((shift == dropped).all()):
             # Identity (dropped == 0) or pure suffix: O(1) pointer bump.
             table.offset += dropped
             table.length = k
@@ -736,10 +815,49 @@ class BlockPool:
                 self.release_table(table)
             else:
                 while table.offset >= ps:
-                    self.release([table.pages.pop(0)])
+                    self.release([table.pop_front()])
                     table.offset -= ps
             return dropped
 
+        if (
+            dropped == 1
+            and table.offset == 0
+            and self._k.dtype == self.dtype
+            and self.is_contiguous(table)
+            and self._exclusive(table)
+        ):
+            # One gap per head means 0s up to it and 1s from it on, so the gap
+            # sits at K minus the number of 1s; the comparison then rejects
+            # every selection that is not of that form.
+            drop = k - shift.sum(axis=-1)
+            if bool((shift == (base >= drop[:, None])).all()):
+                self._shift_out(table, drop)
+                return dropped
+        self._compact(table, indices)
+        return dropped
+
+    def _shift_out(self, table: PageTable, drop: np.ndarray) -> None:
+        """Evict entry ``drop[h]`` of every head ``h`` by moving that head's
+        tail down one slot (see :meth:`gather` for the preconditions)."""
+        base = self._page_base(table.pages[0])
+        last = base + table.length - 1
+        starts = (base + drop).tolist()
+        for slab in (self._k, self._v, self._pos, self._k_rot):
+            if slab is None:
+                continue
+            for head, start in enumerate(starts):
+                slab[head, start:last] = slab[head, start + 1 : last + 1]
+        table.length -= 1
+        self.release(table.drop_pages(self.pages_for(table.length)))
+
+    def _compact(self, table: PageTable, indices: np.ndarray) -> None:
+        """General eviction: one flat row-gather of the survivors, written
+        back from slot 0 — into the table's own pages when they are
+        exclusively owned, into freshly allocated pages when any are shared
+        (copy-on-write).  ``indices`` is the validated ``(heads, K)``
+        selection; the reference every faster :meth:`gather` path must match.
+        """
+        k = indices.shape[-1]
         head_offsets = (np.arange(self.n_heads) * self.n_slots)[:, None]
         if self.is_contiguous(table):
             base = self._page_base(table.pages[0]) + table.offset if table.pages else 0
@@ -752,8 +870,7 @@ class BlockPool:
         n_needed = self.pages_for(max(k, 1))
         if self._exclusive(table):
             # In-place compaction: keep the first pages, free the tail.
-            self.release(table.pages[n_needed:])
-            del table.pages[n_needed:]
+            self.release(table.drop_pages(n_needed))
         else:
             # Allocate the destination before releasing the (shared) source so
             # a failed allocation leaves the table untouched.
@@ -763,7 +880,6 @@ class BlockPool:
         table.offset = 0
         table.length = k
         self._write_all(table, data)
-        return dropped
 
     def _take_all(self, gidx: np.ndarray, k: int) -> list[np.ndarray | None]:
         """Gather ``[keys, values, positions, rotated_keys]`` for the flat
@@ -811,8 +927,7 @@ class BlockPool:
             return
         needed = pages_needed(table.end, self.page_size)
         if needed < len(table.pages):
-            self.release(table.pages[needed:])
-            del table.pages[needed:]
+            self.release(table.drop_pages(needed))
 
     # ------------------------------------------------------------------
     # reads

@@ -114,14 +114,24 @@ class MultiHeadAttention(Module):
         else:
             q_rot, k_rot = q, k_raw
 
+        # Same dtype rule as attend_step: float64 is the bit-parity dtype and
+        # keeps einsum's exact reduction order; any other dtype runs within a
+        # documented tolerance, so it takes the BLAS batched matmul.
         scale = self._scale
-        scores = np.einsum("bhqd,bhkd->bhqk", q_rot, k_rot) * scale
+        if q_rot.dtype == np.float64:
+            scores = np.einsum("bhqd,bhkd->bhqk", q_rot, k_rot)
+        else:
+            scores = q_rot @ k_rot.swapaxes(-1, -2)
+        # Scale and mask in place: both are elementwise, so the float64 bits
+        # are those of ``where(mask, -inf, scores * scale)`` without its two
+        # (B, H, T, T) temporaries.
+        scores *= scale
 
         if self.positional == "alibi":
             scores = scores + alibi_bias_matrix(self.n_heads, t)[None]
 
-        causal_mask = np.triu(np.ones((t, t), dtype=bool), k=1)
-        scores = np.where(causal_mask[None, None], -np.inf, scores)
+        future = np.arange(t)[None, :] > np.arange(t)[:, None]
+        np.copyto(scores, -np.inf, where=future)
 
         attn = ops.softmax(scores, axis=-1)
         if store_attention:
@@ -129,7 +139,10 @@ class MultiHeadAttention(Module):
             self.last_scores = scores
             self.last_kv = (k_raw, v)
 
-        ctx = np.einsum("bhqk,bhkd->bhqd", attn, v)
+        if attn.dtype == np.float64:
+            ctx = np.einsum("bhqk,bhkd->bhqd", attn, v)
+        else:
+            ctx = attn @ v
         out = self.w_o(self._merge_heads(ctx))
 
         self._cache = {

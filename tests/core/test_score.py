@@ -128,6 +128,33 @@ class TestKeyformerScore:
         h2o = baseline.init_from_prompt(0, probs, logits)
         np.testing.assert_allclose(kf, h2o, atol=1e-9)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("noise", ["gumbel", "gaussian"])
+    @pytest.mark.parametrize("prompt_mode", ["all", "last"])
+    @pytest.mark.parametrize("resample", ["per-step", "fixed"])
+    @pytest.mark.parametrize("t", [5, 33, 70])
+    def test_streamed_prompt_score_is_bit_identical(
+        self, dtype, noise, prompt_mode, resample, t
+    ):
+        """The prompt is scored in blocks of query rows; the result — and the
+        generator state left behind — must be exactly that of one
+        whole-tensor noisy softmax reduced over the query axis."""
+        from repro.core import score as score_module
+
+        assert t % score_module._PROMPT_BLOCK_ROWS  # blocks never divide T
+        logits, _ = make_prompt_tensors(np.random.default_rng(t), batch=2, heads=3, t=t)
+        logits = logits.astype(dtype)
+        kwargs = dict(noise=noise, prompt_mode=prompt_mode, resample=resample, seed=5)
+        streamed, whole = KeyformerScore(**kwargs), KeyformerScore(**kwargs)
+
+        got = streamed.init_from_prompt(0, None, logits, np.arange(t))
+
+        noisy = whole.noisy_softmax(logits, np.arange(t), whole.tau_schedule(0))
+        want = noisy.sum(axis=-2) if prompt_mode == "all" else noisy[..., -1, :]
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+        assert streamed.rng.bit_generator.state == whole.rng.bit_generator.state
+
     def test_noisy_softmax_is_distribution(self, rng):
         score = KeyformerScore(seed=1)
         logits = rng.normal(size=(1, 2, 7))

@@ -54,6 +54,20 @@ class TestBlockPoolAudit:
         pool.release_table(fork)
         assert pool.check_invariants(owners=[a, b]) == []
 
+    def test_detects_stale_contiguity_flag(self):
+        """A page list mutated in place (not through ``PageTable``'s own
+        methods) leaves the remembered contiguity wrong; reads would then
+        take the zero-copy slab view over the wrong slots."""
+        pool = make_pool()
+        table = seeded_table(pool, 3 * PAGE, np.random.default_rng(7))
+        assert pool.is_contiguous(table)
+        table.pages[0], table.pages[1] = table.pages[1], table.pages[0]
+        violations = pool.check_invariants(owners=[table])
+        assert len(violations) == 1 and "contiguous" in violations[0]
+        table.pages = list(table.pages)  # assignment forgets the stale answer
+        assert not pool.is_contiguous(table)
+        assert pool.check_invariants(owners=[table]) == []
+
     def test_detects_leaked_reference(self):
         pool = make_pool()
         rng = np.random.default_rng(1)

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.kvcache.cache import LayerKVCache
 from repro.kvcache.paged import (
     BlockPool,
     PagedKVStore,
@@ -292,3 +295,98 @@ class TestPrefixRegistry:
         assert registry.reclaimable_pages() == 0
         assert registry.reclaim(4) == 0
         assert len(registry) == 2
+
+
+class TestRememberedContiguity:
+    """``PageTable`` remembers whether its pages are one ascending run and
+    forgets on mutation; every path that changes a page list must leave
+    ``pool.is_contiguous`` equal to a rescan of the page ids."""
+
+    OPS = (
+        "extend",
+        "append",
+        "fork",
+        "suffix_pop",
+        "truncate",
+        "gather",
+        "release_fork",
+        "map_tables",
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        page_size=st.sampled_from([1, 2, 4]),
+        steps=st.lists(
+            st.tuples(st.sampled_from(OPS), st.integers(0, 7), st.integers(1, 9)),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    # Copy-on-write remaps the shared last page and breaks the run.
+    @example(page_size=2, steps=[("extend", 0, 3), ("fork", 0, 1), ("append", 0, 1)])
+    # Dropping the tail (or the head) of a fragmented list restores a run.
+    @example(
+        page_size=2,
+        steps=[("extend", 0, 2), ("extend", 1, 2), ("append", 0, 2), ("truncate", 0, 2)],
+    )
+    @example(
+        page_size=2,
+        steps=[("extend", 0, 2), ("extend", 1, 2), ("append", 0, 4), ("suffix_pop", 0, 2)],
+    )
+    # Compacting a shared table moves it onto freshly allocated pages.
+    @example(page_size=2, steps=[("extend", 0, 5), ("fork", 0, 1), ("gather", 0, 1)])
+    def test_flag_tracks_every_mutation(self, page_size, steps):
+        rng = np.random.default_rng(0)
+        pool = BlockPool(H, D, page_size=page_size, n_pages=2)
+        tables = [PageTable(), PageTable()]
+
+        def tokens(n):
+            return rng.normal(size=(H, n, D)), rng.normal(size=(H, n, D))
+
+        def check():
+            for table in tables:
+                assert pool.is_contiguous(table) == table.scan_contiguous()
+            assert pool.check_invariants(owners=tables) == []
+
+        for op, which, n in steps:
+            table = tables[which % len(tables)]
+            if op == "extend":
+                k, v = tokens(n)
+                pool.extend(table, k, v, np.broadcast_to(np.arange(n), (H, n)))
+            elif op == "append":
+                # Alternating single appends across page boundaries is what
+                # interleaves two tables' page ids.
+                for _ in range(n):
+                    k, v = tokens(1)
+                    pool.append(table, k[:, 0], v[:, 0], table.length)
+            elif op == "fork":  # the next write into the shared page COWs
+                fork = table.clone()
+                pool.retain(fork.pages)
+                tables.append(fork)
+            elif op == "release_fork" and len(tables) > 2:
+                pool.release_table(tables.pop())
+            elif op == "suffix_pop" and table.length:
+                drop = min(n, table.length)
+                keep = np.broadcast_to(np.arange(drop, table.length), (H, table.length - drop))
+                pool.gather(table, keep)
+            elif op == "truncate" and table.length:
+                pool.truncate(table, min(n, table.length))
+            elif op == "gather" and table.length > 1:
+                keep = np.delete(np.arange(table.length), n % table.length)
+                pool.gather(table, np.broadcast_to(keep, (H, keep.size)))
+            elif op == "map_tables" and table.length:
+                mapped = LayerKVCache.map_tables(pool, [table])
+                tables.extend(mapped.tables)
+            check()
+
+    def test_solo_run_never_rescans_in_steady_state(self):
+        """The point of remembering: a solo sequence appending page after
+        page, evicting one token per step, keeps a known answer throughout."""
+        pool = make_pool(n_pages=4)
+        table, *_ = seeded(pool, PS)
+        k = np.zeros((H, D))
+        for step in range(3 * PS):
+            pool.append(table, k, k, PS + step)
+            keep = np.delete(np.arange(table.length), 1)
+            pool.gather(table, np.broadcast_to(keep, (H, keep.size)))
+            assert table._contiguous is True

@@ -31,6 +31,27 @@ class TestForward:
         np.testing.assert_allclose(out_a[0, :-1], out_b[0, :-1], atol=1e-10)
         assert not np.allclose(out_a[0, -1], out_b[0, -1])
 
+    @pytest.mark.parametrize("positional", ["rope", "alibi", "none"])
+    def test_float32_forward_stays_close_to_float64(self, positional, rng):
+        """Below float64 the two prompt GEMMs run through BLAS matmul (the
+        dtype rule of ``attend_step``); outputs, stored logits and stored
+        probabilities stay within float32 rounding of the exact path."""
+        exact, config = make_attention(positional)
+        fast, _ = make_attention(positional)
+        fast.to_dtype(np.float32)
+        x = rng.normal(size=(2, 40, config.d_model))
+        want = exact(x, store_attention=True)
+        got = fast(x.astype(np.float32), store_attention=True)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+        live = np.isfinite(exact.last_scores)
+        np.testing.assert_array_equal(np.isfinite(fast.last_scores), live)
+        np.testing.assert_allclose(
+            fast.last_scores[live], exact.last_scores[live], rtol=0, atol=1e-5
+        )
+        np.testing.assert_allclose(fast.last_attention, exact.last_attention, rtol=0, atol=1e-6)
+        if positional != "alibi":  # the float64 ALiBi bias promotes the scores
+            assert got.dtype == fast.last_scores.dtype == np.float32
+
     def test_attention_rows_are_distributions(self, rng):
         attn, config = make_attention("alibi")
         x = rng.normal(size=(1, 5, config.d_model))
