@@ -37,7 +37,7 @@ from repro.kvcache.cache import LayerKVCache
 from repro.models.config import GenerationConfig, ModelConfig
 from repro.models.tensor_ops import softmax
 from repro.models.transformer import DecoderLM
-from repro.serving.engine import ContinuousBatchingEngine
+from repro.serving.engine import ContinuousBatchingEngine, EngineConfig
 from repro.speculative import SpeculationConfig, SpeculativeGenerator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -128,7 +128,13 @@ def _model(max_seq_len: int, dtype: str | None = None, **overrides) -> DecoderLM
 
 
 def _time(setup, run, rounds: int) -> dict:
-    """Median wall-clock seconds of ``run(*setup())`` over ``rounds`` rounds."""
+    """Median wall-clock seconds of ``run(*setup())`` over ``rounds`` rounds.
+
+    One untimed warm-up call runs first: a cold process's first call pays
+    page faults, BLAS thread start-up and RoPE-table construction (2-5x the
+    steady state), which at 2 smoke rounds lands in the median.
+    """
+    run(*(setup() if setup is not None else ()))
     times = []
     for _ in range(rounds):
         args = setup() if setup is not None else ()
@@ -616,19 +622,8 @@ def bench_offload_capacity() -> dict[str, dict]:
     engine actually produced spill/restore traffic (the ratio would
     otherwise measure nothing).
     """
-    from repro.kvcache.paged import PagedKVStore
-
     model = _model(max_seq_len=512)
-    config = model.config
-    page_bytes = PagedKVStore.page_nbytes_for(
-        None,
-        config.n_heads,
-        config.d_head,
-        16,
-        config.np_dtype,
-        config.rope_dims,
-    )
-    budget = OFFLOAD_FRAMES * config.n_layers * page_bytes
+    budget = OFFLOAD_FRAMES * EngineConfig().page_bytes(model.config)
     rng = np.random.default_rng(29)
     prompts = [
         rng.integers(0, 256, size=OFFLOAD_PROMPT_LEN).astype(np.int64)

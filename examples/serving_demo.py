@@ -24,7 +24,6 @@ from repro.core.config import CachePolicyConfig
 from repro.core.policies import FullAttentionPolicy, WindowAttentionPolicy
 from repro.generation.generator import Generator
 from repro.generation.sampler import GreedySampler
-from repro.kvcache.paged import PagedKVStore
 from repro.models.config import GenerationConfig, ModelConfig
 from repro.models.transformer import DecoderLM
 from repro.serving.engine import ContinuousBatchingEngine
@@ -155,11 +154,8 @@ def quantization_demo(model, prompts, reference_tokens) -> None:
             kv_dtype=kv_dtype,
         )
         engines[kv_dtype] = engine
-        per_seq = KV_BUDGET + engine.page_size  # window budget + growth slack
-        page_bytes = int(PagedKVStore.page_nbytes_for(
-            kv_dtype, model.config.n_heads, model.config.d_head,
-            engine.page_size, model.config.np_dtype, model.config.rope_dims,
-        ))
+        per_seq = KV_BUDGET + engine.config.page_size  # window budget + growth slack
+        page_bytes = int(engine.config.page_bytes(model.config) / model.config.n_layers)
         print(f"  {kv_dtype or 'native':9s}  {page_bytes:9d}"
               f"   {engine.max_pool_tokens:15d}"
               f"   {engine.max_pool_tokens // per_seq:3d}")

@@ -75,13 +75,7 @@ class Generator:
     ) -> tuple[np.ndarray, CacheManager]:
         """Run the prompt through the model and build the reduced KV cache."""
         logits = self.model.forward(prompt_ids, store_attention=True)
-        prompt_kv, prompt_attn, prompt_logits = [], [], []
-        for block in self.model.blocks:
-            if block.attn.last_kv is None or block.attn.last_scores is None:
-                raise RuntimeError("prompt forward did not store attention tensors")
-            prompt_kv.append(block.attn.last_kv)
-            prompt_attn.append(block.attn.last_attention)
-            prompt_logits.append(block.attn.last_scores)
+        prompt_kv, prompt_attn, prompt_logits = self.model.take_prompt_tensors()
 
         config = self.model.config
         manager = CacheManager(

@@ -13,11 +13,13 @@ leaf-first reclaim for frequency-aware W-TinyLFU admission
 :mod:`repro.kvcache.admission`) so hot shared prompt prefixes survive scan
 bursts of unique prompts.
 
-A ``tier0_pages`` knob enables **tiered KV offload**
-(:mod:`repro.kvcache.offload`): each pool keeps only that many pages
-resident in its tier-0 slabs and spills cold pages byte-exactly to a tier-1
-arena (``spill_backend="compressed"`` or ``"mmap"``), restoring them
+A ``tier0_budget`` knob enables **tiered KV offload**
+(:mod:`repro.kvcache.offload`): each pool keeps only the pages that budget
+funds resident in its tier-0 slabs and spills cold pages byte-exactly to a
+tier-1 arena (``spill_backend="compressed"`` or ``"mmap"``), restoring them
 transparently on access — outputs stay bit-identical with offload on or off.
+
+All of these knobs are fields of :class:`KVStoreConfig`, declared once.
 """
 
 from repro.kvcache.admission import (
@@ -32,6 +34,7 @@ from repro.kvcache.manager import CacheManager, LayerCacheView
 from repro.kvcache.paged import (
     DEFAULT_PAGE_SIZE,
     BlockPool,
+    KVStoreConfig,
     PagedKVStore,
     PageTable,
     PoolExhausted,
@@ -66,6 +69,7 @@ __all__ = [
     "BatchedLayerView",
     "BlockPool",
     "PageTable",
+    "KVStoreConfig",
     "PagedKVStore",
     "PoolExhausted",
     "PrefixMatch",

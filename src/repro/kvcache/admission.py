@@ -46,11 +46,12 @@ __all__ = [
     "ADMISSION_POLICIES",
     "FrequencySketch",
     "WTinyLFUAdmissionPolicy",
+    "check_admission_policy",
     "resolve_admission_policy",
 ]
 
-#: Valid values of the ``admission_policy`` knob threaded through
-#: ``PagedKVStore`` / ``PrefixRegistry`` / the serving engines.
+#: Valid values of the ``admission_policy`` knob
+#: (:class:`~repro.kvcache.paged.KVStoreConfig`).
 ADMISSION_POLICIES = ("lru", "wtinylfu")
 
 _MASK64 = (1 << 64) - 1
@@ -450,6 +451,14 @@ class WTinyLFUAdmissionPolicy:
         }
 
 
+def check_admission_policy(name: str) -> None:
+    """Reject an ``admission_policy`` knob value outside :data:`ADMISSION_POLICIES`."""
+    if name not in ADMISSION_POLICIES:
+        raise ValueError(
+            f"unknown admission_policy {name!r}; expected one of {ADMISSION_POLICIES}"
+        )
+
+
 def resolve_admission_policy(
     name: str | None, capacity: int
 ) -> WTinyLFUAdmissionPolicy | None:
@@ -461,8 +470,5 @@ def resolve_admission_policy(
     """
     if name in (None, "lru"):
         return None
-    if str(name) == "wtinylfu":
-        return WTinyLFUAdmissionPolicy(capacity=capacity)
-    raise ValueError(
-        f"unknown admission_policy {name!r}; expected one of {ADMISSION_POLICIES}"
-    )
+    check_admission_policy(name)
+    return WTinyLFUAdmissionPolicy(capacity=capacity)

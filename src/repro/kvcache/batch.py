@@ -40,6 +40,7 @@ from repro.core.policies import EvictionPolicy
 from repro.kvcache.paged import (
     DEFAULT_PAGE_SIZE,
     BlockPool,
+    KVStoreConfig,
     PagedKVStore,
     PageTable,
     PrefixMatch,
@@ -390,32 +391,18 @@ class BatchedCacheManager:
     generation step) lives in a row-indexed list that is compacted together
     with the page tables.
 
-    Parameters
-    ----------
-    max_pool_tokens:
-        When set, the per-layer pools are **fixed** at
-        ``ceil(max_pool_tokens / page_size)`` pages and never grow: running
-        out becomes :class:`~repro.kvcache.paged.PoolExhausted`, which the
-        serving engine answers with registry reclamation and preemption.
-        When ``None`` (default) pools grow on demand like the solo cache.
-    kv_dtype:
-        Page storage format of the shared store: ``None`` (default) keeps
-        full-precision pages, ``"int8"`` stores quantized pages (see
-        :mod:`repro.kvcache.quant`) — the same fixed byte budget then holds
-        roughly 4x (float32) to 8x (float64) more tokens.
-    admission_policy:
-        Reclaim/admission policy of the prefix registry: ``"lru"``
-        (default, byte-exact historical leaf-first reclaim) or
-        ``"wtinylfu"`` (frequency-aware W-TinyLFU admission, see
-        :mod:`repro.kvcache.admission`).
-    tier0_pages:
-        When set, enables tiered KV offload (:mod:`repro.kvcache.offload`):
-        each layer pool keeps only this many pages resident in tier-0 and
-        spills cold pages byte-exactly to a ``spill_backend`` arena
-        (``"compressed"`` or ``"mmap"``), restoring them on access.  The
-        registry's W-TinyLFU segment ranking (when ``admission_policy`` is
-        ``"wtinylfu"``) drives spill-victim selection so hot shared-prefix
-        pages stay resident.
+    The shared store's knobs come from ``config`` / keyword fields of
+    :class:`~repro.kvcache.paged.KVStoreConfig` (knob table:
+    ``docs/serving.md``).  ``n_pages`` / ``tier0_pages`` are the per-layer pool
+    geometry already resolved by the caller
+    (:meth:`~repro.kvcache.paged.KVStoreConfig.resolve_pages` — the serving
+    engine does this, since byte budgets need the model config); left
+    ``None``, the manager resolves the config's token budget itself.  A fixed
+    pool never grows: running out becomes
+    :class:`~repro.kvcache.paged.PoolExhausted`, which the engine answers
+    with registry reclamation and preemption.  With ``tier0_pages`` set the
+    registry's admission ranking also drives spill-victim selection, so hot
+    shared-prefix pages stay resident longest.
     """
 
     def __init__(
@@ -427,42 +414,36 @@ class BatchedCacheManager:
         positional_mode: str = "original",
         dtype: np.dtype | str | None = None,
         rope_dims: int = 0,
-        page_size: int = DEFAULT_PAGE_SIZE,
-        max_pool_tokens: int | None = None,
-        kv_dtype: str | None = None,
-        admission_policy: str = "lru",
+        n_pages: int | None = None,
         tier0_pages: int | None = None,
-        spill_backend: str | None = None,
+        config: KVStoreConfig | None = None,
+        **knobs,
     ):
         if positional_mode not in ("original", "new"):
             raise ValueError(f"unknown positional mode {positional_mode!r}")
+        self.config = config = KVStoreConfig.of(config, **knobs)
         self.n_layers = n_layers
         self.n_heads = n_heads
         self.d_head = d_head
         self.max_batch = max_batch
         self.positional_mode = positional_mode
         self.dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float64)
-        self.kv_dtype = kv_dtype
         # Rotated-key caching is only sound for stable original positions —
         # same rule as the single-sequence manager.
         self.rope_dims = int(rope_dims) if positional_mode == "original" else 0
         self._rope_table = get_rope_table(rope_dims) if rope_dims > 0 else None
-        n_pages = (
-            None if max_pool_tokens is None else max(pages_needed(max_pool_tokens, page_size), 1)
-        )
+        if n_pages is None and tier0_pages is None:
+            n_pages, tier0_pages = config.resolve_pages()
         self.store = PagedKVStore(
             n_layers,
             n_heads,
             d_head,
-            page_size=page_size,
             dtype=self.dtype,
             rope_dims=self.rope_dims,
             n_pages=n_pages,
-            growable=max_pool_tokens is None,
-            kv_dtype=kv_dtype,
-            admission_policy=admission_policy,
+            growable=n_pages is None,
             tier0_pages=tier0_pages,
-            spill_backend=spill_backend,
+            config=config,
         )
         self.registry = PrefixRegistry(self.store)
         if tier0_pages is not None:
@@ -842,8 +823,13 @@ class BatchedCacheManager:
         """Feed each row's exact-length logits/probs slice to its own policy."""
         cache = self.caches[layer_idx]
         for row in range(self.n_active):
+            policy = self.policies[row]
+            if type(policy).step_selection is EvictionPolicy.step_selection:
+                # The base no-op (full attention) reads none of its arguments:
+                # skip building them — ``positions_row`` would stream every
+                # page of the row through tier-0 a second time under offload.
+                continue
             try:
-                policy = self.policies[row]
                 length = cache.tables[row].length
                 selection = policy.step_selection(
                     layer_idx,

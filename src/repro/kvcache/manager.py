@@ -111,7 +111,7 @@ class CacheManager:
             # ``PoolExhausted``; the serving engine answers that with
             # preemption, solo callers should pass a growable store.
             self.page_size = store.page_size
-        self.kv_dtype = store.kv_dtype if store is not None else kv_dtype
+        self.kv_dtype = store.config.kv_dtype if store is not None else kv_dtype
         self._shared_store = store
         self.store: PagedKVStore | None = store
         self.caches: list[LayerKVCache] = []

@@ -54,6 +54,7 @@ __all__ = [
     "MmapSpillArena",
     "TieredBlockPool",
     "TieredQuantizedBlockPool",
+    "check_spill_backend",
     "resolve_spill_arena",
     "resolve_tiered_pool_class",
 ]
@@ -197,17 +198,23 @@ class MmapSpillArena:
         self._high = 0
 
 
-def resolve_spill_arena(backend: str | None, record_nbytes: int):
-    """Arena instance for a ``spill_backend`` knob value (``None`` →
-    ``"compressed"``); ``record_nbytes`` sizes the mmap arena's records."""
+def check_spill_backend(backend: str | None) -> str:
+    """Arena name for a ``spill_backend`` knob value (``None`` →
+    ``"compressed"``); anything outside :data:`SPILL_BACKENDS` is rejected."""
     name = "compressed" if backend is None else str(backend)
-    if name == "compressed":
+    if name not in SPILL_BACKENDS:
+        raise ValueError(
+            f"unknown spill_backend {backend!r}; expected one of {SPILL_BACKENDS}"
+        )
+    return name
+
+
+def resolve_spill_arena(backend: str | None, record_nbytes: int):
+    """Arena instance for a ``spill_backend`` knob value; ``record_nbytes``
+    sizes the mmap arena's records."""
+    if check_spill_backend(backend) == "compressed":
         return CompressedSpillArena()
-    if name == "mmap":
-        return MmapSpillArena(record_nbytes)
-    raise ValueError(
-        f"unknown spill_backend {backend!r}; expected one of {SPILL_BACKENDS}"
-    )
+    return MmapSpillArena(record_nbytes)
 
 
 class _TieredMixin:
@@ -238,12 +245,7 @@ class _TieredMixin:
             # Copy-on-write resolves a source and a destination frame at
             # once, so one frame can never make progress.
             raise ValueError("tier0_pages must be >= 2")
-        backend = "compressed" if spill_backend is None else str(spill_backend)
-        if backend not in SPILL_BACKENDS:
-            raise ValueError(
-                f"unknown spill_backend {spill_backend!r}; expected one of "
-                f"{SPILL_BACKENDS}"
-            )
+        backend = check_spill_backend(spill_backend)
         # The base constructor sizes the slabs through _slab_pages, which
         # reads this — it must exist before super().__init__ runs.
         self._tier0_pages = tier0_pages
@@ -519,17 +521,10 @@ class _TieredMixin:
         made resident first; runs never span pages because adjacent logical
         pages land on arbitrary frames)."""
         self._ensure_resident(table.pages)
-        ps = self.page_size
-        runs: list[tuple[int, int, int]] = []
-        logical = 0
-        while logical < table.length:
-            slot = table.offset + logical
-            page = table.pages[slot // ps]
-            within = slot % ps
-            chunk = min(ps - within, table.length - logical)
-            runs.append((logical, self._page_base(page) + within, chunk))
-            logical += chunk
-        return runs
+        return [
+            (logical, self._page_base(page) + within, chunk)
+            for logical, page, within, chunk in self._page_chunks(table)
+        ]
 
     def token_view(self, table: PageTable, slab: np.ndarray) -> np.ndarray:
         """Dense copy of the live tokens, streamed page by page — each page
@@ -537,17 +532,10 @@ class _TieredMixin:
         reads with as little as one free frame."""
         if table.length == 0:
             return slab[:, :0]
-        ps = self.page_size
         out = np.empty((slab.shape[0], table.length) + slab.shape[2:], dtype=slab.dtype)
-        logical = 0
-        while logical < table.length:
-            slot = table.offset + logical
-            page = table.pages[slot // ps]
-            within = slot % ps
-            chunk = min(ps - within, table.length - logical)
+        for logical, page, within, chunk in self._page_chunks(table):
             base = self._page_base(page) + within
             out[:, logical : logical + chunk] = slab[:, base : base + chunk]
-            logical += chunk
         return out
 
     def gather(self, table: PageTable, indices: np.ndarray) -> int:
@@ -809,19 +797,12 @@ class TieredBlockPool(_TieredMixin, BlockPool):
         if table.length == 0:
             return
         keys = self._k_rot if rotated else self._k
-        ps = self.page_size
-        logical = 0
-        while logical < table.length:
-            slot = table.offset + logical
-            page = table.pages[slot // ps]
-            within = slot % ps
-            chunk = min(ps - within, table.length - logical)
+        for logical, page, within, chunk in self._page_chunks(table):
             base = self._page_base(page) + within
             dst = slice(logical, logical + chunk)
             out_k[:, dst] = keys[:, base : base + chunk]
             out_v[:, dst] = self._v[:, base : base + chunk]
             out_pos[:, dst] = self._pos[:, base : base + chunk]
-            logical += chunk
 
 
 class TieredQuantizedBlockPool(_TieredMixin, QuantizedBlockPool):

@@ -40,13 +40,14 @@ keeps the paged backend bit-identical to the historical slab backend.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import heapq
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.kvcache.admission import resolve_admission_policy
+from repro.kvcache.admission import check_admission_policy, resolve_admission_policy
 from repro.models.positional import RopeTable, get_rope_table
 
 __all__ = [
@@ -56,6 +57,7 @@ __all__ = [
     "PoolIntegrityError",
     "PageTable",
     "BlockPool",
+    "KVStoreConfig",
     "PagedKVStore",
     "PrefixMatch",
     "PrefixRegistry",
@@ -589,6 +591,27 @@ class BlockPool:
             i = j
         return runs
 
+    def _page_chunks(
+        self, table: PageTable, start: int | None = None, span: int | None = None
+    ) -> Iterator[tuple[int, int, int, int]]:
+        """Yield ``(logical, page, within, chunk)`` pieces covering
+        concatenated-page slots ``start .. start + span`` of ``table`` (the
+        live region by default) one page at a time, ``logical`` counting from
+        the first covered slot — the one page walk of every per-page read and
+        write (quantization parameters and tier-0 frames are per page, so
+        those paths cannot batch across pages the way :meth:`token_runs`
+        does)."""
+        ps = self.page_size
+        if start is None:
+            start, span = table.offset, table.length
+        done = 0
+        while done < span:
+            slot = start + done
+            within = slot % ps
+            chunk = min(ps - within, span - done)
+            yield done, table.pages[slot // ps], within, chunk
+            done += chunk
+
     def is_contiguous(self, table: PageTable) -> bool:
         """True when the table's pages form one ascending run of page ids
         (the table remembers the answer between mutations)."""
@@ -605,7 +628,6 @@ class BlockPool:
     def _write_span(self, table: PageTable, start: int, array_by_slab) -> None:
         """Write dense per-slab arrays into concatenated-page slots
         ``start .. start + span`` of ``table`` (pages must already exist)."""
-        ps = self.page_size
         if self.is_contiguous(table):
             # One slice write per slab — the common case (ascending page run).
             base = self._page_base(table.pages[0]) + start if table.pages else 0
@@ -617,16 +639,9 @@ class BlockPool:
         for slab, data in array_by_slab:
             if slab is None or data is None:
                 continue
-            span = data.shape[1]
-            done = 0
-            while done < span:
-                slot = start + done
-                page = table.pages[slot // ps]
-                within = slot % ps
-                chunk = min(ps - within, span - done)
+            for done, page, within, chunk in self._page_chunks(table, start, data.shape[1]):
                 base = self._page_base(page) + within
                 slab[:, base : base + chunk] = data[:, done : done + chunk]
-                done += chunk
 
     def extend(
         self,
@@ -1019,6 +1034,79 @@ def resolve_pool_class(kv_dtype: str | None) -> type[BlockPool]:
     raise ValueError(f"unknown kv_dtype {kv_dtype!r}; expected None, 'native' or 'int8'")
 
 
+@dataclasses.dataclass(frozen=True)
+class KVStoreConfig:
+    """Every paged-KV-store knob, declared and validated once (knob table:
+    ``docs/serving.md``); taken as ``config=`` or keyword fields (:meth:`of`) by the
+    store, the batched manager and — extended by ``EngineConfig`` — the engines."""
+
+    #: Tokens per KV page.
+    page_size: int = DEFAULT_PAGE_SIZE
+    #: Fix each layer pool at ``ceil(max_pool_tokens / page_size)`` pages
+    #: (memory-aware admission, preemption on exhaustion); ``None``: growable.
+    max_pool_tokens: int | None = None
+    #: The same bound as a byte budget over all layer pools, at the per-page
+    #: footprint of ``kv_dtype``.  Mutually exclusive with ``max_pool_tokens``.
+    max_pool_bytes: int | None = None
+    #: Page storage: ``None``/``"native"`` bit-exact, ``"int8"`` quantized.
+    kv_dtype: str | None = None
+    #: Prefix-registry reclaim: ``"lru"`` (historical, exact) or ``"wtinylfu"``.
+    admission_policy: str = "lru"
+    #: Tiered KV offload: tier-0 byte budget over all layer pools (the rest spills).
+    tier0_budget: int | None = None
+    #: Tier-1 arena, ``"compressed"`` (``None``) or ``"mmap"``.
+    spill_backend: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.max_pool_bytes is not None and self.max_pool_tokens is not None:
+            raise ValueError("pass either max_pool_tokens or max_pool_bytes, not both")
+        resolve_pool_class(self.kv_dtype)
+        check_admission_policy(self.admission_policy)
+        if self.tier0_budget is not None and self.tier0_budget <= 0:
+            raise ValueError("tier0_budget must be positive (or None)")
+        if self.spill_backend is not None:
+            if self.tier0_budget is None:
+                raise ValueError(
+                    "spill_backend requires tier0_budget — KV offload is enabled "
+                    "by the tier-0 byte budget"
+                )
+            from repro.kvcache.offload import check_spill_backend  # imports this module
+
+            check_spill_backend(self.spill_backend)
+
+    @classmethod
+    def of(cls, config: KVStoreConfig | None = None, **knobs):
+        """``config`` with ``knobs`` replaced (``cls(**knobs)`` without one) —
+        the one construction path, so an unknown knob is a ``TypeError``."""
+        return cls(**knobs) if config is None else dataclasses.replace(config, **knobs)
+
+    def page_bytes(self, model_config) -> float:
+        """Resident bytes of one KV page across a model's layer pools (counting
+        the rotated-key slab whenever the model is RoPE)."""
+        mc = model_config
+        rope_dims = mc.rope_dims if mc.positional == "rope" else 0
+        return mc.n_layers * PagedKVStore.page_nbytes_for(
+            self.kv_dtype, mc.n_heads, mc.d_head, self.page_size, mc.np_dtype, rope_dims
+        )
+
+    def resolve_pages(self, model_config=None, page_bytes=None) -> tuple[int | None, int | None]:
+        """``(n_pages, tier0_pages)`` per layer pool — the only budget→pages
+        conversion.  ``n_pages``: ``None`` for growable pools, else >= 1;
+        ``tier0_pages``: ``None`` without offload, else >= 2 (copy-on-write
+        holds two pages).  Byte budgets divide by :meth:`page_bytes` of
+        ``model_config`` unless a ``page_bytes`` footprint is passed."""
+        n_pages = tier0_pages = None
+        if self.max_pool_tokens is not None:
+            n_pages = max(pages_needed(self.max_pool_tokens, self.page_size), 1)
+        if page_bytes is None and (self.max_pool_bytes, self.tier0_budget) != (None, None):
+            page_bytes = self.page_bytes(model_config)
+        if self.max_pool_bytes is not None:
+            n_pages = max(int(self.max_pool_bytes // page_bytes), 1)
+        if self.tier0_budget is not None:
+            tier0_pages = max(int(self.tier0_budget // page_bytes), 2)
+        return n_pages, tier0_pages
+
+
 class PagedKVStore:
     """One :class:`BlockPool` per decoder layer plus cross-layer accounting.
 
@@ -1027,17 +1115,12 @@ class PagedKVStore:
     — through this object — a single notion of free memory that the
     memory-aware scheduler admits against.
 
-    ``kv_dtype`` selects the page storage format: ``None``/``"native"``
-    stores the compute dtype bit-exactly, ``"int8"`` stores quantized pages
-    (:class:`~repro.kvcache.quant.QuantizedBlockPool`) that shrink KV bytes
-    per token roughly 4x at float32 (8x at float64) under an accuracy
-    contract documented in ``docs/quantization.md``.
-
-    ``tier0_pages`` enables **tiered KV offload** (see
-    :mod:`repro.kvcache.offload`): each layer pool keeps only that many
-    pages resident in its tier-0 slabs and spills the cold remainder —
-    byte-exactly — to a tier-1 arena selected by ``spill_backend``
-    (``"compressed"`` or ``"mmap"``).
+    Knobs come from ``config`` / keyword fields of :class:`KVStoreConfig`
+    (``page_size``, ``kv_dtype``, ``admission_policy``, ``spill_backend``);
+    ``n_pages`` / ``growable`` / ``tier0_pages`` are the per-layer pool
+    geometry, already resolved (:meth:`KVStoreConfig.resolve_pages`) — the
+    store never converts a budget itself.  ``tier0_pages`` enables tiered KV
+    offload (:mod:`repro.kvcache.offload`); ``None`` keeps every page resident.
     """
 
     def __init__(
@@ -1045,41 +1128,24 @@ class PagedKVStore:
         n_layers: int,
         n_heads: int,
         d_head: int,
-        page_size: int = DEFAULT_PAGE_SIZE,
         dtype: np.dtype | str = np.float64,
         rope_dims: int = 0,
         rope_table: RopeTable | None = None,
         n_pages: int | None = None,
         growable: bool = True,
-        kv_dtype: str | None = None,
-        admission_policy: str = "lru",
         tier0_pages: int | None = None,
-        spill_backend: str | None = None,
+        config: KVStoreConfig | None = None,
+        **knobs,
     ):
+        # Frames handed over already resolved bring their arena with them: a
+        # config names an arena only beside the byte budget that enables offload.
+        arena = knobs.pop("spill_backend", None) if tier0_pages is not None else None
+        self.config = config = KVStoreConfig.of(config, **knobs)
         self.n_layers = n_layers
-        self.page_size = int(page_size)
+        self.page_size = int(config.page_size)
         self.growable = growable
-        self.kv_dtype = kv_dtype
-        if admission_policy not in ("lru", "wtinylfu"):
-            raise ValueError(
-                f"unknown admission_policy {admission_policy!r}; "
-                "expected 'lru' or 'wtinylfu'"
-            )
-        #: Reclaim/admission policy a :class:`PrefixRegistry` attached to
-        #: this store adopts by default (``"lru"`` keeps the historical
-        #: byte-exact leaf-first reclaim; ``"wtinylfu"`` enables
-        #: frequency-aware admission — see :mod:`repro.kvcache.admission`).
-        self.admission_policy = admission_policy
-        if spill_backend is not None and tier0_pages is None:
-            raise ValueError(
-                "spill_backend requires tier0_pages — KV offload is enabled "
-                "by the tier-0 page budget"
-            )
-        #: Tier-0 frames per layer pool when KV offload is enabled (``None``
-        #: keeps every page resident — the historical single-tier layout).
         self.tier0_pages = int(tier0_pages) if tier0_pages is not None else None
-        self.spill_backend = spill_backend
-        pool_cls = resolve_pool_class(kv_dtype)
+        pool_cls = resolve_pool_class(config.kv_dtype)
         pool_kwargs: dict = {}
         if self.tier0_pages is not None:
             from repro.kvcache.offload import resolve_tiered_pool_class
@@ -1087,13 +1153,13 @@ class PagedKVStore:
             pool_cls = resolve_tiered_pool_class(pool_cls)
             pool_kwargs = {
                 "tier0_pages": self.tier0_pages,
-                "spill_backend": spill_backend,
+                "spill_backend": arena or config.spill_backend,
             }
         self.pools = [
             pool_cls(
                 n_heads,
                 d_head,
-                page_size=page_size,
+                page_size=self.page_size,
                 n_pages=n_pages if n_pages is not None else 64,
                 dtype=dtype,
                 rope_dims=rope_dims,
@@ -1312,7 +1378,7 @@ class PrefixRegistry:
         ]
         self._clock = 0
         if admission_policy is None:
-            admission_policy = getattr(store, "admission_policy", "lru")
+            admission_policy = store.config.admission_policy
         self.admission_policy = admission_policy
         # Nominal chunk capacity = per-layer pool pages (the most chunks the
         # registry could ever pin); sizes the W-TinyLFU segments and sketch.

@@ -55,7 +55,7 @@ by the pinned quantization benchmarks and documented in
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -207,16 +207,8 @@ class QuantizedBlockPool(BlockPool):
     ) -> None:
         """Quantize a dense ``(heads, T, d)`` span into the pages covering
         concatenated slots ``start .. start + T`` of ``table``."""
-        ps = self.page_size
-        span = data.shape[1]
-        done = 0
-        while done < span:
-            slot = start + done
-            page = table.pages[slot // ps]
-            within = slot % ps
-            chunk = min(ps - within, span - done)
+        for done, page, within, chunk in self._page_chunks(table, start, data.shape[1]):
             self._quantize_into(name, page, within, data[:, done : done + chunk])
-            done += chunk
 
     # ------------------------------------------------------------------
     # write hooks
@@ -371,20 +363,6 @@ class QuantizedBlockPool(BlockPool):
     # ------------------------------------------------------------------
     # reads (always dequantizing page-gather copies)
     # ------------------------------------------------------------------
-    def _page_chunks(self, table: PageTable) -> Iterator[tuple[int, int, int, int]]:
-        """Yield ``(logical_start, page, within, length)`` chunks covering the
-        live region page by page (parameters are per page, so reads cannot
-        batch across page boundaries the way the base pool's runs do)."""
-        ps = self.page_size
-        logical = 0
-        while logical < table.length:
-            slot = table.offset + logical
-            page = table.pages[slot // ps]
-            within = slot % ps
-            chunk = min(ps - within, table.length - logical)
-            yield logical, page, within, chunk
-            logical += chunk
-
     def _dequant_view(self, table: PageTable, name: str) -> np.ndarray:
         """Dense dequantized ``(heads, length, d_head)`` of the live tokens."""
         slab = self._qslab(name)

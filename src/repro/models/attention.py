@@ -158,6 +158,18 @@ class MultiHeadAttention(Module):
     def __call__(self, x: np.ndarray, **kwargs) -> np.ndarray:
         return self.forward(x, **kwargs)
 
+    def take_stored(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+        """Hand over ``(last_kv, last_attention, last_scores)`` of the last
+        ``forward(store_attention=True)`` and forget them — together with the
+        backward cache, which holds the same attention array — so a finished
+        prompt pass does not pin its ``(B, H, T, T)`` tensors in the model
+        while the next one allocates its own."""
+        if self.last_kv is None or self.last_scores is None:
+            raise RuntimeError("prompt forward did not store attention tensors")
+        stored = (self.last_kv, self.last_attention, self.last_scores)
+        self.last_kv = self.last_attention = self.last_scores = self._cache = None
+        return stored
+
     def backward(self, dout: np.ndarray) -> np.ndarray:
         """Backward pass of :meth:`forward`; returns gradient w.r.t. the input."""
         if self._cache is None:

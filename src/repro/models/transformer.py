@@ -317,6 +317,14 @@ class DecoderLM(Module):
             return self.lm_head.forward_rows(hidden)
         return dot_rows(hidden, self.token_embedding.params["weight"].T)
 
+    def take_prompt_tensors(self) -> tuple[list, list[np.ndarray], list[np.ndarray]]:
+        """Per-layer ``(k_raw, v)`` pairs, attention maps and masked logits of
+        the last ``forward(store_attention=True)``, handed over: every layer
+        forgets its copies (:meth:`MultiHeadAttention.take_stored`), so the
+        caller's references are the only ones."""
+        kv, attn, scores = zip(*(block.attn.take_stored() for block in self.blocks))
+        return list(kv), list(attn), list(scores)
+
     def collect_attention(self) -> list[np.ndarray]:
         """Return the stored attention maps of every layer (after a forward with
         ``store_attention=True``)."""

@@ -38,6 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.kvcache.paged import KVStoreConfig
+
 __all__ = ["PerfModelSpec", "MemoryModel", "MPT_7B", "GPT_J_6B", "CEREBRAS_GPT_6_7B"]
 
 
@@ -185,15 +187,17 @@ class MemoryModel:
     ) -> int:
         """Tier-0 page frames (per layer) a byte budget funds.
 
-        Mirrors the engine's ``tier0_budget`` conversion: the budget buys
+        This *is* the engine's ``tier0_budget`` conversion
+        (:meth:`repro.kvcache.paged.KVStoreConfig.resolve_pages`), fed the
+        analytic page footprint instead of a live pool's: the budget buys
         whole cross-layer pages, with a floor of two frames per layer (the
         minimum for copy-on-write, which transiently holds a source and a
         destination page resident).
         """
-        if tier0_budget_bytes <= 0:
-            raise ValueError("tier0_budget_bytes must be positive")
-        frames = int(tier0_budget_bytes // self.kv_page_bytes(page_size, kv_dtype))
-        return max(frames, 2)
+        config = KVStoreConfig(
+            page_size=page_size, kv_dtype=kv_dtype, tier0_budget=tier0_budget_bytes
+        )
+        return config.resolve_pages(page_bytes=self.kv_page_bytes(page_size, kv_dtype))[1]
 
     def tiered_capacity_ratio(
         self,

@@ -11,7 +11,7 @@ sharded serving behind the prefix-affinity router, and ``docs/kvcache.md``
 for the storage layer.
 """
 
-from repro.serving.engine import BatchedGenerator, ContinuousBatchingEngine
+from repro.serving.engine import BatchedGenerator, ContinuousBatchingEngine, EngineConfig
 from repro.serving.faults import (
     EngineWatchdog,
     FaultInjector,
@@ -49,6 +49,7 @@ from repro.serving.workload import (
 __all__ = [
     "BatchedGenerator",
     "ContinuousBatchingEngine",
+    "EngineConfig",
     "EngineWatchdog",
     "FCFSScheduler",
     "FaultInjector",

@@ -62,6 +62,7 @@ paged store's refcounts against every live page-table reference.
 
 from __future__ import annotations
 
+import dataclasses
 import traceback as _traceback
 from typing import Callable, Sequence
 
@@ -70,11 +71,9 @@ import numpy as np
 from repro.core.policies import EvictionPolicy, FullAttentionPolicy
 from repro.generation.generator import GenerationResult, Generator
 from repro.generation.sampler import GreedySampler, Sampler, make_sampler, sample_rows
-from repro.kvcache.admission import ADMISSION_POLICIES
 from repro.kvcache.batch import BatchedCacheManager
 from repro.kvcache.paged import (
-    DEFAULT_PAGE_SIZE,
-    PagedKVStore,
+    KVStoreConfig,
     PoolExhausted,
     PoolIntegrityError,
     PrefixMatch,
@@ -97,7 +96,59 @@ from repro.speculative.drafter import (
 )
 from repro.speculative.telemetry import SpeculationStats
 
-__all__ = ["ContinuousBatchingEngine", "BatchedGenerator"]
+__all__ = ["EngineConfig", "ContinuousBatchingEngine", "BatchedGenerator"]
+
+
+@dataclasses.dataclass(frozen=True)
+class EngineConfig(KVStoreConfig):
+    """Every serving knob, declared and validated once: the store's fields
+    plus the engine's own.  Frozen and picklable; no value changes *what* a
+    request generates at float64, only when and at what memory cost.
+    ``docs/serving.md`` has the knob table."""
+
+    #: ``"original"``/``"new"``; ``None`` adopts the first admitted policy's mode.
+    positional_mode: str | None = None
+    #: Rows of the default :class:`PagedScheduler`'s running batch.
+    max_batch_size: int = 8
+    #: Worst-case token cap of the default scheduler.
+    max_total_tokens: int | None = None
+    #: Chunked prefill: at most this many prompt tokens per step, so decode
+    #: rows interleave (stored on the scheduler; ``None`` disables).
+    prefill_chunk_tokens: int | None = None
+    #: Map resident prompt-prefix pages instead of recomputing them.
+    enable_prefix_sharing: bool = True
+    #: Decode by draft-then-verify rounds (greedy full-attention requests only).
+    speculation: SpeculationConfig | None = None
+    #: Row quarantine on/off; ``None`` = on exactly when ``faults`` is given.
+    fault_tolerant: bool | None = None
+    #: Restarts a quarantined request gets before ``FinishReason.ERROR``.
+    max_retries: int = 0
+    #: Retry ``r`` waits ``retry_backoff_steps * 2**r`` engine steps.
+    retry_backoff_steps: int = 4
+    #: Default end-to-end step deadline (``FinishReason.TIMEOUT``).
+    deadline_steps: int | None = None
+    #: Shed submissions once the queue is this deep and the fixed pool is pressed.
+    shed_queue_depth: int | None = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.prefill_chunk_tokens is not None and self.prefill_chunk_tokens < 2:
+            raise ValueError("prefill_chunk_tokens must be >= 2 (or None)")
+        for knob in ("max_retries", "retry_backoff_steps"):
+            if getattr(self, knob) < 0:
+                raise ValueError(f"{knob} must be non-negative")
+        for knob in ("deadline_steps", "shed_queue_depth"):
+            if getattr(self, knob) is not None and getattr(self, knob) <= 0:
+                raise ValueError(f"{knob} must be positive (or None)")
+
+    def build_scheduler(self, scheduler_cls: type[FCFSScheduler] = PagedScheduler):
+        """A fresh ``scheduler_cls`` sized by this config."""
+        return scheduler_cls(
+            self.max_batch_size,
+            self.max_total_tokens,
+            prefill_chunk_tokens=self.prefill_chunk_tokens,
+        )
+
 
 #: ``_prefill`` outcomes: the admission loop dispatches on these.
 _PREFILL_JOINED = 1  # the request is running (truthy, for callers that gate on it)
@@ -151,6 +202,12 @@ class _ChunkedPrefill:
 class ContinuousBatchingEngine:
     """Schedules and executes a stream of generation requests as one batch.
 
+    Every serving / KV-store knob is a field of :class:`EngineConfig`
+    (declared, documented and validated there; knob table in
+    ``docs/serving.md``) and arrives either as ``config=`` or as keyword
+    arguments naming the same fields — one construction path, so an unknown
+    keyword is a ``TypeError`` naming it.  Live objects are ordinary arguments:
+
     Parameters
     ----------
     model:
@@ -159,120 +216,20 @@ class ContinuousBatchingEngine:
         Zero-argument callable producing a fresh :class:`EvictionPolicy` for
         each request (per-request instances keep policy state isolated).
         Defaults to full attention.
-    positional_mode:
-        ``"original"`` or ``"new"``; defaults to the mode declared by the
-        first admitted request's policy.  All requests in one engine must
-        agree — the batched attention step applies one mode.
     scheduler:
         Admission scheduler; defaults to a :class:`PagedScheduler` built from
-        ``max_batch_size``/``max_total_tokens``.  Passing a
+        the config's ``max_batch_size`` / ``max_total_tokens`` /
+        ``prefill_chunk_tokens``.  An explicitly passed scheduler keeps its
+        own batch and token limits and adopts a configured
+        ``prefill_chunk_tokens``; a
         :class:`~repro.serving.slo.PriorityScheduler` additionally enables
         priority-tier admission and priority preemption.
-    prefill_chunk_tokens:
-        Chunked-prefill budget: prompts longer than this run one chunk of at
-        most this many tokens per engine step instead of a single monolithic
-        prefill step, so running decode rows (and other admissions)
-        interleave between chunks — the knob that bounds how long one long
-        prompt can stall everyone else's step.  Stored on the scheduler
-        (it shapes admission timing); ``None`` (default) disables chunking.
-        Chunking is skipped per request for policies that consume prompt
-        attention (Keyformer, H2O), for prompts with a resident shared
-        prefix (the mapped-prefix path is already cheap), and in speculation
-        mode; bit-exactness is unaffected either way.
-    page_size:
-        Tokens per KV page of the paged store.
-    max_pool_tokens:
-        When set, fixes every layer pool at ``ceil(max_pool_tokens /
-        page_size)`` pages: admission becomes memory-aware and running out of
-        pages triggers preemption.  ``None`` (default) keeps the pools
-        growable — the engine never preempts and behaves like an unbounded
-        store.
-    max_pool_bytes:
-        Alternative to ``max_pool_tokens``: a **byte** budget per engine,
-        converted to pages with the actual per-page footprint of the chosen
-        ``kv_dtype`` — so the same budget funds ~4x (float32; ~8x at
-        float64) more pages, and therefore proportionally more concurrent
-        sequences, with ``kv_dtype="int8"``.  Mutually exclusive with
-        ``max_pool_tokens``.
-    kv_dtype:
-        KV-page storage format of the shared store: ``None`` (default) keeps
-        full-precision pages — every output bit-identical to solo decoding —
-        while ``"int8"`` stores quantized pages (:mod:`repro.kvcache.quant`).
-        Int8 serving stays bit-identical to *solo int8* decoding (same
-        dequantized reads, preemption-restart included) except through
-        shared-prefix prefill (reads dequantized prefix pages) and
-        speculation (a rejected draft can widen a page's quantization range
-        before rollback); see the accuracy contract in
-        ``docs/quantization.md``.
-    enable_prefix_sharing:
-        Map resident prompt-prefix pages instead of recomputing them.
-        Automatically skipped per request for policies that consume prompt
-        attention values (Keyformer, H2O); bit-exactness is unaffected either
-        way.
-    admission_policy:
-        How the prefix registry picks reclaim victims under pool pressure:
-        ``"lru"`` (default) keeps the historical least-recently-used
-        leaf-first reclaim byte-exactly; ``"wtinylfu"`` ranks victims by
-        W-TinyLFU competitive admission (count-min sketched frequency over
-        window/probation/protected SLRU segments — see
-        :mod:`repro.kvcache.admission`), which retains hot shared prefixes
-        through scan bursts.  Outputs stay bit-identical to solo decoding
-        under both values; only which prefixes stay resident (and hence
-        prefill savings) differs.
-    tier0_budget:
-        When set, enables **tiered KV offload** (:mod:`repro.kvcache.offload`):
-        a tier-0 **byte** budget per engine, converted to resident frames
-        per layer pool with the same per-page footprint ``max_pool_bytes``
-        uses; cold pages beyond it spill byte-exactly to a tier-1 arena and
-        are restored on access, with the engine bulk-prefetching each decode
-        step's pages (one restore call per layer) before the step runs.
-        Admission counts only tier-0 residency (running rows are capped
-        against the frame budget with the scheduler's watermark headroom).
-        ``max_pool_tokens``/``max_pool_bytes`` still bound total *logical*
-        capacity — with offload on, that capacity no longer needs to be
-        resident.  Outputs are bit-identical with offload on or off, for
-        every dtype, policy and scheduler interleaving.
-    spill_backend:
-        Tier-1 arena of the offload layer: ``"compressed"`` (default, an
-        in-memory zlib arena) or ``"mmap"`` (records in a memory-mapped
-        temporary file).  Requires ``tier0_budget``.
-    speculation:
-        When set, running requests decode through the draft-then-verify loop
-        (:mod:`repro.speculative`) instead of one token per step: each engine
-        step runs one speculation round per row, so rows advance by one to
-        ``k + 1`` tokens depending on their acceptance.  Requires greedy
-        requests under the (default) full-attention policy — the sparse
-        policy belongs to the *drafter* — and keeps every request's output
-        bit-identical to its non-speculative run.  Self-drafting rows hold
-        their drafter page tables in the engine's own store; admission,
-        FCFS ordering and newest-first preemption work unchanged.
     faults:
         Optional :class:`~repro.serving.faults.FaultInjector` whose seeded
         schedule fires :class:`~repro.serving.faults.InjectedFault` at the
         page-allocation, prefill, decode, verify, draft and spill-transfer
         (``spill_io``, under KV offload) injection points.  Installing one
-        turns fault tolerance on (see ``fault_tolerant``).
-    fault_tolerant:
-        Force the quarantine machinery on (``True``) or off (``False``);
-        ``None`` (default) enables it exactly when ``faults`` is given.
-        When off, a non-``PoolExhausted`` exception propagates as before.
-    max_retries:
-        Quarantined transient faults restart a request this many times
-        (through the preempt-and-restart machinery) before it retires with
-        :attr:`FinishReason.ERROR`.  ``0`` (default) fails on first fault.
-    retry_backoff_steps:
-        Base of the deterministic step-count backoff between retries: retry
-        ``r`` (0-based) waits ``retry_backoff_steps * 2**r`` engine steps.
-    deadline_steps:
-        Default per-request step-count deadline (``submit`` can override):
-        a request still unfinished after this many engine steps since its
-        submission retires with :attr:`FinishReason.TIMEOUT`.  The clock is
-        end-to-end; preemptions and retries do not reset it.
-    shed_queue_depth:
-        Load-shedding admission: once the queue holds at least this many
-        requests *and* the fixed pool is pressed below its admission
-        watermark, new submissions finish immediately with
-        :attr:`FinishReason.SHED` instead of queueing.  ``None`` disables.
+        turns fault tolerance on unless ``fault_tolerant=False``.
     watchdog:
         ``True`` (default) installs an
         :class:`~repro.serving.faults.EngineWatchdog` with default patience;
@@ -285,64 +242,31 @@ class ContinuousBatchingEngine:
         self,
         model: DecoderLM,
         policy_factory: Callable[[], EvictionPolicy] | None = None,
-        positional_mode: str | None = None,
         scheduler: FCFSScheduler | None = None,
-        max_batch_size: int = 8,
-        max_total_tokens: int | None = None,
-        prefill_chunk_tokens: int | None = None,
-        page_size: int = DEFAULT_PAGE_SIZE,
-        max_pool_tokens: int | None = None,
-        max_pool_bytes: int | None = None,
-        kv_dtype: str | None = None,
-        enable_prefix_sharing: bool = True,
-        admission_policy: str = "lru",
-        tier0_budget: int | None = None,
-        spill_backend: str | None = None,
-        speculation: SpeculationConfig | None = None,
         faults: FaultInjector | None = None,
-        fault_tolerant: bool | None = None,
-        max_retries: int = 0,
-        retry_backoff_steps: int = 4,
-        deadline_steps: int | None = None,
-        shed_queue_depth: int | None = None,
         watchdog: EngineWatchdog | bool | None = True,
+        config: EngineConfig | None = None,
+        **knobs,
     ):
         self.model = model
         self.policy_factory = policy_factory or FullAttentionPolicy
-        self.positional_mode = positional_mode
-        if prefill_chunk_tokens is not None and prefill_chunk_tokens < 2:
-            raise ValueError("prefill_chunk_tokens must be >= 2 (or None)")
+        self.config = config = EngineConfig.of(config, **knobs)
         # Explicit ``is None`` check: schedulers define ``__len__``, so an
         # *empty* caller-supplied scheduler is falsy and ``scheduler or ...``
         # would silently replace it with the default.
         self.scheduler = (
-            scheduler
-            if scheduler is not None
-            else PagedScheduler(
-                max_batch_size,
-                max_total_tokens,
-                prefill_chunk_tokens=prefill_chunk_tokens,
-            )
+            scheduler if scheduler is not None else config.build_scheduler()
         )
-        if prefill_chunk_tokens is not None:
+        if config.prefill_chunk_tokens is not None:
             # An explicitly passed scheduler adopts the engine-level knob.
-            self.scheduler.prefill_chunk_tokens = prefill_chunk_tokens
-        if max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if retry_backoff_steps < 0:
-            raise ValueError("retry_backoff_steps must be non-negative")
-        if deadline_steps is not None and deadline_steps <= 0:
-            raise ValueError("deadline_steps must be positive (or None)")
-        if shed_queue_depth is not None and shed_queue_depth <= 0:
-            raise ValueError("shed_queue_depth must be positive (or None)")
+            self.scheduler.prefill_chunk_tokens = config.prefill_chunk_tokens
         self.faults = faults
+        #: Whether the quarantine machinery is on (the knob, resolved).
         self.fault_tolerant = (
-            faults is not None if fault_tolerant is None else bool(fault_tolerant)
+            faults is not None
+            if config.fault_tolerant is None
+            else bool(config.fault_tolerant)
         )
-        self.max_retries = int(max_retries)
-        self.retry_backoff_steps = int(retry_backoff_steps)
-        self.deadline_steps = deadline_steps
-        self.shed_queue_depth = shed_queue_depth
         if watchdog is True:
             self.watchdog: EngineWatchdog | None = EngineWatchdog()
         elif watchdog is False or watchdog is None:
@@ -361,63 +285,17 @@ class ContinuousBatchingEngine:
         self.n_timeouts = 0
         #: Requests refused at submission with :attr:`FinishReason.SHED`.
         self.n_shed = 0
-        self.page_size = int(page_size)
-        self.kv_dtype = kv_dtype
-        if max_pool_bytes is not None:
-            if max_pool_tokens is not None:
-                raise ValueError("pass either max_pool_tokens or max_pool_bytes, not both")
-            # Convert the byte budget into pages using the per-page footprint
-            # of the chosen kv_dtype (conservatively counting the rotated-key
-            # slab whenever the model is RoPE — renumbered-position engines
-            # simply get a little slack).
-            config = model.config
-            page_bytes = PagedKVStore.page_nbytes_for(
-                kv_dtype,
-                config.n_heads,
-                config.d_head,
-                self.page_size,
-                config.np_dtype,
-                config.rope_dims if config.positional == "rope" else 0,
-            )
-            n_pages = max(int(max_pool_bytes // (config.n_layers * page_bytes)), 1)
-            max_pool_tokens = n_pages * self.page_size
-        self.max_pool_bytes = max_pool_bytes
-        self.max_pool_tokens = max_pool_tokens
-        if spill_backend is not None and tier0_budget is None:
-            raise ValueError(
-                "spill_backend requires tier0_budget — KV offload is enabled "
-                "by the tier-0 byte budget"
-            )
-        if tier0_budget is not None:
-            if tier0_budget <= 0:
-                raise ValueError("tier0_budget must be positive (or None)")
-            # The tier-0 byte budget converts to resident frames per layer
-            # with the same per-page footprint the pool-byte budget uses;
-            # at least 2 frames (copy-on-write holds two pages at once).
-            config = model.config
-            page_bytes = PagedKVStore.page_nbytes_for(
-                kv_dtype,
-                config.n_heads,
-                config.d_head,
-                self.page_size,
-                config.np_dtype,
-                config.rope_dims if config.positional == "rope" else 0,
-            )
-            self.tier0_pages: int | None = max(
-                int(tier0_budget // (config.n_layers * page_bytes)), 2
-            )
-        else:
-            self.tier0_pages = None
-        self.tier0_budget = tier0_budget
-        self.spill_backend = spill_backend
-        self.enable_prefix_sharing = enable_prefix_sharing
-        if admission_policy not in ADMISSION_POLICIES:
-            raise ValueError(
-                f"unknown admission_policy {admission_policy!r}; "
-                f"expected one of {ADMISSION_POLICIES}"
-            )
-        self.admission_policy = admission_policy
-        self.speculation = speculation
+        #: Per-layer pool pages / tier-0 frames the budgets resolve to
+        #: (``None``: growable pools / no offload).
+        self._n_pages, self.tier0_pages = config.resolve_pages(model.config)
+        #: Token capacity of the fixed pool (``None`` while growable): the
+        #: configured token budget, or what the byte budget's pages hold.
+        self.max_pool_tokens = (
+            config.max_pool_tokens
+            if config.max_pool_bytes is None
+            else self._n_pages * config.page_size
+        )
+        speculation = config.speculation
         #: Per-request drafter + telemetry, keyed by request id (spec mode).
         self._spec: dict[int, tuple[Drafter, SpeculationStats]] = {}
         #: Draft/verify work paid by requests that were later preempted or
@@ -501,19 +379,19 @@ class ContinuousBatchingEngine:
         # page of slack, plus the transient draft block in speculation mode)
         # inside the fixed pool, or it could exhaust the pool mid-decode with
         # nothing left to preempt.
-        worst_case = request.token_budget + self.page_size
-        if self.speculation is not None:
+        worst_case = request.token_budget + self.config.page_size
+        if self.config.speculation is not None:
             # The transient draft block, plus — for self-drafting — the
             # drafter's resident budget-sized cache, which lives in the same
             # per-layer pools as the request itself.
-            worst_case += self.speculation.k + 1
+            worst_case += self.config.speculation.k + 1
             if (
-                self.speculation.drafter != "ngram"
-                and self.speculation.drafter_model is None
+                self.config.speculation.drafter != "ngram"
+                and self.config.speculation.drafter_model is None
             ):
-                probe = make_drafter_policy(self.speculation)
+                probe = make_drafter_policy(self.config.speculation)
                 probe.setup(1, 1, 1, request.prompt_len, request.max_new_tokens)
-                worst_case += probe.budget + self.page_size
+                worst_case += probe.budget + self.config.page_size
         if self.max_pool_tokens is not None and worst_case > self.max_pool_tokens:
             raise ValueError(
                 f"request needs up to {request.token_budget} tokens but the "
@@ -528,7 +406,7 @@ class ContinuousBatchingEngine:
             )
             sampler = sampler_factory()
         policy = policy or self.policy_factory()
-        if self.speculation is not None:
+        if self.config.speculation is not None:
             if not isinstance(sampler, GreedySampler):
                 raise ValueError(
                     "speculative serving verifies greedily; submit greedy "
@@ -546,7 +424,7 @@ class ContinuousBatchingEngine:
             policy=policy,
             sampler_factory=sampler_factory,
             deadline_steps=(
-                deadline_steps if deadline_steps is not None else self.deadline_steps
+                deadline_steps if deadline_steps is not None else self.config.deadline_steps
             ),
             submitted_step=self.step_count,
         )
@@ -559,9 +437,9 @@ class ContinuousBatchingEngine:
 
     def _should_shed(self) -> bool:
         """Load-shedding admission check: deep queue *and* pool pressure."""
-        if self.shed_queue_depth is None:
+        if self.config.shed_queue_depth is None:
             return False
-        if len(self.scheduler) < self.shed_queue_depth:
+        if len(self.scheduler) < self.config.shed_queue_depth:
             return False
         return self._pool_pressed()
 
@@ -686,7 +564,7 @@ class ContinuousBatchingEngine:
         self._decode_rows_step = 0
         self.step_count += 1
         self._expire_deadlines()
-        if self.speculation is not None:
+        if self.config.speculation is not None:
             self._step_speculative()
         else:
             self._step_vanilla()
@@ -782,7 +660,7 @@ class ContinuousBatchingEngine:
 
     def _backoff(self, state: RequestState) -> int:
         """Deterministic exponential step-count backoff for the next retry."""
-        return self.retry_backoff_steps * (2 ** state.retries)
+        return self.config.retry_backoff_steps * (2 ** state.retries)
 
     def _fault_row_of(self, exc: BaseException) -> int | None:
         """Attribute an exception to a running row, if possible.
@@ -813,7 +691,7 @@ class ContinuousBatchingEngine:
         """
         state = self._states[row]
         self._record_fault(state, exc)
-        if state.retries < self.max_retries:
+        if state.retries < self.config.max_retries:
             self.n_retries += 1
             self._release_spec(state)
             self._manager.release_row(row)
@@ -995,7 +873,7 @@ class ContinuousBatchingEngine:
         drafter, stats = self._spec[state.request_id]
         store = self._manager.store
         if not store.growable:
-            need = store.pages_for_tokens(self.speculation.k + 1) + 1
+            need = store.pages_for_tokens(self.config.speculation.k + 1) + 1
             while store.min_free_pages() < need and len(self._states) > 1:
                 self._preempt_victim()
                 if all(st is not state for st in self._states):
@@ -1016,7 +894,7 @@ class ContinuousBatchingEngine:
                 target,
                 drafter,
                 state.tokens[-1],
-                self.speculation.k,
+                self.config.speculation.k,
                 remaining,
                 state.request.eos_token_id,
                 stats,
@@ -1037,7 +915,7 @@ class ContinuousBatchingEngine:
             carried_steps = drafter.draft_steps
             del self._spec[state.request_id]
             drafter.release()
-            fallback = NgramDrafter(state.request.prompt_ids[0], self.speculation)
+            fallback = NgramDrafter(state.request.prompt_ids[0], self.config.speculation)
             fallback.note_committed(state.tokens)
             fallback.draft_steps = carried_steps
             self._spec[state.request_id] = (fallback, stats)
@@ -1086,7 +964,7 @@ class ContinuousBatchingEngine:
 
     def _build_drafter(self, state: RequestState, row: int) -> Drafter:
         """Construct the per-request drafter right after its prefill joined."""
-        spec = self.speculation
+        spec = self.config.speculation
         if spec.drafter == "ngram":
             return NgramDrafter(state.request.prompt_ids[0], spec)
         policy = make_drafter_policy(spec)
@@ -1144,7 +1022,7 @@ class ContinuousBatchingEngine:
         """
         if self._manager is None:
             self._build_manager(state.policy)
-        mode = self.positional_mode or state.policy.config.positional_mode
+        mode = self.config.positional_mode or state.policy.config.positional_mode
         if mode != self._manager.positional_mode:
             raise ValueError(
                 f"request {state.request_id} uses positional mode {mode!r} but the "
@@ -1156,7 +1034,7 @@ class ContinuousBatchingEngine:
         prompt_len = state.request.prompt_len
         match = None
         if (
-            self.enable_prefix_sharing
+            self.config.enable_prefix_sharing
             and not state.policy.needs_prompt_attention
             and not self._spec_blocks_sharing
         ):
@@ -1182,7 +1060,7 @@ class ContinuousBatchingEngine:
             else:
                 row, next_row = self._prefill_full(state)
                 computed = prompt_len
-            if self.speculation is not None:
+            if self.config.speculation is not None:
                 # The drafter seeds against the just-joined row (mapping its
                 # prompt pages for self-drafting); a failed seed must not
                 # leak the row, so unwind it before taking the preempt (or
@@ -1229,7 +1107,7 @@ class ContinuousBatchingEngine:
         first token from the prompt's final logits and append the request to
         the running batch."""
         assert row == len(self._states), "engine rows out of sync with cache rows"
-        if self.speculation is not None:
+        if self.config.speculation is not None:
             # Speculation records tokens inline (rows advance unevenly), so
             # no per-row logits are carried between steps — keep the pending
             # token's log-probability on the state instead.
@@ -1270,7 +1148,7 @@ class ContinuousBatchingEngine:
         return (
             budget is not None
             and self._chunked is None
-            and self.speculation is None
+            and self.config.speculation is None
             and not state.policy.needs_prompt_attention
             and state.request.prompt_len > budget + 1
         )
@@ -1292,11 +1170,7 @@ class ContinuousBatchingEngine:
         chunk = state.request.prompt_ids[:, start:end]
         if start == 0:
             self.model.forward(chunk, store_attention=True)
-            chunk_kv = []
-            for block in self.model.blocks:
-                if block.attn.last_kv is None:
-                    raise RuntimeError("prompt forward did not store attention tensors")
-                chunk_kv.append(block.attn.last_kv)
+            chunk_kv = self.model.take_prompt_tensors()[0]
             logits = None
         else:
             prefix_kv = list(zip(pending.k_attn, pending.v_cat))
@@ -1400,7 +1274,7 @@ class ContinuousBatchingEngine:
         its (possibly seeded) drafter needs tearing down."""
         self._release_spec(state)
         self._record_fault(state, exc)
-        if state.retries < self.max_retries:
+        if state.retries < self.config.max_retries:
             self.n_retries += 1
             state.reset_for_retry(self.step_count + self._backoff(state))
             self.scheduler.requeue(state)
@@ -1411,13 +1285,7 @@ class ContinuousBatchingEngine:
     def _prefill_full(self, state: RequestState) -> tuple[int, np.ndarray]:
         """Whole-prompt forward pass; registers the prompt for future sharing."""
         logits = self.model.forward(state.request.prompt_ids, store_attention=True)
-        prompt_kv, prompt_attn, prompt_scores = [], [], []
-        for block in self.model.blocks:
-            if block.attn.last_kv is None or block.attn.last_scores is None:
-                raise RuntimeError("prompt forward did not store attention tensors")
-            prompt_kv.append(block.attn.last_kv)
-            prompt_attn.append(block.attn.last_attention)
-            prompt_scores.append(block.attn.last_scores)
+        prompt_kv, prompt_attn, prompt_scores = self.model.take_prompt_tensors()
         self._last_prompt_attn = prompt_attn
         self._last_prompt_scores = prompt_scores
         row = self._manager.join(
@@ -1467,7 +1335,7 @@ class ContinuousBatchingEngine:
 
     def _register_ids(self, state: RequestState) -> np.ndarray | None:
         """Prompt ids to register in the prefix registry (None disables)."""
-        if not self.enable_prefix_sharing:
+        if not self.config.enable_prefix_sharing:
             return None
         return state.request.prompt_ids[0]
 
@@ -1663,7 +1531,7 @@ class ContinuousBatchingEngine:
 
     def _build_manager(self, first_policy: EvictionPolicy) -> None:
         config = self.model.config
-        mode = self.positional_mode or first_policy.config.positional_mode
+        mode = self.config.positional_mode or first_policy.config.positional_mode
         self._manager = BatchedCacheManager(
             n_layers=config.n_layers,
             n_heads=config.n_heads,
@@ -1672,12 +1540,9 @@ class ContinuousBatchingEngine:
             positional_mode=mode,
             dtype=config.np_dtype,
             rope_dims=config.rope_dims if config.positional == "rope" else 0,
-            page_size=self.page_size,
-            max_pool_tokens=self.max_pool_tokens,
-            kv_dtype=self.kv_dtype,
-            admission_policy=self.admission_policy,
+            n_pages=self._n_pages,
             tier0_pages=self.tier0_pages,
-            spill_backend=self.spill_backend,
+            config=self.config,
         )
         self._layer_views = self._manager.layer_views()
         if self.faults is not None:
@@ -1788,50 +1653,16 @@ class BatchedGenerator:
         self,
         model: DecoderLM,
         policy_factory: Callable[[], EvictionPolicy] | None = None,
-        positional_mode: str | None = None,
-        max_batch_size: int = 8,
-        max_total_tokens: int | None = None,
-        page_size: int = DEFAULT_PAGE_SIZE,
-        max_pool_tokens: int | None = None,
-        max_pool_bytes: int | None = None,
-        kv_dtype: str | None = None,
-        enable_prefix_sharing: bool = True,
-        admission_policy: str = "lru",
-        tier0_budget: int | None = None,
-        spill_backend: str | None = None,
-        speculation: SpeculationConfig | None = None,
+        config: EngineConfig | None = None,
+        **knobs,
     ):
         self.model = model
         self.policy_factory = policy_factory or FullAttentionPolicy
-        self.positional_mode = positional_mode
-        self.max_batch_size = max_batch_size
-        self.max_total_tokens = max_total_tokens
-        self.page_size = page_size
-        self.max_pool_tokens = max_pool_tokens
-        self.max_pool_bytes = max_pool_bytes
-        self.kv_dtype = kv_dtype
-        self.enable_prefix_sharing = enable_prefix_sharing
-        self.admission_policy = admission_policy
-        self.tier0_budget = tier0_budget
-        self.spill_backend = spill_backend
-        self.speculation = speculation
+        self.config = EngineConfig.of(config, **knobs)
 
     def _engine(self) -> ContinuousBatchingEngine:
         return ContinuousBatchingEngine(
-            self.model,
-            policy_factory=self.policy_factory,
-            positional_mode=self.positional_mode,
-            max_batch_size=self.max_batch_size,
-            max_total_tokens=self.max_total_tokens,
-            page_size=self.page_size,
-            max_pool_tokens=self.max_pool_tokens,
-            max_pool_bytes=self.max_pool_bytes,
-            kv_dtype=self.kv_dtype,
-            enable_prefix_sharing=self.enable_prefix_sharing,
-            admission_policy=self.admission_policy,
-            tier0_budget=self.tier0_budget,
-            spill_backend=self.spill_backend,
-            speculation=self.speculation,
+            self.model, policy_factory=self.policy_factory, config=self.config
         )
 
     # ------------------------------------------------------------------

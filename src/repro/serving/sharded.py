@@ -45,18 +45,17 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing as mp
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.registry import make_policy
 from repro.generation.generator import GenerationResult
-from repro.kvcache.admission import ADMISSION_POLICIES
 from repro.kvcache.paged import DEFAULT_PAGE_SIZE, chunk_digest
 from repro.models.config import GenerationConfig, ModelConfig
 from repro.models.transformer import DecoderLM
-from repro.serving.engine import ContinuousBatchingEngine
+from repro.serving.engine import ContinuousBatchingEngine, EngineConfig
 from repro.serving.request import FinishReason, Request, RequestStatus
 from repro.serving.scheduler import PagedScheduler
 from repro.serving.slo import PriorityScheduler
@@ -74,70 +73,69 @@ __all__ = [
 ]
 
 
+#: Scheduler kinds a :class:`ReplicaSpec` can name.
+_SCHEDULERS = {"paged": PagedScheduler, "priority": PriorityScheduler}
+
+
 class ReplicaDead(RuntimeError):
     """A replica worker died (pipe closed or process gone)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ReplicaSpec:
     """Picklable recipe for one engine replica.
 
     Every worker rebuilds its model and engine from this spec — seeded
     weights (:class:`~repro.models.transformer.DecoderLM` is deterministic
-    in ``(config, seed)``) and a policy *name* resolved through
-    :func:`~repro.core.registry.make_policy` — so all replicas are
+    in ``(config, seed)``), a policy *name* resolved through
+    :func:`~repro.core.registry.make_policy`, a scheduler *kind*
+    (``"paged"`` / ``"priority"``) and the engine's
+    :class:`~repro.serving.engine.EngineConfig` — so all replicas are
     bit-identical engines and any replica can reproduce any request's
     output.  That is what makes re-routing after a replica death safe.
+
+    Like the engine it describes, the spec takes its knobs as ``config=``
+    or as keywords naming :class:`EngineConfig` fields, so a replica is
+    configurable exactly like the engine it wraps.
     """
 
     model_config: ModelConfig
-    model_seed: int = 0
-    policy: str = "full"
-    policy_kwargs: Mapping = field(default_factory=dict)
-    scheduler: str = "paged"
-    max_batch_size: int = 8
-    max_total_tokens: int | None = None
-    prefill_chunk_tokens: int | None = None
-    page_size: int = DEFAULT_PAGE_SIZE
-    max_pool_tokens: int | None = None
-    max_pool_bytes: int | None = None
-    kv_dtype: str | None = None
-    enable_prefix_sharing: bool = True
-    admission_policy: str = "lru"
-    max_retries: int = 0
-    deadline_steps: int | None = None
+    model_seed: int
+    policy: str
+    policy_kwargs: Mapping
+    scheduler: str
+    config: EngineConfig
 
-    def __post_init__(self):
-        if self.scheduler not in ("paged", "priority"):
-            raise ValueError(f"unknown scheduler {self.scheduler!r}")
-        if self.admission_policy not in ADMISSION_POLICIES:
-            raise ValueError(
-                f"unknown admission_policy {self.admission_policy!r}; "
-                f"expected one of {ADMISSION_POLICIES}"
-            )
+    def __init__(
+        self,
+        model_config: ModelConfig,
+        model_seed: int = 0,
+        policy: str = "full",
+        policy_kwargs: Mapping | None = None,
+        scheduler: str = "paged",
+        config: EngineConfig | None = None,
+        **knobs,
+    ):
+        if scheduler not in _SCHEDULERS:
+            raise ValueError(f"unknown scheduler {scheduler!r}")
+        for name, value in (
+            ("model_config", model_config),
+            ("model_seed", model_seed),
+            ("policy", policy),
+            ("policy_kwargs", dict(policy_kwargs or {})),
+            ("scheduler", scheduler),
+            ("config", EngineConfig.of(config, **knobs)),
+        ):
+            object.__setattr__(self, name, value)
 
     def build_engine(self) -> ContinuousBatchingEngine:
         """Construct the replica's engine (called inside the worker)."""
-        model = DecoderLM(self.model_config, seed=self.model_seed)
-        sched_cls = PriorityScheduler if self.scheduler == "priority" else PagedScheduler
-        scheduler = sched_cls(
-            max_batch_size=self.max_batch_size,
-            max_total_tokens=self.max_total_tokens,
-            prefill_chunk_tokens=self.prefill_chunk_tokens,
-        )
         kwargs = dict(self.policy_kwargs)
         return ContinuousBatchingEngine(
-            model,
+            DecoderLM(self.model_config, seed=self.model_seed),
             policy_factory=lambda: make_policy(self.policy, **kwargs),
-            scheduler=scheduler,
-            page_size=self.page_size,
-            max_pool_tokens=self.max_pool_tokens,
-            max_pool_bytes=self.max_pool_bytes,
-            kv_dtype=self.kv_dtype,
-            enable_prefix_sharing=self.enable_prefix_sharing,
-            admission_policy=self.admission_policy,
-            max_retries=self.max_retries,
-            deadline_steps=self.deadline_steps,
+            scheduler=self.config.build_scheduler(_SCHEDULERS[self.scheduler]),
+            config=self.config,
         )
 
 
@@ -658,7 +656,7 @@ class ShardedEngine:
         self.n_replicas = n_replicas
         self.backend = backend
         self.router = router or PrefixAffinityRouter(
-            n_replicas, page_size=spec.page_size
+            n_replicas, page_size=spec.config.page_size
         )
         self.router_overhead = float(router_overhead)
         replica_cls: Callable = _InlineReplica

@@ -216,13 +216,7 @@ class SpeculativeGenerator:
             )
         model_config = self.model.config
         logits = self.model.forward(prompt, store_attention=True)
-        prompt_kv, prompt_attn, prompt_scores = [], [], []
-        for block in self.model.blocks:
-            if block.attn.last_kv is None or block.attn.last_scores is None:
-                raise RuntimeError("prompt forward did not store attention tensors")
-            prompt_kv.append(block.attn.last_kv)
-            prompt_attn.append(block.attn.last_attention)
-            prompt_scores.append(block.attn.last_scores)
+        prompt_kv, prompt_attn, prompt_scores = self.model.take_prompt_tensors()
 
         spec = self.speculation
         self_drafting = spec.drafter != "ngram" and spec.drafter_model is None

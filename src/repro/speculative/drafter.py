@@ -187,11 +187,7 @@ class PolicyDrafter(Drafter):
         if prompt.ndim == 1:
             prompt = prompt[None, :]
         model.forward(prompt, store_attention=True)
-        prompt_kv, prompt_attn, prompt_scores = [], [], []
-        for block in model.blocks:
-            prompt_kv.append(block.attn.last_kv)
-            prompt_attn.append(block.attn.last_attention)
-            prompt_scores.append(block.attn.last_scores)
+        prompt_kv, prompt_attn, prompt_scores = model.take_prompt_tensors()
         manager = CacheManager(
             policy,
             n_layers=config.n_layers,

@@ -120,6 +120,21 @@ class TestGenerationBehaviour:
         with pytest.raises(ValueError):
             generator.generate(np.zeros((1, 0), dtype=np.int64))
 
+    def test_prompt_tensors_are_handed_over_not_kept(self, tiny_rope_model, rng):
+        """A finished request leaves no (B, H, T, T) prompt tensor pinned in the
+        shared model: the next prompt pass must not allocate beside the last."""
+        generator = Generator(tiny_rope_model, make_policy("keyformer", kv_fraction=0.5))
+        generator.generate(rng.integers(0, 64, size=20), GenerationConfig(max_new_tokens=3))
+        for block in tiny_rope_model.blocks:
+            attn = block.attn
+            assert attn.last_kv is attn.last_attention is attn.last_scores is attn._cache is None
+        with pytest.raises(RuntimeError, match="did not store attention"):
+            tiny_rope_model.take_prompt_tensors()
+        tiny_rope_model.forward(np.arange(6)[None, :], store_attention=True)
+        kv, attention, scores = tiny_rope_model.take_prompt_tensors()
+        assert len(kv) == len(attention) == len(scores) == len(tiny_rope_model.blocks)
+        assert attention[0].shape == scores[0].shape == (1, attention[0].shape[1], 6, 6)
+
     def test_positional_mode_changes_reduced_cache_output(self, rng):
         model = DecoderLM(tiny_config("rope"), seed=5)
         prompt = rng.integers(0, 64, size=24)

@@ -9,8 +9,14 @@ the knob plumbing through :class:`~repro.kvcache.paged.PagedKVStore`.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+
+from repro.core.config import CachePolicyConfig
+from repro.core.policies import FullAttentionPolicy, WindowAttentionPolicy
+from repro.kvcache.batch import BatchedCacheManager
 
 from repro.kvcache.offload import (
     SPILL_BACKENDS,
@@ -21,7 +27,13 @@ from repro.kvcache.offload import (
     resolve_spill_arena,
     resolve_tiered_pool_class,
 )
-from repro.kvcache.paged import BlockPool, PageTable, PagedKVStore, PoolExhausted
+from repro.kvcache.paged import (
+    BlockPool,
+    KVStoreConfig,
+    PagedKVStore,
+    PageTable,
+    PoolExhausted,
+)
 from repro.kvcache.quant import QuantizedBlockPool
 
 HEADS, D_HEAD, PAGE = 2, 4, 4
@@ -304,3 +316,87 @@ class TestKnobPlumbing:
             PagedKVStore(
                 2, HEADS, D_HEAD, page_size=PAGE, n_pages=8, spill_backend="mmap"
             )
+
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            (dict(spill_backend="mmap"), "spill_backend requires tier0_budget"),
+            (dict(tier0_budget=0), "tier0_budget must be positive"),
+            (dict(tier0_budget=4096, spill_backend="tape"), "unknown spill_backend 'tape'"),
+            (dict(admission_policy="fifo"), "unknown admission_policy 'fifo'"),
+            (dict(kv_dtype="fp4"), "unknown kv_dtype 'fp4'"),
+            (dict(max_pool_tokens=64, max_pool_bytes=4096), "either max_pool_tokens or"),
+        ],
+    )
+    def test_store_and_manager_reject_what_the_config_rejects(self, knobs, message):
+        """Validation lives in ``KVStoreConfig.__post_init__`` alone, so the
+        low-level front-ends reject exactly what the engine does."""
+        for build in (
+            lambda: KVStoreConfig(**knobs),
+            lambda: PagedKVStore(2, HEADS, D_HEAD, **knobs),
+            lambda: BatchedCacheManager(2, HEADS, D_HEAD, max_batch=2, **knobs),
+        ):
+            with pytest.raises(ValueError, match=message):
+                build()
+
+    def test_store_and_manager_take_config_or_keywords(self):
+        config = KVStoreConfig(page_size=PAGE, tier0_budget=4096, spill_backend="mmap")
+        # The engine's path: budgets already resolved, knobs in the config.
+        manager = BatchedCacheManager(
+            2, HEADS, D_HEAD, max_batch=2, n_pages=8, tier0_pages=3, config=config
+        )
+        assert manager.store.config == config
+        assert manager.store.page_size == PAGE and not manager.store.growable
+        for pool in manager.store.pools:
+            assert isinstance(pool, TieredBlockPool) and pool.n_frames == 3
+            assert pool.spill_backend == "mmap"
+        # Keywords override a config through the same construction path.
+        store = PagedKVStore(2, HEADS, D_HEAD, n_pages=8, config=config, kv_dtype="int8")
+        assert store.config == dataclasses.replace(config, kv_dtype="int8")
+        assert isinstance(store.pools[0], QuantizedBlockPool)
+        # A bare manager resolves its own token budget (whole pages, fixed).
+        manager = BatchedCacheManager(
+            1, HEADS, D_HEAD, max_batch=1, page_size=PAGE, max_pool_tokens=3 * PAGE + 1
+        )
+        assert manager.store.pools[0].n_pages == 4 and not manager.store.growable
+        for build in (PagedKVStore, lambda *a, **k: BatchedCacheManager(*a, max_batch=1, **k)):
+            with pytest.raises(TypeError, match="pagesize"):
+                build(2, HEADS, D_HEAD, pagesize=PAGE)
+
+
+class TestObserveBatchUnderOffload:
+    """FINDING 4 of ``benchmarks/e2e/README.md``: a policy that keeps the base
+    no-op ``step_selection`` reads none of its arguments, so observing its row
+    must not stream the row's pages through tier-0 to build them."""
+
+    def _manager(self, policy):
+        rng = np.random.default_rng(5)
+        manager = BatchedCacheManager(
+            1, HEADS, D_HEAD, max_batch=1, page_size=PAGE, tier0_pages=2
+        )
+        t = 6 * PAGE  # three times the resident frames
+        keys = rng.standard_normal((1, HEADS, t, D_HEAD))
+        attn = np.full((1, HEADS, t, t), 1.0 / t)
+        manager.join([(keys, keys.copy())], [attn], [np.log(attn)], 4, policy)
+        return manager, t
+
+    def test_noop_policy_row_reads_no_pages(self):
+        manager, t = self._manager(FullAttentionPolicy())
+        before = manager.pool_usage()["tier"]
+        assert before["spills"] > 0  # the row really is mostly spilled
+        step = np.zeros((1, HEADS, t))
+        manager.observe_batch(0, step, step)
+        assert manager.pool_usage()["tier"] == before
+
+    def test_selecting_policy_still_gets_its_positions(self):
+        policy = WindowAttentionPolicy(CachePolicyConfig(kv_budget=5 * PAGE))
+        manager, _ = self._manager(policy)
+        t = manager.caches[0].tables[0].length  # the prompt phase kept 5 pages
+        seen = []
+        select = policy.step_selection
+        policy.step_selection = lambda layer, logits, probs, positions, step: (
+            seen.append(positions.copy()) or select(layer, logits, probs, positions, step)
+        )
+        step = np.zeros((1, HEADS, t))
+        manager.observe_batch(0, step, step)
+        np.testing.assert_array_equal(seen[0][0, 0], np.arange(PAGE, 6 * PAGE))

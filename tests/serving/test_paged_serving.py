@@ -3,6 +3,8 @@ preemption and abort — all under the engine's bit-exactness invariant."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,14 @@ from repro.core.keyformer import KeyformerPolicy
 from repro.core.policies import FullAttentionPolicy, WindowAttentionPolicy
 from repro.generation.generator import Generator
 from repro.generation.sampler import GreedySampler
-from repro.kvcache.paged import PoolExhausted
+from repro.kvcache.paged import PagedKVStore, PoolExhausted
 from repro.models.config import GenerationConfig, ModelConfig
 from repro.models.transformer import DecoderLM
-from repro.serving.engine import ContinuousBatchingEngine
+from repro.serving.engine import BatchedGenerator, ContinuousBatchingEngine, EngineConfig
 from repro.serving.request import FinishReason, RequestStatus
 from repro.serving.scheduler import PagedScheduler
+from repro.serving.sharded import ReplicaSpec
+from repro.speculative import SpeculationConfig
 
 VOCAB = 96
 
@@ -308,3 +312,133 @@ class TestPagedScheduler:
     def test_watermark_validation(self):
         with pytest.raises(ValueError, match="watermark"):
             PagedScheduler(max_batch_size=2, watermark=1.5)
+
+
+# ----------------------------------------------------------------------
+# the single knob declaration: EngineConfig behind every front-end
+# ----------------------------------------------------------------------
+_KNOB_MODEL = make_model()
+
+#: The three keyword front-ends of one ``EngineConfig`` — each returns the
+#: config it ended up with.
+FRONT_ENDS = {
+    "engine": lambda **knobs: ContinuousBatchingEngine(_KNOB_MODEL, **knobs).config,
+    "generator": lambda **knobs: BatchedGenerator(_KNOB_MODEL, **knobs).config,
+    "replica_spec": lambda **knobs: ReplicaSpec(_KNOB_MODEL.config, **knobs).config,
+}
+
+#: A non-default value for every ``EngineConfig`` field.
+NON_DEFAULT_KNOBS = dict(
+    page_size=8,
+    max_pool_tokens=4096,
+    kv_dtype="int8",
+    admission_policy="wtinylfu",
+    tier0_budget=1_000_000,
+    spill_backend="mmap",
+    positional_mode="original",
+    max_batch_size=3,
+    max_total_tokens=2048,
+    prefill_chunk_tokens=32,
+    enable_prefix_sharing=False,
+    speculation=SpeculationConfig(k=2, drafter="ngram"),
+    fault_tolerant=True,
+    max_retries=2,
+    retry_backoff_steps=1,
+    deadline_steps=500,
+    shed_queue_depth=9,
+)
+
+#: (knobs, message) — every combination the one ``__post_init__`` rejects.
+INVALID_KNOBS = [
+    (dict(max_pool_tokens=64, max_pool_bytes=1 << 20), "either max_pool_tokens or max_pool_bytes"),
+    (dict(spill_backend="mmap"), "spill_backend requires tier0_budget"),
+    (dict(tier0_budget=1 << 20, spill_backend="tape"), "unknown spill_backend 'tape'"),
+    (dict(admission_policy="fifo"), "unknown admission_policy 'fifo'"),
+    (dict(kv_dtype="fp4"), "unknown kv_dtype 'fp4'"),
+    (dict(prefill_chunk_tokens=1), "prefill_chunk_tokens must be >= 2"),
+    (dict(max_retries=-1), "max_retries must be non-negative"),
+    (dict(retry_backoff_steps=-1), "retry_backoff_steps must be non-negative"),
+    (dict(deadline_steps=0), "deadline_steps must be positive"),
+    (dict(shed_queue_depth=0), "shed_queue_depth must be positive"),
+    (dict(tier0_budget=0), "tier0_budget must be positive"),
+]
+
+
+@pytest.mark.parametrize("front_end", FRONT_ENDS.values(), ids=FRONT_ENDS.keys())
+class TestEngineConfig:
+    def test_every_field_is_a_keyword_of_every_front_end(self, front_end):
+        fields = {f.name for f in dataclasses.fields(EngineConfig)}
+        # max_pool_bytes excludes max_pool_tokens; it gets its own pass below.
+        assert set(NON_DEFAULT_KNOBS) == fields - {"max_pool_bytes"}
+        assert front_end(**NON_DEFAULT_KNOBS) == EngineConfig(**NON_DEFAULT_KNOBS)
+        assert front_end(max_pool_bytes=1 << 20).max_pool_bytes == 1 << 20
+        assert front_end() == EngineConfig()
+
+    def test_config_and_keywords_are_one_path(self, front_end):
+        base = EngineConfig(max_batch_size=3, kv_dtype="int8")
+        assert front_end(config=base) == base
+        assert front_end(config=base, kv_dtype=None) == EngineConfig(max_batch_size=3)
+        with pytest.raises(ValueError, match="spill_backend requires"):
+            front_end(config=base, spill_backend="mmap")
+
+    def test_misspelt_knob_is_a_type_error_naming_it(self, front_end):
+        with pytest.raises(TypeError, match="max_batchsize"):
+            front_end(max_batchsize=4)
+        with pytest.raises(TypeError, match="tier0_pages"):
+            front_end(config=EngineConfig(), tier0_pages=4)
+
+    @pytest.mark.parametrize("knobs, message", INVALID_KNOBS, ids=[m for _, m in INVALID_KNOBS])
+    def test_invalid_knobs_rejected_with_one_message(self, front_end, knobs, message):
+        with pytest.raises(ValueError, match=message):
+            front_end(**knobs)
+
+
+def _parent_conversions(model_config, page_size, kv_dtype, max_pool_bytes, tier0_budget):
+    """The two inline bytes→pages conversions ``ContinuousBatchingEngine``
+    carried before ``resolve_pages`` (kept here as the reference)."""
+    page_bytes = PagedKVStore.page_nbytes_for(
+        kv_dtype,
+        model_config.n_heads,
+        model_config.d_head,
+        page_size,
+        model_config.np_dtype,
+        model_config.rope_dims if model_config.positional == "rope" else 0,
+    )
+    n_pages = max(int(max_pool_bytes // (model_config.n_layers * page_bytes)), 1)
+    tier0_pages = max(int(tier0_budget // (model_config.n_layers * page_bytes)), 2)
+    return n_pages, tier0_pages
+
+
+#: (workload, compute dtype, max_seq_len, tier-0 byte budget) of the five
+#: BENCHMARK.json workloads (``benchmarks/e2e/e2e_workloads.py``); only
+#: ``serve_offload_tight`` sets a budget, the others borrow it for the check.
+E2E_GEOMETRIES = [
+    ("solo_full_long", "float32", 2048, None),
+    ("solo_keyformer_long", "float32", 2048, None),
+    ("serve_shared_mix", "float64", 512, None),
+    ("serve_keyformer_long", "float64", 1024, None),
+    ("serve_offload_tight", "float64", 512, 15_500_000),
+]
+
+
+@pytest.mark.parametrize("kv_dtype", [None, "int8"])
+@pytest.mark.parametrize(
+    "name, dtype, max_seq_len, budget", E2E_GEOMETRIES, ids=[g[0] for g in E2E_GEOMETRIES]
+)
+def test_resolve_pages_equals_parent_conversions(name, dtype, max_seq_len, budget, kv_dtype):
+    model_config = ModelConfig(
+        vocab_size=256, d_model=128, n_layers=4, n_heads=8, d_ff=512,
+        positional="rope", max_seq_len=max_seq_len, compute_dtype=dtype,
+    )
+    assert EngineConfig(tier0_budget=budget).resolve_pages(model_config) == (
+        None,
+        77 if budget else None,
+    )
+    budget = budget or 15_500_000
+    want = _parent_conversions(model_config, 16, kv_dtype, budget, budget)
+    config = EngineConfig(kv_dtype=kv_dtype, max_pool_bytes=budget, tier0_budget=budget)
+    assert config.resolve_pages(model_config) == want
+    # Token budgets round up to whole pages and need no model geometry.
+    assert EngineConfig(max_pool_tokens=100).resolve_pages() == (7, None)
+    engine = ContinuousBatchingEngine(DecoderLM(model_config, seed=0), config=config)
+    assert (engine.max_pool_tokens, engine.tier0_pages) == (want[0] * 16, want[1])

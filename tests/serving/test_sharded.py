@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -23,7 +24,8 @@ import pytest
 
 from repro.kvcache import chunk_digest
 from repro.models.config import GenerationConfig, ModelConfig
-from repro.serving import FinishReason
+from repro.models.transformer import DecoderLM
+from repro.serving import ContinuousBatchingEngine, EngineConfig, FinishReason
 from repro.serving.sharded import (
     PrefixAffinityRouter,
     ReplicaDead,
@@ -32,6 +34,7 @@ from repro.serving.sharded import (
 )
 from repro.serving.workload import WorkloadConfig, generate_trace, replay_trace
 from repro.perfmodel.serving import StepCostModel
+from repro.speculative import SpeculationConfig
 
 VOCAB = 96
 PAGE = 16
@@ -250,6 +253,65 @@ def test_sharded_process_backend_matches_inline():
         eng.drain()
         _assert_results_equal(handles, want)
         assert [h.replica for h in handles] == inline_routes
+
+
+# ----------------------------------------------------------------------
+# a replica is configurable exactly like the engine it wraps
+# ----------------------------------------------------------------------
+def _tight_tier0_budget(frames=3):
+    """A tier-0 byte budget funding ``frames`` frames per layer pool."""
+    return frames * EngineConfig(page_size=PAGE).page_bytes(_MODEL_CONFIG)
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        lambda: dict(tier0_budget=_tight_tier0_budget(), spill_backend="mmap"),
+        lambda: dict(speculation=SpeculationConfig(k=3, drafter="ngram")),
+    ],
+    ids=["tier0_budget", "speculation"],
+)
+def test_n1_sharded_with_engine_only_knobs_matches_single_engine(knobs):
+    """``tier0_budget`` / ``speculation`` reach the replica's engine (the
+    hand-copied spec fields used to drop them) and N=1 sharded serving
+    reproduces the directly built engine bit for bit."""
+    spec = _spec(**knobs())
+    assert spec.build_engine().config == spec.config
+    solo = ContinuousBatchingEngine(
+        DecoderLM(_MODEL_CONFIG, seed=0), config=spec.config
+    )
+    want = [solo.submit(p, _CONFIG) for p in _PROMPTS]
+    solo.run()
+    with ShardedEngine(spec, 1, backend="inline") as eng:
+        handles = [eng.submit(p, _CONFIG) for p in _PROMPTS]
+        eng.drain()
+        _assert_results_equal(handles, want)
+    if spec.config.tier0_budget is not None:
+        tier = solo.pool_usage()["tier"]
+        assert tier["tier0_frames"] == 3 and tier["spills"] > 0
+    else:
+        assert solo.speculation_stats.rounds > 0
+
+
+def test_spec_config_survives_the_process_boundary():
+    """The spec (model recipe + frozen ``EngineConfig``) pickles round-trip,
+    and process-backed replicas built from it serve like inline ones."""
+    spec = _spec(
+        tier0_budget=_tight_tier0_budget(),
+        speculation=SpeculationConfig(k=2, drafter="ngram"),
+        max_retries=2,
+        shed_queue_depth=64,
+    )
+    clone = pickle.loads(pickle.dumps(spec))
+    assert clone == spec and clone.config == spec.config
+    prompts = _PROMPTS[:4]
+    with ShardedEngine(spec, 1, backend="inline") as eng:
+        want = [eng.submit(p, _CONFIG) for p in prompts]
+        eng.drain()
+    with ShardedEngine(spec, 1, backend="process") as eng:
+        handles = [eng.submit(p, _CONFIG) for p in prompts]
+        eng.drain()
+        _assert_results_equal(handles, want)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Documentation link checker for the CI docs job.
 
-Verifies, with no dependencies beyond the standard library, that:
+Verifies that:
 
 1. ``README.md`` exists and every page in ``docs/`` is reachable from it by
    following relative markdown links (the repo's navigability contract);
@@ -10,13 +10,19 @@ Verifies, with no dependencies beyond the standard library, that:
 3. every `path`-like inline-code reference to a tracked top-level artifact
    (``docs/…``, ``benchmarks/…``, ``tools/…``, ``examples/…``, ``src/…``,
    ``tests/…``) in those pages points at something that exists — stale file
-   references are doc drift.
+   references are doc drift;
+4. the knob table in ``docs/serving.md`` has one row per
+   :class:`repro.serving.EngineConfig` field, in declaration order, showing
+   the field's actual default — the table is the only place docs state
+   knob defaults, so it may not drift from the dataclass.
 
+Checks 1-3 need only the standard library; check 4 imports ``repro``.
 Exit status is non-zero on any failure, so CI can gate on it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import sys
 from pathlib import Path
@@ -32,6 +38,8 @@ CODE_PATH_RE = re.compile(
     r"`((?:docs|benchmarks|tools|examples|src|tests)/[A-Za-z0-9_./-]+)`"
 )
 FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
+#: A knob-table row: | `name` | `default` | meaning | consumed by |
+KNOB_ROW_RE = re.compile(r"^\| `(\w+)` \| `([^`]*)` \|.*\|.*\|$", re.MULTILINE)
 
 
 def _strip_code(text: str) -> str:
@@ -66,9 +74,24 @@ def check_file(path: Path) -> tuple[list[Path], list[str]]:
     return linked, errors
 
 
+def check_knob_table() -> list[str]:
+    """Compare the ``docs/serving.md`` knob table with ``EngineConfig``."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.serving import EngineConfig
+
+    want = [(f.name, repr(f.default)) for f in dataclasses.fields(EngineConfig)]
+    rows = KNOB_ROW_RE.findall((DOCS_DIR / "serving.md").read_text())
+    if rows == want:
+        return []
+    return [
+        "docs/serving.md: knob table (name, default) rows differ from EngineConfig's "
+        f"fields — missing or stale: {sorted(set(rows) ^ set(want)) or 'row order'}"
+    ]
+
+
 def main() -> int:
     """Walk the link graph from README.md and report every problem found."""
-    errors: list[str] = []
+    errors: list[str] = check_knob_table()
     if not README.exists():
         print("FAILED: README.md does not exist")
         return 1

@@ -30,6 +30,7 @@ failure is a one-liner to reproduce locally (see ``docs/robustness.md``).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -43,7 +44,7 @@ from repro.core.policies import WindowAttentionPolicy  # noqa: E402
 from repro.generation.sampler import GreedySampler  # noqa: E402
 from repro.models.config import GenerationConfig, ModelConfig  # noqa: E402
 from repro.models.transformer import DecoderLM  # noqa: E402
-from repro.serving.engine import ContinuousBatchingEngine  # noqa: E402
+from repro.serving.engine import ContinuousBatchingEngine, EngineConfig  # noqa: E402
 from repro.serving.faults import INJECTION_POINTS, FaultInjector  # noqa: E402
 from repro.serving.request import FinishReason  # noqa: E402
 from repro.speculative.config import SpeculationConfig  # noqa: E402
@@ -54,19 +55,43 @@ MAX_NEW_TOKENS = 8
 PROMPT_LENGTHS = (41, 18, 29, 37)
 FAULT_RATE = 0.03
 
-#: (name, kv_dtype, drafter, max_pool_tokens, tier0_budget, spill_backend) —
-#: the campaign's corners: both KV precisions, speculation on and off, one
-#: fixed-size pool config so preemption unwinds interleave with fault
-#: unwinds, and two tiered-offload rounds whose tight tier-0 budgets keep
-#: spill/restore traffic constant so ``spill_io`` faults land mid-transfer.
+#: Knobs every campaign round shares: a small batch, no prefix sharing (so
+#: page ownership stays per request), quarantine on with three quick retries.
+BASE_CONFIG = EngineConfig(
+    max_batch_size=3,
+    enable_prefix_sharing=False,
+    fault_tolerant=True,
+    max_retries=3,
+    retry_backoff_steps=1,
+)
+
+_corner = functools.partial(EngineConfig.of, BASE_CONFIG)
+_SMALL_POOL = 24 * 16
+
+#: (name, engine config) — the campaign's corners: both KV precisions,
+#: speculation on and off, one fixed-size pool config so preemption unwinds
+#: interleave with fault unwinds, and two tiered-offload rounds whose tight
+#: tier-0 budgets keep spill/restore traffic constant so ``spill_io`` faults
+#: land mid-transfer.
 CONFIGS = [
-    ("fp64-vanilla", None, None, None, None, None),
-    ("fp64-vanilla-smallpool", None, None, 24 * 16, None, None),
-    ("fp64-spec-window", None, "window", None, None, None),
-    ("int8-vanilla", "int8", None, None, None, None),
-    ("int8-spec-ngram", "int8", "ngram", None, None, None),
-    ("fp64-offload-compressed", None, None, 24 * 16, 160_000, "compressed"),
-    ("int8-offload-mmap", "int8", None, 24 * 16, 24_000, "mmap"),
+    ("fp64-vanilla", BASE_CONFIG),
+    ("fp64-vanilla-smallpool", _corner(max_pool_tokens=_SMALL_POOL)),
+    ("fp64-spec-window", _corner(speculation=SpeculationConfig(k=3, drafter="window"))),
+    ("int8-vanilla", _corner(kv_dtype="int8")),
+    (
+        "int8-spec-ngram",
+        _corner(kv_dtype="int8", speculation=SpeculationConfig(k=3, drafter="ngram")),
+    ),
+    (
+        "fp64-offload-compressed",
+        _corner(max_pool_tokens=_SMALL_POOL, tier0_budget=160_000, spill_backend="compressed"),
+    ),
+    (
+        "int8-offload-mmap",
+        _corner(
+            kv_dtype="int8", max_pool_tokens=_SMALL_POOL, tier0_budget=24_000, spill_backend="mmap"
+        ),
+    ),
 ]
 
 
@@ -92,35 +117,20 @@ def build_prompts() -> list[np.ndarray]:
     return [rng.integers(0, VOCAB, size=n).astype(np.int64) for n in PROMPT_LENGTHS]
 
 
-def build_engine(model, kv_dtype, drafter, max_pool_tokens, tier0_budget, spill_backend, faults):
+def build_engine(model, config, faults):
     """Assemble one engine for a (precision, speculation, pool, tier) corner."""
-    speculation = None if drafter is None else SpeculationConfig(k=3, drafter=drafter)
     policy_factory = None
-    if drafter is None:
+    if config.speculation is None:
         policy_factory = lambda: WindowAttentionPolicy(CachePolicyConfig(kv_fraction=0.5))
     return ContinuousBatchingEngine(
-        model,
-        policy_factory=policy_factory,
-        max_batch_size=3,
-        kv_dtype=kv_dtype,
-        enable_prefix_sharing=False,
-        max_pool_tokens=max_pool_tokens,
-        tier0_budget=tier0_budget,
-        spill_backend=spill_backend,
-        speculation=speculation,
-        faults=faults,
-        fault_tolerant=True,
-        max_retries=3,
-        retry_backoff_steps=1,
+        model, policy_factory=policy_factory, faults=faults, config=config
     )
 
 
-def run_round(model, prompts, config, faults, audit_every_step):
+def run_round(model, prompts, corner, faults, audit_every_step):
     """Run one workload round; return ``(engine, states, steps, violations)``."""
-    name, kv_dtype, drafter, max_pool_tokens, tier0_budget, spill_backend = config
-    engine = build_engine(
-        model, kv_dtype, drafter, max_pool_tokens, tier0_budget, spill_backend, faults
-    )
+    name, config = corner
+    engine = build_engine(model, config, faults)
     gen = GenerationConfig(max_new_tokens=MAX_NEW_TOKENS)
     states = [engine.submit(p, gen, sampler=GreedySampler()) for p in prompts]
     steps = 0

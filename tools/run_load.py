@@ -42,7 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.models.config import ModelConfig  # noqa: E402
 from repro.models.transformer import DecoderLM  # noqa: E402
 from repro.perfmodel.serving import StepCostModel  # noqa: E402
-from repro.serving.engine import ContinuousBatchingEngine  # noqa: E402
+from repro.serving.engine import ContinuousBatchingEngine, EngineConfig  # noqa: E402
 from repro.serving.scheduler import PagedScheduler  # noqa: E402
 from repro.serving.sharded import ReplicaSpec, ShardedEngine  # noqa: E402
 from repro.serving.slo import SLOSpec  # noqa: E402
@@ -86,14 +86,20 @@ def build_model(args: argparse.Namespace) -> DecoderLM:
     return DecoderLM(model_config(args), seed=0)
 
 
+def engine_config(args: argparse.Namespace) -> EngineConfig:
+    """The engine knobs implied by the CLI flags — one config for the single
+    engine and for every sharded replica."""
+    chunk = args.chunk_tokens if args.chunk_tokens > 0 else None
+    return EngineConfig(max_batch_size=args.max_batch_size, prefill_chunk_tokens=chunk)
+
+
 def build_engine(model: DecoderLM, args: argparse.Namespace) -> ContinuousBatchingEngine:
     """A fresh engine wired with the requested scheduler and chunk budget."""
-    chunk = args.chunk_tokens if args.chunk_tokens > 0 else None
+    config = engine_config(args)
     sched_cls = PriorityScheduler if args.scheduler == "priority" else PagedScheduler
-    scheduler = sched_cls(
-        max_batch_size=args.max_batch_size, prefill_chunk_tokens=chunk
+    return ContinuousBatchingEngine(
+        model, scheduler=config.build_scheduler(sched_cls), config=config
     )
-    return ContinuousBatchingEngine(model, scheduler=scheduler)
 
 
 def workload_config(args: argparse.Namespace) -> WorkloadConfig:
@@ -113,13 +119,11 @@ def workload_config(args: argparse.Namespace) -> WorkloadConfig:
 
 def build_sharded(args: argparse.Namespace) -> ShardedEngine:
     """A sharded front-end over ``--replicas`` engine replicas."""
-    chunk = args.chunk_tokens if args.chunk_tokens > 0 else None
     spec = ReplicaSpec(
         model_config=model_config(args),
         model_seed=0,
         scheduler=args.scheduler,
-        max_batch_size=args.max_batch_size,
-        prefill_chunk_tokens=chunk,
+        config=engine_config(args),
     )
     return ShardedEngine(spec, args.replicas, backend=args.replica_backend)
 
