@@ -127,20 +127,34 @@ def _model(max_seq_len: int, dtype: str | None = None, **overrides) -> DecoderLM
     return DecoderLM(config, seed=0)
 
 
+#: Most warm-up calls :func:`_time` makes before it starts timing regardless.
+_WARMUP_CAP = 6
+
+
 def _time(setup, run, rounds: int) -> dict:
     """Median wall-clock seconds of ``run(*setup())`` over ``rounds`` rounds.
 
-    One untimed warm-up call runs first: a cold process's first call pays
-    page faults, BLAS thread start-up and RoPE-table construction (2-5x the
-    steady state), which at 2 smoke rounds lands in the median.
+    Untimed warm-up calls run first, until two consecutive ones agree within
+    10 % (at most ``_WARMUP_CAP``): a cold process is slow for its first
+    three or four calls, not one — page faults, BLAS thread start-up,
+    RoPE-table construction, allocator growth, 2-5x the steady state — which
+    at 2 smoke rounds lands in the median and flakes the gate.
     """
-    run(*(setup() if setup is not None else ()))
-    times = []
-    for _ in range(rounds):
+
+    def timed() -> float:
         args = setup() if setup is not None else ()
         start = time.perf_counter()
         run(*args)
-        times.append(time.perf_counter() - start)
+        return time.perf_counter() - start
+
+    previous = timed()
+    for _ in range(_WARMUP_CAP - 1):
+        current = timed()
+        settled = abs(current - previous) <= 0.1 * max(current, previous)
+        previous = current
+        if settled:
+            break
+    times = [timed() for _ in range(rounds)]
     return {
         "median_s": statistics.median(times),
         "min_s": min(times),

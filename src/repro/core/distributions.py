@@ -35,8 +35,25 @@ class NoiseDistribution(ABC):
     name = "abstract"
 
     @abstractmethod
+    def draw(self, out: np.ndarray, rng: np.random.Generator) -> None:
+        """Fill ``out`` (C-contiguous float64) with the generator variates
+        this distribution is built from — one per element, in C order."""
+
+    @abstractmethod
+    def finish(self, raw: np.ndarray) -> None:
+        """Turn the variates of :meth:`draw` into adjustment values, in place.
+
+        Elementwise, so it may be applied to any part (or copy of a part) of
+        a draw: the prompt phase finishes only the columns a causal mask
+        leaves visible, while the generator is still consumed for all.
+        """
+
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``size`` adjustment values."""
+        out = np.empty(size)
+        self.draw(out, rng)
+        self.finish(out)
+        return out
 
     def pdf(self, zeta: np.ndarray) -> np.ndarray:
         """Probability density of the adjustment values (used in analysis)."""
@@ -57,9 +74,22 @@ class GumbelNoise(NoiseDistribution):
         self.mu_loc = mu - self.beta * GUMBEL_MEAN
         self.mu = mu
 
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        u = rng.uniform(low=1e-12, high=1.0 - 1e-12, size=size)
-        return self.mu_loc - self.beta * np.log(-np.log(u))
+    def draw(self, out, rng) -> None:
+        rng.random(out=out)
+
+    def finish(self, raw) -> None:
+        # ``mu_loc - beta * log(-log(u))`` with ``u = rng.uniform(low, high)``
+        # spelled out — the same ``low + (high - low) * random()`` per element
+        # — as a block fill and in-place ufuncs instead of ``uniform``'s
+        # per-element loop and four temporaries.
+        low, high = 1e-12, 1.0 - 1e-12
+        raw *= high - low
+        raw += low
+        np.log(raw, out=raw)
+        np.negative(raw, out=raw)
+        np.log(raw, out=raw)
+        raw *= self.beta
+        np.subtract(self.mu_loc, raw, out=raw)
 
     def pdf(self, zeta: np.ndarray) -> np.ndarray:
         z = (np.asarray(zeta, dtype=np.float64) - self.mu_loc) / self.beta
@@ -77,8 +107,13 @@ class GaussianNoise(NoiseDistribution):
         self.mu = mu
         self.sigma = sigma
 
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(self.mu, self.sigma, size=size)
+    def draw(self, out, rng) -> None:
+        rng.standard_normal(out=out)
+
+    def finish(self, raw) -> None:
+        # ``rng.normal(mu, sigma)`` is ``mu + sigma * standard_normal()``.
+        raw *= self.sigma
+        raw += self.mu
 
     def pdf(self, zeta: np.ndarray) -> np.ndarray:
         z = np.asarray(zeta, dtype=np.float64)
@@ -95,17 +130,20 @@ class ConstantAdjustment(NoiseDistribution):
     def __init__(self, value: float = GUMBEL_MEAN):
         self.value = value
 
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        return np.full(size, self.value, dtype=np.float64)
+    def draw(self, out, rng) -> None:
+        pass
+
+    def finish(self, raw) -> None:
+        raw[...] = self.value
 
 
-class NoAdjustment(NoiseDistribution):
+class NoAdjustment(ConstantAdjustment):
     """No logit adjustment — ``y_i = x_i`` as in H2O (Table 4's "None")."""
 
     name = "none"
 
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        return np.zeros(size, dtype=np.float64)
+    def __init__(self):
+        super().__init__(0.0)
 
 
 NOISE_DISTRIBUTIONS = ("gumbel", "gaussian", "constant", "none")

@@ -12,31 +12,34 @@ constructor arguments.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.config import KeyformerConfig
 from repro.core.distributions import make_noise
-from repro.core.policies import EvictionPolicy, mixed_topk_selection
+from repro.core.policies import _ScoreBasedPolicy
 from repro.core.score import KeyformerScore
 from repro.core.temperature import ConstantTauSchedule, LinearTauSchedule
 
 __all__ = ["KeyformerPolicy"]
 
 
-class KeyformerPolicy(EvictionPolicy):
-    """Mixed recent-window + key-token eviction driven by a Gumbel-softmax score."""
+class KeyformerPolicy(_ScoreBasedPolicy):
+    """Mixed recent-window + key-token eviction driven by a Gumbel-softmax score.
+
+    The Gumbel score accumulator is seeded from the prompt attention logits
+    (``needs_prompt_attention``), so prefix sharing cannot skip the prompt
+    forward pass.
+    """
 
     name = "keyformer"
-    #: The Gumbel score accumulator is seeded from the prompt attention
-    #: logits, so prefix sharing cannot skip the prompt forward pass.
-    needs_prompt_attention = True
 
     def __init__(self, config: KeyformerConfig | None = None):
         config = config or KeyformerConfig()
-        super().__init__(config)
+        super().__init__(config, damping=config.score_damping)
         self.config: KeyformerConfig = config
         self.shared_selection = config.shared_score
-        self.score = KeyformerScore(
+
+    def _make_score(self) -> KeyformerScore:
+        config = self.config
+        return KeyformerScore(
             noise=make_noise(config.noise, mu=config.noise_mu, sigma=config.noise_sigma),
             shared=config.shared_score,
             seed=config.seed,
@@ -45,11 +48,15 @@ class KeyformerPolicy(EvictionPolicy):
             resample=config.noise_resample,
         )
 
+    @property
+    def needs_key_positions(self) -> bool:
+        """Only fixed-per-sequence noise is indexed by original position."""
+        return self.score.resample == "fixed"
+
     # ------------------------------------------------------------------
     def setup(self, n_layers, n_heads, batch_size, prompt_len, max_new_tokens) -> None:
-        super().setup(n_layers, n_heads, batch_size, prompt_len, max_new_tokens)
         self.score.max_positions = max(prompt_len + max_new_tokens + 1, 16)
-        self.score.reset()
+        super().setup(n_layers, n_heads, batch_size, prompt_len, max_new_tokens)
         if self.config.static_tau is not None:
             self.score.tau_schedule = ConstantTauSchedule(self.config.static_tau)
         else:
@@ -58,32 +65,6 @@ class KeyformerPolicy(EvictionPolicy):
                 self.config.tau_end,
                 max(max_new_tokens, 1),
             )
-
-    # ------------------------------------------------------------------
-    def _select(self, layer_idx: int) -> np.ndarray:
-        scores = self.score.get(layer_idx)
-        selection = mixed_topk_selection(scores, self.budget, self.recent_window)
-        self.score.gather(layer_idx, selection)
-        return selection
-
-    def initial_selection(self, layer_idx, attn_probs, attn_logits=None, positions=None):
-        """Prompt-phase reduction from ``n`` to ``k`` tokens (Algorithm 1, step 1)."""
-        self.score.init_from_prompt(layer_idx, attn_probs, attn_logits, positions)
-        t = attn_probs.shape[-1]
-        if t <= self.budget:
-            return None
-        if self.shared_selection and layer_idx < self.n_layers - 1:
-            return None
-        return self._select(layer_idx)
-
-    def step_selection(self, layer_idx, logits, probs, key_positions, step):
-        """Token-generation-phase reduction keeping the cache at ``k`` tokens."""
-        self.score.update(layer_idx, logits, probs, positions=key_positions, step=step)
-        if logits.shape[-1] <= self.budget:
-            return None
-        if self.shared_selection and layer_idx < self.n_layers - 1:
-            return None
-        return self._select(layer_idx)
 
     # ------------------------------------------------------------------
     def describe(self) -> dict:

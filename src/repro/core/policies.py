@@ -12,12 +12,18 @@ hooks:
     attention maps; returns the indices to keep (or ``None`` to keep all).
 ``step_selection``
     called once per layer per generated token with that step's attention
-    logits/probabilities; returns the indices to keep (or ``None``).
+    logits/probabilities; returns the indices to keep (or ``None``).  A
+    policy with ``stacked_steps`` set is instead called once per generated
+    token, after the last layer, with every layer's tensors stacked — no
+    layer's eviction is read again before the next token, so the score
+    policies run one pass per step instead of one per layer.
 
 Indices are returned in ascending cache order with shape
 ``(batch, heads, k)``, so chronological ordering inside the cache is
-preserved.  Policies that keep internal per-token state (the score
-accumulators) gather that state themselves before returning.
+preserved; a fixed-budget policy's steady state — one entry evicted per head
+— is returned as an :class:`EvictOne` instead.  Policies that keep internal
+per-token state (the score accumulators) gather that state themselves before
+returning.
 """
 
 from __future__ import annotations
@@ -27,9 +33,10 @@ from abc import ABC
 import numpy as np
 
 from repro.core.config import CachePolicyConfig
-from repro.core.score import AccumulatedAttentionScore
+from repro.core.score import AccumulatedAttentionScore, BaseScore, EvictOne
 
 __all__ = [
+    "EvictOne",
     "EvictionPolicy",
     "FullAttentionPolicy",
     "WindowAttentionPolicy",
@@ -38,8 +45,31 @@ __all__ = [
     "H2OPolicy",
     "StreamingLLMPolicy",
     "RandomEvictionPolicy",
+    "evict_one_selection",
     "mixed_topk_selection",
 ]
+
+
+def evict_one_selection(scores: np.ndarray, budget: int, recent_window: int) -> EvictOne | None:
+    """:func:`mixed_topk_selection` for the steady state of decoding, or
+    ``None`` where only the general construction will do.
+
+    One token was appended over ``budget``, so exactly one old entry goes: the
+    top ``budget - recent_window`` of one more old entries are everything but
+    the minimum.  Answered only when that minimum is strict in every row: on
+    an exact tie ``argmin`` and ``argpartition`` may evict different
+    duplicates, and bit-parity with the general construction matters more
+    than the shortcut.
+    """
+    length = scores.shape[-1]
+    recent_window = int(min(max(recent_window, 0), budget))
+    if length != budget + 1 or recent_window == budget:
+        return None
+    old_region = scores[..., : length - recent_window]
+    min_vals = old_region.min(axis=-1, keepdims=True)
+    if np.count_nonzero(old_region == min_vals) != min_vals.size:
+        return None
+    return EvictOne(old_region.argmin(axis=-1), length)
 
 
 def mixed_topk_selection(scores: np.ndarray, budget: int, recent_window: int) -> np.ndarray:
@@ -65,21 +95,6 @@ def mixed_topk_selection(scores: np.ndarray, budget: int, recent_window: int) ->
         return np.broadcast_to(idx, scores.shape[:-1] + (length,)).copy()
     recent_window = int(min(max(recent_window, 0), budget))
     n_key = budget - recent_window
-
-    if n_key > 0 and length == budget + 1:
-        # Steady-state decode: one token was appended over budget, so exactly
-        # one old entry is evicted.  The top ``n_key`` of the ``n_key + 1``
-        # old entries are everything except the minimum — skip the
-        # argpartition + concatenate + sort pipeline entirely.  Taken only
-        # when the minimum is strict in every row: on an exact tie argmin and
-        # argpartition may evict different duplicates, and bit-parity with
-        # the reference path matters more than the fast path's savings.
-        old_region = scores[..., : length - recent_window]
-        min_vals = old_region.min(axis=-1, keepdims=True)
-        if np.count_nonzero(old_region == min_vals) == min_vals.size:
-            drop = np.argmin(old_region, axis=-1)
-            base = np.arange(length - 1)
-            return base + (base >= drop[..., None])
 
     recent_idx = np.arange(length - recent_window, length)
     recent_idx = np.broadcast_to(recent_idx, scores.shape[:-1] + (recent_window,))
@@ -117,6 +132,14 @@ class EvictionPolicy(ABC):
     #: cached prefix for this request.  Shape-only policies (full, window,
     #: sinks, dilated, random) leave this False and remain prefix-shareable.
     needs_prompt_attention = False
+    #: When true the cache manager collects every layer's step tensors and
+    #: calls ``step_selection(None, ...)`` once per generated token with them
+    #: stacked ``(layers, B, H, L)``, instead of once per layer.
+    stacked_steps = False
+    #: When true ``step_selection`` reads ``key_positions``; otherwise the
+    #: manager passes ``None`` and never materializes them (a page-gather
+    #: copy per row on fragmented tables, a pass through tier-0 under offload).
+    needs_key_positions = False
 
     def __init__(self, config: CachePolicyConfig | None = None):
         self.config = config or CachePolicyConfig()
@@ -161,13 +184,20 @@ class EvictionPolicy(ABC):
 
     def step_selection(
         self,
-        layer_idx: int,
+        layer_idx: int | None,
         logits: np.ndarray,
         probs: np.ndarray,
-        key_positions: np.ndarray,
+        key_positions: np.ndarray | None,
         step: int,
-    ) -> np.ndarray | None:
-        """Indices to keep after a decoding step; ``None`` keeps everything."""
+    ) -> np.ndarray | EvictOne | None:
+        """Indices to keep after a decoding step; ``None`` keeps everything.
+
+        ``key_positions`` is ``None`` unless the policy sets
+        ``needs_key_positions``.  With ``stacked_steps`` the manager passes
+        ``layer_idx=None`` and ``(layers, B, H, L)`` tensors, and applies
+        ``selection[layer]`` to each layer (``selection[0]`` to all of them
+        under ``shared_selection``).
+        """
         return None
 
     def reorder(self, batch_indices: np.ndarray) -> None:
@@ -285,36 +315,52 @@ class _ScoreBasedPolicy(EvictionPolicy):
     """Shared logic for policies that rank tokens by an accumulated score."""
 
     needs_prompt_attention = True
+    stacked_steps = True
 
     def __init__(self, config: CachePolicyConfig | None = None, damping: float = 1.0):
         super().__init__(config)
         self.damping = damping
-        self.score = AccumulatedAttentionScore(
-            shared=False, damping=damping, prompt_mode=self.config.prompt_mode
+        self.score = self._make_score()
+
+    def _make_score(self) -> BaseScore:
+        return AccumulatedAttentionScore(
+            shared=False, damping=self.damping, prompt_mode=self.config.prompt_mode
         )
 
     def setup(self, n_layers, n_heads, batch_size, prompt_len, max_new_tokens) -> None:
         super().setup(n_layers, n_heads, batch_size, prompt_len, max_new_tokens)
-        self.score.reset()
+        self.score.reset(n_layers)
 
-    def _select(self, layer_idx: int, recent_window: int) -> np.ndarray:
+    def _select(self, layer_idx: int | None):
+        """Rank ``layer_idx``'s scores (every layer's, stacked, for ``None``),
+        cut the accumulators to the selection and return it."""
         scores = self.score.get(layer_idx)
-        selection = mixed_topk_selection(scores, self.budget, recent_window)
+        recent = self._recent_for_selection()
+        selection = evict_one_selection(scores, self.budget, recent)
+        if selection is None:
+            selection = mixed_topk_selection(scores, self.budget, recent)
         self.score.gather(layer_idx, selection)
         return selection
 
     def initial_selection(self, layer_idx, attn_probs, attn_logits=None, positions=None):
+        """Prompt-phase reduction from ``n`` to ``k`` tokens (Algorithm 1, step 1)."""
         self.score.init_from_prompt(layer_idx, attn_probs, attn_logits, positions)
-        t = attn_probs.shape[-1]
-        if t <= self.budget:
+        if attn_probs.shape[-1] <= self.budget:
             return None
-        return self._select(layer_idx, self._recent_for_selection())
+        if self.shared_selection and layer_idx < self.n_layers - 1:
+            return None
+        return self._select(layer_idx)
 
     def step_selection(self, layer_idx, logits, probs, key_positions, step):
+        """Token-generation-phase reduction keeping the cache at ``k`` tokens:
+        the whole step's for ``layer_idx`` ``None`` (tensors and selection
+        stacked, layers leading), else that layer's."""
         self.score.update(layer_idx, logits, probs, positions=key_positions, step=step)
         if logits.shape[-1] <= self.budget:
             return None
-        return self._select(layer_idx, self._recent_for_selection())
+        if self.shared_selection and layer_idx is not None and layer_idx < self.n_layers - 1:
+            return None
+        return self._select(layer_idx)
 
     def _recent_for_selection(self) -> int:
         return self.recent_window

@@ -19,19 +19,26 @@ cache evicts entries so the two stay aligned.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.distributions import NoiseDistribution, make_noise
 from repro.core.temperature import ConstantTauSchedule, LinearTauSchedule, TauSchedule
-from repro.models.tensor_ops import softmax
 
-__all__ = ["entropy", "BaseScore", "AccumulatedAttentionScore", "KeyformerScore"]
+__all__ = ["entropy", "EvictOne", "BaseScore", "AccumulatedAttentionScore", "KeyformerScore"]
 
 
 #: Query rows scored at a time in the prompt phase: large enough that the
 #: per-block Python overhead vanishes, small enough that a block's softmax
 #: temporaries stay cache-resident at a few thousand keys.
 _PROMPT_BLOCK_ROWS = 32
+
+
+def _floating(x) -> np.ndarray:
+    """``x`` as an array of its own floating dtype, or float64."""
+    x = np.asarray(x)
+    return x if np.issubdtype(x.dtype, np.floating) else x.astype(np.float64)
 
 
 def entropy(probabilities: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -41,130 +48,228 @@ def entropy(probabilities: np.ndarray, axis: int = -1) -> np.ndarray:
     return -np.sum(p * np.log(safe), axis=axis)
 
 
-class BaseScore:
-    """Common storage/gather logic for per-layer score accumulators.
+class EvictOne:
+    """The steady-state selection of a fixed-budget policy: keep all ``length``
+    entries of every head but one.
 
-    Accumulators live in preallocated slabs of shape ``(B, H, capacity)``
-    with a live-length cursor (mirroring the KV-cache slab layout), so the
-    per-token score update is an in-place add and eviction is an in-place
-    compaction — no concatenate-growth on the decode hot path.  The slab
-    dtype follows the contribution dtype, which is how the model's
+    ``drop`` holds the evicted cache index per head, shape ``(..., heads)``.
+    It stands for the ascending index array of shape ``(..., heads,
+    length - 1)`` and answers ``shape``, ``[i]`` and ``np.asarray`` like it,
+    but the score slabs and :meth:`repro.kvcache.paged.BlockPool.gather` move
+    one tail per head straight from ``drop`` and never build the array.
+    """
+
+    __slots__ = ("drop", "length")
+
+    def __init__(self, drop: np.ndarray, length: int):
+        self.drop = drop
+        self.length = length
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.drop.shape + (self.length - 1,)
+
+    def __getitem__(self, index) -> "EvictOne":
+        return EvictOne(self.drop[index], self.length)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        base = np.arange(self.length - 1)
+        indices = base + (base >= self.drop[..., None])
+        return indices if dtype is None else indices.astype(dtype, copy=False)
+
+
+class BaseScore:
+    """Common storage/gather logic for the score accumulators.
+
+    Every layer's accumulator lives in one preallocated slab of shape
+    ``(layers, B, H, capacity)`` with a live-length cursor per layer
+    (mirroring the KV-cache slab layout), so a decode step updates, ranks and
+    compacts all layers with one in-place operation each — no
+    concatenate-growth and no per-layer dispatch on the decode hot path.  The
+    slab dtype follows the contribution dtype, which is how the model's
     ``compute_dtype`` reaches the score accumulators.
     """
 
+    #: History decay applied by :meth:`update` before each contribution.
+    damping = 1.0
+
     def __init__(self, shared: bool = False):
         self.shared = shared
-        self._slabs: dict[int, np.ndarray] = {}
-        self._lens: dict[int, int] = {}
-        # Cached flat row offsets for the gather kernel, keyed like _slabs;
-        # invalidated whenever a slab is reallocated or reordered.
-        self._offsets: dict[int, np.ndarray] = {}
+        self._stack: np.ndarray | None = None
+        # Live length per stacked layer; -1 marks a layer not yet seeded.
+        self._lens: list[int] = []
+        # Flat row offsets for the gather kernel; dropped with the slab.
+        self._row_offsets: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def _key(self, layer_idx: int) -> int:
         return 0 if self.shared else layer_idx
 
-    def reset(self) -> None:
-        """Drop all accumulated state (called at the start of each sequence)."""
-        self._slabs = {}
-        self._lens = {}
-        self._offsets = {}
+    def _layers(self, layer_idx: int | None) -> slice:
+        """Stacked-slab rows behind ``layer_idx`` (``None``: every layer)."""
+        if layer_idx is None or self.shared:
+            return slice(0, 1 if self.shared else len(self._lens))
+        return slice(layer_idx, layer_idx + 1)
 
-    def get(self, layer_idx: int) -> np.ndarray:
-        """Current accumulator for ``layer_idx`` (shape ``(B, H, L)``).
+    def reset(self, n_layers: int = 0) -> None:
+        """Drop all accumulated state (called at the start of each sequence).
 
-        Returns a live view into the slab; it is valid until the next
-        ``_accumulate``/``gather``/``reorder`` call for this layer.
+        ``n_layers`` sizes the slab for that many layers up front; without
+        it the slab grows a layer at a time as they are first seen.
         """
-        key = self._key(layer_idx)
-        if key not in self._slabs:
-            raise KeyError(f"score for layer {layer_idx} not initialized")
-        return self._slabs[key][..., : self._lens[key]]
+        self._stack = None
+        self._lens = [-1] * (1 if self.shared and n_layers else n_layers)
+        self._row_offsets = None
 
     def has(self, layer_idx: int) -> bool:
-        return self._key(layer_idx) in self._slabs
+        key = self._key(layer_idx)
+        return key < len(self._lens) and self._lens[key] >= 0
+
+    def get(self, layer_idx: int | None) -> np.ndarray:
+        """Current accumulator for ``layer_idx`` (shape ``(B, H, L)``), or of
+        every layer stacked (``(layers, B, H, L)``) for ``None``.
+
+        Returns a live view into the slab; it is valid until the next
+        ``update``/``gather``/``reorder`` call.
+        """
+        if layer_idx is None:
+            layers = self._layers(None)
+            return self._stack[layers, ..., : self._common_len(layers)]
+        if not self.has(layer_idx):
+            raise KeyError(f"score for layer {layer_idx} not initialized")
+        key = self._key(layer_idx)
+        return self._stack[key, ..., : self._lens[key]]
 
     def set(self, layer_idx: int, scores: np.ndarray) -> None:
         scores = np.asarray(scores)
-        if not np.issubdtype(scores.dtype, np.floating):
-            scores = scores.astype(np.float64)
         key = self._key(layer_idx)
-        self._slabs[key] = scores.copy()
-        self._lens[key] = scores.shape[-1]
-        self._offsets.pop(key, None)
+        if key < len(self._lens):
+            self._lens[key] = -1
+        self._add(slice(key, key + 1), scores[None])
 
-    def _grow(self, key: int, needed: int) -> None:
-        slab = self._slabs[key]
-        new_cap = max(16, 2 * slab.shape[-1], needed)
-        fresh = np.empty(slab.shape[:-1] + (new_cap,), dtype=slab.dtype)
-        fresh[..., : self._lens[key]] = slab[..., : self._lens[key]]
-        self._slabs[key] = fresh
-        self._offsets.pop(key, None)
+    def _common_len(self, layers: slice) -> int:
+        lens = self._lens[layers]
+        if not lens or min(lens) < 0:
+            raise KeyError(f"score layers {layers.start}..{layers.stop} not all initialized")
+        if lens.count(lens[0]) != len(lens):
+            raise ValueError(f"layers hold different score lengths {lens}")
+        return lens[0]
 
-    def _scale(self, layer_idx: int, factor: float) -> None:
-        """Multiply the live accumulator in place (score damping)."""
-        key = self._key(layer_idx)
-        if key in self._slabs:
-            self._slabs[key][..., : self._lens[key]] *= factor
-
-    def _accumulate(self, layer_idx: int, contribution: np.ndarray) -> np.ndarray:
-        """Add ``contribution`` (shape ``(B, H, L)``), growing the accumulator
-        with zero-initialized slots for newly appended cache entries."""
-        contribution = np.asarray(contribution)
-        key = self._key(layer_idx)
-        length = contribution.shape[-1]
-        if key not in self._slabs:
-            dtype = (
-                contribution.dtype
-                if np.issubdtype(contribution.dtype, np.floating)
-                else np.float64
-            )
-            self._slabs[key] = contribution.astype(dtype, copy=True)
-            self._lens[key] = length
-            return self.get(layer_idx)
-        current_len = self._lens[key]
-        if current_len > length:
+    def _reserve(self, n_layers: int, lead: tuple[int, ...], length: int, dtype) -> None:
+        """Make room for ``n_layers`` accumulators of ``length`` entries each
+        (every layer shares the ``lead`` = (batch, heads) shape and dtype)."""
+        stack, lens = self._stack, self._lens
+        if (
+            stack is not None
+            and len(lens) >= n_layers
+            and stack.shape[-1] >= length
+            and stack.shape[1:-1] == lead
+        ):
+            return
+        lens.extend([-1] * (n_layers - len(lens)))
+        live = [key for key, n in enumerate(lens) if n >= 0]
+        if not live:
+            capacity = length
+            dtype = dtype if np.issubdtype(dtype, np.floating) else np.float64
+        elif stack.shape[1:-1] != lead:
             raise ValueError(
-                f"score length {current_len} exceeds contribution length {length}; "
-                "cache and score are out of sync"
+                f"score layers share one (batch, heads) shape: {stack.shape[1:-1]} != {lead}"
             )
-        if length > self._slabs[key].shape[-1]:
-            self._grow(key, length)
-        if current_len < length:
-            self._slabs[key][..., current_len:length] = 0.0
-            self._lens[key] = length
-        self._slabs[key][..., :length] += contribution
+        else:
+            capacity = stack.shape[-1]
+            if length > capacity:
+                capacity = max(16, 2 * capacity, length)
+            dtype = stack.dtype
+        fresh = np.empty((len(lens),) + lead + (capacity,), dtype=dtype)
+        for key in live:
+            fresh[key, ..., : lens[key]] = stack[key, ..., : lens[key]]
+        self._stack = fresh
+        self._row_offsets = None
+
+    def _add(self, layers: slice, contribution: np.ndarray, damping: float = 1.0) -> None:
+        """Add ``contribution`` (shape ``(len(layers), B, H, L)``) to the
+        accumulators of ``layers``, first decaying their history by
+        ``damping`` and growing them with zero-initialized slots for newly
+        appended cache entries."""
+        length = contribution.shape[-1]
+        self._reserve(layers.stop, contribution.shape[1:-1], length, contribution.dtype)
+        lens = self._lens[layers]
+        current = lens[0]
+        if lens.count(current) != len(lens):
+            raise ValueError(f"layers hold different score lengths {lens}")
+        stack = self._stack
+        if current < 0:
+            stack[layers, ..., :length] = contribution
+        else:
+            if current > length:
+                raise ValueError(
+                    f"score length {current} exceeds contribution length {length}; "
+                    "cache and score are out of sync"
+                )
+            if damping < 1.0:
+                stack[layers, ..., :current] *= damping
+            if current < length:
+                stack[layers, ..., current:length] = 0.0
+            stack[layers, ..., :length] += contribution
+        self._lens[layers] = [length] * len(lens)
+
+    def _add_step(self, layer_idx: int | None, contribution: np.ndarray) -> np.ndarray:
+        """Accumulate one decoding step: ``(B, H, L)`` for one layer, or
+        ``(layers, B, H, L)`` for a whole step when ``layer_idx`` is ``None``."""
+        if layer_idx is not None:
+            contribution = contribution[None]
+        if self.shared:
+            # One accumulator, fed layer after layer: ((s·α + c₀)·α + c₁)…
+            for layer in range(contribution.shape[0]):
+                self._add(slice(0, 1), contribution[layer : layer + 1], self.damping)
+        else:
+            first = layer_idx or 0
+            self._add(slice(first, first + contribution.shape[0]), contribution, self.damping)
         return self.get(layer_idx)
 
-    def gather(self, layer_idx: int, indices: np.ndarray) -> None:
-        """Keep only the accumulator entries selected by ``indices`` (B, H, K).
+    def gather(self, layer_idx: int | None, indices) -> None:
+        """Keep only the accumulator entries selected by ``indices``: shape
+        ``(B, H, K)`` for one layer, ``(layers, B, H, K)`` for every layer
+        (``layer_idx`` ``None``), or the matching :class:`EvictOne`.
 
-        Compacts the slab in place through one flat row-gather.  ``indices``
-        is the policy's own selection; it is validated where it reaches the
-        KV pages (:meth:`repro.kvcache.paged.BlockPool.gather`), not here.
+        ``indices`` is the policy's own selection; it is validated where it
+        reaches the KV pages (:meth:`repro.kvcache.paged.BlockPool.gather`),
+        not here.
         """
-        key = self._key(layer_idx)
-        if key not in self._slabs:
-            return
-        indices = np.asarray(indices)
+        if layer_idx is not None:
+            if not self.has(layer_idx):
+                return
+            indices = indices[None]
+        layers = self._layers(layer_idx)
+        length = self._common_len(layers)
+        stack = self._stack
         k = indices.shape[-1]
-        slab = self._slabs[key]
-        n_rows = int(np.prod(slab.shape[:-1]))
-        offsets = self._offsets.get(key)
-        if offsets is None:
-            offsets = (np.arange(n_rows) * slab.shape[-1])[:, None]
-            self._offsets[key] = offsets
-        # Flattened row-gather (much cheaper than take_along_axis per step).
-        gidx = (offsets + indices.reshape(n_rows, k)).reshape(-1)
-        slab[..., :k] = slab.reshape(-1).take(gidx).reshape(slab.shape[:-1] + (k,))
-        self._lens[key] = k
+        if isinstance(indices, EvictOne):
+            # Every row's tail moves down one slot (cheaper than building
+            # and taking the index array the selection stands for).
+            rows = stack[layers].reshape(-1, stack.shape[-1])
+            for row, drop in zip(rows, indices.drop.reshape(-1).tolist()):
+                row[drop:k] = row[drop + 1 : length]
+        else:
+            # Flattened row-gather (much cheaper than take_along_axis).
+            indices = np.asarray(indices)
+            capacity = stack.shape[-1]
+            if self._row_offsets is None:
+                n_rows = stack.size // capacity
+                self._row_offsets = (np.arange(n_rows) * capacity)[:, None]
+            rows_per_layer = stack[0].size // capacity
+            offsets = self._row_offsets[
+                layers.start * rows_per_layer : layers.stop * rows_per_layer
+            ]
+            gidx = (offsets + indices.reshape(offsets.shape[0], k)).reshape(-1)
+            stack[layers, ..., :k] = stack.reshape(-1).take(gidx).reshape(indices.shape)
+        self._lens[layers] = [k] * (layers.stop - layers.start)
 
     def reorder(self, batch_indices: np.ndarray) -> None:
         """Reorder the batch/beam dimension of every accumulator (beam search)."""
-        batch_indices = np.asarray(batch_indices, dtype=np.int64)
-        for key, slab in self._slabs.items():
-            self._slabs[key] = slab[batch_indices]
-        self._offsets = {}
+        if self._stack is not None:
+            self._stack = self._stack.take(np.asarray(batch_indices, dtype=np.int64), axis=1)
+            self._row_offsets = None
 
 
 class AccumulatedAttentionScore(BaseScore):
@@ -191,20 +296,21 @@ class AccumulatedAttentionScore(BaseScore):
             contribution = attn_probs.sum(axis=-2)
         else:
             contribution = attn_probs[..., -1, :]
-        return self._accumulate(layer_idx, contribution)
+        self._add(self._layers(layer_idx), contribution[None])
+        return self.get(layer_idx)
 
     def update(
         self,
-        layer_idx: int,
+        layer_idx: int | None,
         logits: np.ndarray,
         probs: np.ndarray,
         positions: np.ndarray | None = None,
         step: int = 0,
     ) -> np.ndarray:
-        """Accumulate one decoding step's attention probabilities ``(B, H, L)``."""
-        if self.damping < 1.0:
-            self._scale(layer_idx, self.damping)
-        return self._accumulate(layer_idx, probs)
+        """Accumulate one decoding step's attention probabilities: ``(B, H,
+        L)`` for ``layer_idx``, or every layer's stacked ``(layers, B, H, L)``
+        when ``layer_idx`` is ``None``."""
+        return self._add_step(layer_idx, np.asarray(probs))
 
 
 class KeyformerScore(BaseScore):
@@ -258,7 +364,13 @@ class KeyformerScore(BaseScore):
         self.resample = resample
         self.rng = np.random.default_rng(seed)
         self.zeta = self.noise.sample(max_positions, self.rng)
-        self._last_resample_step: int | None = None
+        # Flat buffers the noisy softmax works in (see ``_noisy_softmax``).
+        self._scratch: dict[str, np.ndarray] = {}
+
+    def __getstate__(self) -> dict:
+        # Copies (a serving row's policy is deep-copied into every step's
+        # snapshot) and pickles leave the scratch behind; it refills on use.
+        return {**self.__dict__, "_scratch": {}}
 
     # ------------------------------------------------------------------
     def configure_schedule(self, tau_init: float, tau_end: float, total_steps: int) -> None:
@@ -266,17 +378,89 @@ class KeyformerScore(BaseScore):
         ``total_steps`` tokens."""
         self.tau_schedule = LinearTauSchedule(tau_init, tau_end, total_steps)
 
-    def reset(self) -> None:
+    def reset(self, n_layers: int = 0) -> None:
         """Reset accumulators and re-sample the noise vector ζ."""
-        super().reset()
+        super().reset(n_layers)
         self.rng = np.random.default_rng(self.seed)
         self.zeta = self.noise.sample(self.max_positions, self.rng)
-        self._last_resample_step = None
 
     def _zeta_for(self, positions: np.ndarray) -> np.ndarray:
         """Fixed-mode noise values for the given original positions."""
         idx = np.clip(np.asarray(positions, dtype=np.int64), 0, self.max_positions - 1)
         return self.zeta[idx]
+
+    def _scratch_array(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """A C-contiguous ``shape`` array carved from the named flat buffer."""
+        size = math.prod(shape)
+        buf = self._scratch.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._scratch[name] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+    def _noisy_softmax(
+        self,
+        logits: np.ndarray,
+        positions: np.ndarray | None,
+        tau: float,
+        columns: int | None = None,
+    ) -> np.ndarray:
+        """:meth:`noisy_softmax` computed in place in this object's scratch
+        (the result is valid until the next call).
+
+        With ``columns`` set, every entry from that column on must be exactly
+        ``-inf`` — exactly ``0`` in the result — and only the leading
+        ``columns`` of each row are computed and returned.  The generator is
+        still consumed for whole rows and the row sum still runs over a
+        whole (zero-padded) row, so neither the noise stream nor one bit of
+        the result depends on ``columns``.
+        """
+        shape, dtype = logits.shape, logits.dtype
+        if columns is None:
+            columns = shape[-1]
+        clipped = columns < shape[-1]
+        visible = shape[:-1] + (columns,)
+        work = None
+        if self.resample == "per-step":
+            zeta = self._scratch_array("draw", shape, np.float64)
+            self.noise.draw(zeta, self.rng)
+            if clipped:
+                drawn, zeta = zeta, self._scratch_array("noise", visible, np.float64)
+                zeta[...] = drawn[..., :columns]
+            self.noise.finish(zeta)
+            if dtype == np.float64:
+                work = zeta
+        elif positions is None:
+            zeta = self.zeta[:columns]
+        else:
+            zeta = self._zeta_for(positions)[..., :columns]
+        if work is None:
+            work = self._scratch_array("work", visible, dtype)
+            np.copyto(work, zeta)  # the noise, in the logits' dtype
+        # Masked entries are exactly -inf and the noise is finite, so
+        # (-inf + zeta) / tau == -inf without an explicit isfinite mask.
+        work += logits[..., :columns]
+        work /= tau
+        peak = work.max(axis=-1, keepdims=True)
+        # A row with no finite peak (fully masked) is shifted by zero and
+        # divided by one, as in ``tensor_ops.softmax``; decode rows always
+        # see their own token, so one check stands in for both guards.
+        masked = not np.isfinite(peak).all()
+        if masked:
+            peak = np.where(np.isfinite(peak), peak, 0.0)
+        work -= peak
+        np.exp(work, out=work)
+        if clipped:
+            # Pairwise summation splits a row by its length: pad, don't trim.
+            padded = self._scratch_array("sum", shape, dtype)
+            padded[..., :columns] = work
+            padded[..., columns:] = 0.0
+            denom = padded.sum(axis=-1, keepdims=True)
+        else:
+            denom = work.sum(axis=-1, keepdims=True)
+        if masked:
+            denom = np.where(denom == 0.0, 1.0, denom)
+        work /= denom
+        return work
 
     def noisy_softmax(
         self, logits: np.ndarray, positions: np.ndarray | None, tau: float
@@ -288,21 +472,8 @@ class KeyformerScore(BaseScore):
         ``fixed`` mode token ``i`` always receives the same ζ_i, indexed by its
         original position.
         """
-        logits = np.asarray(logits)
-        if not np.issubdtype(logits.dtype, np.floating):
-            logits = logits.astype(np.float64)
-        if self.resample == "per-step":
-            zeta = self.noise.sample(logits.size, self.rng).reshape(logits.shape)
-        elif positions is None:
-            zeta = self.zeta[: logits.shape[-1]]
-        else:
-            zeta = self._zeta_for(positions)
-        zeta = np.asarray(zeta, dtype=logits.dtype)
-        # Masked entries are exactly -inf and the noise is finite, so
-        # (-inf + zeta) / tau == -inf without an explicit isfinite mask.
-        adjusted = logits + zeta
-        adjusted /= tau
-        return softmax(adjusted, axis=-1)
+        logits = _floating(logits)
+        return self._noisy_softmax(logits, positions, tau).copy()
 
     # ------------------------------------------------------------------
     def init_from_prompt(
@@ -321,7 +492,7 @@ class KeyformerScore(BaseScore):
         if attn_logits is None:
             raise ValueError("KeyformerScore requires the unnormalized prompt logits")
         tau = self.tau_schedule(0)
-        logits = np.asarray(attn_logits)
+        logits = _floating(attn_logits)
         n_queries, seq_len = logits.shape[-2:]
         pos = np.arange(seq_len) if positions is None else np.asarray(positions)
         # Streamed over blocks of query rows, so nothing of the logits' full
@@ -334,33 +505,41 @@ class KeyformerScore(BaseScore):
         # row (float addition commutes; it does not associate, which is why
         # per-block partial sums would not do).
         lead = logits.shape[:-2]
-        scored = []
+        contribution = np.zeros(lead + (seq_len,), dtype=logits.dtype)
         for at in np.ndindex(*lead):
-            rows = logits[at]
-            running = None
+            rows, running = logits[at], contribution[at]
             for start in range(0, n_queries, _PROMPT_BLOCK_ROWS):
-                noisy = self.noisy_softmax(rows[start : start + _PROMPT_BLOCK_ROWS], pos, tau)
+                block = rows[start : start + _PROMPT_BLOCK_ROWS]
+                # Under a causal mask the block's last row sees the most
+                # columns; the ones past it are skipped when (checked, not
+                # assumed) every row of the block has them masked — they
+                # would add exact zeros to the running sum.
+                columns = min(start + len(block) + seq_len - n_queries, seq_len)
+                if not (block[:, columns:] == -np.inf).all():
+                    columns = seq_len
+                noisy = self._noisy_softmax(block, pos, tau, columns)
                 if self.prompt_mode != "all":
-                    running = noisy[-1]
+                    running[:columns] = noisy[-1]
+                    running[columns:] = 0.0
                 else:
-                    if running is not None:
-                        noisy[0] += running
-                    running = noisy.sum(axis=0)
-            scored.append(running)
-        contribution = np.stack(scored).reshape(lead + (seq_len,))
-        return self._accumulate(layer_idx, contribution)
+                    if start:
+                        noisy[0] += running[:columns]
+                    running[:columns] = noisy.sum(axis=0)
+        self._add(self._layers(layer_idx), contribution[None])
+        return self.get(layer_idx)
 
     def update(
         self,
-        layer_idx: int,
+        layer_idx: int | None,
         logits: np.ndarray,
         probs: np.ndarray,
         positions: np.ndarray | None = None,
         step: int = 0,
     ) -> np.ndarray:
-        """Decoding-step accumulation using the step's unnormalized logits."""
-        tau = self.tau_schedule(step)
-        if self.damping < 1.0:
-            self._scale(layer_idx, self.damping)
-        contribution = self.noisy_softmax(logits, positions, tau)
-        return self._accumulate(layer_idx, contribution)
+        """Decoding-step accumulation using the step's unnormalized logits:
+        ``(B, H, L)`` for ``layer_idx``, or every layer's stacked ``(layers,
+        B, H, L)`` when ``layer_idx`` is ``None`` — one noise draw (the same
+        generator stream as a draw per layer) and one softmax for the step."""
+        logits = _floating(logits)
+        contribution = self._noisy_softmax(logits, positions, self.tau_schedule(step))
+        return self._add_step(layer_idx, contribution)

@@ -37,6 +37,7 @@ import copy
 import numpy as np
 
 from repro.core.policies import EvictionPolicy
+from repro.kvcache.manager import PolicyDriver
 from repro.kvcache.paged import (
     DEFAULT_PAGE_SIZE,
     BlockPool,
@@ -466,6 +467,10 @@ class BatchedCacheManager:
         self.prompt_len: list[int] = []
         self._step_lengths: list[list[int]] = []
         self._qpos: np.ndarray | None = None
+        # Per row slot, for policies with ``stacked_steps``; contents live
+        # only within one decode step, so rows moving between slots (retire)
+        # or being rewound (restore_row) need not carry them.
+        self._drivers = [PolicyDriver(n_layers) for _ in range(max_batch)]
 
     # ------------------------------------------------------------------
     # sequence lifecycle
@@ -826,25 +831,21 @@ class BatchedCacheManager:
             policy = self.policies[row]
             if type(policy).step_selection is EvictionPolicy.step_selection:
                 # The base no-op (full attention) reads none of its arguments:
-                # skip building them — ``positions_row`` would stream every
-                # page of the row through tier-0 a second time under offload.
+                # skip building them.
                 continue
             try:
                 length = cache.tables[row].length
-                selection = policy.step_selection(
+                self._drivers[row].observe(
+                    policy,
                     layer_idx,
                     logits[row : row + 1, :, :length],
                     probs[row : row + 1, :, :length],
-                    cache.positions_row(row),
                     self.generation_step[row] + 1,
+                    # On demand only: a page-gather copy on a fragmented
+                    # table, a pass through tier-0 under offload.
+                    lambda idx: self.caches[idx].positions_row(row),
+                    lambda idx, selection: self._apply_row_selection(idx, row, selection),
                 )
-                if selection is None:
-                    continue
-                if getattr(policy, "shared_selection", False):
-                    for idx in range(self.n_layers):
-                        self._apply_row_selection(idx, row, selection)
-                else:
-                    self._apply_row_selection(layer_idx, row, selection)
             except Exception as exc:
                 tag_fault_row(exc, row)
                 raise

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.score import EvictOne
 from repro.kvcache.paged import (
     DEFAULT_PAGE_SIZE,
     BlockPool,
@@ -346,16 +347,18 @@ class LayerKVCache:
 
     # ------------------------------------------------------------------
     def gather(self, indices: np.ndarray) -> None:
-        """Retain only the entries selected by ``indices`` of shape ``(B, H, K)``.
+        """Retain only the entries selected by ``indices`` of shape ``(B, H, K)``
+        (or the :class:`~repro.core.score.EvictOne` standing for them).
 
         Indices must be sorted ascending per head so chronological order inside
         the cache is preserved.  The pool validates the selection and picks
         the cheapest of its eviction paths (identity, suffix bump, evict-one
         shift, compaction — see :meth:`BlockPool.gather`).
         """
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.ndim == 1:
-            indices = np.broadcast_to(indices, (self.batch_size, self.n_heads, indices.size))
+        if not isinstance(indices, EvictOne):
+            indices = np.asarray(indices, dtype=np.int64)
+            if indices.ndim == 1:
+                indices = np.broadcast_to(indices, (self.batch_size, self.n_heads, indices.size))
         if indices.shape[:2] != (self.batch_size, self.n_heads):
             raise ValueError(
                 f"indices shape {indices.shape} incompatible with cache "

@@ -11,10 +11,16 @@ with the manager through a :class:`LayerCacheView`, which implements the
    original or renumbered form;
 3. ``observe`` hands the step's attention logits/probabilities to the policy,
    which may return a selection of entries to retain; the manager applies the
-   selection (to one layer, or to all layers for shared score functions).
+   selection (to one layer, or to all layers for shared score functions).  For
+   a policy with ``stacked_steps`` the layers' tensors are collected (see
+   :class:`PolicyDriver`) and the last layer's ``observe`` runs the policy once
+   for the whole step, then evicts layer by layer — no layer's cache is read
+   again before the next token, so nothing observes the deferral.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +29,81 @@ from repro.kvcache.cache import LayerKVCache
 from repro.kvcache.paged import DEFAULT_PAGE_SIZE, PagedKVStore, PageTable, pages_needed
 from repro.kvcache.stats import CacheStats
 
-__all__ = ["CacheManager", "LayerCacheView"]
+__all__ = ["CacheManager", "LayerCacheView", "PolicyDriver"]
+
+
+class PolicyDriver:
+    """Drives one sequence's policy through its decode steps.
+
+    A per-layer policy is called as each layer observes.  For a policy with
+    ``stacked_steps`` the layers' tensors are collected — stacked ``(layers,
+    B, H, L)``, in buffers reused while the shape repeats (it does from the
+    step a fixed-budget policy reaches its budget) — and the last layer's
+    call runs the policy once for the whole step.
+    """
+
+    def __init__(self, n_layers: int):
+        self.n_layers = n_layers
+        self.logits: np.ndarray | None = None
+        self.probs: np.ndarray | None = None
+        self._filled = 0
+
+    def _stash(self, layer_idx: int, logits: np.ndarray, probs: np.ndarray) -> bool:
+        """Store layer ``layer_idx``'s tensors; true once the step is whole.
+
+        Layers must arrive in order from 0 (a step abandoned midway is simply
+        restarted), all with layer 0's shape.
+        """
+        held = self.logits
+        if layer_idx == 0:
+            shape = (self.n_layers,) + logits.shape
+            if held is None or held.shape != shape or held.dtype != logits.dtype:
+                self.logits = np.empty(shape, dtype=logits.dtype)
+                self.probs = np.empty(shape, dtype=probs.dtype)
+        elif layer_idx != self._filled or logits.shape != held.shape[1:]:
+            raise RuntimeError(
+                f"layer {layer_idx} observed {logits.shape} out of step: "
+                f"{self._filled} layers stashed, layer 0 had "
+                f"{None if held is None else held.shape[1:]}"
+            )
+        self.logits[layer_idx] = logits
+        self.probs[layer_idx] = probs
+        self._filled = layer_idx + 1
+        return self._filled == self.n_layers
+
+    def observe(
+        self,
+        policy: EvictionPolicy,
+        layer_idx: int,
+        logits: np.ndarray,
+        probs: np.ndarray,
+        step: int,
+        positions_of: Callable[[int], np.ndarray],
+        apply: Callable[[int, object], None],
+    ) -> None:
+        """Run ``policy`` on layer ``layer_idx``'s step tensors and hand each
+        layer's selection to ``apply(layer, selection)``.
+
+        ``positions_of(layer)`` materializes that layer's key positions; it is
+        called only for a policy that declares ``needs_key_positions``.
+        """
+        layers = range(self.n_layers)
+        if policy.stacked_steps:
+            if not self._stash(layer_idx, logits, probs):
+                return
+            positions = None
+            if policy.needs_key_positions:
+                positions = np.stack([positions_of(idx) for idx in layers])
+            selection = policy.step_selection(None, self.logits, self.probs, positions, step)
+            if selection is not None:
+                for idx in layers:
+                    apply(idx, selection[0 if policy.shared_selection else idx])
+            return
+        positions = positions_of(layer_idx) if policy.needs_key_positions else None
+        selection = policy.step_selection(layer_idx, logits, probs, positions, step)
+        if selection is not None:
+            for idx in layers if policy.shared_selection else (layer_idx,):
+                apply(idx, selection)
 
 
 class LayerCacheView:
@@ -121,6 +201,7 @@ class CacheManager:
         self.current_position = 0
         self._step_lengths: list[int] = []
         self._qpos_array: np.ndarray | None = None
+        self._driver = PolicyDriver(n_layers)
 
     def _build_store(self, batch_size: int, capacity: int) -> None:
         """One growable :class:`PagedKVStore` per generation run — the single
@@ -351,21 +432,15 @@ class CacheManager:
 
     def observe(self, layer_idx: int, logits: np.ndarray, probs: np.ndarray) -> None:
         """Run the policy on the step's attention tensors; apply evictions."""
-        cache = self.caches[layer_idx]
-        selection = self.policy.step_selection(
+        self._driver.observe(
+            self.policy,
             layer_idx,
             logits,
             probs,
-            cache.retained_original_positions(),
             self.generation_step + 1,
+            lambda idx: self.caches[idx].retained_original_positions(),
+            self._apply_selection,
         )
-        if selection is None:
-            return
-        if getattr(self.policy, "shared_selection", False):
-            for idx in range(self.n_layers):
-                self._apply_selection(idx, selection)
-        else:
-            self._apply_selection(layer_idx, selection)
 
     def advance(self) -> None:
         """Mark the end of a decoding step (one token processed by all layers)."""

@@ -43,10 +43,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import heapq
+import math
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.core.score import EvictOne
 from repro.kvcache.admission import check_admission_policy, resolve_admission_policy
 from repro.models.positional import RopeTable, get_rope_table
 
@@ -788,8 +790,10 @@ class BlockPool:
         """Retain only the live entries selected by ``indices`` of shape
         ``(heads, K)`` (ascending per head, relative to the live region).
 
-        The one place a selection is validated (shape and range), for every
-        cache front-end.  Four paths, cheapest first (``docs/kvcache.md``,
+        ``indices`` may also be an :class:`~repro.core.score.EvictOne` naming
+        the one entry each head drops.  The one place a selection is validated
+        (shape and range), for every cache front-end.  Four paths, cheapest
+        first (``docs/kvcache.md``,
         "Eviction paths"): an *identity* selection moves nothing; a pure
         *suffix* (every head keeps exactly the newest ``K``) bumps the offset
         and frees fully-skipped leading pages without touching data; when
@@ -805,24 +809,41 @@ class BlockPool:
         the incoming token into the evicted slot would move nothing but
         break both, so it is not done.  Returns the number of evicted entries.
         """
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.ndim == 3:
-            indices = indices[0]
         length = table.length
-        if indices.shape[0] != self.n_heads:
-            raise ValueError(
-                f"gather expects ({self.n_heads}, K) indices, got {indices.shape}"
-            )
-        if indices.size and (indices.min() < 0 or indices.max() >= length):
-            raise IndexError("gather indices out of range")
-        k = indices.shape[-1]
+        if isinstance(indices, EvictOne):
+            # The policy names the one evicted entry per head outright, so
+            # there is no index array to derive it from or check it against.
+            drop = indices.drop if indices.drop.ndim == 1 else indices.drop[0]
+            if drop.shape != (self.n_heads,) or indices.length != length:
+                raise ValueError(
+                    f"gather expects one drop per head ({self.n_heads}) of "
+                    f"{length} entries, got {drop.shape} of {indices.length}"
+                )
+            if drop.min() < 0 or drop.max() >= length:
+                raise IndexError("gather indices out of range")
+            k = length - 1
+            suffix = not drop.any()
+        else:
+            indices = np.asarray(indices, dtype=np.int64)
+            if indices.ndim == 3:
+                indices = indices[0]
+            if indices.shape[0] != self.n_heads:
+                raise ValueError(
+                    f"gather expects ({self.n_heads}, K) indices, got {indices.shape}"
+                )
+            if indices.size and (indices.min() < 0 or indices.max() >= length):
+                raise IndexError("gather indices out of range")
+            k = indices.shape[-1]
+            base = np.arange(k)
+            # How far each survivor moves down: 0 before a head's first
+            # evicted entry, and ``length - k`` everywhere exactly when the
+            # newest K survive.
+            shift = indices - base
+            suffix = bool((shift == length - k).all())
+            drop = None
         dropped = length - k
         ps = self.page_size
-        base = np.arange(k)
-        # How far each survivor moves down: 0 before a head's first evicted
-        # entry, and ``dropped`` everywhere exactly when the newest K survive.
-        shift = indices - base
-        if bool((shift == dropped).all()):
+        if suffix:
             # Identity (dropped == 0) or pure suffix: O(1) pointer bump.
             table.offset += dropped
             table.length = k
@@ -841,14 +862,17 @@ class BlockPool:
             and self.is_contiguous(table)
             and self._exclusive(table)
         ):
-            # One gap per head means 0s up to it and 1s from it on, so the gap
-            # sits at K minus the number of 1s; the comparison then rejects
-            # every selection that is not of that form.
-            drop = k - shift.sum(axis=-1)
-            if bool((shift == (base >= drop[:, None])).all()):
+            if drop is None:
+                # One gap per head means 0s up to it and 1s from it on, so the
+                # gap sits at K minus the number of 1s; the comparison then
+                # rejects every selection that is not of that form.
+                drop = k - shift.sum(axis=-1)
+                if not bool((shift == (base >= drop[:, None])).all()):
+                    drop = None
+            if drop is not None:
                 self._shift_out(table, drop)
                 return dropped
-        self._compact(table, indices)
+        self._compact(table, np.asarray(indices))
         return dropped
 
     def _shift_out(self, table: PageTable, drop: np.ndarray) -> None:
@@ -860,8 +884,16 @@ class BlockPool:
         for slab in (self._k, self._v, self._pos, self._k_rot):
             if slab is None:
                 continue
+            # Each head's slots as one flat run (the slabs are C-contiguous,
+            # so this is a view): a 1-D overlapping move is done in place,
+            # where the same move of (slots, d_head) rows is staged through a
+            # temporary copy of the source.
+            width = math.prod(slab.shape[2:])
+            flat = slab.reshape(slab.shape[0], -1)
             for head, start in enumerate(starts):
-                slab[head, start:last] = slab[head, start + 1 : last + 1]
+                flat[head, start * width : last * width] = flat[
+                    head, (start + 1) * width : (last + 1) * width
+                ]
         table.length -= 1
         self.release(table.drop_pages(self.pages_for(table.length)))
 

@@ -10,6 +10,16 @@ from repro.core.score import AccumulatedAttentionScore, KeyformerScore, entropy
 from repro.models.tensor_ops import softmax
 
 
+def seed_era_sample(noise, size, rng):
+    """``noise.sample(size, rng)`` as the seed wrote it."""
+    if noise.name == "gumbel":
+        u = rng.uniform(low=1e-12, high=1.0 - 1e-12, size=size)
+        return noise.mu_loc - noise.beta * np.log(-np.log(u))
+    if noise.name == "gaussian":
+        return rng.normal(noise.mu, noise.sigma, size=size)
+    return np.full(size, noise.value, dtype=np.float64)
+
+
 def make_prompt_tensors(rng, batch=1, heads=2, t=6):
     logits = rng.normal(size=(batch, heads, t, t))
     mask = np.triu(np.ones((t, t), dtype=bool), k=1)
@@ -154,6 +164,42 @@ class TestKeyformerScore:
         assert got.dtype == want.dtype == dtype
         np.testing.assert_array_equal(got, want)
         assert streamed.rng.bit_generator.state == whole.rng.bit_generator.state
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("noise", ["gumbel", "gaussian", "constant"])
+    @pytest.mark.parametrize("prompt_mode", ["all", "last"])
+    @pytest.mark.parametrize("mask", ["causal", "none", "hole", "suffix-chunk"])
+    def test_causal_half_prompt_score_equals_whole_row_scoring(
+        self, dtype, noise, prompt_mode, mask
+    ):
+        """Only the columns a block of rows can see are transformed,
+        exponentiated and divided.  Against whole rows scored the way the seed
+        did (``rng.uniform`` / ``rng.normal``, ``tensor_ops.softmax``) the
+        score and the generator stream must not differ by a bit — under a
+        causal mask, with nothing masked at all (``valid = seq_len``: nothing
+        may be skipped), with one visible entry above the diagonal, and for a
+        chunk of the last rows only."""
+        t, heads = 150, 2  # long enough that pairwise summation splits a row
+        rng = np.random.default_rng(3)
+        logits = rng.normal(size=(1, heads, t, t)) * 3
+        if mask != "none":
+            logits[..., np.triu(np.ones((t, t), dtype=bool), k=1)] = -np.inf
+        if mask == "hole":
+            logits[0, 1, 40, 130] = 0.25
+        if mask == "suffix-chunk":
+            logits = logits[..., 90:, :]
+        logits = logits.astype(dtype)
+        score = KeyformerScore(noise=noise, prompt_mode=prompt_mode, seed=9)
+        got = score.init_from_prompt(0, None, logits)
+
+        reference = np.random.default_rng(9)
+        zeta = seed_era_sample(score.noise, score.max_positions, reference)  # the fixed-mode ζ
+        zeta = seed_era_sample(score.noise, logits.size, reference).reshape(logits.shape)
+        noisy = softmax((logits + zeta.astype(dtype)) / score.tau_schedule(0), axis=-1)
+        want = noisy.sum(axis=-2) if prompt_mode == "all" else noisy[..., -1, :]
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+        assert score.rng.bit_generator.state == reference.bit_generator.state
 
     def test_noisy_softmax_is_distribution(self, rng):
         score = KeyformerScore(seed=1)

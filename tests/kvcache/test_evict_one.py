@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.score import BaseScore
+from repro.core.score import BaseScore, EvictOne
 from repro.kvcache.paged import BlockPool, PageTable
 from repro.kvcache.quant import QuantizedBlockPool
 
@@ -25,8 +25,11 @@ D_HEAD = 4
 SCENARIOS = ("plain", "offset", "shared", "fragmented")
 
 
-def evict_one(length: int, drops: list[int]) -> np.ndarray:
-    """Per-head selection keeping ``0..length-1`` minus ``drops[h]``."""
+def evict_one(length: int, drops: list[int], typed: bool = False):
+    """Per-head selection keeping ``0..length-1`` minus ``drops[h]``: the
+    index array, or (``typed``) the ``EvictOne`` standing for it."""
+    if typed:
+        return EvictOne(np.asarray(drops), length)
     base = np.arange(length - 1)
     return np.stack([base + (base >= d) for d in drops])
 
@@ -137,8 +140,9 @@ def cases(draw):
     scenario=st.sampled_from(SCENARIOS),
     dtype=st.sampled_from([np.float32, np.float64]),
     rope=st.booleans(),
+    typed=st.booleans(),
 )
-def test_shift_equals_forced_compaction(case, scenario, dtype, rope):
+def test_shift_equals_forced_compaction(case, scenario, dtype, rope, typed):
     heads, page_size, length, drops = case
     # Every head dropping slot 0 is a pure suffix: the pointer bump keeps
     # other pages than compaction does (tests/kvcache/test_paged.py pins it).
@@ -154,7 +158,7 @@ def test_shift_equals_forced_compaction(case, scenario, dtype, rope):
         and bool((fast.pool.refcounts[table.pages] == 1).all())
     )
 
-    evicted = fast.pool.gather(table, indices)
+    evicted = fast.pool.gather(table, evict_one(length, drops, typed))
     reference.pool._compact(reference.table, indices)
 
     assert evicted == 1
@@ -185,23 +189,61 @@ def test_multi_token_eviction_compacts(case, extra):
     assert fast.compactions == 1
 
 
+@pytest.mark.parametrize("typed", [False, True])
 @pytest.mark.parametrize("scenario", SCENARIOS)
-def test_each_scenario_takes_its_path(scenario):
+def test_each_scenario_takes_its_path(scenario, typed):
     """Only the plain table shifts; an offset, a shared page or a fragmented
-    page list each send the same selection through compaction."""
+    page list each send the same selection through compaction — named by an
+    ``EvictOne`` or spelled out as indices alike."""
     twin = Twin(scenario, 2, 4, 10, np.float32, True)
-    twin.pool.gather(twin.table, evict_one(10, [3, 8]))
+    twin.pool.gather(twin.table, evict_one(10, [3, 8], typed))
     assert twin.compactions == (0 if scenario == "plain" else 1)
     assert twin.pool.check_invariants(owners=twin.owners()) == []
 
 
-def test_quantized_pool_always_compacts():
+@pytest.mark.parametrize("typed", [False, True])
+def test_quantized_pool_always_compacts(typed):
     """int8 survivors are re-quantized against fresh page ranges."""
-    twin = Twin("plain", 2, 4, 9, np.float64, False, pool_cls=QuantizedBlockPool)
-    twin.pool.gather(twin.table, evict_one(9, [3, 5]))
+    pair = [Twin("plain", 2, 4, 9, np.float64, False, pool_cls=QuantizedBlockPool) for _ in "ab"]
+    twin, reference = pair
+    twin.pool.gather(twin.table, evict_one(9, [3, 5], typed))
+    reference.pool._compact(reference.table, evict_one(9, [3, 5]))
     assert twin.compactions == 1
     assert twin.table.length == 8 and len(twin.table.pages) == 2
-    assert twin.pool.check_invariants(owners=twin.owners()) == []
+    assert_same(twin.observe(), reference.observe())
+
+
+class TestEvictOne:
+    def test_stands_for_its_index_array(self):
+        drop = np.array([[3, 0], [8, 9]])
+        typed = EvictOne(drop, 10)
+        want = np.stack([evict_one(10, row) for row in drop.tolist()])
+        assert typed.shape == want.shape == (2, 2, 9)
+        np.testing.assert_array_equal(np.asarray(typed), want)
+        np.testing.assert_array_equal(np.asarray(typed[1]), want[1])
+        assert np.asarray(typed, dtype=np.int32).dtype == np.int32
+
+    @pytest.mark.parametrize("drops", [[3, 10], [-1, 2]])
+    def test_out_of_range_drop_raises(self, drops):
+        twin = Twin("plain", 2, 4, 10, np.float64, True)
+        before = twin.observe()
+        with pytest.raises(IndexError, match="out of range"):
+            twin.pool.gather(twin.table, evict_one(10, drops, typed=True))
+        assert_same(twin.observe(), before)
+
+    @pytest.mark.parametrize("drops, length", [([3], 10), ([3, 4, 5], 10), ([3, 4], 9)])
+    def test_wrong_geometry_raises(self, drops, length):
+        twin = Twin("plain", 2, 4, 10, np.float64, True)
+        with pytest.raises(ValueError, match="one drop per head"):
+            twin.pool.gather(twin.table, evict_one(length, drops, typed=True))
+
+    def test_every_head_dropping_slot_zero_is_the_suffix_bump(self):
+        pair = [Twin("plain", 2, 4, 10, np.float64, True) for _ in "ab"]
+        typed, spelled = pair
+        assert typed.pool.gather(typed.table, evict_one(10, [0, 0], typed=True)) == 1
+        spelled.pool.gather(spelled.table, evict_one(10, [0, 0]))
+        assert typed.table.offset == 1 and typed.compactions == 0
+        assert_same(typed.observe(), spelled.observe())
 
 
 @pytest.mark.parametrize("drops", [[0, 9], [9, 9], [4, 0]])
@@ -219,28 +261,43 @@ def test_drop_next_to_the_recent_window(drops):
 
 @settings(max_examples=60, deadline=None)
 @given(
+    layers=st.integers(1, 3),
     batch=st.integers(1, 2),
     heads=st.integers(1, 3),
     length=st.integers(2, 30),
     dtype=st.sampled_from([np.float32, np.float64]),
+    stacked=st.booleans(),
     data=st.data(),
 )
-def test_score_gather_is_the_flat_row_gather(batch, heads, length, dtype, data):
-    """``BaseScore.gather`` keeps ``take_along_axis`` semantics for evict-one
-    and for arbitrary ascending selections alike (it stays a row-gather: at
-    serving sizes the take is cheaper than a per-row shift)."""
+def test_score_gather_keeps_take_along_axis_semantics(
+    layers, batch, heads, length, dtype, stacked, data
+):
+    """``BaseScore.gather`` — one layer or all of them stacked, an arbitrary
+    ascending selection (a flat row-gather) or a typed evict-one (a tail
+    shift per row) — leaves what ``take_along_axis`` would."""
     rng = np.random.default_rng(length)
-    values = rng.random((batch, heads, length)).astype(dtype)
-    k = data.draw(st.integers(1, length))
-    if data.draw(st.booleans()):
-        k = length - 1
+    values = rng.random((layers, batch, heads, length)).astype(dtype)
+    typed = data.draw(st.booleans())
+    k = length - 1 if typed else data.draw(st.integers(1, length))
     keep = np.stack(
         [
             np.sort(rng.choice(length, size=k, replace=False))
-            for _ in range(batch * heads)
+            for _ in range(layers * batch * heads)
         ]
-    ).reshape(batch, heads, k)
+    ).reshape(layers, batch, heads, k)
+    selection = keep
+    if typed:
+        present = np.zeros((layers, batch, heads, length), dtype=bool)
+        np.put_along_axis(present, keep, True, axis=-1)
+        selection = EvictOne(np.argmin(present, axis=-1), length)
     score = BaseScore()
-    score.set(0, values)
-    score.gather(0, keep)
-    np.testing.assert_array_equal(score.get(0), np.take_along_axis(values, keep, axis=-1))
+    for layer in range(layers):
+        score.set(layer, values[layer])
+    if stacked:
+        score.gather(None, selection)
+    else:
+        for layer in range(layers):
+            score.gather(layer, selection[layer])
+    np.testing.assert_array_equal(score.get(None), np.take_along_axis(values, keep, axis=-1))
+    for layer in range(layers):
+        np.testing.assert_array_equal(score.get(layer), score.get(None)[layer])

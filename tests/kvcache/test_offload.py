@@ -14,8 +14,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.config import CachePolicyConfig
-from repro.core.policies import FullAttentionPolicy, WindowAttentionPolicy
+from repro.core.config import KeyformerConfig
+from repro.core.keyformer import KeyformerPolicy
+from repro.core.policies import FullAttentionPolicy
 from repro.kvcache.batch import BatchedCacheManager
 
 from repro.kvcache.offload import (
@@ -388,8 +389,13 @@ class TestObserveBatchUnderOffload:
         manager.observe_batch(0, step, step)
         assert manager.pool_usage()["tier"] == before
 
-    def test_selecting_policy_still_gets_its_positions(self):
-        policy = WindowAttentionPolicy(CachePolicyConfig(kv_budget=5 * PAGE))
+    def test_policy_that_declares_positions_still_gets_them(self):
+        """Fixed-per-sequence noise is indexed by original position — the one
+        reader of ``key_positions`` — and sees them stacked per layer."""
+        policy = KeyformerPolicy(
+            KeyformerConfig(kv_budget=5 * PAGE, recent_ratio=1.0, noise_resample="fixed")
+        )
+        assert policy.needs_key_positions
         manager, _ = self._manager(policy)
         t = manager.caches[0].tables[0].length  # the prompt phase kept 5 pages
         seen = []
@@ -399,4 +405,24 @@ class TestObserveBatchUnderOffload:
         )
         step = np.zeros((1, HEADS, t))
         manager.observe_batch(0, step, step)
-        np.testing.assert_array_equal(seen[0][0, 0], np.arange(PAGE, 6 * PAGE))
+        assert seen[0].shape == (1, 1, HEADS, t)  # (layers, B, H, L)
+        np.testing.assert_array_equal(seen[0][0, 0, 0], np.arange(PAGE, 6 * PAGE))
+
+    def test_per_step_noise_row_reads_no_positions(self):
+        """Per-step noise never looks at positions: observing such a row must
+        not materialize them — no ``positions_view`` read, no restore."""
+        policy = KeyformerPolicy(KeyformerConfig(kv_budget=5 * PAGE))
+        assert not policy.needs_key_positions
+        manager, _ = self._manager(policy)
+        t = manager.caches[0].tables[0].length
+        pool = manager.store.pools[0]
+        reads = []
+        positions_view = pool.positions_view
+        pool.positions_view = lambda table: reads.append(table) or positions_view(table)
+        before = manager.pool_usage()["tier"]
+        assert before["spills"] > 0
+        step = np.zeros((1, HEADS, t))
+        manager.observe_batch(0, step, step)
+        assert reads == []
+        assert manager.pool_usage()["tier"] == before
+        assert policy.score.get(0).shape == (1, HEADS, t)  # the step was scored
