@@ -1080,7 +1080,7 @@ def run_suite(smoke: bool = False) -> dict:
             components[f"decode_full_{ctx}_f64"] = bench_decode(
                 model_ctx_f64, "full", ctx, decode_rounds
             )
-    # ROADMAP item 2's ratio: decode wall-clock of full attention over
+    # ROADMAP item 1's ratio: decode wall-clock of full attention over
     # Keyformer@0.5 at 1k context (paper Fig. 9 says > 1; the open target is
     # >= 1.0).  Dimensionless, so check_regression.py gates it directly.
     components["keyformer_vs_full_decode_1024"] = {

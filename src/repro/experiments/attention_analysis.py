@@ -12,7 +12,6 @@ from repro.analysis.sparsity import sparsity_by_layer, sparsity_threshold_sweep
 from repro.core.score import entropy
 from repro.experiments.common import ExperimentContext, get_context
 from repro.metrics.attention_stats import attention_score_cdf
-from repro.models.tensor_ops import softmax
 
 __all__ = [
     "run_fig3_sparsity_and_cdf",

@@ -33,6 +33,7 @@ would in a dedicated single-sequence run.
 from __future__ import annotations
 
 import copy
+import functools
 
 import numpy as np
 
@@ -50,6 +51,7 @@ from repro.kvcache.paged import (
     tag_fault_row,
 )
 from repro.kvcache.stats import CacheStats
+from repro.kvcache.verify import VerifyView
 from repro.models.positional import RopeTable, get_rope_table
 
 __all__ = ["BatchedLayerKVCache", "BatchedCacheManager", "BatchedLayerView"]
@@ -358,31 +360,6 @@ class BatchedLayerView:
         self.manager.observe_batch(self.layer_idx, logits, probs)
 
 
-class RowVerifyView:
-    """Per-layer speculative-verify facade for one running row.
-
-    Implements the ``VerifyLayerCache`` protocol of
-    :meth:`repro.models.block.DecoderBlock.verify_step` against a single
-    sequence of the batched store — the serving engine's speculation mode
-    verifies each row's draft block through these.
-    """
-
-    def __init__(self, manager: "BatchedCacheManager", layer_idx: int, row: int):
-        self.manager = manager
-        self.layer_idx = layer_idx
-        self.row = row
-
-    def append_block(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Append the draft block's KV to this row in one write."""
-        self.manager.append_block_row(self.layer_idx, self.row, k, v)
-
-    def verify_view(
-        self, n_queries: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
-        """Verify-pass attention inputs over this row's cache."""
-        return self.manager.verify_view_row(self.layer_idx, self.row, n_queries)
-
-
 class BatchedCacheManager:
     """Owns the paged store's per-layer pools and one eviction policy per row.
 
@@ -449,8 +426,8 @@ class BatchedCacheManager:
         self.registry = PrefixRegistry(self.store)
         if tier0_pages is not None:
             # Victim selection reuses the registry's admission ranking:
-            # W-TinyLFU-protected prefix pages spill last (pure pool LRU
-            # under the default "lru" policy, where ranks are all zero).
+            # W-TinyLFU-protected prefix pages spill last (no ranker, hence
+            # pure pool LRU, under the default "lru" policy).
             for layer, pool in enumerate(self.store.pools):
                 pool.spill_ranker = self.registry.spill_ranker(layer)
         self.caches = [
@@ -651,7 +628,7 @@ class BatchedCacheManager:
 
         The single unwind path shared by every append-style failure: a
         mid-join seed, a fault mid decode-step append, or a speculative
-        verify round that died after ``append_block_row``.  Per layer: a row
+        verify round that died after its block append.  Per layer: a row
         that had no tokens before releases its table outright (this also
         drops freshly mapped shared-prefix pages); otherwise the extra
         appended tokens are truncated and any trailing page a partially
@@ -863,48 +840,22 @@ class BatchedCacheManager:
     # ------------------------------------------------------------------
     # speculative verify phase (single-row multi-token decode)
     # ------------------------------------------------------------------
-    def row_verify_views(self, row: int) -> list[RowVerifyView]:
-        """Per-layer verify facades for one row (see :class:`RowVerifyView`)."""
-        return [RowVerifyView(self, i, row) for i in range(self.n_layers)]
-
-    def append_block_row(self, layer_idx: int, row: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Append ``S`` consecutive tokens to one row of one layer in one write.
-
-        ``k``/``v`` have shape ``(S, heads, d_head)``; tokens land at the
-        row's original positions ``current_position[row] ..  + S`` with eager
-        RoPE rotation per token (bit-identical to appending sequentially).
-        """
-        cache = self.caches[layer_idx]
-        s = k.shape[0]
-        start = self.current_position[row]
-        positions = np.arange(start, start + s)
-        pos_ht = np.broadcast_to(positions, (self.n_heads, s))
-        cache.pool.extend(
-            cache.tables[row], k.transpose(1, 0, 2), v.transpose(1, 0, 2), pos_ht
-        )
-        self.stats[row].total_appended += s
-
-    def verify_view_row(
-        self, layer_idx: int, row: int, n_queries: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
-        """Unbatched verify-pass view of one row (mirrors
-        :meth:`repro.kvcache.manager.CacheManager.verify_view`)."""
-        cache = self.caches[layer_idx]
-        table = cache.tables[row]
-        pool = cache.pool
-        length = table.length
-        lengths = np.arange(length - n_queries + 1, length + 1)
-        rotated = self.positional_mode == "original" and self.rope_dims > 0
-        keys = pool.rotated_view(table) if rotated else pool.keys_view(table)
-        values = pool.values_view(table)
-        if self.positional_mode == "original":
-            key_positions = pool.positions_view(table)
-            start = self.current_position[row]
-            query_positions = np.arange(start, start + n_queries)
-        else:
-            key_positions = np.broadcast_to(np.arange(length), (self.n_heads, length))
-            query_positions = lengths - 1
-        return keys, values, key_positions, query_positions, lengths, rotated
+    def row_verify_views(self, row: int) -> list[VerifyView]:
+        """Per-layer views of one row as virtual batch rows, for one verify
+        pass starting at the row's current position (see
+        :class:`~repro.kvcache.verify.VerifyView`)."""
+        return [
+            VerifyView(
+                cache.pool,
+                cache.tables[row],
+                functools.partial(cache.pool.extend, cache.tables[row]),
+                self.stats[row],
+                self.current_position[row],
+                self.positional_mode,
+                self._rope_table,
+            )
+            for cache in self.caches
+        ]
 
     def commit_verify_row(self, row: int, n_committed: int, n_appended: int) -> None:
         """Finalize one row's verify round: truncate the rejected tail and

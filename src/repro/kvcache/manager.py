@@ -28,6 +28,8 @@ from repro.core.policies import EvictionPolicy
 from repro.kvcache.cache import LayerKVCache
 from repro.kvcache.paged import DEFAULT_PAGE_SIZE, PagedKVStore, PageTable, pages_needed
 from repro.kvcache.stats import CacheStats
+from repro.kvcache.verify import VerifyView
+from repro.models.positional import get_rope_table
 
 __all__ = ["CacheManager", "LayerCacheView", "PolicyDriver"]
 
@@ -127,17 +129,6 @@ class LayerCacheView:
         """Hand the step's attention tensors to the eviction policy."""
         self.manager.observe(self.layer_idx, logits, probs)
 
-    # -- speculative verify protocol (see DecoderBlock.verify_step) --------
-    def append_block(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Append the draft block's KV to this layer in one write."""
-        self.manager.append_block(self.layer_idx, k, v)
-
-    def verify_view(
-        self, n_queries: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
-        """Verify-pass attention inputs over this layer's cache."""
-        return self.manager.verify_view(self.layer_idx, n_queries)
-
 
 class CacheManager:
     """Owns per-layer KV caches and drives one eviction policy.
@@ -182,6 +173,8 @@ class CacheManager:
         # Rotated-key caching is only sound when rotations are keyed to the
         # (stable) original positions; renumbered mode re-rotates per step.
         self.rope_dims = int(rope_dims) if self.positional_mode == "original" else 0
+        # Renumbered mode rotates on read: the verify view needs the table.
+        self._rope_table = get_rope_table(rope_dims) if rope_dims > 0 else None
         self.page_size = int(page_size)
         if store is not None:
             # A caller-supplied store lets two managers share one set of
@@ -454,57 +447,25 @@ class CacheManager:
     # ------------------------------------------------------------------
     # speculative verify phase
     # ------------------------------------------------------------------
-    def append_block(self, layer_idx: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Append ``S`` consecutive tokens to one layer's cache in one write.
-
-        ``k``/``v`` have shape ``(S, heads, d_head)`` — the verify pass's
-        row-exact projections of the draft block.  Tokens land at original
-        positions ``current_position .. current_position + S``; eager RoPE
-        rotation happens per token inside the pool (bit-identical to
-        appending them one at a time).
-        """
-        cache = self.caches[layer_idx]
-        if cache.batch_size != 1:
+    def verify_views(self) -> list[VerifyView]:
+        """Per-layer views of the sequence as virtual batch rows, for one
+        verify pass starting at the current position (see
+        :class:`~repro.kvcache.verify.VerifyView`).  Block writes go through
+        :meth:`LayerKVCache.extend` so the dense views are invalidated."""
+        if self.caches[0].batch_size != 1:
             raise RuntimeError("the verify path decodes one sequence at a time")
-        s = k.shape[0]
-        positions = np.arange(self.current_position, self.current_position + s)
-        pos_bht = np.broadcast_to(positions, (1, self.n_heads, s))
-        cache.extend(
-            k.transpose(1, 0, 2)[None], v.transpose(1, 0, 2)[None], pos_bht
-        )
-        self.stats.total_appended += s
-
-    def verify_view(
-        self, layer_idx: int, n_queries: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
-        """``(keys, values, key_positions, query_positions, lengths,
-        keys_rotated)`` for a verify pass over the last ``n_queries`` appended
-        tokens.
-
-        Shapes are unbatched — ``(heads, L, d)`` tensors plus per-query
-        ``query_positions``/``lengths`` of shape ``(S,)``; ``lengths[i]`` is
-        the causal cache length query ``i`` may attend over (the prefix a
-        sequential decode would have seen at that step).
-        """
-        cache = self.caches[layer_idx]
-        length = cache.length
-        lengths = np.arange(length - n_queries + 1, length + 1)
-        keys_rotated = False
-        if self.positional_mode == "original":
-            key_positions = cache.retained_original_positions()[0]
-            query_positions = np.arange(
-                self.current_position, self.current_position + n_queries
+        return [
+            VerifyView(
+                cache.pool,
+                cache.tables[0],
+                lambda k, v, pos, cache=cache: cache.extend(k[None], v[None], pos[None]),
+                self.stats,
+                self.current_position,
+                self.positional_mode,
+                self._rope_table,
             )
-            if self.rope_dims > 0:
-                keys = cache.rotated_keys()[0]
-                keys_rotated = True
-            else:
-                keys = cache.keys[0]
-        else:
-            keys = cache.keys[0]
-            key_positions = np.broadcast_to(np.arange(length), (self.n_heads, length))
-            query_positions = lengths - 1
-        return keys, cache.values[0], key_positions, query_positions, lengths, keys_rotated
+            for cache in self.caches
+        ]
 
     def commit_verify(self, n_committed: int, n_appended: int) -> None:
         """Finalize one verify round: roll back the rejected tail and advance.

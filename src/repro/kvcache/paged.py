@@ -1614,9 +1614,13 @@ class PrefixRegistry:
         segment = self._admission.segment_of(key)
         return self._SEGMENT_HEAT.get(segment, 0) if segment is not None else 0
 
-    def spill_ranker(self, layer: int) -> Callable[[int], int]:
+    def spill_ranker(self, layer: int) -> Callable[[int], int] | None:
         """Victim-ranking callback for ``layer``'s tiered pool (installable
-        as :attr:`repro.kvcache.offload._TieredMixin.spill_ranker`)."""
+        as :attr:`repro.kvcache.offload._TieredMixin.spill_ranker`); ``None``
+        when the admission policy does not rank (``"lru"``: every page would
+        score 0, which is the pool's own LRU order without the calls)."""
+        if self._admission is None:
+            return None
         return lambda page: self.page_heat(layer, page)
 
     def pinned_pages(self) -> list[list[int]]:

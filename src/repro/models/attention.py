@@ -388,118 +388,6 @@ class MultiHeadAttention(Module):
         return out, logits, probs
 
     # ------------------------------------------------------------------
-    # speculative verify path
-    # ------------------------------------------------------------------
-    def attend_verify(
-        self,
-        q: np.ndarray,
-        keys: np.ndarray,
-        values: np.ndarray,
-        query_positions: np.ndarray,
-        key_positions: np.ndarray,
-        lengths: np.ndarray,
-        keys_rotated: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Attend ``S`` consecutive queries of *one* sequence over its cache.
-
-        The speculative verify pass appends the whole draft block's KV to the
-        cache first and then scores every draft position in a single call:
-        query ``i`` attends over the causal cache prefix of ``lengths[i]``
-        entries — exactly the cache a sequential :meth:`attend_step` would
-        have seen at that step.
-
-        Parameters
-        ----------
-        q:
-            Unrotated queries, shape ``(S, n_heads, d_head)``.
-        keys, values:
-            The sequence's cache including the just-appended draft block,
-            shape ``(n_heads, L, d_head)`` with ``L == lengths[-1]``.
-        query_positions:
-            Original position of each query token, shape ``(S,)``.
-        key_positions:
-            Positions of the cached keys, shape ``(n_heads, L)``.
-        lengths:
-            Causal live length per query (ascending), shape ``(S,)``.
-        keys_rotated:
-            As in :meth:`attend_step`: keys already carry RoPE at
-            ``key_positions``.
-
-        Bit-exactness contract (float64): row ``i`` of every output is
-        bit-identical to :meth:`attend_step` on that token alone — queries
-        rotate per-row (elementwise), the logits einsum reduces over
-        ``d_head`` only (entries beyond ``lengths[i]`` cannot perturb live
-        ones), softmax and the value reduction run per query on exact-length
-        slices, and the output projection uses the row-exact kernel.  At
-        float32 the whole block runs masked and fully batched (the documented
-        inference tolerance mode).
-
-        Returns ``(output, logits, probs)`` shaped ``(S, d_model)`` and
-        ``(S, heads, L)``; ``logits``/``probs`` rows are valid up to
-        ``lengths[i]`` entries.
-        """
-        s = q.shape[0]
-        lengths = np.asarray(lengths)
-        query_positions = np.asarray(query_positions)
-
-        if self.positional == "rope":
-            if self._rope_table is not None:
-                q_rot = self._rope_table.rotate(q, query_positions[:, None])
-                k_rot = (
-                    keys
-                    if keys_rotated
-                    else self._rope_table.rotate(keys, key_positions)
-                )
-            else:
-                q_rot = rope_rotate(q, query_positions[:, None], self.rope_dims)
-                k_rot = (
-                    keys
-                    if keys_rotated
-                    else rope_rotate(keys, key_positions, self.rope_dims)
-                )
-        else:
-            q_rot, k_rot = q, keys
-
-        scale = self._scale
-        exact = q_rot.dtype == np.float64
-        keys_b = np.broadcast_to(k_rot, (s,) + k_rot.shape)
-        values_b = np.broadcast_to(values, (s,) + values.shape)
-        if exact:
-            # Same einsum as attend_step with the query axis batched; the
-            # reduction runs over d_head only, so each row's bits match its
-            # solo call (the broadcast key view adds a zero stride, which
-            # does not reorder the per-element reduction).
-            logits = np.einsum("bhd,bhld->bhl", q_rot, keys_b) * scale
-        else:
-            logits = (q_rot[:, :, None, :] @ k_rot.swapaxes(-1, -2)[None])[
-                :, :, 0, :
-            ] * scale
-
-        if self.positional == "alibi":
-            logits = logits + alibi_bias_step(
-                self.n_heads,
-                query_positions,
-                np.broadcast_to(key_positions, (s,) + key_positions.shape),
-            )
-
-        if exact:
-            probs = np.zeros_like(logits)
-            ctx = np.empty((s, self.n_heads, self.d_head), dtype=logits.dtype)
-            for i in range(s):
-                live = int(lengths[i])
-                p = ops.softmax(logits[i : i + 1, :, :live], axis=-1)
-                probs[i, :, :live] = p[0]
-                ctx[i] = np.einsum("bhl,bhld->bhd", p, values_b[i : i + 1, :, :live])[0]
-            out = self.w_o.forward_rows(ctx.reshape(s, self.d_model))
-        else:
-            mask = np.arange(logits.shape[-1]) >= lengths[:, None, None]
-            logits = np.where(mask, -np.inf, logits)
-            probs = ops.softmax(logits, axis=-1)
-            ctx = (probs[:, :, None, :] @ values_b)[:, :, 0, :]
-            out = self.w_o(ctx.reshape(s, self.d_model))
-        return out, logits, probs
-
-    # ------------------------------------------------------------------
     # ragged-batch decode path (continuous batching)
     # ------------------------------------------------------------------
     def attend_step_batch(

@@ -15,31 +15,7 @@ __all__ = [
     "DecoderBlock",
     "LayerDecodeCache",
     "BatchedLayerDecodeCache",
-    "VerifyLayerCache",
 ]
-
-
-class VerifyLayerCache(Protocol):
-    """Interface a per-layer cache must implement for speculative verification.
-
-    The verify pass processes ``S`` consecutive tokens of one sequence in a
-    single call: it appends the whole block's KV first, then reads the cache
-    back with per-query causal lengths.  There is no ``observe`` hook — the
-    verify path is only sound for a no-eviction target policy, so nothing
-    may shrink the cache between appends (rejected tokens are rolled back by
-    the manager's ``commit_verify`` instead).
-    """
-
-    def append_block(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Append ``S`` tokens' keys/values, each of shape ``(S, heads, d_head)``."""
-
-    def verify_view(
-        self, n_queries: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
-        """Return ``(keys, values, key_positions, query_positions, lengths,
-        keys_rotated)`` — unbatched ``(heads, L, ...)`` tensors plus per-query
-        positions/lengths of shape ``(S,)`` (see
-        :meth:`repro.kvcache.manager.CacheManager.verify_view`)."""
 
 
 class BatchedLayerDecodeCache(Protocol):
@@ -48,7 +24,9 @@ class BatchedLayerDecodeCache(Protocol):
     Mirrors :class:`LayerDecodeCache`, but every tensor carries one row per
     in-flight sequence and ``attention_view`` additionally returns per-row
     live lengths (rows are padded to the longest sequence).  The concrete
-    implementation is :class:`repro.kvcache.batch.BatchedLayerView`.
+    implementations are :class:`repro.kvcache.batch.BatchedLayerView` and,
+    for the rows-of-one-sequence batch of speculative verification,
+    :class:`repro.kvcache.verify.VerifyView`.
     """
 
     def append(self, k: np.ndarray, v: np.ndarray) -> None:
@@ -172,41 +150,6 @@ class DecoderBlock(Module):
         layer_cache.observe(logits, probs)
         x = x + attn_out
         return x + self.mlp(self.ln_mlp(x))
-
-    def verify_step(self, x: np.ndarray, layer_cache: VerifyLayerCache) -> np.ndarray:
-        """Process ``S`` consecutive draft tokens of one sequence through the block.
-
-        ``x`` has shape ``(S, d_model)`` — the last committed token followed
-        by the drafted continuation.  All ``S`` keys/values are appended to
-        the cache first (optimistically; the speculative decoder rolls back
-        rejected ones), then query ``i`` attends over the causal prefix a
-        sequential :meth:`decode_step` would have seen.  At float64 every row
-        of the result is bit-identical to feeding the tokens one at a time;
-        at float32 the block runs fully batched within the documented
-        inference tolerance.
-        """
-        exact = x.dtype == np.float64
-        a_in = self.ln_attn(x)
-        if exact:
-            q, k, v = self.attn.project_qkv_rows(a_in)
-        else:
-            q, k, v = self.attn.project_qkv(a_in)
-        layer_cache.append_block(k, v)
-        keys, values, key_positions, query_positions, lengths, keys_rotated = (
-            layer_cache.verify_view(x.shape[0])
-        )
-        attn_out, _, _ = self.attn.attend_verify(
-            q,
-            keys,
-            values,
-            query_positions,
-            key_positions,
-            lengths,
-            keys_rotated=keys_rotated,
-        )
-        x = x + attn_out
-        h = self.ln_mlp(x)
-        return x + (self.mlp.forward_rows(h) if exact else self.mlp(h))
 
     def decode_step_batch(
         self, x: np.ndarray, layer_cache: BatchedLayerDecodeCache

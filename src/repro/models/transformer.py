@@ -11,7 +11,6 @@ from repro.models.block import (
     BatchedLayerDecodeCache,
     DecoderBlock,
     LayerDecodeCache,
-    VerifyLayerCache,
 )
 from repro.models.config import ModelConfig
 from repro.models.layers import Embedding, LayerNorm, Linear, Module, dot_rows
@@ -251,37 +250,6 @@ class DecoderLM(Module):
         for block, cache in zip(self.blocks, layer_caches):
             h = block.decode_step(h, cache)
         h = self.ln_final(h)
-        return self.lm_logits(h)
-
-    def verify_step(
-        self,
-        token_ids: np.ndarray,
-        positions: np.ndarray,
-        layer_caches: Sequence["VerifyLayerCache"],
-    ) -> np.ndarray:
-        """Teacher-forced multi-token decode for speculative verification.
-
-        ``token_ids``/``positions`` have shape ``(S,)`` — ``S`` consecutive
-        tokens of *one* sequence (the last committed token followed by the
-        draft).  Every layer appends all ``S`` KV entries and attends each
-        query over its causal prefix, so the returned logits ``(S, vocab)``
-        satisfy: at float64, row ``i`` is bit-identical to
-        :meth:`decode_step` fed token ``i`` after tokens ``0..i-1`` — the
-        greedy-acceptance test of speculative decoding therefore reproduces
-        vanilla greedy decoding exactly.
-        """
-        token_ids = np.asarray(token_ids).reshape(-1)
-        positions = np.asarray(positions).reshape(-1)
-        if len(layer_caches) != len(self.blocks):
-            raise ValueError(
-                f"expected {len(self.blocks)} layer caches, got {len(layer_caches)}"
-            )
-        h = self.embed_step(token_ids, positions)
-        for block, cache in zip(self.blocks, layer_caches):
-            h = block.verify_step(h, cache)
-        h = self.ln_final(h)
-        if h.dtype == np.float64:
-            return self.lm_logits_rows(h)
         return self.lm_logits(h)
 
     def decode_step_batch(

@@ -32,7 +32,7 @@ one row that caused it.  See ``docs/robustness.md`` for the full fault model.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 

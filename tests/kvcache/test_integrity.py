@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
-import pytest
 
 from repro.kvcache.offload import TieredBlockPool, TieredQuantizedBlockPool
 from repro.kvcache.paged import BlockPool, PageTable, PagedKVStore, PrefixRegistry

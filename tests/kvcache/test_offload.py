@@ -364,6 +364,15 @@ class TestKnobPlumbing:
             with pytest.raises(TypeError, match="pagesize"):
                 build(2, HEADS, D_HEAD, pagesize=PAGE)
 
+    def test_spill_ranker_installed_only_when_the_registry_ranks(self):
+        """Under the default ``"lru"`` admission every page ranks 0, so the
+        pools keep their own LRU order and pay no per-frame callback."""
+        tiered = dict(max_batch=2, n_pages=8, tier0_pages=3, page_size=PAGE, tier0_budget=4096)
+        manager = BatchedCacheManager(2, HEADS, D_HEAD, **tiered)
+        assert [pool.spill_ranker for pool in manager.store.pools] == [None, None]
+        manager = BatchedCacheManager(2, HEADS, D_HEAD, admission_policy="wtinylfu", **tiered)
+        assert all(pool.spill_ranker is not None for pool in manager.store.pools)
+
 
 class TestObserveBatchUnderOffload:
     """FINDING 4 of ``benchmarks/e2e/README.md``: a policy that keeps the base
