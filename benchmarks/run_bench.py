@@ -626,7 +626,7 @@ def bench_offload_capacity() -> dict[str, dict]:
     constants): the baseline spends it as its entire page pool
     (``max_pool_bytes``), the tiered engine as tier-0 residency
     (``tier0_budget``) under a 4x larger logical pool whose cold pages spill
-    to the compressed arena.  Both serve the identical 4-request workload;
+    to the in-memory arena.  Both serve the identical 4-request workload;
     the gated ``speedup`` is the ratio of **peak live mapped pages** — the
     KV data each engine could keep in flight per byte of tier-0 memory.
     **Deterministic** (pure page accounting on a pinned greedy workload, no

@@ -15,9 +15,10 @@ bursts of unique prompts.
 
 A ``tier0_budget`` knob enables **tiered KV offload**
 (:mod:`repro.kvcache.offload`): each pool keeps only the pages that budget
-funds resident in its tier-0 slabs and spills cold pages byte-exactly to a
-tier-1 arena (``spill_backend="compressed"`` or ``"mmap"``), restoring them
-transparently on access — outputs stay bit-identical with offload on or off.
+funds resident in its tier-0 slabs and spills cold pages as raw slab bytes to
+a tier-1 arena (``spill_backend="compressed"`` — RAM, no codec despite the
+name — or ``"mmap"``), restoring them transparently on access — outputs stay
+bit-identical with offload on or off.
 
 All of these knobs are fields of :class:`KVStoreConfig`, declared once.
 """

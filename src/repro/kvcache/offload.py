@@ -4,24 +4,28 @@ The tiered pools keep the :class:`~repro.kvcache.paged.BlockPool` *logical*
 page space intact — page ids, refcounts, the free heap and copy-on-write all
 work exactly as before — but size the slabs to a fixed number of physical
 **frames** (``tier0_pages``).  A logical page is either *resident* (mapped to
-a frame) or *spilled* (its byte payload parked in a tier-1 arena) or *free*
+a frame) or *spilled* (its slab bytes parked in a tier-1 arena) or *free*
 (unallocated, backed by nothing).  Every slab access funnels through the
 :meth:`~repro.kvcache.paged.BlockPool._page_base` storage hook, which
 transparently restores spilled pages on demand, evicting the coldest resident
 page when no frame is free — so the cache managers, the serving engine,
 prefix sharing, speculative rollback and eviction policies all run unchanged.
 
-Two arena backends (``spill_backend``) park cold payloads:
+A spilled page is one fixed-size record — its slab bytes and nothing else —
+in a :class:`_RecordArena`; the ``spill_backend`` values differ only in where
+the record buffer lives:
 
-* ``"compressed"`` — an in-memory :class:`CompressedSpillArena` of
-  zlib-compressed page records (the default; no file descriptors).
-* ``"mmap"`` — a :class:`MmapSpillArena` over an anonymous temporary file,
-  fixed-size records addressed through :mod:`mmap` (simulates a second
-  storage device; survives payloads larger than RAM compression wins).
+* ``"compressed"`` — :class:`CompressedSpillArena`, a private anonymous map
+  (RAM; the default).  Knob value and class name are historical: there is no
+  codec.  The deflate codec it had took ``serve_offload_tight``'s float64
+  pages only 71.2 MB → 66.5 MB per round (ratio 0.933) for 2.2 s of a 3.4 s
+  round, so tier 1 now costs its raw bytes.
+* ``"mmap"`` — :class:`MmapSpillArena`, a map of an unlinked temporary file
+  (the shape a second storage device would take).
 
 Determinism contract: a spill→restore round-trip is **byte-exact** — the
-payload is the raw slab bytes (int8 codes *and* the per-page quantization
-parameters for the quantized pool, raw float slabs otherwise) — so victim
+record is the raw slab bytes (int8 codes for the quantized pool, whose
+per-page parameters never leave RAM; raw float slabs otherwise) — so victim
 selection and frame placement can never change a computed value, and outputs
 are bit-identical with offload on or off.  Victim selection prefers the
 registry's W-TinyLFU segment ranking when a ``spill_ranker`` is installed
@@ -35,7 +39,6 @@ from __future__ import annotations
 import heapq
 import mmap
 import tempfile
-import zlib
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -63,83 +66,38 @@ __all__ = [
 SPILL_BACKENDS = ("compressed", "mmap")
 
 
-class CompressedSpillArena:
-    """In-memory tier-1 arena: zlib-compressed page payloads by logical page.
+class _RecordArena:
+    """Tier-1 arena: ``record_nbytes``-sized records, keyed by logical page,
+    in one map that grows by doubling (the tiered pools spill fixed-size
+    pages, so records never fragment).
 
-    ``level=1`` is zlib's fastest setting — spill/restore sits on the serving
-    path — and on float64 pages it buys little: a ``serve_offload_tight``
-    round takes 71.2 MB of page payloads to 66.5 MB (ratio 0.933) while
-    ``store`` + ``load`` are 2.3 s of the 3.4 s traced round.  The codec
-    choice and skipping the re-store of clean pages are ROADMAP item 4(d).
-    """
-
-    def __init__(self, level: int = 1):
-        self.level = int(level)
-        self._records: dict[int, bytes] = {}
-
-    def store(self, page: int, payload: bytes) -> None:
-        """Park ``payload`` as the spilled content of logical ``page``."""
-        self._records[page] = zlib.compress(payload, self.level)
-
-    def load(self, page: int) -> bytes:
-        """The byte-exact payload previously stored for ``page``."""
-        return zlib.decompress(self._records[page])
-
-    def drop(self, page: int) -> None:
-        """Forget ``page``'s record (restore completion or page free)."""
-        self._records.pop(page, None)
-
-    def __contains__(self, page: int) -> bool:
-        """True when ``page`` has a spilled record."""
-        return page in self._records
-
-    def __len__(self) -> int:
-        """Number of spilled records."""
-        return len(self._records)
-
-    def keys(self):
-        """Logical page ids currently spilled."""
-        return self._records.keys()
-
-    def nbytes(self) -> int:
-        """Tier-1 bytes currently parked (compressed)."""
-        return sum(len(blob) for blob in self._records.values())
-
-    def close(self) -> None:
-        """Release all records."""
-        self._records.clear()
-
-
-class MmapSpillArena:
-    """File-backed tier-1 arena: fixed-size records in a memory-mapped
-    anonymous temporary file.
-
-    Every record is exactly ``record_nbytes`` (one page's payload — the
-    tiered pools spill fixed-size pages, so records never fragment).  The
-    file grows by doubling; freed record slots are reused lowest-first.
+    A page→slot map and a lowest-first heap of freed slots address the map.
+    ``store`` and ``load`` copy — a live view would make the map unresizable.
+    The concrete arenas supply only the map (:meth:`_open_map`).
     """
 
     def __init__(self, record_nbytes: int):
         if record_nbytes <= 0:
             raise ValueError("record_nbytes must be positive")
         self.record_nbytes = int(record_nbytes)
-        self._file = tempfile.TemporaryFile()
         self._map: mmap.mmap | None = None
         self._capacity = 0
         self._slots: dict[int, int] = {}
         self._free: list[int] = []
         self._high = 0
 
-    def _ensure_capacity(self, n_records: int) -> None:
-        """Grow the backing file (doubling) to hold ``n_records`` records."""
-        if n_records <= self._capacity:
-            return
-        new_cap = max(n_records, 2 * self._capacity, 8)
-        self._file.truncate(new_cap * self.record_nbytes)
-        if self._map is not None:
-            self._map.close()
-        self._map = mmap.mmap(self._file.fileno(), new_cap * self.record_nbytes)
-        self._capacity = new_cap
+    def _open_map(self, nbytes: int) -> mmap.mmap:
+        """A fresh resizable map of ``nbytes`` — where the records live."""
+        raise NotImplementedError
+
+    def _grow(self) -> None:
+        """Double the map's capacity (from a floor of 8 records)."""
+        capacity = max(2 * self._capacity, 8)
+        if self._map is None:
+            self._map = self._open_map(capacity * self.record_nbytes)
+        else:
+            self._map.resize(capacity * self.record_nbytes)
+        self._capacity = capacity
 
     def store(self, page: int, payload: bytes) -> None:
         """Park ``payload`` as the spilled content of logical ``page``."""
@@ -150,23 +108,27 @@ class MmapSpillArena:
             )
         slot = self._slots.get(page)
         if slot is None:
-            if self._free:
-                slot = heapq.heappop(self._free)
-            else:
-                slot = self._high
+            if not self._free:  # a new slot enters through the free heap
+                if self._high == self._capacity:
+                    self._grow()
+                heapq.heappush(self._free, self._high)
                 self._high += 1
-            self._ensure_capacity(slot + 1)
-            self._slots[page] = slot
+            slot = self._free[0]
         off = slot * self.record_nbytes
         self._map[off : off + self.record_nbytes] = payload
+        if page not in self._slots:
+            # Claimed only once it holds the record: neither a failed growth
+            # nor a failed copy can leak a slot.
+            self._slots[page] = heapq.heappop(self._free)
 
     def load(self, page: int) -> bytes:
-        """The byte-exact payload previously stored for ``page``."""
+        """The byte-exact payload previously stored for ``page`` (a copy)."""
         off = self._slots[page] * self.record_nbytes
-        return bytes(self._map[off : off + self.record_nbytes])
+        return self._map[off : off + self.record_nbytes]
 
     def drop(self, page: int) -> None:
-        """Free ``page``'s record slot for reuse."""
+        """Free ``page``'s record slot for reuse (restore completion or page
+        free); a page without a record is a no-op."""
         slot = self._slots.pop(page, None)
         if slot is not None:
             heapq.heappush(self._free, slot)
@@ -184,20 +146,61 @@ class MmapSpillArena:
         return self._slots.keys()
 
     def nbytes(self) -> int:
-        """Tier-1 bytes currently parked (live records; the file itself may
-        be larger from doubling)."""
+        """Tier-1 bytes parked: live records (the map may be larger)."""
         return len(self._slots) * self.record_nbytes
 
+    def owned_slots(self) -> int:
+        """Slots handed out and not freed — ``len(self)`` unless one leaked."""
+        return self._high - len(self._free)
+
+    def check_invariants(self, label: str = "arena") -> list[str]:
+        """The arena's own law: owned and free slots partition
+        ``0..high-water`` (none owned twice, none lost), within capacity."""
+        owned = sorted(self._slots.values())
+        partitioned = sorted(owned + self._free) == list(range(self._high))
+        if partitioned and self._high <= self._capacity:
+            return []
+        return [
+            f"{label}: arena slots owned {owned} + free {sorted(self._free)} do "
+            f"not partition 0..{self._high} (capacity {self._capacity})"
+        ]
+
     def close(self) -> None:
-        """Unmap and close the backing file."""
+        """Unmap the buffer and forget every record."""
         if self._map is not None:
             self._map.close()
-            self._map = None
-        self._file.close()
-        self._slots.clear()
-        self._free.clear()
-        self._capacity = 0
-        self._high = 0
+        self.__init__(self.record_nbytes)
+
+
+class CompressedSpillArena(_RecordArena):
+    """In-memory tier-1 arena: raw records in a private anonymous map (the
+    name and the ``"compressed"`` knob value are historical: no codec)."""
+
+    def _open_map(self, nbytes: int) -> mmap.mmap:
+        """Private, not the ``mmap.mmap(-1, n)`` default: a shared anonymous
+        map takes SIGBUS on the first touch past its original size after
+        ``resize``.  Unlike a heap buffer, growth moves no bytes and untouched
+        capacity costs no RSS."""
+        return mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+
+    # In each arena's own __dict__: tracers patch store/load class by class.
+    store = _RecordArena.store
+    load = _RecordArena.load
+
+
+class MmapSpillArena(_RecordArena):
+    """File-backed tier-1 arena: raw records in a memory-mapped unlinked
+    temporary file (simulates a second storage device)."""
+
+    def _open_map(self, nbytes: int) -> mmap.mmap:
+        """The map keeps its own descriptor (and ``resize`` truncates through
+        it), so the file object need not outlive this call."""
+        with tempfile.TemporaryFile() as file:
+            file.truncate(nbytes)
+            return mmap.mmap(file.fileno(), nbytes)
+
+    store = _RecordArena.store
+    load = _RecordArena.load
 
 
 def check_spill_backend(backend: str | None) -> str:
@@ -212,10 +215,10 @@ def check_spill_backend(backend: str | None) -> str:
 
 
 def resolve_spill_arena(backend: str | None, record_nbytes: int):
-    """Arena instance for a ``spill_backend`` knob value; ``record_nbytes``
-    sizes the mmap arena's records."""
+    """Arena instance for a ``spill_backend`` knob value, holding records of
+    ``record_nbytes`` bytes."""
     if check_spill_backend(backend) == "compressed":
-        return CompressedSpillArena()
+        return CompressedSpillArena(record_nbytes)
     return MmapSpillArena(record_nbytes)
 
 
@@ -340,32 +343,31 @@ class _TieredMixin:
     def _choose_victim(self) -> int:
         """Coldest unpinned resident page: minimal ``(spill rank, last
         touch, page id)`` — pure LRU when no ranker is installed."""
-        best = -1
-        best_key: tuple[int, int, int] | None = None
-        for frame in range(self.n_frames):
-            page = int(self._frame_page[frame])
-            if page < 0 or self._pins.get(page):
-                continue
-            rank = self.spill_ranker(page) if self.spill_ranker is not None else 0
-            key = (rank, int(self._last_touch[page]), page)
-            if best_key is None or key < best_key:
-                best, best_key = page, key
-        if best_key is None:
+        unpinned = self._frame_page >= 0
+        if self._pins:  # a pinned page may itself be waiting for a frame (-1)
+            frames = self._page_frame[list(self._pins)]
+            unpinned[frames[frames >= 0]] = False
+        pages = self._frame_page[unpinned]
+        if not pages.size:
             raise PoolExhausted(
                 f"tier-0 frames exhausted: all {self.n_frames} frames are "
                 "pinned by the current operation; raise tier0_pages"
             )
-        return best
+        ranker = self.spill_ranker
+        rank = [ranker(p) for p in pages.tolist()] if ranker else np.zeros_like(pages)
+        return int(pages[np.lexsort((pages, self._last_touch[pages], rank))[0]])
 
     def _spill_page(self, page: int, frame: int) -> None:
-        """Park resident ``page``'s payload in the arena and unmap its frame.
-
+        """Park resident ``page``'s slab bytes (each slab's slice of
+        ``frame``, in :meth:`_slabs` order) in the arena and unmap the frame.
         The ``spill_hook`` fires before any mutation, so an injected
-        ``spill_io`` fault leaves the page resident and the arena unchanged.
-        """
+        ``spill_io`` fault leaves the page resident and the arena unchanged."""
         if self.spill_hook is not None:
             self.spill_hook()
-        payload = self._page_payload(page, frame)
+        base = frame * self.page_size
+        payload = b"".join(
+            slab[:, base : base + self.page_size].tobytes() for slab in self._slabs()
+        )
         self.arena.store(page, payload)
         self._page_frame[page] = -1
         self._frame_page[frame] = -1
@@ -373,65 +375,26 @@ class _TieredMixin:
         self.spill_bytes += len(payload)
 
     def _restore_page(self, page: int, frame: int) -> None:
-        """Copy ``page``'s spilled payload back into ``frame`` and drop the
+        """Copy ``page``'s spilled slab bytes back into ``frame`` and drop the
         arena record.  ``spill_hook`` fires before any mutation."""
         if self.spill_hook is not None:
             self.spill_hook()
         payload = self.arena.load(page)
-        self._load_payload(page, frame, payload)
+        base = frame * self.page_size
+        offset = 0
+        for slab in self._slabs():
+            dst = slab[:, base : base + self.page_size]
+            dst[...] = np.frombuffer(
+                payload, dtype=slab.dtype, count=dst.size, offset=offset
+            ).reshape(dst.shape)
+            offset += dst.nbytes
         self.arena.drop(page)
         self.n_restores += 1
         self.restore_bytes += len(payload)
 
-    # ------------------------------------------------------------------
-    # payload serialization (byte-exact by construction)
-    # ------------------------------------------------------------------
-    def _page_payload(self, page: int, frame: int) -> bytes:
-        """Raw bytes of ``page``'s slab slice in ``frame`` plus any per-page
-        state (:meth:`_page_state_payload`)."""
-        ps = self.page_size
-        base = frame * ps
-        parts = [
-            np.ascontiguousarray(slab[:, base : base + ps]).tobytes()
-            for slab in self._slabs()
-        ]
-        parts.append(self._page_state_payload(page))
-        return b"".join(parts)
-
-    def _load_payload(self, page: int, frame: int, payload: bytes) -> None:
-        """Write a :meth:`_page_payload` byte string back into ``frame``."""
-        ps = self.page_size
-        base = frame * ps
-        offset = 0
-        for slab in self._slabs():
-            shape = (slab.shape[0], ps) + slab.shape[2:]
-            count = int(np.prod(shape))
-            chunk = np.frombuffer(payload, dtype=slab.dtype, count=count, offset=offset)
-            slab[:, base : base + ps] = chunk.reshape(shape)
-            offset += count * slab.dtype.itemsize
-        self._load_page_state(page, payload, offset)
-
     def _payload_nbytes(self) -> int:
-        """Exact byte size of one page's payload (sizes mmap records)."""
-        ps = self.page_size
-        total = 0
-        for slab in self._slabs():
-            per_slot = slab.shape[2] if slab.ndim == 3 else 1
-            total += slab.shape[0] * ps * per_slot * slab.dtype.itemsize
-        return total + self._extra_payload_nbytes()
-
-    def _page_state_payload(self, page: int) -> bytes:
-        """Hook: per-page state appended to the slab payload (empty here;
-        the quantized pool appends its parameter rows)."""
-        return b""
-
-    def _load_page_state(self, page: int, payload: bytes, offset: int) -> None:
-        """Hook: restore per-page state written by
-        :meth:`_page_state_payload` (no-op here)."""
-
-    def _extra_payload_nbytes(self) -> int:
-        """Hook: byte size of :meth:`_page_state_payload` (zero here)."""
-        return 0
+        """Exact byte size of one page's slab bytes (the arena record size)."""
+        return sum(slab[:, : self.page_size].nbytes for slab in self._slabs())
 
     # ------------------------------------------------------------------
     # pinning / bulk residency
@@ -691,8 +654,8 @@ class _TieredMixin:
         """Base-pool audit plus the tier invariants: a page is resident XOR
         spilled XOR free, the page↔frame maps are mutually inverse, the
         free-frame list is exactly the unmapped frames, every arena record
-        belongs to a live (refcount > 0) page, and no operation leaked a
-        pin."""
+        belongs to a live (refcount > 0) page, every arena slot is accounted
+        for, and no operation leaked a pin."""
         violations = super().check_invariants(owners=owners, pinned=pinned, label=label)
         n_frames = self.n_frames
         for page in range(self.n_pages):
@@ -739,6 +702,7 @@ class _TieredMixin:
                     f"{label}: spill-index leak — page {page} is spilled but "
                     "has refcount 0"
                 )
+        violations.extend(self.arena.check_invariants(label))
         if self._pins:
             violations.append(f"{label}: pin(s) leaked: {dict(self._pins)}")
         return violations
@@ -809,77 +773,19 @@ class TieredBlockPool(_TieredMixin, BlockPool):
 
 class TieredQuantizedBlockPool(_TieredMixin, QuantizedBlockPool):
     """Int8 :class:`~repro.kvcache.quant.QuantizedBlockPool` with tiered
-    offload.  Quantization parameters stay RAM-resident (they are indexed by
-    *logical* page), but each spill payload carries the page's codes **and**
-    its parameter rows, so a spill record is self-contained and the
-    round-trip is byte-exact for codes and params alike.  The quantized
-    per-page read/write paths (``_dequant_view``, ``_quantize_into``,
-    ``fill_row``) already chunk per logical page through ``_page_base``, so
-    they stream through tier-0 unchanged."""
+    offload.  A spill record is the page's int8 codes only: the quantization
+    parameters are indexed by *logical* page and stay RAM-resident, so
+    ``alloc``, copy-on-write and compaction's range reset act on the one live
+    copy whether or not the page is resident, and a restore — which never
+    writes them — cannot resurrect a stale range.  The quantized per-page
+    read/write paths (``_dequant_view``, ``_quantize_into``, ``fill_row``)
+    already chunk per logical page through ``_page_base``, so they stream
+    through tier-0 unchanged."""
 
     def _page_of_slot(self, slots):
         """Logical page owning flat *frame* slot(s) — the frame→page map
         lookup (scalar or vectorized)."""
         return self._frame_page[slots // self.page_size]
-
-    def _reset_page_params(self, pages: Sequence[int]) -> None:
-        """Reset parameter ranges, mirroring the reset into any spilled
-        record: compaction resets pages it is about to rewrite, and if such
-        a page sits in the arena its stored param section would otherwise
-        resurrect the stale (wider) range on restore."""
-        super()._reset_page_params(pages)
-        extra = self._extra_payload_nbytes()
-        for page in pages:
-            page = int(page)
-            if page in self.arena:
-                payload = self.arena.load(page)
-                self.arena.store(
-                    page, payload[: len(payload) - extra] + self._page_state_payload(page)
-                )
-
-    def _page_state_payload(self, page: int) -> bytes:
-        """The page's float32 parameter rows (scale, zero, lo, hi per
-        quantized stream), appended to the code payload."""
-        parts = []
-        for name in self._qnames:
-            for store in (self._qscale, self._qzero, self._qlo, self._qhi):
-                parts.append(store[name][page].tobytes())
-        return b"".join(parts)
-
-    def _load_page_state(self, page: int, payload: bytes, offset: int) -> None:
-        """Restore the parameter rows written by :meth:`_page_state_payload`."""
-        n = self.n_heads
-        for name in self._qnames:
-            for store in (self._qscale, self._qzero, self._qlo, self._qhi):
-                store[name][page] = np.frombuffer(
-                    payload, dtype=np.float32, count=n, offset=offset
-                )
-                offset += n * 4
-
-    def _extra_payload_nbytes(self) -> int:
-        """Bytes of the per-page parameter rows (4 float32 rows per stream)."""
-        return len(self._qnames) * 4 * self.n_heads * 4
-
-    def check_invariants(
-        self,
-        owners: Sequence[PageTable] | None = None,
-        pinned: Iterable[int] = (),
-        label: str = "pool",
-    ) -> list[str]:
-        """Tier + quantization audit, plus the spill-record cross-check:
-        every spilled page's stored parameter section must equal the live
-        (RAM-resident) parameters — a mismatch means a restore would change
-        dequantized values, breaking the byte-exactness contract."""
-        violations = super().check_invariants(owners=owners, pinned=pinned, label=label)
-        extra = self._extra_payload_nbytes()
-        for page in list(self.arena.keys()):
-            payload = self.arena.load(page)
-            if payload[len(payload) - extra :] != self._page_state_payload(page):
-                violations.append(
-                    f"{label}: spilled page {page} parameter section diverged "
-                    "from the live quantization parameters"
-                )
-        return violations
 
 
 def resolve_tiered_pool_class(base_cls: type[BlockPool]) -> type[BlockPool]:

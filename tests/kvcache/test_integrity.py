@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
+import pytest
 
 from repro.kvcache.offload import TieredBlockPool, TieredQuantizedBlockPool
 from repro.kvcache.paged import BlockPool, PageTable, PagedKVStore, PrefixRegistry
@@ -152,7 +153,8 @@ class TestTieredPoolAudit:
     """Tier-state invariants of the offload pools (see ``repro.kvcache.offload``):
     page resident XOR spilled, mutually-inverse page↔frame maps, a free-frame
     list that is exactly the unmapped frames, no spill-index leaks and no
-    leaked pins — plus the quantized pool's spill-record parameter cross-check."""
+    leaked pins — plus the arena's own slot law (owned + free slots partition
+    ``0..high-water``)."""
 
     def _tiered(self, cls=TieredBlockPool, **kwargs):
         kwargs.setdefault("tier0_pages", 3)
@@ -220,14 +222,23 @@ class TestTieredPoolAudit:
         pool._unpin([table.pages[0]])
         assert pool.check_invariants(owners=[table]) == []
 
-    def test_quantized_detects_stale_spilled_params(self):
-        pool = self._tiered(TieredQuantizedBlockPool, dtype=np.float64)
+    @pytest.mark.parametrize("backend", ("compressed", "mmap"))
+    def test_detects_leaked_or_doubly_owned_arena_slot(self, backend):
+        pool = self._tiered(spill_backend=backend)
         rng = np.random.default_rng(26)
         table = seeded_table(pool, 5 * PAGE, rng)
-        page = self._spilled_page(pool, table)
-        pool._qscale["k"][page] *= 2.0  # live params drift from the record
+        a, b = [p for p in table.pages if p in pool.arena][:2]
+        pool.arena._high += 1  # a slot handed out but owned by no page
         violations = pool.check_invariants(owners=[table])
-        assert any("parameter section diverged" in v for v in violations)
+        assert any("do not partition" in v for v in violations)
+        pool.arena._high -= 1
+        assert pool.check_invariants(owners=[table]) == []
+        slot_b = pool.arena._slots[b]
+        pool.arena._slots[b] = pool.arena._slots[a]  # two pages, one record
+        violations = pool.check_invariants(owners=[table])
+        assert any("do not partition" in v for v in violations)
+        pool.arena._slots[b] = slot_b
+        assert pool.check_invariants(owners=[table]) == []
 
     def test_release_drops_arena_records(self):
         pool = self._tiered()

@@ -103,12 +103,18 @@ class TestArenas:
         with pytest.raises(ValueError):
             MmapSpillArena(record_nbytes=0)
 
-    def test_compressed_nbytes_tracks_compressed_size(self):
-        arena = CompressedSpillArena()
-        arena.store(0, b"\x00" * 4096)
-        assert 0 < arena.nbytes() < 4096  # zeros compress
+    @pytest.mark.parametrize("backend", SPILL_BACKENDS)
+    def test_nbytes_is_live_records_times_record_size(self, backend):
+        arena = resolve_spill_arena(backend, record_nbytes=4096)
+        assert arena.nbytes() == 0
+        for page in range(5):
+            arena.store(page, b"\x00" * 4096)  # zeros: nothing shrinks them
+        arena.store(2, b"\x01" * 4096)  # an overwrite is not a new record
+        arena.drop(4)
+        assert arena.nbytes() == 4 * 4096 == len(arena) * arena.record_nbytes
+        assert arena.owned_slots() == 4
         arena.close()
-        assert len(arena) == 0
+        assert len(arena) == 0 and arena.nbytes() == 0 and arena.owned_slots() == 0
 
     def test_resolve_rejects_unknown_backend(self):
         assert isinstance(resolve_spill_arena(None, 8), CompressedSpillArena)
@@ -260,6 +266,8 @@ class TestTieredPoolMechanics:
 
 class TestTieredQuantizedPool:
     def test_param_rows_travel_with_the_payload(self):
+        # (Historical name: the rows stay in RAM, indexed by logical page;
+        # only the codes travel.)
         pool = make_pool(TieredQuantizedBlockPool, dtype=np.float64)
         rng = np.random.default_rng(10)
         table, keys, values = seeded_table(pool, 6 * PAGE, rng)
@@ -282,8 +290,11 @@ class TestTieredQuantizedPool:
         table, _, _ = seeded_table(pool, 6 * PAGE, rng)
         page = next(p for p in table.pages if p in pool.arena)
         pool._reset_page_params([page])
-        # The stored parameter section must track the live (reset) params —
-        # otherwise restore would resurrect the stale wider ranges.
+        # Records hold codes only, so the reset has nothing to mirror: the
+        # live params are the single copy and the page restores under them.
+        assert np.isinf(pool._qlo["k"][page]).all()
+        pool._page_base(page)
+        assert np.isinf(pool._qlo["k"][page]).all()
         assert pool.check_invariants(owners=[table]) == []
 
 

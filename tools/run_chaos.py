@@ -152,10 +152,13 @@ def run_round(model, prompts, corner, faults, audit_every_step):
                     f"[{name}] layer {layer}: {leaked} leaked page(s) after retire"
                 )
             arena = getattr(pool, "arena", None)
-            if arena is not None and len(arena):
+            # Owned slots, not records: a slot claimed but never mapped to a
+            # page (lost between allocation and copy) is a leak too.
+            if arena is not None and arena.owned_slots():
                 violations.append(
-                    f"[{name}] layer {layer}: {len(arena)} spilled page(s) "
-                    "leaked in the tier-1 arena after retire"
+                    f"[{name}] layer {layer}: {arena.owned_slots()} record "
+                    f"slot(s) ({len(arena)} spilled page(s)) leaked in the "
+                    "tier-1 arena after retire"
                 )
     return engine, states, steps, violations
 
