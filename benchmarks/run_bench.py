@@ -114,16 +114,8 @@ def _model(max_seq_len: int, dtype: str | None = None, **overrides) -> DecoderLM
         # The seed implementation predates configurable compute dtypes; this
         # guard lets the same script benchmark both trees.
         overrides["compute_dtype"] = dtype
-    config = ModelConfig(
-        vocab_size=256,
-        d_model=64,
-        n_layers=4,
-        n_heads=8,
-        d_ff=256,
-        max_seq_len=max_seq_len,
-        positional="rope",
-        **overrides,
-    )
+    geometry = dict(vocab_size=256, d_model=64, n_layers=4, n_heads=8, d_ff=256, positional="rope")
+    config = ModelConfig(max_seq_len=max_seq_len, **{**geometry, **overrides})
     return DecoderLM(config, seed=0)
 
 
@@ -203,10 +195,20 @@ def bench_generation(model: DecoderLM, policy_name: str, prompt_len: int, rounds
     return _time(setup, lambda g: g.generate(prompt, config, sampler=GreedySampler()), rounds)
 
 
-def bench_prompt_forward(model: DecoderLM, prompt_len: int, rounds: int) -> dict:
-    """Time one full-sequence forward pass over a random prompt."""
+def bench_prompt_forward(
+    model: DecoderLM, prompt_len: int, rounds: int, store_attention: bool = False
+) -> dict:
+    """Time one full-sequence forward pass over a random prompt; with
+    ``store_attention`` it is the prompt pass of a Keyformer request, whose
+    stored tensors are handed over after each call."""
     ids = np.random.default_rng(0).integers(0, 256, size=(1, prompt_len))
-    return _time(None, lambda: model.forward(ids), rounds)
+
+    def run() -> None:
+        model.forward(ids, store_attention=store_attention)
+        if store_attention:
+            model.take_prompt_tensors()
+
+    return _time(None, run, rounds)
 
 
 def bench_cache_gather(length: int, rounds: int) -> dict:
@@ -1058,6 +1060,13 @@ def run_suite(smoke: bool = False) -> dict:
 
     components: dict[str, dict] = {}
     components["prompt_forward_256"] = bench_prompt_forward(model_small, 256, rounds)
+    # The Keyformer prompt pass at the serve_keyformer_long geometry (float64,
+    # d_model=128, a 768-token prompt, attention stored): guards the
+    # row-blocked causal-half attention kernel in both modes.
+    model_prompt = _model(max_seq_len=1024, d_model=128, d_ff=512)
+    components["prompt_forward_768_f64"] = bench_prompt_forward(
+        model_prompt, 768, rounds, store_attention=True
+    )
     components["generation_keyformer_128"] = bench_generation(model_small, "keyformer", 128, rounds)
     components["generation_full_128"] = bench_generation(model_small, "full", 128, rounds)
     # The inference-dtype decode components run at both contexts in BOTH

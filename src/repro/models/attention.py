@@ -26,6 +26,19 @@ from repro.models.positional import (
 
 __all__ = ["MultiHeadAttention"]
 
+#: Query rows per block of the prompt pass: block ``[i0, i1)`` of
+#: :meth:`MultiHeadAttention.forward` works on keys ``[0, i1)`` only.
+_ROW_BLOCK = 32
+
+
+def _layout_empty(shape: tuple, dtype, key_strided: bool) -> np.ndarray:
+    """Uninitialised ``(B, H, Q, K)`` array, ``(b, q, k, h)`` in memory if
+    ``key_strided`` and C order otherwise."""
+    if key_strided:
+        b, h, q, k = shape
+        return np.empty((b, q, k, h), dtype).transpose(0, 3, 1, 2)
+    return np.empty(shape, dtype)
+
 
 class MultiHeadAttention(Module):
     """Causal multi-head self-attention supporting RoPE, ALiBi or no bias."""
@@ -97,6 +110,16 @@ class MultiHeadAttention(Module):
         store_attention:
             When true, the post-softmax attention probabilities are kept in
             :attr:`last_attention` for analysis (Figure 3 / 14 / 15).
+
+        The attention core pays only the causal half of the ``(T, T)``
+        square: it runs over blocks of ``_ROW_BLOCK`` query rows, and block
+        ``[i0, i1)`` computes scores, ``exp`` and A·V against keys ``[0, i1)``
+        only.  Every float64 and float32 bit is that of the whole-tensor
+        formulation (``reference_forward`` in ``tests/models/test_attention.py``):
+        the buffers have its memory layouts, a row's softmax denominator sums
+        the zero-padded full-width row, and below float64 A·V stays one
+        whole-tensor matmul, because BLAS rounds differently once its K
+        dimension is truncated.
         """
         b, t, _ = x.shape
         if positions is None:
@@ -118,30 +141,78 @@ class MultiHeadAttention(Module):
         # keeps einsum's exact reduction order; any other dtype runs within a
         # documented tolerance, so it takes the BLAS batched matmul.
         scale = self._scale
-        if q_rot.dtype == np.float64:
-            scores = np.einsum("bhqd,bhkd->bhqk", q_rot, k_rot)
-        else:
-            scores = q_rot @ k_rot.swapaxes(-1, -2)
-        # Scale and mask in place: both are elementwise, so the float64 bits
-        # are those of ``where(mask, -inf, scores * scale)`` without its two
-        # (B, H, T, T) temporaries.
-        scores *= scale
+        exact = q_rot.dtype == np.float64
+        bias = alibi_bias_matrix(self.n_heads, t) if self.positional == "alibi" else None
+        # Layouts are those of the whole-tensor formulation, because NumPy's
+        # reduction order follows memory layout: float64 einsum over the
+        # strided ``_split_heads`` views returns key-strided scores, ``(b, q,
+        # k, h)`` in memory, so a row sum over them is sequential; RoPE's
+        # rotated copies, matmul and ALiBi's bias add give C order, and
+        # pairwise row sums.
+        raw_strided = exact and not q_rot.flags.c_contiguous
+        key_strided = raw_strided and bias is None
+        dtype = q_rot.dtype if bias is None else np.result_type(q_rot.dtype, bias)
+        # Row blocks; a last block of one row would run BLAS gemv, not gemm.
+        bounds = [*range(0, max(t - 1, 1), _ROW_BLOCK), t]
+        rows = max(i1 - i0 for i0, i1 in zip(bounds, bounds[1:]))
+        shape = (b, self.n_heads, t, t)
+        block = (b, self.n_heads, rows, t)
+        attn = _layout_empty(shape, dtype, key_strided)
+        # Masked logits are kept whole only when stored; otherwise per block.
+        # Under ALiBi the product lands in its own block buffer first and the
+        # bias add writes the (float64, C-order) scores.
+        scores = _layout_empty(shape if store_attention else block, dtype, key_strided)
+        raw = None if bias is None else _layout_empty(block, q_rot.dtype, raw_strided)
+        # float64 probabilities (ALiBi promotes float32 ones) reduce A·V by
+        # einsum, one block at a time; below float64 it is one BLAS matmul.
+        exact_av = dtype == np.float64
+        if exact_av:
+            # einsum's output layout: (b, q, h, d) in memory over key-strided
+            # probabilities, C order otherwise.
+            if key_strided:
+                ctx = np.empty((b, t, self.n_heads, self.d_head), dtype).transpose(0, 2, 1, 3)
+            else:
+                ctx = np.empty((b, self.n_heads, t, self.d_head), dtype)
+        upper = np.triu(np.ones((rows, rows), dtype=bool), k=1)
 
-        if self.positional == "alibi":
-            scores = scores + alibi_bias_matrix(self.n_heads, t)[None]
+        for i0, i1 in zip(bounds, bounds[1:]):
+            n = i1 - i0
+            s = scores[:, :, i0:i1] if store_attention else scores[:, :, :n]
+            s = s[..., :i1]
+            r = s if raw is None else raw[:, :, :n, :i1]
+            if exact:
+                np.einsum("bhqd,bhkd->bhqk", q_rot[:, :, i0:i1], k_rot[:, :, :i1], out=r)
+            else:
+                np.matmul(q_rot[:, :, i0:i1], k_rot[:, :, :i1].swapaxes(-1, -2), out=r)
+            r *= scale
+            if bias is not None:
+                np.add(r, bias[:, i0:i1, :i1], out=s)
+            np.copyto(s[..., i0:], -np.inf, where=upper[:n, :n])
+            if store_attention:
+                scores[:, :, i0:i1, i1:] = -np.inf
 
-        future = np.arange(t)[None, :] > np.arange(t)[:, None]
-        np.copyto(scores, -np.inf, where=future)
+            # ops.softmax over the visible columns; the denominator sums the
+            # zero-padded full-width row, because pairwise summation regroups
+            # a shorter one even when the dropped entries are zeros.
+            row = attn[:, :, i0:i1]
+            row[..., i1:] = 0.0
+            e = row[..., :i1]
+            peak = s.max(axis=-1, keepdims=True)
+            peak = np.where(np.isfinite(peak), peak, 0.0)
+            np.subtract(s, peak, out=e)
+            np.exp(e, out=e)
+            denom = row.sum(axis=-1, keepdims=True)
+            e /= np.where(denom == 0.0, 1.0, denom)
 
-        attn = ops.softmax(scores, axis=-1)
+            if exact_av:
+                np.einsum("bhqk,bhkd->bhqd", e, v[:, :, :i1], out=ctx[:, :, i0:i1])
+
         if store_attention:
             self.last_attention = attn
             self.last_scores = scores
             self.last_kv = (k_raw, v)
 
-        if attn.dtype == np.float64:
-            ctx = np.einsum("bhqk,bhkd->bhqd", attn, v)
-        else:
+        if not exact_av:
             ctx = attn @ v
         out = self.w_o(self._merge_heads(ctx))
 

@@ -3,13 +3,164 @@
 import numpy as np
 import pytest
 
-from repro.models.attention import MultiHeadAttention
+from repro.models import tensor_ops as ops
+from repro.models.attention import _ROW_BLOCK, MultiHeadAttention
+from repro.models.positional import alibi_bias_matrix, rope_rotate
+from repro.models.transformer import DecoderLM
 from tests.conftest import tiny_config
 
 
 def make_attention(positional="rope", seed=0):
     config = tiny_config(positional)
     return MultiHeadAttention(config, np.random.default_rng(seed)), config
+
+
+def reference_forward(self, x, positions=None, store_attention=False):
+    """The whole-tensor formulation ``MultiHeadAttention.forward`` replaced.
+
+    It computes ``QKᵀ``, ``exp``, the division and ``A·V`` over the whole
+    ``(B, H, T, T)`` square and then masks half of it; the row-blocked forward
+    must reproduce its every bit, layout included, at float64 and float32.
+    """
+    b, t, _ = x.shape
+    if positions is None:
+        positions = np.arange(t)
+    positions = np.asarray(positions)
+
+    q = self._split_heads(self.w_q(x))
+    k_raw = self._split_heads(self.w_k(x))
+    v = self._split_heads(self.w_v(x))
+
+    if self.positional == "rope":
+        pos_bh = positions if positions.ndim == 1 else positions[:, None, :]
+        q_rot = rope_rotate(q, pos_bh, self.rope_dims, table=self._rope_table)
+        k_rot = rope_rotate(k_raw, pos_bh, self.rope_dims, table=self._rope_table)
+    else:
+        q_rot, k_rot = q, k_raw
+
+    scale = self._scale
+    if q_rot.dtype == np.float64:
+        scores = np.einsum("bhqd,bhkd->bhqk", q_rot, k_rot)
+    else:
+        scores = q_rot @ k_rot.swapaxes(-1, -2)
+    scores *= scale
+
+    if self.positional == "alibi":
+        scores = scores + alibi_bias_matrix(self.n_heads, t)[None]
+
+    future = np.arange(t)[None, :] > np.arange(t)[:, None]
+    np.copyto(scores, -np.inf, where=future)
+
+    attn = ops.softmax(scores, axis=-1)
+    if store_attention:
+        self.last_attention = attn
+        self.last_scores = scores
+        self.last_kv = (k_raw, v)
+
+    if attn.dtype == np.float64:
+        ctx = np.einsum("bhqk,bhkd->bhqd", attn, v)
+    else:
+        ctx = attn @ v
+    out = self.w_o(self._merge_heads(ctx))
+
+    self._cache = {
+        "q_rot": q_rot,
+        "k_rot": k_rot,
+        "v": v,
+        "attn": attn,
+        "positions": positions,
+        "scale": scale,
+    }
+    return out
+
+
+#: Positional families of the reference grid: name -> ``tiny_config`` args.
+REFERENCE_POSITIONAL = {
+    "rope": ("rope", {}),
+    "rope_half": ("rope", {"rope_fraction": 0.5}),
+    "alibi": ("alibi", {}),
+    "learned": ("learned", {}),
+}
+#: Prompt lengths: one block, its edges, a one-row tail, many blocks.
+REFERENCE_LENGTHS = (1, 2, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 97, 600)
+
+
+def _prompt_pass(config, ids, positions):
+    """Logits, each layer's stored tensors and, without ``positions`` (which
+    ``train_step_gradients`` does not take), every parameter gradient."""
+    model = DecoderLM(config, seed=0)
+    out = {"logits": model.forward(ids, positions=positions, store_attention=True)}
+    for i, block in enumerate(model.blocks):
+        attn = block.attn
+        out[f"{i}.attention"] = attn.last_attention
+        out[f"{i}.scores"] = attn.last_scores
+        out[f"{i}.k"], out[f"{i}.v"] = attn.last_kv
+    if positions is None:
+        out["loss"] = np.float64(model.train_step_gradients(ids, np.roll(ids, -1, axis=1)))
+        out.update(model.named_gradients())
+    return out
+
+
+class TestBlockedForwardIsTheWholeTensorForward:
+    """Row-blocked causal-half attention against :func:`reference_forward`.
+
+    Bytes, dtypes and the stored tensors' strides must be equal: NumPy's
+    reduction order follows memory layout, so buffers in the wrong layout
+    change bits the goldens do not see (all C order: learned-position
+    float64 logits and gradients differ from T = 16 on).
+    """
+
+    @pytest.mark.parametrize("t", REFERENCE_LENGTHS)
+    @pytest.mark.parametrize("with_positions", [False, True], ids=["arange", "positions"])
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("family", sorted(REFERENCE_POSITIONAL))
+    def test_bytes_equal(self, family, dtype, batch, with_positions, t, monkeypatch):
+        positional, extra = REFERENCE_POSITIONAL[family]
+        config = tiny_config(
+            positional, n_layers=1, max_seq_len=640, compute_dtype=dtype, **extra
+        )
+        rng = np.random.default_rng(t)
+        ids = rng.integers(0, config.vocab_size, size=(batch, t))
+        positions = None
+        if with_positions:
+            positions = np.arange(t) + rng.integers(0, 8, size=(batch, 1))
+
+        got = _prompt_pass(config, ids, positions)
+        monkeypatch.setattr(MultiHeadAttention, "forward", reference_forward)
+        want = _prompt_pass(config, ids, positions)
+
+        assert got.keys() == want.keys()
+        for name, expected in want.items():
+            actual = got[name]
+            assert actual.dtype == expected.dtype, name
+            assert actual.shape == expected.shape, name
+            assert actual.tobytes() == expected.tobytes(), name
+            if name.endswith(("attention", "scores")):
+                assert actual.strides == expected.strides, name
+
+    def test_forward_computes_the_causal_half(self, monkeypatch):
+        """No ``(B, H, T, T)`` score einsum and no whole-square softmax: the
+        query-key products cover about half of the square."""
+        config = tiny_config("rope", n_layers=1, max_seq_len=640)
+        attn = MultiHeadAttention(config, np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(1, 600, config.d_model))
+        products = []
+        real_einsum = np.einsum
+
+        def spy(subscripts, *operands, **kwargs):
+            if subscripts == "bhqd,bhkd->bhqk":
+                products.append(operands[0].shape[2] * operands[1].shape[2])
+            return real_einsum(subscripts, *operands, **kwargs)
+
+        def no_softmax(*args, **kwargs):
+            raise AssertionError("whole-tensor softmax in the prompt pass")
+
+        monkeypatch.setattr(np, "einsum", spy)
+        monkeypatch.setattr(ops, "softmax", no_softmax)
+        attn(x, store_attention=True)
+        assert len(products) > 1
+        assert sum(products) <= 0.55 * 600 * 600
 
 
 class TestForward:

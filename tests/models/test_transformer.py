@@ -5,6 +5,7 @@ import pytest
 
 from repro.models.config import GenerationConfig, ModelConfig
 from repro.models.model_zoo import MODEL_ZOO, build_model, get_model_config
+from repro.models.positional import get_rope_table
 from repro.models.transformer import DecoderLM
 from repro.training.optimizer import Adam
 from tests.conftest import tiny_config
@@ -125,6 +126,83 @@ class TestTrainingPath:
         clone = DecoderLM(tiny_model.config, seed=123)
         clone.load_state_dict(tiny_model.state_dict())
         np.testing.assert_allclose(clone(ids), expected, atol=1e-12)
+
+
+#: The end-to-end benchmark's model (RoPE, ``d_model=128``) at float64, as
+#: ``serve_shared_mix`` runs it with 64-token prefill chunks.
+CHUNKED_CONFIG = dict(
+    vocab_size=256, d_model=128, n_layers=4, n_heads=8, d_ff=512, max_seq_len=512
+)
+CHUNK_TOKENS = 64
+_CHUNK_ULPS = (
+    "ROADMAP 5(a): chunked forward_suffix is not row-stable at d_model=128 "
+    "(|Δ| <= 1.3e-15); softmax row width is one of at least two causes"
+)
+
+
+def _chunked_last_row(model: DecoderLM, ids: np.ndarray) -> np.ndarray:
+    """Last-row logits of a prompt prefilled in ``CHUNK_TOKENS`` chunks the
+    way the engine does it: chunk 0 is a plain forward, later chunks go
+    through ``forward_suffix`` over the accumulated rotated keys and values,
+    and the last chunk absorbs a one-token remainder."""
+    table = get_rope_table(model.config.rope_dims)
+    t = ids.shape[1]
+    keys: list[np.ndarray] = []
+    values: list[np.ndarray] = []
+    done = 0
+    while done < t:
+        size = t - done if t - done <= CHUNK_TOKENS + 1 else CHUNK_TOKENS
+        chunk = ids[:, done : done + size]
+        if done == 0:
+            model.forward(chunk, store_attention=True)
+            chunk_kv = model.take_prompt_tensors()[0]
+        else:
+            logits, chunk_kv = model.forward_suffix(chunk, list(zip(keys, values)), done)
+        positions = np.arange(done, done + size)
+        for layer, (k_raw, v) in enumerate(chunk_kv):
+            k_rot = table.rotate(k_raw, positions)
+            if done == 0:
+                keys.append(k_rot)
+                values.append(v)
+            else:
+                keys[layer] = np.concatenate([keys[layer], k_rot], axis=2)
+                values[layer] = np.concatenate([values[layer], v], axis=2)
+        done += size
+    return logits[0, -1]
+
+
+class TestChunkedPrefillRowStability:
+    """Pins the open hole in the float64 contract (ROADMAP item 5(a)).
+
+    At ``d_model=128`` the last row of a prompt prefilled in 64-token chunks
+    is not bit-equal to the whole forward's from T = 131 on (97 is equal).
+    Padding ``attend_prefill``'s softmax rows to the prompt width makes 257,
+    300 and 384 exact but not 131 or 200, so the row width is one of at least
+    two causes.  A fix turns these xfails into passes, which fails them.
+    """
+
+    @staticmethod
+    def _rows(t: int) -> tuple[np.ndarray, np.ndarray]:
+        model = DecoderLM(ModelConfig(positional="rope", **CHUNKED_CONFIG), seed=0)
+        ids = np.random.default_rng(0).integers(0, CHUNKED_CONFIG["vocab_size"], size=(1, t))
+        return _chunked_last_row(model, ids), model.forward(ids)[0, -1]
+
+    @pytest.mark.parametrize("t", [97, 131, 200, 257, 300, 384])
+    def test_chunked_last_row_within_measured_bound(self, t):
+        chunked, whole = self._rows(t)
+        np.testing.assert_allclose(chunked, whole, rtol=0, atol=1.3e-15)
+
+    @pytest.mark.parametrize(
+        "t",
+        [97]
+        + [
+            pytest.param(t, marks=pytest.mark.xfail(strict=True, reason=_CHUNK_ULPS))
+            for t in (131, 200, 257, 300, 384)
+        ],
+    )
+    def test_chunked_last_row_equals_whole_forward(self, t):
+        chunked, whole = self._rows(t)
+        assert chunked.tobytes() == whole.tobytes()
 
 
 class TestModelZoo:
