@@ -14,7 +14,7 @@ LOAD_REPORT_OUT ?= $(REPORT_DIR)/load_report.json
 SHARDED_LOAD_REPORT_OUT ?= $(REPORT_DIR)/sharded_load_report.json
 SHARDED1_LOAD_REPORT_OUT ?= $(REPORT_DIR)/sharded1_load_report.json
 
-.PHONY: test test-cov bench bench-smoke bench-gate bench-e2e-smoke lint docs-check serve-demo chaos load load-smoke check
+.PHONY: test test-cov test-blas-threads bench bench-smoke bench-gate bench-e2e-smoke lint docs-check serve-demo chaos load load-smoke check
 
 test:
 	$(PYTHON) -m pytest -x -q tests
@@ -24,6 +24,15 @@ test:
 # runs this, `make test` stays dependency-light for local loops.
 test-cov:
 	$(PYTHON) -m pytest -x -q tests --cov=repro.kvcache --cov-report=term-missing --cov-fail-under=85
+
+# The BLAS row-count invariance the chunked-prefill contract rests on, and
+# that contract itself, under one and under two OpenBLAS threads.
+BLAS_ROW_TESTS = tests/models/test_blas_rows.py \
+	tests/models/test_transformer.py::TestChunkedPrefillRowStability
+
+test-blas-threads:
+	OPENBLAS_NUM_THREADS=1 $(PYTHON) -m pytest -q $(BLAS_ROW_TESTS)
+	OPENBLAS_NUM_THREADS=2 $(PYTHON) -m pytest -q $(BLAS_ROW_TESTS)
 
 bench:
 	$(PYTHON) benchmarks/run_bench.py

@@ -111,38 +111,64 @@ class MultiHeadAttention(Module):
             When true, the post-softmax attention probabilities are kept in
             :attr:`last_attention` for analysis (Figure 3 / 14 / 15).
 
-        The attention core pays only the causal half of the ``(T, T)``
-        square: it runs over blocks of ``_ROW_BLOCK`` query rows, and block
-        ``[i0, i1)`` computes scores, ``exp`` and A·V against keys ``[0, i1)``
-        only.  Every float64 and float32 bit is that of the whole-tensor
-        formulation (``reference_forward`` in ``tests/models/test_attention.py``):
-        the buffers have its memory layouts, a row's softmax denominator sums
-        the zero-padded full-width row, and below float64 A·V stays one
-        whole-tensor matmul, because BLAS rounds differently once its K
-        dimension is truncated.
+        The core is :meth:`_attend_rows` over all ``T`` rows at width ``T``,
+        bit-identical at float64 and float32 to the whole-tensor formulation
+        (``reference_forward`` in ``tests/models/test_attention.py``).
         """
-        b, t, _ = x.shape
+        t = x.shape[1]
         if positions is None:
             positions = np.arange(t)
         positions = np.asarray(positions)
+        q_rot, k_rot, k_raw, v = self._project(x, positions)
+        ctx, attn, scores = self._attend_rows(q_rot, k_rot, v, t, store_attention)
+        if store_attention:
+            self.last_attention, self.last_scores, self.last_kv = attn, scores, (k_raw, v)
+        self._cache = {"q_rot": q_rot, "k_rot": k_rot, "v": v, "attn": attn, "positions": positions}
+        return self.w_o(self._merge_heads(ctx))
 
+    def _project(self, x: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(q_rot, k_rot, k_raw, v)`` of ``x``, RoPE applied at ``positions``."""
         q = self._split_heads(self.w_q(x))
         k_raw = self._split_heads(self.w_k(x))
         v = self._split_heads(self.w_v(x))
+        if self.positional != "rope":
+            return q, k_raw, k_raw, v
+        pos_bh = positions if positions.ndim == 1 else positions[:, None, :]
+        q_rot = rope_rotate(q, pos_bh, self.rope_dims, table=self._rope_table)
+        k_rot = rope_rotate(k_raw, pos_bh, self.rope_dims, table=self._rope_table)
+        return q_rot, k_rot, k_raw, v
 
-        if self.positional == "rope":
-            pos_bh = positions if positions.ndim == 1 else positions[:, None, :]
-            q_rot = rope_rotate(q, pos_bh, self.rope_dims, table=self._rope_table)
-            k_rot = rope_rotate(k_raw, pos_bh, self.rope_dims, table=self._rope_table)
-        else:
-            q_rot, k_rot = q, k_raw
+    def _attend_rows(
+        self,
+        q_rot: np.ndarray,
+        k_rot: np.ndarray,
+        v: np.ndarray,
+        width: int,
+        store: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The one prompt-attention kernel: causal attention of the ``S``
+        query rows ``q_rot``, rows ``[i0, i_end)`` of a prompt, over its keys
+        and values ``[0, i_end)`` (``(B, H, ·, d_head)`` each).
 
+        Block ``[a, c)`` of ``_ROW_BLOCK`` rows works on keys ``[0, c)``
+        only.  A softmax denominator sums the row zero-padded to ``width``
+        (the prompt's length), because NumPy's pairwise summation regroups a
+        shorter row even when the dropped entries are zeros.  Buffers have the
+        whole-tensor formulation's memory layouts, and below float64 A·V is
+        one matmul, because BLAS rounds differently once K is truncated.
+
+        Returns the ``(B, H, S, d_head)`` context, the ``(B, H, S, width)``
+        probabilities and, when ``store``, the masked logits (same shape).
+        """
+        b, _, s, _ = q_rot.shape
+        end = k_rot.shape[2]
+        start = end - s
         # Same dtype rule as attend_step: float64 is the bit-parity dtype and
         # keeps einsum's exact reduction order; any other dtype runs within a
         # documented tolerance, so it takes the BLAS batched matmul.
         scale = self._scale
         exact = q_rot.dtype == np.float64
-        bias = alibi_bias_matrix(self.n_heads, t) if self.positional == "alibi" else None
+        bias = alibi_bias_matrix(self.n_heads, end) if self.positional == "alibi" else None
         # Layouts are those of the whole-tensor formulation, because NumPy's
         # reduction order follows memory layout: float64 einsum over the
         # strided ``_split_heads`` views returns key-strided scores, ``(b, q,
@@ -153,15 +179,15 @@ class MultiHeadAttention(Module):
         key_strided = raw_strided and bias is None
         dtype = q_rot.dtype if bias is None else np.result_type(q_rot.dtype, bias)
         # Row blocks; a last block of one row would run BLAS gemv, not gemm.
-        bounds = [*range(0, max(t - 1, 1), _ROW_BLOCK), t]
+        bounds = [*range(start, max(end - 1, start + 1), _ROW_BLOCK), end]
         rows = max(i1 - i0 for i0, i1 in zip(bounds, bounds[1:]))
-        shape = (b, self.n_heads, t, t)
-        block = (b, self.n_heads, rows, t)
+        shape = (b, self.n_heads, s, width)
+        block = (b, self.n_heads, rows, width)
         attn = _layout_empty(shape, dtype, key_strided)
         # Masked logits are kept whole only when stored; otherwise per block.
         # Under ALiBi the product lands in its own block buffer first and the
         # bias add writes the (float64, C-order) scores.
-        scores = _layout_empty(shape if store_attention else block, dtype, key_strided)
+        scores = _layout_empty(shape if store else block, dtype, key_strided)
         raw = None if bias is None else _layout_empty(block, q_rot.dtype, raw_strided)
         # float64 probabilities (ALiBi promotes float32 ones) reduce A·V by
         # einsum, one block at a time; below float64 it is one BLAS matmul.
@@ -170,61 +196,45 @@ class MultiHeadAttention(Module):
             # einsum's output layout: (b, q, h, d) in memory over key-strided
             # probabilities, C order otherwise.
             if key_strided:
-                ctx = np.empty((b, t, self.n_heads, self.d_head), dtype).transpose(0, 2, 1, 3)
+                ctx = np.empty((b, s, self.n_heads, self.d_head), dtype).transpose(0, 2, 1, 3)
             else:
-                ctx = np.empty((b, self.n_heads, t, self.d_head), dtype)
+                ctx = np.empty((b, self.n_heads, s, self.d_head), dtype)
         upper = np.triu(np.ones((rows, rows), dtype=bool), k=1)
 
         for i0, i1 in zip(bounds, bounds[1:]):
             n = i1 - i0
-            s = scores[:, :, i0:i1] if store_attention else scores[:, :, :n]
-            s = s[..., :i1]
-            r = s if raw is None else raw[:, :, :n, :i1]
+            r0, r1 = i0 - start, i1 - start  # the block's rows in the buffers
+            sc = scores[:, :, r0:r1] if store else scores[:, :, :n]
+            sc = sc[..., :i1]
+            r = sc if raw is None else raw[:, :, :n, :i1]
             if exact:
-                np.einsum("bhqd,bhkd->bhqk", q_rot[:, :, i0:i1], k_rot[:, :, :i1], out=r)
+                np.einsum("bhqd,bhkd->bhqk", q_rot[:, :, r0:r1], k_rot[:, :, :i1], out=r)
             else:
-                np.matmul(q_rot[:, :, i0:i1], k_rot[:, :, :i1].swapaxes(-1, -2), out=r)
+                np.matmul(q_rot[:, :, r0:r1], k_rot[:, :, :i1].swapaxes(-1, -2), out=r)
             r *= scale
             if bias is not None:
-                np.add(r, bias[:, i0:i1, :i1], out=s)
-            np.copyto(s[..., i0:], -np.inf, where=upper[:n, :n])
-            if store_attention:
-                scores[:, :, i0:i1, i1:] = -np.inf
+                np.add(r, bias[:, i0:i1, :i1], out=sc)
+            np.copyto(sc[..., i0:], -np.inf, where=upper[:n, :n])
+            if store:
+                scores[:, :, r0:r1, i1:] = -np.inf
 
-            # ops.softmax over the visible columns; the denominator sums the
-            # zero-padded full-width row, because pairwise summation regroups
-            # a shorter one even when the dropped entries are zeros.
-            row = attn[:, :, i0:i1]
+            # ops.softmax over the visible columns, summed at ``width``.
+            row = attn[:, :, r0:r1]
             row[..., i1:] = 0.0
             e = row[..., :i1]
-            peak = s.max(axis=-1, keepdims=True)
+            peak = sc.max(axis=-1, keepdims=True)
             peak = np.where(np.isfinite(peak), peak, 0.0)
-            np.subtract(s, peak, out=e)
+            np.subtract(sc, peak, out=e)
             np.exp(e, out=e)
             denom = row.sum(axis=-1, keepdims=True)
             e /= np.where(denom == 0.0, 1.0, denom)
 
             if exact_av:
-                np.einsum("bhqk,bhkd->bhqd", e, v[:, :, :i1], out=ctx[:, :, i0:i1])
-
-        if store_attention:
-            self.last_attention = attn
-            self.last_scores = scores
-            self.last_kv = (k_raw, v)
+                np.einsum("bhqk,bhkd->bhqd", e, v[:, :, :i1], out=ctx[:, :, r0:r1])
 
         if not exact_av:
-            ctx = attn @ v
-        out = self.w_o(self._merge_heads(ctx))
-
-        self._cache = {
-            "q_rot": q_rot,
-            "k_rot": k_rot,
-            "v": v,
-            "attn": attn,
-            "positions": positions,
-            "scale": scale,
-        }
-        return out
+            ctx = attn[..., :end] @ v
+        return ctx, attn, scores
 
     def __call__(self, x: np.ndarray, **kwargs) -> np.ndarray:
         return self.forward(x, **kwargs)
@@ -247,7 +257,7 @@ class MultiHeadAttention(Module):
             raise RuntimeError("backward called before forward")
         cache = self._cache
         q_rot, k_rot, v = cache["q_rot"], cache["k_rot"], cache["v"]
-        attn, positions, scale = cache["attn"], cache["positions"], cache["scale"]
+        attn, positions, scale = cache["attn"], cache["positions"], self._scale
 
         dctx_merged = self.w_o.backward(dout)
         b, t, _ = dctx_merged.shape
@@ -282,67 +292,30 @@ class MultiHeadAttention(Module):
         prefix_keys: np.ndarray,
         prefix_values: np.ndarray,
         prefix_len: int,
+        prompt_len: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Prompt-phase attention for a *suffix chunk* over a cached prefix.
+        """Prompt attention for rows ``[P, P + S)`` (``x``, ``(1, S,
+        d_model)``) over the prompt's first ``P = prefix_len`` keys and
+        values (``(1, H, P, d)``; keys RoPE-rotated for RoPE models).
 
-        The serving engine's prefix sharing maps the KV pages of an
-        already-resident prompt prefix instead of recomputing them; only the
-        suffix tokens run through the model.  This step attends the suffix
-        queries over ``[prefix ∥ suffix]`` keys/values:
+        :meth:`forward`'s kernel on those rows, padded to ``prompt_len``
+        (default ``P + S``, a chunk that ends the prompt).  The projections
+        are ``(S, d_model)`` GEMMs, so a row equals the whole forward's bit
+        for bit only where BLAS rows do not depend on the row count: from 16
+        rows on here (``tests/models/test_blas_rows.py``); ``S >= 2`` only
+        keeps a chunk off gemv.  A prefix computed inside a prompt of another
+        length summed its rows at that width, so it is ulp-close, not exact.
 
-        * ``x`` — suffix hidden states, shape ``(1, S, d_model)``, sitting at
-          original positions ``prefix_len .. prefix_len + S``;
-        * ``prefix_keys`` — cached prefix keys of shape ``(1, H, P, d)``,
-          already RoPE-rotated at their original positions for RoPE models
-          (read straight from the rotated-key pages), raw otherwise;
-        * ``prefix_values`` — cached prefix values, same shape.
-
-        Bit-exactness contract: every operation reproduces the corresponding
-        rows of the full prompt forward exactly — the projections are
-        ``(S, d_model)`` GEMMs whose rows are bit-stable under removing
-        leading rows (pinned by the prefix-sharing tests; requires ``S >= 2``,
-        which the engine guarantees by capping the shared prefix at
-        ``prompt_len - 2``), scores/context einsums reduce over axes of
-        identical extent, and softmax runs over full-length rows with the
-        same causal ``-inf`` tail the full forward produces.
-
-        Returns ``(output, k_raw, v)`` where ``output`` is ``(1, S, d_model)``
-        and ``k_raw``/``v`` are the suffix's unrotated keys and values
-        (``(1, H, S, d)``) for seeding the cache.
+        Returns the ``(1, S, d_model)`` output and the chunk's unrotated keys
+        and values (``(1, H, S, d)``) for seeding the cache.
         """
-        b, s, _ = x.shape
-        total_len = prefix_len + s
-        positions = np.arange(prefix_len, total_len)
-
-        q = self._split_heads(self.w_q(x))
-        k_raw = self._split_heads(self.w_k(x))
-        v = self._split_heads(self.w_v(x))
-
-        if self.positional == "rope":
-            q_rot = rope_rotate(q, positions, self.rope_dims, table=self._rope_table)
-            k_rot = rope_rotate(k_raw, positions, self.rope_dims, table=self._rope_table)
-            keys_all = np.concatenate([prefix_keys, k_rot], axis=2)
-        else:
-            q_rot = q
-            keys_all = np.concatenate([prefix_keys, k_raw], axis=2)
-        values_all = np.concatenate([prefix_values, v], axis=2)
-
-        scale = self._scale
-        scores = np.einsum("bhqd,bhkd->bhqk", q_rot, keys_all) * scale
-        if self.positional == "alibi":
-            scores = scores + alibi_bias_matrix(self.n_heads, total_len)[None][
-                :, :, prefix_len:, :
-            ]
-        # Same mask rows the full forward applies to queries prefix_len..T.
-        causal_mask = (
-            np.arange(total_len)[None, :] > positions[:, None]
-        )
-        scores = np.where(causal_mask[None, None], -np.inf, scores)
-
-        attn = ops.softmax(scores, axis=-1)
-        ctx = np.einsum("bhqk,bhkd->bhqd", attn, values_all)
-        out = self.w_o(self._merge_heads(ctx))
-        return out, k_raw, v
+        s = x.shape[1]
+        q_rot, k_rot, k_raw, v = self._project(x, np.arange(prefix_len, prefix_len + s))
+        keys = np.concatenate([prefix_keys, k_rot], axis=2)
+        values = np.concatenate([prefix_values, v], axis=2)
+        width = prefix_len + s if prompt_len is None else prompt_len
+        ctx = self._attend_rows(q_rot, keys, values, width)[0]
+        return self.w_o(self._merge_heads(ctx)), k_raw, v
 
     # ------------------------------------------------------------------
     # incremental decode path

@@ -112,17 +112,16 @@ class DecoderBlock(Module):
         prefix_keys: np.ndarray,
         prefix_values: np.ndarray,
         prefix_len: int,
+        prompt_len: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Process a prompt-suffix chunk attending over a cached prefix.
+        """Process prompt rows ``[P, P + S)`` attending over a cached prefix.
 
         ``x`` has shape ``(1, S, d_model)``.  Returns ``(hidden, k_raw, v)``
-        where ``k_raw``/``v`` are the suffix's cache-seeding tensors.  Every
-        row is bit-identical to the same row of :meth:`forward` on the full
-        prompt (see :meth:`MultiHeadAttention.attend_prefill`).
+        (see :meth:`MultiHeadAttention.attend_prefill`).
         """
         a_in = self.ln_attn(x)
         attn_out, k_raw, v = self.attn.attend_prefill(
-            a_in, prefix_keys, prefix_values, prefix_len
+            a_in, prefix_keys, prefix_values, prefix_len, prompt_len
         )
         x = x + attn_out
         return x + self.mlp(self.ln_mlp(x)), k_raw, v

@@ -94,15 +94,12 @@ class DecoderLM(Module):
             return self.lm_head(hidden)
         weight = self.token_embedding.params["weight"]
         if hidden.ndim == 3:
-            # Sequence path (prompt forward / chunked prefill): BLAS GEMM
-            # rows over a *contiguous* B are bit-stable when leading rows are
-            # removed, while the transposed view hits a strided small-M
-            # kernel whose reduction order depends on the row count — which
-            # would break the prefix-sharing invariant that a suffix chunk
-            # reproduces the full forward's rows exactly.  The contiguous
-            # copy is bit-identical to the view at any full-sequence length
-            # (pinned by the golden tests) and is rebuilt per call so
-            # in-place weight updates during training are always seen.
+            # Sequence path: GEMM rows over a *contiguous* B do not depend on
+            # the row count (tests/models/test_blas_rows.py), while the
+            # transposed view's strided small-M kernel does, which would cost
+            # prompt chunks their row equality.  The copy is bit-identical to
+            # the view on whole sequences (goldens) and is rebuilt per call so
+            # in-place weight updates during training are seen.
             return hidden @ np.ascontiguousarray(weight.T)
         return hidden @ weight.T
 
@@ -193,16 +190,19 @@ class DecoderLM(Module):
         suffix_ids: np.ndarray,
         prefix_kv: Sequence[tuple[np.ndarray, np.ndarray]],
         prefix_len: int,
+        prompt_len: int | None = None,
     ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-        """Prompt forward for a suffix chunk over cached prefix KV.
+        """Prompt forward for rows ``[P, P + S)`` over cached prefix KV.
 
-        ``suffix_ids`` has shape ``(1, S)`` with ``S >= 2`` (the bit-stability
-        floor of the chunked projections); ``prefix_kv`` holds one
-        ``(keys_for_attention, values)`` pair per layer, shape ``(1, H, P, d)``
-        (keys RoPE-rotated at original positions for RoPE models, raw
-        otherwise).  Returns the suffix logits ``(1, S, vocab)`` — bit-equal
-        to the corresponding rows of :meth:`forward` on the full prompt —
-        and the per-layer ``(k_raw, v)`` suffix tensors that seed the cache.
+        ``suffix_ids`` has shape ``(1, S)`` with ``S >= 2`` (a one-row chunk
+        would run BLAS gemv); ``prefix_kv`` holds one ``(keys, values)``
+        pair per layer, ``(1, H, P, d)`` with ``P = prefix_len`` (possibly 0;
+        keys RoPE-rotated for RoPE models).  ``prompt_len`` (default
+        ``P + S``) is the prompt's full length; chunked prefill passes it.
+        Returns the logits ``(1, S, vocab)`` and per-layer ``(k_raw, v)``.
+        The logits are the rows of :meth:`forward` on the full prompt, bit
+        for bit when ``S >= 16`` and the prefix KV is that forward's
+        (conditions: :meth:`MultiHeadAttention.attend_prefill`).
 
         Attention maps are *not* stored: the engine only takes this path for
         eviction policies that never read prompt attention values.
@@ -223,8 +223,8 @@ class DecoderLM(Module):
         positions = np.arange(prefix_len, prefix_len + s)
         h = self.embed(suffix_ids, positions=positions)
         suffix_kv: list[tuple[np.ndarray, np.ndarray]] = []
-        for block, (prefix_keys, prefix_values) in zip(self.blocks, prefix_kv):
-            h, k_raw, v = block.prefill_chunk(h, prefix_keys, prefix_values, prefix_len)
+        for block, (keys, values) in zip(self.blocks, prefix_kv):
+            h, k_raw, v = block.prefill_chunk(h, keys, values, prefix_len, prompt_len)
             suffix_kv.append((k_raw, v))
         h = self.ln_final(h)
         return self.lm_logits(h), suffix_kv

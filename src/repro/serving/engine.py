@@ -35,12 +35,13 @@ At float64 every request's output — token sequence, log-probabilities and
 cache statistics — is **bit-identical** to running that request alone through
 ``Generator.generate``.  This holds because every shared computation is
 row-independent, all cross-request state (eviction policies, score
-accumulators, sampler RNGs, KV pages) is kept per request, mapped prefix
-pages hold exactly the bits a full prompt forward would recompute (and
-copy-on-write shields them from neighbours), and a preempted request restarts
+accumulators, sampler RNGs, KV pages) is kept per request, copy-on-write
+shields mapped prefix pages from neighbours, and a preempted request restarts
 from scratch with freshly reset policy and sampler state.  Consequently batch
-composition, admission order, prefix sharing, preemption and retirement
-timing can never change *what* any request generates — only *when*.
+composition, admission order, preemption and retirement timing can never
+change *what* any request generates — only *when*.  Prefix sharing and
+chunked prefill compute a prompt in pieces: bit-exact under the
+chunked-prefill contract of ``docs/serving.md``, ulp-close outside it.
 At float32 the engine switches to fully batched BLAS projections and masked
 padded attention (the documented inference tolerance mode) for throughput.
 
@@ -80,7 +81,7 @@ from repro.kvcache.paged import (
 )
 from repro.serving.faults import EngineWatchdog, FaultInjector
 from repro.kvcache.stats import CacheStats
-from repro.models.config import GenerationConfig
+from repro.models.config import GenerationConfig, ModelConfig
 from repro.models.positional import get_rope_table
 from repro.models.tensor_ops import log_softmax
 from repro.models.transformer import DecoderLM
@@ -173,17 +174,18 @@ class _ChunkedPrefill:
     __slots__ = ("state", "chunk_tokens", "done", "k_raw", "v_cat", "k_attn",
                  "complete", "next_row")
 
-    def __init__(self, state: RequestState, chunk_tokens: int):
+    def __init__(self, state: RequestState, chunk_tokens: int, config: ModelConfig):
         self.state = state
         self.chunk_tokens = int(chunk_tokens)
         #: Prompt tokens computed so far (chunks are contiguous from 0).
         self.done = 0
+        empty = np.empty((1, config.n_heads, 0, config.d_head), config.np_dtype)
         #: Per-layer raw (unrotated) keys, shape (1, H, done, d) — join input.
-        self.k_raw: list[np.ndarray] = []
+        self.k_raw = [empty] * config.n_layers
         #: Per-layer values, shape (1, H, done, d).
-        self.v_cat: list[np.ndarray] = []
+        self.v_cat = [empty] * config.n_layers
         #: Per-layer attention-form keys the next chunk attends over.
-        self.k_attn: list[np.ndarray] = []
+        self.k_attn = [empty] * config.n_layers
         self.complete = False
         #: Last-token logits of the final chunk (the first-token sample).
         self.next_row: np.ndarray | None = None
@@ -191,7 +193,9 @@ class _ChunkedPrefill:
     def next_chunk(self) -> int:
         """Size of the next chunk: the budget, except that the final chunk
         absorbs a would-be 1-token remainder (``forward_suffix`` needs >= 2
-        suffix tokens — the bit-stability floor of the chunked projections).
+        rows, which keeps a chunk off BLAS gemv).  A chunk's rows equal the
+        whole forward's bit for bit only from 16 rows on at the benchmark
+        geometry, so a final chunk of 2–15 rows is ulp-close, not exact.
         """
         remaining = self.state.request.prompt_len - self.done
         if remaining <= self.chunk_tokens + 1:
@@ -1018,7 +1022,8 @@ class ContinuousBatchingEngine:
         Runs the full prompt forward (identical math to
         ``Generator._prompt_forward``) unless a registered prefix of the
         prompt is resident, in which case only the suffix runs through
-        :meth:`DecoderLM.forward_suffix` — bit-identical either way.
+        :meth:`DecoderLM.forward_suffix` (see the module's bit-exactness
+        notes).
         """
         if self._manager is None:
             self._build_manager(state.policy)
@@ -1038,8 +1043,9 @@ class ContinuousBatchingEngine:
             and not state.policy.needs_prompt_attention
             and not self._spec_blocks_sharing
         ):
-            # The chunked projections are only row-stable for suffixes of two
-            # or more tokens, so always recompute at least the last two.
+            # Recompute at least the last two tokens: a one-row suffix would
+            # run BLAS gemv.  (Bit-equal rows need >= 16 here and a prefix
+            # registered at this prompt's length; otherwise ulp-close.)
             match = self._manager.registry.match(prompt[0], max_tokens=prompt_len - 2)
 
         try:
@@ -1050,7 +1056,7 @@ class ContinuousBatchingEngine:
                 # chunk now and spread the rest over the following steps —
                 # decode rows (and other admissions) interleave in between.
                 self._chunked = _ChunkedPrefill(
-                    state, self.scheduler.prefill_chunk_tokens
+                    state, self.scheduler.prefill_chunk_tokens, self.model.config
                 )
                 self._run_chunk(self._chunked)
                 return _PREFILL_CHUNKED
@@ -1156,45 +1162,30 @@ class ContinuousBatchingEngine:
     def _run_chunk(self, pending: _ChunkedPrefill) -> None:
         """Compute the next prompt chunk and fold it into the accumulators.
 
-        The first chunk runs the ordinary full forward (its rows and raw KV
-        are bit-identical to the corresponding rows of a whole-prompt
-        forward — the projection row-stability the prefix-sharing path is
-        built on); later chunks attend over the accumulated prefix through
-        :meth:`DecoderLM.forward_suffix`, exactly like the shared-prefix
-        path but with the prefix held in engine arrays instead of mapped
-        pages.  No pool pages are touched here.
+        Every chunk, the first included, is rows ``[start, end)`` of the
+        prompt through :meth:`DecoderLM.forward_suffix` over the accumulated
+        prefix, at the prompt's full width — the shared-prefix path with the
+        prefix held in engine arrays instead of mapped pages.  No pool pages
+        are touched here.
         """
         state = pending.state
         size = pending.next_chunk()
         start, end = pending.done, pending.done + size
-        chunk = state.request.prompt_ids[:, start:end]
-        if start == 0:
-            self.model.forward(chunk, store_attention=True)
-            chunk_kv = self.model.take_prompt_tensors()[0]
-            logits = None
-        else:
-            prefix_kv = list(zip(pending.k_attn, pending.v_cat))
-            logits, chunk_kv = self.model.forward_suffix(chunk, prefix_kv, start)
+        logits, chunk_kv = self.model.forward_suffix(
+            state.request.prompt_ids[:, start:end],
+            list(zip(pending.k_attn, pending.v_cat)),
+            start,
+            prompt_len=state.request.prompt_len,
+        )
         positions = np.arange(start, end)
         for layer, (k_raw, v) in enumerate(chunk_kv):
             if self._rope_chunk_table is not None:
                 k_att = self._rope_chunk_table.rotate(k_raw, positions)
             else:
                 k_att = k_raw
-            if start == 0:
-                pending.k_raw.append(k_raw)
-                pending.v_cat.append(v)
-                pending.k_attn.append(k_att)
-            else:
-                pending.k_raw[layer] = np.concatenate(
-                    [pending.k_raw[layer], k_raw], axis=2
-                )
-                pending.v_cat[layer] = np.concatenate(
-                    [pending.v_cat[layer], v], axis=2
-                )
-                pending.k_attn[layer] = np.concatenate(
-                    [pending.k_attn[layer], k_att], axis=2
-                )
+            pending.k_raw[layer] = np.concatenate([pending.k_raw[layer], k_raw], axis=2)
+            pending.v_cat[layer] = np.concatenate([pending.v_cat[layer], v], axis=2)
+            pending.k_attn[layer] = np.concatenate([pending.k_attn[layer], k_att], axis=2)
         pending.done = end
         self.n_prefill_chunks += 1
         # Chunked prompts are always fully computed (never mapped), so both

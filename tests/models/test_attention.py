@@ -163,6 +163,32 @@ class TestBlockedForwardIsTheWholeTensorForward:
         assert sum(products) <= 0.55 * 600 * 600
 
 
+class TestPrefillChunkIsForwardRows:
+    """``attend_prefill`` is the forward's kernel on rows ``[P, P + S)``."""
+
+    @pytest.mark.parametrize("positional", ["rope", "alibi", "learned", "none"])
+    @pytest.mark.parametrize("start, stop", [(0, 40), (40, 72), (48, 97)])
+    def test_chunk_rows_equal_forward_rows(self, positional, start, stop, monkeypatch):
+        attn, config = make_attention(positional)
+        x = np.random.default_rng(2).normal(size=(1, 97, config.d_model))
+        whole = attn(x, store_attention=True)
+        k_raw, v = attn.last_kv
+        keys = k_raw[:, :, :start]
+        if positional == "rope":
+            keys = rope_rotate(keys, np.arange(start), attn.rope_dims, table=attn._rope_table)
+
+        def no_softmax(*args, **kwargs):
+            raise AssertionError("a second softmax on the prompt path")
+
+        monkeypatch.setattr(ops, "softmax", no_softmax)
+        out, k, v_chunk = attn.attend_prefill(
+            x[:, start:stop], keys, v[:, :, :start], start, prompt_len=97
+        )
+        assert out.tobytes() == whole[:, start:stop].tobytes()
+        assert k.tobytes() == k_raw[:, :, start:stop].tobytes()
+        assert v_chunk.tobytes() == v[:, :, start:stop].tobytes()
+
+
 class TestForward:
     @pytest.mark.parametrize("positional", ["rope", "alibi", "learned", "none"])
     def test_output_shape(self, positional, rng):
