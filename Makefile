@@ -26,9 +26,11 @@ test-cov:
 	$(PYTHON) -m pytest -x -q tests --cov=repro.kvcache --cov-report=term-missing --cov-fail-under=85
 
 # The BLAS row-count invariance the chunked-prefill contract rests on, and
-# that contract itself, under one and under two OpenBLAS threads.
+# that contract itself (chunks and whole prompts), under one and under two
+# OpenBLAS threads.
 BLAS_ROW_TESTS = tests/models/test_blas_rows.py \
-	tests/models/test_transformer.py::TestChunkedPrefillRowStability
+	tests/models/test_transformer.py::TestChunkedPrefillRowStability \
+	tests/models/test_attention.py::TestPrefillChunkIsForwardRows
 
 test-blas-threads:
 	OPENBLAS_NUM_THREADS=1 $(PYTHON) -m pytest -q $(BLAS_ROW_TESTS)

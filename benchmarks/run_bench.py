@@ -198,15 +198,13 @@ def bench_generation(model: DecoderLM, policy_name: str, prompt_len: int, rounds
 def bench_prompt_forward(
     model: DecoderLM, prompt_len: int, rounds: int, store_attention: bool = False
 ) -> dict:
-    """Time one full-sequence forward pass over a random prompt; with
-    ``store_attention`` it is the prompt pass of a Keyformer request, whose
-    stored tensors are handed over after each call."""
+    """Time one inference prompt pass (``forward_suffix``) over a random
+    prompt; with ``store_attention`` it is the prompt pass of a Keyformer
+    request, which returns its attention tensors."""
     ids = np.random.default_rng(0).integers(0, 256, size=(1, prompt_len))
 
     def run() -> None:
-        model.forward(ids, store_attention=store_attention)
-        if store_attention:
-            model.take_prompt_tensors()
+        model.forward_suffix(ids, store_attention=store_attention)
 
     return _time(None, run, rounds)
 

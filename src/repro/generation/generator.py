@@ -4,8 +4,9 @@ This is the inference engine the paper's evaluation runs on.  It mirrors the
 two phases described in §2.1:
 
 1. **Prompt processing** — the prompt is processed with full causal attention
-   (one batched forward pass); keys/values of all prompt tokens are captured
-   and handed to the :class:`~repro.kvcache.manager.CacheManager`, which lets
+   (one batched :meth:`~repro.models.transformer.DecoderLM.forward_suffix`
+   pass); keys/values of all prompt tokens are returned and handed to the
+   :class:`~repro.kvcache.manager.CacheManager`, which lets
    the configured eviction policy reduce the cache from ``n`` to ``k`` tokens.
 2. **Token generation** — tokens are generated auto-regressively; each step
    appends one KV entry per layer, attends over the reduced cache, and lets
@@ -74,8 +75,9 @@ class Generator:
         self, prompt_ids: np.ndarray, max_new_tokens: int
     ) -> tuple[np.ndarray, CacheManager]:
         """Run the prompt through the model and build the reduced KV cache."""
-        logits = self.model.forward(prompt_ids, store_attention=True)
-        prompt_kv, prompt_attn, prompt_logits = self.model.take_prompt_tensors()
+        logits, prompt_kv, prompt_attn, prompt_logits = self.model.forward_suffix(
+            prompt_ids, store_attention=self.policy.needs_prompt_attention
+        )
 
         config = self.model.config
         manager = CacheManager(

@@ -67,14 +67,8 @@ class MultiHeadAttention(Module):
 
         self._cache: dict | None = None
         #: Post-softmax attention probabilities of the last ``forward`` call
-        #: with ``store_attention=True`` — shape ``(B, H, T, T)``.
+        #: with ``store_attention=True`` — shape ``(B, H, T, T)``, for analysis.
         self.last_attention: np.ndarray | None = None
-        #: Masked unnormalized logits of the same call (``-inf`` above the
-        #: causal diagonal); consumed by Keyformer's prompt-phase score.
-        self.last_scores: np.ndarray | None = None
-        #: Unrotated keys and values of the same call, used to seed the KV
-        #: cache after prompt processing — each of shape ``(B, H, T, d_head)``.
-        self.last_kv: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # helpers
@@ -109,7 +103,9 @@ class MultiHeadAttention(Module):
             ``(batch, seq)``; defaults to ``arange(seq)``.
         store_attention:
             When true, the post-softmax attention probabilities are kept in
-            :attr:`last_attention` for analysis (Figure 3 / 14 / 15).
+            :attr:`last_attention` for analysis (Figure 3 / 14 / 15).  The
+            inference prompt pass is :meth:`attend_prefill`, which returns
+            its tensors instead.
 
         The core is :meth:`_attend_rows` over all ``T`` rows at width ``T``,
         bit-identical at float64 and float32 to the whole-tensor formulation
@@ -119,10 +115,10 @@ class MultiHeadAttention(Module):
         if positions is None:
             positions = np.arange(t)
         positions = np.asarray(positions)
-        q_rot, k_rot, k_raw, v = self._project(x, positions)
-        ctx, attn, scores = self._attend_rows(q_rot, k_rot, v, t, store_attention)
+        q_rot, k_rot, _, v = self._project(x, positions)
+        ctx, attn, _ = self._attend_rows(q_rot, k_rot, v, t)
         if store_attention:
-            self.last_attention, self.last_scores, self.last_kv = attn, scores, (k_raw, v)
+            self.last_attention = attn
         self._cache = {"q_rot": q_rot, "k_rot": k_rot, "v": v, "attn": attn, "positions": positions}
         return self.w_o(self._merge_heads(ctx))
 
@@ -239,18 +235,6 @@ class MultiHeadAttention(Module):
     def __call__(self, x: np.ndarray, **kwargs) -> np.ndarray:
         return self.forward(x, **kwargs)
 
-    def take_stored(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
-        """Hand over ``(last_kv, last_attention, last_scores)`` of the last
-        ``forward(store_attention=True)`` and forget them — together with the
-        backward cache, which holds the same attention array — so a finished
-        prompt pass does not pin its ``(B, H, T, T)`` tensors in the model
-        while the next one allocates its own."""
-        if self.last_kv is None or self.last_scores is None:
-            raise RuntimeError("prompt forward did not store attention tensors")
-        stored = (self.last_kv, self.last_attention, self.last_scores)
-        self.last_kv = self.last_attention = self.last_scores = self._cache = None
-        return stored
-
     def backward(self, dout: np.ndarray) -> np.ndarray:
         """Backward pass of :meth:`forward`; returns gradient w.r.t. the input."""
         if self._cache is None:
@@ -293,29 +277,34 @@ class MultiHeadAttention(Module):
         prefix_values: np.ndarray,
         prefix_len: int,
         prompt_len: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Prompt attention for rows ``[P, P + S)`` (``x``, ``(1, S,
+        store_attention: bool = False,
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], tuple | None]:
+        """Prompt attention for rows ``[P, P + S)`` (``x``, ``(B, S,
         d_model)``) over the prompt's first ``P = prefix_len`` keys and
-        values (``(1, H, P, d)``; keys RoPE-rotated for RoPE models).
+        values (``(B, H, P, d)``; keys RoPE-rotated for RoPE models).
 
         :meth:`forward`'s kernel on those rows, padded to ``prompt_len``
         (default ``P + S``, a chunk that ends the prompt).  The projections
         are ``(S, d_model)`` GEMMs, so a row equals the whole forward's bit
         for bit only where BLAS rows do not depend on the row count: from 16
-        rows on here (``tests/models/test_blas_rows.py``); ``S >= 2`` only
-        keeps a chunk off gemv.  A prefix computed inside a prompt of another
+        rows on here (``tests/models/test_blas_rows.py``); with ``P = 0`` and
+        ``S = T`` the projections are the forward's own, so a whole prompt is
+        exact at any length.  A prefix computed inside a prompt of another
         length summed its rows at that width, so it is ulp-close, not exact.
 
-        Returns the ``(1, S, d_model)`` output and the chunk's unrotated keys
-        and values (``(1, H, S, d)``) for seeding the cache.
+        Returns the ``(B, S, d_model)`` output, the chunk's unrotated keys and
+        values (``(B, H, S, d)``) for seeding the cache and, when
+        ``store_attention``, its ``(B, H, S, width)`` probabilities and masked
+        logits (``None`` otherwise).
         """
         s = x.shape[1]
         q_rot, k_rot, k_raw, v = self._project(x, np.arange(prefix_len, prefix_len + s))
         keys = np.concatenate([prefix_keys, k_rot], axis=2)
         values = np.concatenate([prefix_values, v], axis=2)
         width = prefix_len + s if prompt_len is None else prompt_len
-        ctx = self._attend_rows(q_rot, keys, values, width)[0]
-        return self.w_o(self._merge_heads(ctx)), k_raw, v
+        ctx, attn, scores = self._attend_rows(q_rot, keys, values, width, store_attention)
+        stored = (attn, scores) if store_attention else None
+        return self.w_o(self._merge_heads(ctx)), (k_raw, v), stored
 
     # ------------------------------------------------------------------
     # incremental decode path

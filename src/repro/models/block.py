@@ -113,18 +113,19 @@ class DecoderBlock(Module):
         prefix_values: np.ndarray,
         prefix_len: int,
         prompt_len: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        store_attention: bool = False,
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], tuple | None]:
         """Process prompt rows ``[P, P + S)`` attending over a cached prefix.
 
-        ``x`` has shape ``(1, S, d_model)``.  Returns ``(hidden, k_raw, v)``
-        (see :meth:`MultiHeadAttention.attend_prefill`).
+        ``x`` has shape ``(B, S, d_model)``.  Returns ``(hidden, (k_raw, v),
+        stored)`` (see :meth:`MultiHeadAttention.attend_prefill`).
         """
         a_in = self.ln_attn(x)
-        attn_out, k_raw, v = self.attn.attend_prefill(
-            a_in, prefix_keys, prefix_values, prefix_len, prompt_len
+        attn_out, kv, stored = self.attn.attend_prefill(
+            a_in, prefix_keys, prefix_values, prefix_len, prompt_len, store_attention
         )
         x = x + attn_out
-        return x + self.mlp(self.ln_mlp(x)), k_raw, v
+        return x + self.mlp(self.ln_mlp(x)), kv, stored
 
     # ------------------------------------------------------------------
     # incremental decode path

@@ -32,7 +32,8 @@ class DecoderLM(Module):
     Two execution paths are provided:
 
     * :meth:`forward` / :meth:`backward` / :meth:`loss` — full-sequence
-      training (and prompt processing);
+      training (and attention analysis);
+    * :meth:`forward_suffix` — the inference prompt pass, whole or chunked;
     * :meth:`embed_step` + :meth:`DecoderBlock.decode_step` +
       :meth:`lm_logits` — incremental decoding with a pluggable KV cache.
     """
@@ -72,8 +73,12 @@ class DecoderLM(Module):
             token_ids = token_ids[None, :]
         h = self.token_embedding(token_ids)
         if self.position_embedding is not None:
-            if positions is None:
-                positions = np.arange(token_ids.shape[1])
+            positions = np.arange(token_ids.shape[1]) if positions is None else positions
+            if np.max(positions, initial=0) >= self.config.max_seq_len:
+                raise ValueError(
+                    f"position {np.max(positions)} exceeds max_seq_len "
+                    f"{self.config.max_seq_len} for learned positional embeddings"
+                )
             h = h + self.position_embedding(np.asarray(positions))
         return h
 
@@ -116,16 +121,8 @@ class DecoderLM(Module):
 
         When ``store_attention`` is true every attention layer keeps its
         post-softmax probabilities in ``block.attn.last_attention`` for
-        analysis and for prompt-phase score accumulation.
+        analysis (:meth:`collect_attention`).
         """
-        token_ids = np.asarray(token_ids)
-        if token_ids.ndim == 1:
-            token_ids = token_ids[None, :]
-        if token_ids.shape[1] > self.config.max_seq_len and self.config.positional == "learned":
-            raise ValueError(
-                f"sequence length {token_ids.shape[1]} exceeds max_seq_len "
-                f"{self.config.max_seq_len} for learned positional embeddings"
-            )
         h = self.embed(token_ids, positions=positions)
         for block in self.blocks:
             h = block(h, positions=positions, store_attention=store_attention)
@@ -188,46 +185,64 @@ class DecoderLM(Module):
     def forward_suffix(
         self,
         suffix_ids: np.ndarray,
-        prefix_kv: Sequence[tuple[np.ndarray, np.ndarray]],
-        prefix_len: int,
+        prefix_kv: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
+        prefix_len: int = 0,
         prompt_len: int | None = None,
-    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-        """Prompt forward for rows ``[P, P + S)`` over cached prefix KV.
+        store_attention: bool = False,
+    ) -> tuple[np.ndarray, list, list[np.ndarray], list[np.ndarray]]:
+        """The inference prompt pass: rows ``[P, P + S)`` over cached prefix KV.
 
-        ``suffix_ids`` has shape ``(1, S)`` with ``S >= 2`` (a one-row chunk
-        would run BLAS gemv); ``prefix_kv`` holds one ``(keys, values)``
-        pair per layer, ``(1, H, P, d)`` with ``P = prefix_len`` (possibly 0;
-        keys RoPE-rotated for RoPE models).  ``prompt_len`` (default
-        ``P + S``) is the prompt's full length; chunked prefill passes it.
-        Returns the logits ``(1, S, vocab)`` and per-layer ``(k_raw, v)``.
-        The logits are the rows of :meth:`forward` on the full prompt, bit
-        for bit when ``S >= 16`` and the prefix KV is that forward's
-        (conditions: :meth:`MultiHeadAttention.attend_prefill`).
+        ``suffix_ids`` has shape ``(B, S)``; ``prefix_kv`` holds one ``(keys,
+        values)`` pair per layer, ``(B, H, P, d)`` with ``P = prefix_len``
+        (keys RoPE-rotated for RoPE models), or ``None`` for an empty prefix.
+        With ``P > 0``, ``S >= 2`` (a one-row chunk would run BLAS gemv).
+        ``prompt_len`` (default ``P + S``) is the prompt's full length;
+        chunked prefill passes it.  The logits are the rows of
+        :meth:`forward` on the full prompt, bit for bit for a whole prompt
+        (``P = 0``, ``S = T``), and for a chunk when ``S >= 16`` and the prefix
+        KV is that forward's (conditions: :meth:`MultiHeadAttention.attend_prefill`).
 
-        Attention maps are *not* stored: the engine only takes this path for
-        eviction policies that never read prompt attention values.
+        Returns the logits ``(B, S, vocab)``, per-layer ``(k_raw, v)`` and
+        per-layer attention probabilities and masked logits: the pass's own
+        ``(B, H, S, prompt_len)`` tensors when ``store_attention``, otherwise
+        one zero-strided ``(B, H, prompt_len, prompt_len)`` stand-in, enough
+        for eviction policies that never read prompt attention values.
         """
         suffix_ids = np.asarray(suffix_ids)
         if suffix_ids.ndim == 1:
             suffix_ids = suffix_ids[None, :]
-        s = suffix_ids.shape[1]
-        if s < 2:
+        b, s = suffix_ids.shape
+        if s < 2 and prefix_len > 0:
             raise ValueError(
                 f"chunked prefill needs a suffix of >= 2 tokens, got {s} "
                 "(cap the shared prefix at prompt_len - 2)"
             )
+        config = self.config
+        if prefix_kv is None:
+            empty = np.empty((b, config.n_heads, 0, config.d_head), config.np_dtype)
+            prefix_kv = [(empty, empty)] * len(self.blocks)
         if len(prefix_kv) != len(self.blocks):
             raise ValueError(
                 f"expected {len(self.blocks)} layers of prefix KV, got {len(prefix_kv)}"
             )
-        positions = np.arange(prefix_len, prefix_len + s)
-        h = self.embed(suffix_ids, positions=positions)
-        suffix_kv: list[tuple[np.ndarray, np.ndarray]] = []
+        h = self.embed(suffix_ids, positions=np.arange(prefix_len, prefix_len + s))
+        kv, stored = [], []
         for block, (keys, values) in zip(self.blocks, prefix_kv):
-            h, k_raw, v = block.prefill_chunk(h, keys, values, prefix_len, prompt_len)
-            suffix_kv.append((k_raw, v))
-        h = self.ln_final(h)
-        return self.lm_logits(h), suffix_kv
+            h, layer_kv, layer_stored = block.prefill_chunk(
+                h, keys, values, prefix_len, prompt_len, store_attention
+            )
+            kv.append(layer_kv)
+            stored.append(layer_stored)
+        logits = self.lm_logits(self.ln_final(h))
+        if store_attention:
+            attention, scores = (list(t) for t in zip(*stored))
+        else:
+            width = prefix_len + s if prompt_len is None else prompt_len
+            stand_in = np.broadcast_to(
+                np.zeros(1, config.np_dtype), (b, config.n_heads, width, width)
+            )
+            attention = scores = [stand_in] * len(self.blocks)
+        return logits, kv, attention, scores
 
     # ------------------------------------------------------------------
     # incremental decode path
@@ -284,14 +299,6 @@ class DecoderLM(Module):
         if self.lm_head is not None:
             return self.lm_head.forward_rows(hidden)
         return dot_rows(hidden, self.token_embedding.params["weight"].T)
-
-    def take_prompt_tensors(self) -> tuple[list, list[np.ndarray], list[np.ndarray]]:
-        """Per-layer ``(k_raw, v)`` pairs, attention maps and masked logits of
-        the last ``forward(store_attention=True)``, handed over: every layer
-        forgets its copies (:meth:`MultiHeadAttention.take_stored`), so the
-        caller's references are the only ones."""
-        kv, attn, scores = zip(*(block.attn.take_stored() for block in self.blocks))
-        return list(kv), list(attn), list(scores)
 
     def collect_attention(self) -> list[np.ndarray]:
         """Return the stored attention maps of every layer (after a forward with

@@ -8,15 +8,15 @@ serving systems, built here on the repo's NumPy substrate.
 
 Execution model
 ---------------
-* **Prefill** — an admitted request's prompt runs through the ordinary
-  full-sequence forward pass, its KV tensors are written into pages of the
-  shared :class:`BatchedCacheManager` store, and its eviction policy performs
-  the prompt-phase reduction.  When **prefix sharing** is enabled and the
-  prompt starts with a page-aligned chunk chain already resident in the
-  :class:`~repro.kvcache.paged.PrefixRegistry`, the engine *maps* those pages
-  (a refcount bump) and runs only the prompt suffix through
-  :meth:`DecoderLM.forward_suffix` — prefill compute drops from O(T²) to
-  O(S·T) for a prompt of length T sharing all but S tokens.
+* **Prefill** — an admitted request's prompt runs through the inference
+  prompt pass :meth:`DecoderLM.forward_suffix`, its KV tensors are written
+  into pages of the shared :class:`BatchedCacheManager` store, and its
+  eviction policy performs the prompt-phase reduction.  When **prefix
+  sharing** is enabled and the prompt starts with a page-aligned chunk chain
+  already resident in the :class:`~repro.kvcache.paged.PrefixRegistry`, the
+  engine *maps* those pages (a refcount bump) and runs only the prompt
+  suffix — prefill compute drops from O(T²) to O(S·T) for a prompt of
+  length T sharing all but S tokens.
 * **Decode** — every engine step advances all running requests by one token
   through :meth:`DecoderLM.decode_step_batch`: dense layers run batched over
   the ``(R, d_model)`` hidden rows while attention is ragged (each sequence
@@ -81,7 +81,7 @@ from repro.kvcache.paged import (
 )
 from repro.serving.faults import EngineWatchdog, FaultInjector
 from repro.kvcache.stats import CacheStats
-from repro.models.config import GenerationConfig, ModelConfig
+from repro.models.config import GenerationConfig
 from repro.models.positional import get_rope_table
 from repro.models.tensor_ops import log_softmax
 from repro.models.transformer import DecoderLM
@@ -159,48 +159,74 @@ _PREFILL_FAILED_FINAL = 3  # quarantined fault; retired with FinishReason.ERROR
 _PREFILL_CHUNKED = 4  # first chunk ran; the request joins after its last chunk
 
 
-class _ChunkedPrefill:
-    """Engine-internal state of the (single) in-flight chunked prefill.
+class _PendingPrefill:
+    """An admitted prompt on its way into the batch: a prefix source and a
+    chunk plan.
 
-    Accumulates the per-layer KV computed so far: raw keys/values for the
-    eventual :meth:`BatchedCacheManager.join` plus attention-form keys
-    (RoPE-rotated at their original positions; raw otherwise) that later
-    chunks attend over through :meth:`DecoderLM.forward_suffix`.  No pool
-    pages are touched until the final join, so abandoning an in-flight
-    chunked prefill (abort, deadline, quarantined fault) never leaks pool
-    state — the accumulated arrays are simply garbage-collected.
+    The prefix source is a registry match, whose mapped pages supply rows
+    ``[0, match.length)``, or nothing.  The plan is ``chunk_tokens`` rows per
+    chunk, or the whole remaining prompt when ``None``.  Every chunk runs
+    through :meth:`DecoderLM.forward_suffix` over :attr:`prefix_kv`; no pool
+    pages are touched until :meth:`ContinuousBatchingEngine._join`, so
+    abandoning a pending prefill (abort, deadline, quarantined fault) never
+    leaks pool state — the accumulated arrays are simply garbage-collected.
     """
 
-    __slots__ = ("state", "chunk_tokens", "done", "k_raw", "v_cat", "k_attn",
-                 "complete", "next_row")
+    __slots__ = ("state", "match", "chunk_tokens", "store_attention", "done",
+                 "prefix_kv", "kv", "attention", "next_row")
 
-    def __init__(self, state: RequestState, chunk_tokens: int, config: ModelConfig):
+    def __init__(
+        self,
+        state: RequestState,
+        match: PrefixMatch | None,
+        chunk_tokens: int | None,
+        store_attention: bool,
+    ):
         self.state = state
-        self.chunk_tokens = int(chunk_tokens)
-        #: Prompt tokens computed so far (chunks are contiguous from 0).
-        self.done = 0
-        empty = np.empty((1, config.n_heads, 0, config.d_head), config.np_dtype)
-        #: Per-layer raw (unrotated) keys, shape (1, H, done, d) — join input.
-        self.k_raw = [empty] * config.n_layers
-        #: Per-layer values, shape (1, H, done, d).
-        self.v_cat = [empty] * config.n_layers
-        #: Per-layer attention-form keys the next chunk attends over.
-        self.k_attn = [empty] * config.n_layers
-        self.complete = False
+        self.match = match
+        self.chunk_tokens = chunk_tokens
+        self.store_attention = store_attention
+        #: Prompt rows available so far (mapped or computed).
+        self.done = 0 if match is None else match.length
+        #: Per-layer attention-form ``(keys, values)`` of rows ``[0, done)``
+        #: that the next chunk attends over (keys RoPE-rotated at their
+        #: positions); ``None`` while empty.
+        self.prefix_kv: list | None = None
+        #: Per-layer raw ``(k, v)`` of the computed rows — the join input.
+        self.kv: list | None = None
+        #: Final chunk's per-layer ``(attention, masked logits)``, held
+        #: until the join and drafter seeding have read them.
+        self.attention: list | None = None
         #: Last-token logits of the final chunk (the first-token sample).
         self.next_row: np.ndarray | None = None
+
+    @property
+    def complete(self) -> bool:
+        """Whether every prompt row has been computed."""
+        return self.next_row is not None
 
     def next_chunk(self) -> int:
         """Size of the next chunk: the budget, except that the final chunk
         absorbs a would-be 1-token remainder (``forward_suffix`` needs >= 2
-        rows, which keeps a chunk off BLAS gemv).  A chunk's rows equal the
-        whole forward's bit for bit only from 16 rows on at the benchmark
-        geometry, so a final chunk of 2–15 rows is ulp-close, not exact.
+        rows after a prefix, which keeps a chunk off BLAS gemv).  A chunk's
+        rows equal the whole forward's bit for bit only from 16 rows on at
+        the benchmark geometry, so a final chunk of 2–15 rows is ulp-close.
         """
         remaining = self.state.request.prompt_len - self.done
-        if remaining <= self.chunk_tokens + 1:
+        if self.chunk_tokens is None or remaining <= self.chunk_tokens + 1:
             return remaining
         return self.chunk_tokens
+
+
+def _extend(kv: list | None, more: list) -> list:
+    """Per-layer ``(keys, values)`` of ``kv`` followed by ``more`` along the
+    token axis (``more`` itself when ``kv`` is ``None``)."""
+    if kv is None:
+        return more
+    return [
+        (np.concatenate([k, k2], axis=2), np.concatenate([v, v2], axis=2))
+        for (k, v), (k2, v2) in zip(kv, more)
+    ]
 
 
 class ContinuousBatchingEngine:
@@ -307,19 +333,18 @@ class ContinuousBatchingEngine:
         #: repeats the work), but the cost was still paid and the aggregate
         #: telemetry must not hide it.
         self._spec_discarded = SpeculationStats()
-        #: Prefix sharing must be skipped when the *drafter* policy seeds
-        #: from prompt attention values (mirrors needs_prompt_attention).
-        self._spec_blocks_sharing = False
+        #: Whether a self-drafting drafter policy seeds from the prompt's
+        #: attention values: then every prompt pass stores them and prefix
+        #: sharing is skipped (mirrors ``needs_prompt_attention``).
+        self._drafter_needs_prompt_attention = False
         if (
             speculation is not None
             and speculation.drafter != "ngram"
             and speculation.drafter_model is None
         ):
-            self._spec_blocks_sharing = make_drafter_policy(
+            self._drafter_needs_prompt_attention = make_drafter_policy(
                 speculation
             ).needs_prompt_attention
-        self._last_prompt_attn: list[np.ndarray] | None = None
-        self._last_prompt_scores: list[np.ndarray] | None = None
         self._manager: BatchedCacheManager | None = None
         self._layer_views: list | None = None
         #: Running requests, index == KV-cache row (persistent batch).
@@ -336,7 +361,7 @@ class ContinuousBatchingEngine:
         #: Preemptions performed (requests bumped back to the queue).
         self.n_preemptions = 0
         #: The at-most-one in-flight chunked prefill (``prefill_chunk_tokens``).
-        self._chunked: _ChunkedPrefill | None = None
+        self._chunked: _PendingPrefill | None = None
         #: Prompt chunks executed through the chunked-prefill path.
         self.n_prefill_chunks = 0
         #: Work done by the most recent :meth:`step` — the load harness feeds
@@ -345,8 +370,8 @@ class ContinuousBatchingEngine:
         self.last_step_prefill_tokens = 0
         self.last_step_decode_rows = 0
         self._decode_rows_step = 0
-        #: Shared RoPE table for rotating accumulated chunk keys at their
-        #: original positions (bit-identical to the rotation inside
+        #: Shared RoPE table for rotating a chunk's keys at their original
+        #: positions (bit-identical to the rotation inside
         #: ``attend_prefill``); ``None`` for non-RoPE models.
         self._rope_chunk_table = (
             get_rope_table(model.config.rope_dims)
@@ -966,8 +991,9 @@ class ContinuousBatchingEngine:
             return True
         return False
 
-    def _build_drafter(self, state: RequestState, row: int) -> Drafter:
-        """Construct the per-request drafter right after its prefill joined."""
+    def _build_drafter(self, state: RequestState, row: int, attention: list) -> Drafter:
+        """Construct the per-request drafter right after its prefill joined;
+        ``attention`` is the prompt pass's ``(attention, masked logits)``."""
         spec = self.config.speculation
         if spec.drafter == "ngram":
             return NgramDrafter(state.request.prompt_ids[0], spec)
@@ -987,8 +1013,7 @@ class ContinuousBatchingEngine:
             policy,
             self._manager.store,
             [[cache.tables[row]] for cache in self._manager.caches],
-            self._last_prompt_attn,
-            self._last_prompt_scores,
+            *attention,
             state.request.max_new_tokens,
             positional_mode=self._manager.positional_mode,
         )
@@ -1019,11 +1044,10 @@ class ContinuousBatchingEngine:
         quarantine outcomes ``_PREFILL_FAILED_RETRY`` /
         ``_PREFILL_FAILED_FINAL``.
 
-        Runs the full prompt forward (identical math to
-        ``Generator._prompt_forward``) unless a registered prefix of the
-        prompt is resident, in which case only the suffix runs through
-        :meth:`DecoderLM.forward_suffix` (see the module's bit-exactness
-        notes).
+        The prompt becomes a :class:`_PendingPrefill`: a registered prefix
+        of it, when resident, is mapped instead of recomputed, and a long
+        unshared prompt under a chunk budget runs its first chunk now and
+        joins in a later step (see the module's bit-exactness notes).
         """
         if self._manager is None:
             self._build_manager(state.policy)
@@ -1037,12 +1061,11 @@ class ContinuousBatchingEngine:
 
         prompt = state.request.prompt_ids
         prompt_len = state.request.prompt_len
+        needs_attention = (
+            state.policy.needs_prompt_attention or self._drafter_needs_prompt_attention
+        )
         match = None
-        if (
-            self.config.enable_prefix_sharing
-            and not state.policy.needs_prompt_attention
-            and not self._spec_blocks_sharing
-        ):
+        if self.config.enable_prefix_sharing and not needs_attention:
             # Recompute at least the last two tokens: a one-row suffix would
             # run BLAS gemv.  (Bit-equal rows need >= 16 here and a prefix
             # registered at this prompt's length; otherwise ulp-close.)
@@ -1051,21 +1074,23 @@ class ContinuousBatchingEngine:
         try:
             if self.faults is not None:
                 self.faults.check("prefill", state.request_id)
-            if match is None and self._should_chunk(state):
-                # Long unshared prompt under a chunk budget: run the first
-                # chunk now and spread the rest over the following steps —
-                # decode rows (and other admissions) interleave in between.
-                self._chunked = _ChunkedPrefill(
-                    state, self.scheduler.prefill_chunk_tokens, self.model.config
-                )
-                self._run_chunk(self._chunked)
-                return _PREFILL_CHUNKED
+            chunked = match is None and self._should_chunk(state)
+            pending = _PendingPrefill(
+                state,
+                match,
+                self.scheduler.prefill_chunk_tokens if chunked else None,
+                needs_attention,
+            )
             if match is not None:
-                row, next_row = self._prefill_shared(state, match)
-                computed = prompt_len - match.length
-            else:
-                row, next_row = self._prefill_full(state)
-                computed = prompt_len
+                pending.prefix_kv = self._manager.prefix_tensors(match)
+            if chunked:
+                # Spread the prompt over this and the following steps —
+                # decode rows (and other admissions) interleave in between.
+                self._chunked = pending
+                self._run_chunk(pending)
+                return _PREFILL_CHUNKED
+            self._run_chunk(pending)
+            row = self._join(pending)
             if self.config.speculation is not None:
                 # The drafter seeds against the just-joined row (mapping its
                 # prompt pages for self-drafting); a failed seed must not
@@ -1073,12 +1098,14 @@ class ContinuousBatchingEngine:
                 # quarantine) path.
                 try:
                     self._spec[state.request_id] = (
-                        self._build_drafter(state, row),
+                        self._build_drafter(state, row, pending.attention),
                         SpeculationStats(),
                     )
                 except Exception:
                     self._manager.release_row(row)
                     raise
+            # Seeded: the dense (1, H, T, T) prompt tensors are not kept.
+            pending.attention = None
         except PoolExhausted:
             # The watermark under-estimated (e.g. concurrent COW growth).
             # Free pages by preempting the newest running request; the caller
@@ -1097,15 +1124,9 @@ class ContinuousBatchingEngine:
             if not self.fault_tolerant:
                 raise
             return self._prefill_failure(state, exc)
-        finally:
-            # The prompt-attention tensors are only needed between prefill
-            # and drafter seeding; holding the dense (1, H, T, T) arrays any
-            # longer would pin O(n_layers * T^2) memory per engine.
-            self._last_prompt_attn = None
-            self._last_prompt_scores = None
         self.prefill_prompt_tokens += prompt_len
-        self.prefill_computed_tokens += computed
-        self._complete_join(state, row, next_row)
+        self.prefill_computed_tokens += prompt_len - (0 if match is None else match.length)
+        self._complete_join(state, row, pending.next_row)
         return _PREFILL_JOINED
 
     def _complete_join(self, state: RequestState, row: int, next_row: np.ndarray) -> None:
@@ -1143,10 +1164,10 @@ class ContinuousBatchingEngine:
         in flight (one at a time keeps the accounting simple; a second long
         prompt simply prefills unchunked), a prompt long enough that
         chunking actually splits it (> budget + 1, so no 1-token tail), a
-        policy that never reads prompt attention values (the join passes
-        the same zero-strided dummies as the shared-prefix path), and
-        non-speculative mode (the draft/verify loop has its own step
-        structure).  The caller additionally requires no resident shared
+        policy that never reads prompt attention values (a score policy
+        needs the whole prompt's attention, and chunks are not scored chunk
+        by chunk yet), and non-speculative mode (the draft/verify loop has
+        its own step structure).  The caller additionally requires no resident shared
         prefix — a mapped prefix already makes prefill cheap, and chunking
         across an LRU-reclaimable mapping would race the registry.
         """
@@ -1159,43 +1180,45 @@ class ContinuousBatchingEngine:
             and state.request.prompt_len > budget + 1
         )
 
-    def _run_chunk(self, pending: _ChunkedPrefill) -> None:
-        """Compute the next prompt chunk and fold it into the accumulators.
+    def _run_chunk(self, pending: _PendingPrefill) -> None:
+        """Compute the pending prompt's next chunk and fold it in.
 
-        Every chunk, the first included, is rows ``[start, end)`` of the
-        prompt through :meth:`DecoderLM.forward_suffix` over the accumulated
-        prefix, at the prompt's full width — the shared-prefix path with the
-        prefix held in engine arrays instead of mapped pages.  No pool pages
-        are touched here.
+        Every chunk is rows ``[start, end)`` of the prompt through
+        :meth:`DecoderLM.forward_suffix` over the prefix so far, at the
+        prompt's full width.  Only when another chunk follows are its keys
+        rotated into attention form and appended to that prefix.  No pool
+        pages are touched here.
         """
         state = pending.state
-        size = pending.next_chunk()
-        start, end = pending.done, pending.done + size
-        logits, chunk_kv = self.model.forward_suffix(
+        prompt_len = state.request.prompt_len
+        start = pending.done
+        end = start + pending.next_chunk()
+        logits, chunk_kv, *attention = self.model.forward_suffix(
             state.request.prompt_ids[:, start:end],
-            list(zip(pending.k_attn, pending.v_cat)),
+            pending.prefix_kv,
             start,
-            prompt_len=state.request.prompt_len,
+            prompt_len=prompt_len,
+            store_attention=pending.store_attention,
         )
-        positions = np.arange(start, end)
-        for layer, (k_raw, v) in enumerate(chunk_kv):
-            if self._rope_chunk_table is not None:
-                k_att = self._rope_chunk_table.rotate(k_raw, positions)
-            else:
-                k_att = k_raw
-            pending.k_raw[layer] = np.concatenate([pending.k_raw[layer], k_raw], axis=2)
-            pending.v_cat[layer] = np.concatenate([pending.v_cat[layer], v], axis=2)
-            pending.k_attn[layer] = np.concatenate([pending.k_attn[layer], k_att], axis=2)
+        pending.kv = _extend(pending.kv, chunk_kv)
         pending.done = end
-        self.n_prefill_chunks += 1
-        # Chunked prompts are always fully computed (never mapped), so both
-        # sharing counters advance together and mid-flight aborts keep the
-        # prefill_savings ratio consistent.
-        self.prefill_prompt_tokens += size
-        self.prefill_computed_tokens += size
-        if pending.done == state.request.prompt_len:
-            pending.complete = True
+        if end < prompt_len:
+            table = self._rope_chunk_table
+            positions = np.arange(start, end)
+            pending.prefix_kv = _extend(pending.prefix_kv, [
+                (k if table is None else table.rotate(k, positions), v)
+                for k, v in chunk_kv
+            ])
+        else:
+            pending.attention = attention
             pending.next_row = logits[:, -1, :]
+        if pending.chunk_tokens is not None:
+            # A chunked prompt is never mapped, so both sharing counters
+            # advance together, chunk by chunk, and mid-flight aborts keep
+            # the prefill_savings ratio consistent.
+            self.n_prefill_chunks += 1
+            self.prefill_prompt_tokens += end - start
+            self.prefill_computed_tokens += end - start
 
     def _advance_chunked(self) -> RequestState | None:
         """Run the in-flight chunked prefill's next chunk (or its join).
@@ -1215,7 +1238,7 @@ class ContinuousBatchingEngine:
                 self._run_chunk(pending)
                 if not pending.complete:
                     return None
-            row, next_row = self._join_chunked(pending)
+            row = self._join(pending)
         except PoolExhausted:
             if not self._states:
                 self._chunked = None
@@ -1229,35 +1252,26 @@ class ContinuousBatchingEngine:
             self._prefill_failure(state, exc)
             return None
         self._chunked = None
-        self._complete_join(state, row, next_row)
+        self._complete_join(state, row, pending.next_row)
         return state
 
-    def _join_chunked(self, pending: _ChunkedPrefill) -> tuple[int, np.ndarray]:
-        """Join a fully computed chunked prompt into the paged store.
+    def _join(self, pending: _PendingPrefill) -> int:
+        """Join a fully computed prompt into the paged store; returns its row.
 
-        Same join as :meth:`_prefill_full` (the raw KV is bit-identical to a
-        monolithic prompt forward's), with the shared-prefix path's
-        zero-strided dummy attention tensors — chunking is gated to policies
-        whose prompt-phase selections depend on shapes alone.  The prompt
-        registers in the prefix registry as usual, so chunked prompts still
-        seed future sharing.
+        The computed rows' raw KV is bit-identical to a whole prompt
+        forward's; mapped prefix pages join by reference.  The prompt
+        registers in the prefix registry, so every prompt — chunked or
+        shared — seeds future sharing.
         """
         state = pending.state
-        prompt_len = state.request.prompt_len
-        h = self.model.config.n_heads
-        dummy = np.broadcast_to(
-            np.zeros(1, dtype=self.model.config.np_dtype),
-            (1, h, prompt_len, prompt_len),
-        )
-        row = self._manager.join(
-            list(zip(pending.k_raw, pending.v_cat)),
-            [dummy] * self._manager.n_layers,
-            [dummy] * self._manager.n_layers,
+        return self._manager.join(
+            pending.kv,
+            *pending.attention,
             state.request.max_new_tokens,
             state.policy,
+            shared_prefix=pending.match,
             prompt_token_ids=self._register_ids(state),
         )
-        return row, pending.next_row
 
     def _prefill_failure(self, state: RequestState, exc: BaseException) -> int:
         """Quarantine a faulted prefill: retry with backoff or retire with
@@ -1272,57 +1286,6 @@ class ContinuousBatchingEngine:
             return _PREFILL_FAILED_RETRY
         self._finish_unjoined(state, FinishReason.ERROR)
         return _PREFILL_FAILED_FINAL
-
-    def _prefill_full(self, state: RequestState) -> tuple[int, np.ndarray]:
-        """Whole-prompt forward pass; registers the prompt for future sharing."""
-        logits = self.model.forward(state.request.prompt_ids, store_attention=True)
-        prompt_kv, prompt_attn, prompt_scores = self.model.take_prompt_tensors()
-        self._last_prompt_attn = prompt_attn
-        self._last_prompt_scores = prompt_scores
-        row = self._manager.join(
-            prompt_kv,
-            prompt_attn,
-            prompt_scores,
-            state.request.max_new_tokens,
-            state.policy,
-            prompt_token_ids=self._register_ids(state),
-        )
-        return row, logits[:, -1, :]
-
-    def _prefill_shared(
-        self, state: RequestState, match: PrefixMatch
-    ) -> tuple[int, np.ndarray]:
-        """Chunked prefill over mapped prefix pages (the prefix-sharing path).
-
-        The policy's prompt-phase hook receives zero-strided dummy attention
-        tensors: this path is only taken for policies that never read prompt
-        attention *values* (``needs_prompt_attention`` is False), and their
-        selections depend on shapes alone — so eviction behaviour is
-        bit-identical to the full-prefill path.
-        """
-        prompt = state.request.prompt_ids
-        prompt_len = state.request.prompt_len
-        prefix_kv = self._manager.prefix_tensors(match)
-        logits, suffix_kv = self.model.forward_suffix(
-            prompt[:, match.length :], prefix_kv, match.length
-        )
-        h = self.model.config.n_heads
-        dummy = np.broadcast_to(
-            np.zeros(1, dtype=self.model.config.np_dtype),
-            (1, h, prompt_len, prompt_len),
-        )
-        self._last_prompt_attn = [dummy] * self._manager.n_layers
-        self._last_prompt_scores = [dummy] * self._manager.n_layers
-        row = self._manager.join(
-            suffix_kv,
-            [dummy] * self._manager.n_layers,
-            [dummy] * self._manager.n_layers,
-            state.request.max_new_tokens,
-            state.policy,
-            shared_prefix=match,
-            prompt_token_ids=self._register_ids(state),
-        )
-        return row, logits[:, -1, :]
 
     def _register_ids(self, state: RequestState) -> np.ndarray | None:
         """Prompt ids to register in the prefix registry (None disables)."""

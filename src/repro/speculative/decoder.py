@@ -216,11 +216,15 @@ class SpeculativeGenerator:
                 "serving engine's speculation mode for concurrent requests"
             )
         model_config = self.model.config
-        logits = self.model.forward(prompt, store_attention=True)
-        prompt_kv, prompt_attn, prompt_scores = self.model.take_prompt_tensors()
-
         spec = self.speculation
         self_drafting = spec.drafter != "ngram" and spec.drafter_model is None
+        drafter_policy = None if spec.drafter == "ngram" else make_drafter_policy(spec)
+        # The target keeps every token; only a self-drafting score policy
+        # reads the (shared) prompt attention.
+        logits, prompt_kv, prompt_attn, prompt_scores = self.model.forward_suffix(
+            prompt,
+            store_attention=self_drafting and drafter_policy.needs_prompt_attention,
+        )
         store = None
         if self_drafting:
             # One store, two owners: target and drafter page tables share
@@ -254,7 +258,7 @@ class SpeculativeGenerator:
         elif spec.drafter_model is not None:
             drafter = PolicyDrafter.seed_from_prompt(
                 spec.drafter_model,
-                make_drafter_policy(spec),
+                drafter_policy,
                 prompt,
                 config.max_new_tokens,
                 positional_mode=self.positional_mode,
@@ -262,7 +266,7 @@ class SpeculativeGenerator:
         else:
             drafter = PolicyDrafter.seed_mapped(
                 self.model,
-                make_drafter_policy(spec),
+                drafter_policy,
                 store,
                 [cache.tables for cache in target_manager.caches],
                 prompt_attn,

@@ -181,13 +181,14 @@ class PolicyDrafter(Drafter):
         max_new_tokens: int,
         positional_mode: str | None = None,
     ) -> "PolicyDrafter":
-        """Separate-model seed: run the drafter model's own prompt forward."""
+        """Separate-model seed: run the drafter model's own prompt pass."""
         config = model.config
         prompt = np.asarray(prompt_ids, dtype=np.int64)
         if prompt.ndim == 1:
             prompt = prompt[None, :]
-        model.forward(prompt, store_attention=True)
-        prompt_kv, prompt_attn, prompt_scores = model.take_prompt_tensors()
+        _, prompt_kv, prompt_attn, prompt_scores = model.forward_suffix(
+            prompt, store_attention=policy.needs_prompt_attention
+        )
         manager = CacheManager(
             policy,
             n_layers=config.n_layers,

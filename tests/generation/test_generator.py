@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
+import gc
+import weakref
+
+from repro.core.config import KeyformerConfig
+from repro.core.keyformer import KeyformerPolicy
 from repro.core.registry import make_policy
 from repro.generation.generator import Generator
 from repro.models.config import GenerationConfig
 from repro.models.tensor_ops import log_softmax
 from repro.models.transformer import DecoderLM
+from repro.serving.engine import ContinuousBatchingEngine
+from repro.speculative import SpeculationConfig, SpeculativeGenerator
 from tests.conftest import tiny_config
 
 
@@ -120,21 +127,6 @@ class TestGenerationBehaviour:
         with pytest.raises(ValueError):
             generator.generate(np.zeros((1, 0), dtype=np.int64))
 
-    def test_prompt_tensors_are_handed_over_not_kept(self, tiny_rope_model, rng):
-        """A finished request leaves no (B, H, T, T) prompt tensor pinned in the
-        shared model: the next prompt pass must not allocate beside the last."""
-        generator = Generator(tiny_rope_model, make_policy("keyformer", kv_fraction=0.5))
-        generator.generate(rng.integers(0, 64, size=20), GenerationConfig(max_new_tokens=3))
-        for block in tiny_rope_model.blocks:
-            attn = block.attn
-            assert attn.last_kv is attn.last_attention is attn.last_scores is attn._cache is None
-        with pytest.raises(RuntimeError, match="did not store attention"):
-            tiny_rope_model.take_prompt_tensors()
-        tiny_rope_model.forward(np.arange(6)[None, :], store_attention=True)
-        kv, attention, scores = tiny_rope_model.take_prompt_tensors()
-        assert len(kv) == len(attention) == len(scores) == len(tiny_rope_model.blocks)
-        assert attention[0].shape == scores[0].shape == (1, attention[0].shape[1], 6, 6)
-
     def test_positional_mode_changes_reduced_cache_output(self, rng):
         model = DecoderLM(tiny_config("rope"), seed=5)
         prompt = rng.integers(0, 64, size=24)
@@ -193,3 +185,88 @@ class TestScoring:
         generator = Generator(tiny_rope_model)
         with pytest.raises(ValueError):
             generator.perplexity([5])
+
+
+def _keyformer():
+    return KeyformerPolicy(KeyformerConfig(kv_fraction=0.5))
+
+
+#: Self-drafting with a Keyformer drafter: the one speculative configuration
+#: whose prompt pass stores attention.
+KEYFORMER_DRAFTER = SpeculationConfig(k=3, drafter="policy", drafter_policy_factory=_keyformer)
+
+
+class TestNothingPinnedAfterPromptPass:
+    """A finished prompt pass leaves no ``(B, H, T, T)`` tensor in the shared
+    model, and the caller drops the attention it was handed once the policy
+    (and, speculating, the drafter) has been seeded from it."""
+
+    @staticmethod
+    def _track_stored_attention(model: DecoderLM) -> list:
+        """Weak references to every attention tensor a stored prompt pass
+        returns (the shape-only stand-ins are not tracked)."""
+        refs = []
+        forward_suffix = model.forward_suffix
+
+        def tracked(*args, **kwargs):
+            out = forward_suffix(*args, **kwargs)
+            if kwargs.get("store_attention"):
+                refs.extend(weakref.ref(a) for tensors in out[2:] for a in tensors)
+            return out
+
+        model.forward_suffix = tracked
+        return refs
+
+    @staticmethod
+    def _assert_model_holds_nothing(model: DecoderLM) -> None:
+        for block in model.blocks:
+            assert block.attn.last_attention is None
+            assert block.attn._cache is None
+
+    @staticmethod
+    def _assert_released(refs: list) -> None:
+        assert refs, "the prompt pass did not store attention"
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_generator(self, rng):
+        model = DecoderLM(tiny_config("rope"), seed=0)
+        refs = self._track_stored_attention(model)
+        Generator(model, _keyformer()).generate(
+            rng.integers(0, 64, size=20), GenerationConfig(max_new_tokens=3)
+        )
+        self._assert_model_holds_nothing(model)
+        self._assert_released(refs)
+
+    def test_self_drafting_speculative_prefill(self, rng):
+        model = DecoderLM(tiny_config("rope"), seed=0)
+        refs = self._track_stored_attention(model)
+        SpeculativeGenerator(model, KEYFORMER_DRAFTER).generate(
+            rng.integers(0, 64, size=20), GenerationConfig(max_new_tokens=4)
+        )
+        self._assert_model_holds_nothing(model)
+        self._assert_released(refs)
+
+    def test_keyformer_engine_prefill(self, rng):
+        model = DecoderLM(tiny_config("rope"), seed=0)
+        refs = self._track_stored_attention(model)
+        engine = ContinuousBatchingEngine(model, policy_factory=_keyformer)
+        engine.submit(rng.integers(0, 64, size=20), GenerationConfig(max_new_tokens=4))
+        engine.step()  # admission: prompt pass, join, first token
+        assert engine.n_running == 1
+        self._assert_model_holds_nothing(model)
+        self._assert_released(refs)
+
+    def test_prompt_attention_is_gone_once_the_drafter_is_seeded(self, rng):
+        """Speculative serving with a Keyformer self-drafter: the row's prompt
+        attention seeds the drafter in the admission step and is released
+        with it — the engine keeps no reference while the row decodes."""
+        model = DecoderLM(tiny_config("rope"), seed=0)
+        refs = self._track_stored_attention(model)
+        engine = ContinuousBatchingEngine(model, speculation=KEYFORMER_DRAFTER)
+        state = engine.submit(rng.integers(0, 64, size=20), GenerationConfig(max_new_tokens=8))
+        engine.step()
+        assert state.request_id in engine._spec  # the drafter is seeded
+        self._assert_model_holds_nothing(model)
+        self._assert_released(refs)
+        engine.run()

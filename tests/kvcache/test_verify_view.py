@@ -56,8 +56,7 @@ def _solo_manager(model: DecoderLM, mode: str):
 
 def _batched_manager(model: DecoderLM, mode: str, **knobs) -> BatchedCacheManager:
     """A batched manager whose row 0 holds the same prompt as the solo one."""
-    model.forward(_prompt(model), store_attention=True)
-    prompt_kv, prompt_attn, prompt_logits = model.take_prompt_tensors()
+    _, prompt_kv, prompt_attn, prompt_logits = model.forward_suffix(_prompt(model))
     config = model.config
     manager = BatchedCacheManager(
         config.n_layers,

@@ -5,6 +5,7 @@ import pytest
 
 from repro.models import tensor_ops as ops
 from repro.models.attention import _ROW_BLOCK, MultiHeadAttention
+from repro.models.config import ModelConfig
 from repro.models.positional import alibi_bias_matrix, rope_rotate
 from repro.models.transformer import DecoderLM
 from tests.conftest import tiny_config
@@ -13,6 +14,13 @@ from tests.conftest import tiny_config
 def make_attention(positional="rope", seed=0):
     config = tiny_config(positional)
     return MultiHeadAttention(config, np.random.default_rng(seed)), config
+
+
+def _whole_prompt(attn, x):
+    """``attend_prefill`` over the whole of ``x`` (an empty prefix), tensors
+    stored: ``(output, (k_raw, v), (attention, masked logits))``."""
+    empty = np.empty((x.shape[0], attn.n_heads, 0, attn.d_head), x.dtype)
+    return attn.attend_prefill(x, empty, empty, 0, store_attention=True)
 
 
 def reference_forward(self, x, positions=None, store_attention=False):
@@ -85,17 +93,29 @@ REFERENCE_POSITIONAL = {
 REFERENCE_LENGTHS = (1, 2, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 97, 600)
 
 
-def _prompt_pass(config, ids, positions):
-    """Logits, each layer's stored tensors and, without ``positions`` (which
-    ``train_step_gradients`` does not take), every parameter gradient."""
+def _prompt_pass(config, ids, positions, reference=False):
+    """Logits and each layer's stored attention from ``forward`` and, without
+    ``positions`` (which neither ``forward_suffix`` nor
+    ``train_step_gradients`` takes), the inference prompt pass's logits, KV,
+    attention and masked logits plus every parameter gradient.  Under
+    ``reference`` the prompt-pass tensors are those ``reference_forward``
+    keeps on the module."""
     model = DecoderLM(config, seed=0)
     out = {"logits": model.forward(ids, positions=positions, store_attention=True)}
     for i, block in enumerate(model.blocks):
-        attn = block.attn
-        out[f"{i}.attention"] = attn.last_attention
-        out[f"{i}.scores"] = attn.last_scores
-        out[f"{i}.k"], out[f"{i}.v"] = attn.last_kv
+        out[f"{i}.attention"] = block.attn.last_attention
     if positions is None:
+        if reference:
+            logits = out["logits"]
+            layers = [(b.attn.last_kv, b.attn.last_attention, b.attn.last_scores)
+                      for b in model.blocks]
+        else:
+            logits, kv, attention, scores = model.forward_suffix(ids, store_attention=True)
+            layers = zip(kv, attention, scores)
+        out["prompt.logits"] = logits
+        for i, ((k, v), attention, scores) in enumerate(layers):
+            out[f"{i}.k"], out[f"{i}.v"] = k, v
+            out[f"{i}.prompt.attention"], out[f"{i}.scores"] = attention, scores
         out["loss"] = np.float64(model.train_step_gradients(ids, np.roll(ids, -1, axis=1)))
         out.update(model.named_gradients())
     return out
@@ -128,7 +148,7 @@ class TestBlockedForwardIsTheWholeTensorForward:
 
         got = _prompt_pass(config, ids, positions)
         monkeypatch.setattr(MultiHeadAttention, "forward", reference_forward)
-        want = _prompt_pass(config, ids, positions)
+        want = _prompt_pass(config, ids, positions, reference=True)
 
         assert got.keys() == want.keys()
         for name, expected in want.items():
@@ -163,6 +183,10 @@ class TestBlockedForwardIsTheWholeTensorForward:
         assert sum(products) <= 0.55 * 600 * 600
 
 
+#: The end-to-end benchmark's model geometry, two layers.
+BENCH_GEOMETRY = dict(vocab_size=256, d_model=128, n_heads=8, d_ff=512, max_seq_len=320)
+
+
 class TestPrefillChunkIsForwardRows:
     """``attend_prefill`` is the forward's kernel on rows ``[P, P + S)``."""
 
@@ -171,8 +195,9 @@ class TestPrefillChunkIsForwardRows:
     def test_chunk_rows_equal_forward_rows(self, positional, start, stop, monkeypatch):
         attn, config = make_attention(positional)
         x = np.random.default_rng(2).normal(size=(1, 97, config.d_model))
-        whole = attn(x, store_attention=True)
-        k_raw, v = attn.last_kv
+        whole = attn(x)
+        empty = np.empty((1, attn.n_heads, 0, attn.d_head))
+        _, (k_raw, v), _ = attn.attend_prefill(x, empty, empty, 0)
         keys = k_raw[:, :, :start]
         if positional == "rope":
             keys = rope_rotate(keys, np.arange(start), attn.rope_dims, table=attn._rope_table)
@@ -181,12 +206,56 @@ class TestPrefillChunkIsForwardRows:
             raise AssertionError("a second softmax on the prompt path")
 
         monkeypatch.setattr(ops, "softmax", no_softmax)
-        out, k, v_chunk = attn.attend_prefill(
+        out, (k, v_chunk), stored = attn.attend_prefill(
             x[:, start:stop], keys, v[:, :, :start], start, prompt_len=97
         )
+        assert stored is None
         assert out.tobytes() == whole[:, start:stop].tobytes()
         assert k.tobytes() == k_raw[:, :, start:stop].tobytes()
         assert v_chunk.tobytes() == v[:, :, start:stop].tobytes()
+
+    @pytest.mark.parametrize("t", [1, 2, 15, 16, 97, 300])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("positional", ["rope", "alibi", "learned"])
+    def test_whole_prompt_is_the_forward(self, positional, dtype, t, monkeypatch):
+        """``P = 0, S = T`` with ``store_attention``: the inference prompt
+        pass returns :func:`reference_forward`'s logits, ``(k_raw, v)``,
+        attention and masked logits, bytes and strides (Keyformer's prompt
+        scoring reads the last two, and its reductions follow layout)."""
+        config = ModelConfig(positional=positional, compute_dtype=dtype, n_layers=2,
+                             **BENCH_GEOMETRY)
+        model = DecoderLM(config, seed=0)
+        ids = np.random.default_rng(t).integers(0, config.vocab_size, size=(1, t))
+        logits, kv, attention, scores = model.forward_suffix(ids, store_attention=True)
+        got = {"logits": logits}
+        for i, ((k, v), a, sc) in enumerate(zip(kv, attention, scores)):
+            got.update({f"{i}.k": k, f"{i}.v": v, f"{i}.attention": a, f"{i}.scores": sc})
+        monkeypatch.setattr(MultiHeadAttention, "forward", reference_forward)
+        want = {"logits": model.forward(ids, store_attention=True)}
+        for i, block in enumerate(model.blocks):
+            (k, v), a, sc = block.attn.last_kv, block.attn.last_attention, block.attn.last_scores
+            want.update({f"{i}.k": k, f"{i}.v": v, f"{i}.attention": a, f"{i}.scores": sc})
+
+        assert got.keys() == want.keys()
+        for name, expected in want.items():
+            actual = got[name]
+            assert actual.dtype == expected.dtype, name
+            assert actual.shape == expected.shape, name
+            assert actual.strides == expected.strides, name
+            assert actual.tobytes() == expected.tobytes(), name
+
+    def test_unstored_attention_is_a_shape_only_stand_in(self):
+        """Without ``store_attention`` the pass returns one zero-strided
+        ``(B, H, T, T)`` array per layer for both tensors: nothing prompt-sized
+        is allocated for policies that never read the values."""
+        model = DecoderLM(tiny_config("rope"), seed=0)
+        ids = np.arange(12).reshape(2, 6)
+        _, kv, attention, scores = model.forward_suffix(ids)
+        assert len(kv) == len(attention) == len(scores) == len(model.blocks)
+        stand_in = attention[0]
+        assert stand_in.shape == (2, model.config.n_heads, 6, 6)
+        assert stand_in.strides == (0, 0, 0, 0) and not stand_in.any()
+        assert all(a is stand_in for a in attention + scores)
 
 
 class TestForward:
@@ -217,17 +286,15 @@ class TestForward:
         fast, _ = make_attention(positional)
         fast.to_dtype(np.float32)
         x = rng.normal(size=(2, 40, config.d_model))
-        want = exact(x, store_attention=True)
-        got = fast(x.astype(np.float32), store_attention=True)
+        want, _, (want_attn, want_scores) = _whole_prompt(exact, x)
+        got, _, (got_attn, got_scores) = _whole_prompt(fast, x.astype(np.float32))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
-        live = np.isfinite(exact.last_scores)
-        np.testing.assert_array_equal(np.isfinite(fast.last_scores), live)
-        np.testing.assert_allclose(
-            fast.last_scores[live], exact.last_scores[live], rtol=0, atol=1e-5
-        )
-        np.testing.assert_allclose(fast.last_attention, exact.last_attention, rtol=0, atol=1e-6)
+        live = np.isfinite(want_scores)
+        np.testing.assert_array_equal(np.isfinite(got_scores), live)
+        np.testing.assert_allclose(got_scores[live], want_scores[live], rtol=0, atol=1e-5)
+        np.testing.assert_allclose(got_attn, want_attn, rtol=0, atol=1e-6)
         if positional != "alibi":  # the float64 ALiBi bias promotes the scores
-            assert got.dtype == fast.last_scores.dtype == np.float32
+            assert got.dtype == got_scores.dtype == np.float32
 
     def test_attention_rows_are_distributions(self, rng):
         attn, config = make_attention("alibi")
@@ -240,14 +307,13 @@ class TestForward:
         mask = np.triu(np.ones((t, t), dtype=bool), k=1)
         assert np.all(probs[..., mask] == 0.0)
 
-    def test_store_attention_keeps_kv_and_scores(self, rng):
+    def test_prompt_pass_returns_kv_and_scores(self, rng):
         attn, config = make_attention("rope")
         x = rng.normal(size=(2, 4, config.d_model))
-        attn(x, store_attention=True)
-        k_raw, v = attn.last_kv
+        _, (k_raw, v), (_, scores) = _whole_prompt(attn, x)
         assert k_raw.shape == (2, config.n_heads, 4, config.d_head)
         assert v.shape == k_raw.shape
-        assert attn.last_scores.shape == (2, config.n_heads, 4, 4)
+        assert scores.shape == (2, config.n_heads, 4, 4)
 
     def test_backward_input_gradient_matches_fd(self, rng):
         attn, config = make_attention("rope")
@@ -285,8 +351,7 @@ class TestDecodeStep:
         attn, config = make_attention(positional)
         t = 6
         x = rng.normal(size=(1, t, config.d_model))
-        full_out = attn(x, store_attention=True)
-        k_raw, v = attn.last_kv
+        full_out, (k_raw, v), (attention, _) = _whole_prompt(attn, x)
 
         q, k_new, v_new = attn.project_qkv(x[:, -1, :])
         np.testing.assert_allclose(k_new, k_raw[:, :, -1, :], atol=1e-10)
@@ -294,18 +359,17 @@ class TestDecodeStep:
         key_positions = np.broadcast_to(np.arange(t), (1, config.n_heads, t))
         out, logits, probs = attn.attend_step(q, k_raw, v, t - 1, key_positions)
         np.testing.assert_allclose(out, full_out[:, -1, :], atol=1e-8)
-        np.testing.assert_allclose(probs[0], attn.last_attention[0, :, -1, :], atol=1e-8)
+        np.testing.assert_allclose(probs[0], attention[0, :, -1, :], atol=1e-8)
 
     def test_logits_match_stored_scores(self, rng):
         attn, config = make_attention("alibi")
         t = 5
         x = rng.normal(size=(1, t, config.d_model))
-        attn(x, store_attention=True)
-        k_raw, v = attn.last_kv
+        _, (k_raw, v), (_, scores) = _whole_prompt(attn, x)
         q, _, _ = attn.project_qkv(x[:, -1, :])
         key_positions = np.broadcast_to(np.arange(t), (1, config.n_heads, t))
         _, logits, _ = attn.attend_step(q, k_raw, v, t - 1, key_positions)
-        np.testing.assert_allclose(logits[0], attn.last_scores[0, :, -1, :], atol=1e-8)
+        np.testing.assert_allclose(logits[0], scores[0, :, -1, :], atol=1e-8)
 
     def test_project_qkv_rejects_bad_shape(self, rng):
         attn, config = make_attention("rope")
@@ -316,8 +380,7 @@ class TestDecodeStep:
         attn, config = make_attention("rope")
         t = 8
         x = rng.normal(size=(1, t, config.d_model))
-        attn(x, store_attention=True)
-        k_raw, v = attn.last_kv
+        _, (k_raw, v), _ = _whole_prompt(attn, x)
         q, _, _ = attn.project_qkv(x[:, -1, :])
         all_pos = np.broadcast_to(np.arange(t), (1, config.n_heads, t))
         full, _, _ = attn.attend_step(q, k_raw, v, t - 1, all_pos)

@@ -165,9 +165,9 @@ def _engine_chunk_rows(
     forward_suffix = model.forward_suffix
 
     def capture(*args, **kwargs):
-        logits, kv = forward_suffix(*args, **kwargs)
-        rows.append(logits[0])
-        return logits, kv
+        out = forward_suffix(*args, **kwargs)
+        rows.append(out[0][0])
+        return out
 
     model.forward_suffix = capture
     engine = ContinuousBatchingEngine(
@@ -229,13 +229,12 @@ def _shared_prefix_rows(
     model = DecoderLM(ModelConfig(positional="rope", **CHUNKED_CONFIG), seed=0)
     ids = _ids(prompt_len)
     donor = np.concatenate([ids[:, :prefix_len], _ids(donor_len - prefix_len, 1)], axis=1)
-    model.forward(donor, store_attention=True)
     table = get_rope_table(model.config.rope_dims)
     prefix_kv = [
         (table.rotate(k[:, :, :prefix_len], np.arange(prefix_len)), v[:, :, :prefix_len])
-        for k, v in model.take_prompt_tensors()[0]
+        for k, v in model.forward_suffix(donor)[1]
     ]
-    logits, _ = model.forward_suffix(ids[:, prefix_len:], prefix_kv, prefix_len)
+    logits = model.forward_suffix(ids[:, prefix_len:], prefix_kv, prefix_len)[0]
     return logits[0], model.forward(ids)[0, prefix_len:]
 
 
