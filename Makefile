@@ -25,12 +25,15 @@ test:
 test-cov:
 	$(PYTHON) -m pytest -x -q tests --cov=repro.kvcache --cov-report=term-missing --cov-fail-under=85
 
-# The BLAS row-count invariance the chunked-prefill contract rests on, and
-# that contract itself (chunks and whole prompts), under one and under two
-# OpenBLAS threads.
+# The BLAS row-count invariance the chunked-prefill contract rests on, that
+# contract itself (chunks and whole prompts), and the decode kernel's rows
+# (gemv per row: a batch row is its sequence decoded alone), under one and
+# under two OpenBLAS threads.
 BLAS_ROW_TESTS = tests/models/test_blas_rows.py \
 	tests/models/test_transformer.py::TestChunkedPrefillRowStability \
-	tests/models/test_attention.py::TestPrefillChunkIsForwardRows
+	tests/models/test_attention.py::TestPrefillChunkIsForwardRows \
+	tests/models/test_attention.py::TestDecodeStep::test_kernel_is_the_reference \
+	tests/generation/test_generator.py::TestBatchedRowsAreSoloRuns
 
 test-blas-threads:
 	OPENBLAS_NUM_THREADS=1 $(PYTHON) -m pytest -q $(BLAS_ROW_TESTS)

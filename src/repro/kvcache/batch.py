@@ -339,7 +339,9 @@ class BatchedLayerKVCache:
 
 
 class BatchedLayerView:
-    """Per-layer facade of the batched manager, mirroring ``LayerCacheView``."""
+    """Per-layer facade of the batched manager: the ``DecodeCache`` protocol
+    over rows padded to the longest sequence (``LayerCacheView`` is its solo
+    twin, whose rows are never padded)."""
 
     def __init__(self, manager: "BatchedCacheManager", layer_idx: int):
         self.manager = manager

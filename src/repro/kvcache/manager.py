@@ -3,8 +3,9 @@
 The manager owns one :class:`LayerKVCache` per decoder layer and a single
 eviction policy.  During incremental decoding each decoder block interacts
 with the manager through a :class:`LayerCacheView`, which implements the
-``LayerDecodeCache`` protocol expected by
-:meth:`repro.models.block.DecoderBlock.decode_step`:
+``DecodeCache`` protocol of
+:meth:`repro.models.block.DecoderBlock.decode_step_batch` as a batch whose
+rows are never padded (every row holds the same number of entries):
 
 1. ``append`` stores the new token's key/value;
 2. ``attention_view`` exposes keys/values plus positional indices in either
@@ -109,7 +110,12 @@ class PolicyDriver:
 
 
 class LayerCacheView:
-    """Per-layer facade implementing the model's ``LayerDecodeCache`` protocol."""
+    """Per-layer facade implementing the model's ``DecodeCache`` protocol.
+
+    The solo decode step is the ragged-batch kernel over ``B`` rows of one
+    length, so :meth:`attention_view` answers ``lengths=None`` (no row is
+    padded) and a scalar query position shared by every row.
+    """
 
     def __init__(self, manager: "CacheManager", layer_idx: int):
         self.manager = manager
@@ -121,7 +127,7 @@ class LayerCacheView:
 
     def attention_view(
         self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, None, bool]:
         """Keys/values plus positional indices for the attention step."""
         return self.manager.attention_view(self.layer_idx)
 
@@ -380,7 +386,7 @@ class CacheManager:
     # decode phase
     # ------------------------------------------------------------------
     def layer_view(self, layer_idx: int) -> LayerCacheView:
-        """The per-layer facade handed to ``DecoderBlock.decode_step``."""
+        """The per-layer facade handed to ``DecoderBlock.decode_step_batch``."""
         if not (0 <= layer_idx < self.n_layers):
             raise IndexError(f"layer index {layer_idx} out of range")
         return LayerCacheView(self, layer_idx)
@@ -396,10 +402,12 @@ class CacheManager:
 
     def attention_view(
         self, layer_idx: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
-        """``(keys, values, key_positions, query_positions, keys_rotated)``.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, None, bool]:
+        """``(keys, values, key_positions, query_positions, None,
+        keys_rotated)``: the ``DecodeCache`` view, no row padded.
 
-        With rotated-key caching active, ``keys`` are already RoPE-rotated at
+        ``query_positions`` is a 0-d array shared by every row.  With
+        rotated-key caching active, ``keys`` are already RoPE-rotated at
         their original positions (``keys_rotated=True``) and the attention
         step skips its own key rotation.
         """
@@ -421,7 +429,7 @@ class CacheManager:
             key_positions = cache.renumbered_positions()
             query_positions = np.asarray(cache.length - 1)
         self._step_lengths.append(cache.length)
-        return keys, cache.values, key_positions, query_positions, keys_rotated
+        return keys, cache.values, key_positions, query_positions, None, keys_rotated
 
     def observe(self, layer_idx: int, logits: np.ndarray, probs: np.ndarray) -> None:
         """Run the policy on the step's attention tensors; apply evictions."""

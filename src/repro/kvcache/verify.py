@@ -20,7 +20,7 @@ class VerifyView:
     :meth:`repro.models.transformer.DecoderLM.decode_step_batch` over ``S``
     rows that all read the *same* cache: row ``i`` is the sequence as it
     stood after tokens ``0..i`` were appended (``lengths[i] = L-S+1+i``).
-    This view implements the model's ``BatchedLayerDecodeCache`` protocol
+    This view implements the model's ``DecodeCache`` protocol
     that way for both cache managers, so verification runs the batched
     kernel unmodified and inherits its batched-equals-solo bit contract.
 

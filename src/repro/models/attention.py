@@ -2,11 +2,13 @@
 
 The training path (:meth:`MultiHeadAttention.forward` / ``backward``) operates
 on full sequences and supports manual backpropagation.  The decode path is
-split into three stateless steps (``project_step``, ``attend_step`` and the
-output projection inside ``attend_step``) so that the KV-cache manager in
-:mod:`repro.kvcache` can interpose between the key/value projection and the
-actual attention computation — that is exactly where Keyformer and the
-baseline policies observe attention logits and evict tokens.
+two stateless steps, ``project_qkv`` (or its row-exact twin
+``project_qkv_rows``) and ``attend_step_batch`` with the output projection,
+so that the KV-cache manager in :mod:`repro.kvcache` can interpose between
+the key/value projection and the actual attention computation — that is
+exactly where Keyformer and the baseline policies observe attention logits
+and evict tokens.  One decode kernel serves every caller: a solo cache is a
+batch whose rows are not padded.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ class MultiHeadAttention(Module):
         b, _, s, _ = q_rot.shape
         end = k_rot.shape[2]
         start = end - s
-        # Same dtype rule as attend_step: float64 is the bit-parity dtype and
+        # Same dtype rule as the decode kernel: float64 is the bit-parity dtype and
         # keeps einsum's exact reduction order; any other dtype runs within a
         # documented tolerance, so it takes the BLAS batched matmul.
         scale = self._scale
@@ -341,147 +343,63 @@ class MultiHeadAttention(Module):
         v = self.w_v.forward_rows(x).reshape(b, self.n_heads, self.d_head)
         return q, k, v
 
-    def attend_step(
-        self,
-        q: np.ndarray,
-        keys: np.ndarray,
-        values: np.ndarray,
-        query_positions: np.ndarray | int,
-        key_positions: np.ndarray,
-        keys_rotated: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Attend a single query token over cached keys/values.
-
-        Parameters
-        ----------
-        q:
-            Query of shape ``(batch, n_heads, d_head)`` (unrotated).
-        keys, values:
-            Cached tensors of shape ``(batch, n_heads, L, d_head)``.
-        query_positions:
-            Position index of the query token (scalar or ``(batch,)``).
-        key_positions:
-            Positions of the cached keys, shape ``(batch, n_heads, L)``.
-        keys_rotated:
-            When true, ``keys`` already carry RoPE at ``key_positions`` (the
-            KV cache maintains rotated keys incrementally) and only the query
-            is rotated here — the per-step O(L) key re-rotation disappears.
-
-        Returns
-        -------
-        ``(output, logits, probs)`` where ``output`` has shape
-        ``(batch, d_model)``, and ``logits`` / ``probs`` have shape
-        ``(batch, n_heads, L)``.  ``logits`` are the *unnormalized* scaled
-        dot-product values (the :math:`x_i` of Eq. 4 in the paper), which the
-        Keyformer score function perturbs with Gumbel noise.
-        """
-        b = q.shape[0]
-        query_positions = np.asarray(query_positions)
-
-        if self.positional == "rope":
-            if self._rope_table is not None and query_positions.ndim == 0:
-                # Steady-state decode: one scalar query position.
-                q_rot = self._rope_table.rotate_uniform(q, int(query_positions))
-            else:
-                q_pos = query_positions if query_positions.ndim else query_positions[None]
-                if q_pos.shape != (b,):
-                    q_pos = np.broadcast_to(q_pos, (b,))
-                if self._rope_table is not None:
-                    q_rot = self._rope_table.rotate(q, q_pos[:, None])
-                else:
-                    q_rot = rope_rotate(q, q_pos[:, None], self.rope_dims)
-            if keys_rotated:
-                k_rot = keys
-            elif self._rope_table is not None:
-                k_rot = self._rope_table.rotate(keys, key_positions)
-            else:
-                k_rot = rope_rotate(keys, key_positions, self.rope_dims)
-        else:
-            q_rot, k_rot = q, keys
-
-        scale = self._scale
-        if q_rot.dtype == np.float64:
-            # float64 is the bit-parity dtype: keep einsum's exact reduction
-            # order so generation stays token-identical with the reference.
-            logits = np.einsum("bhd,bhld->bhl", q_rot, k_rot) * scale
-        else:
-            # float32 inference runs within a documented tolerance, so use the
-            # (much faster) BLAS batched matmul kernel.
-            logits = (q_rot[:, :, None, :] @ k_rot.swapaxes(-1, -2))[:, :, 0, :] * scale
-
-        if self.positional == "alibi":
-            logits = logits + alibi_bias_step(self.n_heads, query_positions, key_positions)
-
-        probs = ops.softmax(logits, axis=-1)
-        if probs.dtype == np.float64:
-            ctx = np.einsum("bhl,bhld->bhd", probs, values)
-        else:
-            ctx = (probs[:, :, None, :] @ values)[:, :, 0, :]
-        out = self.w_o(ctx.reshape(b, self.d_model))
-        return out, logits, probs
-
     # ------------------------------------------------------------------
-    # ragged-batch decode path (continuous batching)
+    # the decode kernel (solo, continuous batching, speculative verify)
     # ------------------------------------------------------------------
     def attend_step_batch(
         self,
         q: np.ndarray,
         keys: np.ndarray,
         values: np.ndarray,
-        query_positions: np.ndarray,
+        query_positions: np.ndarray | int,
         key_positions: np.ndarray,
-        lengths: np.ndarray,
+        lengths: np.ndarray | None = None,
         keys_rotated: bool = False,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Attend one query token per sequence over a ragged batch of caches.
+        """Attend one query token per sequence over a batch of caches.
 
-        ``keys``/``values``/``key_positions`` are padded to the longest
-        sequence (``L_max``); row ``b`` holds ``lengths[b]`` live entries.
-        ``query_positions`` has shape ``(batch,)`` — one position per
-        sequence, since sequences in a continuous batch are at different
-        decoding depths.
+        ``q`` is ``(batch, heads, d_head)``, unrotated.  ``keys``/``values``
+        (``(batch, heads, L, d_head)``) and ``key_positions`` (``(batch,
+        heads, L)``) are padded to the longest row: row ``b`` holds
+        ``lengths[b]`` live entries, and ``lengths=None`` means no row is
+        padded (a solo cache).  ``query_positions`` is one scalar for every
+        row or ``(batch,)`` — rows of a continuous batch decode at different
+        depths.  With ``keys_rotated`` the keys already carry RoPE at
+        ``key_positions`` (the cache keeps rotated keys), so only the query is
+        rotated here.
 
-        Two execution modes, selected by dtype (same convention as
-        :meth:`attend_step`):
+        Two execution modes, selected by dtype:
 
         * **float64 (bit-parity)** — logits come from one padded einsum (the
           reduction runs over ``d_head`` only, so padding cannot perturb live
-          entries), while softmax and the value reduction run per sequence on
-          exact-length slices: summing over a padded axis would regroup the
-          pairwise reduction and break bit-equality with a sequence decoded
-          alone.  The output projection uses the row-exact kernel.
+          entries), while softmax and the value reduction of a padded batch
+          run per sequence on exact-length slices: summing over a padded axis
+          would regroup the pairwise reduction and break bit-equality with a
+          sequence decoded alone.  The output projection uses the row-exact
+          kernel.
         * **float32 (throughput)** — padded slots are masked to ``-inf`` and
           the whole batch runs through BLAS softmax/matmul in one shot,
           within the documented float32 tolerance.
 
         Returns ``(output, logits, probs)`` shaped ``(batch, d_model)`` and
-        ``(batch, heads, L_max)``; rows of ``logits``/``probs`` are valid up
-        to ``lengths[b]`` entries (beyond that: unmasked garbage at float64,
-        ``-inf``/``0`` at float32).
+        ``(batch, heads, L)``.  ``logits`` are the *unnormalized* scaled
+        dot products (the :math:`x_i` of Eq. 4 in the paper), which the
+        Keyformer score function perturbs with Gumbel noise.  Rows are valid
+        up to ``lengths[b]`` entries (beyond that: unmasked garbage at
+        float64, ``-inf``/``0`` at float32).
         """
         r = q.shape[0]
-        lengths = np.asarray(lengths)
         query_positions = np.asarray(query_positions)
-
-        if self.positional == "rope":
-            # Per-row positions; elementwise, hence bit-identical per row to
-            # the scalar-position rotation of the single-sequence path.
-            if self._rope_table is not None:
-                q_rot = self._rope_table.rotate(q, query_positions[:, None])
-                k_rot = (
-                    keys
-                    if keys_rotated
-                    else self._rope_table.rotate(keys, key_positions)
-                )
-            else:
-                q_rot = rope_rotate(q, query_positions[:, None], self.rope_dims)
-                k_rot = (
-                    keys
-                    if keys_rotated
-                    else rope_rotate(keys, key_positions, self.rope_dims)
-                )
-        else:
+        table = self._rope_table
+        if table is None:  # no RoPE, or no rotated dimension
             q_rot, k_rot = q, keys
+        else:
+            # Elementwise, hence bit-identical per row to a solo rotation.
+            if query_positions.ndim == 0:
+                q_rot = table.rotate_uniform(q, int(query_positions))
+            else:
+                q_rot = table.rotate(q, query_positions[:, None])
+            k_rot = keys if keys_rotated else table.rotate(keys, key_positions)
 
         scale = self._scale
         exact = q_rot.dtype == np.float64
@@ -495,12 +413,13 @@ class MultiHeadAttention(Module):
         if self.positional == "alibi":
             logits = logits + alibi_bias_step(self.n_heads, query_positions, key_positions)
 
+        max_len = logits.shape[-1]
+        # A batch at one depth (the steady state of a fixed kv_budget policy)
+        # has no padding, and softmax/einsum reduce each row independently:
+        # one batched call is bitwise equal to the per-row loop.
+        padded = lengths is not None and (r == 0 or int(np.min(lengths)) < max_len)
         if exact:
-            if r > 0 and int(lengths.min()) == logits.shape[-1]:
-                # All sequences at the same depth (steady state of a fixed
-                # kv_budget policy): no padding exists, and softmax/einsum
-                # reduce each row independently — one batched call is bitwise
-                # equal to the per-row loop.
+            if not padded:
                 probs = ops.softmax(logits, axis=-1)
                 ctx = np.einsum("bhl,bhld->bhd", probs, values)
             else:
@@ -515,10 +434,14 @@ class MultiHeadAttention(Module):
                     )[0]
             out = self.w_o.forward_rows(ctx.reshape(r, self.d_model))
         else:
-            max_len = logits.shape[-1]
-            mask = np.arange(max_len) >= lengths[:, None, None]
-            logits = np.where(mask, -np.inf, logits)
+            if padded:
+                mask = np.arange(max_len) >= np.asarray(lengths)[:, None, None]
+                logits = np.where(mask, -np.inf, logits)
             probs = ops.softmax(logits, axis=-1)
             ctx = (probs[:, :, None, :] @ values)[:, :, 0, :]
             out = self.w_o(ctx.reshape(r, self.d_model))
         return out, logits, probs
+
+    #: The solo name of the one decode kernel (kept for the span tracer's
+    #: target list).
+    attend_step = attend_step_batch

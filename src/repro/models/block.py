@@ -11,22 +11,19 @@ from repro.models.config import ModelConfig
 from repro.models.layers import LayerNorm, Module
 from repro.models.mlp import MLP
 
-__all__ = [
-    "DecoderBlock",
-    "LayerDecodeCache",
-    "BatchedLayerDecodeCache",
-]
+__all__ = ["DecoderBlock", "DecodeCache"]
 
 
-class BatchedLayerDecodeCache(Protocol):
-    """Interface a ragged-batch KV cache must implement for continuous batching.
+class DecodeCache(Protocol):
+    """Interface a per-layer KV cache implements for incremental decoding.
 
-    Mirrors :class:`LayerDecodeCache`, but every tensor carries one row per
-    in-flight sequence and ``attention_view`` additionally returns per-row
-    live lengths (rows are padded to the longest sequence).  The concrete
-    implementations are :class:`repro.kvcache.batch.BatchedLayerView` and,
-    for the rows-of-one-sequence batch of speculative verification,
-    :class:`repro.kvcache.verify.VerifyView`.
+    Every tensor carries one row per sequence; rows may be padded to the
+    longest one.  The concrete implementations live in :mod:`repro.kvcache`
+    — :class:`~repro.kvcache.manager.LayerCacheView` (solo: no padded row),
+    :class:`~repro.kvcache.batch.BatchedLayerView` (continuous batching) and
+    :class:`~repro.kvcache.verify.VerifyView` (the rows-of-one-sequence batch
+    of speculative verification) — so the model substrate stays independent
+    of the eviction policies layered on top of it.
     """
 
     def append(self, k: np.ndarray, v: np.ndarray) -> None:
@@ -34,38 +31,15 @@ class BatchedLayerDecodeCache(Protocol):
 
     def attention_view(
         self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, bool]:
         """Return ``(keys, values, key_positions, query_positions, lengths,
-        keys_rotated)`` — padded to the longest row; ``lengths[b]`` gives row
-        ``b``'s live entry count and ``query_positions`` is per-row."""
+        keys_rotated)``: ``lengths[b]`` is row ``b``'s live entry count, or
+        ``None`` when no row is padded; ``query_positions`` is a scalar or
+        per-row; ``keys_rotated`` says ``keys`` already carry RoPE at
+        ``key_positions``, so the attention step must not rotate them again."""
 
     def observe(self, logits: np.ndarray, probs: np.ndarray) -> None:
-        """Feed padded attention logits/probabilities to per-sequence policies."""
-
-
-class LayerDecodeCache(Protocol):
-    """Interface a per-layer KV cache must implement for incremental decoding.
-
-    The concrete implementation lives in :mod:`repro.kvcache`; decoder blocks
-    only rely on this protocol so the model substrate stays independent of the
-    eviction policies layered on top of it.
-    """
-
-    def append(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Store the key/value of the newly produced token."""
-
-    def attention_view(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
-        """Return ``(keys, values, key_positions, query_positions, keys_rotated)``.
-
-        ``keys_rotated`` signals that ``keys`` already carry RoPE at the given
-        key positions (incrementally maintained by the cache), so the
-        attention step must not rotate them again.
-        """
-
-    def observe(self, logits: np.ndarray, probs: np.ndarray) -> None:
-        """Feed attention logits/probabilities to the eviction policy."""
+        """Feed the step's attention logits/probabilities to the eviction policies."""
 
 
 class DecoderBlock(Module):
@@ -130,37 +104,15 @@ class DecoderBlock(Module):
     # ------------------------------------------------------------------
     # incremental decode path
     # ------------------------------------------------------------------
-    def decode_step(self, x: np.ndarray, layer_cache: LayerDecodeCache) -> np.ndarray:
-        """Process one token through the block using a per-layer KV cache.
-
-        ``x`` has shape ``(batch, d_model)``.  The cache appends the new
-        key/value, exposes the retained keys/values with their positions, and
-        observes the attention logits/probabilities so its eviction policy
-        (Keyformer, H2O, window, ...) can update token scores and evict.
-        """
-        a_in = self.ln_attn(x)
-        q, k, v = self.attn.project_qkv(a_in)
-        layer_cache.append(k, v)
-        keys, values, key_positions, query_positions, keys_rotated = (
-            layer_cache.attention_view()
-        )
-        attn_out, logits, probs = self.attn.attend_step(
-            q, keys, values, query_positions, key_positions, keys_rotated=keys_rotated
-        )
-        layer_cache.observe(logits, probs)
-        x = x + attn_out
-        return x + self.mlp(self.ln_mlp(x))
-
-    def decode_step_batch(
-        self, x: np.ndarray, layer_cache: BatchedLayerDecodeCache
-    ) -> np.ndarray:
-        """Process one token per in-flight sequence through the block.
+    def decode_step_batch(self, x: np.ndarray, layer_cache: DecodeCache) -> np.ndarray:
+        """Process one token per sequence through the block.
 
         ``x`` has shape ``(batch, d_model)`` with one row per sequence; each
-        sequence attends over its own (ragged) cache row.  At float64 the
-        projections use the row-exact kernels, making every row bit-identical
-        to :meth:`decode_step` on that sequence alone; at float32 the
-        projections run as one batched BLAS matmul (documented tolerance).
+        sequence attends over its own (possibly padded) cache row, and the
+        cache's policies observe the attention logits/probabilities and may
+        evict.  At float64 the projections use the row-exact kernels, making
+        every row bit-identical to that sequence decoded alone; at float32
+        they run as one batched BLAS matmul (documented tolerance).
         """
         exact = x.dtype == np.float64
         a_in = self.ln_attn(x)

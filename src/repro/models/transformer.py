@@ -7,11 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.models import tensor_ops as ops
-from repro.models.block import (
-    BatchedLayerDecodeCache,
-    DecoderBlock,
-    LayerDecodeCache,
-)
+from repro.models.block import DecodeCache, DecoderBlock
 from repro.models.config import ModelConfig
 from repro.models.layers import Embedding, LayerNorm, Linear, Module, dot_rows
 
@@ -29,13 +25,13 @@ class DecoderLM(Module):
     * ``"learned"`` — absolute position embeddings added to token embeddings
       (Cerebras-GPT family).
 
-    Two execution paths are provided:
+    Three execution paths are provided:
 
     * :meth:`forward` / :meth:`backward` / :meth:`loss` — full-sequence
       training (and attention analysis);
     * :meth:`forward_suffix` — the inference prompt pass, whole or chunked;
-    * :meth:`embed_step` + :meth:`DecoderBlock.decode_step` +
-      :meth:`lm_logits` — incremental decoding with a pluggable KV cache.
+    * :meth:`decode_step_batch` — incremental decoding with a pluggable KV
+      cache, for one sequence or a ragged batch.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
@@ -247,40 +243,22 @@ class DecoderLM(Module):
     # ------------------------------------------------------------------
     # incremental decode path
     # ------------------------------------------------------------------
-    def decode_step(
-        self,
-        token_ids: np.ndarray,
-        positions: np.ndarray | int,
-        layer_caches: Sequence[LayerDecodeCache],
-    ) -> np.ndarray:
-        """Run one decoding step through all layers using per-layer caches.
-
-        Returns the vocabulary logits for the new token, shape ``(B, vocab)``.
-        """
-        if len(layer_caches) != len(self.blocks):
-            raise ValueError(
-                f"expected {len(self.blocks)} layer caches, got {len(layer_caches)}"
-            )
-        h = self.embed_step(token_ids, positions)
-        for block, cache in zip(self.blocks, layer_caches):
-            h = block.decode_step(h, cache)
-        h = self.ln_final(h)
-        return self.lm_logits(h)
-
     def decode_step_batch(
         self,
         token_ids: np.ndarray,
-        positions: np.ndarray,
-        layer_caches: Sequence[BatchedLayerDecodeCache],
+        positions: np.ndarray | int,
+        layer_caches: Sequence[DecodeCache],
     ) -> np.ndarray:
-        """One decoding step for a ragged batch of independent sequences.
+        """One decoding step for a batch of independent sequences.
 
-        ``token_ids`` and ``positions`` have shape ``(batch,)`` — each
-        sequence contributes one token at its own position.  Embedding,
-        layer norms and activations are row-independent; projections use the
-        row-exact kernels at float64 — so each row of the returned logits
-        ``(batch, vocab)`` is bit-identical to :meth:`decode_step` run on
-        that sequence alone.  At float32, projections run fully batched.
+        ``token_ids`` has shape ``(batch,)``: each sequence contributes one
+        token.  ``positions`` is one scalar for every row (a solo cache) or
+        ``(batch,)`` (rows at their own depths); each cache's
+        ``attention_view`` may answer ``lengths=None`` when no row is padded.
+        Embedding, layer norms and activations are row-independent;
+        projections use the row-exact kernels at float64 — so each row of the
+        returned logits ``(batch, vocab)`` is bit-identical to that sequence
+        decoded alone.  At float32, projections run fully batched.
         """
         if len(layer_caches) != len(self.blocks):
             raise ValueError(
@@ -293,6 +271,10 @@ class DecoderLM(Module):
         if h.dtype == np.float64:
             return self.lm_logits_rows(h)
         return self.lm_logits(h)
+
+    #: The solo name of the one decode step (kept for the span tracer's
+    #: target list).
+    decode_step = decode_step_batch
 
     def lm_logits_rows(self, hidden: np.ndarray) -> np.ndarray:
         """Row-exact LM head for 2-D hidden states (bit-parity decode path)."""

@@ -10,7 +10,7 @@ from repro.core.config import KeyformerConfig
 from repro.core.keyformer import KeyformerPolicy
 from repro.core.registry import make_policy
 from repro.generation.generator import Generator
-from repro.models.config import GenerationConfig
+from repro.models.config import GenerationConfig, ModelConfig
 from repro.models.tensor_ops import log_softmax
 from repro.models.transformer import DecoderLM
 from repro.serving.engine import ContinuousBatchingEngine
@@ -52,6 +52,39 @@ class TestFullCacheEquivalence:
             expected_logprob += float(log_softmax(logits[0, -1])[token])
             sequence.append(token)
         np.testing.assert_allclose(result.log_probs[0], expected_logprob, atol=1e-8)
+
+
+class TestBatchedRowsAreSoloRuns:
+    """At float64 each row of a batched ``generate`` is that prompt generated
+    alone, bit for bit.  The batch decodes through the one decode kernel,
+    whose float64 projections are one BLAS gemv per row; a ``(B, d)`` GEMM
+    rounds differently from ``(1, d)``, so this fails where a batch shares a
+    GEMM.  Keyformer is excluded: a batch shares one Gumbel noise stream, so
+    a row's draws depend on the rows beside it."""
+
+    @pytest.mark.parametrize("policy", ["full", "window", "h2o"])
+    @pytest.mark.parametrize("positional", ["rope", "alibi", "learned"])
+    def test_rows_equal_solo_runs(self, positional, policy):
+        config = ModelConfig(
+            positional=positional, vocab_size=256, d_model=128, n_heads=8, d_ff=512,
+            n_layers=2, max_seq_len=128,
+        )
+        model = DecoderLM(config, seed=0)
+        prompts = np.random.default_rng(7).integers(0, config.vocab_size, size=(4, 40))
+        gen_config = GenerationConfig(max_new_tokens=12)
+
+        def generate(prompt):
+            generator = Generator(model, make_policy(policy, kv_fraction=0.5))
+            return generator.generate(prompt, gen_config)
+
+        batch = generate(prompts)
+        for b, prompt in enumerate(prompts):
+            solo = generate(prompt)
+            assert batch.sequences[b] == solo.sequences[0], b
+            assert (
+                np.float64(batch.log_probs[b]).tobytes()
+                == np.float64(solo.log_probs[0]).tobytes()
+            ), b
 
 
 class TestGenerationBehaviour:

@@ -61,7 +61,9 @@ class TestDecodeFlow:
         k = rng.normal(size=(1, N_HEADS, D_HEAD))
         v = rng.normal(size=(1, N_HEADS, D_HEAD))
         view.append(k, v)
-        keys, values, key_pos, query_pos, keys_rotated = view.attention_view()
+        keys, values, key_pos, query_pos, lengths, keys_rotated = view.attention_view()
+        assert lengths is None  # a solo cache pads no row
+        assert query_pos.ndim == 0  # one query position shared by every row
         assert keys_rotated is False  # no rope_dims configured in these tests
         # attention_view returns live views into the slab; snapshot them before
         # observe() may evict (the decode path consumes them before observing).

@@ -1,4 +1,5 @@
-"""Tests for multi-head attention: masking, gradients and decode-path equivalence."""
+"""Tests for multi-head attention: masking, gradients and the prompt and decode
+kernels against dense references."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from repro.models import tensor_ops as ops
 from repro.models.attention import _ROW_BLOCK, MultiHeadAttention
 from repro.models.config import ModelConfig
-from repro.models.positional import alibi_bias_matrix, rope_rotate
+from repro.models.positional import alibi_bias_matrix, alibi_slopes, rope_rotate
 from repro.models.transformer import DecoderLM
 from tests.conftest import tiny_config
 
@@ -80,6 +81,44 @@ def reference_forward(self, x, positions=None, store_attention=False):
         "scale": scale,
     }
     return out
+
+
+def reference_attend_step(
+    attn, q, keys, values, query_positions, key_positions, lengths=None
+):
+    """The solo decode step the one decode kernel replaced, written densely.
+
+    One unrotated query per row over whole rows of raw cached keys: RoPE by
+    :func:`rope_rotate` without the table fast path, scores by einsum at
+    float64 and matmul below, the ALiBi bias from the slopes, softmax, A·V by
+    einsum for float64 probabilities and matmul below, then the output
+    projection.  ``lengths`` first masks each row's padded slots to ``-inf``
+    (a padded batch's float32 semantics).  Returns ``(output, logits,
+    probs)`` as ``MultiHeadAttention.attend_step_batch`` does.
+    """
+    b = q.shape[0]
+    query_positions = np.asarray(query_positions)
+    if attn.positional == "rope":
+        q_pos = query_positions[:, None] if query_positions.ndim else query_positions
+        q = rope_rotate(q, q_pos, attn.rope_dims)
+        keys = rope_rotate(keys, key_positions, attn.rope_dims)
+    if q.dtype == np.float64:
+        logits = np.einsum("bhd,bhld->bhl", q, keys)
+    else:
+        logits = (q[:, :, None, :] @ keys.swapaxes(-1, -2))[:, :, 0, :]
+    logits = logits * attn._scale
+    if attn.positional == "alibi":
+        distance = query_positions.astype(np.float64)[..., None, None] - key_positions
+        logits = logits + -alibi_slopes(attn.n_heads)[:, None] * np.maximum(distance, 0.0)
+    if lengths is not None:
+        padded = np.arange(logits.shape[-1]) >= np.asarray(lengths)[:, None, None]
+        logits = np.where(padded, -np.inf, logits)
+    probs = ops.softmax(logits, axis=-1)
+    if probs.dtype == np.float64:
+        ctx = np.einsum("bhl,bhld->bhd", probs, values)
+    else:
+        ctx = (probs[:, :, None, :] @ values)[:, :, 0, :]
+    return attn.w_o(ctx.reshape(b, attn.d_model)), logits, probs
 
 
 #: Positional families of the reference grid: name -> ``tiny_config`` args.
@@ -280,7 +319,7 @@ class TestForward:
     @pytest.mark.parametrize("positional", ["rope", "alibi", "none"])
     def test_float32_forward_stays_close_to_float64(self, positional, rng):
         """Below float64 the two prompt GEMMs run through BLAS matmul (the
-        dtype rule of ``attend_step``); outputs, stored logits and stored
+        dtype rule of the decode kernel); outputs, stored logits and stored
         probabilities stay within float32 rounding of the exact path."""
         exact, config = make_attention(positional)
         fast, _ = make_attention(positional)
@@ -343,7 +382,72 @@ class TestForward:
         np.testing.assert_allclose(dx.reshape(-1)[sampled], flat_num[sampled], atol=1e-5)
 
 
+#: Live lengths per row of the decode grid: one row, a batch at one depth
+#: (the solo manager's, no padding), and a ragged continuous batch.
+DECODE_ROWS = {"one": [13], "equal": [13] * 4, "ragged": [9, 5, 13, 7]}
+
+
+def _decode_inputs(attn, rows, dtype, seed=0):
+    """Random ``(q, keys, values, query_positions, key_positions, lengths)``
+    for :data:`DECODE_ROWS` ``rows``: key positions with eviction gaps, a
+    scalar query position and ``lengths=None`` unless the batch is ragged."""
+    rng = np.random.default_rng(seed)
+    live = np.asarray(DECODE_ROWS[rows])
+    batch, width, heads, d = len(live), int(live.max()), attn.n_heads, attn.d_head
+    q = rng.normal(size=(batch, heads, d)).astype(dtype)
+    keys = rng.normal(size=(batch, heads, width, d)).astype(dtype)
+    values = rng.normal(size=(batch, heads, width, d)).astype(dtype)
+    query_positions = 40 + live
+    key_positions = np.sort(
+        [[rng.choice(int(p), width, replace=False) for _ in range(heads)] for p in query_positions]
+    )
+    if rows == "ragged":
+        return q, keys, values, query_positions, key_positions, live
+    return q, keys, values, np.asarray(query_positions[0]), key_positions, None
+
+
 class TestDecodeStep:
+    @pytest.mark.parametrize("rows", sorted(DECODE_ROWS))
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("family", sorted(REFERENCE_POSITIONAL))
+    def test_kernel_is_the_reference(self, family, dtype, rows):
+        """``attend_step_batch`` against :func:`reference_attend_step`, bytes.
+
+        At float64 every row is the reference on that row alone, at its live
+        length (the batched-equals-solo contract); below float64 the batch is
+        the reference on the batch.  The one exception is float32 ALiBi: the
+        float64 bias promotes the probabilities and the kernel reduces A·V by
+        matmul where the solo step used einsum, so its output is held to the
+        float32 tolerance (a recorded bit change; logits and probabilities
+        stay exact).
+        """
+        positional, extra = REFERENCE_POSITIONAL[family]
+        attn = MultiHeadAttention(tiny_config(positional, **extra), np.random.default_rng(0))
+        attn.to_dtype(dtype)
+        q, keys, values, q_pos, k_pos, lengths = _decode_inputs(attn, rows, dtype)
+        out, logits, probs = attn.attend_step_batch(q, keys, values, q_pos, k_pos, lengths)
+        if dtype == "float64":
+            cases = []
+            for b, live in enumerate(DECODE_ROWS[rows]):
+                row_q_pos = q_pos if q_pos.ndim == 0 else q_pos[b]
+                want = reference_attend_step(
+                    attn, q[b : b + 1], keys[b : b + 1, :, :live],
+                    values[b : b + 1, :, :live], row_q_pos, k_pos[b : b + 1, :, :live],
+                )
+                got = out[b : b + 1], logits[b : b + 1, :, :live], probs[b : b + 1, :, :live]
+                cases.append((got, want))
+        else:
+            want = reference_attend_step(attn, q, keys, values, q_pos, k_pos, lengths)
+            cases = [((out, logits, probs), want)]
+        for got, want in cases:
+            for name, actual, expected in zip(("output", "logits", "probs"), got, want):
+                assert actual.dtype == expected.dtype, name
+                assert actual.shape == expected.shape, name
+                if name == "output" and family == "alibi" and dtype == "float32":
+                    np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-5)
+                else:
+                    assert actual.tobytes() == expected.tobytes(), name
+
     @pytest.mark.parametrize("positional", ["rope", "alibi", "learned"])
     def test_decode_matches_full_forward_last_row(self, positional, rng):
         """Attending a single query over cached keys must reproduce the last row
@@ -357,7 +461,7 @@ class TestDecodeStep:
         np.testing.assert_allclose(k_new, k_raw[:, :, -1, :], atol=1e-10)
 
         key_positions = np.broadcast_to(np.arange(t), (1, config.n_heads, t))
-        out, logits, probs = attn.attend_step(q, k_raw, v, t - 1, key_positions)
+        out, logits, probs = attn.attend_step_batch(q, k_raw, v, t - 1, key_positions)
         np.testing.assert_allclose(out, full_out[:, -1, :], atol=1e-8)
         np.testing.assert_allclose(probs[0], attention[0, :, -1, :], atol=1e-8)
 
@@ -368,7 +472,7 @@ class TestDecodeStep:
         _, (k_raw, v), (_, scores) = _whole_prompt(attn, x)
         q, _, _ = attn.project_qkv(x[:, -1, :])
         key_positions = np.broadcast_to(np.arange(t), (1, config.n_heads, t))
-        _, logits, _ = attn.attend_step(q, k_raw, v, t - 1, key_positions)
+        _, logits, _ = attn.attend_step_batch(q, k_raw, v, t - 1, key_positions)
         np.testing.assert_allclose(logits[0], scores[0, :, -1, :], atol=1e-8)
 
     def test_project_qkv_rejects_bad_shape(self, rng):
@@ -383,10 +487,10 @@ class TestDecodeStep:
         _, (k_raw, v), _ = _whole_prompt(attn, x)
         q, _, _ = attn.project_qkv(x[:, -1, :])
         all_pos = np.broadcast_to(np.arange(t), (1, config.n_heads, t))
-        full, _, _ = attn.attend_step(q, k_raw, v, t - 1, all_pos)
+        full, _, _ = attn.attend_step_batch(q, k_raw, v, t - 1, all_pos)
         subset = np.arange(t - 3, t)
         sub_pos = np.broadcast_to(subset, (1, config.n_heads, 3))
-        reduced, _, probs = attn.attend_step(
+        reduced, _, probs = attn.attend_step_batch(
             q, k_raw[:, :, subset, :], v[:, :, subset, :], t - 1, sub_pos
         )
         assert not np.allclose(full, reduced)

@@ -19,6 +19,7 @@ from repro.models.config import ModelConfig
 from repro.models.layers import Linear
 from repro.models.mlp import MLP
 from repro.models.transformer import DecoderLM
+from tests.models.test_attention import reference_attend_step
 
 
 def _config(positional="rope", **overrides) -> ModelConfig:
@@ -77,8 +78,8 @@ class TestRowExactKernels:
 class TestAttendStepBatch:
     @pytest.mark.parametrize("positional", ["rope", "alibi", "none"])
     def test_ragged_rows_bitwise_equal_solo_attention(self, positional):
-        """Each row of the padded ragged attention step must match the
-        single-sequence ``attend_step`` on that row's exact-length cache."""
+        """Each row of the padded ragged attention step must match the dense
+        solo reference on that row's exact-length cache."""
         rng = np.random.default_rng(4)
         attn = MultiHeadAttention(_config(positional), rng)
         batch, heads, d_head = 4, attn.n_heads, attn.d_head
@@ -95,7 +96,8 @@ class TestAttendStepBatch:
         )
         for b in range(batch):
             live = int(lengths[b])
-            solo_out, solo_logits, solo_probs = attn.attend_step(
+            solo_out, solo_logits, solo_probs = reference_attend_step(
+                attn,
                 q[b : b + 1],
                 keys[b : b + 1, :, :live],
                 values[b : b + 1, :, :live],
@@ -107,7 +109,7 @@ class TestAttendStepBatch:
             np.testing.assert_array_equal(probs[b, :, :live], solo_probs[0])
 
     def test_equal_length_fast_path_bitwise(self):
-        """The no-padding batched softmax path must equal the per-row loop."""
+        """The no-padding batched softmax path must equal each row alone."""
         rng = np.random.default_rng(5)
         attn = MultiHeadAttention(_config("rope"), rng)
         batch, heads, d_head = 3, attn.n_heads, attn.d_head
@@ -122,7 +124,8 @@ class TestAttendStepBatch:
             q, keys, values, query_positions, key_positions, lengths
         )
         for b in range(batch):
-            solo_out, solo_logits, solo_probs = attn.attend_step(
+            solo_out, solo_logits, solo_probs = reference_attend_step(
+                attn,
                 q[b : b + 1],
                 keys[b : b + 1],
                 values[b : b + 1],
