@@ -18,8 +18,9 @@ single implementation of append/extend/gather for a set of rows:
   prefix instead of storing a duplicate.
 
 The attention step consumes padded ``(rows, heads, max_len, d)`` tensors
-assembled by a page-gather per row (zero-copy when a lone row sits on
-physically contiguous pages).  Bit-exactness contract: every stored value is
+kept in a workspace that page-gathers only the tokens a row appended since
+its last read (a row whose table was rewritten is read whole; a lone row on
+contiguous pages is zero-copy).  Bit-exactness contract: every stored value is
 produced by the same per-token elementwise operations as the single-sequence
 cache, so row ``b`` of the padded view restricted to ``lengths[b]`` entries
 is bit-identical to the cache of a sequence decoded alone.
@@ -133,11 +134,12 @@ class BatchedLayerKVCache:
         self.rope_dims = pool.rope_dims
         self.tables: list[PageTable] = [PageTable() for _ in range(max_batch)]
         # Persistent padded-batch workspace (keys, values, positions), grown
-        # on demand: the per-step batch read re-fills live entries in place
-        # instead of allocating and zeroing fresh buffers every step.  Zero
-        # initialization (and only ever overwriting with stored values) keeps
-        # padding slots finite for the masked float32 path.
+        # on demand.  A row slot keeps its tokens between steps; ``_synced``
+        # records ``(table, epoch, rotated, length)`` of what each holds.
+        # Zero initialization (and only ever overwriting with stored values)
+        # keeps every slot finite for the masked float32 path.
         self._ws: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._synced: list[tuple | None] = [None] * max_batch
 
     # ------------------------------------------------------------------
     @property
@@ -296,15 +298,17 @@ class BatchedLayerKVCache:
 
         ``keys`` is the rotated-key slab content when ``rotated`` (RoPE at
         original positions) and the raw keys otherwise.  Row ``b`` is valid up
-        to ``lengths[b]`` entries; padding is zero (benign for the masked
-        float32 path, ignored by the exact-length float64 path).  A lone
-        active row on contiguous pages is returned as zero-copy pool views —
-        the contiguous fast path of the paged read.
+        to ``lengths[b]``; padding is zero or stale finite values (a row
+        shrank, a slot was reused), inert under the float32 ``-inf`` mask and
+        the float64 exact-length slices.  A row copies only what it appended
+        since its last read (:meth:`_held`).  A lone active row on contiguous
+        pages is returned as zero-copy pool views (the paged read's fast path).
         """
         pool = self.pool
         lengths = self.lengths[:n_active]
         max_len = int(lengths.max(initial=0))
         if n_active == 1:
+            self._synced = [None] * self.max_batch
             table = self.tables[0]
             keys = pool.rotated_view(table) if rotated else pool.keys_view(table)
             return (
@@ -322,20 +326,45 @@ class BatchedLayerKVCache:
                 np.zeros((self.max_batch, h, cap, d), dtype=self.dtype),
                 np.zeros((self.max_batch, h, cap), dtype=np.int64),
             )
+            self._synced = [None] * self.max_batch
         keys = self._ws[0][:n_active, :, :max_len]
         values = self._ws[1][:n_active, :, :max_len]
         positions = self._ws[2][:n_active, :, :max_len]
         for row in range(n_active):
+            table = self.tables[row]
+            start = self._held(row, rotated)
             try:
-                pool.fill_row(
-                    self.tables[row], keys[row], values[row], positions[row], rotated
-                )
+                pool.fill_row(table, keys[row], values[row], positions[row], rotated, start)
             except Exception as exc:
                 # Read-path faults (a tiered pool's spill_io restore) must be
                 # row-attributable so the engine can quarantine the row.
                 tag_fault_row(exc, row)
                 raise
+            self._synced[row] = (table, table.epoch, rotated, table.length)
         return keys, values, positions, lengths, max_len
+
+    def _held(self, row: int, rotated: bool) -> int:
+        """Tokens of ``row`` the workspace holds: the last read's length while
+        table object, epoch and read mode match and the row has not shrunk."""
+        held, table = self._synced[row], self.tables[row]
+        same = held is not None and held[:3] == (table, table.epoch, rotated)
+        return held[3] if same and held[3] <= table.length else 0
+
+    def check_workspace(self) -> list[str]:
+        """Row slots unchanged since their last read whose workspace differs
+        from a fresh read of the pool (the integrity audit; empty = clean)."""
+        violations = []
+        for row, held in enumerate(self._synced):
+            table = self.tables[row]
+            if held is None or self._held(row, held[2]) != table.length:
+                continue
+            fresh = self.pool.audit_read(table, held[2])
+            if fresh is not None and any(
+                ws[row, :, : table.length].tobytes() != arr.tobytes()
+                for ws, arr in zip(self._ws, fresh)
+            ):
+                violations.append(f"row slot {row}: padded workspace differs from the pool")
+        return violations
 
 
 class BatchedLayerView:
@@ -735,6 +764,7 @@ class BatchedCacheManager:
                         f"layer {layer}: inactive row slot {idx} is not empty "
                         f"({len(table.pages)} pages, length {table.length})"
                     )
+            violations.extend(f"layer {layer}: {v}" for v in cache.check_workspace())
             tables = list(cache.tables[: self.n_active])
             if extra_tables_per_layer is not None:
                 tables.extend(extra_tables_per_layer[layer])

@@ -503,6 +503,16 @@ class _TieredMixin:
             out[:, logical : logical + chunk] = slab[:, base : base + chunk]
         return out
 
+    def audit_read(self, table: PageTable, rotated: bool) -> tuple | None:
+        """The base read with the LRU clock put back, so audits never move
+        victim choice; ``None`` while a page of ``table`` is spilled."""
+        if (self._page_frame[table.pages] < 0).any():
+            return None
+        clock, touch = self._tier_clock, self._last_touch.copy()
+        out = super().audit_read(table, rotated)
+        self._tier_clock, self._last_touch = clock, touch
+        return out
+
     def gather(self, table: PageTable, indices: np.ndarray) -> int:
         """Eviction compaction without a whole-row residency requirement.
 
@@ -546,6 +556,7 @@ class _TieredMixin:
             fresh = self.alloc(n_needed)
             self.release(table.pages)
             table.pages = fresh
+        table.epoch += 1
         table.offset = 0
         table.length = k
         self._write_all(table, data)
@@ -757,14 +768,16 @@ class TieredBlockPool(_TieredMixin, BlockPool):
         out_v: np.ndarray,
         out_pos: np.ndarray,
         rotated: bool,
+        start: int = 0,
     ) -> None:
         """Padded-batch read streamed page by page (each page restored just
-        for its memcpy — rows longer than tier-0 read fine)."""
-        if table.length == 0:
-            return
+        for its memcpy — rows longer than tier-0 read fine).  Pages before
+        ``start`` still pass ``_page_base`` (LRU touch, restore) uncopied."""
         keys = self._k_rot if rotated else self._k
         for logical, page, within, chunk in self._page_chunks(table):
             base = self._page_base(page) + within
+            if logical + chunk <= start:
+                continue
             dst = slice(logical, logical + chunk)
             out_k[:, dst] = keys[:, base : base + chunk]
             out_v[:, dst] = self._v[:, base : base + chunk]

@@ -111,9 +111,12 @@ class PageTable:
     only change through the methods below or by assignment to ``pages``;
     mutating the returned list in place leaves the answer stale, which
     :meth:`BlockPool.check_invariants` reports.
+
+    ``epoch`` counts what may move live slots (gather, truncate, assigning
+    ``pages``); appends and copy-on-write leave copied-out tokens valid.
     """
 
-    __slots__ = ("_pages", "_contiguous", "offset", "length")
+    __slots__ = ("_pages", "_contiguous", "offset", "length", "epoch")
 
     def __init__(self) -> None:
         self._pages: list[int] = []
@@ -121,6 +124,7 @@ class PageTable:
         self._contiguous: bool | None = True
         self.offset = 0
         self.length = 0
+        self.epoch = 0
 
     @property
     def pages(self) -> list[int]:
@@ -131,6 +135,7 @@ class PageTable:
     def pages(self, pages: list[int]) -> None:
         self._pages = pages
         self._contiguous = None
+        self.epoch += 1
 
     def scan_contiguous(self) -> bool:
         """Recompute from the page ids whether they form one ascending run."""
@@ -567,8 +572,8 @@ class BlockPool:
         ).reshape(-1)
         return slots[table.offset : table.end]
 
-    def token_runs(self, table: PageTable) -> list[tuple[int, int, int]]:
-        """Live tokens as maximal physically-contiguous runs.
+    def token_runs(self, table: PageTable, start: int = 0) -> list[tuple[int, int, int]]:
+        """Live tokens from logical ``start`` on as maximal physically-contiguous runs.
 
         Returns ``(logical_start, pool_slot_start, length)`` triples; copying
         run-by-run turns a fragmented table's materialization into a handful
@@ -576,12 +581,11 @@ class BlockPool:
         """
         ps = self.page_size
         runs: list[tuple[int, int, int]] = []
-        logical = 0
-        i = 0
+        logical = start
+        i, within = divmod(table.offset + start, ps)
         n_pages = len(table.pages)
         while logical < table.length:
             first = table.pages[i]
-            within = table.offset if i == 0 else 0
             # Extend across consecutive page ids.
             j = i + 1
             while j < n_pages and table.pages[j] == table.pages[j - 1] + 1:
@@ -590,7 +594,7 @@ class BlockPool:
             span = min(span, table.length - logical)
             runs.append((logical, first * ps + within, span))
             logical += span
-            i = j
+            i, within = j, 0
         return runs
 
     def _page_chunks(
@@ -841,6 +845,7 @@ class BlockPool:
             shift = indices - base
             suffix = bool((shift == length - k).all())
             drop = None
+        table.epoch += 1
         dropped = length - k
         ps = self.page_size
         if suffix:
@@ -968,6 +973,7 @@ class BlockPool:
             return
         if n < 0 or n > table.length:
             raise ValueError(f"cannot truncate {n} of {table.length} tokens")
+        table.epoch += 1
         table.length -= n
         if table.length == 0:
             self.release_table(table)
@@ -1026,17 +1032,25 @@ class BlockPool:
         out_v: np.ndarray,
         out_pos: np.ndarray,
         rotated: bool,
+        start: int = 0,
     ) -> None:
-        """Copy one table's live tokens into padded batch buffers
-        (``out_*[:, :length]``) — the page-gather read of the batched path."""
-        if table.length == 0:
-            return
+        """Copy one table's live tokens from ``start`` (already held by the
+        buffers) into padded batch buffers (``out_*[:, start:length]``) — the
+        page-gather read of the batched path."""
         keys = self._k_rot if rotated else self._k
-        for logical, src, span in self.token_runs(table):
+        for logical, src, span in self.token_runs(table, start):
             dst = slice(logical, logical + span)
             out_k[:, dst] = keys[:, src : src + span]
             out_v[:, dst] = self._v[:, src : src + span]
             out_pos[:, dst] = self._pos[:, src : src + span]
+
+    def audit_read(self, table: PageTable, rotated: bool) -> tuple | None:
+        """A full :meth:`fill_row` into fresh ``(keys, values, positions)``
+        for integrity audits; ``None`` where it would change pool state."""
+        kv = np.empty((2, self.n_heads, table.length, self.d_head), self.dtype)
+        out = (kv[0], kv[1], np.empty(kv.shape[1:3], np.int64))
+        self.fill_row(table, *out, rotated)
+        return out
 
     def page_tokens_view(
         self, pages: Sequence[int], rotated: bool

@@ -396,15 +396,18 @@ class QuantizedBlockPool(BlockPool):
         out_v: np.ndarray,
         out_pos: np.ndarray,
         rotated: bool,
+        start: int = 0,
     ) -> None:
-        """Dequantize one table's live tokens into padded batch buffers
-        (the page-gather read of the batched serving path)."""
-        if table.length == 0:
-            return
+        """Dequantize one table's live tokens into padded batch buffers from
+        the first slot of ``start``'s page on (an append re-encodes its page);
+        every page still passes ``_page_base``, the tiered LRU touch."""
         kname = "kr" if rotated else "k"
         kslab = self._qslab(kname)
+        first = start - (table.offset + start) % self.page_size
         for logical, page, within, chunk in self._page_chunks(table):
             base = self._page_base(page) + within
+            if logical < first:
+                continue
             dst = slice(logical, logical + chunk)
             out_k[:, dst] = self._decode(
                 kslab[:, base : base + chunk],

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core.config import CachePolicyConfig
-from repro.core.policies import H2OPolicy
+from repro.core.policies import FullAttentionPolicy, H2OPolicy
+from repro.core.score import EvictOne
 from repro.kvcache.batch import BatchedCacheManager, BatchedLayerKVCache
 from repro.kvcache.cache import LayerKVCache
-from repro.kvcache.paged import PoolExhausted
+from repro.kvcache.offload import TieredBlockPool, TieredQuantizedBlockPool
+from repro.kvcache.paged import BlockPool, PoolExhausted
+from repro.kvcache.quant import QuantizedBlockPool
 from repro.models.tensor_ops import softmax
 
 HEADS, D_HEAD = 4, 8
@@ -275,3 +278,277 @@ class TestJoinUnwind:
         assert manager.registry.reclaimable_pages() == 3
         manager.registry.reclaim(3)
         assert manager.store.pools[0].free_pages == manager.store.pools[0].n_pages
+
+
+# ---------------------------------------------------------------------------
+# incremental padded read: a step copies only what each row appended since
+# its last read, and re-reads rows whose table was rewritten
+# ---------------------------------------------------------------------------
+
+PS = 4
+
+
+def _pool(cls, **kwargs):
+    return cls(HEADS, D_HEAD, page_size=PS, n_pages=8, rope_dims=D_HEAD, **kwargs)
+
+
+DIFF_POOLS = {
+    "fp64": lambda: _pool(BlockPool),
+    "int8": lambda: _pool(QuantizedBlockPool),
+    "tiered": lambda: _pool(TieredBlockPool, tier0_pages=6),
+    "tiered-int8": lambda: _pool(TieredQuantizedBlockPool, tier0_pages=6),
+}
+
+
+def _fresh_read(pool, table, rotated):
+    """A start-0 ``fill_row`` of ``table`` into new buffers: the reference."""
+    out = (
+        np.zeros((HEADS, table.length, D_HEAD)),
+        np.zeros((HEADS, table.length, D_HEAD)),
+        np.zeros((HEADS, table.length), dtype=np.int64),
+    )
+    type(pool).fill_row(pool, table, *out, rotated)
+    return out
+
+
+def _check_padded_read(cache, n_active, rotated):
+    """Read the batch; each row's live region must be byte-equal to a fresh read."""
+    got = cache.padded_batch(n_active, rotated)
+    for row in range(n_active):
+        table = cache.tables[row]
+        for padded, want in zip(got[:3], _fresh_read(cache.pool, table, rotated)):
+            assert padded[row, :, : table.length].tobytes() == want.tobytes(), f"row {row}"
+
+
+class _Session:
+    """A seeded random walk over the batched cache's row operations, with a
+    padded read checked against fresh reads after every step."""
+
+    OPS = {
+        "join", "join_shared", "rejoin", "append", "append_many", "evict_one",
+        "suffix", "scatter", "truncate", "free", "flip",
+    }
+
+    def __init__(self, pool, seed):
+        self.rng = np.random.default_rng(seed)
+        self.cache = BatchedLayerKVCache(max_batch=4, n_heads=HEADS, d_head=D_HEAD, pool=pool)
+        self.n_active = 0
+        self.rotated = True
+        self.done: set[str] = set()
+        self.starts: list[int] = []  # the ``start`` of every padded-batch row read
+        self.ws_sizes: set[int] = set()
+        self.widths: list[int] = []  # n_active of every read
+        fill_row = pool.fill_row
+
+        def spy(table, out_k, out_v, out_pos, rotated, start=0):
+            self.starts.append(start)
+            fill_row(table, out_k, out_v, out_pos, rotated, start)
+
+        pool.fill_row = spy
+
+    def _lengths(self):
+        return [self.cache.tables[r].length for r in range(self.n_active)]
+
+    def _row(self, min_len):
+        rows = [r for r, n in enumerate(self._lengths()) if n >= min_len]
+        return rows[self.rng.integers(len(rows))]
+
+    def step(self):
+        lengths, cache = self._lengths(), self.cache
+        ops = []
+        if self.n_active < cache.max_batch:
+            ops += ["join", "join"]
+            if any(t.offset == 0 and t.length >= PS for t in cache.tables[: self.n_active]):
+                ops.append("join_shared")
+        if self.n_active:
+            ops += ["append"] * 4 + ["append_many", "rejoin", "free", "flip"]
+        if any(n >= 1 for n in lengths):
+            ops.append("truncate")
+        if any(n >= 2 for n in lengths):
+            ops += ["evict_one", "suffix", "scatter"]
+        op = ops[self.rng.integers(len(ops))]
+        getattr(self, "_" + op)()
+        self.done.add(op)
+        if self.n_active:
+            _check_padded_read(cache, self.n_active, self.rotated)
+            self.widths.append(self.n_active)
+            if cache._ws is not None:
+                self.ws_sizes.add(cache._ws[0].shape[2])
+
+    def _join(self):
+        self.cache.join_row(self.n_active, *_prompt(self.rng, int(self.rng.integers(1, 6 * PS))))
+        self.n_active += 1
+
+    def _join_shared(self):
+        tables = [t for t in self.cache.tables[: self.n_active] if t.offset == 0 and t.length >= PS]
+        table = tables[self.rng.integers(len(tables))]
+        m = int(self.rng.integers(1, table.length // PS + 1))
+        s = int(self.rng.integers(1, 2 * PS))
+        keys, values, _ = _prompt(self.rng, s)
+        positions = np.broadcast_to(np.arange(m * PS, m * PS + s), (1, HEADS, s))
+        self.cache.join_row_shared(self.n_active, table.pages[:m], m * PS, keys, values, positions)
+        self.n_active += 1
+
+    def _rejoin(self):
+        # Slot reuse: the same PageTable released and re-extended, mostly to
+        # its old length.
+        row = int(self.rng.integers(self.n_active))
+        self.cache.join_row(row, *_prompt(self.rng, self.cache.tables[row].length or 1))
+
+    def _append(self, count=1):
+        n = self.n_active
+        for _ in range(count):
+            k = self.rng.normal(size=(n, HEADS, D_HEAD))
+            v = self.rng.normal(size=(n, HEADS, D_HEAD))
+            self.cache.append_rows(n, k, v, self.rng.integers(0, 200, size=n))
+
+    def _append_many(self):
+        self._append(int(self.rng.integers(2, 2 * PS)))
+
+    def _evict_one(self):
+        row = self._row(2)
+        n = self.cache.tables[row].length
+        self.cache.gather_row(row, EvictOne(self.rng.integers(0, n, size=HEADS), n))
+
+    def _suffix(self):
+        row = self._row(2)
+        n = self.cache.tables[row].length
+        k = int(self.rng.integers(1, n))
+        self.cache.gather_row(row, np.broadcast_to(np.arange(n - k, n), (HEADS, k)))
+
+    def _scatter(self):
+        row = self._row(2)
+        n = self.cache.tables[row].length
+        k = int(self.rng.integers(1, n))
+        picks = [self.rng.choice(n, size=k, replace=False) for _ in range(HEADS)]
+        self.cache.gather_row(row, np.sort(np.stack(picks), axis=-1))
+
+    def _truncate(self):
+        row = self._row(1)
+        n = self.cache.tables[row].length
+        drop = int(self.rng.integers(1, min(n, 2 * PS) + 1))
+        self.cache.pool.truncate(self.cache.tables[row], drop)
+
+    def _free(self):
+        self.cache.free_row(int(self.rng.integers(self.n_active)), self.n_active - 1)
+        self.n_active -= 1
+
+    def _flip(self):
+        self.rotated = not self.rotated
+
+
+class TestIncrementalPaddedRead:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", sorted(DIFF_POOLS))
+    def test_random_operations_read_like_a_fresh_read(self, kind, seed):
+        session = _Session(DIFF_POOLS[kind](), seed)
+        for _ in range(200):
+            session.step()
+        assert session.done == _Session.OPS
+        # Both read kinds ran: incremental (start > 0) and whole (start 0).
+        assert 0 in session.starts and max(session.starts) > 0
+        # The workspace grew more than once, and a lone-row read (which
+        # clears every record) was followed by a batched read.
+        assert len(session.ws_sizes) >= 2
+        solo = session.widths.index(1)
+        assert max(session.widths[solo:]) > 1
+
+    def _two_rows(self, pool, t=10, seed=0):
+        rng = np.random.default_rng(seed)
+        cache = BatchedLayerKVCache(max_batch=3, n_heads=HEADS, d_head=D_HEAD, pool=pool)
+        for row in range(2):
+            cache.join_row(row, *_prompt(rng, t))
+        _check_padded_read(cache, 2, rotated=False)
+        return cache, rng
+
+    def test_trap_length_cannot_detect_staleness(self):
+        """A Keyformer step appends one token and evicts one: the length is
+        unchanged while every slot after the evicted one has moved."""
+        cache, rng = self._two_rows(_pool(BlockPool))
+        kv = rng.normal(size=(2, HEADS, D_HEAD))
+        cache.append_rows(2, kv, kv.copy(), np.asarray([10, 10]))
+        cache.gather_row(0, EvictOne(np.full(HEADS, 2), 11))
+        assert cache.tables[0].length == 10
+        _check_padded_read(cache, 2, rotated=False)
+
+    def test_trap_int8_append_reencodes_its_page(self):
+        """An append that widens a page's range re-encodes the page's earlier
+        tokens, so the re-read starts at the page's first slot."""
+        cache, rng = self._two_rows(_pool(QuantizedBlockPool), t=PS + 1)
+        before = _fresh_read(cache.pool, cache.tables[0], False)[1][:, PS].copy()
+        wide = np.full((2, HEADS, D_HEAD), 50.0)
+        cache.append_rows(2, wide, wide.copy(), np.asarray([PS + 1, PS + 1]))
+        after = _fresh_read(cache.pool, cache.tables[0], False)[1][:, PS]
+        assert not np.array_equal(before, after)  # token PS was re-encoded
+        _check_padded_read(cache, 2, rotated=False)
+
+    def test_trap_free_row_moves_a_table_between_slots(self):
+        """Slot 0 takes the last row's table at the same epoch and length."""
+        rng = np.random.default_rng(3)
+        cache = BatchedLayerKVCache(
+            max_batch=3, n_heads=HEADS, d_head=D_HEAD, pool=_pool(BlockPool)
+        )
+        for row in range(3):
+            cache.join_row(row, *_prompt(rng, 8))
+        _check_padded_read(cache, 3, rotated=False)
+        moved = cache.tables[2]
+        epoch = cache.tables[0].epoch
+        cache.free_row(0, 2)
+        assert cache.tables[0] is moved and moved.epoch == epoch
+        _check_padded_read(cache, 2, rotated=False)
+
+    def test_trap_join_row_reuses_the_same_table(self):
+        """join_row releases and re-extends the *same* PageTable object."""
+        cache, rng = self._two_rows(_pool(BlockPool))
+        table = cache.tables[0]
+        cache.join_row(0, *_prompt(rng, 10))
+        assert cache.tables[0] is table and table.length == 10
+        _check_padded_read(cache, 2, rotated=False)
+
+    @pytest.mark.parametrize("cls", [TieredBlockPool, TieredQuantizedBlockPool])
+    def test_trap_tiered_read_keeps_tier_state(self, cls):
+        """Incremental reads still pass every page through ``_page_base`` (the
+        LRU touch and restore trigger), so they leave spills, restores and
+        last-touch stamps exactly as full reads do — and so does the
+        workspace audit."""
+        incremental = _Session(_pool(cls, tier0_pages=6), seed=5)
+        full = _Session(_pool(cls, tier0_pages=6), seed=5)
+        a, b = incremental.cache.pool, full.cache.pool
+        for _ in range(150):
+            full.cache._synced = [None] * full.cache.max_batch  # every read whole
+            incremental.step()
+            full.step()
+            assert incremental.cache.check_workspace() == []
+            for name in ("n_spills", "n_restores", "spill_bytes", "restore_bytes", "_tier_clock"):
+                assert getattr(a, name) == getattr(b, name), name
+            np.testing.assert_array_equal(a._last_touch, b._last_touch)
+        assert a.n_spills > 0 and a.n_restores > 0
+        assert max(incremental.starts) > 0 and max(full.starts) == 0
+
+
+class TestWorkspaceAudit:
+    def _manager(self):
+        manager = BatchedCacheManager(1, HEADS, D_HEAD, max_batch=2, page_size=PS)
+        rng = np.random.default_rng(7)
+        for t in (6, 9):
+            keys, values, _ = _prompt(rng, t)
+            attn = [np.zeros((1, HEADS, t, t))]
+            manager.join([(keys, values)], attn, attn, 4, FullAttentionPolicy())
+        manager.attention_view_batch(0)
+        return manager
+
+    def test_clean_workspace_passes(self):
+        assert self._manager().check_invariants() == []
+
+    def test_corrupted_workspace_is_a_violation(self):
+        manager = self._manager()
+        manager.caches[0]._ws[1][1, 0, 3, 0] += 1.0
+        violations = manager.check_invariants()
+        assert violations == ["layer 0: row slot 1: padded workspace differs from the pool"]
+
+    def test_row_changed_since_its_read_is_not_audited(self):
+        # An evicting row is read whole on the next step; its workspace is
+        # stale until then, and that is not a violation.
+        manager = self._manager()
+        manager.caches[0].gather_row(1, np.broadcast_to(np.arange(2, 9), (HEADS, 7)))
+        assert manager.check_invariants() == []
