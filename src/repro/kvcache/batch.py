@@ -34,7 +34,6 @@ would in a dedicated single-sequence run.
 from __future__ import annotations
 
 import copy
-import functools
 
 import numpy as np
 
@@ -880,7 +879,6 @@ class BatchedCacheManager:
             VerifyView(
                 cache.pool,
                 cache.tables[row],
-                functools.partial(cache.pool.extend, cache.tables[row]),
                 self.stats[row],
                 self.current_position[row],
                 self.positional_mode,

@@ -370,38 +370,6 @@ class LayerKVCache:
         self._version += 1
         self.total_evicted += max(evicted, 0)
 
-    def truncate(self, n: int) -> None:
-        """Drop the last ``n`` tokens of every row (speculative rollback).
-
-        The verify pass appends the whole draft block optimistically; rejected
-        tokens are rolled back here — an O(1) length decrement plus a refcount
-        drop for trailing pages that no longer hold live tokens.
-        """
-        if n == 0:
-            return
-        for table in self._tables:
-            self._pool.truncate(table, n)
-        self._version += 1
-
-    def extend(self, keys: np.ndarray, values: np.ndarray, positions: np.ndarray) -> None:
-        """Bulk-append a block of tokens to every row.
-
-        ``keys``/``values`` have shape ``(batch, heads, T, d_head)`` and
-        ``positions`` shape ``(batch, heads, T)`` — the multi-token write of
-        the speculative verify pass (one page-span write per slab, eager
-        rotation included, exactly like seeding from a prompt).
-        """
-        keys = np.asarray(keys)
-        values = np.asarray(values)
-        positions = np.asarray(positions, dtype=np.int64)
-        t = keys.shape[2]
-        if t == 0:
-            return
-        for row, table in enumerate(self._tables):
-            self._pool.extend(table, keys[row], values[row], positions[row])
-        self._version += 1
-        self.total_appended += t
-
     # ------------------------------------------------------------------
     def fork_tables(self) -> list[PageTable]:
         """Snapshot every row's page table, retaining the pages.

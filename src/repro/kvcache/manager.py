@@ -29,8 +29,6 @@ from repro.core.policies import EvictionPolicy
 from repro.kvcache.cache import LayerKVCache
 from repro.kvcache.paged import DEFAULT_PAGE_SIZE, PagedKVStore, PageTable, pages_needed
 from repro.kvcache.stats import CacheStats
-from repro.kvcache.verify import VerifyView
-from repro.models.positional import get_rope_table
 
 __all__ = ["CacheManager", "LayerCacheView", "PolicyDriver"]
 
@@ -179,16 +177,13 @@ class CacheManager:
         # Rotated-key caching is only sound when rotations are keyed to the
         # (stable) original positions; renumbered mode re-rotates per step.
         self.rope_dims = int(rope_dims) if self.positional_mode == "original" else 0
-        # Renumbered mode rotates on read: the verify view needs the table.
-        self._rope_table = get_rope_table(rope_dims) if rope_dims > 0 else None
         self.page_size = int(page_size)
         if store is not None:
-            # A caller-supplied store lets two managers share one set of
-            # block pools — the speculative decoder's target and drafter
-            # hold their own page tables over the same physical pages.  With
-            # a fixed (non-growable) store, allocations can surface
-            # ``PoolExhausted``; the serving engine answers that with
-            # preemption, solo callers should pass a growable store.
+            # A caller-supplied store lets a self-drafter keep its page
+            # tables in the serving engine's pools, over the same physical
+            # pages as its target row.  With a fixed (non-growable) store,
+            # allocations can surface ``PoolExhausted``; the engine answers
+            # that with preemption.
             self.page_size = store.page_size
         self.kv_dtype = store.config.kv_dtype if store is not None else kv_dtype
         self._shared_store = store
@@ -312,8 +307,8 @@ class CacheManager:
         """Seed by *mapping* another manager's page tables (self-speculation).
 
         ``source_tables`` holds, per layer, the page tables of a sequence
-        already resident in this manager's (shared) store — typically the
-        speculative target right after its prompt forward.  Instead of
+        already resident in this manager's (shared) store — the serving
+        engine's speculative row right after it joined.  Instead of
         copying the prompt KV, each layer cache clones the source table and
         retains its pages; the drafter's prompt-phase eviction then
         copy-on-writes into private pages, so target and drafter share
@@ -450,53 +445,6 @@ class CacheManager:
             self._step_lengths = []
         self.generation_step += 1
         self.current_position += 1
-        self._qpos_array = None
-
-    # ------------------------------------------------------------------
-    # speculative verify phase
-    # ------------------------------------------------------------------
-    def verify_views(self) -> list[VerifyView]:
-        """Per-layer views of the sequence as virtual batch rows, for one
-        verify pass starting at the current position (see
-        :class:`~repro.kvcache.verify.VerifyView`).  Block writes go through
-        :meth:`LayerKVCache.extend` so the dense views are invalidated."""
-        if self.caches[0].batch_size != 1:
-            raise RuntimeError("the verify path decodes one sequence at a time")
-        return [
-            VerifyView(
-                cache.pool,
-                cache.tables[0],
-                lambda k, v, pos, cache=cache: cache.extend(k[None], v[None], pos[None]),
-                self.stats,
-                self.current_position,
-                self.positional_mode,
-                self._rope_table,
-            )
-            for cache in self.caches
-        ]
-
-    def commit_verify(self, n_committed: int, n_appended: int) -> None:
-        """Finalize one verify round: roll back the rejected tail and advance.
-
-        The verify pass appended ``n_appended`` KV entries per layer; only the
-        first ``n_committed`` correspond to tokens that actually entered the
-        committed sequence, so the last ``n_appended - n_committed`` are
-        truncated (pages back to the free list via the refcount machinery).
-        Position/step counters advance by the committed count, exactly as
-        ``n_committed`` sequential ``advance`` calls would.
-        """
-        drop = n_appended - n_committed
-        if drop < 0:
-            raise ValueError("cannot commit more tokens than were appended")
-        if drop:
-            for cache in self.caches:
-                cache.truncate(drop)
-        self.stats.record_backdated_steps(
-            [cache.length for cache in self.caches], n_committed
-        )
-        self.generation_step += n_committed
-        self.current_position += n_committed
-        self._step_lengths = []
         self._qpos_array = None
 
     def release(self) -> None:

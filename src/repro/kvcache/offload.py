@@ -229,13 +229,12 @@ class _TieredMixin:
     Must be first in the MRO: it intercepts the
     :meth:`~repro.kvcache.paged.BlockPool._page_base` /
     :meth:`~repro.kvcache.quant.QuantizedBlockPool._page_of_slot` storage
-    hooks and the structural methods (``slot_map`` / ``token_runs`` /
-    ``token_view`` / ``is_contiguous`` / ``release`` / ``_grow`` /
-    ``_copy_on_write``) so the concrete pools' data paths run unchanged on
-    top of a resident-frame window.  dtype-specific read/append overrides
-    (``fill_row``, the vectorized ``append_rows``) live on the concrete
-    subclasses — putting them here would shadow the quantized pool's
-    dequantizing implementations.
+    hooks and the structural methods (``token_view`` / ``is_contiguous`` /
+    ``release`` / ``_grow`` / ``_copy_on_write``) so the concrete pools' data
+    paths run unchanged on top of a resident-frame window.  dtype-specific
+    read/append overrides (``fill_row``, the vectorized ``append_rows``) live
+    on the concrete subclasses — putting them here would shadow the quantized
+    pool's dequantizing implementations.
     """
 
     def __init__(
@@ -467,29 +466,6 @@ class _TieredMixin:
         """Always ``False``: frames move under spill/restore, so no stable
         zero-copy slab view exists — spilled pages hold no live views."""
         return False
-
-    def slot_map(self, table: PageTable) -> np.ndarray:
-        """Flat *frame* slot of every live token (the whole table is made
-        resident first — compaction's vectorized gather needs all source
-        slots valid at once)."""
-        if not table.pages:
-            return np.empty(0, dtype=np.int64)
-        self._ensure_resident(table.pages)
-        frames = self._page_frame[np.asarray(table.pages, dtype=np.int64)]
-        slots = (
-            frames[:, None] * self.page_size + np.arange(self.page_size)
-        ).reshape(-1)
-        return slots[table.offset : table.end]
-
-    def token_runs(self, table: PageTable) -> list[tuple[int, int, int]]:
-        """Per-page frame-slot runs of the live tokens (the whole table is
-        made resident first; runs never span pages because adjacent logical
-        pages land on arbitrary frames)."""
-        self._ensure_resident(table.pages)
-        return [
-            (logical, self._page_base(page) + within, chunk)
-            for logical, page, within, chunk in self._page_chunks(table)
-        ]
 
     def token_view(self, table: PageTable, slab: np.ndarray) -> np.ndarray:
         """Dense copy of the live tokens, streamed page by page — each page

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.kvcache.paged import BlockPool, PageTable
@@ -21,22 +19,20 @@ class VerifyView:
     rows that all read the *same* cache: row ``i`` is the sequence as it
     stood after tokens ``0..i`` were appended (``lengths[i] = L-S+1+i``).
     This view implements the model's ``DecodeCache`` protocol
-    that way for both cache managers, so verification runs the batched
-    kernel unmodified and inherits its batched-equals-solo bit contract.
+    that way, so verification runs the batched kernel unmodified and
+    inherits its batched-equals-solo bit contract.
 
-    ``extend`` is the owning manager's block write into ``table`` (``(heads,
-    S, d)`` keys/values, ``(heads, S)`` positions), ``start`` the original
-    position of the block's first token, ``rope_table`` the model's RoPE
-    table (used under renumbered positions, where the pool keeps raw keys).
-    Sound only for a no-eviction target: nothing may shrink the cache between
-    the block append and the manager's ``commit_verify`` / ``commit_verify_row``.
+    The block is written into ``table`` through ``pool``; ``start`` is the
+    original position of the block's first token, ``rope_table`` the model's
+    RoPE table (used under renumbered positions, where the pool keeps raw
+    keys).  Sound only for a no-eviction target: nothing may shrink the cache
+    between the block append and the manager's ``commit_verify_row``.
     """
 
     def __init__(
         self,
         pool: BlockPool,
         table: PageTable,
-        extend: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
         stats: CacheStats,
         start: int,
         positional_mode: str,
@@ -44,7 +40,6 @@ class VerifyView:
     ):
         self.pool = pool
         self.table = table
-        self._extend = extend
         self.stats = stats
         self.start = start
         self.positional_mode = positional_mode
@@ -59,7 +54,8 @@ class VerifyView:
         """
         s = k.shape[0]
         positions = np.arange(self.start, self.start + s)
-        self._extend(
+        self.pool.extend(
+            self.table,
             k.transpose(1, 0, 2),
             v.transpose(1, 0, 2),
             np.broadcast_to(positions, (k.shape[1], s)),

@@ -1347,6 +1347,12 @@ class ContinuousBatchingEngine:
         stats.draft_steps = drafter.draft_steps
         if record:
             state.speculation = stats.summary()
+            state.speculation_policy = {
+                "policy": "speculative",
+                "target": state.policy.describe(),
+                "k": self.config.speculation.k,
+                "drafter": drafter.describe(),
+            }
         else:
             self._spec_discarded.merge(stats)
         drafter.release()

@@ -146,6 +146,9 @@ class RequestState:
     pending_logprob: float = 0.0
     #: Draft/verify telemetry when the engine ran this request speculatively.
     speculation: dict = field(default_factory=dict)
+    #: What ran it speculatively — target policy, draft length and drafter —
+    #: reported as the result's ``policy`` (empty for vanilla requests).
+    speculation_policy: dict = field(default_factory=dict)
     #: Step-count deadline: the request times out once the engine has run
     #: this many steps since submission (``None`` = no deadline).  The clock
     #: is end-to-end — preemptions and retries do not reset it.
@@ -180,6 +183,12 @@ class RequestState:
         """True once the request retired (EOS, budget or abort)."""
         return self.status is RequestStatus.FINISHED
 
+    @property
+    def policy_description(self) -> dict:
+        """The result's ``policy``: the speculative summary when the engine
+        ran this request speculatively, else its eviction policy's own."""
+        return self.speculation_policy or self.policy.describe()
+
     def _reset_generation(self) -> None:
         """Discard all generated state so the request restarts from scratch.
 
@@ -194,6 +203,7 @@ class RequestState:
         self.pending_token = None
         self.pending_logprob = 0.0
         self.speculation = {}
+        self.speculation_policy = {}
         self.status = RequestStatus.QUEUED
         self.cache_stats = None
         self.n_steps = 0
@@ -230,7 +240,7 @@ class RequestState:
             sequences=[list(self.tokens)],
             prompt_lengths=[self.request.prompt_len],
             cache_stats=self.cache_stats,
-            policy=self.policy.describe(),
+            policy=self.policy_description,
             n_steps=self.n_steps,
             log_probs=[float(self.total_logprob)],
             speculation=dict(self.speculation),

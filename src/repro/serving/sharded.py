@@ -299,7 +299,7 @@ class _ReplicaServer:
             "preemptions": state.preemptions,
             "error": state.error,
             "cache_stats": state.cache_stats,
-            "policy": state.policy.describe(),
+            "policy": state.policy_description,
             "speculation": dict(state.speculation),
         }
 

@@ -15,7 +15,6 @@ float64 log-probabilities) for every drafter; see ``docs/speculative.md``.
 from repro.speculative.config import SpeculationConfig
 from repro.speculative.decoder import (
     BatchedRowVerifyTarget,
-    SoloVerifyTarget,
     SpeculativeGenerator,
     run_round,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "SpeculationConfig",
     "SpeculationStats",
     "SpeculativeGenerator",
-    "SoloVerifyTarget",
     "BatchedRowVerifyTarget",
     "run_round",
     "Drafter",

@@ -1,4 +1,7 @@
-"""The draft-then-verify decode loop and its ``Generator``-compatible facade.
+"""The draft-then-verify round and its ``Generator``-compatible facade.
+
+The serving engine's speculation mode is the one driver of these rounds;
+:class:`SpeculativeGenerator` runs a single prompt through it.
 
 One **round** of speculative decoding:
 
@@ -12,8 +15,8 @@ One **round** of speculative decoding:
    target's own argmax chain, then commits one more token straight from the
    verify logits (the correction after a mismatch, or the bonus token after a
    full acceptance);
-4. the rejected tail's KV is rolled back (``commit_verify`` truncates the
-   page tables — accepted drafts keep the verify pass's KV instead of being
+4. the rejected tail's KV is rolled back (``commit_verify_row`` truncates the
+   row's page tables — accepted drafts keep the verify pass's KV instead of being
    recomputed), and the drafter reconciles via snapshot restore/catch-up.
 
 Because the verify logits are bit-identical (float64) to what sequential
@@ -29,20 +32,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.policies import FullAttentionPolicy
 from repro.generation.generator import GenerationResult, Generator
-from repro.kvcache.manager import CacheManager
-from repro.kvcache.paged import PagedKVStore
+from repro.generation.sampler import GreedySampler
 from repro.models.config import GenerationConfig
 from repro.models.tensor_ops import log_softmax
 from repro.models.transformer import DecoderLM
 from repro.speculative.config import SpeculationConfig
-from repro.speculative.drafter import (
-    Drafter,
-    NgramDrafter,
-    PolicyDrafter,
-    make_drafter_policy,
-)
+from repro.speculative.drafter import Drafter
 from repro.speculative.telemetry import SpeculationStats
 
 if TYPE_CHECKING:
@@ -50,28 +46,9 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SpeculativeGenerator",
-    "SoloVerifyTarget",
     "BatchedRowVerifyTarget",
     "run_round",
 ]
-
-
-class SoloVerifyTarget:
-    """Verify-side adapter over a single-sequence :class:`CacheManager`."""
-
-    def __init__(self, model: DecoderLM, manager: CacheManager):
-        self.model = model
-        self.manager = manager
-
-    def verify(self, tokens: np.ndarray) -> np.ndarray:
-        """Score ``tokens`` in one multi-query pass; returns ``(S, vocab)``."""
-        start = self.manager.current_position
-        positions = np.arange(start, start + len(tokens))
-        return self.model.decode_step_batch(tokens, positions, self.manager.verify_views())
-
-    def commit(self, n_committed: int, n_appended: int) -> None:
-        """Roll back the rejected tail and advance by the committed count."""
-        self.manager.commit_verify(n_committed, n_appended)
 
 
 class BatchedRowVerifyTarget:
@@ -122,7 +99,7 @@ class BatchedRowVerifyTarget:
 
 
 def run_round(
-    target,
+    target: BatchedRowVerifyTarget,
     drafter: Drafter,
     last_token: int,
     max_draft: int,
@@ -176,16 +153,16 @@ def run_round(
 class SpeculativeGenerator:
     """Greedy generation through speculative decoding (``Generator``-shaped).
 
+    A thin facade over the serving engine's speculation mode, exactly as
+    :class:`~repro.serving.engine.BatchedGenerator` is over its vanilla mode:
+    the one prompt becomes the engine's only request, so solo speculative
+    decoding is the batch-of-one case of the one draft-then-verify driver.
+
     The target always runs the full-attention policy — the whole point is
     that the *drafter* carries the sparse cache — and the output is
     bit-identical to ``Generator(model, FullAttentionPolicy()).generate`` at
     float64, for every drafter configuration.  The returned result carries a
     ``speculation`` summary (rounds, acceptance rate, rollbacks).
-
-    For self-drafting, target and drafter hold separate page tables over one
-    shared :class:`~repro.kvcache.paged.PagedKVStore`: the drafter maps the
-    target's prompt pages at seed time and copy-on-writes away as its policy
-    evicts.
     """
 
     def __init__(
@@ -205,129 +182,17 @@ class SpeculativeGenerator:
                     f"({drafter_config.vocab_size} != {model.config.vocab_size})"
                 )
 
-    # ------------------------------------------------------------------
-    def _prepare(self, prompt_ids, config: GenerationConfig | None):
-        """Prompt phase: seed target + drafter; returns the decode session."""
-        config = config or GenerationConfig()
-        prompt = Generator._as_batch(prompt_ids)
-        if prompt.shape[0] != 1:
-            raise ValueError(
-                "speculative decoding runs one sequence at a time; use the "
-                "serving engine's speculation mode for concurrent requests"
-            )
-        model_config = self.model.config
-        spec = self.speculation
-        self_drafting = spec.drafter != "ngram" and spec.drafter_model is None
-        drafter_policy = None if spec.drafter == "ngram" else make_drafter_policy(spec)
-        # The target keeps every token; only a self-drafting score policy
-        # reads the (shared) prompt attention.
-        logits, prompt_kv, prompt_attn, prompt_scores = self.model.forward_suffix(
-            prompt,
-            store_attention=self_drafting and drafter_policy.needs_prompt_attention,
-        )
-        store = None
-        if self_drafting:
-            # One store, two owners: target and drafter page tables share
-            # these pools (and, transiently, the physical prompt pages).
-            store = PagedKVStore(
-                model_config.n_layers,
-                model_config.n_heads,
-                model_config.d_head,
-                dtype=model_config.np_dtype,
-                rope_dims=model_config.rope_dims
-                if model_config.positional == "rope"
-                else 0,
-                growable=True,
-            )
-        target_manager = CacheManager(
-            FullAttentionPolicy(),
-            n_layers=model_config.n_layers,
-            n_heads=model_config.n_heads,
-            d_head=model_config.d_head,
+    def _engine(self):
+        """A fresh engine in speculation mode with the full-attention target."""
+        # Imported here: the engine imports this module for ``run_round``.
+        from repro.serving.engine import ContinuousBatchingEngine
+
+        return ContinuousBatchingEngine(
+            self.model,
+            speculation=self.speculation,
             positional_mode=self.positional_mode,
-            dtype=model_config.np_dtype,
-            rope_dims=model_config.rope_dims if model_config.positional == "rope" else 0,
-            store=store,
-        )
-        target_manager.initialize_from_prompt(
-            prompt_kv, prompt_attn, prompt_scores, config.max_new_tokens
         )
 
-        if spec.drafter == "ngram":
-            drafter: Drafter = NgramDrafter(prompt[0], spec)
-        elif spec.drafter_model is not None:
-            drafter = PolicyDrafter.seed_from_prompt(
-                spec.drafter_model,
-                drafter_policy,
-                prompt,
-                config.max_new_tokens,
-                positional_mode=self.positional_mode,
-            )
-        else:
-            drafter = PolicyDrafter.seed_mapped(
-                self.model,
-                drafter_policy,
-                store,
-                [cache.tables for cache in target_manager.caches],
-                prompt_attn,
-                prompt_scores,
-                config.max_new_tokens,
-                positional_mode=self.positional_mode,
-            )
-        return {
-            "config": config,
-            "prompt_len": prompt.shape[1],
-            "next_logits": logits[:, -1, :],
-            "target": SoloVerifyTarget(self.model, target_manager),
-            "manager": target_manager,
-            "drafter": drafter,
-        }
-
-    def _run(self, session: dict) -> GenerationResult:
-        """Token-generation phase: verify rounds until EOS or the budget."""
-        config: GenerationConfig = session["config"]
-        target: SoloVerifyTarget = session["target"]
-        manager: CacheManager = session["manager"]
-        drafter: Drafter = session["drafter"]
-        stats = SpeculationStats()
-
-        next_logits = session["next_logits"]
-        first = int(np.argmax(next_logits, axis=-1)[0])
-        first_logprob = float(log_softmax(next_logits, axis=-1)[0, first])
-        sequence = [first]
-        total_logprob = first_logprob
-        drafter.note_committed([first])
-        eos = config.eos_token_id
-        finished = eos is not None and first == eos
-
-        while not finished and len(sequence) < config.max_new_tokens:
-            remaining = config.max_new_tokens - len(sequence)
-            commits = run_round(
-                target, drafter, sequence[-1], self.speculation.k, remaining, eos, stats
-            )
-            for token, logprob in commits:
-                sequence.append(token)
-                total_logprob += logprob
-            finished = eos is not None and sequence[-1] == eos
-        stats.draft_steps = drafter.draft_steps
-        drafter.release()
-
-        return GenerationResult(
-            sequences=[sequence],
-            prompt_lengths=[session["prompt_len"]],
-            cache_stats=manager.stats,
-            policy={
-                "policy": "speculative",
-                "target": manager.policy.describe(),
-                "k": self.speculation.k,
-                **drafter.describe(),
-            },
-            n_steps=manager.generation_step,
-            log_probs=[total_logprob],
-            speculation=stats.summary(),
-        )
-
-    # ------------------------------------------------------------------
     def generate(
         self, prompt_ids, config: GenerationConfig | None = None
     ) -> GenerationResult:
@@ -337,4 +202,13 @@ class SpeculativeGenerator:
         full-attention policy: same tokens, same float64 log-probabilities —
         only the number of target passes differs.
         """
-        return self._run(self._prepare(prompt_ids, config))
+        prompt = Generator._as_batch(prompt_ids)
+        if prompt.shape[0] != 1:
+            raise ValueError(
+                "speculative decoding runs one sequence at a time; use the "
+                "serving engine's speculation mode for concurrent requests"
+            )
+        engine = self._engine()
+        state = engine.submit(prompt[0], config, sampler=GreedySampler())
+        engine.run()
+        return state.result()

@@ -384,6 +384,30 @@ class TestKnobPlumbing:
         manager = BatchedCacheManager(2, HEADS, D_HEAD, admission_policy="wtinylfu", **tiered)
         assert all(pool.spill_ranker is not None for pool in manager.store.pools)
 
+    @pytest.mark.parametrize("admission", ["lru", "wtinylfu"])
+    def test_protected_prefix_page_outlives_a_newer_unregistered_page(self, admission):
+        """Two frames: a registered prefix page, then a more recently touched
+        unregistered page.  A third page needs a frame: pure LRU spills the
+        prefix page, the W-TinyLFU ranking spills the unregistered one."""
+        rng = np.random.default_rng(0)
+        manager = BatchedCacheManager(
+            1, HEADS, D_HEAD, max_batch=1, n_pages=8, tier0_pages=2, page_size=PAGE,
+            tier0_budget=4096, admission_policy=admission,
+        )
+        pool, registry = manager.store.pools[0], manager.registry
+        prefix, _, _ = seeded_table(pool, PAGE, rng)
+        tokens = np.arange(PAGE)
+        for _ in range(3):  # window -> probation -> protected
+            registry.register(tokens, [prefix])
+        newer, _, _ = seeded_table(pool, PAGE, rng)
+        (hot,), (cold,) = prefix.pages, newer.pages
+        assert registry.page_heat(0, hot) == (3 if admission == "wtinylfu" else 0)
+        assert registry.page_heat(0, cold) == 0
+        seeded_table(pool, PAGE, rng)  # needs one of the two frames
+        spilled, kept = (cold, hot) if admission == "wtinylfu" else (hot, cold)
+        assert pool.tier_page_state(spilled) == "spilled"
+        assert pool.tier_page_state(kept) == "resident"
+
 
 class TestObserveBatchUnderOffload:
     """FINDING 4 of ``benchmarks/e2e/README.md``: a policy that keeps the base

@@ -1,9 +1,10 @@
 """Speculative verification is the ragged-batch decode step over S virtual rows.
 
-``decode_step_batch`` over a manager's :class:`~repro.kvcache.verify.VerifyView`
-rows must reproduce feeding the same tokens one at a time through
-``decode_step`` — bit-for-bit at float64, within the documented inference
-tolerance at float32 — for every positional family and both positional modes.
+``decode_step_batch`` over a batched row's
+:class:`~repro.kvcache.verify.VerifyView` rows must reproduce feeding the same
+tokens one at a time through ``decode_step`` — bit-for-bit at float64, within
+the documented inference tolerance at float32 — for every positional family
+and both positional modes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.kvcache.batch import BatchedCacheManager
 from repro.kvcache.paged import PoolExhausted
 from repro.models.transformer import DecoderLM
 from repro.serving.faults import FaultInjector, InjectedFault
-from repro.speculative.decoder import BatchedRowVerifyTarget, SoloVerifyTarget
+from repro.speculative.decoder import BatchedRowVerifyTarget
 from tests.conftest import tiny_config
 
 PROMPT_LEN = 40
@@ -55,7 +56,7 @@ def _solo_manager(model: DecoderLM, mode: str):
 
 
 def _batched_manager(model: DecoderLM, mode: str, **knobs) -> BatchedCacheManager:
-    """A batched manager whose row 0 holds the same prompt as the solo one."""
+    """A batched manager whose row 0 holds the reference's prompt."""
     _, prompt_kv, prompt_attn, prompt_logits = model.forward_suffix(_prompt(model))
     config = model.config
     manager = BatchedCacheManager(
@@ -106,21 +107,21 @@ def test_virtual_rows_equal_sequential_decode(positional, mode, dtype, n_rows):
     tail leaves the cache where sequential decoding would have left it."""
     model = _model(positional, dtype)
     tokens, rows = _sequential_reference(positional, mode, dtype)
-    _, manager = _solo_manager(model, mode)
-    target = SoloVerifyTarget(model, manager)
+    manager = _batched_manager(model, mode)
+    target = BatchedRowVerifyTarget(model, manager, 0)
 
     logits = target.verify(np.asarray(tokens[:n_rows]))
     assert logits.shape == (n_rows, model.config.vocab_size)
     _assert_rows(logits, np.stack(rows[:n_rows]), dtype)
-    assert manager.cache_lengths() == [PROMPT_LEN + n_rows] * model.config.n_layers
+    assert manager.cache_lengths(0) == [PROMPT_LEN + n_rows] * model.config.n_layers
 
     committed = (n_rows + 1) // 2
     target.commit(committed, n_rows)
-    assert manager.cache_lengths() == [PROMPT_LEN + committed] * model.config.n_layers
-    assert manager.current_position == PROMPT_LEN + committed
+    assert manager.cache_lengths(0) == [PROMPT_LEN + committed] * model.config.n_layers
+    assert manager.current_position[0] == PROMPT_LEN + committed
     if committed < MAX_BLOCK:
-        row = model.decode_step(
-            np.asarray([tokens[committed]]), manager.current_position, manager.layer_views()
+        row = model.decode_step_batch(
+            np.asarray([tokens[committed]]), manager.query_positions(), manager.layer_views()
         )
         _assert_rows(row[0], rows[committed], dtype)
 
@@ -131,11 +132,11 @@ def test_view_broadcasts_without_copy(positional, mode):
     """The S rows share one cache: zero stride over the row axis and
     ascending causal lengths."""
     model = _model(positional, "float64")
-    _, manager = _solo_manager(model, mode)
+    manager = _batched_manager(model, mode)
     n_rows, heads, d_head = 5, model.config.n_heads, model.config.d_head
     total = PROMPT_LEN + n_rows
     block = np.random.default_rng(3).normal(size=(n_rows, heads, d_head))
-    for view in manager.verify_views():
+    for view in manager.row_verify_views(0):
         view.append(block, block)
         keys, values, key_pos, query_pos, lengths, keys_rotated = view.attention_view()
         assert keys.shape == values.shape == (n_rows, heads, total, d_head)
@@ -152,11 +153,11 @@ def test_cache_is_rotated_at_most_once_per_layer_per_pass(monkeypatch, mode):
     as S copies in the kernel; original positions read the rotated slab."""
     model = _model("rope", "float64")
     tokens, _ = _sequential_reference("rope", mode, "float64")
-    _, manager = _solo_manager(model, mode)
+    manager = _batched_manager(model, mode)
     table = manager._rope_table  # the process-wide table the model rotates with
     rotate, shapes = table.rotate, []
     monkeypatch.setattr(table, "rotate", lambda x, pos: (shapes.append(x.shape), rotate(x, pos))[1])
-    SoloVerifyTarget(model, manager).verify(np.asarray(tokens[:5]))
+    BatchedRowVerifyTarget(model, manager, 0).verify(np.asarray(tokens[:5]))
     config = model.config
     cache_sized = [shape for shape in shapes if PROMPT_LEN + 5 in shape]
     expected = [(config.n_heads, PROMPT_LEN + 5, config.d_head)] * config.n_layers
@@ -166,32 +167,38 @@ def test_cache_is_rotated_at_most_once_per_layer_per_pass(monkeypatch, mode):
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("mode", ["original", "new"])
 @pytest.mark.parametrize("positional", list(POSITIONAL))
-def test_solo_and_batched_row_targets_agree(positional, mode, dtype):
-    """One view class serves both managers: the same block through either
-    target gives bit-equal logits, page contents and append accounting."""
+def test_rounds_leave_the_sequential_cache(positional, mode, dtype):
+    """A partly rejected round, then a fully accepted one: each round's
+    logits, the row's page contents and its append accounting are what
+    decoding the committed tokens one at a time leaves."""
     model = _model(positional, dtype)
-    tokens, _ = _sequential_reference(positional, mode, dtype)
-    block = np.asarray(tokens[:5])
+    tokens, rows = _sequential_reference(positional, mode, dtype)
+    manager = _batched_manager(model, mode)
+    target = BatchedRowVerifyTarget(model, manager, 0)
+    appended = manager.stats[0].total_appended
+    start = 0
+    for committed in (3, 5):
+        block = np.asarray(tokens[start : start + 5])
+        _assert_rows(target.verify(block), np.stack(rows[start : start + 5]), dtype)
+        target.commit(committed, len(block))
+        start += committed
+    assert manager.current_position[0] == PROMPT_LEN + start
+    # Every verified row counts as appended, the rolled-back ones included.
+    assert manager.stats[0].total_appended == appended + 10 * model.config.n_layers
 
     _, solo = _solo_manager(model, mode)
-    batched = _batched_manager(model, mode)
-    solo_target = SoloVerifyTarget(model, solo)
-    row_target = BatchedRowVerifyTarget(model, batched, 0)
-
-    for committed in (3, 5):  # a partly rejected round, then a fully accepted one
-        np.testing.assert_array_equal(solo_target.verify(block), row_target.verify(block))
-        solo_target.commit(committed, len(block))
-        row_target.commit(committed, len(block))
-        assert solo.cache_lengths() == batched.cache_lengths(0)
-        assert solo.current_position == batched.current_position[0]
-        assert solo.stats.total_appended == batched.stats[0].total_appended
-        for cache, row_cache in zip(solo.caches, batched.caches):
-            pool, table = row_cache.pool, row_cache.tables[0]
-            np.testing.assert_array_equal(cache.keys[0], pool.keys_view(table))
-            np.testing.assert_array_equal(cache.values[0], pool.values_view(table))
-            np.testing.assert_array_equal(cache.positions[0], pool.positions_view(table))
-            if pool.rope_dims > 0:
-                np.testing.assert_array_equal(cache.rotated_keys()[0], pool.rotated_view(table))
+    for token in tokens[:start]:
+        model.decode_step(np.asarray([token]), solo.current_position, solo.layer_views())
+        solo.advance()
+    assert solo.cache_lengths() == manager.cache_lengths(0)
+    assert solo.stats.lengths_per_step == manager.stats[0].lengths_per_step
+    for cache, row_cache in zip(solo.caches, manager.caches):
+        pool, table = row_cache.pool, row_cache.tables[0]
+        _assert_rows(pool.keys_view(table), cache.keys[0], dtype)
+        _assert_rows(pool.values_view(table), cache.values[0], dtype)
+        np.testing.assert_array_equal(pool.positions_view(table), cache.positions[0])
+        if pool.rope_dims > 0:
+            _assert_rows(pool.rotated_view(table), cache.rotated_keys()[0], dtype)
 
 
 class TestVerifyFaultsUnwind:

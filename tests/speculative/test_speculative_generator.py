@@ -11,6 +11,7 @@ from repro.generation.generator import Generator
 from repro.generation.sampler import GreedySampler
 from repro.models.config import GenerationConfig
 from repro.models.transformer import DecoderLM
+from repro.serving import ContinuousBatchingEngine
 from repro.speculative import SpeculationConfig, SpeculativeGenerator
 from tests.conftest import tiny_config
 
@@ -126,34 +127,80 @@ class TestEdgeCases:
         assert result.sequences == reference.sequences
 
 
-class TestSharedStoreAccounting:
-    def test_target_and_drafter_share_one_store(self, tiny_rope_model):
-        generator = SpeculativeGenerator(tiny_rope_model, SpeculationConfig(k=4))
-        session = generator._prepare(_prompt(), GenerationConfig(max_new_tokens=MAX_NEW))
-        target_pool = session["manager"].caches[0].pool
-        drafter_pool = session["drafter"].manager.caches[0].pool
-        assert target_pool is drafter_pool
+def _spec_engine(model, spec: SpeculationConfig):
+    """The facade's engine with the test prompt joined: the first step runs
+    the prompt pass, seeds the drafter and runs the first verify round."""
+    engine = SpeculativeGenerator(model, spec)._engine()
+    state = engine.submit(
+        _prompt(), GenerationConfig(max_new_tokens=MAX_NEW), sampler=GreedySampler()
+    )
+    engine.step()
+    assert not state.finished
+    return engine, state
 
-    def test_drafter_release_returns_pages(self, tiny_rope_model):
-        generator = SpeculativeGenerator(tiny_rope_model, SpeculationConfig(k=4))
-        session = generator._prepare(_prompt(), GenerationConfig(max_new_tokens=MAX_NEW))
-        generator._run(session)
-        # After the run the drafter has released everything; only the target's
-        # pages remain resident.
-        store = session["manager"].store
-        target_pages = sum(
-            len(table.pages) for cache in session["manager"].caches for table in cache.tables
-        )
-        assert store.used_pages == target_pages
+
+class TestSharedStoreAccounting:
+    def test_drafter_pages_live_in_the_target_rows_store(self, tiny_rope_model):
+        engine, state = _spec_engine(tiny_rope_model, SpeculationConfig(k=4))
+        drafter, _ = engine._spec[state.request_id]
+        store = engine._manager.store
+        for layer, cache in enumerate(drafter.manager.caches):
+            assert cache.pool is store.pools[layer]
+        assert all(drafter.live_tables(store))
+
+    def test_retirement_leaves_only_registry_pinned_pages(self, tiny_rope_model):
+        engine, state = _spec_engine(tiny_rope_model, SpeculationConfig(k=4))
+        engine.run()
+        assert state.finished and not engine._spec
+        # The drafter released everything and the row retired: the only page
+        # references left are the registry's prefix pins.
+        registry = engine._manager.registry
+        for pool in engine._manager.store.pools:
+            assert pool.used_pages == len(registry)
+        assert engine.check_invariants(strict=True) == []
 
     def test_telemetry_counts_are_consistent(self, tiny_rope_model):
-        result = SpeculativeGenerator(tiny_rope_model, SpeculationConfig(k=4)).generate(
-            _prompt(), GenerationConfig(max_new_tokens=MAX_NEW)
-        )
+        engine, state = _spec_engine(tiny_rope_model, SpeculationConfig(k=4))
+        engine.run()
+        result = state.result()
         spec = result.speculation
+        assert spec == engine.speculation_stats.summary()
         # The first token comes from the prompt logits; rounds commit the rest.
         assert spec["committed"] == len(result.sequences[0]) - 1
         assert spec["accepted"] <= spec["drafted"]
         assert 0.0 <= spec["acceptance_rate"] <= 1.0
         # Every verify round commits at least one token.
         assert spec["committed"] >= spec["rounds"]
+
+
+DRAFTERS = {
+    "ngram": lambda: SpeculationConfig(k=3, drafter="ngram"),
+    "window": lambda: SpeculationConfig(k=3, drafter="window"),
+    "policy": lambda: SpeculationConfig(
+        k=3,
+        drafter="policy",
+        drafter_policy_factory=lambda: StreamingLLMPolicy(CachePolicyConfig(kv_budget=12)),
+    ),
+    "drafter_model": lambda: SpeculationConfig(
+        k=3, drafter_model=DecoderLM(tiny_config("rope", n_layers=1, d_ff=32), seed=3)
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DRAFTERS))
+def test_result_policy_names_the_speculative_run(tiny_rope_model, kind):
+    """``policy`` says the run was speculative for every drafter kind (a
+    drafter's own ``"policy"`` key must not overwrite it), and the facade
+    reports what the engine reports for the same request."""
+    spec = DRAFTERS[kind]()
+    config = GenerationConfig(max_new_tokens=MAX_NEW)
+    result = SpeculativeGenerator(tiny_rope_model, spec).generate(_prompt(), config)
+    assert sorted(result.policy) == ["drafter", "k", "policy", "target"]
+    assert result.policy["policy"] == "speculative"
+    assert result.policy["target"]["policy"] == "full"
+    assert result.policy["k"] == 3
+    assert result.policy["drafter"]["drafter"] == ("ngram" if kind == "ngram" else "policy")
+    engine = ContinuousBatchingEngine(tiny_rope_model, speculation=spec)
+    state = engine.submit(_prompt(), config, sampler=GreedySampler())
+    engine.run()
+    assert state.result().policy == result.policy
