@@ -27,13 +27,15 @@ test-cov:
 
 # The BLAS row-count invariance the chunked-prefill contract rests on, that
 # contract itself (chunks and whole prompts), and the decode kernel's rows
-# (gemv per row: a batch row is its sequence decoded alone), under one and
-# under two OpenBLAS threads.
+# (gemv per row: a batch row is its sequence decoded alone — B > 1 generator
+# rows and beams, read from the padded workspace), under one and under two
+# OpenBLAS threads.
 BLAS_ROW_TESTS = tests/models/test_blas_rows.py \
 	tests/models/test_transformer.py::TestChunkedPrefillRowStability \
 	tests/models/test_attention.py::TestPrefillChunkIsForwardRows \
 	tests/models/test_attention.py::TestDecodeStep::test_kernel_is_the_reference \
-	tests/generation/test_generator.py::TestBatchedRowsAreSoloRuns
+	tests/generation/test_generator.py::TestBatchedRowsAreSoloRuns \
+	tests/generation/test_beam.py::TestBeamsAreSoloRuns
 
 test-blas-threads:
 	OPENBLAS_NUM_THREADS=1 $(PYTHON) -m pytest -q $(BLAS_ROW_TESTS)

@@ -14,10 +14,11 @@ from repro.core.keyformer import KeyformerPolicy
 from repro.core.policies import H2OPolicy, mixed_topk_selection
 from repro.core.registry import make_policy
 from repro.generation.generator import Generator
-from repro.kvcache.cache import LayerKVCache
 from repro.models.config import GenerationConfig, ModelConfig
 from repro.models.tensor_ops import softmax
 from repro.models.transformer import DecoderLM
+
+from run_bench import solo_rows
 
 
 @pytest.fixture(scope="module")
@@ -99,12 +100,12 @@ def test_micro_generation_full_attention(benchmark, micro_model):
 def test_micro_cache_gather(benchmark):
     rng = np.random.default_rng(2)
     keys = rng.normal(size=(4, 8, 1024, 64))
-    cache = LayerKVCache.from_prompt(keys, keys.copy())
     indices = np.sort(rng.choice(1024, size=(4, 8, 512), replace=True), axis=-1)
 
     def gather():
-        fresh = LayerKVCache.from_prompt(keys, keys.copy())
-        fresh.gather(indices)
+        fresh = solo_rows(keys)
+        for row in range(len(fresh.tables)):
+            fresh.gather_row(row, indices[row])
 
     benchmark(gather)
 

@@ -33,7 +33,7 @@ from repro.core.policies import H2OPolicy, WindowAttentionPolicy, mixed_topk_sel
 from repro.core.registry import make_policy
 from repro.generation.generator import Generator
 from repro.generation.sampler import GreedySampler
-from repro.kvcache.cache import LayerKVCache
+from repro.kvcache.batch import BatchedLayerKVCache
 from repro.models.config import GenerationConfig, ModelConfig
 from repro.models.tensor_ops import softmax
 from repro.models.transformer import DecoderLM
@@ -209,8 +209,21 @@ def bench_prompt_forward(
     return _time(None, run, rounds)
 
 
+def solo_rows(keys: np.ndarray) -> BatchedLayerKVCache:
+    """A one-layer cache whose rows are seeded as ``CacheManager`` seeds
+    them: each row one ascending page run, its length reserved, in a private
+    pool."""
+    b, h, t, d = keys.shape
+    cache = BatchedLayerKVCache(b, h, d, capacity=t)
+    positions = np.broadcast_to(np.arange(t), (h, t))
+    for row, table in enumerate(cache.tables):
+        cache.pool.extend(table, keys[row], keys[row].copy(), positions, reserve_tokens=t)
+    return cache
+
+
 def bench_cache_gather(length: int, rounds: int) -> dict:
-    """Time scattered-eviction compaction (``LayerKVCache.gather``)."""
+    """Time scattered-eviction compaction of four solo rows
+    (``BatchedLayerKVCache.gather_row`` per row, as ``CacheManager`` evicts)."""
     rng = np.random.default_rng(2)
     keys = rng.normal(size=(4, 8, length, 64))
     indices = np.sort(rng.choice(length, size=(4, 8, length // 2), replace=True), axis=-1)
@@ -219,27 +232,30 @@ def bench_cache_gather(length: int, rounds: int) -> dict:
     n_caches = 8
 
     def setup():
-        return ([LayerKVCache.from_prompt(keys, keys.copy()) for _ in range(n_caches)],)
+        return ([solo_rows(keys) for _ in range(n_caches)],)
 
     def run(caches):
         for cache in caches:
-            cache.gather(indices)
+            for row in range(len(cache.tables)):
+                cache.gather_row(row, indices[row])
 
     return _time(setup, run, rounds)
 
 
 def bench_cache_append(length: int, n_appends: int, rounds: int) -> dict:
-    """Time repeated single-token KV appends at a given resident length."""
+    """Time repeated single-token KV appends (``BlockPool.append``, the solo
+    manager's per-row write) at a given resident length."""
     rng = np.random.default_rng(3)
     keys = rng.normal(size=(1, 8, length, 64))
-    k = rng.normal(size=(1, 8, 64))
+    k = rng.normal(size=(8, 64))
 
     def setup():
-        return (LayerKVCache.from_prompt(keys, keys.copy()),)
+        return (solo_rows(keys),)
 
     def run(cache):
+        pool, table = cache.pool, cache.tables[0]
         for i in range(n_appends):
-            cache.append(k, k, length + i)
+            pool.append(table, k, k, length + i)
 
     return _time(setup, run, rounds)
 

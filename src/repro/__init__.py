@@ -27,7 +27,7 @@ from repro.core import (
 from repro.models import ModelConfig, DecoderLM, MODEL_ZOO, build_model, load_or_train
 from repro.models.config import GenerationConfig
 from repro.generation import Generator, BeamSearch, SummarizationPipeline, ConversationPipeline
-from repro.kvcache import CacheManager, LayerKVCache
+from repro.kvcache import CacheManager
 
 __version__ = "1.0.0"
 
@@ -52,6 +52,5 @@ __all__ = [
     "SummarizationPipeline",
     "ConversationPipeline",
     "CacheManager",
-    "LayerKVCache",
     "__version__",
 ]

@@ -6,8 +6,10 @@ two phases described in §2.1:
 1. **Prompt processing** — the prompt is processed with full causal attention
    (one batched :meth:`~repro.models.transformer.DecoderLM.forward_suffix`
    pass); keys/values of all prompt tokens are returned and handed to the
-   :class:`~repro.kvcache.manager.CacheManager`, which lets
-   the configured eviction policy reduce the cache from ``n`` to ``k`` tokens.
+   :class:`~repro.kvcache.manager.CacheManager`, which seeds one row per
+   sequence in each layer's :class:`~repro.kvcache.batch.BatchedLayerKVCache`
+   and lets the configured eviction policy reduce the cache from ``n`` to
+   ``k`` tokens.
 2. **Token generation** — tokens are generated auto-regressively; each step
    appends one KV entry per layer, attends over the reduced cache, and lets
    the policy evict back down to ``k`` entries.

@@ -1,8 +1,9 @@
 """KV-cache data structures and the cache managers that apply eviction policies.
 
-Storage is paged: both the solo cache (:class:`LayerKVCache`) and the serving
-batch cache (:class:`BatchedLayerKVCache`) are thin views over per-layer
-:class:`BlockPool` page pools with ref-counted, copy-on-write pages — see
+Storage is paged: the one per-layer cache (:class:`BatchedLayerKVCache`),
+which the solo :class:`CacheManager` and the serving
+:class:`BatchedCacheManager` both keep their rows in, is a thin view over
+per-layer :class:`BlockPool` page pools with ref-counted, copy-on-write pages — see
 :mod:`repro.kvcache.paged`.  A ``kv_dtype="int8"`` knob swaps the pools for
 :class:`QuantizedBlockPool` (int8 pages with per-page/per-head scales, see
 :mod:`repro.kvcache.quant`) without changing any cache-facing API.
@@ -30,7 +31,6 @@ from repro.kvcache.admission import (
     resolve_admission_policy,
 )
 from repro.kvcache.batch import BatchedCacheManager, BatchedLayerKVCache, BatchedLayerView
-from repro.kvcache.cache import LayerKVCache
 from repro.kvcache.manager import CacheManager, LayerCacheView
 from repro.kvcache.paged import (
     DEFAULT_PAGE_SIZE,
@@ -61,7 +61,6 @@ __all__ = [
     "FrequencySketch",
     "WTinyLFUAdmissionPolicy",
     "resolve_admission_policy",
-    "LayerKVCache",
     "CacheManager",
     "LayerCacheView",
     "CacheStats",

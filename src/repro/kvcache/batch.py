@@ -1,10 +1,12 @@
-"""Batched per-sequence KV storage for the continuous-batching engine.
+"""The per-layer KV cache, and the continuous-batching engine's manager.
 
-The serving engine keeps many in-flight sequences resident at once.  Each
-sequence row is a :class:`~repro.kvcache.paged.PageTable` into the same
-per-layer :class:`~repro.kvcache.paged.BlockPool` the solo cache uses — the
-batched cache adds no storage logic of its own, it only drives the pool's
-single implementation of append/extend/gather for a set of rows:
+:class:`BatchedLayerKVCache` is the one per-layer cache: the serving
+engine's :class:`BatchedCacheManager` and the solo/beam/drafter
+:class:`~repro.kvcache.manager.CacheManager` both keep their rows in it.
+Each sequence row is a :class:`~repro.kvcache.paged.PageTable` into the
+layer's :class:`~repro.kvcache.paged.BlockPool` — the cache adds no storage
+logic of its own, it only drives the pool's single implementation of
+append/extend/gather for a set of rows:
 
 * ``append_rows`` resolves one page slot per active sequence and writes all
   rows with one vectorized scatter per slab;
@@ -15,15 +17,18 @@ single implementation of append/extend/gather for a set of rows:
   batch: a retiring row's pages go straight back to the pool (an O(1)
   refcount drop — no slab copy, unlike the historical dense-slab design),
   and a joining row may *map* already-resident pages for a shared prompt
-  prefix instead of storing a duplicate.
+  prefix instead of storing a duplicate;
+* ``map_row`` / ``fork_row`` clone tables (a refcount bump): a drafter row
+  mapping its target's prompt, and the snapshots behind rollback and beam
+  reorder.
 
 The attention step consumes padded ``(rows, heads, max_len, d)`` tensors
 kept in a workspace that page-gathers only the tokens a row appended since
 its last read (a row whose table was rewritten is read whole; a lone row on
 contiguous pages is zero-copy).  Bit-exactness contract: every stored value is
-produced by the same per-token elementwise operations as the single-sequence
-cache, so row ``b`` of the padded view restricted to ``lengths[b]`` entries
-is bit-identical to the cache of a sequence decoded alone.
+produced by the same per-token elementwise operations whichever write path
+stored it, so row ``b`` of the padded view restricted to ``lengths[b]``
+entries is bit-identical to the cache of a sequence decoded alone.
 :class:`BatchedCacheManager` mirrors
 :class:`~repro.kvcache.manager.CacheManager` — per-layer caches, positional
 modes, eviction bookkeeping — but drives one policy *instance per sequence*
@@ -34,11 +39,11 @@ would in a dedicated single-sequence run.
 from __future__ import annotations
 
 import copy
+from typing import Callable
 
 import numpy as np
 
 from repro.core.policies import EvictionPolicy
-from repro.kvcache.manager import PolicyDriver
 from repro.kvcache.paged import (
     DEFAULT_PAGE_SIZE,
     BlockPool,
@@ -54,9 +59,83 @@ from repro.kvcache.stats import CacheStats
 from repro.kvcache.verify import VerifyView
 from repro.models.positional import RopeTable, get_rope_table
 
-__all__ = ["BatchedLayerKVCache", "BatchedCacheManager", "BatchedLayerView"]
+__all__ = ["BatchedLayerKVCache", "BatchedCacheManager", "BatchedLayerView", "PolicyDriver"]
 
 _MIN_CAPACITY = 16
+
+
+class PolicyDriver:
+    """Drives one sequence's policy through its decode steps.
+
+    A per-layer policy is called as each layer observes.  For a policy with
+    ``stacked_steps`` the layers' tensors are collected — stacked ``(layers,
+    B, H, L)``, in buffers reused while the shape repeats (it does from the
+    step a fixed-budget policy reaches its budget) — and the last layer's
+    call runs the policy once for the whole step.
+    """
+
+    def __init__(self, n_layers: int):
+        self.n_layers = n_layers
+        self.logits: np.ndarray | None = None
+        self.probs: np.ndarray | None = None
+        self._filled = 0
+
+    def _stash(self, layer_idx: int, logits: np.ndarray, probs: np.ndarray) -> bool:
+        """Store layer ``layer_idx``'s tensors; true once the step is whole.
+
+        Layers must arrive in order from 0 (a step abandoned midway is simply
+        restarted), all with layer 0's shape.
+        """
+        held = self.logits
+        if layer_idx == 0:
+            shape = (self.n_layers,) + logits.shape
+            if held is None or held.shape != shape or held.dtype != logits.dtype:
+                self.logits = np.empty(shape, dtype=logits.dtype)
+                self.probs = np.empty(shape, dtype=probs.dtype)
+        elif layer_idx != self._filled or logits.shape != held.shape[1:]:
+            raise RuntimeError(
+                f"layer {layer_idx} observed {logits.shape} out of step: "
+                f"{self._filled} layers stashed, layer 0 had "
+                f"{None if held is None else held.shape[1:]}"
+            )
+        self.logits[layer_idx] = logits
+        self.probs[layer_idx] = probs
+        self._filled = layer_idx + 1
+        return self._filled == self.n_layers
+
+    def observe(
+        self,
+        policy: EvictionPolicy,
+        layer_idx: int,
+        logits: np.ndarray,
+        probs: np.ndarray,
+        step: int,
+        positions_of: Callable[[int], np.ndarray],
+        apply: Callable[[int, object], None],
+    ) -> None:
+        """Run ``policy`` on layer ``layer_idx``'s step tensors and hand each
+        layer's selection to ``apply(layer, selection)``.
+
+        ``positions_of(layer)`` materializes that layer's key positions; it is
+        called only for a policy that declares ``needs_key_positions``.
+        """
+        layers = range(self.n_layers)
+        if policy.stacked_steps:
+            if not self._stash(layer_idx, logits, probs):
+                return
+            positions = None
+            if policy.needs_key_positions:
+                positions = np.stack([positions_of(idx) for idx in layers])
+            selection = policy.step_selection(None, self.logits, self.probs, positions, step)
+            if selection is not None:
+                for idx in layers:
+                    apply(idx, selection[0 if policy.shared_selection else idx])
+            return
+        positions = positions_of(layer_idx) if policy.needs_key_positions else None
+        selection = policy.step_selection(layer_idx, logits, probs, positions, step)
+        if selection is not None:
+            for idx in layers if policy.shared_selection else (layer_idx,):
+                apply(idx, selection)
 
 
 class _RowSnapshot:
@@ -96,7 +175,7 @@ class BatchedLayerKVCache:
     rope_dims:
         When positive, the pool maintains a rotated-key slab alongside the
         raw keys (rotation is eager and elementwise, hence bit-identical to
-        the lazy rotation of the historical solo cache).
+        rotating at read time).
     pool:
         Optional shared :class:`BlockPool` (the batched manager passes one
         per layer, owned by its :class:`PagedKVStore`).
@@ -227,6 +306,25 @@ class BatchedLayerKVCache:
             np.asarray(positions, dtype=np.int64)[0],
         )
 
+    def map_row(self, row: int, source: PageTable) -> None:
+        """Seed row ``row`` by *mapping* another sequence's table: a clone
+        co-owns the pages covering ``source``'s live tokens (a refcount bump)
+        until copy-on-write splits a page at the first divergent write.  The
+        source's reserve tail stays exclusively its own, so its in-place
+        appends need no copy."""
+        clone = source.clone()
+        clone.drop_pages(pages_needed(clone.end, self.pool.page_size))
+        self.pool.retain(clone.pages)
+        self.pool.release_table(self.tables[row])
+        self.tables[row] = clone
+
+    def fork_row(self, row: int) -> PageTable:
+        """A clone of row ``row``'s table co-owning its pages (a refcount
+        bump, not a copy): a snapshot the row's later writes cannot touch."""
+        fork = self.tables[row].clone()
+        self.pool.retain(fork.pages)
+        return fork
+
     def free_row(self, row: int, last: int) -> None:
         """Retire ``row``: release its pages and move row ``last`` into it.
 
@@ -288,6 +386,23 @@ class BatchedLayerKVCache:
     def positions_row(self, row: int) -> np.ndarray:
         """Original positions of row ``row``'s live entries, shape ``(1, H, L)``."""
         return self.pool.positions_view(self.tables[row])[None]
+
+    def _all_rows(self, read) -> np.ndarray:
+        rows = [read(table) for table in self.tables]
+        return rows[0][None] if len(rows) == 1 else np.stack(rows)
+
+    @property
+    def keys(self) -> np.ndarray:
+        """Raw keys of every row slot, ``(rows, H, L, d)``, for rows of one
+        length (the solo manager's); a zero-copy view for one row on
+        contiguous pages."""
+        return self._all_rows(self.pool.keys_view)
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Original positions of every row slot, ``(rows, H, L)`` (see
+        :attr:`keys`)."""
+        return self._all_rows(self.pool.positions_view)
 
     def padded_batch(
         self, n_active: int, rotated: bool
@@ -702,14 +817,9 @@ class BatchedCacheManager:
         snapshot must be consumed by exactly one of :meth:`restore_row` or
         :meth:`discard_row_snapshot`, or its page references leak.
         """
-        tables = []
-        for cache in self.caches:
-            fork = cache.tables[row].clone()
-            cache.pool.retain(fork.pages)
-            tables.append(fork)
         stats = self.stats[row]
         return _RowSnapshot(
-            tables,
+            [cache.fork_row(row) for cache in self.caches],
             copy.deepcopy(self.policies[row]),
             stats.total_appended,
             stats.total_evicted,

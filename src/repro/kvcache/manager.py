@@ -1,11 +1,13 @@
 """Cache manager: connects decoder layers, KV caches and eviction policies.
 
-The manager owns one :class:`LayerKVCache` per decoder layer and a single
-eviction policy.  During incremental decoding each decoder block interacts
-with the manager through a :class:`LayerCacheView`, which implements the
-``DecodeCache`` protocol of
-:meth:`repro.models.block.DecoderBlock.decode_step_batch` as a batch whose
-rows are never padded (every row holds the same number of entries):
+The manager keeps its ``B`` rows (a batch, or the beams of a beam search) in
+one :class:`~repro.kvcache.batch.BatchedLayerKVCache` per decoder layer — the
+per-layer cache the serving engine uses — and drives a single eviction policy.
+During incremental decoding each decoder block interacts with the manager
+through a :class:`LayerCacheView`, which implements the ``DecodeCache``
+protocol of :meth:`repro.models.block.DecoderBlock.decode_step_batch` as a
+batch whose rows are never padded (every row holds the same number of
+entries):
 
 1. ``append`` stores the new token's key/value;
 2. ``attention_view`` exposes keys/values plus positional indices in either
@@ -14,97 +16,44 @@ rows are never padded (every row holds the same number of entries):
    which may return a selection of entries to retain; the manager applies the
    selection (to one layer, or to all layers for shared score functions).  For
    a policy with ``stacked_steps`` the layers' tensors are collected (see
-   :class:`PolicyDriver`) and the last layer's ``observe`` runs the policy once
-   for the whole step, then evicts layer by layer — no layer's cache is read
-   again before the next token, so nothing observes the deferral.
+   :class:`~repro.kvcache.batch.PolicyDriver`) and the last layer's
+   ``observe`` runs the policy once for the whole step, then evicts layer by
+   layer — no layer's cache is read again before the next token, so nothing
+   observes the deferral.
+
+Every row is seeded as one ascending page run with its whole generation
+reserved up front, so a lone row's reads are zero-copy pool views.  The rest
+is page-table bookkeeping over the same pool: beam ``reorder`` and the
+drafter's ``fork`` / ``restore`` / ``discard`` clone tables (a refcount bump;
+copy-on-write splits a shared page at its first divergent write), and
+``initialize_mapped`` starts from another sequence's tables.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import copy
 
 import numpy as np
 
 from repro.core.policies import EvictionPolicy
-from repro.kvcache.cache import LayerKVCache
+from repro.core.score import EvictOne
+from repro.kvcache.batch import BatchedLayerKVCache, PolicyDriver
 from repro.kvcache.paged import DEFAULT_PAGE_SIZE, PagedKVStore, PageTable, pages_needed
 from repro.kvcache.stats import CacheStats
 
-__all__ = ["CacheManager", "LayerCacheView", "PolicyDriver"]
+__all__ = ["CacheManager", "LayerCacheView"]
 
 
-class PolicyDriver:
-    """Drives one sequence's policy through its decode steps.
+class _Snapshot:
+    """One rewind point of a :class:`CacheManager` (see :meth:`CacheManager.fork`)."""
 
-    A per-layer policy is called as each layer observes.  For a policy with
-    ``stacked_steps`` the layers' tensors are collected — stacked ``(layers,
-    B, H, L)``, in buffers reused while the shape repeats (it does from the
-    step a fixed-budget policy reaches its budget) — and the last layer's
-    call runs the policy once for the whole step.
-    """
+    __slots__ = ("tables", "policy", "position", "step")
 
-    def __init__(self, n_layers: int):
-        self.n_layers = n_layers
-        self.logits: np.ndarray | None = None
-        self.probs: np.ndarray | None = None
-        self._filled = 0
-
-    def _stash(self, layer_idx: int, logits: np.ndarray, probs: np.ndarray) -> bool:
-        """Store layer ``layer_idx``'s tensors; true once the step is whole.
-
-        Layers must arrive in order from 0 (a step abandoned midway is simply
-        restarted), all with layer 0's shape.
-        """
-        held = self.logits
-        if layer_idx == 0:
-            shape = (self.n_layers,) + logits.shape
-            if held is None or held.shape != shape or held.dtype != logits.dtype:
-                self.logits = np.empty(shape, dtype=logits.dtype)
-                self.probs = np.empty(shape, dtype=probs.dtype)
-        elif layer_idx != self._filled or logits.shape != held.shape[1:]:
-            raise RuntimeError(
-                f"layer {layer_idx} observed {logits.shape} out of step: "
-                f"{self._filled} layers stashed, layer 0 had "
-                f"{None if held is None else held.shape[1:]}"
-            )
-        self.logits[layer_idx] = logits
-        self.probs[layer_idx] = probs
-        self._filled = layer_idx + 1
-        return self._filled == self.n_layers
-
-    def observe(
-        self,
-        policy: EvictionPolicy,
-        layer_idx: int,
-        logits: np.ndarray,
-        probs: np.ndarray,
-        step: int,
-        positions_of: Callable[[int], np.ndarray],
-        apply: Callable[[int, object], None],
-    ) -> None:
-        """Run ``policy`` on layer ``layer_idx``'s step tensors and hand each
-        layer's selection to ``apply(layer, selection)``.
-
-        ``positions_of(layer)`` materializes that layer's key positions; it is
-        called only for a policy that declares ``needs_key_positions``.
-        """
-        layers = range(self.n_layers)
-        if policy.stacked_steps:
-            if not self._stash(layer_idx, logits, probs):
-                return
-            positions = None
-            if policy.needs_key_positions:
-                positions = np.stack([positions_of(idx) for idx in layers])
-            selection = policy.step_selection(None, self.logits, self.probs, positions, step)
-            if selection is not None:
-                for idx in layers:
-                    apply(idx, selection[0 if policy.shared_selection else idx])
-            return
-        positions = positions_of(layer_idx) if policy.needs_key_positions else None
-        selection = policy.step_selection(layer_idx, logits, probs, positions, step)
-        if selection is not None:
-            for idx in layers if policy.shared_selection else (layer_idx,):
-                apply(idx, selection)
+    def __init__(self, tables, policy, position, step):
+        self.tables = tables
+        self.policy = policy
+        self.position = position
+        self.step = step
 
 
 class LayerCacheView:
@@ -188,7 +137,7 @@ class CacheManager:
         self.kv_dtype = store.config.kv_dtype if store is not None else kv_dtype
         self._shared_store = store
         self.store: PagedKVStore | None = store
-        self.caches: list[LayerKVCache] = []
+        self.caches: list[BatchedLayerKVCache] = []
         self.stats = CacheStats(n_layers=n_layers, n_heads=n_heads, d_head=d_head)
         self.prompt_len = 0
         self.generation_step = 0
@@ -216,12 +165,44 @@ class CacheManager:
             kv_dtype=self.kv_dtype,
         )
 
-    def _make_cache_kwargs(self, max_new_tokens: int, initial_len: int) -> dict:
-        return {
-            "dtype": self.dtype,
-            "capacity": initial_len + max_new_tokens + 1,
-            "rope_dims": self.rope_dims,
-        }
+    def _seed(
+        self, batch_size: int, capacity: int, kv: list[tuple[np.ndarray, np.ndarray]]
+    ) -> None:
+        """One cache per layer, each row seeded from its ``(B, H, T, d)``
+        keys/values as one page run reserving ``capacity`` tokens."""
+        self._build_store(batch_size, capacity)
+        self.caches = self._new_caches(batch_size)
+        t = kv[0][0].shape[2]
+        positions = np.broadcast_to(np.arange(t), (self.n_heads, t))
+        for cache, (keys, values) in zip(self.caches, kv):
+            keys = np.asarray(keys, dtype=self.dtype)
+            values = np.asarray(values, dtype=self.dtype)
+            for row, table in enumerate(cache.tables):
+                cache.pool.extend(
+                    table, keys[row], values[row], positions, reserve_tokens=capacity
+                )
+        self.stats.kv_token_bytes = self.store.pools[0].kv_token_nbytes()
+
+    def _new_caches(self, batch_size: int) -> list[BatchedLayerKVCache]:
+        return [
+            BatchedLayerKVCache(batch_size, self.n_heads, self.d_head, pool=pool)
+            for pool in self.store.pools
+        ]
+
+    def _start(self, batch_size: int, prompt_len: int) -> None:
+        """Reset the counters and stats for a new run."""
+        self.prompt_len = prompt_len
+        self.generation_step = 0
+        self.current_position = prompt_len  # original position of the next token
+        self._qpos_array = None
+        self.stats = CacheStats(
+            n_layers=self.n_layers,
+            n_heads=self.n_heads,
+            d_head=self.d_head,
+            batch_size=batch_size,
+            prompt_len=prompt_len,
+        )
+        self.stats.total_appended += prompt_len * self.n_layers
 
     # ------------------------------------------------------------------
     # prompt phase
@@ -248,33 +229,10 @@ class CacheManager:
         """
         if len(prompt_kv) != self.n_layers:
             raise ValueError(f"expected {self.n_layers} layers of prompt KV, got {len(prompt_kv)}")
-        keys0 = prompt_kv[0][0]
-        batch_size, _, prompt_len, _ = keys0.shape
-        self.prompt_len = prompt_len
-        self.generation_step = 0
-        self.current_position = prompt_len  # original position of the next token
-        self._qpos_array = None
-        self.stats = CacheStats(
-            n_layers=self.n_layers,
-            n_heads=self.n_heads,
-            d_head=self.d_head,
-            batch_size=batch_size,
-            prompt_len=prompt_len,
-        )
-
+        batch_size, _, prompt_len, _ = prompt_kv[0][0].shape
+        self._start(batch_size, prompt_len)
         self.policy.setup(self.n_layers, self.n_heads, batch_size, prompt_len, max_new_tokens)
-
-        cache_kwargs = self._make_cache_kwargs(max_new_tokens, prompt_len)
-        self._build_store(batch_size, cache_kwargs["capacity"])
-        self.caches = [
-            LayerKVCache.from_prompt(
-                keys, values, pool=self.store.pool(layer), **cache_kwargs
-            )
-            for layer, (keys, values) in enumerate(prompt_kv)
-        ]
-        self.stats.kv_token_bytes = self.store.pools[0].kv_token_nbytes()
-        self.stats.total_appended += prompt_len * self.n_layers
-
+        self._seed(batch_size, prompt_len + max_new_tokens + 1, prompt_kv)
         self._apply_prompt_selections(prompt_attn, prompt_logits, prompt_len)
 
     def _apply_prompt_selections(
@@ -308,10 +266,11 @@ class CacheManager:
 
         ``source_tables`` holds, per layer, the page tables of a sequence
         already resident in this manager's (shared) store — the serving
-        engine's speculative row right after it joined.  Instead of
-        copying the prompt KV, each layer cache clones the source table and
-        retains its pages; the drafter's prompt-phase eviction then
-        copy-on-writes into private pages, so target and drafter share
+        engine's speculative row right after it joined.  Instead of copying
+        the prompt KV, each row clones its source table and retains the pages
+        covering live tokens (the source's reserve tail stays its own, so its
+        in-place appends need no copy); the drafter's prompt-phase eviction
+        then copy-on-writes into private pages, so target and drafter share
         physical prompt pages exactly as long as their contents agree.
         """
         if self._shared_store is None:
@@ -322,27 +281,17 @@ class CacheManager:
             )
         self.store = self._shared_store
         batch_size = len(source_tables[0])
-        prompt_len = source_tables[0][0].length
-        self.prompt_len = prompt_len
-        self.generation_step = 0
-        self.current_position = prompt_len
-        self._qpos_array = None
-        self.stats = CacheStats(
-            n_layers=self.n_layers,
-            n_heads=self.n_heads,
-            d_head=self.d_head,
-            batch_size=batch_size,
-            prompt_len=prompt_len,
+        self._start(batch_size, source_tables[0][0].length)
+        self.policy.setup(
+            self.n_layers, self.n_heads, batch_size, self.prompt_len, max_new_tokens
         )
-        self.policy.setup(self.n_layers, self.n_heads, batch_size, prompt_len, max_new_tokens)
-        self.caches = [
-            LayerKVCache.map_tables(self.store.pool(layer), tables, rope_dims=self.rope_dims)
-            for layer, tables in enumerate(source_tables)
-        ]
+        self.caches = self._new_caches(batch_size)
+        for cache, tables in zip(self.caches, source_tables):
+            for row, table in enumerate(tables):
+                cache.map_row(row, table)
         self.stats.kv_token_bytes = self.store.pools[0].kv_token_nbytes()
-        self.stats.total_appended += prompt_len * self.n_layers
         try:
-            self._apply_prompt_selections(prompt_attn, prompt_logits, prompt_len)
+            self._apply_prompt_selections(prompt_attn, prompt_logits, self.prompt_len)
         except Exception:
             # A mid-eviction failure (PoolExhausted from a copy-on-write
             # gather, or an injected allocation fault) must not leak the
@@ -353,29 +302,12 @@ class CacheManager:
 
     def initialize_empty(self, batch_size: int, max_new_tokens: int, prompt_len: int = 1) -> None:
         """Start decoding with empty caches (used in unit tests and microbenchmarks)."""
-        self.prompt_len = 0
-        self.generation_step = 0
-        self.current_position = 0
-        self._qpos_array = None
+        self._start(batch_size, 0)
         self.policy.setup(
             self.n_layers, self.n_heads, batch_size, max(prompt_len, 1), max_new_tokens
         )
-        cache_kwargs = self._make_cache_kwargs(max_new_tokens, 0)
-        self._build_store(batch_size, cache_kwargs["capacity"])
-        self.caches = [
-            LayerKVCache.empty(
-                batch_size, self.n_heads, self.d_head, pool=self.store.pool(layer), **cache_kwargs
-            )
-            for layer in range(self.n_layers)
-        ]
-        self.stats = CacheStats(
-            n_layers=self.n_layers,
-            n_heads=self.n_heads,
-            d_head=self.d_head,
-            batch_size=batch_size,
-            prompt_len=0,
-        )
-        self.stats.kv_token_bytes = self.store.pools[0].kv_token_nbytes()
+        empty = np.zeros((batch_size, self.n_heads, 0, self.d_head))
+        self._seed(batch_size, max_new_tokens + 1, [(empty, empty)] * self.n_layers)
 
     # ------------------------------------------------------------------
     # decode phase
@@ -391,8 +323,11 @@ class CacheManager:
         return [self.layer_view(i) for i in range(self.n_layers)]
 
     def append(self, layer_idx: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Append the current token's key/value to one layer's cache."""
-        self.caches[layer_idx].append(k, v, self.current_position)
+        """Append the current token's key/value (``(B, H, d_head)``) to one
+        layer's cache: an in-place page write per row."""
+        cache = self.caches[layer_idx]
+        for row, table in enumerate(cache.tables):
+            cache.pool.append(table, k[row], v[row], self.current_position)
         self.stats.total_appended += 1
 
     def attention_view(
@@ -407,24 +342,19 @@ class CacheManager:
         step skips its own key rotation.
         """
         cache = self.caches[layer_idx]
-        keys_rotated = False
-        if self.positional_mode == "original":
-            key_positions = cache.retained_original_positions()
+        original = self.positional_mode == "original"
+        rotated = original and self.rope_dims > 0
+        keys, values, positions, _, length = cache.padded_batch(len(cache.tables), rotated)
+        if original:
             if self._qpos_array is None:
                 # One array per decoding step, shared by every layer.
                 self._qpos_array = np.asarray(self.current_position)
             query_positions = self._qpos_array
-            if self.rope_dims > 0:
-                keys = cache.rotated_keys()
-                keys_rotated = True
-            else:
-                keys = cache.keys
         else:
-            keys = cache.keys
-            key_positions = cache.renumbered_positions()
-            query_positions = np.asarray(cache.length - 1)
-        self._step_lengths.append(cache.length)
-        return keys, cache.values, key_positions, query_positions, None, keys_rotated
+            positions = np.broadcast_to(np.arange(length), positions.shape)
+            query_positions = np.asarray(length - 1)
+        self._step_lengths.append(length)
+        return keys, values, positions, query_positions, None, rotated
 
     def observe(self, layer_idx: int, logits: np.ndarray, probs: np.ndarray) -> None:
         """Run the policy on the step's attention tensors; apply evictions."""
@@ -434,7 +364,7 @@ class CacheManager:
             logits,
             probs,
             self.generation_step + 1,
-            lambda idx: self.caches[idx].retained_original_positions(),
+            lambda idx: self.caches[idx].positions,
             self._apply_selection,
         )
 
@@ -447,34 +377,91 @@ class CacheManager:
         self.current_position += 1
         self._qpos_array = None
 
+    # ------------------------------------------------------------------
+    # page-table operations: beam reorder, rollback, teardown
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _adopt(cache: BatchedLayerKVCache, tables: list[PageTable]) -> None:
+        """Release ``cache``'s row tables and put ``tables`` in their slots."""
+        for table in cache.tables:
+            cache.pool.release_table(table)
+        cache.tables[:] = tables
+
+    def reorder(self, batch_indices: np.ndarray) -> None:
+        """Reorder (or duplicate) the batch/beam rows of every cache and of
+        the policy state.  Duplicated rows share pages until copy-on-write
+        splits them at the first divergent write."""
+        for cache in self.caches:
+            self._adopt(cache, [cache.fork_row(int(i)) for i in batch_indices])
+        self.policy.reorder(batch_indices)
+
+    def fork(self) -> _Snapshot:
+        """A rewind point: every row's page tables (cloned — refcounts, not
+        copies), a copy of the policy state and the position counters.
+
+        Hand it to :meth:`restore` (at most once) to rewind, or to
+        :meth:`discard` to release it.  The speculative drafter forks before
+        consuming each unverified draft token.
+        """
+        return _Snapshot(
+            [[cache.fork_row(row) for row in range(len(cache.tables))] for cache in self.caches],
+            copy.deepcopy(self.policy),
+            self.current_position,
+            self.generation_step,
+        )
+
+    def restore(self, snapshot: _Snapshot) -> None:
+        """Rewind to ``snapshot`` (from :meth:`fork`), which the manager
+        takes over; the current tables are released."""
+        for cache, tables in zip(self.caches, snapshot.tables):
+            self._adopt(cache, tables)
+        self.policy = snapshot.policy
+        self.current_position = snapshot.position
+        self.generation_step = snapshot.step
+        self._qpos_array = None
+        self._step_lengths = []
+
+    def discard(self, snapshot: _Snapshot) -> None:
+        """Release an unused snapshot from :meth:`fork`."""
+        for cache, tables in zip(self.caches, snapshot.tables):
+            for table in tables:
+                cache.pool.release_table(table)
+
     def release(self) -> None:
         """Return every cached page to the store (drafter teardown)."""
         for cache in self.caches:
-            cache.release()
+            self._adopt(cache, [])
         self.caches = []
 
-    def reorder(self, batch_indices: np.ndarray) -> None:
-        """Reorder the batch/beam dimension of every cache and of the policy state."""
-        for cache in self.caches:
-            cache.reorder(batch_indices)
-        self.policy.reorder(batch_indices)
-
     # ------------------------------------------------------------------
-    def _apply_selection(self, layer_idx: int, selection: np.ndarray) -> None:
+    def _apply_selection(self, layer_idx: int, selection) -> None:
+        """Evict every row of one layer down to ``selection`` (``(B, H, K)``,
+        ``(K,)`` for every row and head, or an :class:`EvictOne`)."""
         cache = self.caches[layer_idx]
-        evicted_before = cache.total_evicted
-        cache.gather(selection)
-        self.stats.total_evicted += cache.total_evicted - evicted_before
+        rows = len(cache.tables)
+        if not isinstance(selection, EvictOne):
+            selection = np.asarray(selection, dtype=np.int64)
+            if selection.ndim == 1:
+                selection = np.broadcast_to(selection, (rows, self.n_heads, selection.size))
+        if selection.shape[:2] != (rows, self.n_heads):
+            raise ValueError(
+                f"selection shape {selection.shape} incompatible with "
+                f"({rows}, {self.n_heads}, ...) rows"
+            )
+        evicted = 0
+        for row in range(rows):
+            evicted = cache.gather_row(row, selection[row])
+        self.stats.total_evicted += evicted
 
     # ------------------------------------------------------------------
     def cache_lengths(self) -> list[int]:
         """Current per-layer cache lengths."""
-        return [cache.length for cache in self.caches]
+        return [cache.tables[0].length for cache in self.caches]
 
-    def total_kv_bytes(self, dtype_bytes: int | None = None) -> int:
-        """Current resident KV-cache size across all layers.
-
-        Defaults to the actual storage dtype (see ``LayerKVCache.nbytes``);
-        pass ``dtype_bytes`` to model a different deployment dtype.
-        """
-        return sum(cache.nbytes(dtype_bytes) for cache in self.caches)
+    def total_kv_bytes(self) -> int:
+        """Current resident KV-cache size across all layers, at what a cached
+        token actually costs in the pool (``BlockPool.kv_token_nbytes``)."""
+        return sum(
+            int(len(cache.tables) * cache.tables[0].length * cache.pool.kv_token_nbytes())
+            for cache in self.caches
+        )

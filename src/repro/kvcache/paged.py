@@ -1,9 +1,9 @@
 """Paged KV-cache storage: block pools, page tables and prefix sharing.
 
-This module is the single storage substrate under both cache front-ends
-(:class:`~repro.kvcache.cache.LayerKVCache` for solo/beam decoding and
-:class:`~repro.kvcache.batch.BatchedLayerKVCache` for the continuous-batching
-engine).  Instead of one private slab per sequence, every decoder layer owns a
+This module is the single storage substrate under the one per-layer cache,
+:class:`~repro.kvcache.batch.BatchedLayerKVCache`, which both the solo/beam
+:class:`~repro.kvcache.manager.CacheManager` and the continuous-batching
+engine's manager keep their rows in.  Instead of one private slab per sequence, every decoder layer owns a
 :class:`BlockPool` of fixed-size **pages** (``page_size`` token slots each,
 holding keys, values, original positions and — when ``rope_dims > 0`` —
 eagerly rotated keys), and every sequence holds one :class:`PageTable` per
@@ -342,9 +342,10 @@ class BlockPool:
 
         Full-precision pools store the compute dtype itself; the quantized
         pool overrides this with int8 codes plus the amortized per-page
-        ``(scale, zero)`` tensors, so memory accounting (``LayerKVCache.nbytes``,
-        :meth:`repro.perfmodel.memory.MemoryModel.measured_kv_bytes`) reflects
-        what is actually resident.
+        ``(scale, zero)`` tensors, so memory accounting
+        (:meth:`repro.kvcache.manager.CacheManager.total_kv_bytes`,
+        :class:`~repro.kvcache.stats.CacheStats`) reflects what is actually
+        resident.
         """
         return float(2 * self.n_heads * self.d_head * self._k.dtype.itemsize)
 

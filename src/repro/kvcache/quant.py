@@ -77,9 +77,9 @@ class QuantizedBlockPool(BlockPool):
     quantizes through the storage hooks of the base class, and every read
     path (``keys_view`` / ``values_view`` / ``rotated_view`` / ``fill_row``
     / ``page_tokens_view``) materializes **dequantized** tensors in the
-    pool's compute ``dtype`` — so :class:`~repro.kvcache.cache.LayerKVCache`,
-    :class:`~repro.kvcache.batch.BatchedLayerKVCache`, prefix sharing,
-    truncate/fork rollback and the attention kernels run unchanged.  The one
+    pool's compute ``dtype`` — so :class:`~repro.kvcache.batch.BatchedLayerKVCache`
+    under either manager, prefix sharing, truncate/fork rollback and the
+    attention kernels run unchanged.  The one
     structural difference from the base pool: reads are always page-gather
     copies (there is no zero-copy dequantized view of int8 codes).
     """

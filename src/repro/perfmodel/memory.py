@@ -21,22 +21,19 @@ the capacity amplification and frame-bound concurrency when cold pages
 spill to a tier-1 arena, and :meth:`MemoryModel.spill_transfer_seconds`
 prices the spill/restore traffic a decode step pays across the tier link.
 
-Two distinct byte conventions coexist here, on purpose:
-
-* **Analytic deployment projections** use ``PerfModelSpec.dtype_bytes``
-  (default 2 — the paper's fp16 serving hardware) unless ``kv_dtype``
-  overrides them.  These model a hypothetical full-size deployment.
-* **Measured residency** (:meth:`MemoryModel.measured_kv_bytes`) asks live
-  caches what a token *actually* costs in this process — the storage
-  dtype's item size for full-precision pools, int8 codes plus amortized
-  page scales for quantized ones — so it never re-derives bytes from a
-  parallel formula that could drift from the implementation.
+Analytic deployment projections use ``PerfModelSpec.dtype_bytes`` (default
+2 — the paper's fp16 serving hardware) unless ``kv_dtype`` overrides them:
+they model a hypothetical full-size deployment.  What a cached token actually
+costs in this process is the pool's own answer
+(:meth:`repro.kvcache.paged.BlockPool.kv_token_nbytes`, which
+:class:`~repro.kvcache.stats.CacheStats` and
+:meth:`~repro.kvcache.manager.CacheManager.total_kv_bytes` read), never a
+parallel formula here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.kvcache.paged import KVStoreConfig
 
@@ -262,15 +259,6 @@ class MemoryModel:
         if n_pages < 0:
             raise ValueError("n_pages must be non-negative")
         return n_pages * self.kv_page_bytes(page_size, kv_dtype) / transfer_bandwidth_bytes
-
-    @staticmethod
-    def measured_kv_bytes(caches: Iterable, dtype_bytes: int | None = None) -> int:
-        """Resident KV bytes of live per-layer caches, summed via each cache's
-        own ``nbytes`` — which asks the backing pool what a cached token
-        actually costs (full-precision storage dtype, or int8 codes plus
-        amortized page scales for a quantized pool) — the measured
-        counterpart of the analytical formulas above."""
-        return sum(cache.nbytes(dtype_bytes) for cache in caches)
 
     # ------------------------------------------------------------------
     def kv_working_multiplier(self, beam_size: int = 1) -> float:

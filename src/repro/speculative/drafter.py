@@ -21,16 +21,16 @@ throughput.  Two families are provided:
     at all — drafting is free, so the speedup is bounded only by how
     repetitive the target's output is.
 
-Rollback discipline: a :class:`PolicyDrafter` snapshots its page tables
-(:meth:`LayerKVCache.fork_tables` — a refcount bump, not a copy) and policy
-state before consuming each *unverified* draft token.  After verification it
-restores the snapshot matching the accepted prefix, so rejected-token pages
-flow back through the pool's existing refcount/free-list machinery.
+Rollback discipline: a :class:`PolicyDrafter` snapshots its cache manager
+(:meth:`~repro.kvcache.manager.CacheManager.fork`: page tables cloned — a
+refcount bump, not a copy — plus policy state and counters) before consuming
+each *unverified* draft token.  After verification it restores the snapshot
+matching the accepted prefix, so rejected-token pages flow back through the
+pool's existing refcount/free-list machinery.
 """
 
 from __future__ import annotations
 
-import copy
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Sequence
 
@@ -100,18 +100,6 @@ class Drafter(ABC):
         return {"drafter": type(self).__name__}
 
 
-class _DraftSnapshot:
-    """One rewind point of a :class:`PolicyDrafter` (tables + policy + counters)."""
-
-    __slots__ = ("tables", "policy", "position", "step")
-
-    def __init__(self, tables, policy, position, step):
-        self.tables = tables
-        self.policy = policy
-        self.position = position
-        self.step = step
-
-
 class PolicyDrafter(Drafter):
     """Drafts with a model pass over a policy-reduced KV cache.
 
@@ -131,8 +119,8 @@ class PolicyDrafter(Drafter):
         self._views = manager.layer_views()
         self._catchup: list[int] = []
         self._round_catchup: list[int] = []
-        self._snaps: list[_DraftSnapshot] = []
-        self._round_start: _DraftSnapshot | None = None
+        self._snaps: list = []
+        self._round_start = None
         self.draft_steps = 0
 
     # ------------------------------------------------------------------
@@ -204,29 +192,9 @@ class PolicyDrafter(Drafter):
     # ------------------------------------------------------------------
     # state management
     # ------------------------------------------------------------------
-    def _snapshot(self) -> _DraftSnapshot:
-        mgr = self.manager
-        return _DraftSnapshot(
-            [cache.fork_tables() for cache in mgr.caches],
-            copy.deepcopy(mgr.policy),
-            mgr.current_position,
-            mgr.generation_step,
-        )
-
-    def _restore(self, snap: _DraftSnapshot) -> None:
-        mgr = self.manager
-        for cache, tables in zip(mgr.caches, snap.tables):
-            cache.restore_tables(tables)
-        mgr.policy = snap.policy
-        mgr.current_position = snap.position
-        mgr.generation_step = snap.step
-        mgr._qpos_array = None
-        mgr._step_lengths = []
-
-    def _discard(self, snaps: list[_DraftSnapshot]) -> None:
+    def _discard(self, snaps) -> None:
         for snap in snaps:
-            for cache, tables in zip(self.manager.caches, snap.tables):
-                cache.discard_tables(tables)
+            self.manager.discard(snap)
 
     def _consume(self, token: int) -> int:
         """Feed one token through the drafter; return its greedy successor."""
@@ -245,7 +213,7 @@ class PolicyDrafter(Drafter):
         # The round-start snapshot is taken *before* catch-up so that
         # abort_round (a verify/draft pass hitting PoolExhausted under fixed
         # pools) can rewind even a half-applied catch-up.
-        self._round_start = self._snapshot()
+        self._round_start = self.manager.fork()
         self._round_catchup = list(self._catchup)
         # Catch-up: consume committed tokens the previous round accepted in
         # full (their KV never needs rolling back, so no per-token snapshots).
@@ -259,7 +227,7 @@ class PolicyDrafter(Drafter):
             if j > 0:
                 # Snapshot before consuming an *unverified* draft token; the
                 # first input (the committed last_token) never rolls back.
-                self._snaps.append(self._snapshot())
+                self._snaps.append(self.manager.fork())
             token = self._consume(token)
             tokens.append(token)
             if eos_token_id is not None and token == eos_token_id:
@@ -283,7 +251,7 @@ class PolicyDrafter(Drafter):
             # Partial acceptance: rewind to the state just before the first
             # rejected draft token was consumed.
             keep = self._snaps[needed - 1]
-            self._restore(keep)
+            self.manager.restore(keep)
             self._discard(self._snaps[: needed - 1] + self._snaps[needed:])
         if self._round_start is not None:
             self._discard([self._round_start])
@@ -293,7 +261,7 @@ class PolicyDrafter(Drafter):
     def abort_round(self) -> None:
         """Restore the state at the last ``draft`` call (failed verify pass)."""
         if self._round_start is not None:
-            self._restore(self._round_start)
+            self.manager.restore(self._round_start)
             self._discard(self._snaps)
             self._catchup = list(self._round_catchup)
             self._snaps = []

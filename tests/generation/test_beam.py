@@ -6,7 +6,7 @@ import pytest
 from repro.core.registry import make_policy
 from repro.generation.beam import BeamSearch
 from repro.generation.generator import Generator
-from repro.models.config import GenerationConfig
+from repro.models.config import GenerationConfig, ModelConfig
 from repro.models.transformer import DecoderLM
 from tests.conftest import tiny_config
 
@@ -105,3 +105,29 @@ class TestBeamSearch:
         assert all(
             h.tokens.count(eos) == 0 or h.tokens[-1] == eos for h in result.hypotheses
         )
+
+
+class TestBeamsAreSoloRuns:
+    """At float64 each hypothesis' raw score is its tokens scored alone, bit
+    for bit.  The beams are the rows of one batch: duplicated by page-table
+    clones, read through the padded workspace, decoded by one BLAS gemv per
+    row — so a row must be its sequence decoded alone.  Keyformer is
+    excluded: the beams share one Gumbel noise stream."""
+
+    @pytest.mark.parametrize("policy", ["full", "window", "h2o"])
+    @pytest.mark.parametrize("positional", ["rope", "alibi", "learned"])
+    def test_beam_scores_equal_solo_scores(self, positional, policy):
+        config = ModelConfig(
+            positional=positional, vocab_size=256, d_model=128, n_heads=8, d_ff=512,
+            n_layers=2, max_seq_len=128,
+        )
+        model = DecoderLM(config, seed=0)
+        prompt = np.random.default_rng(7).integers(0, config.vocab_size, size=40)
+        result = BeamSearch(model, make_policy(policy, kv_fraction=0.5)).search(
+            prompt, GenerationConfig(max_new_tokens=10, beam_size=4)
+        )
+        assert len(result.hypotheses) >= 4
+        for hyp in result.hypotheses:
+            solo = Generator(model, make_policy(policy, kv_fraction=0.5))
+            score = solo.score_continuation(prompt, hyp.tokens)
+            assert np.float64(hyp.raw_score).tobytes() == np.float64(score).tobytes()

@@ -5,14 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.config import CachePolicyConfig
 from repro.core.policies import FullAttentionPolicy, H2OPolicy
 from repro.core.score import EvictOne
 from repro.kvcache.batch import BatchedCacheManager, BatchedLayerKVCache
-from repro.kvcache.cache import LayerKVCache
 from repro.kvcache.offload import TieredBlockPool, TieredQuantizedBlockPool
 from repro.kvcache.paged import BlockPool, PoolExhausted
 from repro.kvcache.quant import QuantizedBlockPool
+from repro.models.positional import RopeTable
 from repro.models.tensor_ops import softmax
 
 HEADS, D_HEAD = 4, 8
@@ -25,99 +28,181 @@ def _prompt(rng, t):
     return keys, values, positions
 
 
-def _row_matches_reference(batched: BatchedLayerKVCache, row: int, ref: LayerKVCache):
-    keys, values, positions = batched.row_view(row)
-    assert batched.tables[row].length == ref.length
-    np.testing.assert_array_equal(keys, ref.keys)
-    np.testing.assert_array_equal(values, ref.values)
-    np.testing.assert_array_equal(positions, ref.positions)
+class DenseRows:
+    """The independent reference: each row is plain ``(H, L, ...)`` arrays.
+
+    Appends concatenate, evictions are ``take_along_axis`` and rotated keys
+    are ``RopeTable.rotate`` of the raw keys at their original positions — no
+    pages, tables or pool are involved.
+    """
+
+    def __init__(self, rope_dims: int = 0):
+        self.rows: list[list[np.ndarray]] = []
+        self.rope = RopeTable(rope_dims) if rope_dims else None
+
+    def join(self, keys, values, positions) -> None:
+        """Add a row from ``(1, H, T, ...)`` prompt tensors."""
+        self.rows.append([np.array(keys[0]), np.array(values[0]), np.array(positions[0])])
+
+    def append(self, row: int, k, v, position: int) -> None:
+        """Append one ``(H, d)`` token at ``position``."""
+        keys, values, positions = self.rows[row]
+        self.rows[row] = [
+            np.concatenate([keys, k[:, None]], axis=1),
+            np.concatenate([values, v[:, None]], axis=1),
+            np.concatenate([positions, np.full((HEADS, 1), position)], axis=1),
+        ]
+
+    def gather(self, row: int, indices) -> None:
+        """Keep the ``(H, K)`` (or ``(1, H, K)``) selected entries."""
+        idx = np.asarray(indices).reshape(HEADS, -1)
+        keys, values, positions = self.rows[row]
+        self.rows[row] = [
+            np.take_along_axis(keys, idx[..., None], axis=1),
+            np.take_along_axis(values, idx[..., None], axis=1),
+            np.take_along_axis(positions, idx, axis=1),
+        ]
+
+    def check(self, cache: BatchedLayerKVCache, row: int, ref_row: int | None = None) -> None:
+        """Row ``row`` of ``cache`` holds exactly reference row ``ref_row``."""
+        keys, values, positions = self.rows[row if ref_row is None else ref_row]
+        got = cache.row_view(row)
+        assert cache.tables[row].length == keys.shape[1]
+        for have, want in zip(got, (keys, values, positions)):
+            np.testing.assert_array_equal(have[0], want)
+        if self.rope is not None:
+            np.testing.assert_array_equal(
+                cache.pool.rotated_view(cache.tables[row]), self.rope.rotate(keys, positions)
+            )
 
 
 class TestBatchedLayerKVCache:
-    def test_join_append_matches_single_sequence_cache(self):
+    def test_join_append_matches_dense_reference(self):
         rng = np.random.default_rng(0)
         batched = BatchedLayerKVCache(max_batch=3, n_heads=HEADS, d_head=D_HEAD)
-        refs = []
+        ref = DenseRows()
         for row, t in enumerate((6, 4, 9)):
-            keys, values, positions = _prompt(rng, t)
-            batched.join_row(row, keys, values, positions)
-            refs.append(LayerKVCache.from_prompt(keys, values))
+            prompt = _prompt(rng, t)
+            batched.join_row(row, *prompt)
+            ref.join(*prompt)
         for step in range(3):
             k = rng.normal(size=(3, HEADS, D_HEAD))
             v = rng.normal(size=(3, HEADS, D_HEAD))
             positions = np.asarray([6 + step, 4 + step, 9 + step])
             batched.append_rows(3, k, v, positions)
-            for row, ref in enumerate(refs):
-                ref.append(k[row : row + 1], v[row : row + 1], int(positions[row]))
-        for row, ref in enumerate(refs):
-            _row_matches_reference(batched, row, ref)
+            for row in range(3):
+                ref.append(row, k[row], v[row], int(positions[row]))
+        for row in range(3):
+            ref.check(batched, row)
 
     def test_suffix_gather_is_pointer_bump(self):
         rng = np.random.default_rng(1)
         batched = BatchedLayerKVCache(max_batch=1, n_heads=HEADS, d_head=D_HEAD)
-        keys, values, positions = _prompt(rng, 10)
-        batched.join_row(0, keys, values, positions)
-        ref = LayerKVCache.from_prompt(keys, values)
+        ref = DenseRows()
+        prompt = _prompt(rng, 10)
+        batched.join_row(0, *prompt)
+        ref.join(*prompt)
         pages_before = list(batched.tables[0].pages)
         suffix = np.broadcast_to(np.arange(3, 10), (1, HEADS, 7))
         evicted = batched.gather_row(0, suffix)
-        ref.gather(suffix)
+        ref.gather(0, suffix)
         assert evicted == 3
         # Pointer bump, no compaction: the same physical pages, offset moved.
         assert batched.tables[0].offset == 3
         assert batched.tables[0].pages == pages_before
-        _row_matches_reference(batched, 0, ref)
+        ref.check(batched, 0)
 
     def test_suffix_gather_frees_fully_skipped_pages(self):
         rng = np.random.default_rng(11)
         ps = 16
         batched = BatchedLayerKVCache(max_batch=1, n_heads=HEADS, d_head=D_HEAD)
-        keys, values, positions = _prompt(rng, 3 * ps)
-        batched.join_row(0, keys, values, positions)
+        ref = DenseRows()
+        prompt = _prompt(rng, 3 * ps)
+        batched.join_row(0, *prompt)
+        ref.join(*prompt)
         free_before = batched.pool.free_pages
         # Drop the oldest 2*ps tokens: two whole leading pages return to the pool.
         suffix = np.broadcast_to(np.arange(2 * ps, 3 * ps), (1, HEADS, ps))
         batched.gather_row(0, suffix)
+        ref.gather(0, suffix)
         assert batched.pool.free_pages == free_before + 2
         assert batched.tables[0].offset == 0
-        ref = LayerKVCache.from_prompt(keys, values)
-        ref.gather(suffix)
-        _row_matches_reference(batched, 0, ref)
+        ref.check(batched, 0)
 
-    def test_scattered_gather_matches_reference(self):
+    def test_scattered_per_head_gather_matches_reference(self):
         rng = np.random.default_rng(2)
         batched = BatchedLayerKVCache(max_batch=1, n_heads=HEADS, d_head=D_HEAD)
-        keys, values, positions = _prompt(rng, 12)
-        batched.join_row(0, keys, values, positions)
-        ref = LayerKVCache.from_prompt(keys, values)
+        ref = DenseRows()
+        prompt = _prompt(rng, 12)
+        batched.join_row(0, *prompt)
+        ref.join(*prompt)
+        # Every head keeps its own token set.
         selection = np.sort(
-            np.stack([rng.choice(12, size=6, replace=False) for _ in range(HEADS)])[
-                None
-            ],
+            np.stack([rng.choice(12, size=6, replace=False) for _ in range(HEADS)])[None],
             axis=-1,
         )
-        batched.gather_row(0, selection)
-        ref.gather(selection)
-        _row_matches_reference(batched, 0, ref)
+        assert batched.gather_row(0, selection) == 6
+        ref.gather(0, selection)
+        ref.check(batched, 0)
+
+    def test_identity_gather_moves_nothing(self):
+        rng = np.random.default_rng(12)
+        batched = BatchedLayerKVCache(max_batch=1, n_heads=HEADS, d_head=D_HEAD)
+        ref = DenseRows()
+        prompt = _prompt(rng, 6)
+        batched.join_row(0, *prompt)
+        ref.join(*prompt)
+        assert batched.gather_row(0, np.broadcast_to(np.arange(6), (HEADS, 6))) == 0
+        ref.check(batched, 0)
 
     def test_gather_after_suffix_shift_uses_relative_indices(self):
         rng = np.random.default_rng(3)
         batched = BatchedLayerKVCache(max_batch=1, n_heads=HEADS, d_head=D_HEAD)
-        keys, values, positions = _prompt(rng, 10)
-        batched.join_row(0, keys, values, positions)
-        ref = LayerKVCache.from_prompt(keys, values)
+        ref = DenseRows()
+        prompt = _prompt(rng, 10)
+        batched.join_row(0, *prompt)
+        ref.join(*prompt)
         suffix = np.broadcast_to(np.arange(2, 10), (1, HEADS, 8))
         batched.gather_row(0, suffix)
-        ref.gather(suffix)
+        ref.gather(0, suffix)
         scattered = np.sort(
-            np.stack([rng.choice(8, size=4, replace=False) for _ in range(HEADS)])[
-                None
-            ],
+            np.stack([rng.choice(8, size=4, replace=False) for _ in range(HEADS)])[None],
             axis=-1,
         )
         batched.gather_row(0, scattered)
-        ref.gather(scattered)
-        _row_matches_reference(batched, 0, ref)
+        ref.gather(0, scattered)
+        ref.check(batched, 0)
+
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_property_gather_preserves_order_and_content(self, length, keep, seed):
+        keep = min(keep, length)
+        rng = np.random.default_rng(seed)
+        batched = BatchedLayerKVCache(max_batch=1, n_heads=HEADS, d_head=D_HEAD, page_size=4)
+        ref = DenseRows()
+        prompt = _prompt(rng, length)
+        batched.join_row(0, *prompt)
+        ref.join(*prompt)
+        chosen = np.sort(rng.choice(length, size=keep, replace=False))
+        batched.gather_row(0, np.broadcast_to(chosen, (HEADS, keep)))
+        ref.gather(0, np.broadcast_to(chosen, (HEADS, keep)))
+        ref.check(batched, 0)
+        assert np.all(np.diff(batched.positions_row(0)[0, 0]) > 0)
+
+    def test_all_rows_reads(self):
+        rng = np.random.default_rng(13)
+        batched = BatchedLayerKVCache(max_batch=1, n_heads=HEADS, d_head=D_HEAD)
+        prompt = _prompt(rng, 6)
+        batched.join_row(0, *prompt)
+        # One row on one page run: views of the pool slabs themselves.
+        assert np.shares_memory(batched.keys, batched.pool._k)
+        assert np.shares_memory(batched.positions, batched.pool._pos)
+        pair = BatchedLayerKVCache(max_batch=2, n_heads=HEADS, d_head=D_HEAD)
+        prompts = [_prompt(rng, 6) for _ in range(2)]
+        for row, prompt in enumerate(prompts):
+            pair.join_row(row, *prompt)
+        np.testing.assert_array_equal(pair.keys, np.concatenate([p[0] for p in prompts]))
+        np.testing.assert_array_equal(pair.positions, np.concatenate([p[2] for p in prompts]))
 
     def test_gather_rejects_out_of_range(self):
         rng = np.random.default_rng(4)
@@ -130,18 +215,17 @@ class TestBatchedLayerKVCache:
     def test_free_row_moves_last_row_and_releases_pages(self):
         rng = np.random.default_rng(5)
         batched = BatchedLayerKVCache(max_batch=3, n_heads=HEADS, d_head=D_HEAD)
-        refs = []
+        ref = DenseRows()
         for row, t in enumerate((5, 7, 6)):
-            keys, values, positions = _prompt(rng, t)
-            batched.join_row(row, keys, values, positions)
-            refs.append(LayerKVCache.from_prompt(keys, values))
+            prompt = _prompt(rng, t)
+            batched.join_row(row, *prompt)
+            ref.join(*prompt)
         free_before = batched.pool.free_pages
         batched.free_row(0, 2)  # retire row 0; row 2 moves into it
-        _row_matches_reference(batched, 0, refs[2])
-        _row_matches_reference(batched, 1, refs[1])
+        ref.check(batched, 0, ref_row=2)
+        ref.check(batched, 1)
         assert batched.tables[2].length == 0
         assert batched.pool.free_pages > free_before  # row 0's pages returned
-
     def test_padded_batch_pads_to_longest_row(self):
         rng = np.random.default_rng(6)
         batched = BatchedLayerKVCache(max_batch=2, n_heads=HEADS, d_head=D_HEAD)
@@ -170,44 +254,47 @@ class TestBatchedLayerKVCache:
         # The contiguous fast path returns a view of the pool slab itself.
         assert keys_view.base is batched.pool._k
 
-    def test_rotated_slab_matches_single_sequence_rotation(self):
+    def test_rotated_slab_matches_dense_rotation(self):
         rng = np.random.default_rng(7)
-        rope_dims = D_HEAD
         batched = BatchedLayerKVCache(
-            max_batch=2, n_heads=HEADS, d_head=D_HEAD, rope_dims=rope_dims
+            max_batch=2, n_heads=HEADS, d_head=D_HEAD, rope_dims=D_HEAD
         )
-        refs = []
+        ref = DenseRows(rope_dims=D_HEAD)
         for row, t in enumerate((6, 4)):
-            keys, values, positions = _prompt(rng, t)
-            batched.join_row(row, keys, values, positions)
-            refs.append(
-                LayerKVCache.from_prompt(keys, values, rope_dims=rope_dims)
-            )
+            prompt = _prompt(rng, t)
+            batched.join_row(row, *prompt)
+            ref.join(*prompt)
         k = rng.normal(size=(2, HEADS, D_HEAD))
         batched.append_rows(2, k, k.copy(), np.asarray([6, 4]))
-        for row, ref in enumerate(refs):
-            ref.append(k[row : row + 1], k[row : row + 1].copy(), (6, 4)[row])
+        for row in range(2):
+            ref.append(row, k[row], k[row], (6, 4)[row])
         rotated, _, _, lengths, _ = batched.padded_batch(2, rotated=True)
-        for row, ref in enumerate(refs):
-            length = int(lengths[row])
+        for row in range(2):
+            ref.check(batched, row)
             np.testing.assert_array_equal(
-                rotated[row, :, :length], ref.rotated_keys()[0]
+                rotated[row, :, : lengths[row]], ref.rope.rotate(ref.rows[row][0], ref.rows[row][2])
             )
+        # Rotated pages are compacted with the same per-head indices.
+        selection = np.stack([np.arange(0, 7, 2)[:4], np.arange(3, 7)] * (HEADS // 2))
+        batched.gather_row(0, selection)
+        ref.gather(0, selection)
+        ref.check(batched, 0)
 
     def test_capacity_grows_preserving_contents(self):
         rng = np.random.default_rng(8)
         batched = BatchedLayerKVCache(
             max_batch=1, n_heads=HEADS, d_head=D_HEAD, capacity=16
         )
-        keys, values, positions = _prompt(rng, 10)
-        batched.join_row(0, keys, values, positions)
-        ref = LayerKVCache.from_prompt(keys, values)
+        ref = DenseRows()
+        prompt = _prompt(rng, 10)
+        batched.join_row(0, *prompt)
+        ref.join(*prompt)
         for step in range(20):  # forces at least one page allocation
             k = rng.normal(size=(1, HEADS, D_HEAD))
             batched.append_rows(1, k, k.copy(), np.asarray([10 + step]))
-            ref.append(k[0:1], k[0:1].copy(), 10 + step)
+            ref.append(0, k[0], k[0], 10 + step)
         assert batched.capacity >= 30
-        _row_matches_reference(batched, 0, ref)
+        ref.check(batched, 0)
 
     def test_join_row_shared_maps_prefix_pages(self):
         rng = np.random.default_rng(10)

@@ -6,7 +6,9 @@ import pytest
 from repro.core.config import CachePolicyConfig, KeyformerConfig
 from repro.core.keyformer import KeyformerPolicy
 from repro.core.policies import FullAttentionPolicy, H2OPolicy, WindowAttentionPolicy
+from repro.core.score import EvictOne
 from repro.kvcache.manager import CacheManager
+from repro.models.positional import RopeTable
 from repro.models.tensor_ops import softmax
 
 N_LAYERS, N_HEADS, D_HEAD, T = 2, 2, 4, 12
@@ -122,7 +124,7 @@ class TestDecodeFlow:
         manager = make_manager(policy)
         manager.initialize_from_prompt(*prompt_inputs(rng), max_new_tokens=4)
         assert manager.cache_lengths() == [6, 6]
-        positions = [c.retained_original_positions() for c in manager.caches]
+        positions = [c.positions for c in manager.caches]
         np.testing.assert_array_equal(positions[0], positions[1])
 
     def test_layer_view_bounds(self, rng):
@@ -150,3 +152,161 @@ class TestDecodeFlow:
         manager = make_manager(FullAttentionPolicy())
         manager.initialize_empty(batch_size=2, max_new_tokens=4)
         assert manager.cache_lengths() == [0, 0]
+        cache = manager.caches[0]
+        assert len(cache.tables) == 2
+        assert (cache.n_heads, cache.d_head) == (N_HEADS, D_HEAD)
+
+
+def seeded(t=6, batch=1, max_new_tokens=4, policy=None, **kwargs):
+    """A one-layer manager seeded from a random ``(batch, H, t, d)`` prompt."""
+    rng = np.random.default_rng(0)
+    keys = rng.normal(size=(batch, N_HEADS, t, D_HEAD))
+    values = rng.normal(size=(batch, N_HEADS, t, D_HEAD))
+    attn = [np.zeros((batch, N_HEADS, t, t))]
+    manager = CacheManager(policy or FullAttentionPolicy(), 1, N_HEADS, D_HEAD, **kwargs)
+    manager.initialize_from_prompt([(keys, values)], attn, attn, max_new_tokens)
+    return manager, keys, values
+
+
+class TestSoloRows:
+    """The rows' storage behaviour through the manager: seeding, appends,
+    evictions, beam reorder and the positional views."""
+
+    def test_seeding_keeps_prompt_and_positions(self):
+        manager, keys, _ = seeded()
+        cache = manager.caches[0]
+        np.testing.assert_array_equal(cache.keys, keys)
+        np.testing.assert_array_equal(cache.positions[0, 0], np.arange(6))
+
+    def test_seeding_reserves_the_whole_generation(self):
+        manager, _, _ = seeded(t=4, max_new_tokens=27, page_size=8)
+        assert manager.caches[0].capacity == 32  # 4 + 27 + 1 tokens, whole pages
+        assert manager.cache_lengths() == [4]
+
+    def test_append_is_in_place_and_records_position(self):
+        manager, _, _ = seeded(t=4, max_new_tokens=4, page_size=8)
+        cache = manager.caches[0]
+        slab = cache.keys.base
+        k = np.random.default_rng(1).normal(size=(1, N_HEADS, D_HEAD))
+        for _ in range(4):
+            manager.append(0, k, k)
+            manager.advance()
+        assert cache.keys.base is slab  # no reallocation happened
+        np.testing.assert_array_equal(cache.positions[0, 0], np.arange(8))
+        np.testing.assert_array_equal(cache.keys[:, :, -1], k)
+
+    def test_append_past_the_reserve_grows(self):
+        manager, keys, _ = seeded(t=4, max_new_tokens=1, page_size=4)
+        for _ in range(6):
+            manager.append(0, np.ones((1, N_HEADS, D_HEAD)), np.ones((1, N_HEADS, D_HEAD)))
+            manager.advance()
+        cache = manager.caches[0]
+        assert manager.cache_lengths() == [10] and cache.capacity >= 10
+        np.testing.assert_array_equal(cache.keys[:, :, :4], keys)
+        np.testing.assert_array_equal(cache.positions[0, 0], np.arange(10))
+
+    def test_append_shape_check(self):
+        manager, _, _ = seeded()
+        wrong = np.zeros((1, N_HEADS, D_HEAD + 1))
+        with pytest.raises(ValueError):
+            manager.append(0, wrong, wrong)
+
+    def test_float32_storage(self):
+        manager, _, _ = seeded(dtype="float32")
+        assert manager.caches[0].keys.dtype == np.float32
+        manager.append(0, np.ones((1, N_HEADS, D_HEAD)), np.ones((1, N_HEADS, D_HEAD)))
+        assert manager.caches[0].keys.dtype == np.float32
+
+    def test_selection_compacts_in_place_and_counts(self):
+        manager, keys, _ = seeded(t=6, page_size=16)
+        cache = manager.caches[0]
+        slab = cache.keys.base
+        manager._apply_selection(0, np.array([0, 2, 5]))  # one index set for every head
+        assert cache.keys.base is slab
+        np.testing.assert_array_equal(cache.keys[0], keys[0][:, [0, 2, 5]])
+        np.testing.assert_array_equal(cache.positions[0, 0], [0, 2, 5])
+        assert manager.stats.total_evicted == 3
+        manager._apply_selection(0, np.arange(3))  # identity: nothing moves
+        assert manager.stats.total_evicted == 3
+
+    def test_selection_rows_must_match(self):
+        manager, _, _ = seeded(batch=2)
+        with pytest.raises(ValueError):
+            manager._apply_selection(0, np.zeros((1, N_HEADS, 2), dtype=np.int64))
+
+    def test_reorder_duplicates_rows(self):
+        manager, keys, _ = seeded(batch=3, rope_dims=D_HEAD)
+        manager.reorder(np.array([2, 2, 0]))
+        cache = manager.caches[0]
+        np.testing.assert_array_equal(cache.keys[0], keys[2])
+        np.testing.assert_array_equal(cache.keys[1], keys[2])
+        np.testing.assert_array_equal(cache.keys[2], keys[0])
+        # Duplicated rows share pages until a divergent write.
+        assert cache.tables[0].pages == cache.tables[1].pages
+        rotated = manager.attention_view(0)[0]
+        np.testing.assert_array_equal(
+            rotated, RopeTable(D_HEAD).rotate(cache.keys, cache.positions)
+        )
+
+    def test_reorder_out_of_range(self):
+        manager, _, _ = seeded(batch=2)
+        with pytest.raises(IndexError):
+            manager.reorder(np.array([0, 5]))
+
+    def test_original_mode_view(self):
+        manager, _, _ = seeded(positional_mode="original", rope_dims=D_HEAD)
+        manager._apply_selection(0, np.array([1, 4, 5]))
+        keys, _, key_pos, query_pos, _, rotated = manager.attention_view(0)
+        assert rotated and int(query_pos) == 6
+        np.testing.assert_array_equal(key_pos[0, 0], [1, 4, 5])
+        raw = manager.caches[0].keys
+        np.testing.assert_array_equal(keys, RopeTable(D_HEAD).rotate(raw, key_pos))
+
+    def test_renumbered_mode_view(self):
+        manager, _, _ = seeded(positional_mode="new", rope_dims=D_HEAD)
+        assert manager.rope_dims == 0  # rotations follow renumbered positions
+        manager._apply_selection(0, np.array([1, 4, 5]))
+        keys, _, key_pos, query_pos, _, rotated = manager.attention_view(0)
+        assert not rotated and int(query_pos) == 2
+        np.testing.assert_array_equal(keys, manager.caches[0].keys)
+        np.testing.assert_array_equal(key_pos[0, 0], [0, 1, 2])
+        with pytest.raises(ValueError):
+            key_pos[0, 0, 0] = 99  # a read-only broadcast view
+        with pytest.raises(RuntimeError):  # no rotated slab without rope_dims
+            manager.caches[0].pool.rotated_view(manager.caches[0].tables[0])
+
+    def test_total_kv_bytes_is_the_storage_cost(self):
+        manager, _, _ = seeded(t=10, batch=2)
+        # float64 keys + values: 2 tensors * 2 rows * 2 heads * 10 tokens * 4 dims.
+        assert manager.total_kv_bytes() == 2 * 2 * N_HEADS * 10 * D_HEAD * 8
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_solo_read_is_zero_copy(dtype):
+    """A lone row's attention view is the pool slabs themselves — after the
+    prompt eviction and after every evict-one step."""
+    policy = KeyformerPolicy(KeyformerConfig(kv_budget=6, recent_ratio=0.5))
+    manager = CacheManager(
+        policy, N_LAYERS, N_HEADS, D_HEAD, positional_mode="original", dtype=dtype,
+        rope_dims=D_HEAD,
+    )
+    manager.initialize_from_prompt(*prompt_inputs(np.random.default_rng(0)), max_new_tokens=8)
+    assert manager.cache_lengths() == [6] * N_LAYERS
+    seen = []
+    apply_selection = manager._apply_selection
+    manager._apply_selection = lambda layer, sel: seen.append(sel) or apply_selection(layer, sel)
+    rng = np.random.default_rng(1)
+    for step in range(3):
+        for layer in range(N_LAYERS):
+            pool = manager.caches[layer].pool
+            kv = rng.normal(size=(1, N_HEADS, D_HEAD)).astype(dtype)
+            manager.append(layer, kv, kv)
+            keys, values, key_pos, _, _, rotated = manager.attention_view(layer)
+            assert rotated
+            for view, slab in ((keys, pool._k_rot), (values, pool._v), (key_pos, pool._pos)):
+                assert np.shares_memory(view, slab)
+            logits = rng.normal(size=(1, N_HEADS, keys.shape[2])).astype(dtype)
+            manager.observe(layer, logits, softmax(logits, axis=-1))
+        manager.advance()
+        assert manager.cache_lengths() == [6] * N_LAYERS
+    assert len(seen) == 3 * N_LAYERS and all(isinstance(sel, EvictOne) for sel in seen)

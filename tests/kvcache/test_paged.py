@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.kvcache.cache import LayerKVCache
+from repro.kvcache.batch import BatchedLayerKVCache
 from repro.kvcache.paged import (
     BlockPool,
     PagedKVStore,
@@ -310,7 +310,7 @@ class TestRememberedContiguity:
         "truncate",
         "gather",
         "release_fork",
-        "map_tables",
+        "map_row",
     )
 
     @settings(max_examples=150, deadline=None)
@@ -374,8 +374,9 @@ class TestRememberedContiguity:
             elif op == "gather" and table.length > 1:
                 keep = np.delete(np.arange(table.length), n % table.length)
                 pool.gather(table, np.broadcast_to(keep, (H, keep.size)))
-            elif op == "map_tables" and table.length:
-                mapped = LayerKVCache.map_tables(pool, [table])
+            elif op == "map_row" and table.length:
+                mapped = BatchedLayerKVCache(1, H, D, pool=pool)
+                mapped.map_row(0, table)
                 tables.extend(mapped.tables)
             check()
 

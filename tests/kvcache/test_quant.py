@@ -12,11 +12,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.kvcache.cache import LayerKVCache
+from repro.core.policies import FullAttentionPolicy
+from repro.generation.generator import Generator
+from repro.kvcache.manager import CacheManager
 from repro.kvcache.paged import BlockPool, PagedKVStore, PageTable, resolve_pool_class
 from repro.kvcache.quant import QMAX, QuantizedBlockPool
+from repro.models.transformer import DecoderLM
+from tests.conftest import tiny_config
 
 H, D, PS = 2, 4, 8
+
+
+def int8_manager(**kwargs):
+    """A one-layer solo manager whose store keeps int8 pages."""
+    return CacheManager(
+        FullAttentionPolicy(), 1, H, D, positional_mode="original", page_size=PS,
+        kv_dtype="int8", **kwargs,
+    )
 
 
 def make_pool(n_pages=8, **kwargs):
@@ -198,23 +210,24 @@ class TestTruncateForkRestore:
         assert np.array_equal(pool.keys_view(table), before[:, : PS + 2])
 
     def test_fork_restore_rolls_back_quantized_cache(self):
-        pool = make_pool(rope_dims=D)
         rng = np.random.default_rng(5)
-        cache = LayerKVCache.from_prompt(
-            rng.normal(size=(1, H, PS + 2, D)),
-            rng.normal(size=(1, H, PS + 2, D)),
-            pool=pool,
-            rope_dims=D,
-        )
+        manager = int8_manager(rope_dims=D)
+        t = PS + 2
+        attn = [np.zeros((1, H, t, t))]
+        prompt = (rng.normal(size=(1, H, t, D)), rng.normal(size=(1, H, t, D)))
+        manager.initialize_from_prompt([prompt], attn, attn, max_new_tokens=PS)
+        cache = manager.caches[0]
+        assert isinstance(cache.pool, QuantizedBlockPool)
         snapshot_keys = cache.keys.copy()
-        snapshot_rot = cache.rotated_keys().copy()
-        forked = cache.fork_tables()
-        for i in range(PS):
+        snapshot_rot = cache.pool.rotated_view(cache.tables[0]).copy()
+        forked = manager.fork()
+        for _ in range(PS):
             kv = rng.normal(size=(1, H, D))
-            cache.append(kv, kv.copy(), PS + 2 + i)
-        cache.restore_tables(forked)
+            manager.append(0, kv, kv.copy())
+            manager.advance()
+        manager.restore(forked)
         assert np.array_equal(cache.keys, snapshot_keys)
-        assert np.array_equal(cache.rotated_keys(), snapshot_rot)
+        assert np.array_equal(cache.pool.rotated_view(cache.tables[0]), snapshot_rot)
 
 
 class TestAccountingAndPlumbing:
@@ -246,16 +259,22 @@ class TestAccountingAndPlumbing:
         with pytest.raises(ValueError, match="kv_dtype"):
             resolve_pool_class("fp4")
 
-    def test_layer_cache_kv_dtype_knob_builds_quantized_pool(self):
+    def test_manager_kv_dtype_knob_builds_quantized_pools(self):
         rng = np.random.default_rng(6)
-        cache = LayerKVCache.from_prompt(
-            rng.normal(size=(1, H, PS, D)),
-            rng.normal(size=(1, H, PS, D)),
-            kv_dtype="int8",
-        )
-        assert isinstance(cache.pool, QuantizedBlockPool)
-        assert cache.nbytes() < 2 * H * PS * D * 8  # below float64 cost
-        assert cache.keys.dtype == np.float64  # reads stay in compute dtype
+        manager = int8_manager()
+        attn = [np.zeros((1, H, PS, PS))]
+        prompt = (rng.normal(size=(1, H, PS, D)), rng.normal(size=(1, H, PS, D)))
+        manager.initialize_from_prompt([prompt], attn, attn, max_new_tokens=2)
+        assert isinstance(manager.caches[0].pool, QuantizedBlockPool)
+        assert manager.total_kv_bytes() < 2 * H * PS * D * 8  # below float64 cost
+        assert manager.caches[0].keys.dtype == np.float64  # reads stay in compute dtype
+
+    def test_generator_kv_dtype_knob_reaches_its_manager(self):
+        model = DecoderLM(tiny_config("rope"), seed=0)
+        prompt = np.arange(PS)[None]
+        for kv_dtype, cls in ((None, BlockPool), ("int8", QuantizedBlockPool)):
+            _, manager = Generator(model, kv_dtype=kv_dtype)._prompt_forward(prompt, 2)
+            assert all(type(pool) is cls for pool in manager.store.pools)
 
     def test_page_nbytes_for_matches_pool_classes(self):
         fp = PagedKVStore.page_nbytes_for(None, H, D, PS, np.float64, D)

@@ -52,6 +52,7 @@ class PerLayerReference:
         self.keyformer = isinstance(policy, KeyformerPolicy)
         self.shared = policy.shared_selection
         self.acc: dict[int, np.ndarray] = {}
+        self.evicted = 0
         if self.keyformer:
             config = policy.config
             self.rng = np.random.default_rng(config.seed)
@@ -64,7 +65,7 @@ class PerLayerReference:
         if config.noise_resample == "per-step":
             zeta = seed_era_noise(config, logits.size, self.rng).reshape(logits.shape)
         else:
-            positions = self.twin.caches[layer].retained_original_positions()
+            positions = self.twin.caches[layer].positions
             zeta = self.zeta[np.clip(positions, 0, self.zeta.size - 1)]
         adjusted = logits + zeta.astype(logits.dtype)
         adjusted /= self.policy.score.tau_schedule(step)
@@ -97,13 +98,15 @@ class PerLayerReference:
 
     def evict(self, layer, selection):
         cache = self.twin.caches[layer]
-        suffix = np.arange(cache.length - selection.shape[-1], cache.length)
+        length = cache.tables[0].length
+        suffix = np.arange(length - selection.shape[-1], length)
         for row, table in enumerate(cache.tables):
             if (selection[row] == suffix).all():
                 cache.pool.gather(table, selection[row])  # pure suffix: a pointer bump
             else:
+                table.epoch += 1
                 cache.pool._compact(table, selection[row])
-        cache._version += 1
+        self.evicted += length - selection.shape[-1]
 
 
 def make_policy(kind, budget, recent_ratio, noise, resample, shared, damping, static_tau):
@@ -131,12 +134,16 @@ def storage(manager: CacheManager):
     out = []
     for cache in manager.caches:
         pool = cache.pool
+
+        def rows(read):
+            return np.stack([read(table) for table in cache.tables])
+
         out.append(
             {
-                "keys": cache.keys.copy(),
-                "values": cache.values.copy(),
-                "positions": cache.positions.copy(),
-                "rotated": cache.rotated_keys().copy(),
+                "keys": rows(pool.keys_view),
+                "values": rows(pool.values_view),
+                "positions": rows(pool.positions_view),
+                "rotated": rows(pool.rotated_view),
                 "tables": [(t.offset, t.length, list(t.pages)) for t in cache.tables],
                 "refcounts": pool.refcounts.tolist(),
                 "free": sorted(pool._free),
@@ -193,7 +200,7 @@ def test_stacked_pass_equals_per_layer_reference(
             v = rng.standard_normal((batch, heads, D_HEAD)).astype(dtype)
             stacked.append(layer, k, v)
             twin.append(layer, k, v)
-            length = stacked.caches[layer].length
+            length = stacked.cache_lengths()[layer]
             logits = rng.standard_normal((batch, heads, length)).astype(dtype)
             # Entries that never receive attention keep a score of exactly
             # zero: with two of them in the old region the minimum is tied.
@@ -230,7 +237,7 @@ def test_stacked_pass_equals_per_layer_reference(
                 np.testing.assert_array_equal(got[name], want[name], err_msg=name)
         if kind == "keyformer":
             assert policy.score.rng.bit_generator.state == reference.rng.bit_generator.state
-        assert stacked.stats.total_evicted == sum(c.total_evicted for c in stacked.caches)
+        assert stacked.stats.total_evicted == reference.evicted
     assert stacked.cache_lengths() == twin.cache_lengths() == [budget] * n_layers
     # Steady-state steps are either all typed or (on a tie) all general.
     recent = 0 if kind == "key-only" else policy.recent_window
@@ -254,7 +261,7 @@ def test_exact_tie_takes_the_general_branch(dtype):
         for layer in range(2):
             kv = rng.standard_normal((1, 2, D_HEAD)).astype(dtype)
             manager.append(layer, kv, kv)
-            length = manager.caches[layer].length
+            length = manager.cache_lengths()[layer]
             logits = rng.standard_normal((1, 2, length)).astype(dtype)
             if layer == 1:
                 logits[..., :2] = -np.inf  # layer 1 only: the tie still decides for both

@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.kvcache.cache import LayerKVCache
+from repro.core.config import CachePolicyConfig
+from repro.core.policies import FullAttentionPolicy, H2OPolicy
+from repro.kvcache.batch import BatchedLayerKVCache
+from repro.kvcache.manager import CacheManager
 from repro.kvcache.paged import BlockPool, PageTable
 
 
@@ -86,65 +89,87 @@ class TestPoolTruncate:
 
 
 class TestForkRestore:
-    def _cache(self, n_tokens=10):
+    def _manager(self, n_tokens=10):
         keys = np.arange(2 * n_tokens * 4, dtype=np.float64).reshape(1, 2, n_tokens, 4)
-        return LayerKVCache.from_prompt(keys, keys.copy(), page_size=4)
+        attn = [np.zeros((1, 2, n_tokens, n_tokens))]
+        manager = CacheManager(FullAttentionPolicy(), 1, 2, 4, page_size=4)
+        manager.initialize_from_prompt([(keys, keys.copy())], attn, attn, max_new_tokens=4)
+        return manager
 
     def test_fork_restore_roundtrip(self):
-        cache = self._cache()
-        snapshot = cache.fork_tables()
+        manager = self._manager()
+        cache = manager.caches[0]
+        snapshot = manager.fork()
         before = cache.keys.copy()
-        cache.append(np.full((1, 2, 4), 5.0), np.full((1, 2, 4), 5.0), position=10)
-        cache.gather(np.arange(4, 11))
-        cache.restore_tables(snapshot)
+        manager.append(0, np.full((1, 2, 4), 5.0), np.full((1, 2, 4), 5.0))
+        cache.gather_row(0, np.broadcast_to(np.arange(4, 11), (2, 7)))
+        manager.advance()
+        manager.restore(snapshot)
         np.testing.assert_array_equal(cache.keys, before)
-        assert cache.length == 10
+        assert manager.cache_lengths() == [10]
+        assert (manager.current_position, manager.generation_step) == (10, 0)
 
     def test_fork_protects_pages_from_in_place_eviction(self):
-        cache = self._cache()
-        snapshot = cache.fork_tables()
+        manager = self._manager()
+        cache = manager.caches[0]
+        snapshot = manager.fork()
         before = cache.keys.copy()
         # A scattered eviction would normally compact in place; the forked
         # tables share the pages, so copy-on-write must route it elsewhere.
-        cache.gather(np.asarray([0, 2, 4, 6, 8]))
-        cache.restore_tables(snapshot)
+        cache.gather_row(0, np.broadcast_to([0, 2, 4, 6, 8], (2, 5)))
+        manager.restore(snapshot)
         np.testing.assert_array_equal(cache.keys, before)
 
+    def test_restore_rewinds_policy_state(self):
+        t = 10
+        keys = np.random.default_rng(0).normal(size=(1, 2, t, 4))
+        logits = np.where(np.tri(t, dtype=bool), 0.0, -np.inf)[None, None]
+        attn = [np.broadcast_to(np.tri(t) / np.arange(1, t + 1)[:, None], (1, 2, t, t))]
+        policy = H2OPolicy(CachePolicyConfig(kv_budget=6))
+        manager = CacheManager(policy, 1, 2, 4, page_size=4)
+        manager.initialize_from_prompt([(keys, keys.copy())], attn, [logits], max_new_tokens=4)
+        scores = policy.score.get(0).copy()
+        snapshot = manager.fork()
+        manager.append(0, np.ones((1, 2, 4)), np.ones((1, 2, 4)))
+        step = np.zeros((1, 2, 7))
+        manager.observe(0, step, step + 1 / 7)
+        manager.advance()
+        assert not np.array_equal(manager.policy.score.get(0), scores)
+        manager.restore(snapshot)
+        np.testing.assert_array_equal(manager.policy.score.get(0), scores)
+
     def test_discard_returns_pages(self):
-        cache = self._cache()
-        used = cache.pool.used_pages
-        snapshot = cache.fork_tables()
-        cache.discard_tables(snapshot)
-        assert cache.pool.used_pages == used
-
-    def test_restore_wrong_rows_raises(self):
-        cache = self._cache()
-        with pytest.raises(ValueError):
-            cache.restore_tables([])
+        manager = self._manager()
+        pool = manager.caches[0].pool
+        used = pool.used_pages
+        manager.discard(manager.fork())
+        assert pool.used_pages == used
 
 
-class TestMapTables:
-    def test_mapped_cache_shares_pages_until_divergence(self):
+class TestMapRow:
+    def test_mapped_row_shares_pages_until_divergence(self):
         pool = _pool()
         source = _seed(pool, 8)
-        mapped = LayerKVCache.map_tables(pool, [source])
+        mapped = BatchedLayerKVCache(1, 2, 4, pool=pool)
+        mapped.map_row(0, source)
         assert mapped.tables[0].pages == source.pages
         assert (pool.refcounts[source.pages] == 2).all()
         np.testing.assert_array_equal(mapped.keys[0], pool.keys_view(source))
-        # Divergent write: the mapped cache appends, copy-on-write splits.
-        mapped.append(np.zeros((1, 2, 4)), np.zeros((1, 2, 4)), position=8)
+        # Divergent write: the mapped row appends, copy-on-write splits.
+        pool.append(mapped.tables[0], np.zeros((2, 4)), np.zeros((2, 4)), position=8)
         source_view = pool.keys_view(source).copy()
-        mapped.gather(np.asarray([0, 1, 2, 3]))
+        mapped.gather_row(0, np.broadcast_to(np.arange(4), (2, 4)))
         np.testing.assert_array_equal(pool.keys_view(source), source_view)
 
-    def test_map_tables_trims_reserve_pages(self):
+    def test_map_row_trims_reserve_pages(self):
         pool = _pool()
         table = PageTable()
         keys = np.zeros((2, 6, 4))
         positions = np.broadcast_to(np.arange(6), (2, 6))
         pool.extend(table, keys, keys.copy(), positions, reserve_tokens=20)
         assert len(table.pages) == 5  # 6 live tokens + reserve
-        mapped = LayerKVCache.map_tables(pool, [table])
+        mapped = BatchedLayerKVCache(1, 2, 4, pool=pool)
+        mapped.map_row(0, table)
         # Only the pages covering live tokens are mapped: the source's
         # reserve tail stays exclusively its own (in-place appends, no COW).
         assert len(mapped.tables[0].pages) == 2

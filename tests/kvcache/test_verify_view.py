@@ -194,11 +194,14 @@ def test_rounds_leave_the_sequential_cache(positional, mode, dtype):
     assert solo.stats.lengths_per_step == manager.stats[0].lengths_per_step
     for cache, row_cache in zip(solo.caches, manager.caches):
         pool, table = row_cache.pool, row_cache.tables[0]
-        _assert_rows(pool.keys_view(table), cache.keys[0], dtype)
-        _assert_rows(pool.values_view(table), cache.values[0], dtype)
-        np.testing.assert_array_equal(pool.positions_view(table), cache.positions[0])
+        solo_pool, solo_table = cache.pool, cache.tables[0]
+        _assert_rows(pool.keys_view(table), solo_pool.keys_view(solo_table), dtype)
+        _assert_rows(pool.values_view(table), solo_pool.values_view(solo_table), dtype)
+        np.testing.assert_array_equal(
+            pool.positions_view(table), solo_pool.positions_view(solo_table)
+        )
         if pool.rope_dims > 0:
-            _assert_rows(pool.rotated_view(table), cache.rotated_keys()[0], dtype)
+            _assert_rows(pool.rotated_view(table), solo_pool.rotated_view(solo_table), dtype)
 
 
 class TestVerifyFaultsUnwind:

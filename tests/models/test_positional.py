@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models.positional import (
+    RopeTable,
+    _rope_cos_sin,
     alibi_bias_matrix,
     alibi_bias_step,
     alibi_slopes,
+    get_rope_table,
     rope_rotate,
     rope_rotate_backward,
 )
@@ -115,3 +118,47 @@ class TestAlibi:
         bias = alibi_bias_step(2, 9, key_positions)
         # Bias increases (towards zero) with key position: recent keys preferred.
         assert np.all(np.diff(bias[0, 0]) > 0)
+
+
+ROPE_B, ROPE_H, ROPE_D = 1, 2, 8
+
+
+class TestRopeTable:
+    def test_matches_direct_computation(self):
+        table = RopeTable(ROPE_D, initial_capacity=4)
+        positions = np.array([0, 3, 17, 200])
+        cos, sin = table.cos_sin(positions)
+        ref_cos, ref_sin = _rope_cos_sin(positions, ROPE_D)
+        np.testing.assert_array_equal(cos, ref_cos)
+        np.testing.assert_array_equal(sin, ref_sin)
+
+    def test_grows_on_demand(self):
+        table = RopeTable(ROPE_D, initial_capacity=8)
+        start = table.capacity
+        table.cos_sin(np.array([10 * start]))
+        assert table.capacity >= 10 * start + 1
+
+    def test_rotate_matches_rope_rotate(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(ROPE_B, ROPE_H, 5, ROPE_D))
+        positions = rng.integers(0, 50, size=(ROPE_B, ROPE_H, 5))
+        table = get_rope_table(ROPE_D)
+        np.testing.assert_array_equal(
+            table.rotate(x, positions), rope_rotate(x, positions, ROPE_D)
+        )
+
+    def test_rotate_uniform_matches_rotate(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(ROPE_B, ROPE_H, ROPE_D))
+        table = get_rope_table(ROPE_D)
+        uniform = table.rotate_uniform(x, 7)
+        general = table.rotate(x, np.full((ROPE_B, ROPE_H), 7))
+        np.testing.assert_array_equal(uniform, general)
+
+    def test_float32_lookup_matches_cast(self):
+        table = RopeTable(ROPE_D, initial_capacity=16)
+        x = np.random.default_rng(4).normal(size=(ROPE_B, ROPE_H, ROPE_D)).astype(np.float32)
+        out = table.rotate_uniform(x, 3)
+        assert out.dtype == np.float32
+        ref = rope_rotate(x, np.full((ROPE_B, ROPE_H), 3), ROPE_D)
+        np.testing.assert_allclose(out, ref.astype(np.float32), rtol=1e-6)

@@ -128,21 +128,6 @@ class TestMemoryModel:
         with pytest.raises(ValueError):
             memory.spill_transfer_seconds(-1, bw)
 
-    def test_measured_kv_bytes_uses_cache_nbytes(self):
-        import numpy as np
-
-        from repro.kvcache.cache import LayerKVCache
-
-        caches = [
-            LayerKVCache.from_prompt(
-                np.zeros((1, 2, 10, 4)), np.zeros((1, 2, 10, 4))
-            )
-            for _ in range(3)
-        ]
-        # float64 storage: 2 tensors * 2 heads * 10 tokens * 4 dims * 8 bytes.
-        assert MemoryModel.measured_kv_bytes(caches) == 3 * 2 * 2 * 10 * 4 * 8
-        assert MemoryModel.measured_kv_bytes(caches, dtype_bytes=2) == 3 * 2 * 2 * 10 * 4 * 2
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             PerfModelSpec("bad", 2, 100, 3, 100, 100)
