@@ -28,8 +28,9 @@ test-cov:
 # The BLAS row-count invariance the chunked-prefill contract rests on, that
 # contract itself (chunks and whole prompts), and the decode kernel's rows
 # (gemv per row: a batch row is its sequence decoded alone — B > 1 generator
-# rows and beams, read from the padded workspace), under one and under two
-# OpenBLAS threads.
+# rows and beams, read from the padded workspace, under full, window, H2O
+# and Keyformer, each row running its own policy instance), under one and
+# under two OpenBLAS threads.
 BLAS_ROW_TESTS = tests/models/test_blas_rows.py \
 	tests/models/test_transformer.py::TestChunkedPrefillRowStability \
 	tests/models/test_attention.py::TestPrefillChunkIsForwardRows \

@@ -200,21 +200,7 @@ class EvictionPolicy(ABC):
         """
         return None
 
-    def reorder(self, batch_indices: np.ndarray) -> None:
-        """Reorder the batch/beam dimension of any per-token state (beam search).
-
-        The base policy is stateless; score-based policies override/extend this
-        through their score accumulators.
-        """
-        score = getattr(self, "score", None)
-        if score is not None:
-            score.reorder(batch_indices)
-
     # ------------------------------------------------------------------
-    def _full_selection(self, shape_prefix: tuple[int, ...], length: int) -> np.ndarray:
-        idx = np.arange(length)
-        return np.broadcast_to(idx, shape_prefix + (length,)).copy()
-
     def describe(self) -> dict:
         """Human-readable summary used in experiment reports."""
         return {

@@ -130,7 +130,7 @@ class BaseScore:
         every layer stacked (``(layers, B, H, L)``) for ``None``.
 
         Returns a live view into the slab; it is valid until the next
-        ``update``/``gather``/``reorder`` call.
+        ``update``/``gather`` call.
         """
         if layer_idx is None:
             layers = self._layers(None)
@@ -264,12 +264,6 @@ class BaseScore:
             gidx = (offsets + indices.reshape(offsets.shape[0], k)).reshape(-1)
             stack[layers, ..., :k] = stack.reshape(-1).take(gidx).reshape(indices.shape)
         self._lens[layers] = [k] * (layers.stop - layers.start)
-
-    def reorder(self, batch_indices: np.ndarray) -> None:
-        """Reorder the batch/beam dimension of every accumulator (beam search)."""
-        if self._stack is not None:
-            self._stack = self._stack.take(np.asarray(batch_indices, dtype=np.int64), axis=1)
-            self._row_offsets = None
 
 
 class AccumulatedAttentionScore(BaseScore):

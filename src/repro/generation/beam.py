@@ -2,9 +2,9 @@
 
 The paper uses a fixed beam size of 4 in its accuracy evaluation and notes
 that Keyformer discards tokens "across heads, layers and beams"; here every
-beam carries its own reduced KV cache (the beam dimension is mapped onto the
-batch dimension of the caches) and beams are re-ordered after every step,
-which re-orders caches and policy score state alike.
+beam carries its own reduced KV cache and its own policy instance (the beam
+dimension is mapped onto the rows of the caches) and beams are re-ordered
+after every step, which moves page tables and policies alike.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class BeamSearch:
                 break
             current = np.asarray([seq[-1] for seq in beam_tokens], dtype=np.int64)
             next_logits = self.model.decode_step(
-                current, manager.current_position, layer_views
+                current, manager.current_position[0], layer_views
             )
             manager.advance()
             n_steps += 1

@@ -8,8 +8,8 @@ two phases described in §2.1:
    pass); keys/values of all prompt tokens are returned and handed to the
    :class:`~repro.kvcache.manager.CacheManager`, which seeds one row per
    sequence in each layer's :class:`~repro.kvcache.batch.BatchedLayerKVCache`
-   and lets the configured eviction policy reduce the cache from ``n`` to
-   ``k`` tokens.
+   and lets each row's instance of the configured eviction policy reduce its
+   cache from ``n`` to ``k`` tokens.
 2. **Token generation** — tokens are generated auto-regressively; each step
    appends one KV entry per layer, attends over the reduced cache, and lets
    the policy evict back down to ``k`` entries.
@@ -46,10 +46,6 @@ class GenerationResult:
     #: (see :class:`repro.speculative.telemetry.SpeculationStats`); empty
     #: for vanilla generation.
     speculation: dict = field(default_factory=dict)
-
-    @property
-    def n_generated(self) -> int:
-        return max((len(seq) for seq in self.sequences), default=0)
 
 
 class Generator:
@@ -89,7 +85,7 @@ class Generator:
             d_head=config.d_head,
             positional_mode=self.positional_mode,
             dtype=config.np_dtype,
-            rope_dims=config.rope_dims if config.positional == "rope" else 0,
+            rope_dims=config.rope_dims,
             kv_dtype=self.kv_dtype,
         )
         manager.initialize_from_prompt(prompt_kv, prompt_attn, prompt_logits, max_new_tokens)
@@ -149,17 +145,20 @@ class Generator:
                 break
 
             next_logits = self.model.decode_step(
-                tokens, manager.current_position, layer_views
+                tokens, manager.current_position[0], layer_views
             )
             manager.advance()
             tokens = sampler(next_logits)
 
+        # The rows decode in lockstep: row 0's counters stand for the batch.
+        stats = manager.stats[0]
+        stats.batch_size = batch_size
         return GenerationResult(
             sequences=sequences,
             prompt_lengths=[prompt.shape[1]] * batch_size,
-            cache_stats=manager.stats,
+            cache_stats=stats,
             policy=self.policy.describe(),
-            n_steps=manager.generation_step,
+            n_steps=manager.generation_step[0],
             log_probs=[float(lp) for lp in total_logprob],
         )
 
@@ -190,7 +189,7 @@ class Generator:
             if i == len(continuation) - 1:
                 break
             next_logits = self.model.decode_step(
-                np.asarray([token]), manager.current_position, layer_views
+                np.asarray([token]), manager.current_position[0], layer_views
             )
             manager.advance()
         return total

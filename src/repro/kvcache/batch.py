@@ -1,4 +1,4 @@
-"""The per-layer KV cache, and the continuous-batching engine's manager.
+"""The per-layer KV cache, and the one cache manager.
 
 :class:`BatchedLayerKVCache` is the one per-layer cache: the serving
 engine's :class:`BatchedCacheManager` and the solo/beam/drafter
@@ -29,11 +29,12 @@ contiguous pages is zero-copy).  Bit-exactness contract: every stored value is
 produced by the same per-token elementwise operations whichever write path
 stored it, so row ``b`` of the padded view restricted to ``lengths[b]``
 entries is bit-identical to the cache of a sequence decoded alone.
-:class:`BatchedCacheManager` mirrors
-:class:`~repro.kvcache.manager.CacheManager` — per-layer caches, positional
-modes, eviction bookkeeping — but drives one policy *instance per sequence*
-so that policy state (score accumulators, noise RNGs) evolves exactly as it
-would in a dedicated single-sequence run.
+
+:class:`BatchedCacheManager` keeps the per-sequence decode state once, for
+the engine and for its solo subclass
+:class:`~repro.kvcache.manager.CacheManager` alike: one policy *instance per
+row*, so that policy state (score accumulators, noise RNGs) evolves exactly
+as it would in a dedicated single-sequence run.
 """
 
 from __future__ import annotations
@@ -141,7 +142,15 @@ class PolicyDriver:
 class _RowSnapshot:
     """Pre-step state of one row (see :meth:`BatchedCacheManager.snapshot_row`)."""
 
-    __slots__ = ("tables", "policy", "total_appended", "total_evicted", "step_lengths")
+    __slots__ = (
+        "tables",
+        "policy",
+        "total_appended",
+        "total_evicted",
+        "step_lengths",
+        "position",
+        "step",
+    )
 
     def __init__(
         self,
@@ -150,12 +159,16 @@ class _RowSnapshot:
         total_appended: int,
         total_evicted: int,
         step_lengths: list[int],
+        position: int,
+        step: int,
     ):
         self.tables = tables
         self.policy = policy
         self.total_appended = total_appended
         self.total_evicted = total_evicted
         self.step_lengths = step_lengths
+        self.position = position
+        self.step = step
 
 
 class BatchedLayerKVCache:
@@ -508,11 +521,12 @@ class BatchedLayerView:
 class BatchedCacheManager:
     """Owns the paged store's per-layer pools and one eviction policy per row.
 
-    The lifecycle mirrors :class:`~repro.kvcache.manager.CacheManager`, but
-    sequences ``join`` and ``retire`` independently and every per-sequence
+    Sequences ``join`` and ``retire`` independently and every per-sequence
     quantity (policy instance, :class:`CacheStats`, position cursor,
     generation step) lives in a row-indexed list that is compacted together
-    with the page tables.
+    with the page tables.  The solo
+    :class:`~repro.kvcache.manager.CacheManager` runs its rows on the same
+    state and code.
 
     The shared store's knobs come from ``config`` / keyword fields of
     :class:`~repro.kvcache.paged.KVStoreConfig` (knob table:
@@ -542,19 +556,8 @@ class BatchedCacheManager:
         config: KVStoreConfig | None = None,
         **knobs,
     ):
-        if positional_mode not in ("original", "new"):
-            raise ValueError(f"unknown positional mode {positional_mode!r}")
+        self._init_geometry(n_layers, n_heads, d_head, positional_mode, dtype, rope_dims)
         self.config = config = KVStoreConfig.of(config, **knobs)
-        self.n_layers = n_layers
-        self.n_heads = n_heads
-        self.d_head = d_head
-        self.max_batch = max_batch
-        self.positional_mode = positional_mode
-        self.dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float64)
-        # Rotated-key caching is only sound for stable original positions —
-        # same rule as the single-sequence manager.
-        self.rope_dims = int(rope_dims) if positional_mode == "original" else 0
-        self._rope_table = get_rope_table(rope_dims) if rope_dims > 0 else None
         if n_pages is None and tier0_pages is None:
             n_pages, tier0_pages = config.resolve_pages()
         self.store = PagedKVStore(
@@ -581,6 +584,32 @@ class BatchedCacheManager:
             )
             for layer in range(n_layers)
         ]
+        self._clear_rows(max_batch)
+
+    def _init_geometry(
+        self,
+        n_layers: int,
+        n_heads: int,
+        d_head: int,
+        positional_mode: str,
+        dtype: np.dtype | str | None,
+        rope_dims: int,
+    ) -> None:
+        if positional_mode not in ("original", "new"):
+            raise ValueError(f"unknown positional mode {positional_mode!r}")
+        self.n_layers = n_layers
+        self.n_heads = n_heads
+        self.d_head = d_head
+        self.positional_mode = positional_mode
+        self.dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float64)
+        # Rotated-key caching is only sound for stable original positions;
+        # renumbered mode re-rotates per step.
+        self.rope_dims = int(rope_dims) if positional_mode == "original" else 0
+        self._rope_table = get_rope_table(rope_dims) if rope_dims > 0 else None
+
+    def _clear_rows(self, max_batch: int) -> None:
+        """No active row; per-row state for up to ``max_batch`` rows."""
+        self.max_batch = max_batch
         self.n_active = 0
         self.policies: list[EvictionPolicy] = []
         self.stats: list[CacheStats] = []
@@ -592,7 +621,7 @@ class BatchedCacheManager:
         # Per row slot, for policies with ``stacked_steps``; contents live
         # only within one decode step, so rows moving between slots (retire)
         # or being rewound (restore_row) need not carry them.
-        self._drivers = [PolicyDriver(n_layers) for _ in range(max_batch)]
+        self._drivers = [PolicyDriver(self.n_layers) for _ in range(max_batch)]
 
     # ------------------------------------------------------------------
     # sequence lifecycle
@@ -658,7 +687,22 @@ class BatchedCacheManager:
             self.registry.register(
                 prompt_token_ids, [cache.tables[row] for cache in self.caches]
             )
+        self._start_row(policy, prompt_len)
+        try:
+            self._evict_prompt(row, prompt_attn, prompt_logits)
+        except Exception:
+            # The prompt-phase eviction can exhaust the pool too (a
+            # copy-on-write gather of registry-shared pages allocates fresh
+            # ones).  The row is fully admitted at this point, so unwind it
+            # through the normal retirement path before re-raising — the
+            # engine treats the failure as "join could not be funded".
+            self.retire(row)
+            raise
+        return row
 
+    def _start_row(self, policy: EvictionPolicy, prompt_len: int) -> None:
+        """Activate row ``n_active``, whose pages hold its ``prompt_len``
+        prompt tokens, under its own set-up ``policy``."""
         stats = CacheStats(
             n_layers=self.n_layers,
             n_heads=self.n_heads,
@@ -676,31 +720,27 @@ class BatchedCacheManager:
         self._step_lengths.append([])
         self.n_active += 1
 
-        positions = np.arange(prompt_len)
+    def _evict_prompt(
+        self, row: int, prompt_attn: list[np.ndarray], prompt_logits: list[np.ndarray]
+    ) -> None:
+        """Run row ``row``'s prompt-phase eviction on its per-layer
+        ``(1, H, T, T)`` prompt attention and masked logits."""
+        policy = self.policies[row]
+        positions = np.arange(self.prompt_len[row])
         shared_selection: np.ndarray | None = None
-        try:
+        for layer_idx in range(self.n_layers):
+            selection = policy.initial_selection(
+                layer_idx, prompt_attn[layer_idx], prompt_logits[layer_idx], positions
+            )
+            if selection is None:
+                continue
+            if policy.shared_selection:
+                shared_selection = selection
+            else:
+                self._apply_row_selection(layer_idx, row, selection)
+        if shared_selection is not None:
             for layer_idx in range(self.n_layers):
-                selection = policy.initial_selection(
-                    layer_idx, prompt_attn[layer_idx], prompt_logits[layer_idx], positions
-                )
-                if selection is None:
-                    continue
-                if getattr(policy, "shared_selection", False):
-                    shared_selection = selection
-                else:
-                    self._apply_row_selection(layer_idx, row, selection)
-            if shared_selection is not None:
-                for layer_idx in range(self.n_layers):
-                    self._apply_row_selection(layer_idx, row, shared_selection)
-        except Exception:
-            # The prompt-phase eviction can exhaust the pool too (a
-            # copy-on-write gather of registry-shared pages allocates fresh
-            # ones).  The row is fully admitted at this point, so unwind it
-            # through the normal retirement path before re-raising — the
-            # engine treats the failure as "join could not be funded".
-            self.retire(row)
-            raise
-        return row
+                self._apply_row_selection(layer_idx, row, shared_selection)
 
     def prefix_tensors(
         self, shared_prefix: PrefixMatch
@@ -813,9 +853,10 @@ class BatchedCacheManager:
         writes copy-on-write into fresh pages and the snapshot content stays
         pristine — including int8 quantization parameters, which
         copy-on-write duplicates alongside the codes), deep-copies the row's
-        eviction policy, and captures the step-scoped stats counters.  Every
-        snapshot must be consumed by exactly one of :meth:`restore_row` or
-        :meth:`discard_row_snapshot`, or its page references leak.
+        eviction policy, and captures the step-scoped stats counters and the
+        position and step counters (a drafter rewinds across ``advance``).
+        Every snapshot must be consumed by exactly one of :meth:`restore_row`
+        or :meth:`discard_row_snapshot`, or its page references leak.
         """
         stats = self.stats[row]
         return _RowSnapshot(
@@ -824,6 +865,8 @@ class BatchedCacheManager:
             stats.total_appended,
             stats.total_evicted,
             list(self._step_lengths[row]),
+            self.current_position[row],
+            self.generation_step[row],
         )
 
     def restore_row(self, row: int, snapshot: "_RowSnapshot") -> None:
@@ -842,6 +885,8 @@ class BatchedCacheManager:
         stats.total_appended = snapshot.total_appended
         stats.total_evicted = snapshot.total_evicted
         self._step_lengths[row] = list(snapshot.step_lengths)
+        self.current_position[row] = snapshot.position
+        self.generation_step[row] = snapshot.step
         self._qpos = None
 
     def discard_row_snapshot(self, snapshot: "_RowSnapshot") -> None:
@@ -1021,6 +1066,18 @@ class BatchedCacheManager:
     def cache_lengths(self, row: int) -> list[int]:
         """Current per-layer cache lengths of one sequence."""
         return [cache.tables[row].length for cache in self.caches]
+
+    def total_kv_bytes(self) -> int:
+        """Current resident KV-cache size of the active rows across all
+        layers, at what a cached token actually costs in the pool
+        (``BlockPool.kv_token_nbytes``)."""
+        return sum(
+            int(
+                sum(table.length for table in cache.tables[: self.n_active])
+                * cache.pool.kv_token_nbytes()
+            )
+            for cache in self.caches
+        )
 
     def pool_usage(self) -> dict:
         """Aggregate page-pool utilization (pages *and* bytes — see

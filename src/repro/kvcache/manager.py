@@ -1,31 +1,27 @@
-"""Cache manager: connects decoder layers, KV caches and eviction policies.
+"""The solo cache manager: a batch, the beams of a beam search, or a drafter.
 
-The manager keeps its ``B`` rows (a batch, or the beams of a beam search) in
-one :class:`~repro.kvcache.batch.BatchedLayerKVCache` per decoder layer — the
-per-layer cache the serving engine uses — and drives a single eviction policy.
-During incremental decoding each decoder block interacts with the manager
-through a :class:`LayerCacheView`, which implements the ``DecodeCache``
-protocol of :meth:`repro.models.block.DecoderBlock.decode_step_batch` as a
-batch whose rows are never padded (every row holds the same number of
-entries):
+:class:`CacheManager` is the one cache manager,
+:class:`~repro.kvcache.batch.BatchedCacheManager`, with the solo entry points
+added.  Its ``B`` rows start together from one prompt pass and advance in
+lockstep; every row carries its own eviction policy instance (row 0 the
+caller's, the others deep copies), its own stats and counters, exactly as an
+engine row does — so a row's policy state, noise draws included, is the one
+it would have decoded alone.  During incremental decoding each decoder block
+interacts with the manager through a :class:`LayerCacheView`, which
+implements the ``DecodeCache`` protocol of
+:meth:`repro.models.block.DecoderBlock.decode_step_batch` as a batch whose
+rows are never padded (every row holds the same number of entries):
 
 1. ``append`` stores the new token's key/value;
 2. ``attention_view`` exposes keys/values plus positional indices in either
    original or renumbered form;
-3. ``observe`` hands the step's attention logits/probabilities to the policy,
-   which may return a selection of entries to retain; the manager applies the
-   selection (to one layer, or to all layers for shared score functions).  For
-   a policy with ``stacked_steps`` the layers' tensors are collected (see
-   :class:`~repro.kvcache.batch.PolicyDriver`) and the last layer's
-   ``observe`` runs the policy once for the whole step, then evicts layer by
-   layer — no layer's cache is read again before the next token, so nothing
-   observes the deferral.
+3. ``observe`` hands the step's attention logits/probabilities to each row's
+   policy and applies its selections (the shared per-row code).
 
 Every row is seeded as one ascending page run with its whole generation
-reserved up front, so a lone row's reads are zero-copy pool views.  The rest
-is page-table bookkeeping over the same pool: beam ``reorder`` and the
-drafter's ``fork`` / ``restore`` / ``discard`` clone tables (a refcount bump;
-copy-on-write splits a shared page at its first divergent write), and
+reserved up front, so a lone row's reads are zero-copy pool views.  Beam
+``reorder`` clones page tables (a refcount bump; copy-on-write splits a
+shared page at its first divergent write) and moves the policies with them;
 ``initialize_mapped`` starts from another sequence's tables.
 """
 
@@ -36,24 +32,10 @@ import copy
 import numpy as np
 
 from repro.core.policies import EvictionPolicy
-from repro.core.score import EvictOne
-from repro.kvcache.batch import BatchedLayerKVCache, PolicyDriver
+from repro.kvcache.batch import BatchedCacheManager, BatchedLayerKVCache
 from repro.kvcache.paged import DEFAULT_PAGE_SIZE, PagedKVStore, PageTable, pages_needed
-from repro.kvcache.stats import CacheStats
 
 __all__ = ["CacheManager", "LayerCacheView"]
-
-
-class _Snapshot:
-    """One rewind point of a :class:`CacheManager` (see :meth:`CacheManager.fork`)."""
-
-    __slots__ = ("tables", "policy", "position", "step")
-
-    def __init__(self, tables, policy, position, step):
-        self.tables = tables
-        self.policy = policy
-        self.position = position
-        self.step = step
 
 
 class LayerCacheView:
@@ -79,22 +61,30 @@ class LayerCacheView:
         return self.manager.attention_view(self.layer_idx)
 
     def observe(self, logits: np.ndarray, probs: np.ndarray) -> None:
-        """Hand the step's attention tensors to the eviction policy."""
+        """Hand the step's attention tensors to the eviction policies."""
         self.manager.observe(self.layer_idx, logits, probs)
 
 
-class CacheManager:
-    """Owns per-layer KV caches and drives one eviction policy.
+class CacheManager(BatchedCacheManager):
+    """The cache manager of rows that start and advance together.
 
     Parameters
     ----------
+    policy:
+        Row 0's eviction policy; every other row runs a deep copy of it.
     dtype:
         Storage/compute dtype of the KV slabs (default ``float64``; the
         model's ``compute_dtype`` is plumbed through here by the generator).
     rope_dims:
-        When positive and ``positional_mode == "original"``, per-layer caches
+        When positive and ``positional_mode == "original"``, the pools
         maintain incrementally updated *rotated* keys so the attention step
         never re-rotates unchanged cache entries.
+    store:
+        An existing store to keep the rows in (a self-drafter's, the serving
+        engine's) instead of a growable store built per run.  With a fixed
+        store, allocations can surface ``PoolExhausted``; the engine answers
+        that with preemption.  The manager builds no prefix registry, so the
+        store's reclaimer stays the owner's.
     kv_dtype:
         Page storage format of the store this manager builds: ``None``
         (default) keeps full-precision pages — the bit-exact golden mode —
@@ -115,94 +105,64 @@ class CacheManager:
         store: PagedKVStore | None = None,
         kv_dtype: str | None = None,
     ):
+        # Not the base constructor: that builds the engine's store and prefix
+        # registry, where this manager sizes a store per run (``_open``).
+        self._init_geometry(
+            n_layers,
+            n_heads,
+            d_head,
+            positional_mode or policy.config.positional_mode,
+            dtype,
+            rope_dims,
+        )
         self.policy = policy
-        self.n_layers = n_layers
-        self.n_heads = n_heads
-        self.d_head = d_head
-        self.positional_mode = positional_mode or policy.config.positional_mode
-        if self.positional_mode not in ("original", "new"):
-            raise ValueError(f"unknown positional mode {self.positional_mode!r}")
-        self.dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float64)
-        # Rotated-key caching is only sound when rotations are keyed to the
-        # (stable) original positions; renumbered mode re-rotates per step.
-        self.rope_dims = int(rope_dims) if self.positional_mode == "original" else 0
-        self.page_size = int(page_size)
-        if store is not None:
-            # A caller-supplied store lets a self-drafter keep its page
-            # tables in the serving engine's pools, over the same physical
-            # pages as its target row.  With a fixed (non-growable) store,
-            # allocations can surface ``PoolExhausted``; the engine answers
-            # that with preemption.
-            self.page_size = store.page_size
+        self.page_size = store.page_size if store is not None else int(page_size)
         self.kv_dtype = store.config.kv_dtype if store is not None else kv_dtype
         self._shared_store = store
         self.store: PagedKVStore | None = store
+        self.registry = None
         self.caches: list[BatchedLayerKVCache] = []
-        self.stats = CacheStats(n_layers=n_layers, n_heads=n_heads, d_head=d_head)
-        self.prompt_len = 0
-        self.generation_step = 0
-        self.current_position = 0
-        self._step_lengths: list[int] = []
-        self._qpos_array: np.ndarray | None = None
-        self._driver = PolicyDriver(n_layers)
+        self._clear_rows(0)
 
-    def _build_store(self, batch_size: int, capacity: int) -> None:
-        """One growable :class:`PagedKVStore` per generation run — the single
-        storage substrate every per-layer cache view writes into."""
-        if self._shared_store is not None:
-            self.store = self._shared_store
-            return
-        pages = max(pages_needed(capacity, self.page_size), 1) * max(batch_size, 1) + 1
-        self.store = PagedKVStore(
-            self.n_layers,
-            self.n_heads,
-            self.d_head,
-            page_size=self.page_size,
-            dtype=self.dtype,
-            rope_dims=self.rope_dims,
-            n_pages=pages,
-            growable=True,
-            kv_dtype=self.kv_dtype,
-        )
-
-    def _seed(
-        self, batch_size: int, capacity: int, kv: list[tuple[np.ndarray, np.ndarray]]
-    ) -> None:
-        """One cache per layer, each row seeded from its ``(B, H, T, d)``
-        keys/values as one page run reserving ``capacity`` tokens."""
-        self._build_store(batch_size, capacity)
-        self.caches = self._new_caches(batch_size)
-        t = kv[0][0].shape[2]
-        positions = np.broadcast_to(np.arange(t), (self.n_heads, t))
-        for cache, (keys, values) in zip(self.caches, kv):
-            keys = np.asarray(keys, dtype=self.dtype)
-            values = np.asarray(values, dtype=self.dtype)
-            for row, table in enumerate(cache.tables):
-                cache.pool.extend(
-                    table, keys[row], values[row], positions, reserve_tokens=capacity
-                )
-        self.stats.kv_token_bytes = self.store.pools[0].kv_token_nbytes()
-
-    def _new_caches(self, batch_size: int) -> list[BatchedLayerKVCache]:
-        return [
+    def _open(self, batch_size: int, capacity: int) -> None:
+        """Empty caches of ``batch_size`` rows, in the shared store or in one
+        growable :class:`PagedKVStore` sized for ``capacity`` tokens a row."""
+        if self._shared_store is None:
+            pages = max(pages_needed(capacity, self.page_size), 1) * max(batch_size, 1) + 1
+            self.store = PagedKVStore(
+                self.n_layers,
+                self.n_heads,
+                self.d_head,
+                page_size=self.page_size,
+                dtype=self.dtype,
+                rope_dims=self.rope_dims,
+                n_pages=pages,
+                growable=True,
+                kv_dtype=self.kv_dtype,
+            )
+        self.caches = [
             BatchedLayerKVCache(batch_size, self.n_heads, self.d_head, pool=pool)
             for pool in self.store.pools
         ]
+        self._clear_rows(batch_size)
 
-    def _start(self, batch_size: int, prompt_len: int) -> None:
-        """Reset the counters and stats for a new run."""
-        self.prompt_len = prompt_len
-        self.generation_step = 0
-        self.current_position = prompt_len  # original position of the next token
-        self._qpos_array = None
-        self.stats = CacheStats(
-            n_layers=self.n_layers,
-            n_heads=self.n_heads,
-            d_head=self.d_head,
-            batch_size=batch_size,
-            prompt_len=prompt_len,
-        )
-        self.stats.total_appended += prompt_len * self.n_layers
+    def _start_rows(self, prompt_len: int, setup_len: int, max_new_tokens: int) -> None:
+        """Activate every row under its own policy: row 0 the caller's, the
+        others deep copies made before ``setup``."""
+        policies = [self.policy]
+        policies += [copy.deepcopy(self.policy) for _ in range(self.max_batch - 1)]
+        for policy in policies:
+            policy.setup(self.n_layers, self.n_heads, 1, setup_len, max_new_tokens)
+            self._start_row(policy, prompt_len)
+
+    def _evict_prompts(
+        self, prompt_attn: list[np.ndarray], prompt_logits: list[np.ndarray]
+    ) -> None:
+        for row in range(self.n_active):
+            rows = slice(row, row + 1)
+            self._evict_prompt(
+                row, [a[rows] for a in prompt_attn], [s[rows] for s in prompt_logits]
+            )
 
     # ------------------------------------------------------------------
     # prompt phase
@@ -229,40 +189,33 @@ class CacheManager:
         """
         if len(prompt_kv) != self.n_layers:
             raise ValueError(f"expected {self.n_layers} layers of prompt KV, got {len(prompt_kv)}")
-        batch_size, _, prompt_len, _ = prompt_kv[0][0].shape
-        self._start(batch_size, prompt_len)
-        self.policy.setup(self.n_layers, self.n_heads, batch_size, prompt_len, max_new_tokens)
-        self._seed(batch_size, prompt_len + max_new_tokens + 1, prompt_kv)
-        self._apply_prompt_selections(prompt_attn, prompt_logits, prompt_len)
+        prompt_len = prompt_kv[0][0].shape[2]
+        self._seed(prompt_kv, prompt_len + max_new_tokens + 1)
+        self._start_rows(prompt_len, prompt_len, max_new_tokens)
+        self._evict_prompts(prompt_attn, prompt_logits)
 
-    def _apply_prompt_selections(
-        self, prompt_attn: list[np.ndarray], prompt_logits: list[np.ndarray], prompt_len: int
-    ) -> None:
-        """Run the policy's prompt-phase eviction over freshly seeded caches."""
-        positions = np.arange(prompt_len)
-        shared_selection: np.ndarray | None = None
-        for layer_idx in range(self.n_layers):
-            selection = self.policy.initial_selection(
-                layer_idx, prompt_attn[layer_idx], prompt_logits[layer_idx], positions
-            )
-            if selection is None:
-                continue
-            if getattr(self.policy, "shared_selection", False):
-                shared_selection = selection
-            else:
-                self._apply_selection(layer_idx, selection)
-        if shared_selection is not None:
-            for layer_idx in range(self.n_layers):
-                self._apply_selection(layer_idx, shared_selection)
+    def _seed(self, kv: list[tuple[np.ndarray, np.ndarray]], capacity: int) -> None:
+        """Seed each row from its ``(B, H, T, d)`` keys/values as one page
+        run reserving ``capacity`` tokens."""
+        batch_size, _, t, _ = kv[0][0].shape
+        self._open(batch_size, capacity)
+        positions = np.broadcast_to(np.arange(t), (self.n_heads, t))
+        for cache, (keys, values) in zip(self.caches, kv):
+            keys = np.asarray(keys, dtype=self.dtype)
+            values = np.asarray(values, dtype=self.dtype)
+            for row, table in enumerate(cache.tables):
+                cache.pool.extend(
+                    table, keys[row], values[row], positions, reserve_tokens=capacity
+                )
 
     def initialize_mapped(
         self,
-        source_tables: list[list["PageTable"]],
+        source_tables: list[list[PageTable]],
         prompt_attn: list[np.ndarray],
         prompt_logits: list[np.ndarray],
         max_new_tokens: int,
     ) -> None:
-        """Seed by *mapping* another manager's page tables (self-speculation).
+        """Seed by *mapping* another sequence's page tables (self-speculation).
 
         ``source_tables`` holds, per layer, the page tables of a sequence
         already resident in this manager's (shared) store — the serving
@@ -279,56 +232,46 @@ class CacheManager:
             raise ValueError(
                 f"expected {self.n_layers} layers of tables, got {len(source_tables)}"
             )
-        self.store = self._shared_store
-        batch_size = len(source_tables[0])
-        self._start(batch_size, source_tables[0][0].length)
-        self.policy.setup(
-            self.n_layers, self.n_heads, batch_size, self.prompt_len, max_new_tokens
-        )
-        self.caches = self._new_caches(batch_size)
+        self._open(len(source_tables[0]), 0)
         for cache, tables in zip(self.caches, source_tables):
             for row, table in enumerate(tables):
                 cache.map_row(row, table)
-        self.stats.kv_token_bytes = self.store.pools[0].kv_token_nbytes()
+        prompt_len = source_tables[0][0].length
+        self._start_rows(prompt_len, prompt_len, max_new_tokens)
         try:
-            self._apply_prompt_selections(prompt_attn, prompt_logits, self.prompt_len)
+            self._evict_prompts(prompt_attn, prompt_logits)
         except Exception:
             # A mid-eviction failure (PoolExhausted from a copy-on-write
             # gather, or an injected allocation fault) must not leak the
             # freshly mapped pages — release them so the caller can preempt
             # or quarantine with the pool intact.
-            self.release()
+            for row in reversed(range(self.n_active)):
+                self.release_row(row)
             raise
 
     def initialize_empty(self, batch_size: int, max_new_tokens: int, prompt_len: int = 1) -> None:
-        """Start decoding with empty caches (used in unit tests and microbenchmarks)."""
-        self._start(batch_size, 0)
-        self.policy.setup(
-            self.n_layers, self.n_heads, batch_size, max(prompt_len, 1), max_new_tokens
-        )
+        """Start decoding with empty caches (used in unit tests and
+        microbenchmarks); ``prompt_len`` only sizes the policies' budget."""
         empty = np.zeros((batch_size, self.n_heads, 0, self.d_head))
-        self._seed(batch_size, max_new_tokens + 1, [(empty, empty)] * self.n_layers)
+        self._seed([(empty, empty)] * self.n_layers, max_new_tokens + 1)
+        self._start_rows(0, max(prompt_len, 1), max_new_tokens)
 
     # ------------------------------------------------------------------
     # decode phase
     # ------------------------------------------------------------------
-    def layer_view(self, layer_idx: int) -> LayerCacheView:
-        """The per-layer facade handed to ``DecoderBlock.decode_step_batch``."""
-        if not (0 <= layer_idx < self.n_layers):
-            raise IndexError(f"layer index {layer_idx} out of range")
-        return LayerCacheView(self, layer_idx)
-
     def layer_views(self) -> list[LayerCacheView]:
-        """Views for all layers, in order."""
-        return [self.layer_view(i) for i in range(self.n_layers)]
+        """Per-layer facades handed to ``DecoderBlock.decode_step_batch``."""
+        return [LayerCacheView(self, i) for i in range(self.n_layers)]
 
     def append(self, layer_idx: int, k: np.ndarray, v: np.ndarray) -> None:
         """Append the current token's key/value (``(B, H, d_head)``) to one
         layer's cache: an in-place page write per row."""
         cache = self.caches[layer_idx]
+        position = self.current_position[0]
         for row, table in enumerate(cache.tables):
-            cache.pool.append(table, k[row], v[row], self.current_position)
-        self.stats.total_appended += 1
+            cache.pool.append(table, k[row], v[row], position)
+        for stats in self.stats:
+            stats.total_appended += 1
 
     def attention_view(
         self, layer_idx: int
@@ -344,124 +287,38 @@ class CacheManager:
         cache = self.caches[layer_idx]
         original = self.positional_mode == "original"
         rotated = original and self.rope_dims > 0
-        keys, values, positions, _, length = cache.padded_batch(len(cache.tables), rotated)
+        keys, values, positions, _, length = cache.padded_batch(self.n_active, rotated)
         if original:
-            if self._qpos_array is None:
+            if self._qpos is None:
                 # One array per decoding step, shared by every layer.
-                self._qpos_array = np.asarray(self.current_position)
-            query_positions = self._qpos_array
+                self._qpos = np.asarray(self.current_position[0])
+            query_positions = self._qpos
         else:
             positions = np.broadcast_to(np.arange(length), positions.shape)
             query_positions = np.asarray(length - 1)
-        self._step_lengths.append(length)
+        for steps in self._step_lengths:
+            steps.append(length)
         return keys, values, positions, query_positions, None, rotated
 
-    def observe(self, layer_idx: int, logits: np.ndarray, probs: np.ndarray) -> None:
-        """Run the policy on the step's attention tensors; apply evictions."""
-        self._driver.observe(
-            self.policy,
-            layer_idx,
-            logits,
-            probs,
-            self.generation_step + 1,
-            lambda idx: self.caches[idx].positions,
-            self._apply_selection,
-        )
-
-    def advance(self) -> None:
-        """Mark the end of a decoding step (one token processed by all layers)."""
-        if self._step_lengths:
-            self.stats.record_step(self._step_lengths)
-            self._step_lengths = []
-        self.generation_step += 1
-        self.current_position += 1
-        self._qpos_array = None
+    #: Each row's policy observes its own slice (the engine's code).
+    observe = BatchedCacheManager.observe_batch
 
     # ------------------------------------------------------------------
-    # page-table operations: beam reorder, rollback, teardown
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _adopt(cache: BatchedLayerKVCache, tables: list[PageTable]) -> None:
-        """Release ``cache``'s row tables and put ``tables`` in their slots."""
-        for table in cache.tables:
-            cache.pool.release_table(table)
-        cache.tables[:] = tables
-
     def reorder(self, batch_indices: np.ndarray) -> None:
-        """Reorder (or duplicate) the batch/beam rows of every cache and of
-        the policy state.  Duplicated rows share pages until copy-on-write
-        splits them at the first divergent write."""
+        """Reorder (or duplicate) the beam rows: page tables and policies
+        move together; a parent chosen twice gets its policy deep-copied.
+        Duplicated rows share pages until copy-on-write splits them at the
+        first divergent write."""
+        parents = [int(i) for i in batch_indices]
         for cache in self.caches:
-            self._adopt(cache, [cache.fork_row(int(i)) for i in batch_indices])
-        self.policy.reorder(batch_indices)
-
-    def fork(self) -> _Snapshot:
-        """A rewind point: every row's page tables (cloned — refcounts, not
-        copies), a copy of the policy state and the position counters.
-
-        Hand it to :meth:`restore` (at most once) to rewind, or to
-        :meth:`discard` to release it.  The speculative drafter forks before
-        consuming each unverified draft token.
-        """
-        return _Snapshot(
-            [[cache.fork_row(row) for row in range(len(cache.tables))] for cache in self.caches],
-            copy.deepcopy(self.policy),
-            self.current_position,
-            self.generation_step,
-        )
-
-    def restore(self, snapshot: _Snapshot) -> None:
-        """Rewind to ``snapshot`` (from :meth:`fork`), which the manager
-        takes over; the current tables are released."""
-        for cache, tables in zip(self.caches, snapshot.tables):
-            self._adopt(cache, tables)
-        self.policy = snapshot.policy
-        self.current_position = snapshot.position
-        self.generation_step = snapshot.step
-        self._qpos_array = None
-        self._step_lengths = []
-
-    def discard(self, snapshot: _Snapshot) -> None:
-        """Release an unused snapshot from :meth:`fork`."""
-        for cache, tables in zip(self.caches, snapshot.tables):
-            for table in tables:
+            forks = [cache.fork_row(i) for i in parents]
+            for table in cache.tables:
                 cache.pool.release_table(table)
-
-    def release(self) -> None:
-        """Return every cached page to the store (drafter teardown)."""
-        for cache in self.caches:
-            self._adopt(cache, [])
-        self.caches = []
-
-    # ------------------------------------------------------------------
-    def _apply_selection(self, layer_idx: int, selection) -> None:
-        """Evict every row of one layer down to ``selection`` (``(B, H, K)``,
-        ``(K,)`` for every row and head, or an :class:`EvictOne`)."""
-        cache = self.caches[layer_idx]
-        rows = len(cache.tables)
-        if not isinstance(selection, EvictOne):
-            selection = np.asarray(selection, dtype=np.int64)
-            if selection.ndim == 1:
-                selection = np.broadcast_to(selection, (rows, self.n_heads, selection.size))
-        if selection.shape[:2] != (rows, self.n_heads):
-            raise ValueError(
-                f"selection shape {selection.shape} incompatible with "
-                f"({rows}, {self.n_heads}, ...) rows"
-            )
-        evicted = 0
-        for row in range(rows):
-            evicted = cache.gather_row(row, selection[row])
-        self.stats.total_evicted += evicted
-
-    # ------------------------------------------------------------------
-    def cache_lengths(self) -> list[int]:
-        """Current per-layer cache lengths."""
-        return [cache.tables[0].length for cache in self.caches]
-
-    def total_kv_bytes(self) -> int:
-        """Current resident KV-cache size across all layers, at what a cached
-        token actually costs in the pool (``BlockPool.kv_token_nbytes``)."""
-        return sum(
-            int(len(cache.tables) * cache.tables[0].length * cache.pool.kv_token_nbytes())
-            for cache in self.caches
-        )
+            cache.tables[:] = forks
+        moved = set()
+        policies = []
+        for i in parents:
+            policy = self.policies[i]
+            policies.append(copy.deepcopy(policy) if i in moved else policy)
+            moved.add(i)
+        self.policies = policies

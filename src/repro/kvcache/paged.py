@@ -1131,9 +1131,8 @@ class KVStoreConfig:
         """Resident bytes of one KV page across a model's layer pools (counting
         the rotated-key slab whenever the model is RoPE)."""
         mc = model_config
-        rope_dims = mc.rope_dims if mc.positional == "rope" else 0
         return mc.n_layers * PagedKVStore.page_nbytes_for(
-            self.kv_dtype, mc.n_heads, mc.d_head, self.page_size, mc.np_dtype, rope_dims
+            self.kv_dtype, mc.n_heads, mc.d_head, self.page_size, mc.np_dtype, mc.rope_dims
         )
 
     def resolve_pages(self, model_config=None, page_bytes=None) -> tuple[int | None, int | None]:

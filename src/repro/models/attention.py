@@ -52,7 +52,7 @@ class MultiHeadAttention(Module):
         self.d_head = config.d_head
         self.d_model = config.d_model
         self.positional = config.positional
-        self.rope_dims = config.rope_dims if config.positional == "rope" else 0
+        self.rope_dims = config.rope_dims
         # Shared precomputed cos/sin table: decode-path rotations become
         # lookups instead of per-step transcendental evaluations.
         self._rope_table = get_rope_table(self.rope_dims) if self.rope_dims > 0 else None

@@ -97,7 +97,10 @@ class ModelConfig:
 
     @property
     def rope_dims(self) -> int:
-        """Number of per-head dimensions rotated by RoPE (always even)."""
+        """Number of per-head dimensions rotated by RoPE (always even; 0 for
+        a model without RoPE positions)."""
+        if self.positional != "rope":
+            return 0
         dims = int(self.d_head * self.rope_fraction)
         return dims - (dims % 2)
 

@@ -93,19 +93,6 @@ class LatencyBreakdown:
             return 0.0
         return self.kv_data_movement_time / self.total_time
 
-    def as_dict(self) -> dict:
-        return {
-            "prompt_time_s": self.prompt_time,
-            "decode_time_s": self.decode_time,
-            "total_time_s": self.total_time,
-            "kv_data_movement_s": self.kv_data_movement_time,
-            "weight_data_movement_s": self.weight_data_movement_time,
-            "compute_s": self.compute_time,
-            "attention_compute_s": self.attention_compute_time,
-            "score_overhead_s": self.score_overhead_time,
-            "kv_movement_fraction": self.kv_movement_fraction,
-        }
-
 
 class LatencyModel:
     """Roofline latency model for one model on one accelerator."""

@@ -374,9 +374,7 @@ class ContinuousBatchingEngine:
         #: positions (bit-identical to the rotation inside
         #: ``attend_prefill``); ``None`` for non-RoPE models.
         self._rope_chunk_table = (
-            get_rope_table(model.config.rope_dims)
-            if model.config.positional == "rope"
-            else None
+            get_rope_table(model.config.rope_dims) if model.config.rope_dims else None
         )
 
     # ------------------------------------------------------------------
@@ -1499,7 +1497,7 @@ class ContinuousBatchingEngine:
             max_batch=self.scheduler.max_batch_size,
             positional_mode=mode,
             dtype=config.np_dtype,
-            rope_dims=config.rope_dims if config.positional == "rope" else 0,
+            rope_dims=config.rope_dims,
             n_pages=self._n_pages,
             tier0_pages=self.tier0_pages,
             config=self.config,

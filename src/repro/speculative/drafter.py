@@ -21,12 +21,13 @@ throughput.  Two families are provided:
     at all — drafting is free, so the speedup is bounded only by how
     repetitive the target's output is.
 
-Rollback discipline: a :class:`PolicyDrafter` snapshots its cache manager
-(:meth:`~repro.kvcache.manager.CacheManager.fork`: page tables cloned — a
-refcount bump, not a copy — plus policy state and counters) before consuming
-each *unverified* draft token.  After verification it restores the snapshot
-matching the accepted prefix, so rejected-token pages flow back through the
-pool's existing refcount/free-list machinery.
+Rollback discipline: a :class:`PolicyDrafter` snapshots its cache manager's
+one row (:meth:`~repro.kvcache.batch.BatchedCacheManager.snapshot_row`: page
+tables cloned — a refcount bump, not a copy — plus policy state and
+counters) before consuming each *unverified* draft token.  After
+verification it restores the snapshot matching the accepted prefix, so
+rejected-token pages flow back through the pool's existing
+refcount/free-list machinery.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ class PolicyDrafter(Drafter):
             d_head=config.d_head,
             positional_mode=positional_mode,
             dtype=config.np_dtype,
-            rope_dims=config.rope_dims if config.positional == "rope" else 0,
+            rope_dims=config.rope_dims,
             store=store,
         )
         manager.initialize_mapped(target_tables, prompt_attn, prompt_logits, max_new_tokens)
@@ -184,7 +185,7 @@ class PolicyDrafter(Drafter):
             d_head=config.d_head,
             positional_mode=positional_mode,
             dtype=config.np_dtype,
-            rope_dims=config.rope_dims if config.positional == "rope" else 0,
+            rope_dims=config.rope_dims,
         )
         manager.initialize_from_prompt(prompt_kv, prompt_attn, prompt_scores, max_new_tokens)
         return cls(model, manager)
@@ -194,12 +195,12 @@ class PolicyDrafter(Drafter):
     # ------------------------------------------------------------------
     def _discard(self, snaps) -> None:
         for snap in snaps:
-            self.manager.discard(snap)
+            self.manager.discard_row_snapshot(snap)
 
     def _consume(self, token: int) -> int:
         """Feed one token through the drafter; return its greedy successor."""
         logits = self.model.decode_step(
-            np.asarray([token]), self.manager.current_position, self._views
+            np.asarray([token]), self.manager.current_position[0], self._views
         )
         self.manager.advance()
         self.draft_steps += 1
@@ -213,7 +214,7 @@ class PolicyDrafter(Drafter):
         # The round-start snapshot is taken *before* catch-up so that
         # abort_round (a verify/draft pass hitting PoolExhausted under fixed
         # pools) can rewind even a half-applied catch-up.
-        self._round_start = self.manager.fork()
+        self._round_start = self.manager.snapshot_row(0)
         self._round_catchup = list(self._catchup)
         # Catch-up: consume committed tokens the previous round accepted in
         # full (their KV never needs rolling back, so no per-token snapshots).
@@ -227,7 +228,7 @@ class PolicyDrafter(Drafter):
             if j > 0:
                 # Snapshot before consuming an *unverified* draft token; the
                 # first input (the committed last_token) never rolls back.
-                self._snaps.append(self.manager.fork())
+                self._snaps.append(self.manager.snapshot_row(0))
             token = self._consume(token)
             tokens.append(token)
             if eos_token_id is not None and token == eos_token_id:
@@ -251,7 +252,7 @@ class PolicyDrafter(Drafter):
             # Partial acceptance: rewind to the state just before the first
             # rejected draft token was consumed.
             keep = self._snaps[needed - 1]
-            self.manager.restore(keep)
+            self.manager.restore_row(0, keep)
             self._discard(self._snaps[: needed - 1] + self._snaps[needed:])
         if self._round_start is not None:
             self._discard([self._round_start])
@@ -261,7 +262,7 @@ class PolicyDrafter(Drafter):
     def abort_round(self) -> None:
         """Restore the state at the last ``draft`` call (failed verify pass)."""
         if self._round_start is not None:
-            self.manager.restore(self._round_start)
+            self.manager.restore_row(0, self._round_start)
             self._discard(self._snaps)
             self._catchup = list(self._round_catchup)
             self._snaps = []
@@ -274,7 +275,8 @@ class PolicyDrafter(Drafter):
             self._discard([self._round_start])
         self._snaps = []
         self._round_start = None
-        self.manager.release()
+        if self.manager.n_active:
+            self.manager.release_row(0)
 
     def live_tables(self, store: "PagedKVStore | None" = None) -> list[list["PageTable"]]:
         """Per-layer tables of the live cache plus every un-discarded snapshot.
@@ -284,17 +286,17 @@ class PolicyDrafter(Drafter):
         pools, which the serving store's audit must not count).
         """
         mgr = self.manager
-        if not mgr.caches:
+        if not mgr.n_active:
             return []
         if store is not None and mgr.caches[0].pool is not store.pools[0]:
             return []
-        per_layer = [list(cache.tables) for cache in mgr.caches]
+        per_layer = [[cache.tables[0]] for cache in mgr.caches]
         snapshots = list(self._snaps)
         if self._round_start is not None:
             snapshots.append(self._round_start)
         for snap in snapshots:
-            for layer, tables in enumerate(snap.tables):
-                per_layer[layer].extend(tables)
+            for layer, table in enumerate(snap.tables):
+                per_layer[layer].append(table)
         return per_layer
 
     def describe(self) -> dict:

@@ -124,12 +124,3 @@ class TestDescribe:
         assert info["noise"] == "gaussian"
         assert info["positional_mode"] == "new"
         assert info["budget"] == 12
-
-    def test_reorder_moves_score_state(self, rng):
-        policy = make_policy(kv_fraction=0.5)
-        logits, probs = prompt_tensors(rng, batch=2)
-        policy.setup(2, 2, 2, 20, 10)
-        policy.initial_selection(0, probs, logits, np.arange(20))
-        before = policy.score.get(0).copy()
-        policy.reorder(np.array([1, 0]))
-        np.testing.assert_allclose(policy.score.get(0)[0], before[1])

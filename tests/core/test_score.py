@@ -110,14 +110,6 @@ class TestAccumulatedAttentionScore:
         score = AccumulatedAttentionScore()
         score.gather(3, np.zeros((1, 1, 1), dtype=np.int64))  # must not raise
 
-    def test_reorder_batch(self, rng):
-        score = AccumulatedAttentionScore()
-        values = rng.normal(size=(3, 2, 4))
-        score.update(0, values, values)
-        score.reorder(np.array([2, 0, 0]))
-        np.testing.assert_allclose(score.get(0)[0], values[2])
-        np.testing.assert_allclose(score.get(0)[1], values[0])
-
     def test_get_uninitialized_raises(self):
         with pytest.raises(KeyError):
             AccumulatedAttentionScore().get(0)

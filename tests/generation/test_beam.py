@@ -111,10 +111,11 @@ class TestBeamsAreSoloRuns:
     """At float64 each hypothesis' raw score is its tokens scored alone, bit
     for bit.  The beams are the rows of one batch: duplicated by page-table
     clones, read through the padded workspace, decoded by one BLAS gemv per
-    row — so a row must be its sequence decoded alone.  Keyformer is
-    excluded: the beams share one Gumbel noise stream."""
+    row — so a row must be its sequence decoded alone.  Every beam runs its
+    own policy instance (a parent's copied to each child), so a Keyformer
+    beam's noise draws are its sequence's alone."""
 
-    @pytest.mark.parametrize("policy", ["full", "window", "h2o"])
+    @pytest.mark.parametrize("policy", ["full", "window", "h2o", "keyformer"])
     @pytest.mark.parametrize("positional", ["rope", "alibi", "learned"])
     def test_beam_scores_equal_solo_scores(self, positional, policy):
         config = ModelConfig(

@@ -59,10 +59,10 @@ class TestBatchedRowsAreSoloRuns:
     alone, bit for bit.  The batch decodes through the one decode kernel,
     whose float64 projections are one BLAS gemv per row; a ``(B, d)`` GEMM
     rounds differently from ``(1, d)``, so this fails where a batch shares a
-    GEMM.  Keyformer is excluded: a batch shares one Gumbel noise stream, so
-    a row's draws depend on the rows beside it."""
+    GEMM.  Every row runs its own policy instance, so a Keyformer row draws
+    the Gumbel noise it would draw alone."""
 
-    @pytest.mark.parametrize("policy", ["full", "window", "h2o"])
+    @pytest.mark.parametrize("policy", ["full", "window", "h2o", "keyformer"])
     @pytest.mark.parametrize("positional", ["rope", "alibi", "learned"])
     def test_rows_equal_solo_runs(self, positional, policy):
         config = ModelConfig(

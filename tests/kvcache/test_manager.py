@@ -36,15 +36,15 @@ class TestInitialization:
     def test_full_policy_keeps_whole_prompt(self, rng):
         manager = make_manager(FullAttentionPolicy())
         manager.initialize_from_prompt(*prompt_inputs(rng), max_new_tokens=4)
-        assert manager.cache_lengths() == [T, T]
-        assert manager.prompt_len == T
-        assert manager.current_position == T
+        assert manager.cache_lengths(0) == [T, T]
+        assert manager.prompt_len == [T]
+        assert manager.current_position == [T]
 
     def test_reduction_policy_trims_prompt(self, rng):
         policy = WindowAttentionPolicy(CachePolicyConfig(kv_fraction=0.5))
         manager = make_manager(policy)
         manager.initialize_from_prompt(*prompt_inputs(rng), max_new_tokens=4)
-        assert manager.cache_lengths() == [6, 6]
+        assert manager.cache_lengths(0) == [6, 6]
 
     def test_layer_count_mismatch(self, rng):
         manager = make_manager(FullAttentionPolicy())
@@ -59,7 +59,7 @@ class TestInitialization:
 
 class TestDecodeFlow:
     def _step(self, manager, rng, layer_idx):
-        view = manager.layer_view(layer_idx)
+        view = manager.layer_views()[layer_idx]
         k = rng.normal(size=(1, N_HEADS, D_HEAD))
         v = rng.normal(size=(1, N_HEADS, D_HEAD))
         view.append(k, v)
@@ -82,9 +82,9 @@ class TestDecodeFlow:
             for layer in range(N_LAYERS):
                 self._step(manager, rng, layer)
             manager.advance()
-        assert manager.cache_lengths() == [6, 6]
-        assert manager.generation_step == 4
-        assert manager.stats.n_steps == 4
+        assert manager.cache_lengths(0) == [6, 6]
+        assert manager.generation_step == [4]
+        assert manager.stats[0].n_steps == 4
 
     def test_original_positions_reported(self, rng):
         policy = WindowAttentionPolicy(CachePolicyConfig(kv_fraction=0.5))
@@ -111,7 +111,7 @@ class TestDecodeFlow:
             for layer in range(N_LAYERS):
                 self._step(manager, rng, layer)
             manager.advance()
-        stats = manager.stats
+        stats = manager.stats[0]
         assert stats.total_appended == T * N_LAYERS + 3 * N_LAYERS
         assert stats.total_evicted > 0
         assert stats.kv_entries_read() == sum(sum(step) for step in stats.lengths_per_step)
@@ -123,23 +123,40 @@ class TestDecodeFlow:
         policy = KeyformerPolicy(KeyformerConfig(kv_fraction=0.5, shared_score=True))
         manager = make_manager(policy)
         manager.initialize_from_prompt(*prompt_inputs(rng), max_new_tokens=4)
-        assert manager.cache_lengths() == [6, 6]
+        assert manager.cache_lengths(0) == [6, 6]
         positions = [c.positions for c in manager.caches]
         np.testing.assert_array_equal(positions[0], positions[1])
 
-    def test_layer_view_bounds(self, rng):
+    def test_layer_views_cover_every_layer(self, rng):
         manager = make_manager(FullAttentionPolicy())
-        with pytest.raises(IndexError):
-            manager.layer_view(5)
+        views = manager.layer_views()
+        assert [view.layer_idx for view in views] == list(range(N_LAYERS))
+        assert all(view.manager is manager for view in views)
+
+    def test_every_row_runs_its_own_policy(self, rng):
+        policy = H2OPolicy(CachePolicyConfig(kv_fraction=0.5))
+        manager = make_manager(policy)
+        manager.initialize_from_prompt(*prompt_inputs(rng, batch=3), max_new_tokens=4)
+        assert manager.policies[0] is policy
+        assert len({id(p) for p in manager.policies}) == 3
+        for p in manager.policies:
+            assert p.batch_size == 1 and p.score.get(0).shape[0] == 1
 
     def test_reorder_propagates_to_caches_and_policy(self, rng):
         policy = H2OPolicy(CachePolicyConfig(kv_fraction=0.5))
         manager = make_manager(policy)
         manager.initialize_from_prompt(*prompt_inputs(rng, batch=2), max_new_tokens=4)
         before = manager.caches[0].keys.copy()
+        policies = list(manager.policies)
         manager.reorder(np.array([1, 0]))
         np.testing.assert_allclose(manager.caches[0].keys[0], before[1])
-        assert policy.score.get(0).shape[0] == 2
+        assert manager.policies == policies[::-1]
+        # A parent chosen twice: the second child runs a deep copy.
+        scores = policies[1].score.get(0).copy()
+        manager.reorder(np.array([0, 0]))
+        first, second = manager.policies
+        assert first is policies[1] and second is not first
+        np.testing.assert_array_equal(second.score.get(0), scores)
 
     def test_total_kv_bytes_decreases_after_reduction(self, rng):
         full = make_manager(FullAttentionPolicy())
@@ -151,10 +168,15 @@ class TestDecodeFlow:
     def test_initialize_empty(self):
         manager = make_manager(FullAttentionPolicy())
         manager.initialize_empty(batch_size=2, max_new_tokens=4)
-        assert manager.cache_lengths() == [0, 0]
+        assert manager.cache_lengths(0) == [0, 0]
         cache = manager.caches[0]
         assert len(cache.tables) == 2
         assert (cache.n_heads, cache.d_head) == (N_HEADS, D_HEAD)
+
+
+def every_head(indices):
+    """One row's ``(H, K)`` selection keeping ``indices`` in every head."""
+    return np.broadcast_to(np.asarray(indices), (N_HEADS, len(indices)))
 
 
 def seeded(t=6, batch=1, max_new_tokens=4, policy=None, **kwargs):
@@ -181,7 +203,7 @@ class TestSoloRows:
     def test_seeding_reserves_the_whole_generation(self):
         manager, _, _ = seeded(t=4, max_new_tokens=27, page_size=8)
         assert manager.caches[0].capacity == 32  # 4 + 27 + 1 tokens, whole pages
-        assert manager.cache_lengths() == [4]
+        assert manager.cache_lengths(0) == [4]
 
     def test_append_is_in_place_and_records_position(self):
         manager, _, _ = seeded(t=4, max_new_tokens=4, page_size=8)
@@ -201,7 +223,7 @@ class TestSoloRows:
             manager.append(0, np.ones((1, N_HEADS, D_HEAD)), np.ones((1, N_HEADS, D_HEAD)))
             manager.advance()
         cache = manager.caches[0]
-        assert manager.cache_lengths() == [10] and cache.capacity >= 10
+        assert manager.cache_lengths(0) == [10] and cache.capacity >= 10
         np.testing.assert_array_equal(cache.keys[:, :, :4], keys)
         np.testing.assert_array_equal(cache.positions[0, 0], np.arange(10))
 
@@ -221,18 +243,18 @@ class TestSoloRows:
         manager, keys, _ = seeded(t=6, page_size=16)
         cache = manager.caches[0]
         slab = cache.keys.base
-        manager._apply_selection(0, np.array([0, 2, 5]))  # one index set for every head
+        manager._apply_row_selection(0, 0, every_head([0, 2, 5]))
         assert cache.keys.base is slab
         np.testing.assert_array_equal(cache.keys[0], keys[0][:, [0, 2, 5]])
         np.testing.assert_array_equal(cache.positions[0, 0], [0, 2, 5])
-        assert manager.stats.total_evicted == 3
-        manager._apply_selection(0, np.arange(3))  # identity: nothing moves
-        assert manager.stats.total_evicted == 3
+        assert manager.stats[0].total_evicted == 3
+        manager._apply_row_selection(0, 0, every_head(np.arange(3)))  # identity: nothing moves
+        assert manager.stats[0].total_evicted == 3
 
-    def test_selection_rows_must_match(self):
+    def test_selection_heads_must_match(self):
         manager, _, _ = seeded(batch=2)
         with pytest.raises(ValueError):
-            manager._apply_selection(0, np.zeros((1, N_HEADS, 2), dtype=np.int64))
+            manager._apply_row_selection(0, 1, np.zeros((N_HEADS + 1, 2), dtype=np.int64))
 
     def test_reorder_duplicates_rows(self):
         manager, keys, _ = seeded(batch=3, rope_dims=D_HEAD)
@@ -255,7 +277,7 @@ class TestSoloRows:
 
     def test_original_mode_view(self):
         manager, _, _ = seeded(positional_mode="original", rope_dims=D_HEAD)
-        manager._apply_selection(0, np.array([1, 4, 5]))
+        manager._apply_row_selection(0, 0, every_head([1, 4, 5]))
         keys, _, key_pos, query_pos, _, rotated = manager.attention_view(0)
         assert rotated and int(query_pos) == 6
         np.testing.assert_array_equal(key_pos[0, 0], [1, 4, 5])
@@ -265,7 +287,7 @@ class TestSoloRows:
     def test_renumbered_mode_view(self):
         manager, _, _ = seeded(positional_mode="new", rope_dims=D_HEAD)
         assert manager.rope_dims == 0  # rotations follow renumbered positions
-        manager._apply_selection(0, np.array([1, 4, 5]))
+        manager._apply_row_selection(0, 0, every_head([1, 4, 5]))
         keys, _, key_pos, query_pos, _, rotated = manager.attention_view(0)
         assert not rotated and int(query_pos) == 2
         np.testing.assert_array_equal(keys, manager.caches[0].keys)
@@ -291,10 +313,12 @@ def test_solo_read_is_zero_copy(dtype):
         rope_dims=D_HEAD,
     )
     manager.initialize_from_prompt(*prompt_inputs(np.random.default_rng(0)), max_new_tokens=8)
-    assert manager.cache_lengths() == [6] * N_LAYERS
+    assert manager.cache_lengths(0) == [6] * N_LAYERS
     seen = []
-    apply_selection = manager._apply_selection
-    manager._apply_selection = lambda layer, sel: seen.append(sel) or apply_selection(layer, sel)
+    apply_selection = manager._apply_row_selection
+    manager._apply_row_selection = lambda layer, row, sel: seen.append(sel) or apply_selection(
+        layer, row, sel
+    )
     rng = np.random.default_rng(1)
     for step in range(3):
         for layer in range(N_LAYERS):
@@ -308,5 +332,5 @@ def test_solo_read_is_zero_copy(dtype):
             logits = rng.normal(size=(1, N_HEADS, keys.shape[2])).astype(dtype)
             manager.observe(layer, logits, softmax(logits, axis=-1))
         manager.advance()
-        assert manager.cache_lengths() == [6] * N_LAYERS
+        assert manager.cache_lengths(0) == [6] * N_LAYERS
     assert len(seen) == 3 * N_LAYERS and all(isinstance(sel, EvictOne) for sel in seen)

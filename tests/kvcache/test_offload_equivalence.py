@@ -88,7 +88,7 @@ def _tier0_budget(kv_dtype: str | None, frames: int) -> int:
         config.d_head,
         PAGE_SIZE,
         config.np_dtype,
-        config.rope_dims if config.positional == "rope" else 0,
+        config.rope_dims,
     )
     return int(frames * config.n_layers * page_bytes)
 

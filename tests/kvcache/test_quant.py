@@ -3,7 +3,7 @@
 Covers the storage contract of `docs/quantization.md`: per-page round-trip
 error bounds, exactness of degenerate ranges and positions, range widening on
 append, re-quantization on eviction, copy-on-write isolation of shared
-(prefix) pages, truncate/fork/restore rollback, and the byte accounting that
+(prefix) pages, truncate/snapshot/restore rollback, and the byte accounting that
 feeds admission and telemetry.
 """
 
@@ -220,12 +220,12 @@ class TestTruncateForkRestore:
         assert isinstance(cache.pool, QuantizedBlockPool)
         snapshot_keys = cache.keys.copy()
         snapshot_rot = cache.pool.rotated_view(cache.tables[0]).copy()
-        forked = manager.fork()
+        forked = manager.snapshot_row(0)
         for _ in range(PS):
             kv = rng.normal(size=(1, H, D))
             manager.append(0, kv, kv.copy())
             manager.advance()
-        manager.restore(forked)
+        manager.restore_row(0, forked)
         assert np.array_equal(cache.keys, snapshot_keys)
         assert np.array_equal(cache.pool.rotated_view(cache.tables[0]), snapshot_rot)
 

@@ -4,10 +4,11 @@ The score policies (Keyformer, H2O, key-only) see a decode step once, after
 its last layer: every layer's logits stacked, one noise draw, one softmax,
 one accumulate, one strict-minimum search, a typed ``EvictOne`` per layer.
 Here the same random steps are replayed through that pass (a real
-``CacheManager``) and through a per-layer reference written out in this file
-the way the seed did it — ``rng.uniform`` / ``rng.normal`` per layer,
-``tensor_ops.softmax``, the general ``mixed_topk_selection``, the score cut
-by ``take_along_axis`` and the KV pages by ``BlockPool._compact`` — and after
+``CacheManager``, one policy per row) and, row by row, through a per-layer
+reference written out in this file the way the seed did it —
+``rng.uniform`` / ``rng.normal`` per layer, ``tensor_ops.softmax``, the
+general ``mixed_topk_selection``, the score cut by ``take_along_axis`` and
+the KV pages by ``BlockPool._compact`` — and after
 every step the score slabs, the selections, all four KV slabs, the page
 tables, refcounts and free lists and the generator state must be equal, at
 float64 *and* float32, through lengths below the budget, the steady state and
@@ -45,10 +46,10 @@ def seed_era_noise(config: KeyformerConfig, size: int, rng: np.random.Generator)
 
 
 class PerLayerReference:
-    """The policy and its caches driven one layer at a time."""
+    """One row's policy and caches driven one layer at a time."""
 
-    def __init__(self, policy, twin: CacheManager):
-        self.policy, self.twin = policy, twin
+    def __init__(self, policy, twin: CacheManager, row: int):
+        self.policy, self.twin, self.row = policy, twin, row
         self.keyformer = isinstance(policy, KeyformerPolicy)
         self.shared = policy.shared_selection
         self.acc: dict[int, np.ndarray] = {}
@@ -65,7 +66,7 @@ class PerLayerReference:
         if config.noise_resample == "per-step":
             zeta = seed_era_noise(config, logits.size, self.rng).reshape(logits.shape)
         else:
-            positions = self.twin.caches[layer].positions
+            positions = self.twin.caches[layer].positions_row(self.row)
             zeta = self.zeta[np.clip(positions, 0, self.zeta.size - 1)]
         adjusted = logits + zeta.astype(logits.dtype)
         adjusted /= self.policy.score.tau_schedule(step)
@@ -98,14 +99,14 @@ class PerLayerReference:
 
     def evict(self, layer, selection):
         cache = self.twin.caches[layer]
-        length = cache.tables[0].length
+        table = cache.tables[self.row]
+        length = table.length
         suffix = np.arange(length - selection.shape[-1], length)
-        for row, table in enumerate(cache.tables):
-            if (selection[row] == suffix).all():
-                cache.pool.gather(table, selection[row])  # pure suffix: a pointer bump
-            else:
-                table.epoch += 1
-                cache.pool._compact(table, selection[row])
+        if (selection[0] == suffix).all():
+            cache.pool.gather(table, selection[0])  # pure suffix: a pointer bump
+        else:
+            table.epoch += 1
+            cache.pool._compact(table, selection[0])
         self.evicted += length - selection.shape[-1]
 
 
@@ -182,67 +183,74 @@ def test_stacked_pass_equals_per_layer_reference(
         manager.initialize_empty(batch, n_steps, prompt_len=PROMPT_LEN)
         managers.append(manager)
     stacked, twin = managers
-    policy = stacked.policy
-    reference = PerLayerReference(twin.policy, twin)
+    rows = range(batch)
+    references = [PerLayerReference(twin.policies[row], twin, row) for row in rows]
     applied = []
-    apply_selection = stacked._apply_selection
-    stacked._apply_selection = lambda layer, sel: applied.append((layer, sel)) or apply_selection(
-        layer, sel
-    )
+    apply_selection = stacked._apply_row_selection
+    stacked._apply_row_selection = lambda layer, row, sel: applied.append(
+        (layer, row, sel)
+    ) or apply_selection(layer, row, sel)
 
     rng = np.random.default_rng(seed)
     typed_steps = tied_steps = 0
     for step in range(1, n_steps + 1):
         applied.clear()
-        expected = []
+        expected = [[] for _ in rows]
         for layer in range(n_layers):
             k = rng.standard_normal((batch, heads, D_HEAD)).astype(dtype)
             v = rng.standard_normal((batch, heads, D_HEAD)).astype(dtype)
             stacked.append(layer, k, v)
             twin.append(layer, k, v)
-            length = stacked.cache_lengths()[layer]
+            length = stacked.cache_lengths(0)[layer]
             logits = rng.standard_normal((batch, heads, length)).astype(dtype)
             # Entries that never receive attention keep a score of exactly
             # zero: with two of them in the old region the minimum is tied.
             logits[..., 1 : 1 + min(masked, length - 1)] = -np.inf
             probs = softmax(logits, axis=-1)
             stacked.observe(layer, logits, probs)
-            selection = reference.observe(layer, logits, probs, step)
-            if selection is not None:
-                expected.append(selection)
+            for row, reference in zip(rows, references):
+                rowwise = slice(row, row + 1)
+                selection = reference.observe(layer, logits[rowwise], probs[rowwise], step)
+                if selection is not None:
+                    expected[row].append(selection)
         stacked.advance()
         twin.advance()
 
         # -- selections ------------------------------------------------
-        assert len(applied) == (n_layers if expected else 0)
-        for layer, selection in applied:
-            want = expected[0] if policy.shared_selection else expected[layer]
-            np.testing.assert_array_equal(np.asarray(selection), want)
-            assert selection.shape == want.shape
-        if applied:
-            typed = [isinstance(selection, EvictOne) for _, selection in applied]
-            assert all(typed) or not any(typed)  # a tie in one layer sends the whole step general
-            typed_steps += all(typed)
-            tied_steps += not any(typed)
-        # -- scores, storage, generator ----------------------------------
-        for layer in range(n_layers):
-            got = policy.score.get(layer)
-            want = reference.acc[0 if policy.shared_selection else layer]
-            assert got.dtype == want.dtype == dtype
-            np.testing.assert_array_equal(got, want)
+        for row, policy, reference in zip(rows, stacked.policies, references):
+            applied_row = [(layer, sel) for layer, r, sel in applied if r == row]
+            assert len(applied_row) == (n_layers if expected[row] else 0)
+            for layer, selection in applied_row:
+                want = expected[row][0 if policy.shared_selection else layer]
+                np.testing.assert_array_equal(np.asarray(selection), want)
+                assert selection.shape == want.shape
+            if applied_row:
+                typed = [isinstance(selection, EvictOne) for _, selection in applied_row]
+                # A tie in one layer sends the row's whole step general.
+                assert all(typed) or not any(typed)
+                typed_steps += all(typed)
+                tied_steps += not any(typed)
+            # -- scores, generator ---------------------------------------
+            for layer in range(n_layers):
+                got = policy.score.get(layer)
+                want = reference.acc[0 if policy.shared_selection else layer]
+                assert got.dtype == want.dtype == dtype
+                np.testing.assert_array_equal(got, want)
+            if kind == "keyformer":
+                assert policy.score.rng.bit_generator.state == reference.rng.bit_generator.state
+            assert stacked.stats[row].total_evicted == reference.evicted
+        # -- storage -------------------------------------------------------
         for got, want in zip(storage(stacked), storage(twin)):
             for name in ("tables", "refcounts", "free"):
                 assert got[name] == want[name], name
             for name in ("keys", "values", "positions", "rotated"):
                 np.testing.assert_array_equal(got[name], want[name], err_msg=name)
-        if kind == "keyformer":
-            assert policy.score.rng.bit_generator.state == reference.rng.bit_generator.state
-        assert stacked.stats.total_evicted == reference.evicted
-    assert stacked.cache_lengths() == twin.cache_lengths() == [budget] * n_layers
+    for row in rows:
+        assert stacked.cache_lengths(row) == twin.cache_lengths(row) == [budget] * n_layers
     # Steady-state steps are either all typed or (on a tie) all general.
-    recent = 0 if kind == "key-only" else policy.recent_window
+    recent = 0 if kind == "key-only" else stacked.policy.recent_window
     if recent < budget:
-        assert typed_steps + tied_steps == n_steps - budget
+        assert typed_steps + tied_steps == batch * (n_steps - budget)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -254,32 +262,38 @@ def test_exact_tie_takes_the_general_branch(dtype):
     manager = CacheManager(policy, 2, 2, D_HEAD, dtype=dtype, page_size=2)
     manager.initialize_empty(1, 8, prompt_len=PROMPT_LEN)
     seen = []
-    apply_selection = manager._apply_selection
-    manager._apply_selection = lambda layer, sel: seen.append(sel) or apply_selection(layer, sel)
+    apply_selection = manager._apply_row_selection
+    manager._apply_row_selection = lambda layer, row, sel: seen.append(sel) or apply_selection(
+        layer, row, sel
+    )
     rng = np.random.default_rng(0)
     for _ in range(5):
         for layer in range(2):
             kv = rng.standard_normal((1, 2, D_HEAD)).astype(dtype)
             manager.append(layer, kv, kv)
-            length = manager.cache_lengths()[layer]
+            length = manager.cache_lengths(0)[layer]
             logits = rng.standard_normal((1, 2, length)).astype(dtype)
             if layer == 1:
                 logits[..., :2] = -np.inf  # layer 1 only: the tie still decides for both
             manager.observe(layer, logits, softmax(logits, axis=-1))
         manager.advance()
     assert len(seen) == 2 and all(isinstance(sel, np.ndarray) for sel in seen)
-    assert manager.cache_lengths() == [4, 4]
+    assert manager.cache_lengths(0) == [4, 4]
 
 
 def test_layers_must_arrive_in_order():
     policy = make_policy("h2o", 4, 0.5, "none", "per-step", False, 1.0, None)
     manager = CacheManager(policy, 3, 1, D_HEAD, page_size=2)
     manager.initialize_empty(1, 4, prompt_len=PROMPT_LEN)
+    kv = np.ones((1, 1, D_HEAD))
+    for layer in range(3):
+        manager.append(layer, kv, kv)
     step = np.ones((1, 1, 1))
     manager.observe(0, step, step)
     with pytest.raises(RuntimeError, match="out of step"):
         manager.observe(2, step, step)
     manager.observe(0, step, step)  # an abandoned step is simply restarted
     manager.observe(1, step, step)
+    manager.append(2, kv, kv)  # layer 2 now holds one entry more than layer 0
     with pytest.raises(RuntimeError, match="out of step"):
         manager.observe(2, np.ones((1, 1, 2)), np.ones((1, 1, 2)))

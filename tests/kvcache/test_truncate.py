@@ -99,25 +99,26 @@ class TestForkRestore:
     def test_fork_restore_roundtrip(self):
         manager = self._manager()
         cache = manager.caches[0]
-        snapshot = manager.fork()
+        snapshot = manager.snapshot_row(0)
         before = cache.keys.copy()
         manager.append(0, np.full((1, 2, 4), 5.0), np.full((1, 2, 4), 5.0))
         cache.gather_row(0, np.broadcast_to(np.arange(4, 11), (2, 7)))
         manager.advance()
-        manager.restore(snapshot)
+        manager.restore_row(0, snapshot)
         np.testing.assert_array_equal(cache.keys, before)
-        assert manager.cache_lengths() == [10]
-        assert (manager.current_position, manager.generation_step) == (10, 0)
+        assert manager.cache_lengths(0) == [10]
+        assert (manager.current_position, manager.generation_step) == ([10], [0])
+        assert manager.stats[0].total_appended == 10
 
     def test_fork_protects_pages_from_in_place_eviction(self):
         manager = self._manager()
         cache = manager.caches[0]
-        snapshot = manager.fork()
+        snapshot = manager.snapshot_row(0)
         before = cache.keys.copy()
         # A scattered eviction would normally compact in place; the forked
         # tables share the pages, so copy-on-write must route it elsewhere.
         cache.gather_row(0, np.broadcast_to([0, 2, 4, 6, 8], (2, 5)))
-        manager.restore(snapshot)
+        manager.restore_row(0, snapshot)
         np.testing.assert_array_equal(cache.keys, before)
 
     def test_restore_rewinds_policy_state(self):
@@ -129,20 +130,20 @@ class TestForkRestore:
         manager = CacheManager(policy, 1, 2, 4, page_size=4)
         manager.initialize_from_prompt([(keys, keys.copy())], attn, [logits], max_new_tokens=4)
         scores = policy.score.get(0).copy()
-        snapshot = manager.fork()
+        snapshot = manager.snapshot_row(0)
         manager.append(0, np.ones((1, 2, 4)), np.ones((1, 2, 4)))
         step = np.zeros((1, 2, 7))
         manager.observe(0, step, step + 1 / 7)
         manager.advance()
-        assert not np.array_equal(manager.policy.score.get(0), scores)
-        manager.restore(snapshot)
-        np.testing.assert_array_equal(manager.policy.score.get(0), scores)
+        assert not np.array_equal(manager.policies[0].score.get(0), scores)
+        manager.restore_row(0, snapshot)
+        np.testing.assert_array_equal(manager.policies[0].score.get(0), scores)
 
     def test_discard_returns_pages(self):
         manager = self._manager()
         pool = manager.caches[0].pool
         used = pool.used_pages
-        manager.discard(manager.fork())
+        manager.discard_row_snapshot(manager.snapshot_row(0))
         assert pool.used_pages == used
 
 

@@ -66,7 +66,7 @@ def _batched_manager(model: DecoderLM, mode: str, **knobs) -> BatchedCacheManage
         max_batch=2,
         positional_mode=mode,
         dtype=config.np_dtype,
-        rope_dims=config.rope_dims if config.positional == "rope" else 0,
+        rope_dims=config.rope_dims,
         page_size=PAGE,
         **knobs,
     )
@@ -83,7 +83,7 @@ def _sequential_reference(positional: str, mode: str, dtype: str):
     tokens = [int(np.argmax(logits[:, -1, :]))]
     rows = []
     for _ in range(MAX_BLOCK):
-        row = model.decode_step(np.asarray([tokens[-1]]), manager.current_position, views)
+        row = model.decode_step(np.asarray([tokens[-1]]), manager.current_position[0], views)
         manager.advance()
         rows.append(row[0].copy())
         tokens.append(int(np.argmax(row)))
@@ -188,10 +188,10 @@ def test_rounds_leave_the_sequential_cache(positional, mode, dtype):
 
     _, solo = _solo_manager(model, mode)
     for token in tokens[:start]:
-        model.decode_step(np.asarray([token]), solo.current_position, solo.layer_views())
+        model.decode_step(np.asarray([token]), solo.current_position[0], solo.layer_views())
         solo.advance()
-    assert solo.cache_lengths() == manager.cache_lengths(0)
-    assert solo.stats.lengths_per_step == manager.stats[0].lengths_per_step
+    assert solo.cache_lengths(0) == manager.cache_lengths(0)
+    assert solo.stats[0].lengths_per_step == manager.stats[0].lengths_per_step
     for cache, row_cache in zip(solo.caches, manager.caches):
         pool, table = row_cache.pool, row_cache.tables[0]
         solo_pool, solo_table = cache.pool, cache.tables[0]

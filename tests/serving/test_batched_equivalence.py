@@ -137,21 +137,31 @@ class TestBatchEqualsSequential:
         ).generate_batch(prompts, config)
         assert_identical(sequential, batched)
 
-    def test_single_request_matches_generator_result(self):
-        """The Generator-compatible wrapper is a drop-in for one sequence."""
-        model = make_model("rope")
-        prompt = make_prompts()[0]
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("positional", ["rope", "alibi", "learned"])
+    @pytest.mark.parametrize("policy", sorted(POLICY_FACTORIES))
+    def test_single_request_matches_generator_result(self, policy, positional, dtype):
+        """The Generator-compatible wrapper is a drop-in for one sequence —
+        at float32 too, where a lone row reads the same slabs either way."""
+        model = make_model(positional, compute_dtype=dtype)
+        factory = POLICY_FACTORIES[policy]
         config = GenerationConfig(max_new_tokens=MAX_NEW_TOKENS)
-        seq = Generator(model, FullAttentionPolicy()).generate(
-            prompt, config, sampler=GreedySampler()
-        )
-        bat = BatchedGenerator(model, policy_factory=FullAttentionPolicy).generate(
-            prompt, config, sampler=GreedySampler()
-        )
-        assert bat.sequences == seq.sequences
-        assert bat.log_probs == seq.log_probs
-        assert bat.n_steps == seq.n_steps
-        assert bat.cache_stats.lengths_per_step == seq.cache_stats.lengths_per_step
+        for prompt in make_prompts()[:2]:
+            seq = Generator(model, factory()).generate(prompt, config, sampler=GreedySampler())
+            bat = BatchedGenerator(model, policy_factory=factory).generate(
+                prompt, config, sampler=GreedySampler()
+            )
+            assert bat.sequences == seq.sequences
+            assert [np.float64(lp).tobytes() for lp in bat.log_probs] == [
+                np.float64(lp).tobytes() for lp in seq.log_probs
+            ]
+            assert bat.n_steps == seq.n_steps
+            got, want = bat.cache_stats, seq.cache_stats
+            assert got.lengths_per_step == want.lengths_per_step
+            assert (got.total_appended, got.total_evicted) == (
+                want.total_appended,
+                want.total_evicted,
+            )
 
     def test_2d_prompt_batch_one_request_per_row(self):
         model = make_model("rope")

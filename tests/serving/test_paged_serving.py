@@ -402,7 +402,7 @@ def _parent_conversions(model_config, page_size, kv_dtype, max_pool_bytes, tier0
         model_config.d_head,
         page_size,
         model_config.np_dtype,
-        model_config.rope_dims if model_config.positional == "rope" else 0,
+        model_config.rope_dims,
     )
     n_pages = max(int(max_pool_bytes // (model_config.n_layers * page_bytes)), 1)
     tier0_pages = max(int(tier0_budget // (model_config.n_layers * page_bytes)), 2)

@@ -175,6 +175,26 @@ class TestSpeculativeServingLifecycle:
         assert drafter._history[prompt_len:] == state.tokens
         engine.run()
 
+    def test_self_drafter_leaves_the_engine_registry_reclaiming(self, model):
+        """A self-drafter keeps its rows in the engine's store but builds no
+        prefix registry of its own, so every pool's reclaimer stays the
+        engine registry's."""
+        engine = ContinuousBatchingEngine(
+            model, max_batch_size=2, speculation=SPECS["window"]
+        )
+        state = engine.submit(_prompts(1)[0], GenerationConfig(max_new_tokens=MAX_NEW))
+        engine.step()  # prefill seeds the drafter by mapping the row's pages
+        drafter, _ = engine._spec[state.request_id]
+        registry = engine._manager.registry
+        assert drafter.manager.store is engine._manager.store
+        assert drafter.manager.registry is None
+        for pool in engine._manager.store.pools:
+            assert pool.reclaimer.__self__ is registry
+            assert pool.reclaimer.__func__ is type(registry).reclaim
+        assert engine.check_invariants() == []
+        engine.run()
+        assert engine.check_invariants() == []
+
     def test_result_carries_speculation_summary(self, model):
         engine = ContinuousBatchingEngine(
             model, max_batch_size=2, speculation=SPECS["window"]
