@@ -24,7 +24,8 @@ append/extend/gather for a set of rows:
 
 The attention step consumes padded ``(rows, heads, max_len, d)`` tensors
 kept in a workspace that page-gathers only the tokens a row appended since
-its last read (a row whose table was rewritten is read whole; a lone row on
+its last read (an evict-one moves the workspace row with the pool's tail;
+a row whose table was otherwise rewritten is read whole; a lone row on
 contiguous pages is zero-copy).  Bit-exactness contract: every stored value is
 produced by the same per-token elementwise operations whichever write path
 stored it, so row ``b`` of the padded view restricted to ``lengths[b]``
@@ -45,6 +46,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.policies import EvictionPolicy
+from repro.core.score import EvictOne
 from repro.kvcache.paged import (
     DEFAULT_PAGE_SIZE,
     BlockPool,
@@ -54,6 +56,7 @@ from repro.kvcache.paged import (
     PrefixMatch,
     PrefixRegistry,
     pages_needed,
+    shift_heads_down,
     tag_fault_row,
 )
 from repro.kvcache.stats import CacheStats
@@ -366,11 +369,26 @@ class BatchedLayerKVCache:
         """Retain only the entries of ``row`` selected by ``indices``.
 
         ``indices`` has shape ``(1, H, K)`` or ``(H, K)``, ascending per head,
-        relative to the row's live region.  Returns the number of evicted
-        entries.  Suffix selections (sliding-window steady state) are an O(1)
-        page-table bump.
+        relative to the row's live region, or is an :class:`EvictOne`.
+        Returns the number of evicted entries.  Suffix selections
+        (sliding-window steady state) are an O(1) page-table bump.
+
+        An ``EvictOne`` on a row whose padded workspace holds all of it (the
+        engine's order: append, read, observe, evict) applies the pool's
+        per-head tail move to the workspace row too and carries the record
+        forward, so the next read copies only the next appended token.  The
+        pool must keep survivors byte for byte; an int8 pool re-quantizes
+        them, so its row is read whole again.
         """
-        return self.pool.gather(self.tables[row], indices)
+        table, held = self.tables[row], self._synced[row]
+        length = table.length
+        whole = held is not None and self._held(row, held[2]) == length
+        evicted = self.pool.gather(table, indices)
+        if whole and isinstance(indices, EvictOne) and self.pool.exact_survivors:
+            drop = indices.drop if indices.drop.ndim == 1 else indices.drop[0]
+            shift_heads_down([ws[row] for ws in self._ws], drop.tolist(), length)
+            self._synced[row] = (table, table.epoch, held[2], table.length)
+        return evicted
 
     def append_pages_needed(self, n_active: int) -> int:
         """Pages this layer must allocate to append one token to every active

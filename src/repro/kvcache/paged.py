@@ -64,6 +64,7 @@ __all__ = [
     "PrefixMatch",
     "PrefixRegistry",
     "resolve_pool_class",
+    "shift_heads_down",
 ]
 
 DEFAULT_PAGE_SIZE = 16
@@ -72,6 +73,26 @@ DEFAULT_PAGE_SIZE = 16
 def pages_needed(n_tokens: int, page_size: int) -> int:
     """Pages required to hold ``n_tokens`` token slots (ceil division)."""
     return -(-int(n_tokens) // page_size)
+
+
+def shift_heads_down(arrays: Sequence[np.ndarray], starts: Sequence[int], stop: int) -> None:
+    """Move slots ``starts[h] + 1 .. stop`` of head ``h`` down one slot, in
+    place, in every ``(heads, slots, ...)`` array of ``arrays`` — the one
+    evict-one move of pool slabs and padded workspace rows alike.
+
+    Each head's slots are moved as one flat 1-D run (the arrays must be
+    C-contiguous, so the reshape is a view): a 1-D overlapping move is done
+    in place, where the same move of ``(slots, d_head)`` rows is staged
+    through a temporary copy of the source.
+    """
+    for array in arrays:
+        width = math.prod(array.shape[2:])
+        flat = array.reshape(array.shape[0], -1)
+        last, end = (stop - 1) * width, stop * width
+        for head, start in enumerate(starts):
+            start *= width
+            if start < last:
+                flat[head, start:last] = flat[head, start + width : end]
 
 
 class PoolExhausted(RuntimeError):
@@ -624,6 +645,13 @@ class BlockPool:
         (the table remembers the answer between mutations)."""
         return table.is_contiguous()
 
+    @property
+    def exact_survivors(self) -> bool:
+        """True when eviction keeps every survivor byte for byte: the slabs
+        hold the compute dtype itself (an int8 pool re-quantizes survivors
+        against fresh page ranges)."""
+        return self._k.dtype == self.dtype
+
     def _exclusive(self, table: PageTable) -> bool:
         if self._n_shared == 0:
             return True
@@ -807,12 +835,13 @@ class BlockPool:
         (:meth:`_shift_out`); everything else *compacts* (:meth:`_compact`).
         The shift is taken only where it leaves slabs, table, refcounts and
         free list exactly as compaction would: the pool stores the compute
-        dtype itself (int8 survivors are re-quantized), the pages are one
-        exclusively owned ascending run, and the live region starts at slot
-        0.  It keeps cache order, which the softmax / value reduction order
-        and "the last ``w`` entries are the recent window" rest on; writing
-        the incoming token into the evicted slot would move nothing but
-        break both, so it is not done.  Returns the number of evicted entries.
+        dtype itself (int8 survivors are re-quantized), the pages are
+        exclusively owned (one physical run or several), and the live region
+        starts at slot 0.  It keeps cache order, which the softmax / value
+        reduction order and "the last ``w`` entries are the recent window"
+        rest on; writing the incoming token into the evicted slot would move
+        nothing but break both, so it is not done.  Returns the number of
+        evicted entries.
         """
         length = table.length
         if isinstance(indices, EvictOne):
@@ -864,8 +893,7 @@ class BlockPool:
         if (
             dropped == 1
             and table.offset == 0
-            and self._k.dtype == self.dtype
-            and self.is_contiguous(table)
+            and self.exact_survivors
             and self._exclusive(table)
         ):
             if drop is None:
@@ -883,23 +911,32 @@ class BlockPool:
 
     def _shift_out(self, table: PageTable, drop: np.ndarray) -> None:
         """Evict entry ``drop[h]`` of every head ``h`` by moving that head's
-        tail down one slot (see :meth:`gather` for the preconditions)."""
-        base = self._page_base(table.pages[0])
-        last = base + table.length - 1
-        starts = (base + drop).tolist()
-        for slab in (self._k, self._v, self._pos, self._k_rot):
-            if slab is None:
-                continue
-            # Each head's slots as one flat run (the slabs are C-contiguous,
-            # so this is a view): a 1-D overlapping move is done in place,
-            # where the same move of (slots, d_head) rows is staged through a
-            # temporary copy of the source.
-            width = math.prod(slab.shape[2:])
-            flat = slab.reshape(slab.shape[0], -1)
-            for head, start in enumerate(starts):
-                flat[head, start * width : last * width] = flat[
-                    head, (start + 1) * width : (last + 1) * width
-                ]
+        tail down one slot (see :meth:`gather` for the preconditions).
+
+        A table of several physical runs moves each run's part of the tail
+        inside the run and carries one token across each run boundary, from
+        the run holding the smallest ``drop`` on.  One run keeps the plain
+        single move: walking :meth:`token_runs` loops over pages in Python,
+        and a solo row is one run of many pages."""
+        slabs = [s for s in (self._k, self._v, self._pos, self._k_rot) if s is not None]
+        if self.is_contiguous(table):
+            base = self._page_base(table.pages[0])
+            shift_heads_down(slabs, (base + drop).tolist(), base + table.length)
+        else:
+            drops = drop.tolist()
+            runs = self.token_runs(table, min(drops))
+            for (logical, slot, span), nxt in zip(runs, runs[1:] + [None]):
+                end = logical + span
+                starts = [slot + max(d - logical, 0) for d in drops]
+                shift_heads_down(slabs, starts, slot + span)
+                if nxt is not None:
+                    heads = [h for h, d in enumerate(drops) if d < end]
+                    # Basic indexing when every head carries (the common
+                    # case): a fancy-indexed copy costs several times more.
+                    if len(heads) == len(drops):
+                        heads = slice(None)
+                    for s in slabs:
+                        s[heads, slot + span - 1] = s[heads, nxt[1]]
         table.length -= 1
         self.release(table.drop_pages(self.pages_for(table.length)))
 

@@ -425,13 +425,26 @@ class _Session:
         self.starts: list[int] = []  # the ``start`` of every padded-batch row read
         self.ws_sizes: set[int] = set()
         self.widths: list[int] = []  # n_active of every read
-        fill_row = pool.fill_row
+        # What each evict-one did: "multi-run shift" (the pool moved a
+        # fragmented table's tails in place), "edited" / "not edited" (the
+        # workspace row moved with it, or its record went stale), and the
+        # next batched read of that row, "incremental" (start == length,
+        # nothing to copy) or "whole" (start 0).
+        self.events: set[str] = set()
+        self._evicted: int | None = None
+        fill_row, shift_out = pool.fill_row, pool._shift_out
+        self.shifts = 0
 
         def spy(table, out_k, out_v, out_pos, rotated, start=0):
             self.starts.append(start)
             fill_row(table, out_k, out_v, out_pos, rotated, start)
 
+        def shift_spy(table, drop):
+            self.shifts += 1
+            shift_out(table, drop)
+
         pool.fill_row = spy
+        pool._shift_out = shift_spy
 
     def _lengths(self):
         return [self.cache.tables[r].length for r in range(self.n_active)]
@@ -454,10 +467,18 @@ class _Session:
         if any(n >= 2 for n in lengths):
             ops += ["evict_one", "suffix", "scatter"]
         op = ops[self.rng.integers(len(ops))]
+        self._evicted = None
         getattr(self, "_" + op)()
         self.done.add(op)
         if self.n_active:
             _check_padded_read(cache, self.n_active, self.rotated)
+            row = self._evicted
+            if row is not None and self.n_active > 1:
+                start = self.starts[row - self.n_active]
+                if start == cache.tables[row].length:
+                    self.events.add("incremental")
+                elif start == 0:
+                    self.events.add("whole")
             self.widths.append(self.n_active)
             if cache._ws is not None:
                 self.ws_sizes.add(cache._ws[0].shape[2])
@@ -494,8 +515,15 @@ class _Session:
 
     def _evict_one(self):
         row = self._row(2)
-        n = self.cache.tables[row].length
+        table = self.cache.tables[row]
+        n, shifts = table.length, self.shifts
+        multi_run = len(self.cache.pool.token_runs(table)) > 1
         self.cache.gather_row(row, EvictOne(self.rng.integers(0, n, size=HEADS), n))
+        if multi_run and self.shifts > shifts:
+            self.events.add("multi-run shift")
+        held = self.cache._synced[row]
+        self.events.add("edited" if held and held[1] == table.epoch else "not edited")
+        self._evicted = row
 
     def _suffix(self):
         row = self._row(2)
@@ -539,6 +567,17 @@ class TestIncrementalPaddedRead:
         assert len(session.ws_sizes) >= 2
         solo = session.widths.index(1)
         assert max(session.widths[solo:]) > 1
+        # An evict-one on a synced row moves the workspace with the pool,
+        # and the next read copies nothing; int8 pools re-quantize
+        # survivors, so their rows are read whole again.  Only the
+        # single-tier full-precision pool shifts; the tiered pools' streamed
+        # gather owns their evict-one.
+        if "int8" in kind:
+            assert "edited" not in session.events
+            assert "incremental" not in session.events and "whole" in session.events
+        else:
+            assert {"edited", "incremental"} <= session.events
+        assert ("multi-run shift" in session.events) == (kind == "fp64")
 
     def _two_rows(self, pool, t=10, seed=0):
         rng = np.random.default_rng(seed)
@@ -550,12 +589,20 @@ class TestIncrementalPaddedRead:
 
     def test_trap_length_cannot_detect_staleness(self):
         """A Keyformer step appends one token and evicts one: the length is
-        unchanged while every slot after the evicted one has moved."""
+        unchanged while every slot after the evicted one has moved.  In the
+        engine's order (append, read, evict) the record is carried forward,
+        not dropped: the evict-one moves the workspace row with the pool.  An
+        evict-one on a row the workspace does not wholly hold drops it."""
         cache, rng = self._two_rows(_pool(BlockPool))
         kv = rng.normal(size=(2, HEADS, D_HEAD))
         cache.append_rows(2, kv, kv.copy(), np.asarray([10, 10]))
-        cache.gather_row(0, EvictOne(np.full(HEADS, 2), 11))
-        assert cache.tables[0].length == 10
+        _check_padded_read(cache, 2, rotated=False)
+        cache.gather_row(0, EvictOne(np.asarray([2, 0, 10, 5]), 11))
+        assert cache.tables[0].length == 10 and cache._held(0, False) == 10
+        _check_padded_read(cache, 2, rotated=False)
+        cache.append_rows(2, kv, kv.copy(), np.asarray([11, 11]))
+        cache.gather_row(1, EvictOne(np.full(HEADS, 2), 12))
+        assert cache.tables[1].length == 11 and cache._held(1, False) == 0
         _check_padded_read(cache, 2, rotated=False)
 
     def test_trap_int8_append_reencodes_its_page(self):

@@ -1,8 +1,9 @@
 """Evict-one tail shift == forced compaction, on every observable.
 
 ``BlockPool.gather`` moves each head's tail down one slot when a selection
-drops exactly one entry per head from an exclusively owned, contiguous,
-full-precision table starting at slot 0; everything else compacts.  Here a
+drops exactly one entry per head from an exclusively owned, full-precision
+table starting at slot 0 — one physical run or several, one token carried
+across each run boundary; everything else compacts.  Here a
 twin pool replays the same history and is *forced* through
 ``BlockPool._compact`` (the reference); keys, values, positions, rotated
 keys, the page table, the free list, the refcounts and the audit must come
@@ -18,6 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.score import BaseScore, EvictOne
+from repro.kvcache.offload import TieredBlockPool, TieredQuantizedBlockPool
 from repro.kvcache.paged import BlockPool, PageTable
 from repro.kvcache.quant import QuantizedBlockPool
 
@@ -152,11 +154,7 @@ def test_shift_equals_forced_compaction(case, scenario, dtype, rope, typed):
     reference = Twin(scenario, heads, page_size, length, dtype, rope)
 
     table = fast.table
-    shiftable = (
-        table.offset == 0
-        and table.scan_contiguous()
-        and bool((fast.pool.refcounts[table.pages] == 1).all())
-    )
+    shiftable = table.offset == 0 and bool((fast.pool.refcounts[table.pages] == 1).all())
 
     evicted = fast.pool.gather(table, evict_one(length, drops, typed))
     reference.pool._compact(reference.table, indices)
@@ -192,13 +190,30 @@ def test_multi_token_eviction_compacts(case, extra):
 @pytest.mark.parametrize("typed", [False, True])
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_each_scenario_takes_its_path(scenario, typed):
-    """Only the plain table shifts; an offset, a shared page or a fragmented
-    page list each send the same selection through compaction — named by an
-    ``EvictOne`` or spelled out as indices alike."""
+    """The plain and the fragmented table shift; an offset or a shared page
+    sends the same selection through compaction — named by an ``EvictOne``
+    or spelled out as indices alike."""
     twin = Twin(scenario, 2, 4, 10, np.float32, True)
     twin.pool.gather(twin.table, evict_one(10, [3, 8], typed))
-    assert twin.compactions == (0 if scenario == "plain" else 1)
+    assert twin.compactions == (0 if scenario in ("plain", "fragmented") else 1)
     assert twin.pool.check_invariants(owners=twin.owners()) == []
+
+
+@pytest.mark.parametrize("typed", [False, True])
+@pytest.mark.parametrize(
+    "drops", [[3, 4, 5], [7, 8, 9], [1, 11, 12], [12, 0, 4], [9, 9, 9]]
+)
+def test_multi_run_shift_equals_forced_compaction(drops, typed):
+    """Four one-page runs of 4 + 4 + 4 + 1 tokens: each head drops before,
+    on or after a run boundary (or the lone token of the last run), and the
+    length is 1 (mod page size), so the shift hands the tail page back."""
+    fast, reference = (Twin("fragmented", 3, 4, 13, np.float64, True) for _ in "ab")
+    assert [span for _, _, span in fast.pool.token_runs(fast.table)] == [4, 4, 4, 1]
+    fast.pool.gather(fast.table, evict_one(13, drops, typed))
+    reference.pool._compact(reference.table, evict_one(13, drops))
+    assert fast.compactions == 0
+    assert len(fast.table.pages) == 3
+    assert_same(fast.observe(), reference.observe())
 
 
 @pytest.mark.parametrize("typed", [False, True])
@@ -211,6 +226,24 @@ def test_quantized_pool_always_compacts(typed):
     assert twin.compactions == 1
     assert twin.table.length == 8 and len(twin.table.pages) == 2
     assert_same(twin.observe(), reference.observe())
+
+
+@pytest.mark.parametrize("typed", [False, True])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("pool_cls", [TieredBlockPool, TieredQuantizedBlockPool])
+def test_tiered_pools_never_shift(pool_cls, scenario, typed):
+    """A tiered pool's streamed gather owns its evict-one: frames move under
+    spill/restore, so ``BlockPool._shift_out`` is never reached."""
+    twin = Twin(scenario, 2, 4, 10, np.float64, True, pool_cls=pool_cls)
+    shifts = []
+    twin.pool._shift_out = lambda table, drop: shifts.append(drop)
+    before = twin.pool.positions_view(twin.table).copy()
+    assert twin.pool.gather(twin.table, evict_one(10, [3, 8], typed)) == 1
+    assert shifts == []
+    after = twin.pool.positions_view(twin.table)
+    for head, drop in enumerate([3, 8]):
+        np.testing.assert_array_equal(after[head], np.delete(before[head], drop))
+    assert twin.pool.check_invariants(owners=twin.owners()) == []
 
 
 class TestEvictOne:
