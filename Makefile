@@ -26,7 +26,8 @@ test-cov:
 	$(PYTHON) -m pytest -x -q tests --cov=repro.kvcache --cov-report=term-missing --cov-fail-under=85
 
 # The BLAS row-count invariance the chunked-prefill contract rests on, that
-# contract itself (chunks and whole prompts), and the decode kernel's rows
+# contract itself (chunks and whole prompts), the prompt scoring fused into
+# the prompt pass against its post-forward reference, and the decode kernel's rows
 # (gemv per row: a batch row is its sequence decoded alone — B > 1 generator
 # rows and beams, read from the padded workspace, under full, window, H2O
 # and Keyformer, each row running its own policy instance), under one and
@@ -35,6 +36,7 @@ BLAS_ROW_TESTS = tests/models/test_blas_rows.py \
 	tests/models/test_transformer.py::TestChunkedPrefillRowStability \
 	tests/models/test_attention.py::TestPrefillChunkIsForwardRows \
 	tests/models/test_attention.py::TestDecodeStep::test_kernel_is_the_reference \
+	tests/models/test_prompt_scoring.py \
 	tests/generation/test_generator.py::TestBatchedRowsAreSoloRuns \
 	tests/generation/test_beam.py::TestBeamsAreSoloRuns
 

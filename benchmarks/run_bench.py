@@ -196,17 +196,26 @@ def bench_generation(model: DecoderLM, policy_name: str, prompt_len: int, rounds
 
 
 def bench_prompt_forward(
-    model: DecoderLM, prompt_len: int, rounds: int, store_attention: bool = False
+    model: DecoderLM, prompt_len: int, rounds: int, policy_name: str | None = None
 ) -> dict:
     """Time one inference prompt pass (``forward_suffix``) over a random
-    prompt; with ``store_attention`` it is the prompt pass of a Keyformer
-    request, which returns its attention tensors."""
+    prompt; with ``policy_name`` the pass scores a fresh, set-up policy of
+    that name block by block — for ``"keyformer"``, the prompt pass of a
+    Keyformer request."""
     ids = np.random.default_rng(0).integers(0, 256, size=(1, prompt_len))
+    config = model.config
 
-    def run() -> None:
-        model.forward_suffix(ids, store_attention=store_attention)
+    def setup() -> tuple:
+        if policy_name is None:
+            return ((),)
+        policy = make_policy(policy_name, kv_fraction=0.5)
+        policy.setup(config.n_layers, config.n_heads, 1, prompt_len, DECODE_TOKENS)
+        return ([[policy]],)
 
-    return _time(None, run, rounds)
+    def run(scorers) -> None:
+        model.forward_suffix(ids, scorers=scorers)
+
+    return _time(setup, run, rounds)
 
 
 def solo_rows(keys: np.ndarray) -> BatchedLayerKVCache:
@@ -1083,11 +1092,12 @@ def run_suite(smoke: bool = False) -> dict:
     components: dict[str, dict] = {}
     components["prompt_forward_256"] = bench_prompt_forward(model_small, 256, rounds)
     # The Keyformer prompt pass at the serve_keyformer_long geometry (float64,
-    # d_model=128, a 768-token prompt, attention stored): guards the
-    # row-blocked causal-half attention kernel in both modes.
+    # d_model=128, a 768-token prompt, a Keyformer policy scored block by
+    # block): guards the row-blocked causal-half attention kernel and the
+    # fused prompt scoring.
     model_prompt = _model(max_seq_len=1024, d_model=128, d_ff=512)
     components["prompt_forward_768_f64"] = bench_prompt_forward(
-        model_prompt, 768, rounds, store_attention=True
+        model_prompt, 768, rounds, policy_name="keyformer"
     )
     components["generation_keyformer_128"] = bench_generation(model_small, "keyformer", 128, rounds)
     components["generation_full_128"] = bench_generation(model_small, "full", 128, rounds)

@@ -33,6 +33,9 @@ class NoiseDistribution(ABC):
     """A source of per-token logit adjustments ζ."""
 
     name = "abstract"
+    #: 64-bit generator outputs one element of :meth:`draw` consumes;
+    #: ``None`` when it varies, so that the stream is not addressable.
+    outputs_per_element: int | None = 1
 
     @abstractmethod
     def draw(self, out: np.ndarray, rng: np.random.Generator) -> None:
@@ -100,6 +103,8 @@ class GaussianNoise(NoiseDistribution):
     """Symmetric Gaussian noise with matched mean/variance (Eq. 11, Table 4)."""
 
     name = "gaussian"
+    #: The ziggurat rejects and redraws, so an element's place varies.
+    outputs_per_element = None
 
     def __init__(self, mu: float = GUMBEL_MEAN, sigma: float = GUMBEL_STD):
         if sigma <= 0:
@@ -126,6 +131,7 @@ class ConstantAdjustment(NoiseDistribution):
     """Identical constant added to every logit (Table 4's ``c = 0.5772``)."""
 
     name = "constant"
+    outputs_per_element = 0
 
     def __init__(self, value: float = GUMBEL_MEAN):
         self.value = value

@@ -7,9 +7,12 @@ hooks:
 ``setup``
     called once per sequence with the geometry (layers, heads, batch, prompt
     length, generation length); the policy resolves its budget here.
+``prompt_scorer``
+    called once per layer by the prompt pass (after ``setup``); a score
+    policy returns the :class:`~repro.core.score.PromptScorer` it feeds.
 ``initial_selection``
-    called once per layer right after the prompt phase with the prompt
-    attention maps; returns the indices to keep (or ``None`` to keep all).
+    called once per layer right after the prompt phase; returns the indices
+    to keep (or ``None`` to keep all).
 ``step_selection``
     called once per layer per generated token with that step's attention
     logits/probabilities; returns the indices to keep (or ``None``).  A
@@ -33,7 +36,7 @@ from abc import ABC
 import numpy as np
 
 from repro.core.config import CachePolicyConfig
-from repro.core.score import AccumulatedAttentionScore, BaseScore, EvictOne
+from repro.core.score import AccumulatedAttentionScore, BaseScore, EvictOne, PromptScorer
 
 __all__ = [
     "EvictOne",
@@ -126,11 +129,11 @@ class EvictionPolicy(ABC):
     #: When true the manager applies one selection (computed at the last
     #: layer's observation) to every layer — used by shared score functions.
     shared_selection = False
-    #: When true ``initial_selection`` consumes the *values* of the prompt
-    #: attention maps (score-based policies seed accumulators from them), so
-    #: the serving engine must run a full prompt forward and cannot reuse a
-    #: cached prefix for this request.  Shape-only policies (full, window,
-    #: sinks, dilated, random) leave this False and remain prefix-shareable.
+    #: When true :meth:`prompt_scorer` reads the *values* of the prompt's
+    #: attention, so the serving engine must run a full prompt forward and
+    #: cannot reuse a cached prefix for this request.  Shape-only policies
+    #: (full, window, sinks, dilated, random) leave this False and remain
+    #: prefix-shareable.
     needs_prompt_attention = False
     #: When true the cache manager collects every layer's step tensors and
     #: calls ``step_selection(None, ...)`` once per generated token with them
@@ -172,14 +175,14 @@ class EvictionPolicy(ABC):
         self.rng = np.random.default_rng(self.config.seed)
 
     # ------------------------------------------------------------------
-    def initial_selection(
-        self,
-        layer_idx: int,
-        attn_probs: np.ndarray,
-        attn_logits: np.ndarray | None = None,
-        positions: np.ndarray | None = None,
-    ) -> np.ndarray | None:
-        """Indices to keep after the prompt phase; ``None`` keeps everything."""
+    def prompt_scorer(self, layer_idx: int, n_rows: int, width: int) -> PromptScorer | None:
+        """The scorer of ``layer_idx``'s prompt attention, ``n_rows`` query
+        rows over ``width`` keys; ``None`` when the values are not read."""
+        return None
+
+    def initial_selection(self, layer_idx: int) -> np.ndarray | None:
+        """Indices to keep of the ``prompt_len`` prompt entries after the
+        prompt phase; ``None`` keeps everything."""
         return None
 
     def step_selection(
@@ -250,11 +253,10 @@ class WindowAttentionPolicy(EvictionPolicy):
         self._selection_cache = (key, selection)
         return selection
 
-    def initial_selection(self, layer_idx, attn_probs, attn_logits=None, positions=None):
-        b, h, _, t = attn_probs.shape
-        if t <= self.budget:
+    def initial_selection(self, layer_idx):
+        if self.prompt_len <= self.budget:
             return None
-        return self._window_selection(b, h, t)
+        return self._window_selection(self.batch_size, self.n_heads, self.prompt_len)
 
     def step_selection(self, layer_idx, logits, probs, key_positions, step):
         b, h, length = logits.shape
@@ -288,9 +290,8 @@ class DilatedWindowPolicy(EvictionPolicy):
         idx = np.sort(idx)
         return np.broadcast_to(idx, shape_prefix + (self.budget,)).copy()
 
-    def initial_selection(self, layer_idx, attn_probs, attn_logits=None, positions=None):
-        b, h, _, t = attn_probs.shape
-        return self._dilated_indices(t, (b, h))
+    def initial_selection(self, layer_idx):
+        return self._dilated_indices(self.prompt_len, (self.batch_size, self.n_heads))
 
     def step_selection(self, layer_idx, logits, probs, key_positions, step):
         b, h, length = logits.shape
@@ -328,10 +329,13 @@ class _ScoreBasedPolicy(EvictionPolicy):
         self.score.gather(layer_idx, selection)
         return selection
 
-    def initial_selection(self, layer_idx, attn_probs, attn_logits=None, positions=None):
-        """Prompt-phase reduction from ``n`` to ``k`` tokens (Algorithm 1, step 1)."""
-        self.score.init_from_prompt(layer_idx, attn_probs, attn_logits, positions)
-        if attn_probs.shape[-1] <= self.budget:
+    def prompt_scorer(self, layer_idx, n_rows, width):
+        return self.score.prompt_scorer(layer_idx, n_rows, width)
+
+    def initial_selection(self, layer_idx):
+        """Prompt-phase reduction from ``n`` to ``k`` tokens (Algorithm 1,
+        step 1), ranked by the scores the prompt pass accumulated."""
+        if self.score.get(layer_idx).shape[-1] <= self.budget:
             return None
         if self.shared_selection and layer_idx < self.n_layers - 1:
             return None
@@ -407,9 +411,8 @@ class StreamingLLMPolicy(EvictionPolicy):
             idx = np.sort(np.concatenate([idx, extra]))
         return np.broadcast_to(idx, shape_prefix + (idx.size,)).copy()
 
-    def initial_selection(self, layer_idx, attn_probs, attn_logits=None, positions=None):
-        b, h, _, t = attn_probs.shape
-        return self._sink_selection(t, (b, h))
+    def initial_selection(self, layer_idx):
+        return self._sink_selection(self.prompt_len, (self.batch_size, self.n_heads))
 
     def step_selection(self, layer_idx, logits, probs, key_positions, step):
         b, h, length = logits.shape
@@ -434,9 +437,8 @@ class RandomEvictionPolicy(EvictionPolicy):
         recent = np.broadcast_to(recent, shape_prefix + (self.recent_window,))
         return np.sort(np.concatenate([picks, recent], axis=-1), axis=-1)
 
-    def initial_selection(self, layer_idx, attn_probs, attn_logits=None, positions=None):
-        b, h, _, t = attn_probs.shape
-        return self._random_selection(t, (b, h))
+    def initial_selection(self, layer_idx):
+        return self._random_selection(self.prompt_len, (self.batch_size, self.n_heads))
 
     def step_selection(self, layer_idx, logits, probs, key_positions, step):
         b, h, length = logits.shape

@@ -14,7 +14,9 @@ Both maintain one accumulator per decoder layer (per head, per batch element)
 or a single shared accumulator (Table 3 ablation).  Accumulators are kept in
 *cache order*: index ``j`` of the accumulator corresponds to the ``j``-th
 entry of the layer's KV cache, and :meth:`gather` must be called whenever the
-cache evicts entries so the two stay aligned.
+cache evicts entries so the two stay aligned.  The prompt seeds them through
+a :class:`PromptScorer` per layer, which the prompt pass feeds one block of
+query rows at a time, so no ``(B, H, T, T)`` tensor is ever kept for it.
 """
 
 from __future__ import annotations
@@ -27,12 +29,6 @@ from repro.core.distributions import NoiseDistribution, make_noise
 from repro.core.temperature import ConstantTauSchedule, LinearTauSchedule, TauSchedule
 
 __all__ = ["entropy", "EvictOne", "BaseScore", "AccumulatedAttentionScore", "KeyformerScore"]
-
-
-#: Query rows scored at a time in the prompt phase: large enough that the
-#: per-block Python overhead vanishes, small enough that a block's softmax
-#: temporaries stay cache-resident at a few thousand keys.
-_PROMPT_BLOCK_ROWS = 32
 
 
 def _floating(x) -> np.ndarray:
@@ -266,6 +262,51 @@ class BaseScore:
         self._lens[layers] = [k] * (layers.stop - layers.start)
 
 
+class PromptScorer:
+    """One layer's prompt-phase score, fed each row block of the prompt pass
+    while it is hot, in row order: ``(B, H, n, c)`` masked logits and their
+    softmax over the ``c`` columns the block sees (the rest are masked).
+    The last block adds the contribution to the score.  The running sum
+    lives here, not on the score: the engine snapshots a row's policy."""
+
+    def __init__(self, score: "BaseScore", layer_idx: int, n_rows: int, width: int):
+        self.score, self.layer_idx = score, layer_idx
+        self.n_rows, self.width = n_rows, width
+        self.total: np.ndarray | None = None
+
+    def _start(self, lead: tuple[int, ...], dtype) -> None:
+        self.total = np.zeros(lead + (self.width,), dtype=dtype)
+
+    def _rows(self, j: int, start: int, logits: np.ndarray, probs: np.ndarray) -> np.ndarray:
+        """Matrix ``j``'s rows from ``start`` on, C order, overwritable."""
+        return probs.copy()
+
+    def __call__(self, start: int, logits: np.ndarray, probs: np.ndarray) -> None:
+        """Score query rows ``[start, start + n)`` of the prompt."""
+        if self.total is None:
+            self._start(logits.shape[:-2], logits.dtype)
+        n, columns = logits.shape[-2:]
+        done = start + n == self.n_rows
+        last = self.score.prompt_mode != "all"
+        if last:
+            if not done:
+                return
+            logits, probs, start = logits[..., -1:, :], probs[..., -1:, :], self.n_rows - 1
+        for j, at in enumerate(np.ndindex(*logits.shape[:-2])):
+            rows, running = self._rows(j, start, logits[at], probs[at]), self.total[at]
+            if last:
+                running[:columns] = rows[-1]
+            else:
+                # ``sum`` over the query axis adds rows one after another; the
+                # running sum enters the block as part of its first row (float
+                # addition commutes, it does not associate).
+                if start:
+                    rows[0] += running[:columns]
+                running[:columns] = rows.sum(axis=0)
+        if done:
+            self.score._add(self.score._layers(self.layer_idx), self.total[None])
+
+
 class AccumulatedAttentionScore(BaseScore):
     """H2O-style accumulated attention score with optional damping."""
 
@@ -278,20 +319,9 @@ class AccumulatedAttentionScore(BaseScore):
         self.damping = damping
         self.prompt_mode = prompt_mode
 
-    def init_from_prompt(
-        self,
-        layer_idx: int,
-        attn_probs: np.ndarray,
-        attn_logits: np.ndarray | None = None,
-        positions: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Accumulate the prompt-phase attention matrix ``(B, H, T, T)``."""
-        if self.prompt_mode == "all":
-            contribution = attn_probs.sum(axis=-2)
-        else:
-            contribution = attn_probs[..., -1, :]
-        self._add(self._layers(layer_idx), contribution[None])
-        return self.get(layer_idx)
+    def prompt_scorer(self, layer_idx: int, n_rows: int, width: int) -> PromptScorer:
+        """Sums the prompt's attention rows (or takes the last, ``prompt_mode``)."""
+        return PromptScorer(self, layer_idx, n_rows, width)
 
     def update(
         self,
@@ -394,31 +424,32 @@ class KeyformerScore(BaseScore):
     def _noisy_softmax(
         self,
         logits: np.ndarray,
-        positions: np.ndarray | None,
         tau: float,
-        columns: int | None = None,
+        positions: np.ndarray | None = None,
+        drawn: np.ndarray | None = None,
+        width: int | None = None,
     ) -> np.ndarray:
         """:meth:`noisy_softmax` computed in place in this object's scratch
         (the result is valid until the next call).
 
-        With ``columns`` set, every entry from that column on must be exactly
-        ``-inf`` — exactly ``0`` in the result — and only the leading
-        ``columns`` of each row are computed and returned.  The generator is
-        still consumed for whole rows and the row sum still runs over a
-        whole (zero-padded) row, so neither the noise stream nor one bit of
-        the result depends on ``columns``.
+        ``logits`` may be the leading columns of rows ``width`` long whose
+        other entries are exactly ``-inf`` (exactly ``0`` in the result).
+        Per-step noise is drawn for whole rows (or passed in as ``drawn``,
+        the raw variates of :meth:`draw`), and the row sum runs over the
+        whole zero-padded row, so neither the stream nor one bit of the
+        result depends on how many columns are passed.
         """
         shape, dtype = logits.shape, logits.dtype
-        if columns is None:
-            columns = shape[-1]
-        clipped = columns < shape[-1]
-        visible = shape[:-1] + (columns,)
+        columns = shape[-1]
+        width = columns if width is None else width
         work = None
         if self.resample == "per-step":
-            zeta = self._scratch_array("draw", shape, np.float64)
-            self.noise.draw(zeta, self.rng)
-            if clipped:
-                drawn, zeta = zeta, self._scratch_array("noise", visible, np.float64)
+            if drawn is None:
+                drawn = self._scratch_array("draw", shape[:-1] + (width,), np.float64)
+                self.noise.draw(drawn, self.rng)
+            zeta = drawn
+            if columns < width:
+                zeta = self._scratch_array("noise", shape, np.float64)
                 zeta[...] = drawn[..., :columns]
             self.noise.finish(zeta)
             if dtype == np.float64:
@@ -428,11 +459,11 @@ class KeyformerScore(BaseScore):
         else:
             zeta = self._zeta_for(positions)[..., :columns]
         if work is None:
-            work = self._scratch_array("work", visible, dtype)
+            work = self._scratch_array("work", shape, dtype)
             np.copyto(work, zeta)  # the noise, in the logits' dtype
         # Masked entries are exactly -inf and the noise is finite, so
         # (-inf + zeta) / tau == -inf without an explicit isfinite mask.
-        work += logits[..., :columns]
+        work += logits
         work /= tau
         peak = work.max(axis=-1, keepdims=True)
         # A row with no finite peak (fully masked) is shifted by zero and
@@ -443,9 +474,9 @@ class KeyformerScore(BaseScore):
             peak = np.where(np.isfinite(peak), peak, 0.0)
         work -= peak
         np.exp(work, out=work)
-        if clipped:
+        if columns < width:
             # Pairwise summation splits a row by its length: pad, don't trim.
-            padded = self._scratch_array("sum", shape, dtype)
+            padded = self._scratch_array("sum", shape[:-1] + (width,), dtype)
             padded[..., :columns] = work
             padded[..., columns:] = 0.0
             denom = padded.sum(axis=-1, keepdims=True)
@@ -467,60 +498,13 @@ class KeyformerScore(BaseScore):
         original position.
         """
         logits = _floating(logits)
-        return self._noisy_softmax(logits, positions, tau).copy()
+        return self._noisy_softmax(logits, tau, positions).copy()
 
     # ------------------------------------------------------------------
-    def init_from_prompt(
-        self,
-        layer_idx: int,
-        attn_probs: np.ndarray,
-        attn_logits: np.ndarray | None = None,
-        positions: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Prompt-phase accumulation using the unnormalized logits ``(B, H, T, T)``.
-
-        The prompt phase uses τ(0) = τ_init (no tokens have been discarded
-        yet), so with τ_init = 1 the noisy softmax is close to the standard
-        softmax as described in §3.3.1.
-        """
-        if attn_logits is None:
-            raise ValueError("KeyformerScore requires the unnormalized prompt logits")
-        tau = self.tau_schedule(0)
-        logits = _floating(attn_logits)
-        n_queries, seq_len = logits.shape[-2:]
-        pos = np.arange(seq_len) if positions is None else np.asarray(positions)
-        # Streamed over blocks of query rows, so nothing of the logits' full
-        # (B, H, T, T) size is ever allocated (the per-step noise alone was
-        # four such float64 tensors).  Bit-identical to one whole-tensor
-        # ``noisy_softmax(logits).sum(-2)`` / ``[..., -1, :]``: the generator
-        # is consumed element by element in C order, the softmax is row-wise,
-        # and ``sum`` over rows adds them one after another — a sequence the
-        # running sum continues by entering each block as part of its first
-        # row (float addition commutes; it does not associate, which is why
-        # per-block partial sums would not do).
-        lead = logits.shape[:-2]
-        contribution = np.zeros(lead + (seq_len,), dtype=logits.dtype)
-        for at in np.ndindex(*lead):
-            rows, running = logits[at], contribution[at]
-            for start in range(0, n_queries, _PROMPT_BLOCK_ROWS):
-                block = rows[start : start + _PROMPT_BLOCK_ROWS]
-                # Under a causal mask the block's last row sees the most
-                # columns; the ones past it are skipped when (checked, not
-                # assumed) every row of the block has them masked — they
-                # would add exact zeros to the running sum.
-                columns = min(start + len(block) + seq_len - n_queries, seq_len)
-                if not (block[:, columns:] == -np.inf).all():
-                    columns = seq_len
-                noisy = self._noisy_softmax(block, pos, tau, columns)
-                if self.prompt_mode != "all":
-                    running[:columns] = noisy[-1]
-                    running[columns:] = 0.0
-                else:
-                    if start:
-                        noisy[0] += running[:columns]
-                    running[:columns] = noisy.sum(axis=0)
-        self._add(self._layers(layer_idx), contribution[None])
-        return self.get(layer_idx)
+    def prompt_scorer(self, layer_idx: int, n_rows: int, width: int) -> PromptScorer:
+        """Sums the noisy softmax rows of the prompt's masked logits (or takes
+        the last) at τ(0) = τ_init: no token is discarded yet (§3.3.1)."""
+        return _KeyformerPromptScorer(self, layer_idx, n_rows, width)
 
     def update(
         self,
@@ -535,5 +519,45 @@ class KeyformerScore(BaseScore):
         B, H, L)`` when ``layer_idx`` is ``None`` — one noise draw (the same
         generator stream as a draw per layer) and one softmax for the step."""
         logits = _floating(logits)
-        contribution = self._noisy_softmax(logits, positions, self.tau_schedule(step))
+        contribution = self._noisy_softmax(logits, self.tau_schedule(step), positions)
         return self._add_step(layer_idx, contribution)
+
+
+class _KeyformerPromptScorer(PromptScorer):
+    """Bit-identical, generator state included, to drawing each ``(b, h)``
+    matrix's per-step noise in turn for whole rows.  Addressable noise is
+    drawn at each block's offset in the layer's stream, and the score's
+    generator jumps past the layer; Gaussian noise (the ziggurat) is not
+    addressable, so the first block draws the whole layer's in order."""
+
+    def __init__(self, score: KeyformerScore, layer_idx: int, n_rows: int, width: int):
+        super().__init__(score, layer_idx, n_rows, width)
+        self.tau = score.tau_schedule(0)
+        self.positions = np.arange(width)
+        self.state = self.scratch = self.drawn = None
+
+    def _start(self, lead: tuple[int, ...], dtype) -> None:
+        super()._start(lead, dtype)
+        score, matrices = self.score, math.prod(lead)
+        if score.resample != "per-step":
+            return
+        if score.noise.outputs_per_element is None:
+            self.drawn = np.empty((matrices, self.n_rows, self.width))
+            score.noise.draw(self.drawn, score.rng)
+            return
+        bits = score.rng.bit_generator
+        self.state, self.scratch = bits.state, np.random.Generator(type(bits)())
+        bits.advance(matrices * self.n_rows * self.width * score.noise.outputs_per_element)
+
+    def _rows(self, j: int, start: int, logits: np.ndarray, probs: np.ndarray) -> np.ndarray:
+        score, n = self.score, logits.shape[0]
+        drawn = None
+        if self.drawn is not None:
+            drawn = self.drawn[j, start : start + n]
+        elif self.state is not None:
+            drawn = score._scratch_array("draw", (n, self.width), np.float64)
+            bits = self.scratch.bit_generator
+            bits.state = self.state
+            bits.advance((j * self.n_rows + start) * self.width * score.noise.outputs_per_element)
+            score.noise.draw(drawn, self.scratch)
+        return score._noisy_softmax(logits, self.tau, self.positions, drawn, self.width)

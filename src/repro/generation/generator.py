@@ -5,11 +5,12 @@ two phases described in §2.1:
 
 1. **Prompt processing** — the prompt is processed with full causal attention
    (one batched :meth:`~repro.models.transformer.DecoderLM.forward_suffix`
-   pass); keys/values of all prompt tokens are returned and handed to the
-   :class:`~repro.kvcache.manager.CacheManager`, which seeds one row per
-   sequence in each layer's :class:`~repro.kvcache.batch.BatchedLayerKVCache`
-   and lets each row's instance of the configured eviction policy reduce its
-   cache from ``n`` to ``k`` tokens.
+   pass, which scores each row's instance of the configured eviction policy
+   block by block); keys/values of all prompt tokens are returned and handed
+   to the :class:`~repro.kvcache.manager.CacheManager`, which seeds one row
+   per sequence in each layer's
+   :class:`~repro.kvcache.batch.BatchedLayerKVCache` and lets each row's
+   policy reduce its cache from ``n`` to ``k`` tokens.
 2. **Token generation** — tokens are generated auto-regressively; each step
    appends one KV entry per layer, attends over the reduced cache, and lets
    the policy evict back down to ``k`` entries.
@@ -72,11 +73,8 @@ class Generator:
     def _prompt_forward(
         self, prompt_ids: np.ndarray, max_new_tokens: int
     ) -> tuple[np.ndarray, CacheManager]:
-        """Run the prompt through the model and build the reduced KV cache."""
-        logits, prompt_kv, prompt_attn, prompt_logits = self.model.forward_suffix(
-            prompt_ids, store_attention=self.policy.needs_prompt_attention
-        )
-
+        """Run the prompt through the model, scoring it into each row's
+        policy, and build the reduced KV cache."""
         config = self.model.config
         manager = CacheManager(
             self.policy,
@@ -88,7 +86,11 @@ class Generator:
             rope_dims=config.rope_dims,
             kv_dtype=self.kv_dtype,
         )
-        manager.initialize_from_prompt(prompt_kv, prompt_attn, prompt_logits, max_new_tokens)
+        policies = manager.setup_rows(*prompt_ids.shape, max_new_tokens)
+        logits, prompt_kv = self.model.forward_suffix(
+            prompt_ids, scorers=[[policy] for policy in policies]
+        )
+        manager.initialize_from_prompt(prompt_kv, max_new_tokens)
         return logits, manager
 
     @staticmethod

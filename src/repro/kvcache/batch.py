@@ -647,9 +647,6 @@ class BatchedCacheManager:
     def join(
         self,
         prompt_kv: list[tuple[np.ndarray, np.ndarray]],
-        prompt_attn: list[np.ndarray],
-        prompt_logits: list[np.ndarray],
-        max_new_tokens: int,
         policy: EvictionPolicy,
         shared_prefix: PrefixMatch | None = None,
         prompt_token_ids: np.ndarray | None = None,
@@ -658,7 +655,10 @@ class BatchedCacheManager:
 
         Without ``shared_prefix``, ``prompt_kv`` holds the full prompt
         tensors; with it, they hold only the recomputed **suffix** — the
-        prefix pages are mapped from the registry match.  When
+        prefix pages are mapped from the registry match.  ``policy`` was set
+        up for the whole prompt before its prompt pass, which scored it; it
+        is not set up again here, so a join retried after
+        ``PoolExhausted`` keeps those scores.  When
         ``prompt_token_ids`` is given, the seeded prompt's page-aligned
         chunks are registered for future prefix sharing *before* the policy's
         prompt-phase eviction runs (eviction copy-on-writes away from
@@ -678,7 +678,6 @@ class BatchedCacheManager:
         prompt_len = shared_len + suffix_len
         row = self.n_active
 
-        policy.setup(self.n_layers, self.n_heads, 1, prompt_len, max_new_tokens)
         suffix_positions = np.arange(shared_len, prompt_len)
         pos_bht = np.broadcast_to(suffix_positions, (1, self.n_heads, suffix_len))
         try:
@@ -707,7 +706,7 @@ class BatchedCacheManager:
             )
         self._start_row(policy, prompt_len)
         try:
-            self._evict_prompt(row, prompt_attn, prompt_logits)
+            self._evict_prompt(row)
         except Exception:
             # The prompt-phase eviction can exhaust the pool too (a
             # copy-on-write gather of registry-shared pages allocates fresh
@@ -738,18 +737,13 @@ class BatchedCacheManager:
         self._step_lengths.append([])
         self.n_active += 1
 
-    def _evict_prompt(
-        self, row: int, prompt_attn: list[np.ndarray], prompt_logits: list[np.ndarray]
-    ) -> None:
-        """Run row ``row``'s prompt-phase eviction on its per-layer
-        ``(1, H, T, T)`` prompt attention and masked logits."""
+    def _evict_prompt(self, row: int) -> None:
+        """Run row ``row``'s prompt-phase eviction (its policy scored the
+        prompt during the prompt pass)."""
         policy = self.policies[row]
-        positions = np.arange(self.prompt_len[row])
         shared_selection: np.ndarray | None = None
         for layer_idx in range(self.n_layers):
-            selection = policy.initial_selection(
-                layer_idx, prompt_attn[layer_idx], prompt_logits[layer_idx], positions
-            )
+            selection = policy.initial_selection(layer_idx)
             if selection is None:
                 continue
             if policy.shared_selection:

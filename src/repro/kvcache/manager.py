@@ -123,6 +123,7 @@ class CacheManager(BatchedCacheManager):
         self.registry = None
         self.caches: list[BatchedLayerKVCache] = []
         self._clear_rows(0)
+        self._row_policies: list[EvictionPolicy] | None = None
 
     def _open(self, batch_size: int, capacity: int) -> None:
         """Empty caches of ``batch_size`` rows, in the shared store or in one
@@ -146,53 +147,45 @@ class CacheManager(BatchedCacheManager):
         ]
         self._clear_rows(batch_size)
 
-    def _start_rows(self, prompt_len: int, setup_len: int, max_new_tokens: int) -> None:
-        """Activate every row under its own policy: row 0 the caller's, the
-        others deep copies made before ``setup``."""
+    def setup_rows(
+        self, batch_size: int, prompt_len: int, max_new_tokens: int
+    ) -> list[EvictionPolicy]:
+        """Set up one policy per row for a ``prompt_len``-token prompt (row 0
+        the caller's, the others deep copies made before ``setup``) and
+        return them for the prompt pass to score; the next ``initialize_*``
+        call starts the rows under them, with no second ``setup``."""
         policies = [self.policy]
-        policies += [copy.deepcopy(self.policy) for _ in range(self.max_batch - 1)]
+        policies += [copy.deepcopy(self.policy) for _ in range(batch_size - 1)]
         for policy in policies:
-            policy.setup(self.n_layers, self.n_heads, 1, setup_len, max_new_tokens)
-            self._start_row(policy, prompt_len)
+            policy.setup(self.n_layers, self.n_heads, 1, prompt_len, max_new_tokens)
+        self._row_policies = policies
+        return policies
 
-    def _evict_prompts(
-        self, prompt_attn: list[np.ndarray], prompt_logits: list[np.ndarray]
-    ) -> None:
-        for row in range(self.n_active):
-            rows = slice(row, row + 1)
-            self._evict_prompt(
-                row, [a[rows] for a in prompt_attn], [s[rows] for s in prompt_logits]
-            )
+    def _take_row_policies(self, batch_size: int) -> list[EvictionPolicy]:
+        """The ``batch_size`` policies :meth:`setup_rows` set up, taken."""
+        policies, self._row_policies = self._row_policies, None
+        if policies is None or len(policies) != batch_size:
+            raise RuntimeError(f"setup_rows({batch_size}, ...) must precede the prompt pass")
+        return policies
 
     # ------------------------------------------------------------------
     # prompt phase
     # ------------------------------------------------------------------
     def initialize_from_prompt(
-        self,
-        prompt_kv: list[tuple[np.ndarray, np.ndarray]],
-        prompt_attn: list[np.ndarray],
-        prompt_logits: list[np.ndarray],
-        max_new_tokens: int,
+        self, prompt_kv: list[tuple[np.ndarray, np.ndarray]], max_new_tokens: int
     ) -> None:
-        """Seed the caches from prompt-phase tensors and apply the initial eviction.
-
-        Parameters
-        ----------
-        prompt_kv:
-            Per-layer ``(keys, values)`` of shape ``(B, H, T, d_head)``.
-        prompt_attn:
-            Per-layer post-softmax attention of shape ``(B, H, T, T)``.
-        prompt_logits:
-            Per-layer masked unnormalized logits of shape ``(B, H, T, T)``.
-        max_new_tokens:
-            Expected generation length ``T`` (drives the τ schedule).
-        """
+        """Seed the caches from the prompt pass's per-layer ``(keys,
+        values)``, ``(B, H, T, d_head)``, and apply the initial eviction;
+        ``max_new_tokens`` sizes each row's reserve."""
         if len(prompt_kv) != self.n_layers:
             raise ValueError(f"expected {self.n_layers} layers of prompt KV, got {len(prompt_kv)}")
-        prompt_len = prompt_kv[0][0].shape[2]
+        batch_size, _, prompt_len, _ = prompt_kv[0][0].shape
+        policies = self._take_row_policies(batch_size)
         self._seed(prompt_kv, prompt_len + max_new_tokens + 1)
-        self._start_rows(prompt_len, prompt_len, max_new_tokens)
-        self._evict_prompts(prompt_attn, prompt_logits)
+        for policy in policies:
+            self._start_row(policy, prompt_len)
+        for row in range(self.n_active):
+            self._evict_prompt(row)
 
     def _seed(self, kv: list[tuple[np.ndarray, np.ndarray]], capacity: int) -> None:
         """Seed each row from its ``(B, H, T, d)`` keys/values as one page
@@ -208,13 +201,7 @@ class CacheManager(BatchedCacheManager):
                     table, keys[row], values[row], positions, reserve_tokens=capacity
                 )
 
-    def initialize_mapped(
-        self,
-        source_tables: list[list[PageTable]],
-        prompt_attn: list[np.ndarray],
-        prompt_logits: list[np.ndarray],
-        max_new_tokens: int,
-    ) -> None:
+    def initialize_mapped(self, source_tables: list[list[PageTable]]) -> None:
         """Seed by *mapping* another sequence's page tables (self-speculation).
 
         ``source_tables`` holds, per layer, the page tables of a sequence
@@ -232,14 +219,16 @@ class CacheManager(BatchedCacheManager):
             raise ValueError(
                 f"expected {self.n_layers} layers of tables, got {len(source_tables)}"
             )
-        self._open(len(source_tables[0]), 0)
+        policies = self._take_row_policies(len(source_tables[0]))
+        self._open(len(policies), 0)
         for cache, tables in zip(self.caches, source_tables):
             for row, table in enumerate(tables):
                 cache.map_row(row, table)
-        prompt_len = source_tables[0][0].length
-        self._start_rows(prompt_len, prompt_len, max_new_tokens)
+        for policy in policies:
+            self._start_row(policy, source_tables[0][0].length)
         try:
-            self._evict_prompts(prompt_attn, prompt_logits)
+            for row in range(self.n_active):
+                self._evict_prompt(row)
         except Exception:
             # A mid-eviction failure (PoolExhausted from a copy-on-write
             # gather, or an injected allocation fault) must not leak the
@@ -254,7 +243,8 @@ class CacheManager(BatchedCacheManager):
         microbenchmarks); ``prompt_len`` only sizes the policies' budget."""
         empty = np.zeros((batch_size, self.n_heads, 0, self.d_head))
         self._seed([(empty, empty)] * self.n_layers, max_new_tokens + 1)
-        self._start_rows(0, max(prompt_len, 1), max_new_tokens)
+        for policy in self.setup_rows(batch_size, max(prompt_len, 1), max_new_tokens):
+            self._start_row(policy, 0)
 
     # ------------------------------------------------------------------
     # decode phase

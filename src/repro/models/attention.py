@@ -13,6 +13,8 @@ batch whose rows are not padded.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.models import tensor_ops as ops
@@ -106,8 +108,8 @@ class MultiHeadAttention(Module):
         store_attention:
             When true, the post-softmax attention probabilities are kept in
             :attr:`last_attention` for analysis (Figure 3 / 14 / 15).  The
-            inference prompt pass is :meth:`attend_prefill`, which returns
-            its tensors instead.
+            inference prompt pass is :meth:`attend_prefill`, which keeps no
+            attention tensor: eviction policies score it block by block.
 
         The core is :meth:`_attend_rows` over all ``T`` rows at width ``T``,
         bit-identical at float64 and float32 to the whole-tensor formulation
@@ -118,7 +120,7 @@ class MultiHeadAttention(Module):
             positions = np.arange(t)
         positions = np.asarray(positions)
         q_rot, k_rot, _, v = self._project(x, positions)
-        ctx, attn, _ = self._attend_rows(q_rot, k_rot, v, t)
+        ctx, attn = self._attend_rows(q_rot, k_rot, v, t, keep_attention=True)
         if store_attention:
             self.last_attention = attn
         self._cache = {"q_rot": q_rot, "k_rot": k_rot, "v": v, "attn": attn, "positions": positions}
@@ -142,8 +144,9 @@ class MultiHeadAttention(Module):
         k_rot: np.ndarray,
         v: np.ndarray,
         width: int,
-        store: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        scorers: Sequence[tuple] = (),
+        keep_attention: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """The one prompt-attention kernel: causal attention of the ``S``
         query rows ``q_rot``, rows ``[i0, i_end)`` of a prompt, over its keys
         and values ``[0, i_end)`` (``(B, H, ·, d_head)`` each).
@@ -155,8 +158,10 @@ class MultiHeadAttention(Module):
         whole-tensor formulation's memory layouts, and below float64 A·V is
         one matmul, because BLAS rounds differently once K is truncated.
 
-        Returns the ``(B, H, S, d_head)`` context, the ``(B, H, S, width)``
-        probabilities and, when ``store``, the masked logits (same shape).
+        Each ``(b, scorer)`` of ``scorers`` is handed batch row ``b`` of every
+        block's masked logits and probabilities, ``(1, H, n, c)``, while the
+        block is hot.  Returns the ``(B, H, S, d_head)`` context and, when
+        ``keep_attention``, the ``(B, H, S, width)`` probabilities.
         """
         b, _, s, _ = q_rot.shape
         end = k_rot.shape[2]
@@ -179,17 +184,18 @@ class MultiHeadAttention(Module):
         # Row blocks; a last block of one row would run BLAS gemv, not gemm.
         bounds = [*range(start, max(end - 1, start + 1), _ROW_BLOCK), end]
         rows = max(i1 - i0 for i0, i1 in zip(bounds, bounds[1:]))
-        shape = (b, self.n_heads, s, width)
         block = (b, self.n_heads, rows, width)
-        attn = _layout_empty(shape, dtype, key_strided)
-        # Masked logits are kept whole only when stored; otherwise per block.
-        # Under ALiBi the product lands in its own block buffer first and the
-        # bias add writes the (float64, C-order) scores.
-        scores = _layout_empty(shape if store else block, dtype, key_strided)
+        # Masked logits live one block at a time.  Under ALiBi the product
+        # lands in its own block buffer first and the bias add writes the
+        # (float64, C-order) scores.
+        scores = _layout_empty(block, dtype, key_strided)
         raw = None if bias is None else _layout_empty(block, q_rot.dtype, raw_strided)
         # float64 probabilities (ALiBi promotes float32 ones) reduce A·V by
-        # einsum, one block at a time; below float64 it is one BLAS matmul.
+        # einsum, one block at a time, so they too live one block at a time;
+        # below float64 A·V is one BLAS matmul over them all.
         exact_av = dtype == np.float64
+        whole = keep_attention or not exact_av
+        attn = _layout_empty((b, self.n_heads, s, width) if whole else block, dtype, key_strided)
         if exact_av:
             # einsum's output layout: (b, q, h, d) in memory over key-strided
             # probabilities, C order otherwise.
@@ -202,8 +208,7 @@ class MultiHeadAttention(Module):
         for i0, i1 in zip(bounds, bounds[1:]):
             n = i1 - i0
             r0, r1 = i0 - start, i1 - start  # the block's rows in the buffers
-            sc = scores[:, :, r0:r1] if store else scores[:, :, :n]
-            sc = sc[..., :i1]
+            sc = scores[:, :, :n, :i1]
             r = sc if raw is None else raw[:, :, :n, :i1]
             if exact:
                 np.einsum("bhqd,bhkd->bhqk", q_rot[:, :, r0:r1], k_rot[:, :, :i1], out=r)
@@ -213,11 +218,9 @@ class MultiHeadAttention(Module):
             if bias is not None:
                 np.add(r, bias[:, i0:i1, :i1], out=sc)
             np.copyto(sc[..., i0:], -np.inf, where=upper[:n, :n])
-            if store:
-                scores[:, :, r0:r1, i1:] = -np.inf
 
             # ops.softmax over the visible columns, summed at ``width``.
-            row = attn[:, :, r0:r1]
+            row = attn[:, :, r0:r1] if whole else attn[:, :, :n]
             row[..., i1:] = 0.0
             e = row[..., :i1]
             peak = sc.max(axis=-1, keepdims=True)
@@ -227,12 +230,14 @@ class MultiHeadAttention(Module):
             denom = row.sum(axis=-1, keepdims=True)
             e /= np.where(denom == 0.0, 1.0, denom)
 
+            for at, scorer in scorers:
+                scorer(r0, sc[at : at + 1], e[at : at + 1])
             if exact_av:
                 np.einsum("bhqk,bhkd->bhqd", e, v[:, :, :i1], out=ctx[:, :, r0:r1])
 
         if not exact_av:
             ctx = attn[..., :end] @ v
-        return ctx, attn, scores
+        return ctx, attn if keep_attention else None
 
     def __call__(self, x: np.ndarray, **kwargs) -> np.ndarray:
         return self.forward(x, **kwargs)
@@ -279,8 +284,8 @@ class MultiHeadAttention(Module):
         prefix_values: np.ndarray,
         prefix_len: int,
         prompt_len: int | None = None,
-        store_attention: bool = False,
-    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], tuple | None]:
+        scorers: Sequence[tuple] = (),
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """Prompt attention for rows ``[P, P + S)`` (``x``, ``(B, S,
         d_model)``) over the prompt's first ``P = prefix_len`` keys and
         values (``(B, H, P, d)``; keys RoPE-rotated for RoPE models).
@@ -293,20 +298,19 @@ class MultiHeadAttention(Module):
         ``S = T`` the projections are the forward's own, so a whole prompt is
         exact at any length.  A prefix computed inside a prompt of another
         length summed its rows at that width, so it is ulp-close, not exact.
+        ``scorers`` score the rows' attention block by block
+        (:meth:`_attend_rows`).
 
-        Returns the ``(B, S, d_model)`` output, the chunk's unrotated keys and
-        values (``(B, H, S, d)``) for seeding the cache and, when
-        ``store_attention``, its ``(B, H, S, width)`` probabilities and masked
-        logits (``None`` otherwise).
+        Returns the ``(B, S, d_model)`` output and the chunk's unrotated keys
+        and values (``(B, H, S, d)``) for seeding the cache.
         """
         s = x.shape[1]
         q_rot, k_rot, k_raw, v = self._project(x, np.arange(prefix_len, prefix_len + s))
         keys = np.concatenate([prefix_keys, k_rot], axis=2)
         values = np.concatenate([prefix_values, v], axis=2)
         width = prefix_len + s if prompt_len is None else prompt_len
-        ctx, attn, scores = self._attend_rows(q_rot, keys, values, width, store_attention)
-        stored = (attn, scores) if store_attention else None
-        return self.w_o(self._merge_heads(ctx)), (k_raw, v), stored
+        ctx, _ = self._attend_rows(q_rot, keys, values, width, scorers)
+        return self.w_o(self._merge_heads(ctx)), (k_raw, v)
 
     # ------------------------------------------------------------------
     # incremental decode path

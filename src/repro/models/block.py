@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -87,19 +87,19 @@ class DecoderBlock(Module):
         prefix_values: np.ndarray,
         prefix_len: int,
         prompt_len: int | None = None,
-        store_attention: bool = False,
-    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], tuple | None]:
+        scorers: Sequence[tuple] = (),
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """Process prompt rows ``[P, P + S)`` attending over a cached prefix.
 
-        ``x`` has shape ``(B, S, d_model)``.  Returns ``(hidden, (k_raw, v),
-        stored)`` (see :meth:`MultiHeadAttention.attend_prefill`).
+        ``x`` has shape ``(B, S, d_model)``.  Returns ``(hidden, (k_raw,
+        v))`` (see :meth:`MultiHeadAttention.attend_prefill`).
         """
         a_in = self.ln_attn(x)
-        attn_out, kv, stored = self.attn.attend_prefill(
-            a_in, prefix_keys, prefix_values, prefix_len, prompt_len, store_attention
+        attn_out, kv = self.attn.attend_prefill(
+            a_in, prefix_keys, prefix_values, prefix_len, prompt_len, scorers
         )
         x = x + attn_out
-        return x + self.mlp(self.ln_mlp(x)), kv, stored
+        return x + self.mlp(self.ln_mlp(x)), kv
 
     # ------------------------------------------------------------------
     # incremental decode path

@@ -184,8 +184,8 @@ class DecoderLM(Module):
         prefix_kv: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
         prefix_len: int = 0,
         prompt_len: int | None = None,
-        store_attention: bool = False,
-    ) -> tuple[np.ndarray, list, list[np.ndarray], list[np.ndarray]]:
+        scorers: Sequence[Sequence] = (),
+    ) -> tuple[np.ndarray, list]:
         """The inference prompt pass: rows ``[P, P + S)`` over cached prefix KV.
 
         ``suffix_ids`` has shape ``(B, S)``; ``prefix_kv`` holds one ``(keys,
@@ -198,11 +198,12 @@ class DecoderLM(Module):
         (``P = 0``, ``S = T``), and for a chunk when ``S >= 16`` and the prefix
         KV is that forward's (conditions: :meth:`MultiHeadAttention.attend_prefill`).
 
-        Returns the logits ``(B, S, vocab)``, per-layer ``(k_raw, v)`` and
-        per-layer attention probabilities and masked logits: the pass's own
-        ``(B, H, S, prompt_len)`` tensors when ``store_attention``, otherwise
-        one zero-strided ``(B, H, prompt_len, prompt_len)`` stand-in, enough
-        for eviction policies that never read prompt attention values.
+        ``scorers`` holds, per batch row, the policies whose
+        ``prompt_scorer(layer_idx, S, prompt_len)`` each layer feeds block by
+        block (the whole prompt in one pass): no ``(B, H, T, T)`` tensor
+        outlives its row block.
+
+        Returns the logits ``(B, S, vocab)`` and per-layer ``(k_raw, v)``.
         """
         suffix_ids = np.asarray(suffix_ids)
         if suffix_ids.ndim == 1:
@@ -221,24 +222,21 @@ class DecoderLM(Module):
             raise ValueError(
                 f"expected {len(self.blocks)} layers of prefix KV, got {len(prefix_kv)}"
             )
+        width = prefix_len + s if prompt_len is None else prompt_len
         h = self.embed(suffix_ids, positions=np.arange(prefix_len, prefix_len + s))
-        kv, stored = [], []
-        for block, (keys, values) in zip(self.blocks, prefix_kv):
-            h, layer_kv, layer_stored = block.prefill_chunk(
-                h, keys, values, prefix_len, prompt_len, store_attention
-            )
+        kv = []
+        for layer_idx, (block, (keys, values)) in enumerate(zip(self.blocks, prefix_kv)):
+            layer_scorers = [
+                (row, scorer)
+                for row, policies in enumerate(scorers)
+                for policy in policies
+                if (scorer := policy.prompt_scorer(layer_idx, s, width)) is not None
+            ]
+            if layer_scorers and width != s:
+                raise ValueError("a prompt is scored in one pass over the whole prompt")
+            h, layer_kv = block.prefill_chunk(h, keys, values, prefix_len, prompt_len, layer_scorers)
             kv.append(layer_kv)
-            stored.append(layer_stored)
-        logits = self.lm_logits(self.ln_final(h))
-        if store_attention:
-            attention, scores = (list(t) for t in zip(*stored))
-        else:
-            width = prefix_len + s if prompt_len is None else prompt_len
-            stand_in = np.broadcast_to(
-                np.zeros(1, config.np_dtype), (b, config.n_heads, width, width)
-            )
-            attention = scores = [stand_in] * len(self.blocks)
-        return logits, kv, attention, scores
+        return self.lm_logits(self.ln_final(h)), kv
 
     # ------------------------------------------------------------------
     # incremental decode path

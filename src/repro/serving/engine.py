@@ -172,20 +172,14 @@ class _PendingPrefill:
     leaks pool state — the accumulated arrays are simply garbage-collected.
     """
 
-    __slots__ = ("state", "match", "chunk_tokens", "store_attention", "done",
-                 "prefix_kv", "kv", "attention", "next_row")
+    __slots__ = ("state", "match", "chunk_tokens", "done", "prefix_kv", "kv", "next_row")
 
     def __init__(
-        self,
-        state: RequestState,
-        match: PrefixMatch | None,
-        chunk_tokens: int | None,
-        store_attention: bool,
+        self, state: RequestState, match: PrefixMatch | None, chunk_tokens: int | None
     ):
         self.state = state
         self.match = match
         self.chunk_tokens = chunk_tokens
-        self.store_attention = store_attention
         #: Prompt rows available so far (mapped or computed).
         self.done = 0 if match is None else match.length
         #: Per-layer attention-form ``(keys, values)`` of rows ``[0, done)``
@@ -194,9 +188,6 @@ class _PendingPrefill:
         self.prefix_kv: list | None = None
         #: Per-layer raw ``(k, v)`` of the computed rows — the join input.
         self.kv: list | None = None
-        #: Final chunk's per-layer ``(attention, masked logits)``, held
-        #: until the join and drafter seeding have read them.
-        self.attention: list | None = None
         #: Last-token logits of the final chunk (the first-token sample).
         self.next_row: np.ndarray | None = None
 
@@ -325,7 +316,6 @@ class ContinuousBatchingEngine:
             if config.max_pool_bytes is None
             else self._n_pages * config.page_size
         )
-        speculation = config.speculation
         #: Per-request drafter + telemetry, keyed by request id (spec mode).
         self._spec: dict[int, tuple[Drafter, SpeculationStats]] = {}
         #: Draft/verify work paid by requests that were later preempted or
@@ -333,18 +323,6 @@ class ContinuousBatchingEngine:
         #: repeats the work), but the cost was still paid and the aggregate
         #: telemetry must not hide it.
         self._spec_discarded = SpeculationStats()
-        #: Whether a self-drafting drafter policy seeds from the prompt's
-        #: attention values: then every prompt pass stores them and prefix
-        #: sharing is skipped (mirrors ``needs_prompt_attention``).
-        self._drafter_needs_prompt_attention = False
-        if (
-            speculation is not None
-            and speculation.drafter != "ngram"
-            and speculation.drafter_model is None
-        ):
-            self._drafter_needs_prompt_attention = make_drafter_policy(
-                speculation
-            ).needs_prompt_attention
         self._manager: BatchedCacheManager | None = None
         self._layer_views: list | None = None
         #: Running requests, index == KV-cache row (persistent batch).
@@ -989,29 +967,38 @@ class ContinuousBatchingEngine:
             return True
         return False
 
-    def _build_drafter(self, state: RequestState, row: int, attention: list) -> Drafter:
-        """Construct the per-request drafter right after its prefill joined;
-        ``attention`` is the prompt pass's ``(attention, masked logits)``."""
+    def _self_drafter(self, state: RequestState) -> PolicyDrafter | None:
+        """A self-drafting request's drafter, set up before the prompt pass
+        so that the pass scores its policy too; ``None`` for any other."""
+        spec = self.config.speculation
+        if spec is None or spec.drafter == "ngram" or spec.drafter_model is not None:
+            return None
+        return PolicyDrafter.for_prompt(
+            self.model,
+            make_drafter_policy(spec),
+            state.request.prompt_len,
+            state.request.max_new_tokens,
+            positional_mode=self._manager.positional_mode,
+            store=self._manager.store,
+        )
+
+    def _build_drafter(
+        self, state: RequestState, row: int, drafter: PolicyDrafter | None
+    ) -> Drafter:
+        """Seed the per-request drafter right after its prefill joined;
+        ``drafter`` is the :meth:`_self_drafter` the prompt pass scored."""
+        if drafter is not None:
+            # Self-drafting maps the freshly joined row's prompt pages.
+            tables = [[cache.tables[row]] for cache in self._manager.caches]
+            drafter.manager.initialize_mapped(tables)
+            return drafter
         spec = self.config.speculation
         if spec.drafter == "ngram":
             return NgramDrafter(state.request.prompt_ids[0], spec)
-        policy = make_drafter_policy(spec)
-        if spec.drafter_model is not None:
-            return PolicyDrafter.seed_from_prompt(
-                spec.drafter_model,
-                policy,
-                state.request.prompt_ids,
-                state.request.max_new_tokens,
-                positional_mode=self._manager.positional_mode,
-            )
-        # Self-drafting: the drafter's page tables live in the engine's own
-        # store, seeded by mapping the freshly joined row's prompt pages.
-        return PolicyDrafter.seed_mapped(
-            self.model,
-            policy,
-            self._manager.store,
-            [[cache.tables[row]] for cache in self._manager.caches],
-            *attention,
+        return PolicyDrafter.seed_from_prompt(
+            spec.drafter_model,
+            make_drafter_policy(spec),
+            state.request.prompt_ids,
             state.request.max_new_tokens,
             positional_mode=self._manager.positional_mode,
         )
@@ -1059,11 +1046,18 @@ class ContinuousBatchingEngine:
 
         prompt = state.request.prompt_ids
         prompt_len = state.request.prompt_len
-        needs_attention = (
-            state.policy.needs_prompt_attention or self._drafter_needs_prompt_attention
+        # Set up once per prompt pass, never at the join: a join retried
+        # after ``PoolExhausted`` keeps what the pass scored.
+        manager = self._manager
+        state.policy.setup(
+            manager.n_layers, manager.n_heads, 1, prompt_len, state.request.max_new_tokens
         )
+        drafter = self._self_drafter(state)
+        scorers = [state.policy] + ([] if drafter is None else [drafter.manager.policy])
         match = None
-        if self.config.enable_prefix_sharing and not needs_attention:
+        if self.config.enable_prefix_sharing and not any(
+            policy.needs_prompt_attention for policy in scorers
+        ):
             # Recompute at least the last two tokens: a one-row suffix would
             # run BLAS gemv.  (Bit-equal rows need >= 16 here and a prefix
             # registered at this prompt's length; otherwise ulp-close.)
@@ -1074,10 +1068,7 @@ class ContinuousBatchingEngine:
                 self.faults.check("prefill", state.request_id)
             chunked = match is None and self._should_chunk(state)
             pending = _PendingPrefill(
-                state,
-                match,
-                self.scheduler.prefill_chunk_tokens if chunked else None,
-                needs_attention,
+                state, match, self.scheduler.prefill_chunk_tokens if chunked else None
             )
             if match is not None:
                 pending.prefix_kv = self._manager.prefix_tensors(match)
@@ -1087,7 +1078,7 @@ class ContinuousBatchingEngine:
                 self._chunked = pending
                 self._run_chunk(pending)
                 return _PREFILL_CHUNKED
-            self._run_chunk(pending)
+            self._run_chunk(pending, [scorers])
             row = self._join(pending)
             if self.config.speculation is not None:
                 # The drafter seeds against the just-joined row (mapping its
@@ -1096,14 +1087,12 @@ class ContinuousBatchingEngine:
                 # quarantine) path.
                 try:
                     self._spec[state.request_id] = (
-                        self._build_drafter(state, row, pending.attention),
+                        self._build_drafter(state, row, drafter),
                         SpeculationStats(),
                     )
                 except Exception:
                     self._manager.release_row(row)
                     raise
-            # Seeded: the dense (1, H, T, T) prompt tensors are not kept.
-            pending.attention = None
         except PoolExhausted:
             # The watermark under-estimated (e.g. concurrent COW growth).
             # Free pages by preempting the newest running request; the caller
@@ -1178,12 +1167,13 @@ class ContinuousBatchingEngine:
             and state.request.prompt_len > budget + 1
         )
 
-    def _run_chunk(self, pending: _PendingPrefill) -> None:
+    def _run_chunk(self, pending: _PendingPrefill, scorers: list = ()) -> None:
         """Compute the pending prompt's next chunk and fold it in.
 
         Every chunk is rows ``[start, end)`` of the prompt through
         :meth:`DecoderLM.forward_suffix` over the prefix so far, at the
-        prompt's full width.  Only when another chunk follows are its keys
+        prompt's full width, scoring the prompt into ``scorers``' policies
+        (one row's list).  Only when another chunk follows are its keys
         rotated into attention form and appended to that prefix.  No pool
         pages are touched here.
         """
@@ -1191,12 +1181,12 @@ class ContinuousBatchingEngine:
         prompt_len = state.request.prompt_len
         start = pending.done
         end = start + pending.next_chunk()
-        logits, chunk_kv, *attention = self.model.forward_suffix(
+        logits, chunk_kv = self.model.forward_suffix(
             state.request.prompt_ids[:, start:end],
             pending.prefix_kv,
             start,
             prompt_len=prompt_len,
-            store_attention=pending.store_attention,
+            scorers=scorers,
         )
         pending.kv = _extend(pending.kv, chunk_kv)
         pending.done = end
@@ -1208,7 +1198,6 @@ class ContinuousBatchingEngine:
                 for k, v in chunk_kv
             ])
         else:
-            pending.attention = attention
             pending.next_row = logits[:, -1, :]
         if pending.chunk_tokens is not None:
             # A chunked prompt is never mapped, so both sharing counters
@@ -1264,8 +1253,6 @@ class ContinuousBatchingEngine:
         state = pending.state
         return self._manager.join(
             pending.kv,
-            *pending.attention,
-            state.request.max_new_tokens,
             state.policy,
             shared_prefix=pending.match,
             prompt_token_ids=self._register_ids(state),

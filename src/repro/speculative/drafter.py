@@ -111,7 +111,7 @@ class PolicyDrafter(Drafter):
         one with the same vocabulary.
     manager:
         A seeded single-sequence :class:`CacheManager` carrying the drafter's
-        eviction policy (see :meth:`seed_mapped` / :meth:`seed_from_prompt`).
+        eviction policy (see :meth:`for_prompt` / :meth:`seed_from_prompt`).
     """
 
     def __init__(self, model: "DecoderLM", manager: CacheManager):
@@ -128,25 +128,21 @@ class PolicyDrafter(Drafter):
     # seeding
     # ------------------------------------------------------------------
     @classmethod
-    def seed_mapped(
+    def for_prompt(
         cls,
         model: "DecoderLM",
         policy: EvictionPolicy,
-        store: "PagedKVStore",
-        target_tables: list[list["PageTable"]],
-        prompt_attn: list[np.ndarray],
-        prompt_logits: list[np.ndarray],
+        prompt_len: int,
         max_new_tokens: int,
         positional_mode: str | None = None,
+        store: "PagedKVStore | None" = None,
     ) -> "PolicyDrafter":
-        """Self-drafting seed: map the target's prompt pages, copy nothing.
-
-        The drafter's page tables clone the target's (refcount bump in the
-        shared store); its prompt-phase eviction then copy-on-writes into
-        private pages.  ``prompt_attn``/``prompt_logits`` come from the
-        target's own prompt forward — the weights are shared, so they are
-        the drafter's prompt attention too.
-        """
+        """A drafter whose ``policy`` is set up for a ``prompt_len``-token
+        prompt, before the prompt pass that scores it; its one row is seeded
+        after that pass.  A self-drafter lives in the target's ``store``: the
+        target's pass scores its policy too (the weights are shared), and
+        ``manager.initialize_mapped`` then maps the target's prompt pages
+        instead of copying them."""
         config = model.config
         manager = CacheManager(
             policy,
@@ -158,7 +154,7 @@ class PolicyDrafter(Drafter):
             rope_dims=config.rope_dims,
             store=store,
         )
-        manager.initialize_mapped(target_tables, prompt_attn, prompt_logits, max_new_tokens)
+        manager.setup_rows(1, prompt_len, max_new_tokens)
         return cls(model, manager)
 
     @classmethod
@@ -171,24 +167,13 @@ class PolicyDrafter(Drafter):
         positional_mode: str | None = None,
     ) -> "PolicyDrafter":
         """Separate-model seed: run the drafter model's own prompt pass."""
-        config = model.config
         prompt = np.asarray(prompt_ids, dtype=np.int64)
         if prompt.ndim == 1:
             prompt = prompt[None, :]
-        _, prompt_kv, prompt_attn, prompt_scores = model.forward_suffix(
-            prompt, store_attention=policy.needs_prompt_attention
-        )
-        manager = CacheManager(
-            policy,
-            n_layers=config.n_layers,
-            n_heads=config.n_heads,
-            d_head=config.d_head,
-            positional_mode=positional_mode,
-            dtype=config.np_dtype,
-            rope_dims=config.rope_dims,
-        )
-        manager.initialize_from_prompt(prompt_kv, prompt_attn, prompt_scores, max_new_tokens)
-        return cls(model, manager)
+        drafter = cls.for_prompt(model, policy, prompt.shape[1], max_new_tokens, positional_mode)
+        _, prompt_kv = model.forward_suffix(prompt, scorers=[[policy]])
+        drafter.manager.initialize_from_prompt(prompt_kv, max_new_tokens)
+        return drafter
 
     # ------------------------------------------------------------------
     # state management

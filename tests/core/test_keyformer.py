@@ -7,6 +7,7 @@ from repro.core.config import KeyformerConfig
 from repro.core.keyformer import KeyformerPolicy
 from repro.core.temperature import ConstantTauSchedule, LinearTauSchedule
 from repro.models.tensor_ops import softmax
+from tests.reference.prompt_scoring import score_prompt
 
 
 def prompt_tensors(rng, batch=1, heads=2, t=20):
@@ -14,6 +15,13 @@ def prompt_tensors(rng, batch=1, heads=2, t=20):
     mask = np.triu(np.ones((t, t), dtype=bool), k=1)
     logits = np.where(mask[None, None], -np.inf, logits)
     return logits, softmax(logits, axis=-1)
+
+
+def initial(policy, probs, logits, layer_idx=0):
+    """Score the prompt tensors into ``policy`` as the prompt pass would, then
+    take its prompt-phase selection."""
+    score_prompt(policy, layer_idx, logits, probs)
+    return policy.initial_selection(layer_idx)
 
 
 def make_policy(**kwargs):
@@ -31,20 +39,20 @@ class TestBudget:
     def test_initial_selection_respects_budget(self, rng):
         policy = make_policy(kv_fraction=0.5, recent_ratio=0.3)
         logits, probs = prompt_tensors(rng)
-        selection = policy.initial_selection(0, probs, logits, np.arange(20))
+        selection = initial(policy, probs, logits, 0)
         assert selection.shape == (1, 2, 10)
 
     def test_no_eviction_when_prompt_fits(self, rng):
         policy = make_policy(kv_fraction=1.0)
         logits, probs = prompt_tensors(rng)
-        assert policy.initial_selection(0, probs, logits, np.arange(20)) is None
+        assert initial(policy, probs, logits, 0) is None
 
 
 class TestAlgorithmOne:
     def test_recent_window_always_kept(self, rng):
         policy = make_policy(kv_fraction=0.5, recent_ratio=0.4)
         logits, probs = prompt_tensors(rng)
-        selection = policy.initial_selection(0, probs, logits, np.arange(20))
+        selection = initial(policy, probs, logits, 0)
         w = policy.recent_window
         for head in range(2):
             assert set(range(20 - w, 20)).issubset(set(selection[0, head].tolist()))
@@ -56,13 +64,13 @@ class TestAlgorithmOne:
         logits = logits.copy()
         logits[..., 2] += 15.0  # token 2 gets huge logits in every row
         probs = softmax(logits, axis=-1)
-        selection = policy.initial_selection(0, probs, logits, np.arange(20))
+        selection = initial(policy, probs, logits, 0)
         assert np.all((selection == 2).any(axis=-1))
 
     def test_step_keeps_cache_at_budget(self, rng):
         policy = make_policy(kv_fraction=0.5)
         logits, probs = prompt_tensors(rng)
-        policy.initial_selection(0, probs, logits, np.arange(20))
+        initial(policy, probs, logits, 0)
         cache_len = policy.budget + 1  # one token appended
         step_logits = rng.normal(size=(1, 2, cache_len))
         step_probs = softmax(step_logits, axis=-1)
@@ -73,7 +81,7 @@ class TestAlgorithmOne:
     def test_score_state_stays_aligned_after_eviction(self, rng):
         policy = make_policy(kv_fraction=0.5)
         logits, probs = prompt_tensors(rng)
-        policy.initial_selection(0, probs, logits, np.arange(20))
+        initial(policy, probs, logits, 0)
         assert policy.score.get(0).shape[-1] == policy.budget
         cache_len = policy.budget + 1
         step_logits = rng.normal(size=(1, 2, cache_len))
@@ -95,7 +103,7 @@ class TestAlgorithmOne:
     def test_setup_resets_score_state(self, rng):
         policy = make_policy(kv_fraction=0.5)
         logits, probs = prompt_tensors(rng)
-        policy.initial_selection(0, probs, logits, np.arange(20))
+        initial(policy, probs, logits, 0)
         policy.setup(2, 2, 1, 20, 10)
         assert not policy.score.has(0)
 
@@ -105,15 +113,15 @@ class TestSharedScore:
         policy = make_policy(kv_fraction=0.5, shared_score=True)
         assert policy.shared_selection is True
         logits, probs = prompt_tensors(rng)
-        assert policy.initial_selection(0, probs, logits, np.arange(20)) is None
-        selection = policy.initial_selection(1, probs, logits, np.arange(20))
+        assert initial(policy, probs, logits, 0) is None
+        selection = initial(policy, probs, logits, 1)
         assert selection is not None
         assert selection.shape[-1] == policy.budget
 
     def test_per_layer_mode_selects_immediately(self, rng):
         policy = make_policy(kv_fraction=0.5, shared_score=False)
         logits, probs = prompt_tensors(rng)
-        assert policy.initial_selection(0, probs, logits, np.arange(20)) is not None
+        assert initial(policy, probs, logits, 0) is not None
 
 
 class TestDescribe:

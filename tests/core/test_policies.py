@@ -18,6 +18,7 @@ from repro.core.policies import (
 )
 from repro.core.registry import POLICIES, make_policy
 from repro.models.tensor_ops import softmax
+from tests.reference.prompt_scoring import score_prompt
 
 
 def prompt_tensors(rng, batch=1, heads=2, t=20):
@@ -25,6 +26,13 @@ def prompt_tensors(rng, batch=1, heads=2, t=20):
     mask = np.triu(np.ones((t, t), dtype=bool), k=1)
     logits = np.where(mask[None, None], -np.inf, logits)
     return logits, softmax(logits, axis=-1)
+
+
+def initial(policy, probs, logits, layer_idx=0):
+    """Score the prompt tensors into ``policy`` as the prompt pass would, then
+    take its prompt-phase selection."""
+    score_prompt(policy, layer_idx, logits, probs)
+    return policy.initial_selection(layer_idx)
 
 
 def setup_policy(policy, prompt_len=20, heads=2, max_new=10):
@@ -85,7 +93,7 @@ class TestFullAttention:
     def test_never_evicts(self, rng):
         policy = setup_policy(FullAttentionPolicy())
         logits, probs = prompt_tensors(rng)
-        assert policy.initial_selection(0, probs, logits) is None
+        assert initial(policy, probs, logits) is None
         step_logits = rng.normal(size=(1, 2, 30))
         assert policy.step_selection(0, step_logits, step_logits, None, 1) is None
 
@@ -98,7 +106,7 @@ class TestWindowAttention:
     def test_keeps_most_recent(self, rng):
         policy = setup_policy(WindowAttentionPolicy(CachePolicyConfig(kv_fraction=0.5)))
         logits, probs = prompt_tensors(rng)
-        selection = policy.initial_selection(0, probs, logits)
+        selection = initial(policy, probs, logits)
         np.testing.assert_array_equal(selection[0, 0], np.arange(10, 20))
 
     def test_step_drops_oldest(self, rng):
@@ -117,7 +125,7 @@ class TestDilatedWindow:
     def test_stride_pattern(self, rng):
         policy = setup_policy(DilatedWindowPolicy(CachePolicyConfig(kv_fraction=0.25), dilation=1))
         logits, probs = prompt_tensors(rng)
-        selection = policy.initial_selection(0, probs, logits)
+        selection = initial(policy, probs, logits)
         # Budget 5, dilation 1 -> every other token counting back from 19.
         np.testing.assert_array_equal(selection[0, 0], [11, 13, 15, 17, 19])
 
@@ -133,13 +141,13 @@ class TestH2O:
         # Make token 2 a heavy hitter for every head.
         probs = probs.copy()
         probs[..., 2] += 5.0
-        selection = policy.initial_selection(0, probs, logits)
+        selection = initial(policy, probs, logits)
         assert np.all((selection == 2).any(axis=-1))
 
     def test_score_state_tracks_cache_after_eviction(self, rng):
         policy = setup_policy(H2OPolicy(CachePolicyConfig(kv_fraction=0.5)))
         logits, probs = prompt_tensors(rng)
-        selection = policy.initial_selection(0, probs, logits)
+        selection = initial(policy, probs, logits)
         assert policy.score.get(0).shape[-1] == selection.shape[-1]
         # Next step: cache grew by one token.
         step_probs = np.abs(rng.normal(size=(1, 2, selection.shape[-1] + 1)))
@@ -156,7 +164,7 @@ class TestKeyAttention:
         logits, probs = prompt_tensors(rng)
         probs = probs.copy()
         probs[..., :5] += 10.0  # early tokens dominate
-        selection = policy.initial_selection(0, probs, logits)
+        selection = initial(policy, probs, logits)
         # All selected tokens are the early heavy ones, not the recent window.
         assert np.all(selection[0, 0] < 5)
 
@@ -167,7 +175,7 @@ class TestStreamingLLM:
             StreamingLLMPolicy(CachePolicyConfig(kv_fraction=0.5), n_sinks=4)
         )
         logits, probs = prompt_tensors(rng)
-        selection = policy.initial_selection(0, probs, logits)
+        selection = initial(policy, probs, logits)
         row = selection[0, 0]
         assert set(range(4)).issubset(set(row.tolist()))
         assert set(range(14, 20)).issubset(set(row.tolist()))
@@ -183,8 +191,8 @@ class TestRandomEviction:
         policy_a = setup_policy(RandomEvictionPolicy(CachePolicyConfig(kv_fraction=0.5, seed=3)))
         policy_b = setup_policy(RandomEvictionPolicy(CachePolicyConfig(kv_fraction=0.5, seed=3)))
         logits, probs = prompt_tensors(rng)
-        sel_a = policy_a.initial_selection(0, probs, logits)
-        sel_b = policy_b.initial_selection(0, probs, logits)
+        sel_a = initial(policy_a, probs, logits)
+        sel_b = initial(policy_b, probs, logits)
         np.testing.assert_array_equal(sel_a, sel_b)
         assert sel_a.shape[-1] == policy_a.budget
 

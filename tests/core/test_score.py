@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core.distributions import make_noise
 from repro.core.score import AccumulatedAttentionScore, KeyformerScore, entropy
 from repro.models.tensor_ops import softmax
+from tests.reference.prompt_scoring import score_prompt
 
 
 def seed_era_sample(noise, size, rng):
@@ -42,17 +44,18 @@ class TestEntropy:
 
 
 class TestAccumulatedAttentionScore:
-    def test_prompt_all_mode_is_column_sum(self, rng):
-        logits, probs = make_prompt_tensors(rng)
+    @pytest.mark.parametrize("t", [6, 33, 70])
+    def test_prompt_all_mode_is_column_sum(self, t):
+        logits, probs = make_prompt_tensors(np.random.default_rng(t), t=t)
         score = AccumulatedAttentionScore(prompt_mode="all")
-        out = score.init_from_prompt(0, probs, logits)
-        np.testing.assert_allclose(out, probs.sum(axis=-2), atol=1e-12)
+        score_prompt(score, 0, logits, probs)
+        assert score.get(0).tobytes() == probs.sum(axis=-2).tobytes()
 
     def test_prompt_last_mode_is_last_row(self, rng):
-        logits, probs = make_prompt_tensors(rng)
+        logits, probs = make_prompt_tensors(rng, t=40)
         score = AccumulatedAttentionScore(prompt_mode="last")
-        out = score.init_from_prompt(0, probs, logits)
-        np.testing.assert_allclose(out, probs[..., -1, :], atol=1e-12)
+        score_prompt(score, 0, logits, probs)
+        assert score.get(0).tobytes() == probs[..., -1, :].tobytes()
 
     def test_update_accumulates_and_grows(self, rng):
         score = AccumulatedAttentionScore()
@@ -116,19 +119,14 @@ class TestAccumulatedAttentionScore:
 
 
 class TestKeyformerScore:
-    def test_prompt_requires_logits(self, rng):
-        _, probs = make_prompt_tensors(rng)
-        with pytest.raises(ValueError):
-            KeyformerScore().init_from_prompt(0, probs, None)
-
     def test_noiseless_tau1_matches_accumulated_attention(self, rng):
         """With no noise and τ=1 the Keyformer score reduces to H2O's score."""
         logits, probs = make_prompt_tensors(rng)
         keyformer = KeyformerScore(noise="none")
         baseline = AccumulatedAttentionScore()
-        kf = keyformer.init_from_prompt(0, probs, logits)
-        h2o = baseline.init_from_prompt(0, probs, logits)
-        np.testing.assert_allclose(kf, h2o, atol=1e-9)
+        score_prompt(keyformer, 0, logits)
+        score_prompt(baseline, 0, logits, probs)
+        np.testing.assert_allclose(keyformer.get(0), baseline.get(0), atol=1e-9)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("noise", ["gumbel", "gaussian"])
@@ -141,15 +139,14 @@ class TestKeyformerScore:
         """The prompt is scored in blocks of query rows; the result — and the
         generator state left behind — must be exactly that of one
         whole-tensor noisy softmax reduced over the query axis."""
-        from repro.core import score as score_module
-
-        assert t % score_module._PROMPT_BLOCK_ROWS  # blocks never divide T
+        assert t % 32  # blocks never divide T
         logits, _ = make_prompt_tensors(np.random.default_rng(t), batch=2, heads=3, t=t)
         logits = logits.astype(dtype)
         kwargs = dict(noise=noise, prompt_mode=prompt_mode, resample=resample, seed=5)
         streamed, whole = KeyformerScore(**kwargs), KeyformerScore(**kwargs)
 
-        got = streamed.init_from_prompt(0, None, logits, np.arange(t))
+        score_prompt(streamed, 0, logits)
+        got = streamed.get(0)
 
         noisy = whole.noisy_softmax(logits, np.arange(t), whole.tau_schedule(0))
         want = noisy.sum(axis=-2) if prompt_mode == "all" else noisy[..., -1, :]
@@ -182,7 +179,8 @@ class TestKeyformerScore:
             logits = logits[..., 90:, :]
         logits = logits.astype(dtype)
         score = KeyformerScore(noise=noise, prompt_mode=prompt_mode, seed=9)
-        got = score.init_from_prompt(0, None, logits)
+        score_prompt(score, 0, logits)
+        got = score.get(0)
 
         reference = np.random.default_rng(9)
         zeta = seed_era_sample(score.noise, score.max_positions, reference)  # the fixed-mode ζ
@@ -270,3 +268,83 @@ class TestKeyformerScore:
         assert np.all(out >= 0)
         # One update adds at most probability mass 1 per row.
         assert np.all(out.sum(axis=-1) <= 1.0 + 1e-9)
+
+
+class TestAddressableNoise:
+    """The prompt scorer draws each block's noise rows at their offset in
+    the layer's stream, so blocks may be scored in any order."""
+
+    def test_advance_then_draw_is_a_slice_of_the_stream(self):
+        whole = np.random.default_rng(11).random(50)
+        rng = np.random.default_rng(11)
+        rng.bit_generator.advance(17)
+        assert rng.random(9).tobytes() == whole[17:26].tobytes()
+
+    def test_shuffled_block_order_is_the_sequential_draw(self):
+        """Gumbel noise rows drawn in a shuffled ``(row, head, block)`` order,
+        each at its own offset, are the C-order draw, bit for bit."""
+        noise = make_noise("gumbel")
+        batch, heads, n_rows, width = 2, 3, 70, 70
+        base = np.random.default_rng(4)
+        state = base.bit_generator.state
+        want = np.empty((batch, heads, n_rows, width))
+        noise.draw(want, base)
+
+        got = np.full(want.shape, np.nan)
+        scratch = np.random.default_rng()
+        blocks = [
+            (b, h, start)
+            for b in range(batch)
+            for h in range(heads)
+            for start in range(0, n_rows, 32)
+        ]
+        for index in np.random.default_rng(0).permutation(len(blocks)):
+            b, h, start = blocks[index]
+            rows = np.empty(got[b, h, start : start + 32].shape)
+            scratch.bit_generator.state = state
+            scratch.bit_generator.advance(((b * heads + h) * n_rows + start) * width)
+            noise.draw(rows, scratch)
+            got[b, h, start : start + 32] = rows
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("noise", ["constant", "none"])
+    def test_constant_noise_consumes_no_output(self, noise):
+        noise = make_noise(noise)
+        assert noise.outputs_per_element == 0
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        noise.draw(np.empty((4, 9)), rng)
+        assert rng.bit_generator.state == before
+
+    def test_only_gaussian_is_not_addressable(self):
+        assert make_noise("gumbel").outputs_per_element == 1
+        assert make_noise("gaussian").outputs_per_element is None
+
+    def test_gaussian_pre_draw_is_the_chunked_draw(self):
+        """The scorer's whole-layer Gaussian pre-draw equals the 32-row chunks
+        per ``(b, h)`` matrix the post-forward loop drew, generator state
+        included."""
+        noise = make_noise("gaussian")
+        lead, n_rows, width = (2, 3), 70, 70
+        chunked_rng, whole_rng = np.random.default_rng(8), np.random.default_rng(8)
+        chunked = np.empty(lead + (n_rows, width))
+        for at in np.ndindex(*lead):
+            for start in range(0, n_rows, 32):
+                block = np.empty((min(32, n_rows - start), width))
+                noise.draw(block, chunked_rng)
+                chunked[at][start : start + 32] = block
+        whole = np.empty(lead + (n_rows, width))
+        noise.draw(whole, whole_rng)
+        assert whole.tobytes() == chunked.tobytes()
+        assert whole_rng.bit_generator.state == chunked_rng.bit_generator.state
+
+    @pytest.mark.parametrize("noise", ["gumbel", "gaussian", "constant"])
+    def test_scorer_leaves_the_sequential_generator_state(self, noise):
+        """After a layer the score's generator stands where drawing every
+        element of the layer's noise in C order leaves it."""
+        logits, _ = make_prompt_tensors(np.random.default_rng(1), batch=1, heads=3, t=45)
+        score = KeyformerScore(noise=noise, seed=2)
+        reference = KeyformerScore(noise=noise, seed=2)
+        score_prompt(score, 0, logits)
+        score.noise.draw(np.empty(logits.shape), reference.rng)
+        assert score.rng.bit_generator.state == reference.rng.bit_generator.state

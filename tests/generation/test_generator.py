@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import gc
+import tracemalloc
 import weakref
 
 from repro.core.config import KeyformerConfig
 from repro.core.keyformer import KeyformerPolicy
 from repro.core.registry import make_policy
+from repro.core.score import KeyformerScore
 from repro.generation.generator import Generator
 from repro.models.config import GenerationConfig, ModelConfig
 from repro.models.tensor_ops import log_softmax
@@ -225,30 +227,27 @@ def _keyformer():
 
 
 #: Self-drafting with a Keyformer drafter: the one speculative configuration
-#: whose prompt pass stores attention.
+#: whose prompt pass scores a drafter policy.
 KEYFORMER_DRAFTER = SpeculationConfig(k=3, drafter="policy", drafter_policy_factory=_keyformer)
 
 
 class TestNothingPinnedAfterPromptPass:
-    """A finished prompt pass leaves no ``(B, H, T, T)`` tensor in the shared
-    model, and the caller drops the attention it was handed once the policy
-    (and, speculating, the drafter) has been seeded from it."""
+    """A finished prompt pass leaves no ``(B, H, T, T)`` tensor behind: the
+    shared model holds nothing, and every per-block prompt scorer — its
+    running sums and noise state — is released once the pass has closed it
+    (none of it may live on the policy, which the engine snapshots)."""
 
-    @staticmethod
-    def _track_stored_attention(model: DecoderLM) -> list:
-        """Weak references to every attention tensor a stored prompt pass
-        returns (the shape-only stand-ins are not tracked)."""
-        refs = []
-        forward_suffix = model.forward_suffix
+    @pytest.fixture(autouse=True)
+    def _track_scorers(self, monkeypatch):
+        self.refs = []
+        prompt_scorer = KeyformerScore.prompt_scorer
 
-        def tracked(*args, **kwargs):
-            out = forward_suffix(*args, **kwargs)
-            if kwargs.get("store_attention"):
-                refs.extend(weakref.ref(a) for tensors in out[2:] for a in tensors)
-            return out
+        def tracked(score, *args):
+            scorer = prompt_scorer(score, *args)
+            self.refs.append(weakref.ref(scorer))
+            return scorer
 
-        model.forward_suffix = tracked
-        return refs
+        monkeypatch.setattr(KeyformerScore, "prompt_scorer", tracked)
 
     @staticmethod
     def _assert_model_holds_nothing(model: DecoderLM) -> None:
@@ -256,50 +255,74 @@ class TestNothingPinnedAfterPromptPass:
             assert block.attn.last_attention is None
             assert block.attn._cache is None
 
-    @staticmethod
-    def _assert_released(refs: list) -> None:
-        assert refs, "the prompt pass did not store attention"
+    def _assert_released(self) -> None:
+        assert self.refs, "the prompt pass scored nothing"
         gc.collect()
-        assert all(ref() is None for ref in refs)
+        assert all(ref() is None for ref in self.refs)
 
     def test_generator(self, rng):
         model = DecoderLM(tiny_config("rope"), seed=0)
-        refs = self._track_stored_attention(model)
         Generator(model, _keyformer()).generate(
             rng.integers(0, 64, size=20), GenerationConfig(max_new_tokens=3)
         )
         self._assert_model_holds_nothing(model)
-        self._assert_released(refs)
+        self._assert_released()
 
     def test_self_drafting_speculative_prefill(self, rng):
         model = DecoderLM(tiny_config("rope"), seed=0)
-        refs = self._track_stored_attention(model)
         SpeculativeGenerator(model, KEYFORMER_DRAFTER).generate(
             rng.integers(0, 64, size=20), GenerationConfig(max_new_tokens=4)
         )
         self._assert_model_holds_nothing(model)
-        self._assert_released(refs)
+        self._assert_released()
 
     def test_keyformer_engine_prefill(self, rng):
         model = DecoderLM(tiny_config("rope"), seed=0)
-        refs = self._track_stored_attention(model)
         engine = ContinuousBatchingEngine(model, policy_factory=_keyformer)
         engine.submit(rng.integers(0, 64, size=20), GenerationConfig(max_new_tokens=4))
         engine.step()  # admission: prompt pass, join, first token
         assert engine.n_running == 1
         self._assert_model_holds_nothing(model)
-        self._assert_released(refs)
+        self._assert_released()
 
     def test_prompt_attention_is_gone_once_the_drafter_is_seeded(self, rng):
         """Speculative serving with a Keyformer self-drafter: the row's prompt
-        attention seeds the drafter in the admission step and is released
-        with it — the engine keeps no reference while the row decodes."""
+        pass scores the drafter's policy in the admission step, and the engine
+        keeps no scorer while the row decodes."""
         model = DecoderLM(tiny_config("rope"), seed=0)
-        refs = self._track_stored_attention(model)
         engine = ContinuousBatchingEngine(model, speculation=KEYFORMER_DRAFTER)
         state = engine.submit(rng.integers(0, 64, size=20), GenerationConfig(max_new_tokens=8))
         engine.step()
         assert state.request_id in engine._spec  # the drafter is seeded
         self._assert_model_holds_nothing(model)
-        self._assert_released(refs)
+        self._assert_released()
         engine.run()
+
+
+class TestPromptPassMemory:
+    """Keyformer scores the prompt inside the prompt pass, so its pass
+    allocates what full attention's does, not ``n_layers × 2 × (B, H, T,
+    T)`` tensors more."""
+
+    @staticmethod
+    def _peak_bytes(model, policy, ids) -> int:
+        generator = Generator(model, policy)
+        tracemalloc.start()
+        try:
+            generator._prompt_forward(ids, 16)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_keyformer_peak_is_full_attentions(self):
+        """tracemalloc keeps one peak over every domain; NumPy's data buffers
+        (``np.lib.tracemalloc_domain``) dominate both passes at this size."""
+        config = ModelConfig(
+            vocab_size=256, d_model=128, n_layers=4, n_heads=8, d_ff=512,
+            max_seq_len=512, compute_dtype="float32",
+        )
+        model = DecoderLM(config, seed=0)
+        ids = np.random.default_rng(0).integers(0, 256, size=(1, 512))
+        full = self._peak_bytes(model, make_policy("full"), ids)
+        keyformer = self._peak_bytes(model, make_policy("keyformer", kv_fraction=0.5), ids)
+        assert keyformer <= 1.15 * full, (keyformer, full)

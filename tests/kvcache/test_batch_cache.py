@@ -17,6 +17,7 @@ from repro.kvcache.paged import BlockPool, PoolExhausted
 from repro.kvcache.quant import QuantizedBlockPool
 from repro.models.positional import RopeTable
 from repro.models.tensor_ops import softmax
+from tests.reference.prompt_scoring import set_up
 
 HEADS, D_HEAD = 4, 8
 
@@ -352,10 +353,7 @@ class TestJoinUnwind:
         with pytest.raises(PoolExhausted):
             manager.join(
                 [(keys, keys.copy())],
-                [softmax(logits, axis=-1)],
-                [logits],
-                max_new_tokens=4,
-                policy=policy,
+                set_up(policy, manager, t, 4, [softmax(logits, axis=-1)], [logits]),
                 prompt_token_ids=tokens,  # registers → pages become shared
             )
         assert manager.n_active == 0
@@ -666,8 +664,7 @@ class TestWorkspaceAudit:
         rng = np.random.default_rng(7)
         for t in (6, 9):
             keys, values, _ = _prompt(rng, t)
-            attn = [np.zeros((1, HEADS, t, t))]
-            manager.join([(keys, values)], attn, attn, 4, FullAttentionPolicy())
+            manager.join([(keys, values)], set_up(FullAttentionPolicy(), manager, t, 4))
         manager.attention_view_batch(0)
         return manager
 

@@ -10,6 +10,7 @@ from repro.core.score import EvictOne
 from repro.kvcache.manager import CacheManager
 from repro.models.positional import RopeTable
 from repro.models.tensor_ops import softmax
+from tests.reference.prompt_scoring import seed_manager
 
 N_LAYERS, N_HEADS, D_HEAD, T = 2, 2, 4, 12
 
@@ -35,7 +36,7 @@ def make_manager(policy, positional_mode=None):
 class TestInitialization:
     def test_full_policy_keeps_whole_prompt(self, rng):
         manager = make_manager(FullAttentionPolicy())
-        manager.initialize_from_prompt(*prompt_inputs(rng), max_new_tokens=4)
+        seed_manager(manager, *prompt_inputs(rng), max_new_tokens=4)
         assert manager.cache_lengths(0) == [T, T]
         assert manager.prompt_len == [T]
         assert manager.current_position == [T]
@@ -43,14 +44,14 @@ class TestInitialization:
     def test_reduction_policy_trims_prompt(self, rng):
         policy = WindowAttentionPolicy(CachePolicyConfig(kv_fraction=0.5))
         manager = make_manager(policy)
-        manager.initialize_from_prompt(*prompt_inputs(rng), max_new_tokens=4)
+        seed_manager(manager, *prompt_inputs(rng), max_new_tokens=4)
         assert manager.cache_lengths(0) == [6, 6]
 
     def test_layer_count_mismatch(self, rng):
         manager = make_manager(FullAttentionPolicy())
         kv, attn, logits = prompt_inputs(rng)
         with pytest.raises(ValueError):
-            manager.initialize_from_prompt(kv[:1], attn[:1], logits[:1], 4)
+            manager.initialize_from_prompt(kv[:1], 4)
 
     def test_invalid_positional_mode(self):
         with pytest.raises(ValueError):
@@ -77,7 +78,7 @@ class TestDecodeFlow:
     def test_window_policy_keeps_budget_during_decode(self, rng):
         policy = WindowAttentionPolicy(CachePolicyConfig(kv_fraction=0.5))
         manager = make_manager(policy)
-        manager.initialize_from_prompt(*prompt_inputs(rng), max_new_tokens=6)
+        seed_manager(manager, *prompt_inputs(rng), max_new_tokens=6)
         for _ in range(4):
             for layer in range(N_LAYERS):
                 self._step(manager, rng, layer)
@@ -89,7 +90,7 @@ class TestDecodeFlow:
     def test_original_positions_reported(self, rng):
         policy = WindowAttentionPolicy(CachePolicyConfig(kv_fraction=0.5))
         manager = make_manager(policy, positional_mode="original")
-        manager.initialize_from_prompt(*prompt_inputs(rng), max_new_tokens=4)
+        seed_manager(manager, *prompt_inputs(rng), max_new_tokens=4)
         _, key_pos, query_pos = self._step(manager, rng, 0)
         # Window kept original positions 6..11, new token appended at 12.
         np.testing.assert_array_equal(key_pos[0, 0], [6, 7, 8, 9, 10, 11, 12])
@@ -98,7 +99,7 @@ class TestDecodeFlow:
     def test_new_positions_are_contiguous(self, rng):
         policy = WindowAttentionPolicy(CachePolicyConfig(kv_fraction=0.5))
         manager = make_manager(policy, positional_mode="new")
-        manager.initialize_from_prompt(*prompt_inputs(rng), max_new_tokens=4)
+        seed_manager(manager, *prompt_inputs(rng), max_new_tokens=4)
         _, key_pos, query_pos = self._step(manager, rng, 0)
         np.testing.assert_array_equal(key_pos[0, 0], np.arange(7))
         assert int(query_pos) == 6
@@ -106,7 +107,7 @@ class TestDecodeFlow:
     def test_stats_accounting(self, rng):
         policy = H2OPolicy(CachePolicyConfig(kv_fraction=0.5))
         manager = make_manager(policy)
-        manager.initialize_from_prompt(*prompt_inputs(rng), max_new_tokens=3)
+        seed_manager(manager, *prompt_inputs(rng), max_new_tokens=3)
         for _ in range(3):
             for layer in range(N_LAYERS):
                 self._step(manager, rng, layer)
@@ -122,7 +123,7 @@ class TestDecodeFlow:
     def test_shared_selection_applies_to_all_layers(self, rng):
         policy = KeyformerPolicy(KeyformerConfig(kv_fraction=0.5, shared_score=True))
         manager = make_manager(policy)
-        manager.initialize_from_prompt(*prompt_inputs(rng), max_new_tokens=4)
+        seed_manager(manager, *prompt_inputs(rng), max_new_tokens=4)
         assert manager.cache_lengths(0) == [6, 6]
         positions = [c.positions for c in manager.caches]
         np.testing.assert_array_equal(positions[0], positions[1])
@@ -136,7 +137,7 @@ class TestDecodeFlow:
     def test_every_row_runs_its_own_policy(self, rng):
         policy = H2OPolicy(CachePolicyConfig(kv_fraction=0.5))
         manager = make_manager(policy)
-        manager.initialize_from_prompt(*prompt_inputs(rng, batch=3), max_new_tokens=4)
+        seed_manager(manager, *prompt_inputs(rng, batch=3), max_new_tokens=4)
         assert manager.policies[0] is policy
         assert len({id(p) for p in manager.policies}) == 3
         for p in manager.policies:
@@ -145,7 +146,7 @@ class TestDecodeFlow:
     def test_reorder_propagates_to_caches_and_policy(self, rng):
         policy = H2OPolicy(CachePolicyConfig(kv_fraction=0.5))
         manager = make_manager(policy)
-        manager.initialize_from_prompt(*prompt_inputs(rng, batch=2), max_new_tokens=4)
+        seed_manager(manager, *prompt_inputs(rng, batch=2), max_new_tokens=4)
         before = manager.caches[0].keys.copy()
         policies = list(manager.policies)
         manager.reorder(np.array([1, 0]))
@@ -160,9 +161,9 @@ class TestDecodeFlow:
 
     def test_total_kv_bytes_decreases_after_reduction(self, rng):
         full = make_manager(FullAttentionPolicy())
-        full.initialize_from_prompt(*prompt_inputs(rng), max_new_tokens=4)
+        seed_manager(full, *prompt_inputs(rng), max_new_tokens=4)
         reduced = make_manager(WindowAttentionPolicy(CachePolicyConfig(kv_fraction=0.25)))
-        reduced.initialize_from_prompt(*prompt_inputs(rng), max_new_tokens=4)
+        seed_manager(reduced, *prompt_inputs(rng), max_new_tokens=4)
         assert reduced.total_kv_bytes() < full.total_kv_bytes()
 
     def test_initialize_empty(self):
@@ -186,7 +187,7 @@ def seeded(t=6, batch=1, max_new_tokens=4, policy=None, **kwargs):
     values = rng.normal(size=(batch, N_HEADS, t, D_HEAD))
     attn = [np.zeros((batch, N_HEADS, t, t))]
     manager = CacheManager(policy or FullAttentionPolicy(), 1, N_HEADS, D_HEAD, **kwargs)
-    manager.initialize_from_prompt([(keys, values)], attn, attn, max_new_tokens)
+    seed_manager(manager, [(keys, values)], attn, attn, max_new_tokens)
     return manager, keys, values
 
 
@@ -312,7 +313,7 @@ def test_solo_read_is_zero_copy(dtype):
         policy, N_LAYERS, N_HEADS, D_HEAD, positional_mode="original", dtype=dtype,
         rope_dims=D_HEAD,
     )
-    manager.initialize_from_prompt(*prompt_inputs(np.random.default_rng(0)), max_new_tokens=8)
+    seed_manager(manager, *prompt_inputs(np.random.default_rng(0)), max_new_tokens=8)
     assert manager.cache_lengths(0) == [6] * N_LAYERS
     seen = []
     apply_selection = manager._apply_row_selection

@@ -36,6 +36,7 @@ from repro.kvcache.paged import (
     PoolExhausted,
 )
 from repro.kvcache.quant import QuantizedBlockPool
+from tests.reference.prompt_scoring import set_up
 
 HEADS, D_HEAD, PAGE = 2, 4, 4
 
@@ -422,7 +423,9 @@ class TestObserveBatchUnderOffload:
         t = 6 * PAGE  # three times the resident frames
         keys = rng.standard_normal((1, HEADS, t, D_HEAD))
         attn = np.full((1, HEADS, t, t), 1.0 / t)
-        manager.join([(keys, keys.copy())], [attn], [np.log(attn)], 4, policy)
+        manager.join(
+            [(keys, keys.copy())], set_up(policy, manager, t, 4, [attn], [np.log(attn)])
+        )
         return manager, t
 
     def test_noop_policy_row_reads_no_pages(self):

@@ -19,6 +19,7 @@ from repro.kvcache.paged import BlockPool, PagedKVStore, PageTable, resolve_pool
 from repro.kvcache.quant import QMAX, QuantizedBlockPool
 from repro.models.transformer import DecoderLM
 from tests.conftest import tiny_config
+from tests.reference.prompt_scoring import seed_manager
 
 H, D, PS = 2, 4, 8
 
@@ -215,7 +216,7 @@ class TestTruncateForkRestore:
         t = PS + 2
         attn = [np.zeros((1, H, t, t))]
         prompt = (rng.normal(size=(1, H, t, D)), rng.normal(size=(1, H, t, D)))
-        manager.initialize_from_prompt([prompt], attn, attn, max_new_tokens=PS)
+        seed_manager(manager, [prompt], attn, attn, max_new_tokens=PS)
         cache = manager.caches[0]
         assert isinstance(cache.pool, QuantizedBlockPool)
         snapshot_keys = cache.keys.copy()
@@ -264,7 +265,7 @@ class TestAccountingAndPlumbing:
         manager = int8_manager()
         attn = [np.zeros((1, H, PS, PS))]
         prompt = (rng.normal(size=(1, H, PS, D)), rng.normal(size=(1, H, PS, D)))
-        manager.initialize_from_prompt([prompt], attn, attn, max_new_tokens=2)
+        seed_manager(manager, [prompt], attn, attn, max_new_tokens=2)
         assert isinstance(manager.caches[0].pool, QuantizedBlockPool)
         assert manager.total_kv_bytes() < 2 * H * PS * D * 8  # below float64 cost
         assert manager.caches[0].keys.dtype == np.float64  # reads stay in compute dtype

@@ -10,6 +10,7 @@ from repro.core.policies import FullAttentionPolicy, H2OPolicy
 from repro.kvcache.batch import BatchedLayerKVCache
 from repro.kvcache.manager import CacheManager
 from repro.kvcache.paged import BlockPool, PageTable
+from tests.reference.prompt_scoring import seed_manager
 
 
 def _pool(**kwargs):
@@ -93,7 +94,7 @@ class TestForkRestore:
         keys = np.arange(2 * n_tokens * 4, dtype=np.float64).reshape(1, 2, n_tokens, 4)
         attn = [np.zeros((1, 2, n_tokens, n_tokens))]
         manager = CacheManager(FullAttentionPolicy(), 1, 2, 4, page_size=4)
-        manager.initialize_from_prompt([(keys, keys.copy())], attn, attn, max_new_tokens=4)
+        seed_manager(manager, [(keys, keys.copy())], attn, attn, max_new_tokens=4)
         return manager
 
     def test_fork_restore_roundtrip(self):
@@ -124,11 +125,11 @@ class TestForkRestore:
     def test_restore_rewinds_policy_state(self):
         t = 10
         keys = np.random.default_rng(0).normal(size=(1, 2, t, 4))
-        logits = np.where(np.tri(t, dtype=bool), 0.0, -np.inf)[None, None]
+        logits = np.broadcast_to(np.where(np.tri(t, dtype=bool), 0.0, -np.inf), (1, 2, t, t))
         attn = [np.broadcast_to(np.tri(t) / np.arange(1, t + 1)[:, None], (1, 2, t, t))]
         policy = H2OPolicy(CachePolicyConfig(kv_budget=6))
         manager = CacheManager(policy, 1, 2, 4, page_size=4)
-        manager.initialize_from_prompt([(keys, keys.copy())], attn, [logits], max_new_tokens=4)
+        seed_manager(manager, [(keys, keys.copy())], attn, [logits], max_new_tokens=4)
         scores = policy.score.get(0).copy()
         snapshot = manager.snapshot_row(0)
         manager.append(0, np.ones((1, 2, 4)), np.ones((1, 2, 4)))

@@ -22,6 +22,7 @@ from repro.models.transformer import DecoderLM
 from repro.serving.faults import FaultInjector, InjectedFault
 from repro.speculative.decoder import BatchedRowVerifyTarget
 from tests.conftest import tiny_config
+from tests.reference.prompt_scoring import set_up
 
 PROMPT_LEN = 40
 MAX_BLOCK = 9
@@ -57,7 +58,7 @@ def _solo_manager(model: DecoderLM, mode: str):
 
 def _batched_manager(model: DecoderLM, mode: str, **knobs) -> BatchedCacheManager:
     """A batched manager whose row 0 holds the reference's prompt."""
-    _, prompt_kv, prompt_attn, prompt_logits = model.forward_suffix(_prompt(model))
+    _, prompt_kv = model.forward_suffix(_prompt(model))
     config = model.config
     manager = BatchedCacheManager(
         config.n_layers,
@@ -70,7 +71,7 @@ def _batched_manager(model: DecoderLM, mode: str, **knobs) -> BatchedCacheManage
         page_size=PAGE,
         **knobs,
     )
-    manager.join(prompt_kv, prompt_attn, prompt_logits, MAX_BLOCK + 1, FullAttentionPolicy())
+    manager.join(prompt_kv, set_up(FullAttentionPolicy(), manager, PROMPT_LEN, MAX_BLOCK + 1))
     return manager
 
 

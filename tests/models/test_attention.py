@@ -10,6 +10,7 @@ from repro.models.config import ModelConfig
 from repro.models.positional import alibi_bias_matrix, alibi_slopes, rope_rotate
 from repro.models.transformer import DecoderLM
 from tests.conftest import tiny_config
+from tests.reference.prompt_scoring import Recorder, recorded
 
 
 def make_attention(positional="rope", seed=0):
@@ -18,10 +19,15 @@ def make_attention(positional="rope", seed=0):
 
 
 def _whole_prompt(attn, x):
-    """``attend_prefill`` over the whole of ``x`` (an empty prefix), tensors
-    stored: ``(output, (k_raw, v), (attention, masked logits))``."""
-    empty = np.empty((x.shape[0], attn.n_heads, 0, attn.d_head), x.dtype)
-    return attn.attend_prefill(x, empty, empty, 0, store_attention=True)
+    """``attend_prefill`` over the whole of ``x`` (an empty prefix), the
+    blocks it scores recorded: ``(output, (k_raw, v), (attention, masked
+    logits))``."""
+    b, t, _ = x.shape
+    empty = np.empty((b, attn.n_heads, 0, attn.d_head), x.dtype)
+    recorders = [Recorder() for _ in range(b)]
+    scorers = [(row, r.prompt_scorer(0, t, t)) for row, r in enumerate(recorders)]
+    out, kv = attn.attend_prefill(x, empty, empty, 0, scorers=scorers)
+    return out, kv, recorded(recorders, 0)
 
 
 def reference_forward(self, x, positions=None, store_attention=False):
@@ -136,9 +142,9 @@ def _prompt_pass(config, ids, positions, reference=False):
     """Logits and each layer's stored attention from ``forward`` and, without
     ``positions`` (which neither ``forward_suffix`` nor
     ``train_step_gradients`` takes), the inference prompt pass's logits, KV,
-    attention and masked logits plus every parameter gradient.  Under
-    ``reference`` the prompt-pass tensors are those ``reference_forward``
-    keeps on the module."""
+    the attention and masked logits it feeds its scorers (recorded) plus
+    every parameter gradient.  Under ``reference`` the prompt-pass tensors
+    are those ``reference_forward`` keeps on the module."""
     model = DecoderLM(config, seed=0)
     out = {"logits": model.forward(ids, positions=positions, store_attention=True)}
     for i, block in enumerate(model.blocks):
@@ -149,12 +155,13 @@ def _prompt_pass(config, ids, positions, reference=False):
             layers = [(b.attn.last_kv, b.attn.last_attention, b.attn.last_scores)
                       for b in model.blocks]
         else:
-            logits, kv, attention, scores = model.forward_suffix(ids, store_attention=True)
-            layers = zip(kv, attention, scores)
+            recorders = [Recorder() for _ in range(len(ids))]
+            logits, kv = model.forward_suffix(ids, scorers=[[r] for r in recorders])
+            layers = [(layer_kv, *recorded(recorders, i)) for i, layer_kv in enumerate(kv)]
         out["prompt.logits"] = logits
         for i, ((k, v), attention, scores) in enumerate(layers):
             out[f"{i}.k"], out[f"{i}.v"] = k, v
-            out[f"{i}.prompt.attention"], out[f"{i}.scores"] = attention, scores
+            out[f"{i}.prompt.attention"], out[f"{i}.prompt.scores"] = attention, scores
         out["loss"] = np.float64(model.train_step_gradients(ids, np.roll(ids, -1, axis=1)))
         out.update(model.named_gradients())
     return out
@@ -163,10 +170,12 @@ def _prompt_pass(config, ids, positions, reference=False):
 class TestBlockedForwardIsTheWholeTensorForward:
     """Row-blocked causal-half attention against :func:`reference_forward`.
 
-    Bytes, dtypes and the stored tensors' strides must be equal: NumPy's
+    Bytes, dtypes and the stored attention's strides must be equal: NumPy's
     reduction order follows memory layout, so buffers in the wrong layout
     change bits the goldens do not see (all C order: learned-position
-    float64 logits and gradients differ from T = 16 on).
+    float64 logits and gradients differ from T = 16 on).  The prompt pass
+    stores nothing; the blocks it feeds its scorers must hold the
+    reference's values.
     """
 
     @pytest.mark.parametrize("t", REFERENCE_LENGTHS)
@@ -195,7 +204,7 @@ class TestBlockedForwardIsTheWholeTensorForward:
             assert actual.dtype == expected.dtype, name
             assert actual.shape == expected.shape, name
             assert actual.tobytes() == expected.tobytes(), name
-            if name.endswith(("attention", "scores")):
+            if name.endswith(".attention") and ".prompt." not in name:
                 assert actual.strides == expected.strides, name
 
     def test_forward_computes_the_causal_half(self, monkeypatch):
@@ -236,7 +245,7 @@ class TestPrefillChunkIsForwardRows:
         x = np.random.default_rng(2).normal(size=(1, 97, config.d_model))
         whole = attn(x)
         empty = np.empty((1, attn.n_heads, 0, attn.d_head))
-        _, (k_raw, v), _ = attn.attend_prefill(x, empty, empty, 0)
+        _, (k_raw, v) = attn.attend_prefill(x, empty, empty, 0)
         keys = k_raw[:, :, :start]
         if positional == "rope":
             keys = rope_rotate(keys, np.arange(start), attn.rope_dims, table=attn._rope_table)
@@ -245,10 +254,9 @@ class TestPrefillChunkIsForwardRows:
             raise AssertionError("a second softmax on the prompt path")
 
         monkeypatch.setattr(ops, "softmax", no_softmax)
-        out, (k, v_chunk), stored = attn.attend_prefill(
+        out, (k, v_chunk) = attn.attend_prefill(
             x[:, start:stop], keys, v[:, :, :start], start, prompt_len=97
         )
-        assert stored is None
         assert out.tobytes() == whole[:, start:stop].tobytes()
         assert k.tobytes() == k_raw[:, :, start:stop].tobytes()
         assert v_chunk.tobytes() == v[:, :, start:stop].tobytes()
@@ -257,17 +265,19 @@ class TestPrefillChunkIsForwardRows:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("positional", ["rope", "alibi", "learned"])
     def test_whole_prompt_is_the_forward(self, positional, dtype, t, monkeypatch):
-        """``P = 0, S = T`` with ``store_attention``: the inference prompt
-        pass returns :func:`reference_forward`'s logits, ``(k_raw, v)``,
-        attention and masked logits, bytes and strides (Keyformer's prompt
-        scoring reads the last two, and its reductions follow layout)."""
+        """``P = 0, S = T``: the inference prompt pass returns
+        :func:`reference_forward`'s logits and ``(k_raw, v)``, bytes and
+        strides, and feeds its scorers the attention and masked logits'
+        bytes, block by block."""
         config = ModelConfig(positional=positional, compute_dtype=dtype, n_layers=2,
                              **BENCH_GEOMETRY)
         model = DecoderLM(config, seed=0)
         ids = np.random.default_rng(t).integers(0, config.vocab_size, size=(1, t))
-        logits, kv, attention, scores = model.forward_suffix(ids, store_attention=True)
+        recorder = Recorder()
+        logits, kv = model.forward_suffix(ids, scorers=[[recorder]])
         got = {"logits": logits}
-        for i, ((k, v), a, sc) in enumerate(zip(kv, attention, scores)):
+        for i, (k, v) in enumerate(kv):
+            a, sc = recorded([recorder], i)
             got.update({f"{i}.k": k, f"{i}.v": v, f"{i}.attention": a, f"{i}.scores": sc})
         monkeypatch.setattr(MultiHeadAttention, "forward", reference_forward)
         want = {"logits": model.forward(ids, store_attention=True)}
@@ -280,21 +290,21 @@ class TestPrefillChunkIsForwardRows:
             actual = got[name]
             assert actual.dtype == expected.dtype, name
             assert actual.shape == expected.shape, name
-            assert actual.strides == expected.strides, name
+            if name.endswith((".k", ".v")):
+                assert actual.strides == expected.strides, name
             assert actual.tobytes() == expected.tobytes(), name
 
-    def test_unstored_attention_is_a_shape_only_stand_in(self):
-        """Without ``store_attention`` the pass returns one zero-strided
-        ``(B, H, T, T)`` array per layer for both tensors: nothing prompt-sized
-        is allocated for policies that never read the values."""
+    def test_pass_returns_logits_and_kv_only(self):
+        """The pass keeps no attention tensor: scorers see each block while it
+        is hot, and a prompt is scored only in one whole pass."""
         model = DecoderLM(tiny_config("rope"), seed=0)
         ids = np.arange(12).reshape(2, 6)
-        _, kv, attention, scores = model.forward_suffix(ids)
-        assert len(kv) == len(attention) == len(scores) == len(model.blocks)
-        stand_in = attention[0]
-        assert stand_in.shape == (2, model.config.n_heads, 6, 6)
-        assert stand_in.strides == (0, 0, 0, 0) and not stand_in.any()
-        assert all(a is stand_in for a in attention + scores)
+        logits, kv = model.forward_suffix(ids)
+        assert logits.shape == (2, 6, model.config.vocab_size)
+        assert len(kv) == len(model.blocks)
+        prefix = [(k[:, :, :3], v[:, :, :3]) for k, v in kv]
+        with pytest.raises(ValueError, match="whole prompt"):
+            model.forward_suffix(ids[:, 3:], prefix, 3, scorers=[[Recorder()], [Recorder()]])
 
 
 class TestForward:
