@@ -14,7 +14,7 @@ LOAD_REPORT_OUT ?= $(REPORT_DIR)/load_report.json
 SHARDED_LOAD_REPORT_OUT ?= $(REPORT_DIR)/sharded_load_report.json
 SHARDED1_LOAD_REPORT_OUT ?= $(REPORT_DIR)/sharded1_load_report.json
 
-.PHONY: test test-cov test-blas-threads bench bench-smoke bench-gate bench-e2e-smoke lint docs-check serve-demo chaos load load-smoke check
+.PHONY: test test-cov test-blas-threads bench bench-smoke bench-gate bench-e2e-smoke ab lint docs-check serve-demo chaos load load-smoke check
 
 test:
 	$(PYTHON) -m pytest -x -q tests
@@ -30,15 +30,17 @@ test-cov:
 # the prompt pass against its post-forward reference, and the decode kernel's rows
 # (gemv per row: a batch row is its sequence decoded alone — B > 1 generator
 # rows and beams, read from the padded workspace, under full, window, H2O
-# and Keyformer, each row running its own policy instance), under one and
-# under two OpenBLAS threads.
+# and Keyformer, each row running its own policy instance), and two prompt
+# passes on one model in two Python threads, under one and under two
+# OpenBLAS threads.
 BLAS_ROW_TESTS = tests/models/test_blas_rows.py \
 	tests/models/test_transformer.py::TestChunkedPrefillRowStability \
 	tests/models/test_attention.py::TestPrefillChunkIsForwardRows \
 	tests/models/test_attention.py::TestDecodeStep::test_kernel_is_the_reference \
 	tests/models/test_prompt_scoring.py \
 	tests/generation/test_generator.py::TestBatchedRowsAreSoloRuns \
-	tests/generation/test_beam.py::TestBeamsAreSoloRuns
+	tests/generation/test_beam.py::TestBeamsAreSoloRuns \
+	tests/models/test_inference_state.py::TestReentrantPromptPass
 
 test-blas-threads:
 	OPENBLAS_NUM_THREADS=1 $(PYTHON) -m pytest -q $(BLAS_ROW_TESTS)
@@ -60,6 +62,16 @@ bench-gate: bench-smoke
 # counters checked.  Full runs: see benchmarks/e2e/README.md.
 bench-e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --smoke
+
+# A/B verdict of two revisions on one end-to-end workload (tools/ab.py):
+# ABBA pairs from git worktrees, one JSON verdict per metric.
+#   make ab A=HEAD~1 B=HEAD WORKLOAD=serve_keyformer_long PAIRS=6
+A ?= HEAD~1
+B ?= HEAD
+WORKLOAD ?= serve_keyformer_long
+PAIRS ?= 6
+ab:
+	$(PYTHON) tools/ab.py $(A) $(B) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 # Without ruff on PATH the docstring step of docs-check prints "ruff not
 # installed — skipped": distinct from a pass, so a report can say which it was.

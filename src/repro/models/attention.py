@@ -119,18 +119,19 @@ class MultiHeadAttention(Module):
         if positions is None:
             positions = np.arange(t)
         positions = np.asarray(positions)
-        q_rot, k_rot, _, v = self._project(x, positions)
+        q_rot, k_rot, _, v = self._project(self.w_q(x), self.w_k(x), self.w_v(x), positions)
         ctx, attn = self._attend_rows(q_rot, k_rot, v, t, keep_attention=True)
         if store_attention:
             self.last_attention = attn
         self._cache = {"q_rot": q_rot, "k_rot": k_rot, "v": v, "attn": attn, "positions": positions}
         return self.w_o(self._merge_heads(ctx))
 
-    def _project(self, x: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``(q_rot, k_rot, k_raw, v)`` of ``x``, RoPE applied at ``positions``."""
-        q = self._split_heads(self.w_q(x))
-        k_raw = self._split_heads(self.w_k(x))
-        v = self._split_heads(self.w_v(x))
+    def _project(
+        self, q: np.ndarray, k: np.ndarray, v: np.ndarray, positions: np.ndarray
+    ) -> tuple[np.ndarray, ...]:
+        """``(q_rot, k_rot, k_raw, v)`` per head of the ``(B, T, d_model)``
+        projections, RoPE applied at ``positions``."""
+        q, k_raw, v = self._split_heads(q), self._split_heads(k), self._split_heads(v)
         if self.positional != "rope":
             return q, k_raw, k_raw, v
         pos_bh = positions if positions.ndim == 1 else positions[:, None, :]
@@ -146,6 +147,7 @@ class MultiHeadAttention(Module):
         width: int,
         scorers: Sequence[tuple] = (),
         keep_attention: bool = False,
+        workspace: dict | None = None,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """The one prompt-attention kernel: causal attention of the ``S``
         query rows ``q_rot``, rows ``[i0, i_end)`` of a prompt, over its keys
@@ -160,8 +162,10 @@ class MultiHeadAttention(Module):
 
         Each ``(b, scorer)`` of ``scorers`` is handed batch row ``b`` of every
         block's masked logits and probabilities, ``(1, H, n, c)``, while the
-        block is hot.  Returns the ``(B, H, S, d_head)`` context and, when
-        ``keep_attention``, the ``(B, H, S, width)`` probabilities.
+        block is hot.  A ``workspace`` dict lends the probability buffer, so
+        the layers of one pass share one.  Returns the ``(B, H, S, d_head)``
+        context and, when ``keep_attention``, the ``(B, H, S, width)``
+        probabilities.
         """
         b, _, s, _ = q_rot.shape
         end = k_rot.shape[2]
@@ -195,7 +199,11 @@ class MultiHeadAttention(Module):
         # below float64 A·V is one BLAS matmul over them all.
         exact_av = dtype == np.float64
         whole = keep_attention or not exact_av
-        attn = _layout_empty((b, self.n_heads, s, width) if whole else block, dtype, key_strided)
+        spec = ((b, self.n_heads, s, width) if whole else block, dtype, key_strided)
+        workspace = {} if workspace is None else workspace
+        if spec not in workspace:
+            workspace[spec] = _layout_empty(*spec)
+        attn = workspace[spec]
         if exact_av:
             # einsum's output layout: (b, q, h, d) in memory over key-strided
             # probabilities, C order otherwise.
@@ -285,6 +293,7 @@ class MultiHeadAttention(Module):
         prefix_len: int,
         prompt_len: int | None = None,
         scorers: Sequence[tuple] = (),
+        workspace: dict | None = None,
     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """Prompt attention for rows ``[P, P + S)`` (``x``, ``(B, S,
         d_model)``) over the prompt's first ``P = prefix_len`` keys and
@@ -298,19 +307,20 @@ class MultiHeadAttention(Module):
         ``S = T`` the projections are the forward's own, so a whole prompt is
         exact at any length.  A prefix computed inside a prompt of another
         length summed its rows at that width, so it is ulp-close, not exact.
-        ``scorers`` score the rows' attention block by block
-        (:meth:`_attend_rows`).
+        ``scorers`` score the rows' attention block by block, and
+        ``workspace`` lends its buffer (:meth:`_attend_rows`).
 
         Returns the ``(B, S, d_model)`` output and the chunk's unrotated keys
         and values (``(B, H, S, d)``) for seeding the cache.
         """
         s = x.shape[1]
-        q_rot, k_rot, k_raw, v = self._project(x, np.arange(prefix_len, prefix_len + s))
+        q, k, v = self.w_q.apply(x), self.w_k.apply(x), self.w_v.apply(x)
+        q_rot, k_rot, k_raw, v = self._project(q, k, v, np.arange(prefix_len, prefix_len + s))
         keys = np.concatenate([prefix_keys, k_rot], axis=2)
         values = np.concatenate([prefix_values, v], axis=2)
         width = prefix_len + s if prompt_len is None else prompt_len
-        ctx, _ = self._attend_rows(q_rot, keys, values, width, scorers)
-        return self.w_o(self._merge_heads(ctx)), (k_raw, v)
+        ctx, _ = self._attend_rows(q_rot, keys, values, width, scorers, workspace=workspace)
+        return self.w_o.apply(self._merge_heads(ctx)), (k_raw, v)
 
     # ------------------------------------------------------------------
     # incremental decode path
@@ -326,9 +336,9 @@ class MultiHeadAttention(Module):
         if x.ndim != 2:
             raise ValueError(f"expected (batch, d_model) input, got shape {x.shape}")
         b = x.shape[0]
-        q = self.w_q(x).reshape(b, self.n_heads, self.d_head)
-        k = self.w_k(x).reshape(b, self.n_heads, self.d_head)
-        v = self.w_v(x).reshape(b, self.n_heads, self.d_head)
+        q = self.w_q.apply(x).reshape(b, self.n_heads, self.d_head)
+        k = self.w_k.apply(x).reshape(b, self.n_heads, self.d_head)
+        v = self.w_v.apply(x).reshape(b, self.n_heads, self.d_head)
         return q, k, v
 
     def project_qkv_rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -443,7 +453,7 @@ class MultiHeadAttention(Module):
                 logits = np.where(mask, -np.inf, logits)
             probs = ops.softmax(logits, axis=-1)
             ctx = (probs[:, :, None, :] @ values)[:, :, 0, :]
-            out = self.w_o(ctx.reshape(r, self.d_model))
+            out = self.w_o.apply(ctx.reshape(r, self.d_model))
         return out, logits, probs
 
     #: The solo name of the one decode kernel (kept for the span tracer's

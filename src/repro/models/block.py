@@ -88,18 +88,19 @@ class DecoderBlock(Module):
         prefix_len: int,
         prompt_len: int | None = None,
         scorers: Sequence[tuple] = (),
+        workspace: dict | None = None,
     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """Process prompt rows ``[P, P + S)`` attending over a cached prefix.
 
         ``x`` has shape ``(B, S, d_model)``.  Returns ``(hidden, (k_raw,
         v))`` (see :meth:`MultiHeadAttention.attend_prefill`).
         """
-        a_in = self.ln_attn(x)
+        a_in = self.ln_attn.apply(x)
         attn_out, kv = self.attn.attend_prefill(
-            a_in, prefix_keys, prefix_values, prefix_len, prompt_len, scorers
+            a_in, prefix_keys, prefix_values, prefix_len, prompt_len, scorers, workspace
         )
         x = x + attn_out
-        return x + self.mlp(self.ln_mlp(x)), kv
+        return x + self.mlp.apply(self.ln_mlp.apply(x)), kv
 
     # ------------------------------------------------------------------
     # incremental decode path
@@ -115,7 +116,7 @@ class DecoderBlock(Module):
         they run as one batched BLAS matmul (documented tolerance).
         """
         exact = x.dtype == np.float64
-        a_in = self.ln_attn(x)
+        a_in = self.ln_attn.apply(x)
         if exact:
             q, k, v = self.attn.project_qkv_rows(a_in)
         else:
@@ -135,5 +136,5 @@ class DecoderBlock(Module):
         )
         layer_cache.observe(logits, probs)
         x = x + attn_out
-        h = self.ln_mlp(x)
-        return x + (self.mlp.forward_rows(h) if exact else self.mlp(h))
+        h = self.ln_mlp.apply(x)
+        return x + (self.mlp.forward_rows(h) if exact else self.mlp.apply(h))

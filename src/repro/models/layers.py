@@ -1,9 +1,10 @@
 """Basic trainable layers (Linear, LayerNorm, Embedding) with manual autodiff.
 
 Every layer owns its parameters in ``self.params`` and the matching gradients
-in ``self.grads``.  ``forward`` caches whatever intermediate values the
-corresponding ``backward`` needs; ``backward`` accumulates parameter gradients
-and returns the gradient with respect to the layer input.
+in ``self.grads``.  Inference calls ``apply``, which writes no attribute.
+The training ``forward`` caches whatever the corresponding ``backward``
+needs and computes what ``apply`` does; ``backward`` accumulates parameter
+gradients and returns the gradient with respect to the layer input.
 """
 
 from __future__ import annotations
@@ -124,12 +125,16 @@ class Linear(Module):
         self.grads = {name: np.zeros_like(p) for name, p in self.params.items()}
         self._x: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Apply the projection; caches the input for the backward pass."""
-        self._x = x
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The projection, caching nothing."""
         out = x @ self.params["W"]
         out += self.params["b"]
         return out
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Apply the projection; caches the input for the backward pass."""
+        self._x = x
+        return self.apply(x)
 
     def forward_rows(self, x: np.ndarray) -> np.ndarray:
         """Row-exact batched projection for the bit-parity decode path.
@@ -166,6 +171,10 @@ class LayerNorm(Module):
         self.grads = {name: np.zeros_like(p) for name, p in self.params.items()}
         self._cache: dict | None = None
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The normalization, caching nothing."""
+        return ops.layer_norm(x, self.params["gamma"], self.params["beta"], eps=self.eps)[0]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         out, self._cache = ops.layer_norm(
             x, self.params["gamma"], self.params["beta"], eps=self.eps
@@ -195,15 +204,19 @@ class Embedding(Module):
         self.grads = {"weight": np.zeros((n_embeddings, d))}
         self._ids: np.ndarray | None = None
 
-    def forward(self, ids: np.ndarray) -> np.ndarray:
+    def apply(self, ids: np.ndarray) -> np.ndarray:
+        """The lookup, caching nothing."""
         ids = np.asarray(ids)
         if ids.size and (ids.min() < 0 or ids.max() >= self.n_embeddings):
             raise IndexError(
                 f"embedding ids out of range [0, {self.n_embeddings}): "
                 f"min={ids.min()} max={ids.max()}"
             )
-        self._ids = ids
         return self.params["weight"][ids]
+
+    def forward(self, ids: np.ndarray) -> np.ndarray:
+        self._ids = np.asarray(ids)
+        return self.apply(ids)
 
     def __call__(self, ids: np.ndarray) -> np.ndarray:
         return self.forward(ids)

@@ -20,6 +20,10 @@ class MLP(Module):
         self.fc_out = Linear(config.d_ff, config.d_model, rng, config.init_std)
         self._pre_act: np.ndarray | None = None
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The feed-forward pass, caching nothing."""
+        return self.fc_out.apply(ops.gelu(self.fc_in.apply(x)))
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         hidden = self.fc_in(x)
         self._pre_act = hidden

@@ -62,32 +62,31 @@ class RopeTable:
             raise ValueError(f"rope_dims must be even, got {rope_dims}")
         self.rope_dims = rope_dims
         self.base = base
-        self._cos = np.empty((0, rope_dims // 2))
-        self._sin = np.empty((0, rope_dims // 2))
-        # Dtype-cast mirrors (e.g. float32 for inference) built lazily so the
-        # decode path never casts cos/sin per call.
-        self._cast: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
-        self._ensure(initial_capacity)
+        # One ``(cos, sin, casts)`` tuple, so a concurrent reader never mixes
+        # capacities; ``casts`` holds lazily built dtype-cast mirrors (e.g.
+        # float32), so the decode path never casts cos/sin per call.
+        empty = np.empty((0, rope_dims // 2))
+        self._state: tuple[np.ndarray, np.ndarray, dict] = (empty, empty, {})
+        self._tables(empty.dtype, initial_capacity)
 
     @property
     def capacity(self) -> int:
-        return self._cos.shape[0]
+        return self._state[0].shape[0]
 
-    def _ensure(self, n_positions: int) -> None:
-        if n_positions <= self.capacity:
-            return
-        capacity = max(n_positions, 2 * self.capacity, 16)
-        self._cos, self._sin = _rope_cos_sin(np.arange(capacity), self.rope_dims, self.base)
-        self._cast = {}
-
-    def _tables(self, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-        """cos/sin tables in ``dtype`` (cast once, bit-identical per element)."""
-        if dtype == self._cos.dtype:
-            return self._cos, self._sin
-        cached = self._cast.get(dtype)
+    def _tables(self, dtype: np.dtype, n_positions: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """cos/sin tables in ``dtype`` (cast once, bit-identical per element)
+        for positions ``[0, n_positions)`` at least, read from one state."""
+        cos, sin, casts = self._state
+        if n_positions > cos.shape[0]:
+            capacity = max(n_positions, 2 * cos.shape[0], 16)
+            cos, sin = _rope_cos_sin(np.arange(capacity), self.rope_dims, self.base)
+            casts = {}
+            self._state = (cos, sin, casts)
+        if dtype == cos.dtype:
+            return cos, sin
+        cached = casts.get(dtype)
         if cached is None:
-            cached = (self._cos.astype(dtype), self._sin.astype(dtype))
-            self._cast[dtype] = cached
+            cached = casts[dtype] = (cos.astype(dtype), sin.astype(dtype))
         return cached
 
     def cos_sin(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,8 +98,8 @@ class RopeTable:
                 np.empty(positions.shape + (half,)),
                 np.empty(positions.shape + (half,)),
             )
-        self._ensure(int(positions.max()) + 1)
-        return self._cos[positions], self._sin[positions]
+        cos, sin = self._tables(np.dtype(np.float64), int(positions.max()) + 1)
+        return cos[positions], sin[positions]
 
     def rotate(self, x: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Rotate ``x`` (``(..., d_head)``) at integer ``positions``.
@@ -111,8 +110,7 @@ class RopeTable:
         """
         if self.rope_dims == 0 or positions.size == 0:
             return x.copy()
-        self._ensure(int(positions.max()) + 1)
-        cos, sin = self._tables(x.dtype)
+        cos, sin = self._tables(x.dtype, int(positions.max()) + 1)
         return self._apply(x, cos[positions], sin[positions])
 
     def rotate_uniform(self, x: np.ndarray, position: int) -> np.ndarray:
@@ -125,8 +123,7 @@ class RopeTable:
         """
         if self.rope_dims == 0:
             return x.copy()
-        self._ensure(position + 1)
-        cos, sin = self._tables(x.dtype)
+        cos, sin = self._tables(x.dtype, position + 1)
         return self._apply(x, cos[position], sin[position])
 
     def _apply(self, x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:

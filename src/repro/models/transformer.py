@@ -64,35 +64,40 @@ class DecoderLM(Module):
     # ------------------------------------------------------------------
     def embed(self, token_ids: np.ndarray, positions: np.ndarray | None = None) -> np.ndarray:
         """Embed a batch of token sequences: ``(B, T)`` -> ``(B, T, d_model)``."""
+        token_ids, positions = self._embed_inputs(token_ids, positions)
+        h = self.token_embedding.apply(token_ids)
+        return h if positions is None else h + self.position_embedding.apply(positions)
+
+    def _embed_inputs(self, token_ids, positions) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(B, T)`` ids and a learned position embedding's checked positions."""
         token_ids = np.asarray(token_ids)
         if token_ids.ndim == 1:
             token_ids = token_ids[None, :]
-        h = self.token_embedding(token_ids)
-        if self.position_embedding is not None:
-            positions = np.arange(token_ids.shape[1]) if positions is None else positions
-            if np.max(positions, initial=0) >= self.config.max_seq_len:
-                raise ValueError(
-                    f"position {np.max(positions)} exceeds max_seq_len "
-                    f"{self.config.max_seq_len} for learned positional embeddings"
-                )
-            h = h + self.position_embedding(np.asarray(positions))
-        return h
+        if self.position_embedding is None:
+            return token_ids, None
+        positions = np.arange(token_ids.shape[1]) if positions is None else positions
+        if np.max(positions, initial=0) >= self.config.max_seq_len:
+            raise ValueError(
+                f"position {np.max(positions)} exceeds max_seq_len "
+                f"{self.config.max_seq_len} for learned positional embeddings"
+            )
+        return token_ids, np.asarray(positions)
 
     def embed_step(self, token_ids: np.ndarray, positions: np.ndarray | int) -> np.ndarray:
         """Embed a single decoding step: ``(B,)`` token ids -> ``(B, d_model)``."""
         token_ids = np.asarray(token_ids).reshape(-1)
-        h = self.token_embedding(token_ids)
+        h = self.token_embedding.apply(token_ids)
         if self.position_embedding is not None:
             pos = np.asarray(positions).reshape(-1)
             pos = np.broadcast_to(pos, token_ids.shape)
             pos = np.minimum(pos, self.config.max_seq_len - 1)
-            h = h + self.position_embedding(pos)
+            h = h + self.position_embedding.apply(pos)
         return h
 
     def lm_logits(self, hidden: np.ndarray) -> np.ndarray:
         """Project hidden states to vocabulary logits."""
         if self.lm_head is not None:
-            return self.lm_head(hidden)
+            return self.lm_head.apply(hidden)
         weight = self.token_embedding.params["weight"]
         if hidden.ndim == 3:
             # Sequence path: GEMM rows over a *contiguous* B do not depend on
@@ -115,16 +120,20 @@ class DecoderLM(Module):
     ) -> np.ndarray:
         """Full-sequence forward pass returning logits ``(B, T, vocab)``.
 
-        When ``store_attention`` is true every attention layer keeps its
-        post-softmax probabilities in ``block.attn.last_attention`` for
+        This is the training pass: every layer caches what :meth:`backward`
+        reads.  When ``store_attention`` is true every attention layer keeps
+        its post-softmax probabilities in ``block.attn.last_attention`` for
         analysis (:meth:`collect_attention`).
         """
-        h = self.embed(token_ids, positions=positions)
+        token_ids, embed_positions = self._embed_inputs(token_ids, positions)
+        h = self.token_embedding(token_ids)
+        if embed_positions is not None:
+            h = h + self.position_embedding(embed_positions)
         for block in self.blocks:
             h = block(h, positions=positions, store_attention=store_attention)
         h = self.ln_final(h)
         self._final_hidden = h
-        return self.lm_logits(h)
+        return self.lm_logits(h) if self.lm_head is None else self.lm_head(h)
 
     def __call__(self, token_ids: np.ndarray, **kwargs) -> np.ndarray:
         return self.forward(token_ids, **kwargs)
@@ -224,7 +233,9 @@ class DecoderLM(Module):
             )
         width = prefix_len + s if prompt_len is None else prompt_len
         h = self.embed(suffix_ids, positions=np.arange(prefix_len, prefix_len + s))
-        kv = []
+        # The layers share one attention buffer: one freed per layer can be
+        # split by what a layer leaves on the heap, and the next would grow it.
+        kv, workspace = [], {}
         for layer_idx, (block, (keys, values)) in enumerate(zip(self.blocks, prefix_kv)):
             layer_scorers = [
                 (row, scorer)
@@ -234,9 +245,11 @@ class DecoderLM(Module):
             ]
             if layer_scorers and width != s:
                 raise ValueError("a prompt is scored in one pass over the whole prompt")
-            h, layer_kv = block.prefill_chunk(h, keys, values, prefix_len, prompt_len, layer_scorers)
+            h, layer_kv = block.prefill_chunk(
+                h, keys, values, prefix_len, prompt_len, layer_scorers, workspace
+            )
             kv.append(layer_kv)
-        return self.lm_logits(self.ln_final(h)), kv
+        return self.lm_logits(self.ln_final.apply(h)), kv
 
     # ------------------------------------------------------------------
     # incremental decode path
@@ -265,7 +278,7 @@ class DecoderLM(Module):
         h = self.embed_step(token_ids, positions)
         for block, cache in zip(self.blocks, layer_caches):
             h = block.decode_step_batch(h, cache)
-        h = self.ln_final(h)
+        h = self.ln_final.apply(h)
         if h.dtype == np.float64:
             return self.lm_logits_rows(h)
         return self.lm_logits(h)

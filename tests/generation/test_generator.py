@@ -18,6 +18,7 @@ from repro.models.transformer import DecoderLM
 from repro.serving.engine import ContinuousBatchingEngine
 from repro.speculative import SpeculationConfig, SpeculativeGenerator
 from tests.conftest import tiny_config
+from tests.models.test_inference_state import assert_state_kept, model_state
 
 
 class TestFullCacheEquivalence:
@@ -249,35 +250,36 @@ class TestNothingPinnedAfterPromptPass:
 
         monkeypatch.setattr(KeyformerScore, "prompt_scorer", tracked)
 
-    @staticmethod
-    def _assert_model_holds_nothing(model: DecoderLM) -> None:
-        for block in model.blocks:
-            assert block.attn.last_attention is None
-            assert block.attn._cache is None
+    @pytest.fixture
+    def model(self) -> DecoderLM:
+        model = DecoderLM(tiny_config("rope"), seed=0)
+        self.fresh = model_state(model)
+        return model
+
+    def _assert_model_holds_nothing(self, model: DecoderLM) -> None:
+        """Every module attribute is still the object the fresh model held."""
+        assert_state_kept(model, self.fresh)
 
     def _assert_released(self) -> None:
         assert self.refs, "the prompt pass scored nothing"
         gc.collect()
         assert all(ref() is None for ref in self.refs)
 
-    def test_generator(self, rng):
-        model = DecoderLM(tiny_config("rope"), seed=0)
+    def test_generator(self, model, rng):
         Generator(model, _keyformer()).generate(
             rng.integers(0, 64, size=20), GenerationConfig(max_new_tokens=3)
         )
         self._assert_model_holds_nothing(model)
         self._assert_released()
 
-    def test_self_drafting_speculative_prefill(self, rng):
-        model = DecoderLM(tiny_config("rope"), seed=0)
+    def test_self_drafting_speculative_prefill(self, model, rng):
         SpeculativeGenerator(model, KEYFORMER_DRAFTER).generate(
             rng.integers(0, 64, size=20), GenerationConfig(max_new_tokens=4)
         )
         self._assert_model_holds_nothing(model)
         self._assert_released()
 
-    def test_keyformer_engine_prefill(self, rng):
-        model = DecoderLM(tiny_config("rope"), seed=0)
+    def test_keyformer_engine_prefill(self, model, rng):
         engine = ContinuousBatchingEngine(model, policy_factory=_keyformer)
         engine.submit(rng.integers(0, 64, size=20), GenerationConfig(max_new_tokens=4))
         engine.step()  # admission: prompt pass, join, first token
@@ -285,11 +287,10 @@ class TestNothingPinnedAfterPromptPass:
         self._assert_model_holds_nothing(model)
         self._assert_released()
 
-    def test_prompt_attention_is_gone_once_the_drafter_is_seeded(self, rng):
+    def test_prompt_attention_is_gone_once_the_drafter_is_seeded(self, model, rng):
         """Speculative serving with a Keyformer self-drafter: the row's prompt
         pass scores the drafter's policy in the admission step, and the engine
         keeps no scorer while the row decodes."""
-        model = DecoderLM(tiny_config("rope"), seed=0)
         engine = ContinuousBatchingEngine(model, speculation=KEYFORMER_DRAFTER)
         state = engine.submit(rng.integers(0, 64, size=20), GenerationConfig(max_new_tokens=8))
         engine.step()
@@ -326,3 +327,22 @@ class TestPromptPassMemory:
         full = self._peak_bytes(model, make_policy("full"), ids)
         keyformer = self._peak_bytes(model, make_policy("keyformer", kv_fraction=0.5), ids)
         assert keyformer <= 1.15 * full, (keyformer, full)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_pass_retains_only_its_outputs(self, dtype):
+        """Once the pass returns, the memory it still holds is its logits and
+        KV: the model keeps no activation of the pass."""
+        config = ModelConfig(
+            vocab_size=256, d_model=128, n_layers=4, n_heads=8, d_ff=512,
+            max_seq_len=512, compute_dtype=dtype,
+        )
+        model = DecoderLM(config, seed=0)
+        ids = np.random.default_rng(0).integers(0, 256, size=(1, 512))
+        tracemalloc.start()
+        try:
+            logits, kv = model.forward_suffix(ids)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        outputs = logits.nbytes + sum(k.nbytes + v.nbytes for k, v in kv)
+        assert retained - outputs <= 64 * 1024, (retained, outputs)

@@ -1,5 +1,8 @@
 """Tests for RoPE and ALiBi positional encodings."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,3 +165,28 @@ class TestRopeTable:
         assert out.dtype == np.float32
         ref = rope_rotate(x, np.full((ROPE_B, ROPE_H), 3), ROPE_D)
         np.testing.assert_allclose(out, ref.astype(np.float32), rtol=1e-6)
+
+    def test_cast_tables_follow_growth(self):
+        table = RopeTable(ROPE_D, initial_capacity=16)
+        assert table._tables(np.dtype(np.float32))[0].shape[0] == 16
+        table.rotate(np.ones((1, ROPE_D), np.float32), np.array([100]))
+        cos, sin = table._tables(np.dtype(np.float32))
+        assert cos.shape[0] == sin.shape[0] == table.capacity > 100
+        assert cos.dtype == np.float32
+
+    def test_two_threads_rotating_are_one(self):
+        """Positions rising past the capacity grow the table under both
+        threads' reads; every rotation is the single-thread one."""
+        x = np.random.default_rng(0).normal(size=(4, ROPE_D)).astype(np.float32)
+        positions = [np.array([p, p + 1, 2 * p, p // 2]) for p in range(0, 6000, 3)]
+
+        def rotate_all(table, barrier=None):
+            if barrier is not None:
+                barrier.wait()
+            return [table.rotate(x, pos).tobytes() for pos in positions]
+
+        alone = rotate_all(RopeTable(ROPE_D, initial_capacity=16))
+        table, barrier = RopeTable(ROPE_D, initial_capacity=16), threading.Barrier(2)
+        with ThreadPoolExecutor(2) as pool:
+            futures = [pool.submit(rotate_all, table, barrier) for _ in range(2)]
+            assert all(future.result() == alone for future in futures)

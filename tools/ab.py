@@ -1,0 +1,149 @@
+"""A/B verdict of two revisions on one end-to-end benchmark workload.
+
+    python3 tools/ab.py REV_A REV_B --workload W [--pairs N] [--seed S]
+
+Both revisions are checked out as git worktrees at paths of equal length
+(``peak_rss_mb`` moves with the length of the file paths a process loads)
+and byte-compiled, so neither side pays for compiling its modules.  Each
+pair runs ``benchmarks/e2e/run.py --workload W --trace 0`` once per side,
+in a fresh interpreter, in ABBA order: A then B, then B then A, and so on.
+
+The run fails (exit 1) if any run is incorrect or failed a request, or if
+``peak_kv_bytes`` differs between any two runs.  Otherwise it prints one
+JSON verdict per end-to-end metric of ``BENCHMARK.json``: the median of the
+per-pair B/A ratios, B's wins out of the ``n`` untied pairs (the metric's
+``better`` sets the direction), the exact two-sided sign-test p-value,
+whether the difference is resolved (p < 0.05), and each side's per-pair
+values.  Six pairs are the fewest
+that can resolve anything (p = 2/64 at 6/6 wins).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUNNER = "benchmarks/e2e/run.py"
+#: A sign test below this p-value resolves a metric.
+ALPHA = 0.05
+
+
+def sign_test_p(wins: int, n: int) -> float:
+    """Exact two-sided sign-test p-value of ``wins`` out of ``n`` untied pairs."""
+    if n == 0:
+        return 1.0
+    tail = sum(math.comb(n, k) for k in range(min(wins, n - wins) + 1))
+    return min(1.0, 2 * tail / 2**n)
+
+
+def verdict(name: str, better: str, a: list[float], b: list[float]) -> dict:
+    """The verdict on one metric from its per-pair values on each side."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+    n = sum(x != y for x, y in zip(a, b))
+    ratios = [y / x for x, y in zip(a, b)]
+    p = sign_test_p(wins, n)
+    return {
+        "metric": name,
+        "better": better,
+        "median_a": statistics.median(a),
+        "median_b": statistics.median(b),
+        "median_ratio": statistics.median(ratios),
+        "wins": wins,
+        "n": n,
+        "pairs": len(a),
+        "p": p,
+        "resolved": p < ALPHA,
+        "a": a,
+        "b": b,
+    }
+
+
+def run_problems(runs: list[dict]) -> list[str]:
+    """Why a set of runs cannot be compared (empty when they can)."""
+    problems = [
+        f"run {i}: correct={run['correct']} failed={run['failed']}"
+        for i, run in enumerate(runs)
+        if not run["correct"] or run["failed"]
+    ]
+    kv = {run["metrics"]["peak_kv_bytes"]["value"] for run in runs}
+    if len(kv) > 1:
+        problems.append(f"peak_kv_bytes differs between runs: {sorted(kv)}")
+    return problems
+
+
+def verdicts(spec: dict, runs_a: list[dict], runs_b: list[dict]) -> list[dict]:
+    """One verdict per end-to-end metric of ``spec`` (``BENCHMARK.json``)."""
+    out = []
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        a = [run["metrics"][name]["value"] for run in runs_a]
+        b = [run["metrics"][name]["value"] for run in runs_b]
+        out.append(verdict(name, metric["better"], a, b))
+    return out
+
+
+def _run(tree: Path, workload: str, seed: int) -> dict:
+    """One untraced run in ``tree``; its last stdout line is the result."""
+    proc = subprocess.run(
+        [sys.executable, RUNNER, "--workload", workload, "--trace", "0", "--seed", str(seed)],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"{tree.name}: no output (exit {proc.returncode})\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def _git(*args: str) -> None:
+    subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev_a")
+    parser.add_argument("rev_b")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=6)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workdir = Path(tempfile.mkdtemp(prefix="ab-"))
+    trees = {"a": workdir / "a", "b": workdir / "b"}
+    try:
+        for side, rev in (("a", args.rev_a), ("b", args.rev_b)):
+            _git("worktree", "add", "--detach", str(trees[side]), rev)
+            subprocess.run(
+                [sys.executable, "-m", "compileall", "-q", "src", "benchmarks"],
+                cwd=trees[side], check=True, capture_output=True,
+            )
+        runs: dict[str, list[dict]] = {"a": [], "b": []}
+        for pair in range(args.pairs):
+            for side in ("ab" if pair % 2 == 0 else "ba"):
+                runs[side].append(_run(trees[side], args.workload, args.seed))
+            print(f"# pair {pair + 1}/{args.pairs} done", file=sys.stderr)
+    finally:
+        for tree in trees.values():
+            if tree.exists():
+                _git("worktree", "remove", "--force", str(tree))
+        _git("worktree", "prune")
+        workdir.rmdir()
+
+    problems = run_problems(runs["a"] + runs["b"])
+    for line in problems:
+        print(f"FAILED {line}", file=sys.stderr)
+    for entry in verdicts(spec, runs["a"], runs["b"]):
+        print(json.dumps({"workload": args.workload, **entry}))
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
