@@ -4,7 +4,7 @@ Compares a fresh smoke-benchmark report against the committed reference
 (``BENCH_micro.json``) and fails when a pinned metric regresses by more than
 the threshold (default 1.5x).
 
-Two kinds of metrics are gated:
+Three kinds of metrics are gated:
 
 * **Timing metrics** (components with ``min_s``): raw wall-clock differs
   between the pinning machine and a CI runner, so each component's slowdown
@@ -14,6 +14,11 @@ Two kinds of metrics are gated:
 * **Ratio metrics** (components with ``speedup``, e.g. the batched-serving
   speedup): dimensionless and machine-independent, gated directly against
   the pinned value divided by the threshold.
+* **Exact counters** (:data:`EXACT_COUNTERS`): integers from pinned
+  deterministic workloads that count what the KV stack's victim choices did
+  (spills, restores, peak pages, registry hit tokens).  They are the same in
+  smoke and full runs on every machine, so any change means a victim order
+  changed: each must equal its pinned value exactly.
 
 Usage::
 
@@ -34,6 +39,18 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_BASELINE = REPO_ROOT / "BENCH_micro.json"
 DEFAULT_THRESHOLD = 1.5
+
+#: Component -> fields gated for exact equality with the pinned report.
+EXACT_COUNTERS = {
+    "offload_capacity_ratio": (
+        "spills",
+        "restores",
+        "peak_pages_offload",
+        "peak_pages_no_offload",
+    ),
+    "prefix_admission_hit_tokens_lru": ("hit_tokens",),
+    "prefix_admission_hit_tokens_wtinylfu": ("hit_tokens",),
+}
 
 
 def load_components(path: Path) -> dict:
@@ -99,7 +116,24 @@ def check(
             f"  {name:40s} {observed:6.2f}x (pinned {pinned:.2f}x, floor {floor:.2f}x)  {status}"
         )
 
-    if not slowdowns and not ratios:
+    exact = 0
+    for name, fields in EXACT_COUNTERS.items():
+        for field in fields:
+            if field not in baseline.get(name, {}):
+                continue
+            exact += 1
+            pinned = baseline[name][field]
+            observed = report.get(name, {}).get(field)
+            status = "ok"
+            if observed != pinned:
+                status = "CHANGED"
+                failures.append(
+                    f"{name}.{field}: {observed} != pinned {pinned} "
+                    "(a victim order changed)"
+                )
+            lines.append(f"  {name + '.' + field:40s} {observed} (pinned {pinned})  {status}")
+
+    if not slowdowns and not ratios and not exact:
         failures.append("no shared metrics between report and baseline — wrong files?")
     return lines, failures
 

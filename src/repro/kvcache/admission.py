@@ -1,43 +1,33 @@
-"""Frequency-aware prefix-cache admission: count-min sketch + W-TinyLFU SLRU.
+"""Prefix-cache admission: which registered chunk the registry reclaims.
 
-The :class:`~repro.kvcache.paged.PrefixRegistry` historically reclaimed its
-pinned prompt chunks LRU leaf-first.  Under realistic multi-tenant traffic
-that scan-thrashes: one burst of unique prompts registers a train of
-never-reused chunks whose recency beats every hot shared system-prompt
-chunk, so the prefixes everyone shares are exactly the ones evicted.  This
-module provides the classic cure — W-TinyLFU admission (Einziger et al.)
-over the registry's chunk keys:
+The :class:`~repro.kvcache.paged.PrefixRegistry` reports each chunk's life to
+one policy — ``on_insert``, ``on_access``, ``on_drop`` and, when the pool
+runs dry, ``choose_victim`` over the registry's eligible set (the registry
+still enforces freeability and the parent-before-child chain rule).  Every
+recency here is a :class:`RecencyOrder`, the one LRU order of the KV stack
+(tier-0 spill victims use it too, keyed by page id):
 
-* :class:`FrequencySketch` — a count-min sketch estimating how often each
-  chunk key was touched.  **Conservative update** increments only the
-  counters currently at the minimum (tightening over-estimation without
-  ever under-counting), and **exponential aging** halves every counter once
-  each time ``sample_size`` increments have been recorded, so stale history
-  decays instead of pinning yesterday's hot set forever.
-* :class:`WTinyLFUAdmissionPolicy` — segments tracked chunk keys into
-  ``window`` → ``probation`` → ``protected`` SLRU tiers (new chunks enter
-  the window; a re-accessed window chunk moves to probation; a re-accessed
-  probation chunk is promoted to protected, demoting the protected LRU back
-  to probation when the protected tier overflows).  At reclaim time the
-  registry asks :meth:`WTinyLFUAdmissionPolicy.choose_victim` to pick among
-  the *eligible* chunks (the registry still enforces freeability and the
-  parent-before-child chain rule): the window's oldest eligible chunk is
-  the admission **candidate**, the probation tier's oldest eligible chunk
-  the incumbent **victim**, and the candidate is admitted into main — the
-  victim evicted — only if its sketched frequency strictly beats the
-  victim's.  Protected chunks are touched only when no window or probation
-  chunk is eligible.
+* :class:`LRUAdmissionPolicy` (``"lru"``, the default) — one order; the
+  victim is the oldest eligible chunk.
+* :class:`WTinyLFUAdmissionPolicy` (``"wtinylfu"``) — W-TinyLFU (Einziger et
+  al.), the cure for LRU's scan thrashing: one burst of unique prompts
+  registers never-reused chunks whose recency beats every hot shared
+  system-prompt chunk.  Keys move through ``window`` → ``probation`` →
+  ``protected`` orders, and a window candidate displaces the oldest
+  probation chunk only when its :class:`FrequencySketch` estimate (a
+  count-min sketch with conservative update and exponential aging) strictly
+  beats the incumbent's.
 
 Everything here is deterministic: chunk keys are process-stable
 :func:`~repro.kvcache.paged.chunk_digest` bytes, the sketch hashes them with
-a fixed seeded mix (never Python's randomized ``hash``), and segment order
-is plain dict insertion order — so admission is a pure function of the
-request stream and the serving engines' bit-exactness contract extends to
-the ``"wtinylfu"`` policy unchanged.
+a fixed seeded mix (never Python's randomized ``hash``), and every order is
+dict insertion order — so reclaim is a pure function of the request stream
+and the engines' bit-exactness contract holds under either policy.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,6 +35,8 @@ import numpy as np
 __all__ = [
     "ADMISSION_POLICIES",
     "FrequencySketch",
+    "LRUAdmissionPolicy",
+    "RecencyOrder",
     "WTinyLFUAdmissionPolicy",
     "check_admission_policy",
     "resolve_admission_policy",
@@ -186,6 +178,79 @@ class FrequencySketch:
         return self._tables.copy()
 
 
+class RecencyOrder(dict):
+    """Keys from least to most recently used: dict insertion order.
+
+    A key's place is the order of its last :meth:`touch`, so :meth:`oldest`
+    answers what a minimum over distinct last-touch stamps would, without
+    the stamps.
+    """
+
+    def touch(self, key) -> None:
+        """Move ``key`` to the most-recently-used end (adding it if new)."""
+        self.pop(key, None)
+        self[key] = None
+
+    def drop(self, key) -> None:
+        """Forget ``key`` (a no-op when it is not ordered)."""
+        self.pop(key, None)
+
+    def oldest(self, eligible=None):
+        """Least recently used key in the set ``eligible`` (any key when
+        ``None``), or ``None`` when no ordered key is eligible."""
+        if eligible is None:
+            return next(iter(self), None)
+        return next((key for key in self if key in eligible), None)
+
+
+def _membership_violations(tracked_keys: Iterable, ordered: set) -> list[str]:
+    """Every registered chunk (each pins refcounted pages) is ordered, and no
+    ordered key outlives its chunk."""
+    violations: list[str] = []
+    tracked = set(tracked_keys)
+    missing = tracked - ordered
+    if missing:
+        violations.append(
+            f"admission: {len(missing)} registered chunk(s) in no segment"
+        )
+    stale = ordered - tracked
+    if stale:
+        violations.append(
+            f"admission: {len(stale)} segment key(s) reference reclaimed "
+            "chunks (stale pins)"
+        )
+    return violations
+
+
+class LRUAdmissionPolicy(RecencyOrder):
+    """Least-recently-used reclaim: one recency order over every registered
+    chunk key, touched on insert and access; the victim is the oldest
+    eligible chunk.  It ranks no tier-0 spills and adds no telemetry."""
+
+    #: Spill-ranking heat by segment: none, so tier-0 keeps its own order.
+    segment_heat: dict[str, int] = {}
+    on_insert = on_access = RecencyOrder.touch
+    on_drop = RecencyOrder.drop
+
+    def segment_of(self, key) -> str | None:
+        """``"lru"`` for a tracked key, ``None`` otherwise."""
+        return "lru" if key in self else None
+
+    def choose_victim(self, eligible: Sequence):
+        """The least recently used of ``eligible`` chunk keys."""
+        if not eligible:
+            raise ValueError("choose_victim needs at least one eligible key")
+        return self.oldest(set(eligible))
+
+    def audit(self, tracked_keys: Iterable) -> list[str]:
+        """The order holds exactly ``tracked_keys`` (violation strings)."""
+        return _membership_violations(tracked_keys, set(self))
+
+    def telemetry(self) -> dict:
+        """No counters beyond the registry's own."""
+        return {}
+
+
 class WTinyLFUAdmissionPolicy:
     """Window → probation → protected SLRU segmentation with sketch admission.
 
@@ -227,6 +292,11 @@ class WTinyLFUAdmissionPolicy:
         sample.
     """
 
+    #: Spill-ranking heat by segment: protected chunks are the proven-hot
+    #: working set, probation next, window (one-shot candidates) barely
+    #: above unregistered pages.
+    segment_heat = {"window": 1, "probation": 2, "protected": 3}
+
     def __init__(
         self,
         capacity: int = 1024,
@@ -247,10 +317,14 @@ class WTinyLFUAdmissionPolicy:
         self.sketch = sketch or FrequencySketch(
             width=4 * capacity, sample_size=16 * capacity
         )
-        # Plain dicts: insertion order is LRU (front) -> MRU (back).
-        self._window: dict = {}
-        self._probation: dict = {}
-        self._protected: dict = {}
+        self._window = RecencyOrder()
+        self._probation = RecencyOrder()
+        self._protected = RecencyOrder()
+        self._segments = {
+            "window": self._window,
+            "probation": self._probation,
+            "protected": self._protected,
+        }
         #: Candidates admitted into main at a victim's expense.
         self.n_admitted = 0
         #: Candidates evicted because their frequency lost the comparison.
@@ -262,30 +336,18 @@ class WTinyLFUAdmissionPolicy:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._window) + len(self._probation) + len(self._protected)
+        return sum(map(len, self._segments.values()))
 
     def __contains__(self, key) -> bool:
-        return (
-            key in self._window or key in self._probation or key in self._protected
-        )
+        return self.segment_of(key) is not None
 
     def segment_of(self, key) -> str | None:
         """Segment name currently holding ``key`` (``None`` if untracked)."""
-        if key in self._window:
-            return "window"
-        if key in self._probation:
-            return "probation"
-        if key in self._protected:
-            return "protected"
-        return None
+        return next((name for name, seg in self._segments.items() if key in seg), None)
 
     def segments(self) -> dict[str, list]:
         """Snapshot of every segment's keys in LRU→MRU order (tests/audits)."""
-        return {
-            "window": list(self._window),
-            "probation": list(self._probation),
-            "protected": list(self._protected),
-        }
+        return {name: list(seg) for name, seg in self._segments.items()}
 
     # ------------------------------------------------------------------
     # lifecycle events (driven by the registry)
@@ -297,48 +359,39 @@ class WTinyLFUAdmissionPolicy:
             # Defensive re-insert of a tracked key: treat as an access.
             self.on_access(key)
             return
-        self._window[key] = None
-        self._spill_window()
+        self._window.touch(key)
+        self._overflow(self._window, self.window_cap)
 
     def on_access(self, key) -> None:
         """A tracked chunk was matched/refreshed: sketch it and promote it."""
         self.sketch.record(key)
         if key in self._window:
-            del self._window[key]
-            self._probation[key] = None
+            self._window.drop(key)
+            self._probation.touch(key)
         elif key in self._probation:
-            del self._probation[key]
-            self._protected[key] = None
-            self._spill_protected()
+            self._probation.drop(key)
+            self._protected.touch(key)
+            self._overflow(self._protected, self.protected_cap)
         elif key in self._protected:
-            del self._protected[key]
-            self._protected[key] = None
+            self._protected.touch(key)
         else:
             # Untracked (e.g. policy attached to a pre-populated registry):
             # start it in the window like a fresh insert.
-            self._window[key] = None
-            self._spill_window()
+            self._window.touch(key)
+            self._overflow(self._window, self.window_cap)
 
     def on_drop(self, key) -> None:
         """A chunk was reclaimed (or cleared): forget its segment entry."""
-        for segment in (self._window, self._probation, self._protected):
-            if key in segment:
-                del segment[key]
-                return
+        for segment in self._segments.values():
+            segment.drop(key)
 
-    def _spill_window(self) -> None:
-        """Move window-LRU overflow into probation (main's entry tier)."""
-        while len(self._window) > self.window_cap:
-            key = next(iter(self._window))
-            del self._window[key]
-            self._probation[key] = None
-
-    def _spill_protected(self) -> None:
-        """Demote protected-LRU overflow back to probation (MRU end)."""
-        while len(self._protected) > self.protected_cap:
-            key = next(iter(self._protected))
-            del self._protected[key]
-            self._probation[key] = None
+    def _overflow(self, segment: RecencyOrder, cap: int) -> None:
+        """Move ``segment``'s LRU overflow to probation's MRU end: window
+        spill into main's entry tier, or protected demotion."""
+        while len(segment) > cap:
+            key = segment.oldest()
+            segment.drop(key)
+            self._probation.touch(key)
 
     # ------------------------------------------------------------------
     # reclaim-time victim selection
@@ -356,13 +409,13 @@ class WTinyLFUAdmissionPolicy:
         if not eligible:
             raise ValueError("choose_victim needs at least one eligible key")
         pool = set(eligible)
-        candidate = next((k for k in self._window if k in pool), None)
-        incumbent = next((k for k in self._probation if k in pool), None)
+        candidate = self._window.oldest(pool)
+        incumbent = self._probation.oldest(pool)
         if candidate is not None and incumbent is not None:
             if self.sketch.estimate(candidate) > self.sketch.estimate(incumbent):
                 self.n_admitted += 1
-                del self._window[candidate]
-                self._probation[candidate] = None
+                self._window.drop(candidate)
+                self._probation.touch(candidate)
                 self.n_evicted_probation += 1
                 return incumbent
             self.n_rejected += 1
@@ -374,7 +427,7 @@ class WTinyLFUAdmissionPolicy:
         if incumbent is not None:
             self.n_evicted_probation += 1
             return incumbent
-        victim = next((k for k in self._protected if k in pool), None)
+        victim = self._protected.oldest(pool)
         if victim is not None:
             self.n_evicted_protected += 1
             return victim
@@ -395,15 +448,9 @@ class WTinyLFUAdmissionPolicy:
         strings (empty = clean).
         """
         violations: list[str] = []
-        window = set(self._window)
-        probation = set(self._probation)
-        protected = set(self._protected)
-        for name_a, set_a, name_b, set_b in (
-            ("window", window, "probation", probation),
-            ("window", window, "protected", protected),
-            ("probation", probation, "protected", protected),
-        ):
-            overlap = set_a & set_b
+        pairs = itertools.combinations(self._segments.items(), 2)
+        for (name_a, seg_a), (name_b, seg_b) in pairs:
+            overlap = seg_a.keys() & seg_b.keys()
             if overlap:
                 violations.append(
                     f"admission: {len(overlap)} key(s) in both {name_a} and {name_b}"
@@ -418,19 +465,8 @@ class WTinyLFUAdmissionPolicy:
                 f"admission: protected holds {len(self._protected)} keys "
                 f"(cap {self.protected_cap})"
             )
-        tracked = set(tracked_keys)
-        segmented = window | probation | protected
-        missing = tracked - segmented
-        if missing:
-            violations.append(
-                f"admission: {len(missing)} registered chunk(s) in no segment"
-            )
-        stale = segmented - tracked
-        if stale:
-            violations.append(
-                f"admission: {len(stale)} segment key(s) reference reclaimed "
-                "chunks (stale pins)"
-            )
+        ordered = set().union(*self._segments.values())
+        violations.extend(_membership_violations(tracked_keys, ordered))
         return violations
 
     def telemetry(self) -> dict:
@@ -461,14 +497,12 @@ def check_admission_policy(name: str) -> None:
 
 def resolve_admission_policy(
     name: str | None, capacity: int
-) -> WTinyLFUAdmissionPolicy | None:
-    """Admission-policy instance for an ``admission_policy`` knob value.
-
-    ``None`` or ``"lru"`` returns ``None`` — the registry keeps its
-    historical LRU leaf-first reclaim byte-exactly; ``"wtinylfu"`` builds a
-    :class:`WTinyLFUAdmissionPolicy` sized for ``capacity`` chunks.
-    """
+) -> LRUAdmissionPolicy | WTinyLFUAdmissionPolicy:
+    """Admission-policy instance for an ``admission_policy`` knob value:
+    ``None`` or ``"lru"`` builds an :class:`LRUAdmissionPolicy`,
+    ``"wtinylfu"`` a :class:`WTinyLFUAdmissionPolicy` sized for ``capacity``
+    chunks."""
     if name in (None, "lru"):
-        return None
+        return LRUAdmissionPolicy()
     check_admission_policy(name)
     return WTinyLFUAdmissionPolicy(capacity=capacity)

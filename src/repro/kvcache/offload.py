@@ -27,11 +27,12 @@ Determinism contract: a spill→restore round-trip is **byte-exact** — the
 record is the raw slab bytes (int8 codes for the quantized pool, whose
 per-page parameters never leave RAM; raw float slabs otherwise) — so victim
 selection and frame placement can never change a computed value, and outputs
-are bit-identical with offload on or off.  Victim selection prefers the
-registry's W-TinyLFU segment ranking when a ``spill_ranker`` is installed
-(see :meth:`repro.kvcache.paged.PrefixRegistry.spill_ranker`) and falls back
-to least-recently-touched order, so the hot prefix working set stays
-resident.
+are bit-identical with offload on or off.  The spill victim is the least
+recently touched unpinned resident page (a
+:class:`~repro.kvcache.admission.RecencyOrder` keyed by page id) among those
+the registry's W-TinyLFU segments rank coldest when a ``spill_ranker`` is
+installed (see :meth:`repro.kvcache.paged.PrefixRegistry.spill_ranker`), so
+the hot prefix working set stays resident.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro.kvcache.admission import RecencyOrder
 from repro.kvcache.paged import (
     BlockPool,
     PageTable,
@@ -259,8 +261,10 @@ class _TieredMixin:
         self._frame_page = np.full(tier0_pages, -1, dtype=np.int64)
         self._free_frames = list(range(tier0_pages))
         heapq.heapify(self._free_frames)
-        self._last_touch = np.zeros(self.n_pages, dtype=np.int64)
-        self._tier_clock = 0
+        #: Page ids, least recently touched first.  A page enters at its
+        #: first touch, keeps its place while spilled (a bulk restore does
+        #: not touch) and leaves when it is freed.
+        self._recency = RecencyOrder()
         #: Pages the in-flight operation holds resident (page -> pin count);
         #: pinned pages are never chosen as spill victims.  Always empty
         #: between operations — a leak is an integrity violation.
@@ -291,12 +295,11 @@ class _TieredMixin:
     def _page_base(self, page: int) -> int:
         """First slab slot backing logical ``page``, restoring it into a
         tier-0 frame first when it is spilled (the coldest resident page is
-        evicted to make room).  Also the LRU touch point."""
+        evicted to make room).  Also the recency touch point."""
         frame = int(self._page_frame[page])
         if frame < 0:
             frame = self._assign_frame(page)
-        self._tier_clock += 1
-        self._last_touch[page] = self._tier_clock
+        self._recency.touch(int(page))
         return frame * self.page_size
 
     # ------------------------------------------------------------------
@@ -340,21 +343,22 @@ class _TieredMixin:
         return frame
 
     def _choose_victim(self) -> int:
-        """Coldest unpinned resident page: minimal ``(spill rank, last
-        touch, page id)`` — pure LRU when no ranker is installed."""
-        unpinned = self._frame_page >= 0
-        if self._pins:  # a pinned page may itself be waiting for a frame (-1)
-            frames = self._page_frame[list(self._pins)]
-            unpinned[frames[frames >= 0]] = False
-        pages = self._frame_page[unpinned]
-        if not pages.size:
+        """Coldest unpinned resident page: the least recently touched among
+        those of the lowest spill rank — pure LRU when no ranker is
+        installed."""
+        pins = self._pins
+        pages = [p for p in self._frame_page.tolist() if p >= 0 and p not in pins]
+        if not pages:
             raise PoolExhausted(
                 f"tier-0 frames exhausted: all {self.n_frames} frames are "
                 "pinned by the current operation; raise tier0_pages"
             )
         ranker = self.spill_ranker
-        rank = [ranker(p) for p in pages.tolist()] if ranker else np.zeros_like(pages)
-        return int(pages[np.lexsort((pages, self._last_touch[pages], rank))[0]])
+        if ranker is not None:
+            ranks = [ranker(p) for p in pages]
+            coldest = min(ranks)
+            pages = [p for p, rank in zip(pages, ranks) if rank == coldest]
+        return self._recency.oldest(set(pages))
 
     def _spill_page(self, page: int, frame: int) -> None:
         """Park resident ``page``'s slab bytes (each slab's slice of
@@ -396,7 +400,7 @@ class _TieredMixin:
         return sum(slab[:, : self.page_size].nbytes for slab in self._slabs())
 
     # ------------------------------------------------------------------
-    # pinning / bulk residency
+    # pinning / bulk restore
     # ------------------------------------------------------------------
     def _pin(self, pages: Iterable[int]) -> None:
         """Guard ``pages`` against eviction for the in-flight operation."""
@@ -413,26 +417,6 @@ class _TieredMixin:
                 self._pins.pop(page, None)
             else:
                 self._pins[page] = count
-
-    def _ensure_resident(self, pages: Iterable[int]) -> None:
-        """Make every page in ``pages`` simultaneously resident (pinning
-        them against each other's restores); raises
-        :class:`~repro.kvcache.paged.PoolExhausted` when they cannot all fit
-        in tier-0 at once."""
-        ordered = list(dict.fromkeys(int(p) for p in pages))
-        if len(ordered) > self.n_frames:
-            raise PoolExhausted(
-                f"operation needs {len(ordered)} simultaneously resident "
-                f"pages but the pool has only {self.n_frames} tier-0 frames; "
-                "raise tier0_pages"
-            )
-        self._pin(ordered)
-        try:
-            for page in ordered:
-                if self._page_frame[page] < 0:
-                    self._assign_frame(page)
-        finally:
-            self._unpin(ordered)
 
     def restore_pages(self, pages: Iterable[int]) -> int:
         """Bulk-restore spilled ``pages`` (engine prefetch): restores as many
@@ -480,13 +464,13 @@ class _TieredMixin:
         return out
 
     def audit_read(self, table: PageTable, rotated: bool) -> tuple | None:
-        """The base read with the LRU clock put back, so audits never move
-        victim choice; ``None`` while a page of ``table`` is spilled."""
+        """The base read with the recency order put back, so audits never
+        move victim choice; ``None`` while a page of ``table`` is spilled."""
         if (self._page_frame[table.pages] < 0).any():
             return None
-        clock, touch = self._tier_clock, self._last_touch.copy()
+        recency = RecencyOrder(self._recency)
         out = super().audit_read(table, rotated)
-        self._tier_clock, self._last_touch = clock, touch
+        self._recency = recency
         return out
 
     def gather(self, table: PageTable, indices: np.ndarray) -> int:
@@ -579,6 +563,7 @@ class _TieredMixin:
         super().release(pages)
         for page in pages:
             if self.refcounts[page] == 0:
+                self._recency.drop(page)
                 frame = int(self._page_frame[page])
                 if frame >= 0:
                     self._page_frame[page] = -1
@@ -598,9 +583,6 @@ class _TieredMixin:
         )
         self._page_frame = np.concatenate(
             [self._page_frame, np.full(new_pages - old, -1, dtype=np.int64)]
-        )
-        self._last_touch = np.concatenate(
-            [self._last_touch, np.zeros(new_pages - old, dtype=np.int64)]
         )
         for page in range(old, new_pages):
             heapq.heappush(self._free, page)
@@ -748,7 +730,7 @@ class TieredBlockPool(_TieredMixin, BlockPool):
     ) -> None:
         """Padded-batch read streamed page by page (each page restored just
         for its memcpy — rows longer than tier-0 read fine).  Pages before
-        ``start`` still pass ``_page_base`` (LRU touch, restore) uncopied."""
+        ``start`` still pass ``_page_base`` (recency touch, restore) uncopied."""
         keys = self._k_rot if rotated else self._k
         for logical, page, within, chunk in self._page_chunks(table):
             base = self._page_base(page) + within

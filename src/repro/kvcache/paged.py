@@ -1418,14 +1418,13 @@ class PrefixMatch:
 
 
 class _PrefixChunk:
-    __slots__ = ("key", "parent", "pages_per_layer", "children", "last_used")
+    __slots__ = ("key", "parent", "pages_per_layer", "children")
 
     def __init__(self, key, parent, pages_per_layer):
         self.key = key
         self.parent = parent
         self.pages_per_layer = pages_per_layer
         self.children: set = set()
-        self.last_used = 0
 
 
 class PrefixRegistry:
@@ -1441,11 +1440,11 @@ class PrefixRegistry:
     evict or retire therefore never invalidate a registered prefix — the
     copy-on-write rules in :class:`BlockPool` route their mutations to
     private pages.  When a non-growable pool runs out, :meth:`reclaim` drops
-    leaf chunks until enough pages come free: least-recently-used first
-    under the default ``"lru"`` admission policy (byte-exact with the
-    historical behavior), or by W-TinyLFU competitive admission under
-    ``"wtinylfu"`` (see :mod:`repro.kvcache.admission`) — in both cases a
-    parent chunk is never dropped while a descendant is live.
+    leaf chunks until enough pages come free, in the order the admission
+    policy ranks them (see :mod:`repro.kvcache.admission`): least recently
+    used first under the default ``"lru"``, by W-TinyLFU competitive
+    admission under ``"wtinylfu"``.  Either way a parent chunk is never
+    dropped while a descendant is live.
     """
 
     def __init__(self, store: PagedKVStore, admission_policy: str | None = None):
@@ -1459,7 +1458,6 @@ class PrefixRegistry:
         self._page_owner: list[dict[int, bytes]] = [
             {} for _ in range(store.n_layers)
         ]
-        self._clock = 0
         if admission_policy is None:
             admission_policy = store.config.admission_policy
         self.admission_policy = admission_policy
@@ -1495,7 +1493,6 @@ class PrefixRegistry:
         token_ids = np.asarray(token_ids).reshape(-1)
         ps = self.page_size
         limit = len(token_ids) if max_tokens is None else min(max_tokens, len(token_ids))
-        self._clock += 1
         matched: list[_PrefixChunk] = []
         parent = None
         covered = 0
@@ -1504,7 +1501,6 @@ class PrefixRegistry:
             chunk = self._chunks.get(key)
             if chunk is None:
                 break
-            chunk.last_used = self._clock
             matched.append(chunk)
             parent = key
             covered += ps
@@ -1512,9 +1508,8 @@ class PrefixRegistry:
             return None
         self.n_hits += len(matched)
         self.n_hit_tokens += covered
-        if self._admission is not None:
-            for chunk in matched:
-                self._admission.on_access(chunk.key)
+        for chunk in matched:
+            self._admission.on_access(chunk.key)
         pages_per_layer = [
             [chunk.pages_per_layer[layer] for chunk in matched]
             for layer in range(self.store.n_layers)
@@ -1532,7 +1527,6 @@ class PrefixRegistry:
         token_ids = np.asarray(token_ids).reshape(-1)
         ps = self.page_size
         n_full = len(token_ids) // ps
-        self._clock += 1
         parent = None
         added = 0
         for i in range(n_full):
@@ -1548,11 +1542,9 @@ class PrefixRegistry:
                 if parent is not None:
                     self._chunks[parent].children.add(key)
                 added += 1
-                if self._admission is not None:
-                    self._admission.on_insert(key)
-            elif self._admission is not None:
+                self._admission.on_insert(key)
+            else:
                 self._admission.on_access(key)
-            chunk.last_used = self._clock
             parent = key
         self.n_registered += added
         return added
@@ -1583,34 +1575,24 @@ class PrefixRegistry:
         Freeable leaves go first; when none exist, an unfreeable leaf is
         dropped only if that unblocks a freeable ancestor — chunks that can
         free nothing (their pages are mapped by live rows) are never wasted.
-        Victim *ranking* within the eligible set is the admission policy's:
-        least-recently-used under ``"lru"`` (byte-exact historical
-        behavior), W-TinyLFU competitive admission under ``"wtinylfu"``.
-        Only leaves are ever eligible, so a parent chunk can never be
-        reclaimed while a descendant is live — under either policy.
+        Victim *ranking* within the eligible set is the admission policy's
+        ``choose_victim``.  Only leaves are ever eligible, so a parent chunk
+        can never be reclaimed while a descendant is live.
         """
         freed = 0
         while freed < n_pages and self._chunks:
             leaves = [c for c in self._chunks.values() if not c.children]
-            freeable = [c for c in leaves if self._freeable(c)]
-            if freeable:
-                victim = self._select_victim(freeable)
+            eligible = [c for c in leaves if self._freeable(c)]
+            if eligible:
                 freed += 1
             else:
-                blocking = [c for c in leaves if self._has_freeable_ancestor(c)]
-                if not blocking:
+                eligible = [c for c in leaves if self._has_freeable_ancestor(c)]
+                if not eligible:
                     break
-                victim = self._select_victim(blocking)
-            self._drop(victim)
+            victim = self._admission.choose_victim([c.key for c in eligible])
+            self._drop(self._chunks[victim])
             self.n_reclaimed += 1
         return freed
-
-    def _select_victim(self, eligible: list) -> _PrefixChunk:
-        """Rank the eligible victim set through the admission policy."""
-        if self._admission is None:
-            return min(eligible, key=lambda c: c.last_used)
-        key = self._admission.choose_victim([c.key for c in eligible])
-        return self._chunks[key]
 
     def _has_freeable_ancestor(self, chunk: _PrefixChunk) -> bool:
         key = chunk.parent
@@ -1638,39 +1620,29 @@ class PrefixRegistry:
         if chunk.parent is not None and chunk.parent in self._chunks:
             self._chunks[chunk.parent].children.discard(chunk.key)
         del self._chunks[chunk.key]
-        if self._admission is not None:
-            self._admission.on_drop(chunk.key)
-
-    #: Spill-ranking heat by W-TinyLFU segment: protected chunks are the
-    #: proven-hot working set, probation next, window (one-shot candidates)
-    #: barely above unregistered pages.
-    _SEGMENT_HEAT = {"window": 1, "probation": 2, "protected": 3}
+        self._admission.on_drop(chunk.key)
 
     def page_heat(self, layer: int, page: int) -> int:
         """Spill-priority score of ``page`` in ``layer`` (higher = keep
-        resident longer).
+        resident longer): the owning chunk's segment heat under the admission
+        policy (``segment_heat``), 0 for a page no chunk pins.
 
-        Reuses the admission ranking of :mod:`repro.kvcache.admission`: under
-        ``"wtinylfu"`` a page pinned by a protected-segment chunk outranks a
-        probation chunk's page, which outranks a window chunk's page.  Under
-        the default ``"lru"`` policy every page scores 0 and the tiered
-        pools fall back to pure pool-level LRU — placement never affects
-        decoded values (spill/restore is byte-exact), only transfer counts.
+        Under ``"wtinylfu"`` a page pinned by a protected-segment chunk
+        outranks a probation chunk's page, which outranks a window chunk's
+        page.  Under ``"lru"`` every page scores 0 and the tiered pools keep
+        their own recency order — placement never affects decoded values
+        (spill/restore is byte-exact), only transfer counts.
         """
-        if self._admission is None:
-            return 0
+        policy = self._admission
         key = self._page_owner[layer].get(page)
-        if key is None:
-            return 0
-        segment = self._admission.segment_of(key)
-        return self._SEGMENT_HEAT.get(segment, 0) if segment is not None else 0
+        return policy.segment_heat.get(policy.segment_of(key), 0)
 
     def spill_ranker(self, layer: int) -> Callable[[int], int] | None:
         """Victim-ranking callback for ``layer``'s tiered pool (installable
         as :attr:`repro.kvcache.offload._TieredMixin.spill_ranker`); ``None``
-        when the admission policy does not rank (``"lru"``: every page would
-        score 0, which is the pool's own LRU order without the calls)."""
-        if self._admission is None:
+        when the admission policy has no segment heat (``"lru"``: every page
+        would score 0, which is the pool's own order without the calls)."""
+        if not self._admission.segment_heat:
             return None
         return lambda page: self.page_heat(layer, page)
 
@@ -1693,11 +1665,10 @@ class PrefixRegistry:
         Checks that every chunk's parent is still registered and back-links
         it as a child (the reclaim-ordering bug class: a parent reclaimed
         while a descendant is live would break exactly this), that children
-        sets reference only live chunks, and — when frequency-aware
-        admission is active — that SLRU segment membership matches the
-        registered chunk set exactly (every segment entry pins refcounted
-        pages, every pinned chunk sits in exactly one segment; see
-        :meth:`repro.kvcache.admission.WTinyLFUAdmissionPolicy.audit`).
+        sets reference only live chunks, and that the admission policy
+        tracks exactly the registered chunk set (every tracked key pins
+        refcounted pages, every pinned chunk sits in exactly one segment;
+        see :meth:`repro.kvcache.admission.WTinyLFUAdmissionPolicy.audit`).
         Over tiered pools (KV offload) every pinned page must additionally
         be in a definite tier — resident on a tier-0 frame XOR spilled to
         the arena — never lost in between.
@@ -1730,13 +1701,12 @@ class PrefixRegistry:
                         f"registry: layer {layer} chunk {key.hex()} pins page "
                         f"{page} that is neither resident nor spilled"
                     )
-        if self._admission is not None:
-            violations.extend(self._admission.audit(self._chunks.keys()))
+        violations.extend(self._admission.audit(self._chunks.keys()))
         return violations
 
     def telemetry(self) -> dict:
-        """Registry hit/savings counters, plus admission counters when the
-        ``"wtinylfu"`` policy is active (see
+        """Registry hit/savings counters, plus the admission policy's own
+        (none under ``"lru"``; see
         :meth:`repro.kvcache.admission.WTinyLFUAdmissionPolicy.telemetry`)."""
         out = {
             "policy": self.admission_policy,
@@ -1746,14 +1716,16 @@ class PrefixRegistry:
             "registered": self.n_registered,
             "reclaimed": self.n_reclaimed,
         }
-        if self._admission is not None:
-            out.update(self._admission.telemetry())
+        out.update(self._admission.telemetry())
         return out
 
     def clear(self) -> None:
-        """Drop every registered chunk (leaf-first), releasing all pins."""
-        for chunk in list(self._chunks.values()):
-            if not chunk.children:
-                self._drop(chunk)
-        if self._chunks:
-            self.clear()
+        """Drop every registered chunk, leaves first, releasing all pins (a
+        loop: a chain is as deep as a prompt is long in pages)."""
+        leaves = [c for c in self._chunks.values() if not c.children]
+        while leaves:
+            chunk = leaves.pop()
+            self._drop(chunk)
+            parent = self._chunks.get(chunk.parent)
+            if parent is not None and not parent.children:
+                leaves.append(parent)

@@ -1,9 +1,11 @@
-"""Property tests for `repro.kvcache.admission` (sketch + W-TinyLFU SLRU).
+"""Property tests for `repro.kvcache.admission` (sketch, W-TinyLFU SLRU, LRU).
 
 Covers the count-min sketch's never-under-count and conservative-update
 guarantees, exact aging semantics, the SLRU segment invariants under random
-access streams, and the registry-level parent-chain reclaim guard the
-admission path must never violate.
+access streams, the ``"lru"`` policy's recency order against the per-chunk
+``last_used`` stamps it replaced (kept here as the reference), and the
+registry-level parent-chain reclaim guard the admission path must never
+violate.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from repro.kvcache.admission import (
     ADMISSION_POLICIES,
     FrequencySketch,
+    LRUAdmissionPolicy,
     WTinyLFUAdmissionPolicy,
     resolve_admission_policy,
 )
@@ -24,6 +27,7 @@ from repro.kvcache.paged import (
     PageTable,
     PoolIntegrityError,
     PrefixRegistry,
+    chunk_digest,
 )
 
 H, D, PS = 2, 4, 8
@@ -260,9 +264,9 @@ class TestSLRUInvariants:
 
 
 class TestResolveAdmissionPolicy:
-    def test_lru_and_none_resolve_to_no_policy(self):
-        assert resolve_admission_policy(None, 16) is None
-        assert resolve_admission_policy("lru", 16) is None
+    def test_lru_and_none_resolve_to_the_lru_policy(self):
+        assert isinstance(resolve_admission_policy(None, 16), LRUAdmissionPolicy)
+        assert isinstance(resolve_admission_policy("lru", 16), LRUAdmissionPolicy)
 
     def test_wtinylfu_resolves_sized_policy(self):
         policy = resolve_admission_policy("wtinylfu", 16)
@@ -273,6 +277,109 @@ class TestResolveAdmissionPolicy:
         with pytest.raises(ValueError, match="admission_policy"):
             resolve_admission_policy("fifo", 16)
         assert ADMISSION_POLICIES == ("lru", "wtinylfu")
+
+
+class TestLRUAdmissionPolicy:
+    def test_victim_is_the_least_recently_touched_eligible_key(self):
+        policy = LRUAdmissionPolicy()
+        for key in (1, 2, 3):
+            policy.on_insert(key)
+        policy.on_access(1)
+        assert policy.choose_victim([1, 2, 3]) == 2
+        assert policy.choose_victim([3, 1]) == 3
+        policy.on_drop(3)
+        assert policy.choose_victim([3, 1]) == 1
+        assert policy.segment_of(1) == "lru" and policy.segment_of(3) is None
+        assert policy.telemetry() == {} and not policy.segment_heat
+
+    def test_choose_victim_empty_raises(self):
+        with pytest.raises(ValueError):
+            LRUAdmissionPolicy().choose_victim([])
+
+    def test_audit_flags_stale_and_missing_keys(self):
+        policy = LRUAdmissionPolicy()
+        policy.on_insert(1)
+        assert policy.audit({1}) == []
+        assert any("no segment" in v for v in policy.audit({1, 2}))
+        assert any("stale" in v for v in policy.audit(set()))
+
+
+def _chunk_keys(tokens, page_size):
+    """The registry's chained chunk keys of ``tokens``, root first."""
+    keys, parent = [], None
+    for i in range(len(tokens) // page_size):
+        parent = chunk_digest(tokens[i * page_size : (i + 1) * page_size], parent)
+        keys.append(parent)
+    return keys
+
+
+#: A prompt is 1-4 pages, each page one repeated token from {0, 1, 2}, so
+#: random prompts share prefixes and chains branch.
+_PROMPTS = st.lists(st.integers(0, 2), min_size=1, max_size=4)
+_REGISTRY_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("register"), _PROMPTS, st.booleans()),
+        st.tuples(st.just("match"), _PROMPTS),
+        st.tuples(st.just("reclaim"), st.integers(1, 3)),
+        st.tuples(st.just("release")),
+    ),
+    min_size=10,
+    max_size=40,
+)
+
+
+class TestRegistryLRUOrder:
+    """The ``"lru"`` reclaim order against the rule it replaced: each
+    ``register`` / ``match`` call ticked a registry clock once and stamped
+    every chunk it touched ``last_used``; the victim was
+    ``min(eligible, key=last_used)``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(ops=_REGISTRY_OPS)
+    def test_victims_match_the_last_used_stamps(self, ops):
+        page = 2
+        store = PagedKVStore(1, H, D, page_size=page, n_pages=8, growable=True)
+        registry = PrefixRegistry(store)
+        pool = store.pools[0]
+        last_used: dict = {}
+        held: list = []  # tables a live row still maps (unfreeable chunks)
+        clock = 0
+        policy = registry._admission
+        choose = policy.choose_victim
+
+        def checked(eligible):
+            victim = choose(eligible)
+            assert victim == min(eligible, key=last_used.__getitem__)
+            return victim
+
+        policy.choose_victim = checked
+        for op, *args in ops:
+            if op == "register":
+                pieces, hold = args
+                tokens = np.repeat(np.asarray(pieces), page)
+                table = PageTable()
+                keys = np.zeros((H, len(tokens), D))
+                pool.extend(table, keys, keys, np.zeros((H, len(tokens)), dtype=np.int64))
+                registry.register(tokens, [table])
+                clock += 1
+                last_used.update(dict.fromkeys(_chunk_keys(tokens, page), clock))
+                if hold:
+                    held.append(table)
+                else:
+                    pool.release_table(table)
+            elif op == "match":
+                tokens = np.repeat(np.asarray(args[0]), page)
+                clock += 1
+                for key in _chunk_keys(tokens, page):
+                    if key not in registry._chunks:
+                        break
+                    last_used[key] = clock
+                registry.match(tokens)
+            elif op == "reclaim":
+                registry.reclaim(args[0])
+            elif held:
+                pool.release_table(held.pop(0))
+            assert registry.audit() == []
 
 
 class TestRegistryChainSafety:
@@ -338,4 +445,21 @@ class TestRegistryChainSafety:
             # Whatever was dropped, every survivor's chain must be intact.
             assert registry.audit() == []
             assert len(registry) < len(depths)
+        assert store.pools[0].free_pages == store.pools[0].n_pages
+
+    @pytest.mark.parametrize("policy", ADMISSION_POLICIES)
+    def test_clear_drops_a_chain_deeper_than_the_recursion_limit(self, policy):
+        # One chunk per token: a 1500-level chain, past Python's default
+        # recursion limit of 1000.
+        store = PagedKVStore(
+            1, H, D, page_size=1, n_pages=16, growable=True,
+            admission_policy=policy,
+        )
+        registry = PrefixRegistry(store)
+        tokens = np.arange(1500)
+        tables = self._seed(store, tokens, np.random.default_rng(6))
+        assert registry.register(tokens, tables) == 1500
+        store.pools[0].release_table(tables[0])
+        registry.clear()
+        assert len(registry) == 0 and registry.audit() == []
         assert store.pools[0].free_pages == store.pools[0].n_pages

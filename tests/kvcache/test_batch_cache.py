@@ -640,8 +640,8 @@ class TestIncrementalPaddedRead:
     @pytest.mark.parametrize("cls", [TieredBlockPool, TieredQuantizedBlockPool])
     def test_trap_tiered_read_keeps_tier_state(self, cls):
         """Incremental reads still pass every page through ``_page_base`` (the
-        LRU touch and restore trigger), so they leave spills, restores and
-        last-touch stamps exactly as full reads do — and so does the
+        recency touch and restore trigger), so they leave spills, restores and
+        the recency order exactly as full reads do — and so does the
         workspace audit."""
         incremental = _Session(_pool(cls, tier0_pages=6), seed=5)
         full = _Session(_pool(cls, tier0_pages=6), seed=5)
@@ -651,9 +651,9 @@ class TestIncrementalPaddedRead:
             incremental.step()
             full.step()
             assert incremental.cache.check_workspace() == []
-            for name in ("n_spills", "n_restores", "spill_bytes", "restore_bytes", "_tier_clock"):
+            for name in ("n_spills", "n_restores", "spill_bytes", "restore_bytes"):
                 assert getattr(a, name) == getattr(b, name), name
-            np.testing.assert_array_equal(a._last_touch, b._last_touch)
+            assert list(a._recency) == list(b._recency)
         assert a.n_spills > 0 and a.n_restores > 0
         assert max(incremental.starts) > 0 and max(full.starts) == 0
 

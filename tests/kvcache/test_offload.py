@@ -179,13 +179,6 @@ class TestTieredPoolMechanics:
         pool._unpin(table.pages)
         assert pool._pins == {}
 
-    def test_ensure_resident_rejects_oversized_sets(self):
-        pool = make_pool()
-        rng = np.random.default_rng(4)
-        table, _, _ = seeded_table(pool, 5 * PAGE, rng)
-        with pytest.raises(PoolExhausted, match="simultaneously resident"):
-            pool._ensure_resident(table.pages)
-
     def test_restore_pages_bulk_prefetch(self):
         pool = make_pool()
         rng = np.random.default_rng(5)

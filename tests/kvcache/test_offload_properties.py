@@ -8,11 +8,15 @@ lowest-first, hold only their own page's bytes and survive growth; a steady
 live set never grows the map; a ``spill_io`` fault on either side of a
 transfer leaves the arena untouched; nothing a ``load`` returns pins the map
 against the next growing ``store``; a restore never writes the int8 pool's
-quantization parameters; and the vectorised ``_choose_victim`` picks the page
-the per-frame loop it replaced (kept here as the reference) would pick.
+quantization parameters; and over random touch / restore / release / pin
+sequences ``_choose_victim``'s recency order picks the page the per-frame
+``(rank, last touch, page)`` loop it replaced (kept here as the reference,
+with a test-side touch clock) would pick.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -284,7 +288,25 @@ class TestQuantizedParamsStayLive:
                 assert np.array_equal(getattr(tiered, attr)[name], getattr(single, attr)[name])
 
 
-def reference_victim(pool) -> int:
+def stamp_touches(pool) -> dict[int, int]:
+    """Stamp every page the pool touches with a test-side clock, as the
+    per-page ``last touch`` array ``_choose_victim`` used to read did: each
+    ``_page_base`` call (the pool's one touch point) ticks the clock once,
+    after the page has its frame."""
+    stamps: dict[int, int] = {}
+    clock = itertools.count(1)
+    touch = pool._page_base
+
+    def stamped(page):
+        slot = touch(page)
+        stamps[int(page)] = next(clock)
+        return slot
+
+    pool._page_base = stamped
+    return stamps
+
+
+def reference_victim(pool, stamps) -> int:
     """The per-frame loop ``_choose_victim`` replaced: minimal ``(rank, last
     touch, page)`` over unpinned resident pages."""
     best_key = None
@@ -293,7 +315,7 @@ def reference_victim(pool) -> int:
         if page < 0 or pool._pins.get(page):
             continue
         rank = pool.spill_ranker(page) if pool.spill_ranker is not None else 0
-        key = (rank, int(pool._last_touch[page]), page)
+        key = (rank, stamps[page], page)
         if best_key is None or key < best_key:
             best_key = key
     if best_key is None:
@@ -301,34 +323,65 @@ def reference_victim(pool) -> int:
     return best_key[2]
 
 
+_TIER_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["touch", "touch", "restore", "release", "alloc", "pin", "unpin"]),
+        st.integers(0, 11),
+    ),
+    min_size=20,
+    max_size=80,
+)
+
+
 class TestChooseVictim:
     @settings(max_examples=200, deadline=None)
     @given(
-        n_frames=st.integers(2, 6),
-        resident=st.lists(st.booleans(), min_size=6, max_size=6),
-        touches=st.lists(st.integers(0, 3), min_size=6, max_size=6),
-        pins=st.lists(st.integers(0, 2), min_size=6, max_size=6),
+        n_frames=st.integers(2, 5),
+        ops=_TIER_OPS,
         ranks=st.one_of(st.none(), st.lists(st.integers(0, 2), min_size=12, max_size=12)),
-        seed=st.integers(0, 2**16),
     )
-    def test_matches_the_per_frame_loop(self, n_frames, resident, touches, pins, ranks, seed):
-        # Small value ranges on purpose: ties on rank and on last touch are
-        # the interesting cases, and the page id must break them.
+    def test_recency_order_matches_the_last_touch_stamps(self, n_frames, ops, ranks):
+        # Small rank values on purpose: ties on rank are the interesting
+        # case, and recency must break them as the stamps did.
         pool = make_pool(tier0_pages=n_frames, n_pages=12)
-        pages = np.random.default_rng(seed).permutation(12)[:n_frames]
-        for frame, page in enumerate(pages.tolist()):
-            if pins[frame]:  # pinned whether or not it has its frame yet
-                pool._pins[page] = pins[frame]
-            if resident[frame]:
-                pool._frame_page[frame] = page
-                pool._page_frame[page] = frame
-                pool._last_touch[page] = touches[frame]
+        stamps = stamp_touches(pool)
         if ranks is not None:
             pool.spill_ranker = ranks.__getitem__
-        try:
-            want = reference_victim(pool)
-        except PoolExhausted:
-            with pytest.raises(PoolExhausted, match="tier-0 frames exhausted"):
-                pool._choose_victim()
-        else:
-            assert pool._choose_victim() == want
+        live = pool.alloc(8)  # more pages than frames: touches spill
+        pinned: list[int] = []
+        for op, pick in ops:
+            try:
+                want = reference_victim(pool, stamps)
+            except PoolExhausted:
+                with pytest.raises(PoolExhausted, match="tier-0 frames exhausted"):
+                    pool._choose_victim()
+            else:
+                assert pool._choose_victim() == want
+            if op == "alloc":
+                if pool.free_pages:
+                    live += pool.alloc(1)
+                continue
+            if op == "unpin":
+                if pinned:
+                    pool._unpin([pinned.pop(pick % len(pinned))])
+                continue
+            if not live:
+                continue
+            page = live[pick % len(live)]
+            if op == "touch":
+                try:
+                    pool._page_base(page)  # restores, spilling a victim
+                except PoolExhausted:
+                    pass  # every frame pinned: nothing moved
+            elif op == "restore":
+                pool.restore_pages(live[pick % len(live) :])
+            elif op == "release" and page not in pinned:
+                live.remove(page)
+                pool.release([page])
+            elif op == "pin":
+                pool._pin([page])
+                pinned.append(page)
+        pool._unpin(pinned)
+        pool.release(live)
+        assert pool.check_invariants() == []
+        assert not pool._recency  # a freed page leaves the order
