@@ -63,7 +63,7 @@ def _bench_decode_1k(benchmark, model, policy_name, n_tokens=32):
         views = manager.layer_views()
         tokens = np.argmax(logits[:, -1, :], axis=-1)
         for _ in range(n_tokens):
-            step_logits = model.decode_step(tokens, manager.current_position[0], views)
+            step_logits = model.decode_step(tokens, manager.query_positions(), views)
             manager.advance()
             tokens = np.argmax(step_logits, axis=-1)
 

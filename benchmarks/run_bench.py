@@ -159,7 +159,7 @@ def _decode_loop(model: DecoderLM, manager, next_logits: np.ndarray, n_tokens: i
     views = manager.layer_views()
     tokens = np.argmax(next_logits[:, -1, :], axis=-1)
     for _ in range(n_tokens):
-        logits = model.decode_step(tokens, manager.current_position[0], views)
+        logits = model.decode_step(tokens, manager.query_positions(), views)
         manager.advance()
         tokens = np.argmax(logits, axis=-1)
 
@@ -602,7 +602,7 @@ def bench_quantized_kv() -> dict[str, dict]:
                 toks.append(token)
                 logprobs.append(float(log_softmax(step_logits, axis=-1)[0, token]))
                 step_logits = model.decode_step(
-                    np.asarray([token]), manager.current_position[0], views
+                    np.asarray([token]), manager.query_positions(), views
                 )
                 manager.advance()
             results[kv_dtype] = (toks, np.asarray(logprobs))

@@ -101,7 +101,7 @@ class BeamSearch:
                 break
             current = np.asarray([seq[-1] for seq in beam_tokens], dtype=np.int64)
             next_logits = self.model.decode_step(
-                current, manager.current_position[0], layer_views
+                current, manager.query_positions(), layer_views
             )
             manager.advance()
             n_steps += 1

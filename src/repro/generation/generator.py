@@ -49,6 +49,17 @@ class GenerationResult:
     speculation: dict = field(default_factory=dict)
 
 
+class _ForcedTokens(Sampler):
+    """Teacher forcing: the ``i``-th call returns the ``i``-th token, whatever
+    the logits."""
+
+    def __init__(self, tokens: list[int]):
+        self._tokens = iter(tokens)
+
+    def __call__(self, logits: np.ndarray) -> np.ndarray:
+        return np.asarray([next(self._tokens)])
+
+
 class Generator:
     """Autoregressive generator with a pluggable KV-cache eviction policy."""
 
@@ -124,8 +135,6 @@ class Generator:
 
         logits, manager = self._prompt_forward(prompt, config.max_new_tokens)
         next_logits = logits[:, -1, :]
-        # The per-layer cache views are stateless facades; build them once and
-        # reuse them every step instead of reallocating view objects per token.
         layer_views = manager.layer_views()
 
         sequences: list[list[int]] = [[] for _ in range(batch_size)]
@@ -147,7 +156,7 @@ class Generator:
                 break
 
             next_logits = self.model.decode_step(
-                tokens, manager.current_position[0], layer_views
+                tokens, manager.query_positions(), layer_views
             )
             manager.advance()
             tokens = sampler(next_logits)
@@ -170,31 +179,24 @@ class Generator:
     def score_continuation(self, prompt_ids, continuation_ids) -> float:
         """Log-likelihood of ``continuation_ids`` following ``prompt_ids``.
 
-        The prompt is processed once (with the eviction policy applied exactly
-        as during generation) and the continuation is teacher-forced through
-        the incremental decode path, so KV-cache reduction affects the scores
-        the same way it would affect generation — this is the protocol of the
-        paper's few-shot evaluation (Table 2).
+        The continuation is teacher-forced through :meth:`generate` by a
+        sampler that returns its tokens in turn, so the prompt's eviction and
+        every decode step's run exactly as during generation — this is the
+        protocol of the paper's few-shot evaluation (Table 2).  Scores one
+        sequence: a prompt batch of several rows is rejected.
         """
         prompt = self._as_batch(prompt_ids)
+        if prompt.shape[0] != 1:
+            raise ValueError(f"score_continuation scores one prompt, got {prompt.shape[0]}")
         continuation = [int(t) for t in np.asarray(continuation_ids).reshape(-1)]
         if not continuation:
             raise ValueError("continuation must contain at least one token")
-
-        logits, manager = self._prompt_forward(prompt, max_new_tokens=len(continuation))
-        next_logits = logits[:, -1, :]
-        layer_views = manager.layer_views()
-        total = 0.0
-        for i, token in enumerate(continuation):
-            logprobs = log_softmax(next_logits, axis=-1)
-            total += float(logprobs[0, token])
-            if i == len(continuation) - 1:
-                break
-            next_logits = self.model.decode_step(
-                np.asarray([token]), manager.current_position[0], layer_views
-            )
-            manager.advance()
-        return total
+        result = self.generate(
+            prompt,
+            GenerationConfig(max_new_tokens=len(continuation)),
+            sampler=_ForcedTokens(continuation),
+        )
+        return result.log_probs[0]
 
     # ------------------------------------------------------------------
     def perplexity(self, token_ids) -> float:

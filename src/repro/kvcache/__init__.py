@@ -33,7 +33,7 @@ from repro.kvcache.admission import (
     resolve_admission_policy,
 )
 from repro.kvcache.batch import BatchedCacheManager, BatchedLayerKVCache, BatchedLayerView
-from repro.kvcache.manager import CacheManager, LayerCacheView
+from repro.kvcache.manager import CacheManager
 from repro.kvcache.paged import (
     DEFAULT_PAGE_SIZE,
     BlockPool,
@@ -65,7 +65,6 @@ __all__ = [
     "WTinyLFUAdmissionPolicy",
     "resolve_admission_policy",
     "CacheManager",
-    "LayerCacheView",
     "CacheStats",
     "BatchedLayerKVCache",
     "BatchedCacheManager",

@@ -513,9 +513,9 @@ class BatchedLayerKVCache:
 
 
 class BatchedLayerView:
-    """Per-layer facade of the batched manager: the ``DecodeCache`` protocol
-    over rows padded to the longest sequence (``LayerCacheView`` is its solo
-    twin, whose rows are never padded)."""
+    """Per-layer facade of the one cache manager: the ``DecodeCache``
+    protocol over rows padded to the longest sequence, for engine and solo
+    rows alike (``R`` query positions and ``R`` lengths)."""
 
     def __init__(self, manager: "BatchedCacheManager", layer_idx: int):
         self.manager = manager

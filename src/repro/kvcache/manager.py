@@ -6,17 +6,13 @@ added.  Its ``B`` rows start together from one prompt pass and advance in
 lockstep; every row carries its own eviction policy instance (row 0 the
 caller's, the others deep copies), its own stats and counters, exactly as an
 engine row does — so a row's policy state, noise draws included, is the one
-it would have decoded alone.  During incremental decoding each decoder block
-interacts with the manager through a :class:`LayerCacheView`, which
-implements the ``DecodeCache`` protocol of
-:meth:`repro.models.block.DecoderBlock.decode_step_batch` as a batch whose
-rows are never padded (every row holds the same number of entries):
-
-1. ``append`` stores the new token's key/value;
-2. ``attention_view`` exposes keys/values plus positional indices in either
-   original or renumbered form;
-3. ``observe`` hands the step's attention logits/probabilities to each row's
-   policy and applies its selections (the shared per-row code).
+it would have decoded alone.  It decodes exactly as the engine does: each
+decoder block reaches it through a
+:class:`~repro.kvcache.batch.BatchedLayerView` (``layer_views``), whose
+``append`` / ``attention_view`` / ``observe`` are the base class's batched
+entry points; every row holds the same number of entries, so no row is
+padded.  ``append``, ``attention_view`` and ``observe`` are class-level
+aliases of those entry points, kept for the span tracer's target list.
 
 Every row is seeded as one ascending page run with its whole generation
 reserved up front, so a lone row's reads are zero-copy pool views.  Beam
@@ -35,34 +31,7 @@ from repro.core.policies import EvictionPolicy
 from repro.kvcache.batch import BatchedCacheManager, BatchedLayerKVCache
 from repro.kvcache.paged import DEFAULT_PAGE_SIZE, PagedKVStore, PageTable, pages_needed
 
-__all__ = ["CacheManager", "LayerCacheView"]
-
-
-class LayerCacheView:
-    """Per-layer facade implementing the model's ``DecodeCache`` protocol.
-
-    The solo decode step is the ragged-batch kernel over ``B`` rows of one
-    length, so :meth:`attention_view` answers ``lengths=None`` (no row is
-    padded) and a scalar query position shared by every row.
-    """
-
-    def __init__(self, manager: "CacheManager", layer_idx: int):
-        self.manager = manager
-        self.layer_idx = layer_idx
-
-    def append(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Store the new token's key/value in this layer's cache."""
-        self.manager.append(self.layer_idx, k, v)
-
-    def attention_view(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, None, bool]:
-        """Keys/values plus positional indices for the attention step."""
-        return self.manager.attention_view(self.layer_idx)
-
-    def observe(self, logits: np.ndarray, probs: np.ndarray) -> None:
-        """Hand the step's attention tensors to the eviction policies."""
-        self.manager.observe(self.layer_idx, logits, probs)
+__all__ = ["CacheManager"]
 
 
 class CacheManager(BatchedCacheManager):
@@ -247,50 +216,11 @@ class CacheManager(BatchedCacheManager):
             self._start_row(policy, 0)
 
     # ------------------------------------------------------------------
-    # decode phase
+    # decode phase: the batched entry points, under the names the span
+    # tracer's target list gives them
     # ------------------------------------------------------------------
-    def layer_views(self) -> list[LayerCacheView]:
-        """Per-layer facades handed to ``DecoderBlock.decode_step_batch``."""
-        return [LayerCacheView(self, i) for i in range(self.n_layers)]
-
-    def append(self, layer_idx: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Append the current token's key/value (``(B, H, d_head)``) to one
-        layer's cache: an in-place page write per row."""
-        cache = self.caches[layer_idx]
-        position = self.current_position[0]
-        for row, table in enumerate(cache.tables):
-            cache.pool.append(table, k[row], v[row], position)
-        for stats in self.stats:
-            stats.total_appended += 1
-
-    def attention_view(
-        self, layer_idx: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, None, bool]:
-        """``(keys, values, key_positions, query_positions, None,
-        keys_rotated)``: the ``DecodeCache`` view, no row padded.
-
-        ``query_positions`` is a 0-d array shared by every row.  With
-        rotated-key caching active, ``keys`` are already RoPE-rotated at
-        their original positions (``keys_rotated=True``) and the attention
-        step skips its own key rotation.
-        """
-        cache = self.caches[layer_idx]
-        original = self.positional_mode == "original"
-        rotated = original and self.rope_dims > 0
-        keys, values, positions, _, length = cache.padded_batch(self.n_active, rotated)
-        if original:
-            if self._qpos is None:
-                # One array per decoding step, shared by every layer.
-                self._qpos = np.asarray(self.current_position[0])
-            query_positions = self._qpos
-        else:
-            positions = np.broadcast_to(np.arange(length), positions.shape)
-            query_positions = np.asarray(length - 1)
-        for steps in self._step_lengths:
-            steps.append(length)
-        return keys, values, positions, query_positions, None, rotated
-
-    #: Each row's policy observes its own slice (the engine's code).
+    append = BatchedCacheManager.append_batch
+    attention_view = BatchedCacheManager.attention_view_batch
     observe = BatchedCacheManager.observe_batch
 
     # ------------------------------------------------------------------

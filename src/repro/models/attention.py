@@ -365,9 +365,9 @@ class MultiHeadAttention(Module):
         q: np.ndarray,
         keys: np.ndarray,
         values: np.ndarray,
-        query_positions: np.ndarray | int,
+        query_positions: np.ndarray,
         key_positions: np.ndarray,
-        lengths: np.ndarray | None = None,
+        lengths: np.ndarray,
         keys_rotated: bool = False,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Attend one query token per sequence over a batch of caches.
@@ -375,12 +375,11 @@ class MultiHeadAttention(Module):
         ``q`` is ``(batch, heads, d_head)``, unrotated.  ``keys``/``values``
         (``(batch, heads, L, d_head)``) and ``key_positions`` (``(batch,
         heads, L)``) are padded to the longest row: row ``b`` holds
-        ``lengths[b]`` live entries, and ``lengths=None`` means no row is
-        padded (a solo cache).  ``query_positions`` is one scalar for every
-        row or ``(batch,)`` — rows of a continuous batch decode at different
-        depths.  With ``keys_rotated`` the keys already carry RoPE at
-        ``key_positions`` (the cache keeps rotated keys), so only the query is
-        rotated here.
+        ``lengths[b]`` live entries and its query sits at
+        ``query_positions[b]`` (both ``(batch,)``; rows of a continuous batch
+        decode at different depths).  With ``keys_rotated`` the keys already
+        carry RoPE at ``key_positions`` (the cache keeps rotated keys), so
+        only the query is rotated here.
 
         Two execution modes, selected by dtype:
 
@@ -403,14 +402,14 @@ class MultiHeadAttention(Module):
         float64, ``-inf``/``0`` at float32).
         """
         r = q.shape[0]
-        query_positions = np.asarray(query_positions)
         table = self._rope_table
         if table is None:  # no RoPE, or no rotated dimension
             q_rot, k_rot = q, keys
         else:
-            # Elementwise, hence bit-identical per row to a solo rotation.
-            if query_positions.ndim == 0:
-                q_rot = table.rotate_uniform(q, int(query_positions))
+            # Elementwise, hence bit-identical per row to a solo rotation; a
+            # lone row reads its cos/sin as plain table rows.
+            if r == 1:
+                q_rot = table.rotate_uniform(q, int(query_positions[0]))
             else:
                 q_rot = table.rotate(q, query_positions[:, None])
             k_rot = keys if keys_rotated else table.rotate(keys, key_positions)
@@ -431,7 +430,7 @@ class MultiHeadAttention(Module):
         # A batch at one depth (the steady state of a fixed kv_budget policy)
         # has no padding, and softmax/einsum reduce each row independently:
         # one batched call is bitwise equal to the per-row loop.
-        padded = lengths is not None and (r == 0 or int(np.min(lengths)) < max_len)
+        padded = r == 0 or int(np.min(lengths)) < max_len
         if exact:
             if not padded:
                 probs = ops.softmax(logits, axis=-1)

@@ -19,11 +19,11 @@ class DecodeCache(Protocol):
 
     Every tensor carries one row per sequence; rows may be padded to the
     longest one.  The concrete implementations live in :mod:`repro.kvcache`
-    — :class:`~repro.kvcache.manager.LayerCacheView` (solo: no padded row),
-    :class:`~repro.kvcache.batch.BatchedLayerView` (continuous batching) and
-    :class:`~repro.kvcache.verify.VerifyView` (the rows-of-one-sequence batch
-    of speculative verification) — so the model substrate stays independent
-    of the eviction policies layered on top of it.
+    — :class:`~repro.kvcache.batch.BatchedLayerView` (engine, solo, beam and
+    drafter rows) and :class:`~repro.kvcache.verify.VerifyView` (the
+    rows-of-one-sequence batch of speculative verification) — so the model
+    substrate stays independent of the eviction policies layered on top of
+    it.
     """
 
     def append(self, k: np.ndarray, v: np.ndarray) -> None:
@@ -31,11 +31,11 @@ class DecodeCache(Protocol):
 
     def attention_view(
         self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, bool]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
         """Return ``(keys, values, key_positions, query_positions, lengths,
-        keys_rotated)``: ``lengths[b]`` is row ``b``'s live entry count, or
-        ``None`` when no row is padded; ``query_positions`` is a scalar or
-        per-row; ``keys_rotated`` says ``keys`` already carry RoPE at
+        keys_rotated)``: ``query_positions[b]`` and ``lengths[b]`` (both
+        ``(batch,)``) are row ``b``'s query position and live entry count;
+        ``keys_rotated`` says ``keys`` already carry RoPE at
         ``key_positions``, so the attention step must not rotate them again."""
 
     def observe(self, logits: np.ndarray, probs: np.ndarray) -> None:

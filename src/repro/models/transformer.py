@@ -83,14 +83,13 @@ class DecoderLM(Module):
             )
         return token_ids, np.asarray(positions)
 
-    def embed_step(self, token_ids: np.ndarray, positions: np.ndarray | int) -> np.ndarray:
-        """Embed a single decoding step: ``(B,)`` token ids -> ``(B, d_model)``."""
+    def embed_step(self, token_ids: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """Embed a single decoding step: ``(B,)`` token ids at ``(B,)``
+        positions -> ``(B, d_model)``."""
         token_ids = np.asarray(token_ids).reshape(-1)
         h = self.token_embedding.apply(token_ids)
         if self.position_embedding is not None:
-            pos = np.asarray(positions).reshape(-1)
-            pos = np.broadcast_to(pos, token_ids.shape)
-            pos = np.minimum(pos, self.config.max_seq_len - 1)
+            pos = np.minimum(positions, self.config.max_seq_len - 1)
             h = h + self.position_embedding.apply(pos)
         return h
 
@@ -257,15 +256,13 @@ class DecoderLM(Module):
     def decode_step_batch(
         self,
         token_ids: np.ndarray,
-        positions: np.ndarray | int,
+        positions: np.ndarray,
         layer_caches: Sequence[DecodeCache],
     ) -> np.ndarray:
         """One decoding step for a batch of independent sequences.
 
         ``token_ids`` has shape ``(batch,)``: each sequence contributes one
-        token.  ``positions`` is one scalar for every row (a solo cache) or
-        ``(batch,)`` (rows at their own depths); each cache's
-        ``attention_view`` may answer ``lengths=None`` when no row is padded.
+        token, at its own original position ``positions[b]`` (``(batch,)``).
         Embedding, layer norms and activations are row-independent;
         projections use the row-exact kernels at float64 — so each row of the
         returned logits ``(batch, vocab)`` is bit-identical to that sequence

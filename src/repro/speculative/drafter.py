@@ -185,7 +185,7 @@ class PolicyDrafter(Drafter):
     def _consume(self, token: int) -> int:
         """Feed one token through the drafter; return its greedy successor."""
         logits = self.model.decode_step(
-            np.asarray([token]), self.manager.current_position[0], self._views
+            np.asarray([token]), self.manager.query_positions(), self._views
         )
         self.manager.advance()
         self.draft_steps += 1

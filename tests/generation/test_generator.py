@@ -202,6 +202,11 @@ class TestScoring:
         with pytest.raises(ValueError):
             generator.score_continuation([1, 2, 3], [])
 
+    def test_score_continuation_rejects_a_prompt_batch(self, tiny_rope_model):
+        generator = Generator(tiny_rope_model)
+        with pytest.raises(ValueError, match="one prompt"):
+            generator.score_continuation([[1, 2, 3], [4, 5, 6]], [7, 8])
+
     def test_reduced_cache_changes_scores(self, rng):
         model = DecoderLM(tiny_config("rope"), seed=7)
         prompt = rng.integers(0, 64, size=40)

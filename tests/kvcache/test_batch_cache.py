@@ -13,7 +13,7 @@ from repro.core.policies import FullAttentionPolicy, H2OPolicy
 from repro.core.score import EvictOne
 from repro.kvcache.batch import BatchedCacheManager, BatchedLayerKVCache
 from repro.kvcache.offload import TieredBlockPool, TieredQuantizedBlockPool
-from repro.kvcache.paged import BlockPool, PoolExhausted
+from repro.kvcache.paged import BlockPool, PageTable, PoolExhausted
 from repro.kvcache.quant import QuantizedBlockPool
 from repro.models.positional import RopeTable
 from repro.models.tensor_ops import softmax
@@ -383,6 +383,45 @@ DIFF_POOLS = {
     "tiered": lambda: _pool(TieredBlockPool, tier0_pages=6),
     "tiered-int8": lambda: _pool(TieredQuantizedBlockPool, tier0_pages=6),
 }
+
+
+def _pool_state(pool) -> dict:
+    """Every array of ``pool`` (slabs, rotated keys, positions, refcounts,
+    frame maps, quantization ranges) and its spill arena's records, as bytes."""
+    state = {}
+    for name, value in vars(pool).items():
+        arrays = value if isinstance(value, dict) else {"": value}
+        for key, arr in arrays.items():
+            if isinstance(arr, np.ndarray):
+                state[f"{name}[{key}]"] = arr.tobytes()
+    arena = getattr(pool, "arena", None)
+    if arena is not None:
+        state["arena"] = {page: arena.load(page) for page in sorted(arena.keys())}
+    return state
+
+
+class TestOneRowAppend:
+    @pytest.mark.parametrize("kind", sorted(DIFF_POOLS))
+    def test_one_row_append_rows_is_append(self, kind):
+        """A one-row ``append_rows`` leaves every pool array, rotated keys
+        and positions included, and the table byte-identical to ``append``
+        — across page boundaries, and through spills on the tiered pools."""
+        rng = np.random.default_rng(7)
+        pools = [DIFF_POOLS[kind](), DIFF_POOLS[kind]()]
+        tables = [PageTable(), PageTable()]
+        prompt = rng.normal(size=(2, HEADS, 5, D_HEAD))
+        positions = np.broadcast_to(np.arange(5), (HEADS, 5))
+        for pool, table in zip(pools, tables):
+            pool.extend(table, prompt[0], prompt[1], positions)
+        for position in range(5, 30):
+            k, v = rng.normal(size=(2, HEADS, D_HEAD))
+            pools[0].append_rows([tables[0]], k[None], v[None], np.array([position]))
+            pools[1].append(tables[1], k, v, position)
+            assert _pool_state(pools[0]) == _pool_state(pools[1])
+            for slot in PageTable.__slots__:
+                assert getattr(tables[0], slot) == getattr(tables[1], slot), slot
+        if "tiered" in kind:
+            assert pools[0].tier_usage()["spills"] > 0
 
 
 def _fresh_read(pool, table, rotated):

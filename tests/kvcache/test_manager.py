@@ -65,8 +65,9 @@ class TestDecodeFlow:
         v = rng.normal(size=(1, N_HEADS, D_HEAD))
         view.append(k, v)
         keys, values, key_pos, query_pos, lengths, keys_rotated = view.attention_view()
-        assert lengths is None  # a solo cache pads no row
-        assert query_pos.ndim == 0  # one query position shared by every row
+        # One query position and one live length per row; no row is padded.
+        assert query_pos.shape == (1,)
+        assert lengths.tolist() == [keys.shape[2]]
         assert keys_rotated is False  # no rope_dims configured in these tests
         # attention_view returns live views into the slab; snapshot them before
         # observe() may evict (the decode path consumes them before observing).
@@ -94,7 +95,7 @@ class TestDecodeFlow:
         _, key_pos, query_pos = self._step(manager, rng, 0)
         # Window kept original positions 6..11, new token appended at 12.
         np.testing.assert_array_equal(key_pos[0, 0], [6, 7, 8, 9, 10, 11, 12])
-        assert int(query_pos) == T
+        assert query_pos.tolist() == [T]
 
     def test_new_positions_are_contiguous(self, rng):
         policy = WindowAttentionPolicy(CachePolicyConfig(kv_fraction=0.5))
@@ -102,7 +103,7 @@ class TestDecodeFlow:
         seed_manager(manager, *prompt_inputs(rng), max_new_tokens=4)
         _, key_pos, query_pos = self._step(manager, rng, 0)
         np.testing.assert_array_equal(key_pos[0, 0], np.arange(7))
-        assert int(query_pos) == 6
+        assert query_pos.tolist() == [6]
 
     def test_stats_accounting(self, rng):
         policy = H2OPolicy(CachePolicyConfig(kv_fraction=0.5))
@@ -280,7 +281,7 @@ class TestSoloRows:
         manager, _, _ = seeded(positional_mode="original", rope_dims=D_HEAD)
         manager._apply_row_selection(0, 0, every_head([1, 4, 5]))
         keys, _, key_pos, query_pos, _, rotated = manager.attention_view(0)
-        assert rotated and int(query_pos) == 6
+        assert rotated and query_pos.tolist() == [6]
         np.testing.assert_array_equal(key_pos[0, 0], [1, 4, 5])
         raw = manager.caches[0].keys
         np.testing.assert_array_equal(keys, RopeTable(D_HEAD).rotate(raw, key_pos))
@@ -290,7 +291,7 @@ class TestSoloRows:
         assert manager.rope_dims == 0  # rotations follow renumbered positions
         manager._apply_row_selection(0, 0, every_head([1, 4, 5]))
         keys, _, key_pos, query_pos, _, rotated = manager.attention_view(0)
-        assert not rotated and int(query_pos) == 2
+        assert not rotated and query_pos.tolist() == [2]
         np.testing.assert_array_equal(keys, manager.caches[0].keys)
         np.testing.assert_array_equal(key_pos[0, 0], [0, 1, 2])
         with pytest.raises(ValueError):

@@ -399,8 +399,8 @@ DECODE_ROWS = {"one": [13], "equal": [13] * 4, "ragged": [9, 5, 13, 7]}
 
 def _decode_inputs(attn, rows, dtype, seed=0):
     """Random ``(q, keys, values, query_positions, key_positions, lengths)``
-    for :data:`DECODE_ROWS` ``rows``: key positions with eviction gaps, a
-    scalar query position and ``lengths=None`` unless the batch is ragged."""
+    for :data:`DECODE_ROWS` ``rows``: key positions with eviction gaps, one
+    query position and one live length per row."""
     rng = np.random.default_rng(seed)
     live = np.asarray(DECODE_ROWS[rows])
     batch, width, heads, d = len(live), int(live.max()), attn.n_heads, attn.d_head
@@ -411,9 +411,7 @@ def _decode_inputs(attn, rows, dtype, seed=0):
     key_positions = np.sort(
         [[rng.choice(int(p), width, replace=False) for _ in range(heads)] for p in query_positions]
     )
-    if rows == "ragged":
-        return q, keys, values, query_positions, key_positions, live
-    return q, keys, values, np.asarray(query_positions[0]), key_positions, None
+    return q, keys, values, query_positions, key_positions, live
 
 
 class TestDecodeStep:
@@ -439,10 +437,9 @@ class TestDecodeStep:
         if dtype == "float64":
             cases = []
             for b, live in enumerate(DECODE_ROWS[rows]):
-                row_q_pos = q_pos if q_pos.ndim == 0 else q_pos[b]
                 want = reference_attend_step(
                     attn, q[b : b + 1], keys[b : b + 1, :, :live],
-                    values[b : b + 1, :, :live], row_q_pos, k_pos[b : b + 1, :, :live],
+                    values[b : b + 1, :, :live], q_pos[b], k_pos[b : b + 1, :, :live],
                 )
                 got = out[b : b + 1], logits[b : b + 1, :, :live], probs[b : b + 1, :, :live]
                 cases.append((got, want))
@@ -471,7 +468,9 @@ class TestDecodeStep:
         np.testing.assert_allclose(k_new, k_raw[:, :, -1, :], atol=1e-10)
 
         key_positions = np.broadcast_to(np.arange(t), (1, config.n_heads, t))
-        out, logits, probs = attn.attend_step_batch(q, k_raw, v, t - 1, key_positions)
+        out, logits, probs = attn.attend_step_batch(
+            q, k_raw, v, np.array([t - 1]), key_positions, np.array([t])
+        )
         np.testing.assert_allclose(out, full_out[:, -1, :], atol=1e-8)
         np.testing.assert_allclose(probs[0], attention[0, :, -1, :], atol=1e-8)
 
@@ -482,7 +481,9 @@ class TestDecodeStep:
         _, (k_raw, v), (_, scores) = _whole_prompt(attn, x)
         q, _, _ = attn.project_qkv(x[:, -1, :])
         key_positions = np.broadcast_to(np.arange(t), (1, config.n_heads, t))
-        _, logits, _ = attn.attend_step_batch(q, k_raw, v, t - 1, key_positions)
+        _, logits, _ = attn.attend_step_batch(
+            q, k_raw, v, np.array([t - 1]), key_positions, np.array([t])
+        )
         np.testing.assert_allclose(logits[0], scores[0, :, -1, :], atol=1e-8)
 
     def test_project_qkv_rejects_bad_shape(self, rng):
@@ -497,11 +498,13 @@ class TestDecodeStep:
         _, (k_raw, v), _ = _whole_prompt(attn, x)
         q, _, _ = attn.project_qkv(x[:, -1, :])
         all_pos = np.broadcast_to(np.arange(t), (1, config.n_heads, t))
-        full, _, _ = attn.attend_step_batch(q, k_raw, v, t - 1, all_pos)
+        full, _, _ = attn.attend_step_batch(
+            q, k_raw, v, np.array([t - 1]), all_pos, np.array([t])
+        )
         subset = np.arange(t - 3, t)
         sub_pos = np.broadcast_to(subset, (1, config.n_heads, 3))
         reduced, _, probs = attn.attend_step_batch(
-            q, k_raw[:, :, subset, :], v[:, :, subset, :], t - 1, sub_pos
+            q, k_raw[:, :, subset, :], v[:, :, subset, :], np.array([t - 1]), sub_pos, np.array([3])
         )
         assert not np.allclose(full, reduced)
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)

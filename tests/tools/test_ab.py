@@ -13,12 +13,13 @@ ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab)
 
 
-def _run(correct=True, failed=0, **values) -> dict:
+def _run(correct=True, failed=0, counters=None, **values) -> dict:
     metrics = {"peak_kv_bytes": 100, **values}
     return {
         "correct": correct,
         "failed": failed,
         "metrics": {name: {"value": v} for name, v in metrics.items()},
+        "counters": counters or {"models.decode_calls": 64, "kvcache.gather_calls": 8},
     }
 
 
@@ -72,3 +73,12 @@ class TestRunProblems:
     def test_peak_kv_bytes_must_not_move(self):
         (problem,) = ab.run_problems([_run(), _run(peak_kv_bytes=101)])
         assert "peak_kv_bytes" in problem
+
+    def test_exact_counters_must_not_move(self):
+        moved = {"models.decode_calls": 64, "kvcache.gather_calls": 9}
+        (problem,) = ab.run_problems([_run(), _run(), _run(counters=moved)])
+        assert problem == "exact counters differ between runs: kvcache.gather_calls"
+
+    def test_a_counter_missing_from_one_run_is_a_change(self):
+        (problem,) = ab.run_problems([_run(), _run(counters={"models.decode_calls": 64})])
+        assert "kvcache.gather_calls" in problem

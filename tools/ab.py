@@ -9,7 +9,9 @@ pair runs ``benchmarks/e2e/run.py --workload W --trace 0`` once per side,
 in a fresh interpreter, in ABBA order: A then B, then B then A, and so on.
 
 The run fails (exit 1) if any run is incorrect or failed a request, or if
-``peak_kv_bytes`` differs between any two runs.  Otherwise it prints one
+``peak_kv_bytes`` or the exact counters (the ``counters`` of the run's
+``reports/e2e/<workload>.seed<S>.trace0.json``) differ between any two
+runs.  Otherwise it prints one
 JSON verdict per end-to-end metric of ``BENCHMARK.json``: the median of the
 per-pair B/A ratios, B's wins out of the ``n`` untied pairs (the metric's
 ``better`` sets the direction), the exact two-sided sign-test p-value,
@@ -76,6 +78,10 @@ def run_problems(runs: list[dict]) -> list[str]:
     kv = {run["metrics"]["peak_kv_bytes"]["value"] for run in runs}
     if len(kv) > 1:
         problems.append(f"peak_kv_bytes differs between runs: {sorted(kv)}")
+    names = sorted({name for run in runs for name in run["counters"]})
+    moved = [n for n in names if len({run["counters"].get(n) for run in runs}) > 1]
+    if moved:
+        problems.append(f"exact counters differ between runs: {', '.join(moved)}")
     return problems
 
 
@@ -91,7 +97,8 @@ def verdicts(spec: dict, runs_a: list[dict], runs_b: list[dict]) -> list[dict]:
 
 
 def _run(tree: Path, workload: str, seed: int) -> dict:
-    """One untraced run in ``tree``; its last stdout line is the result."""
+    """One untraced run in ``tree``: its last stdout line, plus the exact
+    ``counters`` of the report it wrote."""
     proc = subprocess.run(
         [sys.executable, RUNNER, "--workload", workload, "--trace", "0", "--seed", str(seed)],
         cwd=tree, capture_output=True, text=True,
@@ -99,7 +106,8 @@ def _run(tree: Path, workload: str, seed: int) -> dict:
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"{tree.name}: no output (exit {proc.returncode})\n{proc.stderr}")
-    return json.loads(lines[-1])
+    report = tree / "reports" / "e2e" / f"{workload}.seed{seed}.trace0.json"
+    return {**json.loads(lines[-1]), "counters": json.loads(report.read_text())["counters"]}
 
 
 def _git(*args: str) -> None:
