@@ -84,7 +84,7 @@ def _sequential_reference(positional: str, mode: str, dtype: str):
     tokens = [int(np.argmax(logits[:, -1, :]))]
     rows = []
     for _ in range(MAX_BLOCK):
-        row = model.decode_step(np.asarray([tokens[-1]]), manager.current_position[0], views)
+        row = model.decode_step(np.asarray([tokens[-1]]), manager.query_positions(), views)
         manager.advance()
         rows.append(row[0].copy())
         tokens.append(int(np.argmax(row)))
@@ -189,7 +189,7 @@ def test_rounds_leave_the_sequential_cache(positional, mode, dtype):
 
     _, solo = _solo_manager(model, mode)
     for token in tokens[:start]:
-        model.decode_step(np.asarray([token]), solo.current_position[0], solo.layer_views())
+        model.decode_step(np.asarray([token]), solo.query_positions(), solo.layer_views())
         solo.advance()
     assert solo.cache_lengths(0) == manager.cache_lengths(0)
     assert solo.stats[0].lengths_per_step == manager.stats[0].lengths_per_step

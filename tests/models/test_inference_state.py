@@ -127,7 +127,7 @@ class TestInferenceWritesNothing:
             _ids(model, (1, PROMPT_LEN)), 4
         )
         before = model_state(model)
-        model.decode_step_batch(np.array([3]), manager.current_position[0], manager.layer_views())
+        model.decode_step_batch(np.array([3]), manager.query_positions(), manager.layer_views())
         assert_state_kept(model, before)
 
     def test_batched_decode_step(self, model):
