@@ -430,7 +430,7 @@ class MultiHeadAttention(Module):
         # A batch at one depth (the steady state of a fixed kv_budget policy)
         # has no padding, and softmax/einsum reduce each row independently:
         # one batched call is bitwise equal to the per-row loop.
-        padded = r == 0 or int(lengths.min()) < max_len
+        padded = r == 0 or int(min(lengths)) < max_len
         if exact:
             if not padded:
                 probs = ops.softmax(logits, axis=-1)
