@@ -135,6 +135,8 @@ class Generator:
 
         logits, manager = self._prompt_forward(prompt, config.max_new_tokens)
         next_logits = logits[:, -1, :]
+        # The per-layer cache views are stateless facades; build them once and
+        # reuse them every step instead of reallocating view objects per token.
         layer_views = manager.layer_views()
 
         sequences: list[list[int]] = [[] for _ in range(batch_size)]

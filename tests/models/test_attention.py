@@ -498,9 +498,7 @@ class TestDecodeStep:
         _, (k_raw, v), _ = _whole_prompt(attn, x)
         q, _, _ = attn.project_qkv(x[:, -1, :])
         all_pos = np.broadcast_to(np.arange(t), (1, config.n_heads, t))
-        full, _, _ = attn.attend_step_batch(
-            q, k_raw, v, np.array([t - 1]), all_pos, np.array([t])
-        )
+        full, _, _ = attn.attend_step_batch(q, k_raw, v, np.array([t - 1]), all_pos, np.array([t]))
         subset = np.arange(t - 3, t)
         sub_pos = np.broadcast_to(subset, (1, config.n_heads, 3))
         reduced, _, probs = attn.attend_step_batch(
