@@ -790,12 +790,9 @@ class BlockPool:
 
         Slot resolution is per row (page boundaries differ), but the actual
         slab writes are one vectorized scatter per slab — the steady-state
-        decode cost is one indexed write, not a Python loop of copies.  A
-        lone row is :meth:`append`'s basic-index stores, cheaper than a
-        one-slot scatter and the same bytes.
+        decode cost is one indexed write, not a Python loop of copies.
         """
-        if len(tables) <= 1:
-            self._append_each(tables, k, v, positions)
+        if not len(tables):
             return
         slots = np.empty(len(tables), dtype=np.int64)
         for i, table in enumerate(tables):
@@ -818,21 +815,6 @@ class BlockPool:
             self._k_rot[:, slots] = k_rot.transpose(1, 0, 2)
         for table in tables:
             table.length += 1
-
-    def _append_each(
-        self,
-        tables: Sequence[PageTable],
-        k: np.ndarray,
-        v: np.ndarray,
-        positions: np.ndarray,
-    ) -> None:
-        """:meth:`append_rows` as one :meth:`append` per row."""
-        for i, table in enumerate(tables):
-            try:
-                self.append(table, k[i], v[i], positions[i])
-            except Exception as exc:
-                tag_fault_row(exc, i)
-                raise
 
     # ------------------------------------------------------------------
     # eviction

@@ -59,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.kvcache.paged import BlockPool, PageTable
+from repro.kvcache.paged import BlockPool, PageTable, tag_fault_row
 
 __all__ = ["QuantizedBlockPool", "QMAX", "QUANT_STEPS"]
 
@@ -254,10 +254,20 @@ class QuantizedBlockPool(BlockPool):
 
         The base pool's vectorized scatter assumes it can write raw values;
         quantized appends must update each destination page's running range,
-        so this runs one :meth:`append` per row — keeping batched int8
-        serving bit-identical to solo int8 decoding.
+        so this runs the same per-row ``_store_token`` the solo cache uses —
+        keeping batched int8 serving bit-identical to solo int8 decoding.
         """
-        self._append_each(tables, k, v, positions)
+        if not len(tables):
+            return
+        positions = np.asarray(positions, dtype=np.int64)
+        for i, table in enumerate(tables):
+            try:
+                slot = self._append_slot(table)
+                self._store_token(slot, k[i], v[i], int(positions[i]))
+            except Exception as exc:
+                tag_fault_row(exc, i)
+                raise
+            table.length += 1
 
     # ------------------------------------------------------------------
     # integrity auditing

@@ -406,12 +406,8 @@ class MultiHeadAttention(Module):
         if table is None:  # no RoPE, or no rotated dimension
             q_rot, k_rot = q, keys
         else:
-            # Elementwise, hence bit-identical per row to a solo rotation; a
-            # lone row reads its cos/sin as plain table rows.
-            if r == 1:
-                q_rot = table.rotate_uniform(q, int(query_positions[0]))
-            else:
-                q_rot = table.rotate(q, query_positions[:, None])
+            # Elementwise, hence bit-identical per row to a solo rotation.
+            q_rot = table.rotate(q, query_positions[:, None])
             k_rot = keys if keys_rotated else table.rotate(keys, key_positions)
 
         scale = self._scale
@@ -430,7 +426,7 @@ class MultiHeadAttention(Module):
         # A batch at one depth (the steady state of a fixed kv_budget policy)
         # has no padding, and softmax/einsum reduce each row independently:
         # one batched call is bitwise equal to the per-row loop.
-        padded = r == 0 or int(min(lengths)) < max_len
+        padded = r == 0 or int(np.min(lengths)) < max_len
         if exact:
             if not padded:
                 probs = ops.softmax(logits, axis=-1)

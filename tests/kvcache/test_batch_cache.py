@@ -387,7 +387,8 @@ DIFF_POOLS = {
 
 def _pool_state(pool) -> dict:
     """Every array of ``pool`` (slabs, rotated keys, positions, refcounts,
-    frame maps, quantization ranges) and its spill arena's records, as bytes."""
+    frame maps, quantization ranges), its spill arena's records and its
+    frame recency order, as bytes."""
     state = {}
     for name, value in vars(pool).items():
         arrays = value if isinstance(value, dict) else {"": value}
@@ -397,29 +398,59 @@ def _pool_state(pool) -> dict:
     arena = getattr(pool, "arena", None)
     if arena is not None:
         state["arena"] = {page: arena.load(page) for page in sorted(arena.keys())}
+    recency = getattr(pool, "_recency", None)
+    if recency is not None:
+        state["recency"] = list(recency)
     return state
 
 
+def _seeded_pools(kind, n_tables, rng):
+    """Two identical ``kind`` pools, each with ``n_tables`` 3-token tables."""
+    prompt = rng.normal(size=(2, HEADS, 3, D_HEAD))
+    positions = np.broadcast_to(np.arange(3), (HEADS, 3))
+    pools = [DIFF_POOLS[kind](), DIFF_POOLS[kind]()]
+    tables = [[PageTable() for _ in range(n_tables)] for _ in pools]
+    for pool, rows in zip(pools, tables):
+        for table in rows:
+            pool.extend(table, prompt[0], prompt[1], positions)
+    return pools, tables
+
+
+def _assert_same(pools, tables):
+    assert _pool_state(pools[0]) == _pool_state(pools[1])
+    for a, b in zip(*tables):
+        for slot in PageTable.__slots__:
+            assert getattr(a, slot) == getattr(b, slot), slot
+
+
 class TestOneRowAppend:
+    """A solo row decodes through a one-row ``append_rows``: it must write
+    what the solo ``append`` and the multi-row scatter write, across page
+    boundaries, and through spills on the tiered pools."""
+
     @pytest.mark.parametrize("kind", sorted(DIFF_POOLS))
     def test_one_row_append_rows_is_append(self, kind):
-        """A one-row ``append_rows`` leaves every pool array, rotated keys
-        and positions included, and the table byte-identical to ``append``
-        — across page boundaries, and through spills on the tiered pools."""
         rng = np.random.default_rng(7)
-        pools = [DIFF_POOLS[kind](), DIFF_POOLS[kind]()]
-        tables = [PageTable(), PageTable()]
-        prompt = rng.normal(size=(2, HEADS, 5, D_HEAD))
-        positions = np.broadcast_to(np.arange(5), (HEADS, 5))
-        for pool, table in zip(pools, tables):
-            pool.extend(table, prompt[0], prompt[1], positions)
-        for position in range(5, 30):
+        pools, tables = _seeded_pools(kind, 1, rng)
+        for position in range(3, 30):
             k, v = rng.normal(size=(2, HEADS, D_HEAD))
-            pools[0].append_rows([tables[0]], k[None], v[None], np.array([position]))
-            pools[1].append(tables[1], k, v, position)
-            assert _pool_state(pools[0]) == _pool_state(pools[1])
-            for slot in PageTable.__slots__:
-                assert getattr(tables[0], slot) == getattr(tables[1], slot), slot
+            pools[0].append_rows(tables[0], k[None], v[None], np.array([position]))
+            pools[1].append(tables[1][0], k, v, position)
+            _assert_same(pools, tables)
+        if "tiered" in kind:
+            assert pools[0].tier_usage()["spills"] > 0
+
+    @pytest.mark.parametrize("kind", sorted(DIFF_POOLS))
+    def test_one_row_append_rows_is_the_multi_row_scatter(self, kind):
+        rng = np.random.default_rng(8)
+        pools, tables = _seeded_pools(kind, 2, rng)
+        for position in range(3, 16):
+            k, v = rng.normal(size=(2, 2, HEADS, D_HEAD))
+            rows = np.array([position, position])
+            pools[0].append_rows(tables[0], k, v, rows)
+            for i, table in enumerate(tables[1]):
+                pools[1].append_rows([table], k[i : i + 1], v[i : i + 1], rows[i : i + 1])
+            _assert_same(pools, tables)
         if "tiered" in kind:
             assert pools[0].tier_usage()["spills"] > 0
 
