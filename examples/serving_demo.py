@@ -186,9 +186,7 @@ def speculative_demo(model, prompts) -> None:
     print("\nRe-serving the same stream with speculative decoding (ngram, k=4)...")
     config = GenerationConfig(max_new_tokens=MAX_NEW_TOKENS)
     engine = ContinuousBatchingEngine(
-        model,
-        max_batch_size=3,
-        speculation=SpeculationConfig(k=4, drafter="ngram"),
+        model, max_batch_size=3, speculation=SpeculationConfig(k=4)
     )
     states = [engine.submit(p, config) for p in prompts]
     start = time.perf_counter()
@@ -206,9 +204,9 @@ def speculative_demo(model, prompts) -> None:
         f"{stats.acceptance_rate:.0%}, {stats.tokens_per_round:.2f} tokens/round, "
         f"{stats.rolled_back} rolled back"
     )
-    # Speculation ran under the full-attention target (the demo's window
-    # policy belongs to the drafter side), so compare against a dedicated
-    # full-attention run of each request.
+    # Speculation verifies against full attention, not the demo's window
+    # policy, so compare against a dedicated full-attention run of each
+    # request.
     for state, prompt in zip(states, prompts):
         reference = Generator(model, FullAttentionPolicy()).generate(
             prompt, config, sampler=GreedySampler()

@@ -99,7 +99,7 @@ class Generator:
         )
         policies = manager.setup_rows(*prompt_ids.shape, max_new_tokens)
         logits, prompt_kv = self.model.forward_suffix(
-            prompt_ids, scorers=[[policy] for policy in policies]
+            prompt_ids, scorers=policies
         )
         manager.initialize_from_prompt(prompt_kv, max_new_tokens)
         return logits, manager

@@ -1,7 +1,7 @@
 """The per-layer KV cache, and the one cache manager.
 
 :class:`BatchedLayerKVCache` is the one per-layer cache: the serving
-engine's :class:`BatchedCacheManager` and the solo/beam/drafter
+engine's :class:`BatchedCacheManager` and the solo/beam
 :class:`~repro.kvcache.manager.CacheManager` both keep their rows in it.
 Each sequence row is a :class:`~repro.kvcache.paged.PageTable` into the
 layer's :class:`~repro.kvcache.paged.BlockPool` — the cache adds no storage
@@ -18,9 +18,8 @@ append/extend/gather for a set of rows:
   refcount drop — no slab copy, unlike the historical dense-slab design),
   and a joining row may *map* already-resident pages for a shared prompt
   prefix instead of storing a duplicate;
-* ``map_row`` / ``fork_row`` clone tables (a refcount bump): a drafter row
-  mapping its target's prompt, and the snapshots behind rollback and beam
-  reorder.
+* ``fork_row`` clones a table (a refcount bump): the snapshots behind
+  rollback and beam reorder.
 
 The attention step consumes padded ``(rows, heads, max_len, d)`` tensors
 kept in a workspace that page-gathers only the tokens a row appended since
@@ -321,18 +320,6 @@ class BatchedLayerKVCache:
             np.asarray(values)[0],
             np.asarray(positions, dtype=np.int64)[0],
         )
-
-    def map_row(self, row: int, source: PageTable) -> None:
-        """Seed row ``row`` by *mapping* another sequence's table: a clone
-        co-owns the pages covering ``source``'s live tokens (a refcount bump)
-        until copy-on-write splits a page at the first divergent write.  The
-        source's reserve tail stays exclusively its own, so its in-place
-        appends need no copy."""
-        clone = source.clone()
-        clone.drop_pages(pages_needed(clone.end, self.pool.page_size))
-        self.pool.retain(clone.pages)
-        self.pool.release_table(self.tables[row])
-        self.tables[row] = clone
 
     def fork_row(self, row: int) -> PageTable:
         """A clone of row ``row``'s table co-owning its pages (a refcount
@@ -866,7 +853,7 @@ class BatchedCacheManager:
         pristine — including int8 quantization parameters, which
         copy-on-write duplicates alongside the codes), deep-copies the row's
         eviction policy, and captures the step-scoped stats counters and the
-        position and step counters (a drafter rewinds across ``advance``).
+        position and step counters.
         Every snapshot must be consumed by exactly one of :meth:`restore_row`
         or :meth:`discard_row_snapshot`, or its page references leak.
         """
@@ -909,16 +896,13 @@ class BatchedCacheManager:
     # ------------------------------------------------------------------
     # integrity auditing
     # ------------------------------------------------------------------
-    def check_invariants(
-        self, extra_tables_per_layer: list[list[PageTable]] | None = None
-    ) -> list[str]:
+    def check_invariants(self) -> list[str]:
         """Audit the store against this manager's complete ownership map.
 
-        Active rows' tables plus ``extra_tables_per_layer`` (live forks held
-        outside the manager — drafter snapshots, in-flight row snapshots)
-        must account for every page reference alongside the registry's pins;
-        inactive row slots must be empty.  Returns all violations (empty
-        list = clean); see :meth:`BlockPool.check_invariants`.
+        Active rows' tables must account for every page reference alongside
+        the registry's pins; inactive row slots must be empty.  Returns all
+        violations (empty list = clean); see
+        :meth:`BlockPool.check_invariants`.
         """
         violations: list[str] = []
         owners: list[list[PageTable]] = []
@@ -931,10 +915,7 @@ class BatchedCacheManager:
                         f"({len(table.pages)} pages, length {table.length})"
                     )
             violations.extend(f"layer {layer}: {v}" for v in cache.check_workspace())
-            tables = list(cache.tables[: self.n_active])
-            if extra_tables_per_layer is not None:
-                tables.extend(extra_tables_per_layer[layer])
-            owners.append(tables)
+            owners.append(list(cache.tables[: self.n_active]))
         violations.extend(
             self.store.check_invariants(owners, self.registry.pinned_pages())
         )

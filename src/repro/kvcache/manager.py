@@ -1,4 +1,4 @@
-"""The solo cache manager: a batch, the beams of a beam search, or a drafter.
+"""The solo cache manager: a batch, or the beams of a beam search.
 
 :class:`CacheManager` is the one cache manager,
 :class:`~repro.kvcache.batch.BatchedCacheManager`, with the solo entry points
@@ -17,8 +17,7 @@ aliases of those entry points, kept for the span tracer's target list.
 Every row is seeded as one ascending page run with its whole generation
 reserved up front, so a lone row's reads are zero-copy pool views.  Beam
 ``reorder`` clones page tables (a refcount bump; copy-on-write splits a
-shared page at its first divergent write) and moves the policies with them;
-``initialize_mapped`` starts from another sequence's tables.
+shared page at its first divergent write) and moves the policies with them.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import numpy as np
 
 from repro.core.policies import EvictionPolicy
 from repro.kvcache.batch import BatchedCacheManager, BatchedLayerKVCache
-from repro.kvcache.paged import DEFAULT_PAGE_SIZE, PagedKVStore, PageTable, pages_needed
+from repro.kvcache.paged import DEFAULT_PAGE_SIZE, PagedKVStore, pages_needed
 
 __all__ = ["CacheManager"]
 
@@ -48,17 +47,11 @@ class CacheManager(BatchedCacheManager):
         When positive and ``positional_mode == "original"``, the pools
         maintain incrementally updated *rotated* keys so the attention step
         never re-rotates unchanged cache entries.
-    store:
-        An existing store to keep the rows in (a self-drafter's, the serving
-        engine's) instead of a growable store built per run.  With a fixed
-        store, allocations can surface ``PoolExhausted``; the engine answers
-        that with preemption.  The manager builds no prefix registry, so the
-        store's reclaimer stays the owner's.
     kv_dtype:
         Page storage format of the store this manager builds: ``None``
         (default) keeps full-precision pages — the bit-exact golden mode —
         while ``"int8"`` stores quantized pages (see
-        :mod:`repro.kvcache.quant`).  Ignored when ``store`` is passed.
+        :mod:`repro.kvcache.quant`).
     """
 
     def __init__(
@@ -71,7 +64,6 @@ class CacheManager(BatchedCacheManager):
         dtype: np.dtype | str | None = None,
         rope_dims: int = 0,
         page_size: int = DEFAULT_PAGE_SIZE,
-        store: PagedKVStore | None = None,
         kv_dtype: str | None = None,
     ):
         # Not the base constructor: that builds the engine's store and prefix
@@ -85,31 +77,29 @@ class CacheManager(BatchedCacheManager):
             rope_dims,
         )
         self.policy = policy
-        self.page_size = store.page_size if store is not None else int(page_size)
-        self.kv_dtype = store.config.kv_dtype if store is not None else kv_dtype
-        self._shared_store = store
-        self.store: PagedKVStore | None = store
+        self.page_size = int(page_size)
+        self.kv_dtype = kv_dtype
+        self.store: PagedKVStore | None = None
         self.registry = None
         self.caches: list[BatchedLayerKVCache] = []
         self._clear_rows(0)
         self._row_policies: list[EvictionPolicy] | None = None
 
     def _open(self, batch_size: int, capacity: int) -> None:
-        """Empty caches of ``batch_size`` rows, in the shared store or in one
-        growable :class:`PagedKVStore` sized for ``capacity`` tokens a row."""
-        if self._shared_store is None:
-            pages = max(pages_needed(capacity, self.page_size), 1) * max(batch_size, 1) + 1
-            self.store = PagedKVStore(
-                self.n_layers,
-                self.n_heads,
-                self.d_head,
-                page_size=self.page_size,
-                dtype=self.dtype,
-                rope_dims=self.rope_dims,
-                n_pages=pages,
-                growable=True,
-                kv_dtype=self.kv_dtype,
-            )
+        """Empty caches of ``batch_size`` rows in one growable
+        :class:`PagedKVStore` sized for ``capacity`` tokens a row."""
+        pages = max(pages_needed(capacity, self.page_size), 1) * max(batch_size, 1) + 1
+        self.store = PagedKVStore(
+            self.n_layers,
+            self.n_heads,
+            self.d_head,
+            page_size=self.page_size,
+            dtype=self.dtype,
+            rope_dims=self.rope_dims,
+            n_pages=pages,
+            growable=True,
+            kv_dtype=self.kv_dtype,
+        )
         self.caches = [
             BatchedLayerKVCache(batch_size, self.n_heads, self.d_head, pool=pool)
             for pool in self.store.pools
@@ -169,43 +159,6 @@ class CacheManager(BatchedCacheManager):
                 cache.pool.extend(
                     table, keys[row], values[row], positions, reserve_tokens=capacity
                 )
-
-    def initialize_mapped(self, source_tables: list[list[PageTable]]) -> None:
-        """Seed by *mapping* another sequence's page tables (self-speculation).
-
-        ``source_tables`` holds, per layer, the page tables of a sequence
-        already resident in this manager's (shared) store — the serving
-        engine's speculative row right after it joined.  Instead of copying
-        the prompt KV, each row clones its source table and retains the pages
-        covering live tokens (the source's reserve tail stays its own, so its
-        in-place appends need no copy); the drafter's prompt-phase eviction
-        then copy-on-writes into private pages, so target and drafter share
-        physical prompt pages exactly as long as their contents agree.
-        """
-        if self._shared_store is None:
-            raise RuntimeError("initialize_mapped requires a shared store")
-        if len(source_tables) != self.n_layers:
-            raise ValueError(
-                f"expected {self.n_layers} layers of tables, got {len(source_tables)}"
-            )
-        policies = self._take_row_policies(len(source_tables[0]))
-        self._open(len(policies), 0)
-        for cache, tables in zip(self.caches, source_tables):
-            for row, table in enumerate(tables):
-                cache.map_row(row, table)
-        for policy in policies:
-            self._start_row(policy, source_tables[0][0].length)
-        try:
-            for row in range(self.n_active):
-                self._evict_prompt(row)
-        except Exception:
-            # A mid-eviction failure (PoolExhausted from a copy-on-write
-            # gather, or an injected allocation fault) must not leak the
-            # freshly mapped pages — release them so the caller can preempt
-            # or quarantine with the pool intact.
-            for row in reversed(range(self.n_active)):
-                self.release_row(row)
-            raise
 
     def initialize_empty(self, batch_size: int, max_new_tokens: int, prompt_len: int = 1) -> None:
         """Start decoding with empty caches (used in unit tests and

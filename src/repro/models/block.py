@@ -19,8 +19,8 @@ class DecodeCache(Protocol):
 
     Every tensor carries one row per sequence; rows may be padded to the
     longest one.  The concrete implementations live in :mod:`repro.kvcache`
-    — :class:`~repro.kvcache.batch.BatchedLayerView` (engine, solo, beam and
-    drafter rows) and :class:`~repro.kvcache.verify.VerifyView` (the
+    — :class:`~repro.kvcache.batch.BatchedLayerView` (engine, solo and beam
+    rows) and :class:`~repro.kvcache.verify.VerifyView` (the
     rows-of-one-sequence batch of speculative verification) — so the model
     substrate stays independent of the eviction policies layered on top of
     it.

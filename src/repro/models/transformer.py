@@ -192,7 +192,7 @@ class DecoderLM(Module):
         prefix_kv: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
         prefix_len: int = 0,
         prompt_len: int | None = None,
-        scorers: Sequence[Sequence] = (),
+        scorers: Sequence = (),
     ) -> tuple[np.ndarray, list]:
         """The inference prompt pass: rows ``[P, P + S)`` over cached prefix KV.
 
@@ -206,7 +206,7 @@ class DecoderLM(Module):
         (``P = 0``, ``S = T``), and for a chunk when ``S >= 16`` and the prefix
         KV is that forward's (conditions: :meth:`MultiHeadAttention.attend_prefill`).
 
-        ``scorers`` holds, per batch row, the policies whose
+        ``scorers`` holds, per batch row, the policy whose
         ``prompt_scorer(layer_idx, S, prompt_len)`` each layer feeds block by
         block (the whole prompt in one pass): no ``(B, H, T, T)`` tensor
         outlives its row block.
@@ -238,8 +238,7 @@ class DecoderLM(Module):
         for layer_idx, (block, (keys, values)) in enumerate(zip(self.blocks, prefix_kv)):
             layer_scorers = [
                 (row, scorer)
-                for row, policies in enumerate(scorers)
-                for policy in policies
+                for row, policy in enumerate(scorers)
                 if (scorer := policy.prompt_scorer(layer_idx, s, width)) is not None
             ]
             if layer_scorers and width != s:

@@ -89,12 +89,7 @@ from repro.serving.request import FinishReason, Request, RequestState, RequestSt
 from repro.serving.scheduler import FCFSScheduler, PagedScheduler
 from repro.speculative.config import SpeculationConfig
 from repro.speculative.decoder import BatchedRowVerifyTarget, run_round
-from repro.speculative.drafter import (
-    Drafter,
-    NgramDrafter,
-    PolicyDrafter,
-    make_drafter_policy,
-)
+from repro.speculative.drafter import NgramDrafter
 from repro.speculative.telemetry import SpeculationStats
 
 __all__ = ["EngineConfig", "ContinuousBatchingEngine", "BatchedGenerator"]
@@ -317,7 +312,7 @@ class ContinuousBatchingEngine:
             else self._n_pages * config.page_size
         )
         #: Per-request drafter + telemetry, keyed by request id (spec mode).
-        self._spec: dict[int, tuple[Drafter, SpeculationStats]] = {}
+        self._spec: dict[int, tuple[NgramDrafter, SpeculationStats]] = {}
         #: Draft/verify work paid by requests that were later preempted or
         #: aborted — preemption resets a request's own counters (the rerun
         #: repeats the work), but the cost was still paid and the aggregate
@@ -386,17 +381,7 @@ class ContinuousBatchingEngine:
         # nothing left to preempt.
         worst_case = request.token_budget + self.config.page_size
         if self.config.speculation is not None:
-            # The transient draft block, plus — for self-drafting — the
-            # drafter's resident budget-sized cache, which lives in the same
-            # per-layer pools as the request itself.
             worst_case += self.config.speculation.k + 1
-            if (
-                self.config.speculation.drafter != "ngram"
-                and self.config.speculation.drafter_model is None
-            ):
-                probe = make_drafter_policy(self.config.speculation)
-                probe.setup(1, 1, 1, request.prompt_len, request.max_new_tokens)
-                worst_case += probe.budget + self.config.page_size
         if self.max_pool_tokens is not None and worst_case > self.max_pool_tokens:
             raise ValueError(
                 f"request needs up to {request.token_budget} tokens but the "
@@ -420,8 +405,8 @@ class ContinuousBatchingEngine:
                 )
             if not isinstance(policy, FullAttentionPolicy):
                 raise ValueError(
-                    "speculative serving runs the full-attention target; put "
-                    "the sparse policy in SpeculationConfig's drafter instead"
+                    "speculative serving verifies against full attention; "
+                    "submit full-attention requests or disable speculation"
                 )
         state = RequestState(
             request=request,
@@ -847,8 +832,8 @@ class ContinuousBatchingEngine:
             state = self._states[row]
             if id(state) in joined_ids:
                 joined_ids.discard(id(state))
-                # Context drafters must see the first token too, or every
-                # later n-gram lookup spans a history with a hole at the
+                # The drafter must see the first token too, or every later
+                # n-gram lookup spans a history with a hole at the
                 # prompt/generation seam.
                 drafter, _ = self._spec[state.request_id]
                 drafter.note_committed([state.pending_token])
@@ -868,11 +853,11 @@ class ContinuousBatchingEngine:
 
         Under fixed pools the round first preempts newest-admitted rows until
         the store can fund the transient draft block; a mid-round
-        ``PoolExhausted`` (the watermark under-estimated) rolls the drafter
-        back to the round start and preempts — the row simply retries next
-        step, so pressure changes *when* it finishes, never *what* it emits.
-        A lone request with nothing to preempt swaps its drafter for the
-        page-free n-gram fallback instead.
+        ``PoolExhausted`` (the watermark under-estimated) preempts — the row
+        simply retries next step, so pressure changes *when* it finishes,
+        never *what* it emits.  A lone request's ``PoolExhausted`` propagates:
+        :meth:`submit` only accepts requests whose worst case, draft block
+        included, fits the pool alone.
         """
         state = self._states[row]
         drafter, stats = self._spec[state.request_id]
@@ -905,34 +890,17 @@ class ContinuousBatchingEngine:
                 stats,
             )
         except PoolExhausted:
-            drafter.abort_round()
-            if len(self._states) > 1:
-                self._preempt_victim()
-                return
-            # Lone request with nothing to preempt: drop the page-holding
-            # drafter and fall back to model-free n-gram drafting.  Its
-            # pages return to the pool, and the verify path alone fits any
-            # request submit() accepted — progress is guaranteed, and by the
-            # verification contract the output is unchanged.  The stats
-            # object stays live with the fallback (not through
-            # ``_release_spec``, which would merge it into the discarded
-            # aggregate and double-count every round at retirement).
-            carried_steps = drafter.draft_steps
-            del self._spec[state.request_id]
-            drafter.release()
-            fallback = NgramDrafter(state.request.prompt_ids[0], self.config.speculation)
-            fallback.note_committed(state.tokens)
-            fallback.draft_steps = carried_steps
-            self._spec[state.request_id] = (fallback, stats)
+            if len(self._states) == 1:
+                raise
+            self._preempt_victim()
             return
         except Exception as exc:
             if not self.fault_tolerant:
                 raise
             # Quarantine: the verify adapter already unwound its partial
-            # appends; roll the drafter back to the round start, then retire
+            # appends, and a drafter only changes when a round commits; retire
             # or retry this row alone — the other rows are untouched (rounds
             # are strictly row-at-a-time).
-            drafter.abort_round()
             self._quarantine_row(row, exc)
             return
         # One draft-then-verify round ≈ one decode-row unit in the step-cost
@@ -967,42 +935,6 @@ class ContinuousBatchingEngine:
             return True
         return False
 
-    def _self_drafter(self, state: RequestState) -> PolicyDrafter | None:
-        """A self-drafting request's drafter, set up before the prompt pass
-        so that the pass scores its policy too; ``None`` for any other."""
-        spec = self.config.speculation
-        if spec is None or spec.drafter == "ngram" or spec.drafter_model is not None:
-            return None
-        return PolicyDrafter.for_prompt(
-            self.model,
-            make_drafter_policy(spec),
-            state.request.prompt_len,
-            state.request.max_new_tokens,
-            positional_mode=self._manager.positional_mode,
-            store=self._manager.store,
-        )
-
-    def _build_drafter(
-        self, state: RequestState, row: int, drafter: PolicyDrafter | None
-    ) -> Drafter:
-        """Seed the per-request drafter right after its prefill joined;
-        ``drafter`` is the :meth:`_self_drafter` the prompt pass scored."""
-        if drafter is not None:
-            # Self-drafting maps the freshly joined row's prompt pages.
-            tables = [[cache.tables[row]] for cache in self._manager.caches]
-            drafter.manager.initialize_mapped(tables)
-            return drafter
-        spec = self.config.speculation
-        if spec.drafter == "ngram":
-            return NgramDrafter(state.request.prompt_ids[0], spec)
-        return PolicyDrafter.seed_from_prompt(
-            spec.drafter_model,
-            make_drafter_policy(spec),
-            state.request.prompt_ids,
-            state.request.max_new_tokens,
-            positional_mode=self._manager.positional_mode,
-        )
-
     @property
     def speculation_stats(self) -> SpeculationStats:
         """Aggregate draft/verify telemetry over finished *and* running
@@ -1012,8 +944,7 @@ class ContinuousBatchingEngine:
         for state in self._finished:
             if state.speculation:
                 total.merge(SpeculationStats.from_summary(state.speculation))
-        for drafter, stats in self._spec.values():
-            stats.draft_steps = drafter.draft_steps
+        for _, stats in self._spec.values():
             total.merge(stats)
         return total
 
@@ -1052,12 +983,8 @@ class ContinuousBatchingEngine:
         state.policy.setup(
             manager.n_layers, manager.n_heads, 1, prompt_len, state.request.max_new_tokens
         )
-        drafter = self._self_drafter(state)
-        scorers = [state.policy] + ([] if drafter is None else [drafter.manager.policy])
         match = None
-        if self.config.enable_prefix_sharing and not any(
-            policy.needs_prompt_attention for policy in scorers
-        ):
+        if self.config.enable_prefix_sharing and not state.policy.needs_prompt_attention:
             # Recompute at least the last two tokens: a one-row suffix would
             # run BLAS gemv.  (Bit-equal rows need >= 16 here and a prefix
             # registered at this prompt's length; otherwise ulp-close.)
@@ -1078,21 +1005,13 @@ class ContinuousBatchingEngine:
                 self._chunked = pending
                 self._run_chunk(pending)
                 return _PREFILL_CHUNKED
-            self._run_chunk(pending, [scorers])
+            self._run_chunk(pending, [state.policy])
             row = self._join(pending)
             if self.config.speculation is not None:
-                # The drafter seeds against the just-joined row (mapping its
-                # prompt pages for self-drafting); a failed seed must not
-                # leak the row, so unwind it before taking the preempt (or
-                # quarantine) path.
-                try:
-                    self._spec[state.request_id] = (
-                        self._build_drafter(state, row, drafter),
-                        SpeculationStats(),
-                    )
-                except Exception:
-                    self._manager.release_row(row)
-                    raise
+                self._spec[state.request_id] = (
+                    NgramDrafter(prompt[0], self.config.speculation),
+                    SpeculationStats(),
+                )
         except PoolExhausted:
             # The watermark under-estimated (e.g. concurrent COW growth).
             # Free pages by preempting the newest running request; the caller
@@ -1103,9 +1022,9 @@ class ContinuousBatchingEngine:
             self._preempt_victim()
             return _PREFILL_BLOCKED
         except Exception as exc:
-            # ``join`` and the drafter seed both unwind their own pages on
-            # failure, so the store is clean here; quarantine the request
-            # alone (running rows are untouched by a prefill).
+            # ``join`` unwinds its own pages on failure, so the store is
+            # clean here; quarantine the request alone (running rows are
+            # untouched by a prefill).
             if self._chunked is not None and self._chunked.state is state:
                 self._chunked = None
             if not self.fault_tolerant:
@@ -1172,8 +1091,8 @@ class ContinuousBatchingEngine:
 
         Every chunk is rows ``[start, end)`` of the prompt through
         :meth:`DecoderLM.forward_suffix` over the prefix so far, at the
-        prompt's full width, scoring the prompt into ``scorers``' policies
-        (one row's list).  Only when another chunk follows are its keys
+        prompt's full width, scoring the prompt into ``scorers`` (the row's
+        policy).  Only when another chunk follows are its keys
         rotated into attention form and appended to that prefix.  No pool
         pages are touched here.
         """
@@ -1260,9 +1179,8 @@ class ContinuousBatchingEngine:
 
     def _prefill_failure(self, state: RequestState, exc: BaseException) -> int:
         """Quarantine a faulted prefill: retry with backoff or retire with
-        :attr:`FinishReason.ERROR`.  The request never joined a row, so only
-        its (possibly seeded) drafter needs tearing down."""
-        self._release_spec(state)
+        :attr:`FinishReason.ERROR`.  The request never joined a row, so
+        there is nothing to tear down."""
         self._record_fault(state, exc)
         if state.retries < self.config.max_retries:
             self.n_retries += 1
@@ -1329,7 +1247,6 @@ class ContinuousBatchingEngine:
         if spec is None:
             return
         drafter, stats = spec
-        stats.draft_steps = drafter.draft_steps
         if record:
             state.speculation = stats.summary()
             state.speculation_policy = {
@@ -1340,7 +1257,6 @@ class ContinuousBatchingEngine:
             }
         else:
             self._spec_discarded.merge(stats)
-        drafter.release()
 
     def _retire(self, row: int, reason: FinishReason) -> None:
         state = self._states[row]
@@ -1510,25 +1426,16 @@ class ContinuousBatchingEngine:
     def check_invariants(self, strict: bool = True) -> list[str]:
         """Audit the paged store against every live page-table reference.
 
-        Collects the page tables of all running rows, registry-pinned prefix
-        chunks and live drafters (self-drafting rows hold tables in the
-        engine's own store), and verifies pool refcounts, free-list
-        consistency and quantization-parameter agreement via
+        Collects the page tables of all running rows and registry-pinned
+        prefix chunks, and verifies pool refcounts, free-list consistency and
+        quantization-parameter agreement via
         :meth:`BatchedCacheManager.check_invariants`.  Returns the list of
         violation descriptions; with ``strict`` (default) a non-empty list
         raises :class:`~repro.kvcache.paged.PoolIntegrityError` instead.
         """
         if self._manager is None:
             return []
-        extras: list[list] | None = None
-        if self._spec:
-            extras = [[] for _ in range(self._manager.n_layers)]
-            for drafter, _stats in self._spec.values():
-                for layer, tables in enumerate(
-                    drafter.live_tables(self._manager.store)
-                ):
-                    extras[layer].extend(tables)
-        violations = self._manager.check_invariants(extras)
+        violations = self._manager.check_invariants()
         if strict and violations:
             raise PoolIntegrityError(
                 f"{len(violations)} pool-integrity violation(s):\n  "

@@ -46,7 +46,7 @@ __all__ = [
 
 #: Injection points of the serving stack, in engine-flow order: page
 #: allocation (fires inside ``BlockPool.alloc`` — prefill joins, decode
-#: appends, copy-on-write, drafter growth), the per-request prefill step, the
+#: appends, copy-on-write), the per-request prefill step, the
 #: per-row batched decode step, the speculative verify pass, the drafter
 #: round, and spill/restore transfers of the tiered KV-offload pools
 #: (``spill_io`` fires inside ``_TieredMixin._spill_page`` /

@@ -1,15 +1,14 @@
-"""Self-speculative decoding on the paged KV store.
+"""Speculative decoding on the paged KV store.
 
 Decode latency is dominated by per-step memory traffic and dispatch overhead;
 speculative decoding amortizes many target-model steps behind one batched
-**verify** pass.  A cheap drafter — a sparse-cache (window/Keyformer/H2O)
-pass over the target's own weights, a smaller model, or a free n-gram lookup
-— proposes ``k`` tokens; the target scores all of them at once via the
-multi-query verify kernel, accepts the matching prefix, and rolls the
-rejected tail's KV pages back through the paged store's refcount machinery.
+**verify** pass.  A free n-gram lookup over the committed context proposes
+``k`` tokens; the target scores all of them at once via the multi-query
+verify kernel, accepts the matching prefix, and rolls the rejected tail's KV
+pages back through the paged store's refcount machinery.
 
 Greedy output is **bit-identical** to vanilla greedy decoding (tokens and
-float64 log-probabilities) for every drafter; see ``docs/speculative.md``.
+float64 log-probabilities); see ``docs/speculative.md``.
 """
 
 from repro.speculative.config import SpeculationConfig
@@ -18,12 +17,7 @@ from repro.speculative.decoder import (
     SpeculativeGenerator,
     run_round,
 )
-from repro.speculative.drafter import (
-    Drafter,
-    NgramDrafter,
-    PolicyDrafter,
-    make_drafter_policy,
-)
+from repro.speculative.drafter import NgramDrafter
 from repro.speculative.telemetry import SpeculationStats
 
 __all__ = [
@@ -32,8 +26,5 @@ __all__ = [
     "SpeculativeGenerator",
     "BatchedRowVerifyTarget",
     "run_round",
-    "Drafter",
-    "PolicyDrafter",
     "NgramDrafter",
-    "make_drafter_policy",
 ]

@@ -3,11 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
-
-if TYPE_CHECKING:
-    from repro.core.policies import EvictionPolicy
-    from repro.models.transformer import DecoderLM
 
 __all__ = ["SpeculationConfig"]
 
@@ -17,28 +12,12 @@ class SpeculationConfig:
     """How the speculative decoder drafts and verifies.
 
     Speculative decoding never changes *what* is generated — greedy output is
-    bit-identical to vanilla greedy decoding for every drafter below (the
-    verify pass recomputes the target logits exactly) — only how many target
-    passes it takes.  The drafter choice trades draft cost against acceptance
-    rate:
-
-    ``drafter="window"`` (default)
-        Self-drafting: the target's own weights run a sliding-window
-        eviction policy (budget ``kv_fraction`` of the sequence), so each
-        draft step attends over a small cache.  This is the paper-aligned
-        configuration — the sparse cache is the cheap approximation of the
-        full model.
-    ``drafter="policy"``
-        Self-drafting with an arbitrary eviction policy from
-        ``drafter_policy_factory`` (Keyformer, H2O, sinks, ...).
-    ``drafter="ngram"``
-        Prompt-lookup drafting: propose the continuation of the most recent
-        matching n-gram in the already-committed context.  No model pass at
-        all — drafting is free, so throughput is bounded only by acceptance.
-    ``drafter_model``
-        When set, a smaller :mod:`repro.models.model_zoo`-style model (same
-        vocabulary) drafts instead of the target's own weights; combine with
-        ``drafter="window"``/``"policy"`` for its cache policy.
+    bit-identical to vanilla greedy decoding (the verify pass recomputes the
+    target logits exactly) — only how many target passes it takes.  Drafts
+    come from prompt lookup (:class:`~repro.speculative.drafter.NgramDrafter`):
+    the continuation of the most recent matching n-gram in the
+    already-committed context.  No model pass at all — drafting is free, so
+    throughput is bounded only by acceptance.
 
     Parameters
     ----------
@@ -46,31 +25,16 @@ class SpeculationConfig:
         Draft tokens proposed per round; each round commits between 1 and
         ``k + 1`` tokens (accepted prefix plus one token from the verify
         logits).
-    kv_fraction:
-        Cache budget of the built-in window drafter, as a fraction of the
-        prompt length (ignored when ``drafter_policy_factory`` is given).
     ngram_max, ngram_min:
         Longest/shortest suffix n-gram the lookup drafter tries to match.
     """
 
     k: int = 4
-    drafter: str = "window"
-    drafter_policy_factory: "Callable[[], EvictionPolicy] | None" = None
-    drafter_model: "DecoderLM | None" = None
-    kv_fraction: float = 0.5
     ngram_max: int = 3
     ngram_min: int = 1
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("speculation k must be >= 1")
-        if self.drafter not in ("window", "policy", "ngram"):
-            raise ValueError(f"unknown drafter kind {self.drafter!r}")
-        if self.drafter == "policy" and self.drafter_policy_factory is None:
-            raise ValueError('drafter="policy" requires drafter_policy_factory')
-        if self.drafter == "ngram" and self.drafter_model is not None:
-            raise ValueError("the ngram drafter does not use a drafter model")
-        if not 0.0 < self.kv_fraction <= 1.0:
-            raise ValueError("kv_fraction must be in (0, 1]")
         if self.ngram_min < 1 or self.ngram_max < self.ngram_min:
             raise ValueError("need 1 <= ngram_min <= ngram_max")

@@ -5,7 +5,8 @@ The serving engine's speculation mode is the one driver of these rounds;
 
 One **round** of speculative decoding:
 
-1. the drafter proposes ``k`` candidate tokens after the last committed one;
+1. the n-gram drafter proposes ``k`` candidate tokens after the last
+   committed one;
 2. the target model scores the last committed token *and* every draft in a
    single :meth:`~repro.models.transformer.DecoderLM.decode_step_batch` pass
    over ``k + 1`` virtual rows of the one sequence
@@ -17,12 +18,12 @@ One **round** of speculative decoding:
    full acceptance);
 4. the rejected tail's KV is rolled back (``commit_verify_row`` truncates the
    row's page tables — accepted drafts keep the verify pass's KV instead of being
-   recomputed), and the drafter reconciles via snapshot restore/catch-up.
+   recomputed), and the drafter's history takes the committed tokens.
 
 Because the verify logits are bit-identical (float64) to what sequential
 decoding would have produced, greedy speculative decoding emits **exactly**
 the tokens and log-probabilities of vanilla greedy decoding under the
-full-attention policy, for every drafter — pinned by
+full-attention policy, whatever the drafter proposes — pinned by
 ``tests/golden/test_golden_speculative.py`` against the seed fixtures.
 """
 
@@ -38,7 +39,7 @@ from repro.models.config import GenerationConfig
 from repro.models.tensor_ops import log_softmax
 from repro.models.transformer import DecoderLM
 from repro.speculative.config import SpeculationConfig
-from repro.speculative.drafter import Drafter
+from repro.speculative.drafter import NgramDrafter
 from repro.speculative.telemetry import SpeculationStats
 
 if TYPE_CHECKING:
@@ -100,7 +101,7 @@ class BatchedRowVerifyTarget:
 
 def run_round(
     target: BatchedRowVerifyTarget,
-    drafter: Drafter,
+    drafter: NgramDrafter,
     last_token: int,
     max_draft: int,
     remaining: int,
@@ -116,7 +117,7 @@ def run_round(
     verify pass collapses to a (bit-identical) single decode step.
     """
     k = min(max_draft, remaining - 1)
-    draft = drafter.draft(int(last_token), k, eos_token_id)
+    draft = drafter.draft(k, eos_token_id)
     inputs = np.asarray([int(last_token)] + list(draft), dtype=np.int64)
     verify_logits = target.verify(inputs)
     greedy = np.argmax(verify_logits, axis=-1)
@@ -137,16 +138,12 @@ def run_round(
                 commits = commits[: i + 1]
                 break
     target.commit(len(commits), len(inputs))
-    drafter.accept(int(last_token), list(draft), n_accepted)
     drafter.note_committed([token for token, _ in commits])
     stats.rounds += 1
     stats.drafted += len(draft)
     stats.accepted += n_accepted
     stats.committed += len(commits)
     stats.rolled_back += len(inputs) - len(commits)
-    # Keep the model-pass counter live (not just at teardown) so aggregate
-    # telemetry polled mid-run reflects the drafting cost already paid.
-    stats.draft_steps = drafter.draft_steps
     return commits
 
 
@@ -158,11 +155,10 @@ class SpeculativeGenerator:
     the one prompt becomes the engine's only request, so solo speculative
     decoding is the batch-of-one case of the one draft-then-verify driver.
 
-    The target always runs the full-attention policy — the whole point is
-    that the *drafter* carries the sparse cache — and the output is
+    The target always runs the full-attention policy, and the output is
     bit-identical to ``Generator(model, FullAttentionPolicy()).generate`` at
-    float64, for every drafter configuration.  The returned result carries a
-    ``speculation`` summary (rounds, acceptance rate, rollbacks).
+    float64 for every speculation configuration.  The returned result
+    carries a ``speculation`` summary (rounds, acceptance rate, rollbacks).
     """
 
     def __init__(
@@ -174,13 +170,6 @@ class SpeculativeGenerator:
         self.model = model
         self.speculation = speculation or SpeculationConfig()
         self.positional_mode = positional_mode
-        if self.speculation.drafter_model is not None:
-            drafter_config = self.speculation.drafter_model.config
-            if drafter_config.vocab_size != model.config.vocab_size:
-                raise ValueError(
-                    "drafter model must share the target's vocabulary "
-                    f"({drafter_config.vocab_size} != {model.config.vocab_size})"
-                )
 
     def _engine(self):
         """A fresh engine in speculation mode with the full-attention target."""

@@ -25,8 +25,6 @@ class SpeculationStats:
     accepted: int = 0
     #: Tokens committed to the output (accepted drafts + corrections/bonuses).
     committed: int = 0
-    #: Drafter model passes, including post-acceptance catch-up steps.
-    draft_steps: int = 0
     #: Draft tokens rolled back out of the target cache (truncated KV).
     rolled_back: int = 0
 
@@ -50,7 +48,6 @@ class SpeculationStats:
         self.drafted += other.drafted
         self.accepted += other.accepted
         self.committed += other.committed
-        self.draft_steps += other.draft_steps
         self.rolled_back += other.rolled_back
 
     @classmethod
@@ -61,7 +58,6 @@ class SpeculationStats:
             drafted=summary.get("drafted", 0),
             accepted=summary.get("accepted", 0),
             committed=summary.get("committed", 0),
-            draft_steps=summary.get("draft_steps", 0),
             rolled_back=summary.get("rolled_back", 0),
         )
 
@@ -72,7 +68,6 @@ class SpeculationStats:
             "drafted": self.drafted,
             "accepted": self.accepted,
             "committed": self.committed,
-            "draft_steps": self.draft_steps,
             "rolled_back": self.rolled_back,
             "acceptance_rate": round(self.acceptance_rate, 4),
             "tokens_per_round": round(self.tokens_per_round, 4),

@@ -16,7 +16,6 @@ from repro.models.config import GenerationConfig, ModelConfig
 from repro.models.tensor_ops import log_softmax
 from repro.models.transformer import DecoderLM
 from repro.serving.engine import ContinuousBatchingEngine
-from repro.speculative import SpeculationConfig, SpeculativeGenerator
 from tests.conftest import tiny_config
 from tests.models.test_inference_state import assert_state_kept, model_state
 
@@ -232,11 +231,6 @@ def _keyformer():
     return KeyformerPolicy(KeyformerConfig(kv_fraction=0.5))
 
 
-#: Self-drafting with a Keyformer drafter: the one speculative configuration
-#: whose prompt pass scores a drafter policy.
-KEYFORMER_DRAFTER = SpeculationConfig(k=3, drafter="policy", drafter_policy_factory=_keyformer)
-
-
 class TestNothingPinnedAfterPromptPass:
     """A finished prompt pass leaves no ``(B, H, T, T)`` tensor behind: the
     shared model holds nothing, and every per-block prompt scorer — its
@@ -277,13 +271,6 @@ class TestNothingPinnedAfterPromptPass:
         self._assert_model_holds_nothing(model)
         self._assert_released()
 
-    def test_self_drafting_speculative_prefill(self, model, rng):
-        SpeculativeGenerator(model, KEYFORMER_DRAFTER).generate(
-            rng.integers(0, 64, size=20), GenerationConfig(max_new_tokens=4)
-        )
-        self._assert_model_holds_nothing(model)
-        self._assert_released()
-
     def test_keyformer_engine_prefill(self, model, rng):
         engine = ContinuousBatchingEngine(model, policy_factory=_keyformer)
         engine.submit(rng.integers(0, 64, size=20), GenerationConfig(max_new_tokens=4))
@@ -291,18 +278,6 @@ class TestNothingPinnedAfterPromptPass:
         assert engine.n_running == 1
         self._assert_model_holds_nothing(model)
         self._assert_released()
-
-    def test_prompt_attention_is_gone_once_the_drafter_is_seeded(self, model, rng):
-        """Speculative serving with a Keyformer self-drafter: the row's prompt
-        pass scores the drafter's policy in the admission step, and the engine
-        keeps no scorer while the row decodes."""
-        engine = ContinuousBatchingEngine(model, speculation=KEYFORMER_DRAFTER)
-        state = engine.submit(rng.integers(0, 64, size=20), GenerationConfig(max_new_tokens=8))
-        engine.step()
-        assert state.request_id in engine._spec  # the drafter is seeded
-        self._assert_model_holds_nothing(model)
-        self._assert_released()
-        engine.run()
 
 
 class TestPromptPassMemory:

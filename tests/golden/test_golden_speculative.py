@@ -4,9 +4,9 @@ Speculative decoding's whole contract is that the drafter can only change
 *how fast* tokens are produced, never *which* tokens: greedy verification
 recomputes the target's own logits bit-exactly, so the output must equal the
 full-attention golden fixtures pinned against the seed implementation —
-token for token and log-probability for log-probability — no matter which
-drafter proposes (window, H2O, Keyformer self-drafting, a full-attention
-self-draft, or the model-free n-gram lookup).
+token for token and log-probability for log-probability — whatever the
+n-gram drafter proposes, at every draft length (one draft per round, the
+default four, and a block longer than most accepted runs).
 """
 
 from __future__ import annotations
@@ -17,36 +17,11 @@ import numpy as np
 import pytest
 
 from golden_cases import FIXTURE_PATH, MAX_NEW_TOKENS, PROMPT_LEN, VOCAB, _model_config
-from repro.core.config import CachePolicyConfig, KeyformerConfig
-from repro.core.keyformer import KeyformerPolicy
-from repro.core.policies import FullAttentionPolicy, H2OPolicy
 from repro.models.config import GenerationConfig, ModelConfig
 from repro.speculative import SpeculationConfig, SpeculativeGenerator
 
 with FIXTURE_PATH.open() as fh:
     GOLDEN = json.load(fh)
-
-#: Every drafter family the issue's acceptance criterion names, plus the
-#: n-gram drafter.  All must reproduce the *full-attention* golden case —
-#: the target policy — exactly.
-DRAFTER_CONFIGS = {
-    "full": SpeculationConfig(k=4, drafter="policy", drafter_policy_factory=FullAttentionPolicy),
-    "window": SpeculationConfig(k=4, drafter="window", kv_fraction=0.5),
-    "h2o": SpeculationConfig(
-        k=3,
-        drafter="policy",
-        drafter_policy_factory=lambda: H2OPolicy(
-            CachePolicyConfig(kv_fraction=0.5, recent_ratio=0.5)
-        ),
-    ),
-    "keyformer": SpeculationConfig(
-        k=5,
-        drafter="policy",
-        drafter_policy_factory=lambda: KeyformerPolicy(KeyformerConfig(kv_fraction=0.5)),
-    ),
-    "ngram": SpeculationConfig(k=4, drafter="ngram"),
-}
-
 
 def _case_model():
     from repro.models.transformer import DecoderLM
@@ -54,10 +29,10 @@ def _case_model():
     return DecoderLM(ModelConfig(**_model_config("rope")), seed=0)
 
 
-@pytest.mark.parametrize("drafter", sorted(DRAFTER_CONFIGS))
-def test_speculative_matches_full_attention_golden(drafter):
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_speculative_matches_full_attention_golden(k):
     model = _case_model()
-    generator = SpeculativeGenerator(model, DRAFTER_CONFIGS[drafter])
+    generator = SpeculativeGenerator(model, SpeculationConfig(k=k))
     prompt = (
         np.random.default_rng(7).integers(0, VOCAB, size=(1, PROMPT_LEN)).astype(np.int64)
     )

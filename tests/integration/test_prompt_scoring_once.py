@@ -15,16 +15,13 @@ from repro.kvcache.paged import PoolExhausted
 from repro.models.config import GenerationConfig
 from repro.models.transformer import DecoderLM
 from repro.serving.engine import ContinuousBatchingEngine
-from repro.speculative import SpeculationConfig, SpeculativeGenerator
+from repro.speculative import SpeculationConfig
 from tests.conftest import tiny_config
 from tests.reference.prompt_scoring import score_after_the_pass
 
 
 def keyformer():
     return KeyformerPolicy(KeyformerConfig(kv_fraction=0.5, recent_ratio=0.25, seed=3))
-
-
-SELF_DRAFTING = SpeculationConfig(k=3, drafter="policy", drafter_policy_factory=keyformer)
 
 
 @pytest.fixture(params=["float64", "float32"])
@@ -57,29 +54,6 @@ def test_beam_search(model, monkeypatch):
     assert [h.tokens for h in fused.hypotheses] == [h.tokens for h in reference.hypotheses]
     scores = [np.float64(h.raw_score).tobytes() for h in fused.hypotheses]
     assert scores == [np.float64(h.raw_score).tobytes() for h in reference.hypotheses]
-
-
-def _drafter_scores(model):
-    """The self-drafter's prompt-phase scores after its request joined."""
-    engine = SpeculativeGenerator(model, SELF_DRAFTING)._engine()
-    state = engine.submit(prompts(1), GenerationConfig(max_new_tokens=6))
-    engine.step()
-    drafter, _ = engine._spec[state.request_id]
-    scores = drafter.manager.policies[0].score.get(None).copy()
-    engine.run()
-    return scores, state
-
-
-def test_self_drafting_speculative_generator(model, monkeypatch):
-    fused_scores, fused = _drafter_scores(model)
-    score_after_the_pass(model, monkeypatch)
-    reference_scores, reference = _drafter_scores(model)
-    assert fused_scores.tobytes() == reference_scores.tobytes()
-    assert fused.tokens == reference.tokens
-    assert np.float64(fused.total_logprob).tobytes() == np.float64(reference.total_logprob).tobytes()
-    config = GenerationConfig(max_new_tokens=6)
-    result = SpeculativeGenerator(model, SELF_DRAFTING).generate(prompts(1), config)
-    assert result.sequences[0] == reference.tokens
 
 
 def _serve(model, block_once: bool, monkeypatch, **engine_kwargs):
@@ -115,7 +89,8 @@ def test_engine_join_retried_after_pool_exhausted(model, monkeypatch):
 
 
 def test_speculative_engine_join_retried_after_pool_exhausted(model, monkeypatch):
-    unblocked, _ = _serve(model, False, monkeypatch, speculation=SELF_DRAFTING)
-    retried, engine = _serve(model, True, monkeypatch, speculation=SELF_DRAFTING)
+    speculation = SpeculationConfig(k=3)
+    unblocked, _ = _serve(model, False, monkeypatch, speculation=speculation)
+    retried, engine = _serve(model, True, monkeypatch, speculation=speculation)
     assert engine.n_preemptions >= 1
     assert retried == unblocked

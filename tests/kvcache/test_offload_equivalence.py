@@ -219,7 +219,7 @@ def test_offload_speculative_is_bit_identical_to_no_offload(kv_dtype):
             page_size=PAGE_SIZE,
             kv_dtype=kv_dtype,
             enable_prefix_sharing=False,
-            speculation=SpeculationConfig(k=3, drafter="ngram"),
+            speculation=SpeculationConfig(k=3),
             tier0_budget=_tier0_budget(kv_dtype, 4) if offload else None,
             spill_backend="compressed" if offload else None,
         )

@@ -310,7 +310,7 @@ class TestRememberedContiguity:
         "truncate",
         "gather",
         "release_fork",
-        "map_row",
+        "fork_row",
     )
 
     @settings(max_examples=150, deadline=None)
@@ -374,10 +374,10 @@ class TestRememberedContiguity:
             elif op == "gather" and table.length > 1:
                 keep = np.delete(np.arange(table.length), n % table.length)
                 pool.gather(table, np.broadcast_to(keep, (H, keep.size)))
-            elif op == "map_row" and table.length:
-                mapped = BatchedLayerKVCache(1, H, D, pool=pool)
-                mapped.map_row(0, table)
-                tables.extend(mapped.tables)
+            elif op == "fork_row" and table.length:
+                cache = BatchedLayerKVCache(1, H, D, pool=pool)
+                cache.tables[0] = table
+                tables.append(cache.fork_row(0))
             check()
 
     def test_solo_run_never_rescans_in_steady_state(self):

@@ -1,4 +1,4 @@
-"""Rollback primitives: pool truncate, table forking, mapped seeding."""
+"""Rollback primitives: pool truncate and table forking."""
 
 from __future__ import annotations
 
@@ -148,31 +148,18 @@ class TestForkRestore:
         assert pool.used_pages == used
 
 
-class TestMapRow:
-    def test_mapped_row_shares_pages_until_divergence(self):
+class TestForkRow:
+    def test_forked_row_shares_pages_until_divergence(self):
         pool = _pool()
         source = _seed(pool, 8)
-        mapped = BatchedLayerKVCache(1, 2, 4, pool=pool)
-        mapped.map_row(0, source)
-        assert mapped.tables[0].pages == source.pages
+        cache = BatchedLayerKVCache(1, 2, 4, pool=pool)
+        cache.tables[0] = source
+        cache.tables[0] = fork = cache.fork_row(0)
+        assert fork.pages == source.pages
         assert (pool.refcounts[source.pages] == 2).all()
-        np.testing.assert_array_equal(mapped.keys[0], pool.keys_view(source))
-        # Divergent write: the mapped row appends, copy-on-write splits.
-        pool.append(mapped.tables[0], np.zeros((2, 4)), np.zeros((2, 4)), position=8)
+        np.testing.assert_array_equal(cache.keys[0], pool.keys_view(source))
+        # Divergent write: the forked row appends, copy-on-write splits.
+        pool.append(fork, np.zeros((2, 4)), np.zeros((2, 4)), position=8)
         source_view = pool.keys_view(source).copy()
-        mapped.gather_row(0, np.broadcast_to(np.arange(4), (2, 4)))
+        cache.gather_row(0, np.broadcast_to(np.arange(4), (2, 4)))
         np.testing.assert_array_equal(pool.keys_view(source), source_view)
-
-    def test_map_row_trims_reserve_pages(self):
-        pool = _pool()
-        table = PageTable()
-        keys = np.zeros((2, 6, 4))
-        positions = np.broadcast_to(np.arange(6), (2, 6))
-        pool.extend(table, keys, keys.copy(), positions, reserve_tokens=20)
-        assert len(table.pages) == 5  # 6 live tokens + reserve
-        mapped = BatchedLayerKVCache(1, 2, 4, pool=pool)
-        mapped.map_row(0, table)
-        # Only the pages covering live tokens are mapped: the source's
-        # reserve tail stays exclusively its own (in-place appends, no COW).
-        assert len(mapped.tables[0].pages) == 2
-        assert pool.refcounts[table.pages[2]] == 1

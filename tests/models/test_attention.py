@@ -156,7 +156,7 @@ def _prompt_pass(config, ids, positions, reference=False):
                       for b in model.blocks]
         else:
             recorders = [Recorder() for _ in range(len(ids))]
-            logits, kv = model.forward_suffix(ids, scorers=[[r] for r in recorders])
+            logits, kv = model.forward_suffix(ids, scorers=recorders)
             layers = [(layer_kv, *recorded(recorders, i)) for i, layer_kv in enumerate(kv)]
         out["prompt.logits"] = logits
         for i, ((k, v), attention, scores) in enumerate(layers):
@@ -274,7 +274,7 @@ class TestPrefillChunkIsForwardRows:
         model = DecoderLM(config, seed=0)
         ids = np.random.default_rng(t).integers(0, config.vocab_size, size=(1, t))
         recorder = Recorder()
-        logits, kv = model.forward_suffix(ids, scorers=[[recorder]])
+        logits, kv = model.forward_suffix(ids, scorers=[recorder])
         got = {"logits": logits}
         for i, (k, v) in enumerate(kv):
             a, sc = recorded([recorder], i)
@@ -304,7 +304,7 @@ class TestPrefillChunkIsForwardRows:
         assert len(kv) == len(model.blocks)
         prefix = [(k[:, :, :3], v[:, :, :3]) for k, v in kv]
         with pytest.raises(ValueError, match="whole prompt"):
-            model.forward_suffix(ids[:, 3:], prefix, 3, scorers=[[Recorder()], [Recorder()]])
+            model.forward_suffix(ids[:, 3:], prefix, 3, scorers=[Recorder(), Recorder()])
 
 
 class TestForward:

@@ -108,7 +108,7 @@ class TestInferenceWritesNothing:
         for policy in policies:
             policy.setup(config.n_layers, config.n_heads, 1, PROMPT_LEN, 4)
         before = model_state(model)
-        model.forward_suffix(_ids(model, (2, PROMPT_LEN)), scorers=[[p] for p in policies])
+        model.forward_suffix(_ids(model, (2, PROMPT_LEN)), scorers=policies)
         assert_state_kept(model, before)
 
     def test_chunked_prompt_pass(self, model):
@@ -142,7 +142,7 @@ class TestInferenceWritesNothing:
         assert_state_kept(model, before)
 
     def test_verify_step(self, model):
-        speculation = SpeculationConfig(k=3, drafter="ngram")
+        speculation = SpeculationConfig(k=3)
         engine = ContinuousBatchingEngine(model, speculation=speculation)
         engine.submit(_ids(model, PROMPT_LEN), GenerationConfig(max_new_tokens=8))
         engine.step()
@@ -206,7 +206,7 @@ class TestReentrantPromptPass:
         policy.setup(config.n_layers, config.n_heads, 1, ids.shape[1], 8)
         if barrier is not None:
             barrier.wait()
-        logits, kv = model.forward_suffix(ids, scorers=[[policy]])
+        logits, kv = model.forward_suffix(ids, scorers=[policy])
         return logits, kv, policy
 
     @staticmethod

@@ -47,6 +47,24 @@ def grid_policies() -> list:
     return policies
 
 
+class FanOut:
+    """One row's scorer that feeds every policy of ``policies`` each block
+    in turn, so that one prompt pass scores the whole grid."""
+
+    def __init__(self, policies: list):
+        self.policies = policies
+
+    def prompt_scorer(self, layer_idx: int, n_rows: int, width: int):
+        scorers = [policy.prompt_scorer(layer_idx, n_rows, width) for policy in self.policies]
+        scorers = [scorer for scorer in scorers if scorer is not None]
+
+        def score(start, logits, probs):
+            for scorer in scorers:
+                scorer(start, logits, probs)
+
+        return score if scorers else None
+
+
 @pytest.mark.parametrize("t", REFERENCE_LENGTHS)
 @pytest.mark.parametrize("batch", [1, 2])
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -61,7 +79,7 @@ def test_fused_scores_are_the_reference(family, dtype, batch, t, monkeypatch):
     rows = [grid_policies() for _ in range(batch)]
     for policy in (p for row in rows for p in row):
         policy.setup(*geometry)
-    model.forward_suffix(ids, scorers=rows)
+    model.forward_suffix(ids, scorers=[FanOut(row) for row in rows])
 
     monkeypatch.setattr(MultiHeadAttention, "forward", reference_forward)
     model.forward(ids, store_attention=True)

@@ -175,8 +175,7 @@ def score_after_the_pass(model, monkeypatch) -> None:
 
     def post_forward(ids, prefix_kv=None, prefix_len=0, prompt_len=None, scorers=()):
         out = forward_suffix(ids, prefix_kv, prefix_len, prompt_len)
-        policies = [(row, p) for row, ps in enumerate(scorers) for p in ps]
-        policies = [(row, p) for row, p in policies if p.needs_prompt_attention]
+        policies = [(row, p) for row, p in enumerate(scorers) if p.needs_prompt_attention]
         if not policies:
             return out
         assert prefix_len == 0

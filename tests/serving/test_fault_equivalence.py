@@ -8,7 +8,7 @@ must end every run with zero leaked pages and clean refcounts.
 
 Hypothesis drives seeded fault schedules across the full configuration
 matrix: eviction policy (full / window / h2o / keyformer), KV precision
-(float64 / int8) and speculation (off / n-gram / self-drafting), with faults
+(float64 / int8) and speculation (off / n-gram), with faults
 enabled at all five injection points.  Each example runs the same workload
 twice — fault-free reference, then faulted — and checks equivalence plus a
 strict pool-integrity audit.
@@ -64,8 +64,8 @@ _POLICIES = {
 }
 
 #: (policy, kv_dtype, speculation) corners of the configuration matrix.
-#: Speculation requires the full-attention target (the sparse policy lives
-#: in the drafter), so spec rows pair with "full" only.
+#: Speculation requires the full-attention target, so spec rows pair with
+#: "full" only.
 _MATRIX = [
     ("full", None, None),
     ("window", None, None),
@@ -74,13 +74,12 @@ _MATRIX = [
     ("full", "int8", None),
     ("window", "int8", None),
     ("full", None, "ngram"),
-    ("full", None, "window"),
     ("full", "int8", "ngram"),
 ]
 
 
 def _run_workload(policy_name, kv_dtype, spec, faults, max_batch_size):
-    speculation = None if spec is None else SpeculationConfig(k=3, drafter=spec)
+    speculation = None if spec is None else SpeculationConfig(k=3)
     engine = ContinuousBatchingEngine(
         _MODEL,
         policy_factory=_POLICIES[policy_name],
@@ -169,7 +168,7 @@ def test_every_injection_point_quarantines_cleanly(point, kv_dtype):
     a retry budget the faulted request must still finish bit-identically to
     the fault-free run.
     """
-    spec = None if point == "decode" else "window"
+    spec = None if point == "decode" else "ngram"
     occurrence = 3 if point == "page_alloc" else 1
     _, reference = _run_workload("full", kv_dtype, spec, None, 3)
     faults = FaultInjector(schedule=[(point, occurrence)])

@@ -340,7 +340,7 @@ NON_DEFAULT_KNOBS = dict(
     max_total_tokens=2048,
     prefill_chunk_tokens=32,
     enable_prefix_sharing=False,
-    speculation=SpeculationConfig(k=2, drafter="ngram"),
+    speculation=SpeculationConfig(k=2),
     fault_tolerant=True,
     max_retries=2,
     retry_backoff_steps=1,

@@ -161,7 +161,7 @@ def test_int8_speculative_serving_tracks_solo_int8():
             max_batch_size=2,
             kv_dtype="int8",
             enable_prefix_sharing=False,
-            speculation=SpeculationConfig(k=3, drafter="ngram"),
+            speculation=SpeculationConfig(k=3),
         )
         states = [engine.submit(p, _CONFIG) for p in _PROMPTS]
         engine.run()

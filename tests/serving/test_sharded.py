@@ -267,7 +267,7 @@ def _tight_tier0_budget(frames=3):
     "knobs",
     [
         lambda: dict(tier0_budget=_tight_tier0_budget(), spill_backend="mmap"),
-        lambda: dict(speculation=SpeculationConfig(k=3, drafter="ngram")),
+        lambda: dict(speculation=SpeculationConfig(k=3)),
     ],
     ids=["tier0_budget", "speculation"],
 )
@@ -298,7 +298,7 @@ def test_spec_config_survives_the_process_boundary():
     and process-backed replicas built from it serve like inline ones."""
     spec = _spec(
         tier0_budget=_tight_tier0_budget(),
-        speculation=SpeculationConfig(k=2, drafter="ngram"),
+        speculation=SpeculationConfig(k=2),
         max_retries=2,
         shed_queue_depth=64,
     )

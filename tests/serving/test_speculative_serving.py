@@ -43,18 +43,14 @@ def reference(model):
     return _outputs(states)
 
 
-SPECS = {
-    "window": SpeculationConfig(k=4, drafter="window", kv_fraction=0.5),
-    "ngram": SpeculationConfig(k=3, drafter="ngram"),
-}
+SPEC = SpeculationConfig(k=3)
 
 
 class TestSpeculativeServingEquivalence:
-    @pytest.mark.parametrize("drafter", sorted(SPECS))
-    def test_matches_vanilla_engine(self, model, reference, drafter):
+    def test_matches_vanilla_engine(self, model, reference):
         config = GenerationConfig(max_new_tokens=MAX_NEW)
         engine = ContinuousBatchingEngine(
-            model, max_batch_size=3, speculation=SPECS[drafter]
+            model, max_batch_size=3, speculation=SPEC
         )
         states = _run(engine, _prompts(), config)
         assert _outputs(states) == reference
@@ -62,15 +58,14 @@ class TestSpeculativeServingEquivalence:
         # Each request's first token comes from its prefill, not a round.
         assert agg.committed == sum(len(tokens) - 1 for tokens, _, _ in reference)
 
-    @pytest.mark.parametrize("drafter", sorted(SPECS))
-    def test_fixed_pool_preemption_preserves_outputs(self, model, reference, drafter):
+    def test_fixed_pool_preemption_preserves_outputs(self, model, reference):
         """A pool tight enough to force preemption changes when requests
         finish, never what they emit."""
         config = GenerationConfig(max_new_tokens=MAX_NEW)
         engine = ContinuousBatchingEngine(
             model,
             max_batch_size=3,
-            speculation=SPECS[drafter],
+            speculation=SPEC,
             max_pool_tokens=192,
             page_size=8,
         )
@@ -88,7 +83,7 @@ class TestSpeculativeServingEquivalence:
             _run(ContinuousBatchingEngine(model, max_batch_size=3), prompts, config)
         )
         engine = ContinuousBatchingEngine(
-            model, max_batch_size=3, speculation=SPECS["window"]
+            model, max_batch_size=3, speculation=SPEC
         )
         states = _run(engine, prompts, config)
         assert _outputs(states) == vanilla
@@ -113,7 +108,7 @@ class TestSpeculativeServingLifecycle:
         spec = _outputs(
             _run(
                 ContinuousBatchingEngine(
-                    model, max_batch_size=2, speculation=SPECS["window"]
+                    model, max_batch_size=2, speculation=SPEC
                 ),
                 _prompts(2),
                 config_eos,
@@ -123,7 +118,7 @@ class TestSpeculativeServingLifecycle:
 
     def test_abort_in_speculation_mode(self, model):
         engine = ContinuousBatchingEngine(
-            model, max_batch_size=2, speculation=SPECS["window"]
+            model, max_batch_size=2, speculation=SPEC
         )
         config = GenerationConfig(max_new_tokens=MAX_NEW)
         states = [engine.submit(prompt, config) for prompt in _prompts(3)]
@@ -135,13 +130,13 @@ class TestSpeculativeServingLifecycle:
         assert states[0].finish_reason.value == "aborted"
         assert states[2].finish_reason.value == "aborted"
         assert states[1].finish_reason is not None
-        # Aborted rows' drafters were torn down with them.
+        # Aborted rows' drafters went with them.
         assert not engine._spec
 
     def test_accepted_lone_request_always_completes(self, model):
-        """submit() accounts for the self-drafter's resident pages: any lone
-        request it accepts into a fixed pool must run to completion instead
-        of deadlocking on PoolExhausted with nothing to preempt."""
+        """submit() accounts for the transient draft block: any lone request
+        it accepts into a fixed pool must run to completion instead of
+        exhausting the pool with nothing to preempt."""
         prompt = _prompts(1)[0]
         config = GenerationConfig(max_new_tokens=MAX_NEW)
         accepted = 0
@@ -149,7 +144,7 @@ class TestSpeculativeServingLifecycle:
             engine = ContinuousBatchingEngine(
                 model,
                 max_batch_size=1,
-                speculation=SPECS["window"],
+                speculation=SPEC,
                 max_pool_tokens=pool_tokens,
                 page_size=8,
             )
@@ -166,7 +161,7 @@ class TestSpeculativeServingLifecycle:
         """The first (prefill-sampled) token must enter the lookup history —
         a hole at the prompt/generation seam silently degrades acceptance."""
         engine = ContinuousBatchingEngine(
-            model, max_batch_size=1, speculation=SPECS["ngram"]
+            model, max_batch_size=1, speculation=SPEC
         )
         state = engine.submit(_prompts(1)[0], GenerationConfig(max_new_tokens=MAX_NEW))
         engine.step()  # prefill + first round; request still running
@@ -175,29 +170,9 @@ class TestSpeculativeServingLifecycle:
         assert drafter._history[prompt_len:] == state.tokens
         engine.run()
 
-    def test_self_drafter_leaves_the_engine_registry_reclaiming(self, model):
-        """A self-drafter keeps its rows in the engine's store but builds no
-        prefix registry of its own, so every pool's reclaimer stays the
-        engine registry's."""
-        engine = ContinuousBatchingEngine(
-            model, max_batch_size=2, speculation=SPECS["window"]
-        )
-        state = engine.submit(_prompts(1)[0], GenerationConfig(max_new_tokens=MAX_NEW))
-        engine.step()  # prefill seeds the drafter by mapping the row's pages
-        drafter, _ = engine._spec[state.request_id]
-        registry = engine._manager.registry
-        assert drafter.manager.store is engine._manager.store
-        assert drafter.manager.registry is None
-        for pool in engine._manager.store.pools:
-            assert pool.reclaimer.__self__ is registry
-            assert pool.reclaimer.__func__ is type(registry).reclaim
-        assert engine.check_invariants() == []
-        engine.run()
-        assert engine.check_invariants() == []
-
     def test_result_carries_speculation_summary(self, model):
         engine = ContinuousBatchingEngine(
-            model, max_batch_size=2, speculation=SPECS["window"]
+            model, max_batch_size=2, speculation=SPEC
         )
         config = GenerationConfig(max_new_tokens=MAX_NEW)
         state = engine.submit(_prompts(1)[0], config)
@@ -209,14 +184,14 @@ class TestSpeculativeServingLifecycle:
 
 class TestSpeculativeServingValidation:
     def test_rejects_stochastic_sampling(self, model):
-        engine = ContinuousBatchingEngine(model, speculation=SPECS["window"])
+        engine = ContinuousBatchingEngine(model, speculation=SPEC)
         with pytest.raises(ValueError, match="greedy"):
             engine.submit(
                 _prompts(1)[0], GenerationConfig(max_new_tokens=4, temperature=0.7, top_k=5)
             )
 
     def test_temperature_zero_counts_as_greedy(self, model):
-        engine = ContinuousBatchingEngine(model, speculation=SPECS["window"])
+        engine = ContinuousBatchingEngine(model, speculation=SPEC)
         state = engine.submit(
             _prompts(1)[0], GenerationConfig(max_new_tokens=4, temperature=0.0)
         )
@@ -227,7 +202,7 @@ class TestSpeculativeServingValidation:
         engine = ContinuousBatchingEngine(
             model,
             policy_factory=lambda: WindowAttentionPolicy(CachePolicyConfig(kv_budget=8)),
-            speculation=SPECS["window"],
+            speculation=SPEC,
         )
         with pytest.raises(ValueError, match="full-attention"):
             engine.submit(_prompts(1)[0], GenerationConfig(max_new_tokens=4))

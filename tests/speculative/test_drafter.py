@@ -1,30 +1,17 @@
-"""Unit tests for the drafters: n-gram lookup and snapshot/rollback semantics."""
+"""Unit tests for the speculation config and the n-gram lookup drafter."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.config import CachePolicyConfig
-from repro.core.policies import WindowAttentionPolicy
-from repro.generation.generator import Generator
-from repro.models.transformer import DecoderLM
-from repro.speculative import NgramDrafter, PolicyDrafter, SpeculationConfig
-from tests.conftest import tiny_config
+from repro.speculative import NgramDrafter, SpeculationConfig
 
 
 class TestSpeculationConfig:
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):
             SpeculationConfig(k=0)
-
-    def test_rejects_unknown_drafter(self):
-        with pytest.raises(ValueError):
-            SpeculationConfig(drafter="oracle")
-
-    def test_policy_drafter_requires_factory(self):
-        with pytest.raises(ValueError):
-            SpeculationConfig(drafter="policy")
 
     def test_rejects_bad_ngram_bounds(self):
         with pytest.raises(ValueError):
@@ -34,111 +21,30 @@ class TestSpeculationConfig:
 class TestNgramDrafter:
     def test_periodic_history_drafts_full_block(self):
         drafter = NgramDrafter(np.array([1, 2, 3, 1, 2, 3, 1, 2]), SpeculationConfig())
-        assert drafter.draft(2, 5) == [3, 1, 2, 3, 1]
+        assert drafter.draft(5) == [3, 1, 2, 3, 1]
 
     def test_period_one_history(self):
         # The latest match sits flush against the end of history — the
         # rolling lookup must keep drafting instead of stopping at one token.
         drafter = NgramDrafter(np.full(16, 7), SpeculationConfig())
-        assert drafter.draft(7, 4) == [7, 7, 7, 7]
+        assert drafter.draft(4) == [7, 7, 7, 7]
 
     def test_no_recurring_ngram_drafts_nothing(self):
         drafter = NgramDrafter(np.arange(10), SpeculationConfig())
-        assert drafter.draft(9, 4) == []
+        assert drafter.draft(4) == []
 
     def test_draft_stops_at_eos(self):
         drafter = NgramDrafter(np.array([1, 2, 9, 5, 1, 2]), SpeculationConfig())
-        assert drafter.draft(2, 4, eos_token_id=9) == [9]
+        assert drafter.draft(4, eos_token_id=9) == [9]
 
     def test_note_committed_extends_history(self):
         drafter = NgramDrafter(np.array([4, 5]), SpeculationConfig())
         drafter.note_committed([6, 4, 5])
-        assert drafter.draft(5, 2) == [6, 4]
+        assert drafter.draft(2) == [6, 4]
 
     def test_prefers_longest_matching_ngram(self):
         # Suffix [1, 2]: the 2-gram match (-> 8) must beat the 1-gram
         # match of the bare 2 (-> 9).
         history = np.array([1, 2, 8, 3, 2, 9, 1, 2])
         drafter = NgramDrafter(history, SpeculationConfig(ngram_max=3, ngram_min=1))
-        assert drafter.draft(2, 1) == [8]
-
-
-def _seeded_drafter(prompt_len: int = 24, budget: int = 8):
-    model = DecoderLM(tiny_config("rope"), seed=0)
-    prompt = np.random.default_rng(5).integers(0, 64, size=(1, prompt_len))
-    generator = Generator(model, WindowAttentionPolicy(CachePolicyConfig(kv_budget=budget)))
-    generator._prompt_forward(prompt, 16)  # warm the rope table
-    policy = WindowAttentionPolicy(CachePolicyConfig(kv_budget=budget))
-    drafter = PolicyDrafter.seed_from_prompt(model, policy, prompt, 16)
-    return model, drafter
-
-
-class TestPolicyDrafterRollback:
-    def _state_fingerprint(self, drafter: PolicyDrafter):
-        mgr = drafter.manager
-        return (
-            mgr.current_position,
-            mgr.generation_step,
-            [cache.keys.copy() for cache in mgr.caches],
-            [cache.positions.copy() for cache in mgr.caches],
-        )
-
-    def _assert_same_state(self, a, b):
-        assert a[0] == b[0] and a[1] == b[1]
-        for x, y in zip(a[2], b[2]):
-            np.testing.assert_array_equal(x, y)
-        for x, y in zip(a[3], b[3]):
-            np.testing.assert_array_equal(x, y)
-
-    def test_rejected_drafts_roll_back(self):
-        _, drafter = _seeded_drafter()
-        draft = drafter.draft(3, 4)
-        assert len(draft) == 4
-        # Accept one: the drafter must rewind to "consumed [3, draft[0]]" —
-        # the same state a fresh drafter reaches by consuming those directly.
-        drafter.accept(3, draft, 1)
-        reference = _seeded_drafter()[1]
-        reference._consume(3)
-        reference._consume(draft[0])
-        self._assert_same_state(
-            self._state_fingerprint(drafter), self._state_fingerprint(reference)
-        )
-
-    def test_full_acceptance_catches_up_next_round(self):
-        _, drafter = _seeded_drafter()
-        draft = drafter.draft(10, 3)
-        drafter.accept(10, draft, len(draft))
-        # Catch-up token is the final draft whose KV was never computed.
-        assert drafter._catchup == [draft[-1]]
-        reference = _seeded_drafter()[1]
-        for token in [10] + draft:
-            reference._consume(token)
-        drafter.draft(99, 0)  # triggers catch-up only
-        self._assert_same_state(
-            self._state_fingerprint(drafter), self._state_fingerprint(reference)
-        )
-
-    def test_zero_draft_catches_up_last_token(self):
-        _, drafter = _seeded_drafter()
-        assert drafter.draft(6, 0) == []
-        drafter.accept(6, [], 0)
-        assert drafter._catchup == [6]
-
-    def test_abort_round_restores_round_start(self):
-        _, drafter = _seeded_drafter()
-        drafter.draft(3, 2)
-        drafter.accept(3, [1, 2], 2)  # leaves a pending catch-up token
-        before = self._state_fingerprint(drafter)
-        catchup = list(drafter._catchup)
-        drafter.draft(4, 3)
-        drafter.abort_round()
-        self._assert_same_state(self._state_fingerprint(drafter), before)
-        assert drafter._catchup == catchup
-
-    def test_release_returns_all_pages(self):
-        _, drafter = _seeded_drafter()
-        draft = drafter.draft(3, 3)
-        drafter.accept(3, draft, 1)  # exercises a snapshot restore first
-        pool = drafter.manager.caches[0].pool
-        drafter.release()
-        assert pool.used_pages == 0
+        assert drafter.draft(1) == [8]

@@ -76,11 +76,11 @@ _SMALL_POOL = 24 * 16
 CONFIGS = [
     ("fp64-vanilla", BASE_CONFIG),
     ("fp64-vanilla-smallpool", _corner(max_pool_tokens=_SMALL_POOL)),
-    ("fp64-spec-window", _corner(speculation=SpeculationConfig(k=3, drafter="window"))),
+    ("fp64-spec-ngram", _corner(speculation=SpeculationConfig(k=3))),
     ("int8-vanilla", _corner(kv_dtype="int8")),
     (
         "int8-spec-ngram",
-        _corner(kv_dtype="int8", speculation=SpeculationConfig(k=3, drafter="ngram")),
+        _corner(kv_dtype="int8", speculation=SpeculationConfig(k=3)),
     ),
     (
         "fp64-offload-compressed",
