@@ -186,7 +186,9 @@ def speculative_demo(model, prompts) -> None:
     print("\nRe-serving the same stream with speculative decoding (ngram, k=4)...")
     config = GenerationConfig(max_new_tokens=MAX_NEW_TOKENS)
     engine = ContinuousBatchingEngine(
-        model, max_batch_size=3, speculation=SpeculationConfig(k=4)
+        model,
+        max_batch_size=3,
+        speculation=SpeculationConfig(k=4),
     )
     states = [engine.submit(p, config) for p in prompts]
     start = time.perf_counter()

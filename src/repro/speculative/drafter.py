@@ -10,8 +10,7 @@ throughput.
 the most recent matching suffix n-gram in the already-committed context.  No
 model pass and no cache pages — drafting is free, so the speedup is bounded
 only by how repetitive the target's output is, and a rejected draft needs no
-rollback on the drafter's side (``docs/speculative.md`` records why the
-model-based drafters left).
+rollback on the drafter's side.
 """
 
 from __future__ import annotations
