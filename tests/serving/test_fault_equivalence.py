@@ -74,12 +74,18 @@ _MATRIX = [
     ("full", "int8", None),
     ("window", "int8", None),
     ("full", None, "ngram"),
+    ("full", None, "ngram-k8"),
     ("full", "int8", "ngram"),
 ]
 
+#: Speculation corners by name: the default-sized draft block, and a long
+#: one whose verify passes append up to nine tokens at once, so a round
+#: faulted mid-pass has more partial appends to unwind.
+_SPECS = {"ngram": SpeculationConfig(k=3), "ngram-k8": SpeculationConfig(k=8)}
+
 
 def _run_workload(policy_name, kv_dtype, spec, faults, max_batch_size):
-    speculation = None if spec is None else SpeculationConfig(k=3)
+    speculation = None if spec is None else _SPECS[spec]
     engine = ContinuousBatchingEngine(
         _MODEL,
         policy_factory=_POLICIES[policy_name],

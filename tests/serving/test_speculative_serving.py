@@ -45,12 +45,17 @@ def reference(model):
 
 SPEC = SpeculationConfig(k=3)
 
+#: Round shapes: one draft per round, the default-sized block, and a block
+#: longer than most accepted runs (more of each verify append rolls back).
+DRAFT_LENGTHS = [1, 3, 6]
+
 
 class TestSpeculativeServingEquivalence:
-    def test_matches_vanilla_engine(self, model, reference):
+    @pytest.mark.parametrize("k", DRAFT_LENGTHS)
+    def test_matches_vanilla_engine(self, model, reference, k):
         config = GenerationConfig(max_new_tokens=MAX_NEW)
         engine = ContinuousBatchingEngine(
-            model, max_batch_size=3, speculation=SPEC
+            model, max_batch_size=3, speculation=SpeculationConfig(k=k)
         )
         states = _run(engine, _prompts(), config)
         assert _outputs(states) == reference
@@ -58,10 +63,31 @@ class TestSpeculativeServingEquivalence:
         # Each request's first token comes from its prefill, not a round.
         assert agg.committed == sum(len(tokens) - 1 for tokens, _, _ in reference)
 
-    def test_fixed_pool_preemption_preserves_outputs(self, model, reference):
+    @pytest.mark.parametrize("k", DRAFT_LENGTHS)
+    def test_fixed_pool_preemption_preserves_outputs(self, model, reference, k):
         """A pool tight enough to force preemption changes when requests
         finish, never what they emit."""
         config = GenerationConfig(max_new_tokens=MAX_NEW)
+        engine = ContinuousBatchingEngine(
+            model,
+            max_batch_size=3,
+            speculation=SpeculationConfig(k=k),
+            max_pool_tokens=192,
+            page_size=8,
+        )
+        states = _run(engine, _prompts(), config)
+        assert engine.n_preemptions >= 1
+        assert _outputs(states) == reference
+
+    def test_rejected_drafts_under_preemption_match_vanilla(self, model):
+        """Small-alphabet prompts make the n-gram drafter guess wrong inside
+        a batch whose fixed pool also preempts: rolled-back tails and
+        requeued rows together still emit vanilla decoding's output."""
+        prompts = _prompts(vocab=8)
+        config = GenerationConfig(max_new_tokens=MAX_NEW)
+        vanilla = _outputs(
+            _run(ContinuousBatchingEngine(model, max_batch_size=3), prompts, config)
+        )
         engine = ContinuousBatchingEngine(
             model,
             max_batch_size=3,
@@ -69,8 +95,12 @@ class TestSpeculativeServingEquivalence:
             max_pool_tokens=192,
             page_size=8,
         )
-        states = _run(engine, _prompts(), config)
-        assert _outputs(states) == reference
+        states = _run(engine, prompts, config)
+        agg = engine.speculation_stats
+        assert agg.accepted < agg.drafted
+        assert engine.n_preemptions >= 1
+        assert _outputs(states) == vanilla
+        assert engine.check_invariants(strict=True) == []
 
     def test_speculation_composes_with_prefix_sharing(self, model):
         prefix = np.random.default_rng(9).integers(0, 64, size=64).astype(np.int64)
@@ -169,6 +199,21 @@ class TestSpeculativeServingLifecycle:
         prompt_len = state.request.prompt_len
         assert drafter._history[prompt_len:] == state.tokens
         engine.run()
+
+    def test_speculation_leaves_the_engine_registry_reclaiming(self, model):
+        """Speculative rows live in the engine's one store, and every pool's
+        reclaimer stays the engine registry's, mid-run and after."""
+        engine = ContinuousBatchingEngine(model, max_batch_size=2, speculation=SPEC)
+        state = engine.submit(_prompts(1)[0], GenerationConfig(max_new_tokens=MAX_NEW))
+        engine.step()  # prefill + first round; request still running
+        assert state.request_id in engine._spec
+        registry = engine._manager.registry
+        for pool in engine._manager.store.pools:
+            assert pool.reclaimer.__self__ is registry
+            assert pool.reclaimer.__func__ is type(registry).reclaim
+        assert engine.check_invariants() == []
+        engine.run()
+        assert engine.check_invariants() == []
 
     def test_result_carries_speculation_summary(self, model):
         engine = ContinuousBatchingEngine(

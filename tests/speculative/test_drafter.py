@@ -13,6 +13,10 @@ class TestSpeculationConfig:
         with pytest.raises(ValueError):
             SpeculationConfig(k=0)
 
+    def test_rejects_zero_ngram_min(self):
+        with pytest.raises(ValueError):
+            SpeculationConfig(ngram_min=0)
+
     def test_rejects_bad_ngram_bounds(self):
         with pytest.raises(ValueError):
             SpeculationConfig(ngram_min=2, ngram_max=1)

@@ -37,14 +37,15 @@ class TestEquivalence:
         assert result.sequences == reference.sequences
         assert result.log_probs == reference.log_probs
 
-    def test_rejected_drafts_roll_back(self, tiny_rope_model):
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_rejected_drafts_roll_back(self, tiny_rope_model, k):
         """A small-alphabet prompt makes the n-gram drafter guess wrong: the
         rejected tails roll back out of the cache, and the output is still
         vanilla greedy decoding's."""
         prompt = _prompt(vocab=8, seed=2)
         config = GenerationConfig(max_new_tokens=24)
         reference = _vanilla(tiny_rope_model, prompt, config)
-        engine = SpeculativeGenerator(tiny_rope_model, SpeculationConfig(k=4))._engine()
+        engine = SpeculativeGenerator(tiny_rope_model, SpeculationConfig(k=k))._engine()
         state = engine.submit(prompt, config, sampler=GreedySampler())
         engine.run()
         result = state.result()
@@ -132,6 +133,30 @@ class TestSharedStoreAccounting:
         for pool in engine._manager.store.pools:
             assert pool.used_pages == len(registry)
         assert engine.check_invariants(strict=True) == []
+
+    def test_cache_holds_only_committed_tokens_after_each_round(self, tiny_rope_model):
+        """Every verify pass appends the whole draft block; after each round
+        the row's cache holds the prompt and the committed tokens (all but
+        the newest, which the next round feeds), on every layer, and the
+        rolled-back tails left no pages behind."""
+        engine = SpeculativeGenerator(tiny_rope_model, SpeculationConfig(k=4))._engine()
+        prompt = _prompt(vocab=8, seed=2)
+        state = engine.submit(
+            prompt, GenerationConfig(max_new_tokens=24), sampler=GreedySampler()
+        )
+        rounds = 0
+        while not state.finished:
+            engine.step()
+            if state.finished:
+                break
+            rounds += 1
+            expected = len(prompt) + len(state.tokens) - 1
+            assert engine._manager.cache_lengths(0) == [expected] * len(
+                engine._manager.caches
+            )
+            assert engine.check_invariants(strict=True) == []
+        assert rounds >= 2
+        assert state.result().speculation["rolled_back"] > 0
 
     def test_telemetry_counts_are_consistent(self, tiny_rope_model):
         engine, state = _spec_engine(tiny_rope_model, SpeculationConfig(k=4))
