@@ -65,11 +65,11 @@ bench-e2e-smoke:
 
 # A/B verdict of two revisions on one end-to-end workload (tools/ab.py):
 # ABBA pairs from git worktrees, one JSON verdict per metric.
-#   make ab A=HEAD~1 B=HEAD WORKLOAD=serve_keyformer_long PAIRS=6
+#   make ab A=HEAD~1 B=HEAD WORKLOAD=serve_keyformer_long PAIRS=10
 A ?= HEAD~1
 B ?= HEAD
 WORKLOAD ?= serve_keyformer_long
-PAIRS ?= 6
+PAIRS ?= 10
 ab:
 	$(PYTHON) tools/ab.py $(A) $(B) --workload $(WORKLOAD) --pairs $(PAIRS)
 

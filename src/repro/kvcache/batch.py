@@ -188,9 +188,9 @@ class BatchedLayerKVCache:
     dtype:
         Storage dtype of keys/values.
     rope_dims:
-        When positive, the pool maintains a rotated-key slab alongside the
-        raw keys (rotation is eager and elementwise, hence bit-identical to
-        rotating at read time).
+        When positive, the pool stores keys RoPE-rotated at their positions
+        (rotation is eager and elementwise, hence bit-identical to rotating
+        at read time).
     pool:
         Optional shared :class:`BlockPool` (the batched manager passes one
         per layer, owned by its :class:`PagedKVStore`).
@@ -228,7 +228,7 @@ class BatchedLayerKVCache:
         self.tables: list[PageTable] = [PageTable() for _ in range(max_batch)]
         # Persistent padded-batch workspace (keys, values, positions), grown
         # on demand.  A row slot keeps its tokens between steps; ``_synced``
-        # records ``(table, epoch, rotated, length)`` of what each holds.
+        # records ``(table, epoch, length)`` of what each holds.
         # Zero initialization (and only ever overwriting with stored values)
         # keeps every slot finite for the masked float32 path.
         self._ws: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -367,14 +367,14 @@ class BatchedLayerKVCache:
         pool must keep survivors byte for byte; an int8 pool re-quantizes
         them, so its row is read whole again.
         """
-        table, held = self.tables[row], self._synced[row]
+        table = self.tables[row]
         length = table.length
-        whole = held is not None and self._held(row, held[2]) == length
+        whole = self._synced[row] is not None and self._held(row) == length
         evicted = self.pool.gather(table, indices)
         if whole and isinstance(indices, EvictOne) and self.pool.exact_survivors:
             drop = indices.drop if indices.drop.ndim == 1 else indices.drop[0]
             shift_heads_down([ws[row] for ws in self._ws], drop.tolist(), length)
-            self._synced[row] = (table, table.epoch, held[2], table.length)
+            self._synced[row] = (table, table.epoch, table.length)
         return evicted
 
     def append_pages_needed(self, n_active: int) -> int:
@@ -392,15 +392,6 @@ class BatchedLayerKVCache:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def row_view(self, row: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense ``(1, H, L, ...)`` keys/values/positions of one row."""
-        table = self.tables[row]
-        return (
-            self.pool.keys_view(table)[None],
-            self.pool.values_view(table)[None],
-            self.pool.positions_view(table)[None],
-        )
-
     def positions_row(self, row: int) -> np.ndarray:
         """Original positions of row ``row``'s live entries, shape ``(1, H, L)``."""
         return self.pool.positions_view(self.tables[row])[None]
@@ -411,7 +402,8 @@ class BatchedLayerKVCache:
 
     @property
     def keys(self) -> np.ndarray:
-        """Raw keys of every row slot, ``(rows, H, L, d)``, for rows of one
+        """Stored keys of every row slot (RoPE-rotated when the pool is
+        RoPE), ``(rows, H, L, d)``, for rows of one
         length (the solo manager's); a zero-copy view for one row on
         contiguous pages."""
         return self._all_rows(self.pool.keys_view)
@@ -423,14 +415,13 @@ class BatchedLayerKVCache:
         return self._all_rows(self.pool.positions_view)
 
     def padded_batch(
-        self, n_active: int, rotated: bool
+        self, n_active: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
         """Padded ``(R, H, max_len, ...)`` batch tensors read through the page
         tables: ``(keys, values, positions, lengths, max_len)``.
 
-        ``keys`` is the rotated-key slab content when ``rotated`` (RoPE at
-        original positions) and the raw keys otherwise.  Row ``b`` is valid up
-        to ``lengths[b]``; padding is zero or stale finite values (a row
+        ``keys`` are the pool's stored keys (:meth:`BlockPool.keys_view`).
+        Row ``b`` is valid up to ``lengths[b]``; padding is zero or stale finite values (a row
         shrank, a slot was reused), inert under the float32 ``-inf`` mask and
         the float64 exact-length slices.  A row copies only what it appended
         since its last read (:meth:`_held`).  A lone active row on contiguous
@@ -442,9 +433,8 @@ class BatchedLayerKVCache:
         if n_active == 1:
             self._synced = [None] * self.max_batch
             table = self.tables[0]
-            keys = pool.rotated_view(table) if rotated else pool.keys_view(table)
             return (
-                keys[None],
+                pool.keys_view(table)[None],
                 pool.values_view(table)[None],
                 pool.positions_view(table)[None],
                 lengths,
@@ -464,23 +454,23 @@ class BatchedLayerKVCache:
         positions = self._ws[2][:n_active, :, :max_len]
         for row in range(n_active):
             table = self.tables[row]
-            start = self._held(row, rotated)
+            start = self._held(row)
             try:
-                pool.fill_row(table, keys[row], values[row], positions[row], rotated, start)
+                pool.fill_row(table, keys[row], values[row], positions[row], start)
             except Exception as exc:
                 # Read-path faults (a tiered pool's spill_io restore) must be
                 # row-attributable so the engine can quarantine the row.
                 tag_fault_row(exc, row)
                 raise
-            self._synced[row] = (table, table.epoch, rotated, table.length)
+            self._synced[row] = (table, table.epoch, table.length)
         return keys, values, positions, lengths, max_len
 
-    def _held(self, row: int, rotated: bool) -> int:
+    def _held(self, row: int) -> int:
         """Tokens of ``row`` the workspace holds: the last read's length while
-        table object, epoch and read mode match and the row has not shrunk."""
+        table object and epoch match and the row has not shrunk."""
         held, table = self._synced[row], self.tables[row]
-        same = held is not None and held[:3] == (table, table.epoch, rotated)
-        return held[3] if same and held[3] <= table.length else 0
+        same = held is not None and held[:2] == (table, table.epoch)
+        return held[2] if same and held[2] <= table.length else 0
 
     def check_workspace(self) -> list[str]:
         """Row slots unchanged since their last read whose workspace differs
@@ -488,9 +478,9 @@ class BatchedLayerKVCache:
         violations = []
         for row, held in enumerate(self._synced):
             table = self.tables[row]
-            if held is None or self._held(row, held[2]) != table.length:
+            if held is None or self._held(row) != table.length:
                 continue
-            fresh = self.pool.audit_read(table, held[2])
+            fresh = self.pool.audit_read(table)
             if fresh is not None and any(
                 ws[row, :, : table.length].tobytes() != arr.tobytes()
                 for ws, arr in zip(self._ws, fresh)
@@ -607,8 +597,8 @@ class BatchedCacheManager:
         self.d_head = d_head
         self.positional_mode = positional_mode
         self.dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float64)
-        # Rotated-key caching is only sound for stable original positions;
-        # renumbered mode re-rotates per step.
+        # Pools store rotated keys only under stable original positions;
+        # renumbered mode stores raw keys and re-rotates per step.
         self.rope_dims = int(rope_dims) if positional_mode == "original" else 0
         self._rope_table = get_rope_table(rope_dims) if rope_dims > 0 else None
 
@@ -748,20 +738,18 @@ class BatchedCacheManager:
         each of shape ``(1, H, P, d)``.
 
         For RoPE models the keys are rotated at their original positions —
-        read straight from the rotated pages when the store maintains them,
-        recomputed once (bit-identically) in renumbered-position mode.
+        read straight from the pages in original-position mode, whose pools
+        store them rotated, and rotated once here (bit-identically) in
+        renumbered-position mode, whose pools store them raw.
         Views are zero-copy when the prefix pages are contiguous.
         """
         out = []
         for layer_idx in range(self.n_layers):
             pool = self.store.pools[layer_idx]
             pages = shared_prefix.pages_per_layer[layer_idx]
+            keys, values = pool.page_tokens_view(pages)
             if self._rope_table is not None and pool.rope_dims == 0:
-                keys, values = pool.page_tokens_view(pages, rotated=False)
-                positions = np.arange(shared_prefix.length)
-                keys = self._rope_table.rotate(keys, positions)
-            else:
-                keys, values = pool.page_tokens_view(pages, rotated=pool.rope_dims > 0)
+                keys = self._rope_table.rotate(keys, np.arange(shared_prefix.length))
             out.append((keys[None], values[None]))
         return out
 
@@ -966,8 +954,8 @@ class BatchedCacheManager:
         """
         cache = self.caches[layer_idx]
         r = self.n_active
-        rotated = self.positional_mode == "original" and self.rope_dims > 0
-        keys, values, pos, lengths, max_len = cache.padded_batch(r, rotated)
+        rotated = self.rope_dims > 0  # zero outside original-position mode
+        keys, values, pos, lengths, max_len = cache.padded_batch(r)
         for i in range(r):
             self._step_lengths[i].append(int(lengths[i]))
         if self.positional_mode == "original":

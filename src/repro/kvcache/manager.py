@@ -45,8 +45,8 @@ class CacheManager(BatchedCacheManager):
         model's ``compute_dtype`` is plumbed through here by the generator).
     rope_dims:
         When positive and ``positional_mode == "original"``, the pools
-        maintain incrementally updated *rotated* keys so the attention step
-        never re-rotates unchanged cache entries.
+        store keys rotated once at write time, so the attention step never
+        re-rotates unchanged cache entries.
     kv_dtype:
         Page storage format of the store this manager builds: ``None``
         (default) keeps full-precision pages — the bit-exact golden mode —

@@ -310,10 +310,6 @@ class _TieredMixin:
         """Physical tier-0 frames the slabs hold."""
         return self._frame_page.shape[0]
 
-    def _slabs(self) -> list[np.ndarray]:
-        """The live storage slabs, in payload order."""
-        return [s for s in (self._k, self._v, self._pos, self._k_rot) if s is not None]
-
     def _assign_frame(self, page: int) -> int:
         """Map ``page`` onto a tier-0 frame: take a free frame or spill the
         coldest unpinned resident page, then restore ``page``'s payload from
@@ -463,13 +459,13 @@ class _TieredMixin:
             out[:, logical : logical + chunk] = slab[:, base : base + chunk]
         return out
 
-    def audit_read(self, table: PageTable, rotated: bool) -> tuple | None:
+    def audit_read(self, table: PageTable) -> tuple | None:
         """The base read with the recency order put back, so audits never
         move victim choice; ``None`` while a page of ``table`` is spilled."""
         if (self._page_frame[table.pages] < 0).any():
             return None
         recency = RecencyOrder(self._recency)
-        out = super().audit_read(table, rotated)
+        out = super().audit_read(table)
         self._recency = recency
         return out
 
@@ -500,15 +496,10 @@ class _TieredMixin:
         if bool((indices == np.arange(dropped, length)).all()):
             return super().gather(table, indices)
         hidx = np.arange(self.n_heads)[:, None]
-        keys = self.keys_view(table)[hidx, indices]
-        values = self.values_view(table)[hidx, indices]
-        positions = self.positions_view(table)[hidx, indices]
-        k_rot = (
-            self.rotated_view(table)[hidx, indices]
-            if self._k_rot is not None
-            else None
-        )
-        data = [keys, values, positions, k_rot]
+        data = [
+            view(table)[hidx, indices]
+            for view in (self.keys_view, self.values_view, self.positions_view)
+        ]
         n_needed = self.pages_for(max(k, 1))
         if self._exclusive(table):
             self.release(table.drop_pages(n_needed))
@@ -707,13 +698,7 @@ class TieredBlockPool(_TieredMixin, BlockPool):
                 except Exception as exc:
                     tag_fault_row(exc, i)
                     raise
-            positions = np.asarray(positions, dtype=np.int64)
-            self._k[:, slots] = k.transpose(1, 0, 2)
-            self._v[:, slots] = v.transpose(1, 0, 2)
-            self._pos[:, slots] = positions
-            if self._k_rot is not None:
-                k_rot = self.rope_table.rotate(k, positions[:, None])
-                self._k_rot[:, slots] = k_rot.transpose(1, 0, 2)
+            self._scatter_rows(slots, k, v, positions)
             for table in tables:
                 table.length += 1
         finally:
@@ -725,19 +710,17 @@ class TieredBlockPool(_TieredMixin, BlockPool):
         out_k: np.ndarray,
         out_v: np.ndarray,
         out_pos: np.ndarray,
-        rotated: bool,
         start: int = 0,
     ) -> None:
         """Padded-batch read streamed page by page (each page restored just
         for its memcpy — rows longer than tier-0 read fine).  Pages before
         ``start`` still pass ``_page_base`` (recency touch, restore) uncopied."""
-        keys = self._k_rot if rotated else self._k
         for logical, page, within, chunk in self._page_chunks(table):
             base = self._page_base(page) + within
             if logical + chunk <= start:
                 continue
             dst = slice(logical, logical + chunk)
-            out_k[:, dst] = keys[:, base : base + chunk]
+            out_k[:, dst] = self._k[:, base : base + chunk]
             out_v[:, dst] = self._v[:, base : base + chunk]
             out_pos[:, dst] = self._pos[:, base : base + chunk]
 

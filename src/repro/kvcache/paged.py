@@ -5,8 +5,9 @@ This module is the single storage substrate under the one per-layer cache,
 :class:`~repro.kvcache.manager.CacheManager` and the continuous-batching
 engine's manager keep their rows in.  Instead of one private slab per sequence, every decoder layer owns a
 :class:`BlockPool` of fixed-size **pages** (``page_size`` token slots each,
-holding keys, values, original positions and — when ``rope_dims > 0`` —
-eagerly rotated keys), and every sequence holds one :class:`PageTable` per
+holding keys, values and original positions; a pool with ``rope_dims > 0``
+stores its keys already RoPE-rotated at those positions, the form attention
+reads), and every sequence holds one :class:`PageTable` per
 layer mapping its logical token axis onto pool pages:
 
 * **append** writes one token slot (allocating a page only on a boundary);
@@ -223,9 +224,12 @@ class BlockPool:
     """Fixed-size KV pages for one decoder layer.
 
     Slabs are token-major — ``(n_heads, n_pages * page_size, d_head)`` for
-    keys/values/rotated keys and ``(n_heads, n_pages * page_size)`` for the
-    per-head original positions — so a run of consecutive page ids is a
-    contiguous token axis and materializes as a zero-copy view.
+    keys/values and ``(n_heads, n_pages * page_size)`` for the per-head
+    original positions — so a run of consecutive page ids is a contiguous
+    token axis and materializes as a zero-copy view.  There is one key slab,
+    holding the keys attention reads: with ``rope_dims > 0`` every write
+    rotates its keys at their positions first (elementwise, hence
+    bit-identical to rotating at read time); otherwise keys are stored raw.
 
     Parameters
     ----------
@@ -272,11 +276,6 @@ class BlockPool:
         self._k = np.zeros((n_heads, n_slots, d_head), dtype=storage)
         self._v = np.zeros((n_heads, n_slots, d_head), dtype=storage)
         self._pos = np.zeros((n_heads, n_slots), dtype=np.int64)
-        self._k_rot = (
-            np.zeros((n_heads, n_slots, d_head), dtype=storage)
-            if self.rope_dims > 0
-            else None
-        )
         self.refcounts = np.zeros(n_pages, dtype=np.int64)
         self._free = list(range(n_pages))
         heapq.heapify(self._free)
@@ -377,32 +376,25 @@ class BlockPool:
         d_head: int,
         page_size: int,
         dtype: np.dtype | str,
-        rope_dims: int,
     ) -> float:
         """Resident bytes of one page before a pool exists — used to convert
         a byte budget into a page count (``max_pool_bytes``).  Counts every
-        slab a page holds: keys, values, the rotated-key slab when
-        ``rope_dims > 0``, and the int64 per-head positions."""
+        slab a page holds: keys, values and the int64 per-head positions
+        (RoPE changes only what the key slab holds, not its size)."""
         itemsize = np.dtype(dtype).itemsize
-        slabs = 2 + (1 if rope_dims > 0 else 0)
-        return float(page_size * n_heads * (slabs * d_head * itemsize + 8))
+        return float(page_size * n_heads * (2 * d_head * itemsize + 8))
 
     def page_nbytes(self) -> float:
         """Resident bytes of one page of this pool (see
         :meth:`estimate_page_nbytes`)."""
         return type(self).estimate_page_nbytes(
-            self.n_heads, self.d_head, self.page_size, self.dtype, self.rope_dims
+            self.n_heads, self.d_head, self.page_size, self.dtype
         )
 
     def nbytes(self) -> int:
-        """Resident bytes of this pool's slabs — keys, values, rotated keys
-        and positions (plus, in the quantized pool, its per-page
-        quantization tensors)."""
-        return sum(
-            slab.nbytes
-            for slab in (self._k, self._v, self._pos, self._k_rot)
-            if slab is not None
-        )
+        """Resident bytes of this pool's slabs — keys, values and positions
+        (plus, in the quantized pool, its per-page quantization tensors)."""
+        return sum(slab.nbytes for slab in self._slabs())
 
     # ------------------------------------------------------------------
     # allocation / refcounting
@@ -411,10 +403,8 @@ class BlockPool:
         new_pages = max(min_pages, 2 * self.n_pages)
         n_slots = new_pages * self.page_size
 
-        def grown(slab: np.ndarray | None, trailing: tuple[int, ...]) -> np.ndarray | None:
+        def grown(slab: np.ndarray, trailing: tuple[int, ...]) -> np.ndarray:
             """Copy ``slab`` into a zero-padded array with ``n_slots`` slots."""
-            if slab is None:
-                return None
             fresh = np.zeros((self.n_heads, n_slots) + trailing, dtype=slab.dtype)
             fresh[:, : slab.shape[1]] = slab
             return fresh
@@ -422,7 +412,6 @@ class BlockPool:
         self._k = grown(self._k, (self.d_head,))
         self._v = grown(self._v, (self.d_head,))
         self._pos = grown(self._pos, ())
-        self._k_rot = grown(self._k_rot, (self.d_head,))
         for page in range(self.n_pages, new_pages):
             heapq.heappush(self._free, page)
         self.refcounts = np.concatenate(
@@ -652,6 +641,11 @@ class BlockPool:
         against fresh page ranges)."""
         return self._k.dtype == self.dtype
 
+    def _slabs(self) -> list[np.ndarray]:
+        """The storage slabs — keys, values, positions — in the order every
+        whole-page move (copy-on-write, evict-one shift, spill record) walks."""
+        return [self._k, self._v, self._pos]
+
     def _exclusive(self, table: PageTable) -> bool:
         if self._n_shared == 0:
             return True
@@ -667,13 +661,9 @@ class BlockPool:
             # One slice write per slab — the common case (ascending page run).
             base = self._page_base(table.pages[0]) + start if table.pages else 0
             for slab, data in array_by_slab:
-                if slab is None or data is None:
-                    continue
                 slab[:, base : base + data.shape[1]] = data
             return
         for slab, data in array_by_slab:
-            if slab is None or data is None:
-                continue
             for done, page, within, chunk in self._page_chunks(table, start, data.shape[1]):
                 base = self._page_base(page) + within
                 slab[:, base : base + chunk] = data[:, done : done + chunk]
@@ -717,22 +707,13 @@ class BlockPool:
         values: np.ndarray,
         positions: np.ndarray,
     ) -> None:
-        """Write a dense token span (with eager RoPE rotation) into the pages
-        covering slots ``start ..`` of ``table`` — the single write primitive
-        :meth:`extend` funnels through, overridden by the quantized pool."""
-        k_rot = None
-        if self._k_rot is not None:
-            k_rot = self.rope_table.rotate(keys, positions)
-        self._write_span(
-            table,
-            start,
-            [
-                (self._k, keys),
-                (self._v, values),
-                (self._pos, positions),
-                (self._k_rot, k_rot),
-            ],
-        )
+        """Write a dense token span (keys rotated first when RoPE) into the
+        pages covering slots ``start ..`` of ``table`` — the single write
+        primitive :meth:`extend` funnels through, overridden by the quantized
+        pool."""
+        if self.rope_dims > 0:
+            keys = self.rope_table.rotate(keys, positions)
+        self._write_span(table, start, zip(self._slabs(), (keys, values, positions)))
 
     def _copy_on_write(self, table: PageTable, page_index: int) -> None:
         """Give ``table`` an exclusive copy of its ``page_index``-th page."""
@@ -744,9 +725,8 @@ class BlockPool:
         (fresh,) = self.alloc(1)
         ps = self.page_size
         src, dst = self._page_base(page), self._page_base(fresh)
-        for slab in (self._k, self._v, self._pos, self._k_rot):
-            if slab is not None:
-                slab[:, dst : dst + ps] = slab[:, src : src + ps]
+        for slab in self._slabs():
+            slab[:, dst : dst + ps] = slab[:, src : src + ps]
         self._copy_page_state(page, fresh)
         table.replace_page(page_index, fresh)
         self.release([page])
@@ -758,14 +738,14 @@ class BlockPool:
         table.length += 1
 
     def _store_token(self, slot: int, k: np.ndarray, v: np.ndarray, position: int) -> None:
-        """Write one token's key/value/position (plus eager rotation) into a
-        resolved pool slot — the single-token write primitive shared by
-        :meth:`append`, overridden by the quantized pool."""
+        """Write one token's key (rotated first when RoPE), value and
+        position into a resolved pool slot — the single-token write primitive
+        shared by :meth:`append`, overridden by the quantized pool."""
+        if self.rope_dims > 0:
+            k = self.rope_table.rotate_uniform(k, position)
         self._k[:, slot] = k
         self._v[:, slot] = v
         self._pos[:, slot] = position
-        if self._k_rot is not None:
-            self._k_rot[:, slot] = self.rope_table.rotate_uniform(k, position)
 
     def _append_slot(self, table: PageTable) -> int:
         """Flat pool slot for the next appended token (allocates / COWs)."""
@@ -804,17 +784,23 @@ class BlockPool:
                 # rolls the whole step back, so attribution is all we add.
                 tag_fault_row(exc, i)
                 raise
+        self._scatter_rows(slots, k, v, positions)
+        for table in tables:
+            table.length += 1
+
+    def _scatter_rows(
+        self, slots: np.ndarray, k: np.ndarray, v: np.ndarray, positions: np.ndarray
+    ) -> None:
+        """One vectorized write per slab of row ``i``'s token into resolved
+        slot ``slots[i]`` (the write half of :meth:`append_rows`)."""
         positions = np.asarray(positions, dtype=np.int64)
+        if self.rope_dims > 0:
+            # Per-row positions; elementwise, so each row is bit-identical to
+            # the solo cache's rotate_uniform at that position.
+            k = self.rope_table.rotate(k, positions[:, None])
         self._k[:, slots] = k.transpose(1, 0, 2)
         self._v[:, slots] = v.transpose(1, 0, 2)
         self._pos[:, slots] = positions
-        if self._k_rot is not None:
-            # Per-row positions; elementwise, so each row is bit-identical to
-            # the solo cache's rotate_uniform at that position.
-            k_rot = self.rope_table.rotate(k, positions[:, None])
-            self._k_rot[:, slots] = k_rot.transpose(1, 0, 2)
-        for table in tables:
-            table.length += 1
 
     # ------------------------------------------------------------------
     # eviction
@@ -918,7 +904,7 @@ class BlockPool:
         the run holding the smallest ``drop`` on.  One run keeps the plain
         single move: walking :meth:`token_runs` loops over pages in Python,
         and a solo row is one run of many pages."""
-        slabs = [s for s in (self._k, self._v, self._pos, self._k_rot) if s is not None]
+        slabs = self._slabs()
         if self.is_contiguous(table):
             base = self._page_base(table.pages[0])
             shift_heads_down(slabs, (base + drop).tolist(), base + table.length)
@@ -971,32 +957,28 @@ class BlockPool:
         table.length = k
         self._write_all(table, data)
 
-    def _take_all(self, gidx: np.ndarray, k: int) -> list[np.ndarray | None]:
-        """Gather ``[keys, values, positions, rotated_keys]`` for the flat
-        pool-slot indices ``gidx`` (compaction read).  The quantized pool
-        overrides this to return *dequantized* keys/values, so eviction
-        re-quantizes survivors against fresh per-page ranges."""
+    def _take_all(self, gidx: np.ndarray, k: int) -> list[np.ndarray]:
+        """Gather ``[keys, values, positions]`` for the flat pool-slot
+        indices ``gidx`` (compaction read).  The quantized pool overrides
+        this to return *dequantized* keys/values, so eviction re-quantizes
+        survivors against fresh per-page ranges."""
 
-        def taken(slab: np.ndarray | None) -> np.ndarray | None:
-            """Gather ``gidx`` from one slab (None passes through)."""
-            if slab is None:
-                return None
+        def taken(slab: np.ndarray) -> np.ndarray:
+            """Gather ``gidx`` from one slab."""
             if slab.ndim == 2:
                 return slab.reshape(-1).take(gidx).reshape(self.n_heads, k)
             flat = slab.reshape(self.n_heads * self.n_slots, self.d_head)
             return flat.take(gidx, axis=0).reshape(self.n_heads, k, self.d_head)
 
-        return [taken(self._k), taken(self._v), taken(self._pos), taken(self._k_rot)]
+        return [taken(slab) for slab in self._slabs()]
 
-    def _write_all(self, table: PageTable, data: list[np.ndarray | None]) -> None:
-        """Write the compacted ``[keys, values, positions, rotated_keys]``
-        back into ``table``'s (re)allocated pages.  The slab attributes are
-        re-read only here: the allocation in :meth:`gather` may have grown the
-        pool and rebound them — pairing slabs with the gathered data any
-        earlier would write the compaction into orphaned arrays."""
-        self._write_span(
-            table, 0, zip((self._k, self._v, self._pos, self._k_rot), data)
-        )
+    def _write_all(self, table: PageTable, data: list[np.ndarray]) -> None:
+        """Write the compacted ``[keys, values, positions]`` back into
+        ``table``'s (re)allocated pages.  The slab attributes are re-read only
+        here: the allocation in :meth:`gather` may have grown the pool and
+        rebound them — pairing slabs with the gathered data any earlier would
+        write the compaction into orphaned arrays."""
+        self._write_span(table, 0, zip(self._slabs(), data))
 
     def truncate(self, table: PageTable, n: int) -> None:
         """Drop the last ``n`` live tokens (speculative-decode rollback).
@@ -1046,7 +1028,9 @@ class BlockPool:
         return out
 
     def keys_view(self, table: PageTable) -> np.ndarray:
-        """Dense live (unrotated) keys, shape ``(heads, length, d_head)``."""
+        """Dense live keys as attention reads them (RoPE-rotated at their
+        original positions when ``rope_dims > 0``), shape ``(heads, length,
+        d_head)``."""
         return self.token_view(table, self._k)
 
     def values_view(self, table: PageTable) -> np.ndarray:
@@ -1057,49 +1041,39 @@ class BlockPool:
         """Dense live original positions, shape ``(heads, length)``."""
         return self.token_view(table, self._pos)
 
-    def rotated_view(self, table: PageTable) -> np.ndarray:
-        """Dense live RoPE-rotated keys, shape ``(heads, length, d_head)``."""
-        if self._k_rot is None:
-            raise RuntimeError("rotated-key slab disabled (rope_dims == 0)")
-        return self.token_view(table, self._k_rot)
-
     def fill_row(
         self,
         table: PageTable,
         out_k: np.ndarray,
         out_v: np.ndarray,
         out_pos: np.ndarray,
-        rotated: bool,
         start: int = 0,
     ) -> None:
         """Copy one table's live tokens from ``start`` (already held by the
         buffers) into padded batch buffers (``out_*[:, start:length]``) — the
         page-gather read of the batched path."""
-        keys = self._k_rot if rotated else self._k
         for logical, src, span in self.token_runs(table, start):
             dst = slice(logical, logical + span)
-            out_k[:, dst] = keys[:, src : src + span]
+            out_k[:, dst] = self._k[:, src : src + span]
             out_v[:, dst] = self._v[:, src : src + span]
             out_pos[:, dst] = self._pos[:, src : src + span]
 
-    def audit_read(self, table: PageTable, rotated: bool) -> tuple | None:
+    def audit_read(self, table: PageTable) -> tuple | None:
         """A full :meth:`fill_row` into fresh ``(keys, values, positions)``
         for integrity audits; ``None`` where it would change pool state."""
         kv = np.empty((2, self.n_heads, table.length, self.d_head), self.dtype)
         out = (kv[0], kv[1], np.empty(kv.shape[1:3], np.int64))
-        self.fill_row(table, *out, rotated)
+        self.fill_row(table, *out)
         return out
 
-    def page_tokens_view(
-        self, pages: Sequence[int], rotated: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Dense ``(heads, n_pages * page_size, d)`` keys/values of full pages
-        (used by prefix sharing to hand a mapped prefix to chunked prefill)."""
+    def page_tokens_view(self, pages: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Dense ``(heads, n_pages * page_size, d)`` keys (as
+        :meth:`keys_view` holds them) and values of full pages (used by prefix
+        sharing to hand a mapped prefix to chunked prefill)."""
         probe = PageTable()
         probe.pages = list(pages)
         probe.length = len(probe.pages) * self.page_size
-        keys = self.token_view(probe, self._k_rot if rotated else self._k)
-        return keys, self.token_view(probe, self._v)
+        return self.keys_view(probe), self.values_view(probe)
 
 
 def resolve_pool_class(kv_dtype: str | None) -> type[BlockPool]:
@@ -1165,11 +1139,10 @@ class KVStoreConfig:
         return cls(**knobs) if config is None else dataclasses.replace(config, **knobs)
 
     def page_bytes(self, model_config) -> float:
-        """Resident bytes of one KV page across a model's layer pools (counting
-        the rotated-key slab whenever the model is RoPE)."""
+        """Resident bytes of one KV page across a model's layer pools."""
         mc = model_config
         return mc.n_layers * PagedKVStore.page_nbytes_for(
-            self.kv_dtype, mc.n_heads, mc.d_head, self.page_size, mc.np_dtype, mc.rope_dims
+            self.kv_dtype, mc.n_heads, mc.d_head, self.page_size, mc.np_dtype
         )
 
     def resolve_pages(self, model_config=None, page_bytes=None) -> tuple[int | None, int | None]:
@@ -1270,13 +1243,12 @@ class PagedKVStore:
         d_head: int,
         page_size: int,
         dtype: np.dtype | str,
-        rope_dims: int,
     ) -> float:
         """Resident bytes of one page for a store that does not exist yet —
         how a byte budget (``max_pool_bytes``) is converted into a page
         count before the pools are built."""
         return resolve_pool_class(kv_dtype).estimate_page_nbytes(
-            n_heads, d_head, page_size, dtype, rope_dims
+            n_heads, d_head, page_size, dtype
         )
 
     def pages_for_tokens(self, n_tokens: int) -> int:
@@ -1351,8 +1323,8 @@ class PagedKVStore:
         return out
 
     def nbytes(self) -> int:
-        """Resident bytes of all pool slabs — keys, values, rotated keys and
-        positions (plus per-page quantization tensors for an int8 store),
+        """Resident bytes of all pool slabs — keys, values and positions
+        (plus per-page quantization tensors for an int8 store),
         i.e. the sum of every pool's :meth:`BlockPool.nbytes`."""
         return sum(pool.nbytes() for pool in self.pools)
 

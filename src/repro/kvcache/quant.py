@@ -10,8 +10,8 @@ survivor costs.
 
 Storage format
 --------------
-Each slab that holds floating-point content (keys, values and — for RoPE
-models — the eagerly rotated keys) is stored as an **int8 token-major slab**
+Each slab that holds floating-point content (keys — already RoPE-rotated
+for RoPE models — and values) is stored as an **int8 token-major slab**
 of codes in ``[-127, 127]``, with affine dequantization parameters kept
 **per page, per head** in float32 tensors of shape ``(n_pages, n_heads)``::
 
@@ -75,8 +75,8 @@ class QuantizedBlockPool(BlockPool):
     Drop-in for the full-precision pool: every write path (``extend`` /
     ``append`` / ``append_rows`` / ``gather`` compaction / copy-on-write)
     quantizes through the storage hooks of the base class, and every read
-    path (``keys_view`` / ``values_view`` / ``rotated_view`` / ``fill_row``
-    / ``page_tokens_view``) materializes **dequantized** tensors in the
+    path (``keys_view`` / ``values_view`` / ``fill_row`` /
+    ``page_tokens_view``) materializes **dequantized** tensors in the
     pool's compute ``dtype`` — so :class:`~repro.kvcache.batch.BatchedLayerKVCache`
     under either manager, prefix sharing, truncate/fork rollback and the
     attention kernels run unchanged.  The one
@@ -84,11 +84,13 @@ class QuantizedBlockPool(BlockPool):
     copies (there is no zero-copy dequantized view of int8 codes).
     """
 
+    #: The quantized streams: keys (as attention reads them) and values.
+    _qnames = ("k", "v")
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        names = ["k", "v"] + (["kr"] if self._k_rot is not None else [])
-        self._qnames: tuple[str, ...] = tuple(names)
         shape = (self.n_pages, self.n_heads)
+        names = self._qnames
         self._qscale = {n: np.ones(shape, dtype=np.float32) for n in names}
         self._qzero = {n: np.zeros(shape, dtype=np.float32) for n in names}
         self._qlo = {n: np.full(shape, np.inf, dtype=np.float32) for n in names}
@@ -132,7 +134,7 @@ class QuantizedBlockPool(BlockPool):
     # ------------------------------------------------------------------
     def _qslab(self, name: str) -> np.ndarray:
         """The int8 slab a quantized-stream name refers to."""
-        return {"k": self._k, "v": self._v, "kr": self._k_rot}[name]
+        return self._k if name == "k" else self._v
 
     def _page_of_slot(self, slots):
         """Hook: logical page id(s) owning flat slab slot(s) — the inverse of
@@ -221,15 +223,13 @@ class QuantizedBlockPool(BlockPool):
         values: np.ndarray,
         positions: np.ndarray,
     ) -> None:
-        """Quantized bulk write: positions land exactly, K/V (and eagerly
-        rotated keys) are quantized page by page."""
+        """Quantized bulk write: positions land exactly, K (rotated first
+        when RoPE) and V are quantized page by page."""
+        if self.rope_dims > 0:
+            keys = self.rope_table.rotate(keys, positions)
         self._write_span(table, start, [(self._pos, positions)])
         self._quant_write_span("k", table, start, np.asarray(keys))
         self._quant_write_span("v", table, start, np.asarray(values))
-        if self._k_rot is not None:
-            self._quant_write_span(
-                "kr", table, start, self.rope_table.rotate(keys, positions)
-            )
 
     def _store_token(self, slot: int, k: np.ndarray, v: np.ndarray, position: int) -> None:
         """Quantized single-token write into a resolved pool slot."""
@@ -237,11 +237,10 @@ class QuantizedBlockPool(BlockPool):
         page, within = self._page_of_slot(slot), slot % ps
         self._pos[:, slot] = position
         k = np.asarray(k)
+        if self.rope_dims > 0:
+            k = self.rope_table.rotate_uniform(k, position)
         self._quantize_into("k", page, within, k[:, None, :])
         self._quantize_into("v", page, within, np.asarray(v)[:, None, :])
-        if self._k_rot is not None:
-            k_rot = self.rope_table.rotate_uniform(k, position)
-            self._quantize_into("kr", page, within, k_rot[:, None, :])
 
     def append_rows(
         self,
@@ -334,31 +333,27 @@ class QuantizedBlockPool(BlockPool):
     # ------------------------------------------------------------------
     # eviction hooks
     # ------------------------------------------------------------------
-    def _take_all(self, gidx: np.ndarray, k: int) -> list[np.ndarray | None]:
-        """Compaction read: gather codes, then dequantize keys/values (and
-        rotated keys) with each element's own page/head parameters."""
+    def _take_all(self, gidx: np.ndarray, k: int) -> list[np.ndarray]:
+        """Compaction read: gather codes, then dequantize keys/values with
+        each element's own page/head parameters."""
         data = super()._take_all(gidx, k)
         heads = gidx // self.n_slots
         pages = self._page_of_slot(gidx % self.n_slots)
-        for i, name in ((0, "k"), (1, "v"), (3, "kr")):
-            if i >= len(data) or data[i] is None or name not in self._qnames:
-                continue
+        for i, name in enumerate(self._qnames):
             scale = self._qscale[name][pages, heads].reshape(self.n_heads, k, 1)
             zero = self._qzero[name][pages, heads].reshape(self.n_heads, k, 1)
             data[i] = data[i].astype(self.dtype) * scale + zero
         return data
 
-    def _write_all(self, table: PageTable, data: list[np.ndarray | None]) -> None:
+    def _write_all(self, table: PageTable, data: list[np.ndarray]) -> None:
         """Compaction write: survivors are re-quantized against fresh
         destination-page ranges (the destination pages hold only the
         compacted content, so their ranges never ratchet wider)."""
-        keys, values, positions, k_rot = data
+        keys, values, positions = data
         self._reset_page_params(table.pages)
         self._write_span(table, 0, [(self._pos, positions)])
         self._quant_write_span("k", table, 0, keys)
         self._quant_write_span("v", table, 0, values)
-        if k_rot is not None:
-            self._quant_write_span("kr", table, 0, k_rot)
 
     # ------------------------------------------------------------------
     # reads (always dequantizing page-gather copies)
@@ -376,18 +371,13 @@ class QuantizedBlockPool(BlockPool):
         return out
 
     def keys_view(self, table: PageTable) -> np.ndarray:
-        """Dequantized live keys, shape ``(heads, length, d_head)``."""
+        """Dequantized live keys (RoPE-rotated when ``rope_dims > 0``), shape
+        ``(heads, length, d_head)``."""
         return self._dequant_view(table, "k")
 
     def values_view(self, table: PageTable) -> np.ndarray:
         """Dequantized live values, shape ``(heads, length, d_head)``."""
         return self._dequant_view(table, "v")
-
-    def rotated_view(self, table: PageTable) -> np.ndarray:
-        """Dequantized live rotated keys, shape ``(heads, length, d_head)``."""
-        if self._k_rot is None:
-            raise RuntimeError("rotated-key slab disabled (rope_dims == 0)")
-        return self._dequant_view(table, "kr")
 
     def fill_row(
         self,
@@ -395,14 +385,11 @@ class QuantizedBlockPool(BlockPool):
         out_k: np.ndarray,
         out_v: np.ndarray,
         out_pos: np.ndarray,
-        rotated: bool,
         start: int = 0,
     ) -> None:
         """Dequantize one table's live tokens into padded batch buffers from
         the first slot of ``start``'s page on (an append re-encodes its page);
         every page still passes ``_page_base``, the tiered LRU touch."""
-        kname = "kr" if rotated else "k"
-        kslab = self._qslab(kname)
         first = start - (table.offset + start) % self.page_size
         for logical, page, within, chunk in self._page_chunks(table):
             base = self._page_base(page) + within
@@ -410,9 +397,9 @@ class QuantizedBlockPool(BlockPool):
                 continue
             dst = slice(logical, logical + chunk)
             out_k[:, dst] = self._decode(
-                kslab[:, base : base + chunk],
-                self._qscale[kname][page],
-                self._qzero[kname][page],
+                self._k[:, base : base + chunk],
+                self._qscale["k"][page],
+                self._qzero["k"][page],
             )
             out_v[:, dst] = self._decode(
                 self._v[:, base : base + chunk],
@@ -420,21 +407,6 @@ class QuantizedBlockPool(BlockPool):
                 self._qzero["v"][page],
             )
             out_pos[:, dst] = self._pos[:, base : base + chunk]
-
-    def page_tokens_view(
-        self, pages: Sequence[int], rotated: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Dequantized keys/values of full pages (prefix-sharing read).
-
-        Unlike the full-precision pool this is necessarily a copy, and the
-        chunked-prefill attention over it sees dequantized — not exact —
-        prefix KV; see the accuracy contract in ``docs/quantization.md``.
-        """
-        probe = PageTable()
-        probe.pages = list(pages)
-        probe.length = len(probe.pages) * self.page_size
-        keys = self._dequant_view(probe, "kr" if rotated else "k")
-        return keys, self._dequant_view(probe, "v")
 
     # ------------------------------------------------------------------
     # accounting
@@ -453,15 +425,13 @@ class QuantizedBlockPool(BlockPool):
         d_head: int,
         page_size: int,
         dtype: np.dtype | str,
-        rope_dims: int,
     ) -> float:
-        """Resident bytes of one quantized page: int8 code slabs, int64
-        positions, and the four float32 per-head parameter rows (scale,
-        zero, lo, hi) of every quantized stream.  ``dtype`` (the compute
-        dtype) does not matter — that is the point."""
-        slabs = 2 + (1 if rope_dims > 0 else 0)
-        per_slot = n_heads * (slabs * d_head * 1 + 8)
-        params = slabs * n_heads * 4 * 4
+        """Resident bytes of one quantized page: the K and V int8 code
+        slabs, int64 positions, and the four float32 per-head parameter rows
+        (scale, zero, lo, hi) of both streams.  ``dtype`` (the compute dtype)
+        does not matter — that is the point."""
+        per_slot = n_heads * (2 * d_head * 1 + 8)
+        params = 2 * n_heads * 4 * 4
         return float(page_size * per_slot + params)
 
     def nbytes(self) -> int:

@@ -76,7 +76,7 @@ class VerifyView:
             key_positions = pool.positions_view(table)
             query_positions = np.arange(self.start, self.start + s)
             keys_rotated = pool.rope_dims > 0
-            keys = pool.rotated_view(table) if keys_rotated else pool.keys_view(table)
+            keys = pool.keys_view(table)
         else:
             key_positions = np.broadcast_to(np.arange(length), (pool.n_heads, length))
             query_positions = lengths - 1

@@ -32,9 +32,9 @@ def _prompt(rng, t):
 class DenseRows:
     """The independent reference: each row is plain ``(H, L, ...)`` arrays.
 
-    Appends concatenate, evictions are ``take_along_axis`` and rotated keys
-    are ``RopeTable.rotate`` of the raw keys at their original positions — no
-    pages, tables or pool are involved.
+    Appends concatenate and evictions are ``take_along_axis`` on raw keys;
+    a RoPE pool's stored keys are checked against ``RopeTable.rotate`` of
+    them at their original positions — no pages, tables or pool are involved.
     """
 
     def __init__(self, rope_dims: int = 0):
@@ -67,14 +67,13 @@ class DenseRows:
     def check(self, cache: BatchedLayerKVCache, row: int, ref_row: int | None = None) -> None:
         """Row ``row`` of ``cache`` holds exactly reference row ``ref_row``."""
         keys, values, positions = self.rows[row if ref_row is None else ref_row]
-        got = cache.row_view(row)
-        assert cache.tables[row].length == keys.shape[1]
-        for have, want in zip(got, (keys, values, positions)):
-            np.testing.assert_array_equal(have[0], want)
         if self.rope is not None:
-            np.testing.assert_array_equal(
-                cache.pool.rotated_view(cache.tables[row]), self.rope.rotate(keys, positions)
-            )
+            keys = self.rope.rotate(keys, positions)
+        length = keys.shape[1]
+        assert cache.tables[row].length == length
+        got = cache.padded_batch(row + 1)[:3]
+        for have, want in zip(got, (keys, values, positions)):
+            np.testing.assert_array_equal(have[row, :, :length], want)
 
 
 class TestBatchedLayerKVCache:
@@ -237,9 +236,7 @@ class TestBatchedLayerKVCache:
             contents.append((keys, values))
         # Row 0 suffix-evicts; row 1 stays put → ragged lengths.
         batched.gather_row(0, np.broadcast_to(np.arange(3, 8), (1, HEADS, 5)))
-        keys_view, values_view, pos_view, lengths, max_len = batched.padded_batch(
-            2, rotated=False
-        )
+        keys_view, values_view, pos_view, lengths, max_len = batched.padded_batch(2)
         assert max_len == 8
         np.testing.assert_array_equal(lengths, [5, 8])
         np.testing.assert_array_equal(keys_view[0, :, :5], contents[0][0][0, :, 3:])
@@ -251,7 +248,7 @@ class TestBatchedLayerKVCache:
         batched = BatchedLayerKVCache(max_batch=2, n_heads=HEADS, d_head=D_HEAD)
         keys, values, positions = _prompt(rng, 8)
         batched.join_row(0, keys, values, positions)
-        keys_view, _, _, _, _ = batched.padded_batch(1, rotated=False)
+        keys_view, _, _, _, _ = batched.padded_batch(1)
         # The contiguous fast path returns a view of the pool slab itself.
         assert keys_view.base is batched.pool._k
 
@@ -269,13 +266,9 @@ class TestBatchedLayerKVCache:
         batched.append_rows(2, k, k.copy(), np.asarray([6, 4]))
         for row in range(2):
             ref.append(row, k[row], k[row], (6, 4)[row])
-        rotated, _, _, lengths, _ = batched.padded_batch(2, rotated=True)
         for row in range(2):
-            ref.check(batched, row)
-            np.testing.assert_array_equal(
-                rotated[row, :, : lengths[row]], ref.rope.rotate(ref.rows[row][0], ref.rows[row][2])
-            )
-        # Rotated pages are compacted with the same per-head indices.
+            ref.check(batched, row)  # the key slab holds the rotated keys
+        # The stored rotated keys are compacted with the per-head indices.
         selection = np.stack([np.arange(0, 7, 2)[:4], np.arange(3, 7)] * (HEADS // 2))
         batched.gather_row(0, selection)
         ref.gather(0, selection)
@@ -312,7 +305,7 @@ class TestBatchedLayerKVCache:
         # The mapped pages are physically shared between both rows.
         assert batched.tables[1].pages[:2] == shared_pages
         assert all(batched.pool.refcounts[p] == 2 for p in shared_pages)
-        k1, v1, p1 = batched.row_view(1)
+        k1 = batched.padded_batch(2)[0][1:]
         np.testing.assert_array_equal(k1[:, :, : 2 * ps], keys[:, :, : 2 * ps])
         np.testing.assert_array_equal(k1[:, :, 2 * ps :], suffix[0])
         # Evicting on row 1 copy-on-writes: row 0's view of the prefix survives.
@@ -325,7 +318,7 @@ class TestBatchedLayerKVCache:
                 axis=-1,
             ),
         )
-        k0, _, _ = batched.row_view(0)
+        k0 = batched.padded_batch(2)[0][:1, :, : 2 * ps + 5]
         np.testing.assert_array_equal(k0, keys)
 
 
@@ -386,7 +379,7 @@ DIFF_POOLS = {
 
 
 def _pool_state(pool) -> dict:
-    """Every array of ``pool`` (slabs, rotated keys, positions, refcounts,
+    """Every array of ``pool`` (key, value and position slabs, refcounts,
     frame maps, quantization ranges), its spill arena's records and its
     frame recency order, as bytes."""
     state = {}
@@ -455,23 +448,23 @@ class TestOneRowAppend:
             assert pools[0].tier_usage()["spills"] > 0
 
 
-def _fresh_read(pool, table, rotated):
+def _fresh_read(pool, table):
     """A start-0 ``fill_row`` of ``table`` into new buffers: the reference."""
     out = (
         np.zeros((HEADS, table.length, D_HEAD)),
         np.zeros((HEADS, table.length, D_HEAD)),
         np.zeros((HEADS, table.length), dtype=np.int64),
     )
-    type(pool).fill_row(pool, table, *out, rotated)
+    type(pool).fill_row(pool, table, *out)
     return out
 
 
-def _check_padded_read(cache, n_active, rotated):
+def _check_padded_read(cache, n_active):
     """Read the batch; each row's live region must be byte-equal to a fresh read."""
-    got = cache.padded_batch(n_active, rotated)
+    got = cache.padded_batch(n_active)
     for row in range(n_active):
         table = cache.tables[row]
-        for padded, want in zip(got[:3], _fresh_read(cache.pool, table, rotated)):
+        for padded, want in zip(got[:3], _fresh_read(cache.pool, table)):
             assert padded[row, :, : table.length].tobytes() == want.tobytes(), f"row {row}"
 
 
@@ -481,14 +474,13 @@ class _Session:
 
     OPS = {
         "join", "join_shared", "rejoin", "append", "append_many", "evict_one",
-        "suffix", "scatter", "truncate", "free", "flip",
+        "suffix", "scatter", "truncate", "free",
     }
 
     def __init__(self, pool, seed):
         self.rng = np.random.default_rng(seed)
         self.cache = BatchedLayerKVCache(max_batch=4, n_heads=HEADS, d_head=D_HEAD, pool=pool)
         self.n_active = 0
-        self.rotated = True
         self.done: set[str] = set()
         self.starts: list[int] = []  # the ``start`` of every padded-batch row read
         self.ws_sizes: set[int] = set()
@@ -503,9 +495,9 @@ class _Session:
         fill_row, shift_out = pool.fill_row, pool._shift_out
         self.shifts = 0
 
-        def spy(table, out_k, out_v, out_pos, rotated, start=0):
+        def spy(table, out_k, out_v, out_pos, start=0):
             self.starts.append(start)
-            fill_row(table, out_k, out_v, out_pos, rotated, start)
+            fill_row(table, out_k, out_v, out_pos, start)
 
         def shift_spy(table, drop):
             self.shifts += 1
@@ -529,7 +521,7 @@ class _Session:
             if any(t.offset == 0 and t.length >= PS for t in cache.tables[: self.n_active]):
                 ops.append("join_shared")
         if self.n_active:
-            ops += ["append"] * 4 + ["append_many", "rejoin", "free", "flip"]
+            ops += ["append"] * 4 + ["append_many", "rejoin", "free"]
         if any(n >= 1 for n in lengths):
             ops.append("truncate")
         if any(n >= 2 for n in lengths):
@@ -539,7 +531,7 @@ class _Session:
         getattr(self, "_" + op)()
         self.done.add(op)
         if self.n_active:
-            _check_padded_read(cache, self.n_active, self.rotated)
+            _check_padded_read(cache, self.n_active)
             row = self._evicted
             if row is not None and self.n_active > 1:
                 start = self.starts[row - self.n_active]
@@ -616,9 +608,6 @@ class _Session:
         self.cache.free_row(int(self.rng.integers(self.n_active)), self.n_active - 1)
         self.n_active -= 1
 
-    def _flip(self):
-        self.rotated = not self.rotated
-
 
 class TestIncrementalPaddedRead:
     @pytest.mark.parametrize("seed", [0, 1])
@@ -652,7 +641,7 @@ class TestIncrementalPaddedRead:
         cache = BatchedLayerKVCache(max_batch=3, n_heads=HEADS, d_head=D_HEAD, pool=pool)
         for row in range(2):
             cache.join_row(row, *_prompt(rng, t))
-        _check_padded_read(cache, 2, rotated=False)
+        _check_padded_read(cache, 2)
         return cache, rng
 
     def test_trap_length_cannot_detect_staleness(self):
@@ -664,25 +653,25 @@ class TestIncrementalPaddedRead:
         cache, rng = self._two_rows(_pool(BlockPool))
         kv = rng.normal(size=(2, HEADS, D_HEAD))
         cache.append_rows(2, kv, kv.copy(), np.asarray([10, 10]))
-        _check_padded_read(cache, 2, rotated=False)
+        _check_padded_read(cache, 2)
         cache.gather_row(0, EvictOne(np.asarray([2, 0, 10, 5]), 11))
-        assert cache.tables[0].length == 10 and cache._held(0, False) == 10
-        _check_padded_read(cache, 2, rotated=False)
+        assert cache.tables[0].length == 10 and cache._held(0) == 10
+        _check_padded_read(cache, 2)
         cache.append_rows(2, kv, kv.copy(), np.asarray([11, 11]))
         cache.gather_row(1, EvictOne(np.full(HEADS, 2), 12))
-        assert cache.tables[1].length == 11 and cache._held(1, False) == 0
-        _check_padded_read(cache, 2, rotated=False)
+        assert cache.tables[1].length == 11 and cache._held(1) == 0
+        _check_padded_read(cache, 2)
 
     def test_trap_int8_append_reencodes_its_page(self):
         """An append that widens a page's range re-encodes the page's earlier
         tokens, so the re-read starts at the page's first slot."""
         cache, rng = self._two_rows(_pool(QuantizedBlockPool), t=PS + 1)
-        before = _fresh_read(cache.pool, cache.tables[0], False)[1][:, PS].copy()
+        before = _fresh_read(cache.pool, cache.tables[0])[1][:, PS].copy()
         wide = np.full((2, HEADS, D_HEAD), 50.0)
         cache.append_rows(2, wide, wide.copy(), np.asarray([PS + 1, PS + 1]))
-        after = _fresh_read(cache.pool, cache.tables[0], False)[1][:, PS]
+        after = _fresh_read(cache.pool, cache.tables[0])[1][:, PS]
         assert not np.array_equal(before, after)  # token PS was re-encoded
-        _check_padded_read(cache, 2, rotated=False)
+        _check_padded_read(cache, 2)
 
     def test_trap_free_row_moves_a_table_between_slots(self):
         """Slot 0 takes the last row's table at the same epoch and length."""
@@ -692,12 +681,12 @@ class TestIncrementalPaddedRead:
         )
         for row in range(3):
             cache.join_row(row, *_prompt(rng, 8))
-        _check_padded_read(cache, 3, rotated=False)
+        _check_padded_read(cache, 3)
         moved = cache.tables[2]
         epoch = cache.tables[0].epoch
         cache.free_row(0, 2)
         assert cache.tables[0] is moved and moved.epoch == epoch
-        _check_padded_read(cache, 2, rotated=False)
+        _check_padded_read(cache, 2)
 
     def test_trap_join_row_reuses_the_same_table(self):
         """join_row releases and re-extends the *same* PageTable object."""
@@ -705,7 +694,7 @@ class TestIncrementalPaddedRead:
         table = cache.tables[0]
         cache.join_row(0, *_prompt(rng, 10))
         assert cache.tables[0] is table and table.length == 10
-        _check_padded_read(cache, 2, rotated=False)
+        _check_padded_read(cache, 2)
 
     @pytest.mark.parametrize("cls", [TieredBlockPool, TieredQuantizedBlockPool])
     def test_trap_tiered_read_keeps_tier_state(self, cls):

@@ -262,15 +262,14 @@ class TestSoloRows:
         manager, keys, _ = seeded(batch=3, rope_dims=D_HEAD)
         manager.reorder(np.array([2, 2, 0]))
         cache = manager.caches[0]
-        np.testing.assert_array_equal(cache.keys[0], keys[2])
-        np.testing.assert_array_equal(cache.keys[1], keys[2])
-        np.testing.assert_array_equal(cache.keys[2], keys[0])
+        # The one key slab holds the prompt keys rotated at their positions.
+        rotated = RopeTable(D_HEAD).rotate(keys, np.broadcast_to(np.arange(6), keys.shape[:3]))
+        np.testing.assert_array_equal(cache.keys[0], rotated[2])
+        np.testing.assert_array_equal(cache.keys[1], rotated[2])
+        np.testing.assert_array_equal(cache.keys[2], rotated[0])
         # Duplicated rows share pages until a divergent write.
         assert cache.tables[0].pages == cache.tables[1].pages
-        rotated = manager.attention_view(0)[0]
-        np.testing.assert_array_equal(
-            rotated, RopeTable(D_HEAD).rotate(cache.keys, cache.positions)
-        )
+        np.testing.assert_array_equal(manager.attention_view(0)[0], cache.keys)
 
     def test_reorder_out_of_range(self):
         manager, _, _ = seeded(batch=2)
@@ -278,26 +277,25 @@ class TestSoloRows:
             manager.reorder(np.array([0, 5]))
 
     def test_original_mode_view(self):
-        manager, _, _ = seeded(positional_mode="original", rope_dims=D_HEAD)
+        manager, prompt, _ = seeded(positional_mode="original", rope_dims=D_HEAD)
         manager._apply_row_selection(0, 0, every_head([1, 4, 5]))
         keys, _, key_pos, query_pos, _, rotated = manager.attention_view(0)
         assert rotated and query_pos.tolist() == [6]
         np.testing.assert_array_equal(key_pos[0, 0], [1, 4, 5])
-        raw = manager.caches[0].keys
+        raw = prompt[:, :, [1, 4, 5]]
         np.testing.assert_array_equal(keys, RopeTable(D_HEAD).rotate(raw, key_pos))
 
     def test_renumbered_mode_view(self):
-        manager, _, _ = seeded(positional_mode="new", rope_dims=D_HEAD)
+        manager, prompt, _ = seeded(positional_mode="new", rope_dims=D_HEAD)
         assert manager.rope_dims == 0  # rotations follow renumbered positions
         manager._apply_row_selection(0, 0, every_head([1, 4, 5]))
         keys, _, key_pos, query_pos, _, rotated = manager.attention_view(0)
         assert not rotated and query_pos.tolist() == [2]
-        np.testing.assert_array_equal(keys, manager.caches[0].keys)
+        # The pool stores raw keys: the kernel rotates them per step.
+        np.testing.assert_array_equal(keys, prompt[:, :, [1, 4, 5]])
         np.testing.assert_array_equal(key_pos[0, 0], [0, 1, 2])
         with pytest.raises(ValueError):
             key_pos[0, 0, 0] = 99  # a read-only broadcast view
-        with pytest.raises(RuntimeError):  # no rotated slab without rope_dims
-            manager.caches[0].pool.rotated_view(manager.caches[0].tables[0])
 
     def test_total_kv_bytes_is_the_storage_cost(self):
         manager, _, _ = seeded(t=10, batch=2)
@@ -329,7 +327,7 @@ def test_solo_read_is_zero_copy(dtype):
             manager.append(layer, kv, kv)
             keys, values, key_pos, _, _, rotated = manager.attention_view(layer)
             assert rotated
-            for view, slab in ((keys, pool._k_rot), (values, pool._v), (key_pos, pool._pos)):
+            for view, slab in ((keys, pool._k), (values, pool._v), (key_pos, pool._pos)):
                 assert np.shares_memory(view, slab)
             logits = rng.normal(size=(1, N_HEADS, keys.shape[2])).astype(dtype)
             manager.observe(layer, logits, softmax(logits, axis=-1))

@@ -278,7 +278,7 @@ class TestQuantizedParamsStayLive:
                 assert any(p in pool.arena for p in kept)
             assert pool.gather(table, keep) == n - keep.shape[1]
             views.append(
-                [v(table).tobytes() for v in (pool.keys_view, pool.values_view, pool.rotated_view)]
+                [v(table).tobytes() for v in (pool.keys_view, pool.values_view)]
             )
             assert pool.check_invariants(owners=[table]) == []
         assert views[0] == views[1]

@@ -141,15 +141,17 @@ class TestExtendAppendGather:
         pool = make_pool(rope_dims=D)
         rng = np.random.default_rng(4)
         table, keys, _, positions = seeded(pool, 11, rng)
+        # A RoPE pool's one key slab holds the keys rotated at their positions.
         np.testing.assert_array_equal(
-            pool.rotated_view(table), rope_rotate(keys, positions, D)
+            pool.keys_view(table), rope_rotate(keys, positions, D)
         )
         k = rng.normal(size=(H, D))
         pool.append(table, k, k, position=11)
         np.testing.assert_array_equal(
-            pool.rotated_view(table)[:, -1],
+            pool.keys_view(table)[:, -1],
             rope_rotate(k, np.full((H,), 11), D),
         )
+        np.testing.assert_array_equal(pool.values_view(table)[:, -1], k)
 
 
 class TestCopyOnWrite:

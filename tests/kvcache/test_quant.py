@@ -83,12 +83,13 @@ class TestRoundTrip:
         assert np.array_equal(pool.keys_view(table), keys)
 
     def test_rotated_keys_within_half_step(self):
+        # A RoPE pool's "k" stream quantizes the keys rotated at write time.
         pool = make_pool(rope_dims=D)
         table, keys, _, positions = seeded(pool, PS + 3)
         expected = pool.rope_table.rotate(keys, positions)
         assert np.all(
-            np.abs(pool.rotated_view(table) - expected)
-            <= per_element_bound(pool, table, "kr")
+            np.abs(pool.keys_view(table) - expected)
+            <= per_element_bound(pool, table, "k")
         )
 
     def test_codes_are_int8_in_range(self):
@@ -197,7 +198,7 @@ class TestSharedPages:
     def test_page_tokens_view_dequantizes_full_pages(self):
         pool = make_pool(rope_dims=D)
         table, keys, values, _ = seeded(pool, 2 * PS)
-        k, v = pool.page_tokens_view(table.pages[:2], rotated=False)
+        k, v = pool.page_tokens_view(table.pages[:2])
         assert k.shape == (H, 2 * PS, D)
         assert np.all(np.abs(v - values) <= per_element_bound(pool, table, "v"))
 
@@ -219,8 +220,7 @@ class TestTruncateForkRestore:
         seed_manager(manager, [prompt], attn, attn, max_new_tokens=PS)
         cache = manager.caches[0]
         assert isinstance(cache.pool, QuantizedBlockPool)
-        snapshot_keys = cache.keys.copy()
-        snapshot_rot = cache.pool.rotated_view(cache.tables[0]).copy()
+        snapshot_keys = cache.keys.copy()  # rotated: the one key stream
         forked = manager.snapshot_row(0)
         for _ in range(PS):
             kv = rng.normal(size=(1, H, D))
@@ -228,7 +228,6 @@ class TestTruncateForkRestore:
             manager.advance()
         manager.restore_row(0, forked)
         assert np.array_equal(cache.keys, snapshot_keys)
-        assert np.array_equal(cache.pool.rotated_view(cache.tables[0]), snapshot_rot)
 
 
 class TestAccountingAndPlumbing:
@@ -278,11 +277,16 @@ class TestAccountingAndPlumbing:
             assert all(type(pool) is cls for pool in manager.store.pools)
 
     def test_page_nbytes_for_matches_pool_classes(self):
-        fp = PagedKVStore.page_nbytes_for(None, H, D, PS, np.float64, D)
-        q = PagedKVStore.page_nbytes_for("int8", H, D, PS, np.float64, D)
-        assert fp == BlockPool.estimate_page_nbytes(H, D, PS, np.float64, D)
-        assert q == QuantizedBlockPool.estimate_page_nbytes(H, D, PS, np.float64, D)
+        fp = PagedKVStore.page_nbytes_for(None, H, D, PS, np.float64)
+        q = PagedKVStore.page_nbytes_for("int8", H, D, PS, np.float64)
+        assert fp == BlockPool.estimate_page_nbytes(H, D, PS, np.float64)
+        assert q == QuantizedBlockPool.estimate_page_nbytes(H, D, PS, np.float64)
         assert q < fp
+        # What a built pool holds per page, RoPE or not: one key slab.
+        for cls, page in ((BlockPool, fp), (QuantizedBlockPool, q)):
+            for rope_dims in (0, D):
+                pool = cls(H, D, page_size=PS, n_pages=4, rope_dims=rope_dims)
+                assert pool.nbytes() == 4 * page == 4 * pool.page_nbytes()
 
     def test_grown_pool_keeps_parameter_arrays_aligned(self):
         pool = make_pool(n_pages=2)

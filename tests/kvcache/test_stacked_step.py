@@ -141,10 +141,9 @@ def storage(manager: CacheManager):
 
         out.append(
             {
-                "keys": rows(pool.keys_view),
+                "keys": rows(pool.keys_view),  # rotated: the managers run RoPE
                 "values": rows(pool.values_view),
                 "positions": rows(pool.positions_view),
-                "rotated": rows(pool.rotated_view),
                 "tables": [(t.offset, t.length, list(t.pages)) for t in cache.tables],
                 "refcounts": pool.refcounts.tolist(),
                 "free": sorted(pool._free),
@@ -243,7 +242,7 @@ def test_stacked_pass_equals_per_layer_reference(
         for got, want in zip(storage(stacked), storage(twin)):
             for name in ("tables", "refcounts", "free"):
                 assert got[name] == want[name], name
-            for name in ("keys", "values", "positions", "rotated"):
+            for name in ("keys", "values", "positions"):
                 np.testing.assert_array_equal(got[name], want[name], err_msg=name)
     for row in rows:
         assert stacked.cache_lengths(row) == twin.cache_lengths(row) == [budget] * n_layers

@@ -82,10 +82,13 @@ class TestPoolTruncate:
         pool = _pool(rope_dims=4)
         table = _seed(pool, 6, value=1.0)
         pool.truncate(table, 2)
-        pool.append(table, np.full((2, 4), 9.0), np.full((2, 4), 9.0), position=4)
+        k = np.full((2, 4), 9.0)
+        pool.append(table, k, k.copy(), position=4)
         keys = pool.keys_view(table)
         assert table.length == 5
-        np.testing.assert_array_equal(keys[:, -1], np.full((2, 4), 9.0))
+        # A RoPE pool stores the key rotated at its position, by the same call.
+        np.testing.assert_array_equal(keys[:, -1], pool.rope_table.rotate_uniform(k, 4))
+        np.testing.assert_array_equal(pool.values_view(table)[:, -1], k)
         np.testing.assert_array_equal(pool.positions_view(table)[:, -1], [4, 4])
 
 

@@ -63,13 +63,13 @@ def _run(monkeypatch, whole_reads: bool):
         counts["shift"] += 1
         shift_out(pool, table, drop)
 
-    def counted_fill(pool, table, out_k, out_v, out_pos, rotated, start=0):
+    def counted_fill(pool, table, out_k, out_v, out_pos, start=0):
         counts["incremental" if start else "whole"] += 1
-        fill_row(pool, table, out_k, out_v, out_pos, rotated, start)
+        fill_row(pool, table, out_k, out_v, out_pos, start)
 
-    def forced_whole(cache, n_active, rotated):
+    def forced_whole(cache, n_active):
         cache._synced = [None] * cache.max_batch
-        return padded_batch(cache, n_active, rotated)
+        return padded_batch(cache, n_active)
 
     monkeypatch.setattr(BlockPool, "_compact", counted_compact)
     monkeypatch.setattr(BlockPool, "_shift_out", counted_shift)

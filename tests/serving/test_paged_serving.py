@@ -13,7 +13,7 @@ from repro.core.keyformer import KeyformerPolicy
 from repro.core.policies import FullAttentionPolicy, WindowAttentionPolicy
 from repro.generation.generator import Generator
 from repro.generation.sampler import GreedySampler
-from repro.kvcache.paged import PagedKVStore, PoolExhausted
+from repro.kvcache.paged import PoolExhausted
 from repro.models.config import GenerationConfig, ModelConfig
 from repro.models.transformer import DecoderLM
 from repro.serving.engine import BatchedGenerator, ContinuousBatchingEngine, EngineConfig
@@ -395,17 +395,16 @@ class TestEngineConfig:
 
 def _parent_conversions(model_config, page_size, kv_dtype, max_pool_bytes, tier0_budget):
     """The two inline bytes→pages conversions ``ContinuousBatchingEngine``
-    carried before ``resolve_pages`` (kept here as the reference)."""
-    page_bytes = PagedKVStore.page_nbytes_for(
-        kv_dtype,
-        model_config.n_heads,
-        model_config.d_head,
-        page_size,
-        model_config.np_dtype,
-        model_config.rope_dims,
-    )
-    n_pages = max(int(max_pool_bytes // (model_config.n_layers * page_bytes)), 1)
-    tier0_pages = max(int(tier0_budget // (model_config.n_layers * page_bytes)), 2)
+    carried before ``resolve_pages`` (kept here as the reference), over a
+    page of two K/V slabs plus int64 positions, written out."""
+    h, d = model_config.n_heads, model_config.d_head
+    if kv_dtype is None:
+        layer_bytes = page_size * h * (2 * d * np.dtype(model_config.np_dtype).itemsize + 8)
+    else:  # int8 codes, plus float32 (scale, zero, lo, hi) rows per K/V stream
+        layer_bytes = page_size * h * (2 * d + 8) + 2 * h * 4 * 4
+    page_bytes = model_config.n_layers * layer_bytes
+    n_pages = max(int(max_pool_bytes // page_bytes), 1)
+    tier0_pages = max(int(tier0_budget // page_bytes), 2)
     return n_pages, tier0_pages
 
 
@@ -432,7 +431,7 @@ def test_resolve_pages_equals_parent_conversions(name, dtype, max_seq_len, budge
     )
     assert EngineConfig(tier0_budget=budget).resolve_pages(model_config) == (
         None,
-        77 if budget else None,
+        114 if budget else None,
     )
     budget = budget or 15_500_000
     want = _parent_conversions(model_config, 16, kv_dtype, budget, budget)
@@ -442,3 +441,23 @@ def test_resolve_pages_equals_parent_conversions(name, dtype, max_seq_len, budge
     assert EngineConfig(max_pool_tokens=100).resolve_pages() == (7, None)
     engine = ContinuousBatchingEngine(DecoderLM(model_config, seed=0), config=config)
     assert (engine.max_pool_tokens, engine.tier0_pages) == (want[0] * 16, want[1])
+
+
+@pytest.mark.parametrize("kv_dtype", [None, "int8"])
+@pytest.mark.parametrize("mode", ["original", "new"])
+def test_byte_budget_buys_the_pages_the_built_store_holds(mode, kv_dtype):
+    """A byte budget is divided by what the built pools hold per page, so the
+    store spends it: a renumbered-mode RoPE pool stores raw keys and an
+    original-mode one rotated keys, one key slab either way."""
+    model = make_model()
+    budget = 400_000
+    config = EngineConfig(positional_mode=mode, kv_dtype=kv_dtype, max_pool_bytes=budget)
+    engine = ContinuousBatchingEngine(model, window_factory, config=config)
+    engine.submit(np.arange(8), GenerationConfig(max_new_tokens=1), sampler=GreedySampler())
+    engine.step()
+    store = engine._manager.store
+    assert [pool.rope_dims > 0 for pool in store.pools] == [mode == "original"] * 2
+    n_pages, _ = config.resolve_pages(model.config)
+    assert n_pages == budget // sum(pool.page_nbytes() for pool in store.pools)
+    assert all(pool.n_pages == n_pages for pool in store.pools)
+    assert store.nbytes() <= budget

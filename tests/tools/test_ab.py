@@ -43,10 +43,30 @@ class TestVerdict:
         assert v["median_ratio"] == pytest.approx(130 / 180)
         assert v["p"] == pytest.approx(14 / 64) and not v["resolved"]
 
-    def test_higher_is_better_resolves_at_six_of_six(self):
+    def test_six_of_six_is_unresolved(self):
         v = ab.verdict("tokens_per_s", "higher", [100.0] * 6, [110.0] * 6)
-        assert v["wins"] == 6 and v["resolved"]
+        assert v["wins"] == 6 and v["p"] == pytest.approx(2 / 64)
         assert v["median_ratio"] == pytest.approx(1.1)
+        assert not v["resolved"]
+
+    def test_ten_of_ten_outside_a_spread_is_resolved(self):
+        a = [134.7, 134.8, 134.9, 135.0, 135.1] * 2
+        v = ab.verdict("peak_rss_mb", "lower", a, [116.7] * 10)
+        assert (v["wins"], v["n"]) == (10, 10)
+        assert v["iqr_a"] == pytest.approx(0.2)
+        assert v["resolved"]
+
+    def test_nine_of_ten_inside_a_spread_is_unresolved(self):
+        a = [100.0, 110.0, 120.0, 130.0, 140.0] * 2
+        b = [x - 5.0 for x in a[:9]] + [a[9] + 1.0]
+        v = ab.verdict("peak_rss_mb", "lower", a, b)
+        assert (v["wins"], v["n"]) == (9, 10)
+        assert abs(v["median_b"] - v["median_a"]) < v["iqr_a"]
+        assert not v["resolved"]
+
+    def test_a_regression_resolves_too(self):
+        v = ab.verdict("tokens_per_s", "higher", [100.0, 101.0] * 5, [80.0] * 10)
+        assert (v["wins"], v["n"]) == (0, 10) and v["resolved"]
 
     def test_ties_leave_the_sign_test(self):
         v = ab.verdict("peak_kv_bytes", "lower", [5.0] * 6, [5.0] * 6)
@@ -64,21 +84,26 @@ class TestVerdict:
 
 class TestRunProblems:
     def test_clean_runs(self):
-        assert ab.run_problems([_run(), _run()]) == []
+        assert ab.run_problems([_run(), _run()], [_run(), _run()]) == []
 
     def test_incorrect_or_failed_runs(self):
-        problems = ab.run_problems([_run(), _run(correct=False), _run(failed=2)])
-        assert len(problems) == 2
+        problems = ab.run_problems([_run(), _run(correct=False)], [_run(failed=2), _run()])
+        assert problems == ["run a1: correct=False failed=0", "run b0: correct=True failed=2"]
 
     def test_peak_kv_bytes_must_not_move(self):
-        (problem,) = ab.run_problems([_run(), _run(peak_kv_bytes=101)])
-        assert "peak_kv_bytes" in problem
+        (problem,) = ab.run_problems([_run(), _run()], [_run(peak_kv_bytes=101)] * 2)
+        assert problem == "counters moved between revisions: peak_kv_bytes a=100 b=101"
 
-    def test_exact_counters_must_not_move(self):
+    def test_a_counter_unsteady_within_one_side_is_not_deterministic(self):
         moved = {"models.decode_calls": 64, "kvcache.gather_calls": 9}
-        (problem,) = ab.run_problems([_run(), _run(), _run(counters=moved)])
-        assert problem == "exact counters differ between runs: kvcache.gather_calls"
+        (problem,) = ab.run_problems([_run(), _run()], [_run(), _run(counters=moved)])
+        assert problem == "not deterministic: kvcache.gather_calls read [8, 9] on side b"
+
+    def test_a_counter_steady_on_each_side_moved_between_revisions(self):
+        moved = {"models.decode_calls": 64, "kvcache.gather_calls": 9}
+        (problem,) = ab.run_problems([_run(), _run()], [_run(counters=moved)] * 2)
+        assert problem == "counters moved between revisions: kvcache.gather_calls a=8 b=9"
 
     def test_a_counter_missing_from_one_run_is_a_change(self):
-        (problem,) = ab.run_problems([_run(), _run(counters={"models.decode_calls": 64})])
-        assert "kvcache.gather_calls" in problem
+        (problem,) = ab.run_problems([_run()], [_run(counters={"models.decode_calls": 64})])
+        assert problem == "counters moved between revisions: kvcache.gather_calls a=8 b=None"

@@ -8,16 +8,22 @@ and byte-compiled, so neither side pays for compiling its modules.  Each
 pair runs ``benchmarks/e2e/run.py --workload W --trace 0`` once per side,
 in a fresh interpreter, in ABBA order: A then B, then B then A, and so on.
 
+It prints one JSON verdict per end-to-end metric of ``BENCHMARK.json``:
+each side's median, the median of the per-pair B/A ratios, B's wins out of
+the ``n`` untied pairs (the metric's ``better`` sets the direction), the
+exact two-sided sign-test p-value, ``iqr_a`` (the distance between the
+quartiles of A's runs), whether the difference is resolved, and each side's
+per-pair values.  A difference is resolved only when there are at least ten
+untied pairs, one side wins at least nine tenths of them, and the medians
+differ by more than ``iqr_a``: fewer pairs, a split verdict or a shift
+inside A's own spread is reported as unresolved, not as a change.
+
 The run fails (exit 1) if any run is incorrect or failed a request, or if
-``peak_kv_bytes`` or the exact counters (the ``counters`` of the run's
-``reports/e2e/<workload>.seed<S>.trace0.json``) differ between any two
-runs.  Otherwise it prints one
-JSON verdict per end-to-end metric of ``BENCHMARK.json``: the median of the
-per-pair B/A ratios, B's wins out of the ``n`` untied pairs (the metric's
-``better`` sets the direction), the exact two-sided sign-test p-value,
-whether the difference is resolved (p < 0.05), and each side's per-pair
-values.  Six pairs are the fewest
-that can resolve anything (p = 2/64 at 6/6 wins).
+``peak_kv_bytes`` or an exact counter (the ``counters`` of the run's
+``reports/e2e/<workload>.seed<S>.trace0.json``) is not the same in every
+run.  A value that differs between runs of one side is reported as not
+deterministic; one that is steady on each side but differs between them is
+reported as moved between revisions, with both values.
 """
 
 from __future__ import annotations
@@ -33,8 +39,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNNER = "benchmarks/e2e/run.py"
-#: A sign test below this p-value resolves a metric.
-ALPHA = 0.05
+#: Fewest untied pairs that can resolve a metric.
+MIN_PAIRS = 10
+#: Share of the untied pairs one side must win to resolve a metric.
+MIN_WIN_SHARE = 0.9
 
 
 def sign_test_p(wins: int, n: int) -> float:
@@ -45,43 +53,74 @@ def sign_test_p(wins: int, n: int) -> float:
     return min(1.0, 2 * tail / 2**n)
 
 
+def iqr(values: list[float]) -> float:
+    """Distance between the lower and upper quartile of ``values``."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
 def verdict(name: str, better: str, a: list[float], b: list[float]) -> dict:
     """The verdict on one metric from its per-pair values on each side."""
     sign = 1 if better == "higher" else -1
     wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
     n = sum(x != y for x, y in zip(a, b))
     ratios = [y / x for x, y in zip(a, b)]
-    p = sign_test_p(wins, n)
+    median_a, median_b = statistics.median(a), statistics.median(b)
+    iqr_a = iqr(a)
+    resolved = (
+        n >= MIN_PAIRS
+        and max(wins, n - wins) >= MIN_WIN_SHARE * n
+        and abs(median_b - median_a) > iqr_a
+    )
     return {
         "metric": name,
         "better": better,
-        "median_a": statistics.median(a),
-        "median_b": statistics.median(b),
+        "median_a": median_a,
+        "median_b": median_b,
         "median_ratio": statistics.median(ratios),
         "wins": wins,
         "n": n,
         "pairs": len(a),
-        "p": p,
-        "resolved": p < ALPHA,
+        "p": sign_test_p(wins, n),
+        "iqr_a": iqr_a,
+        "resolved": resolved,
         "a": a,
         "b": b,
     }
 
 
-def run_problems(runs: list[dict]) -> list[str]:
-    """Why a set of runs cannot be compared (empty when they can)."""
+def _unsteady(name: str, values: dict[str, list]) -> str | None:
+    """Why ``name``'s per-side run values are not one steady value."""
+    for side, vals in values.items():
+        if len(set(vals)) > 1:
+            return f"not deterministic: {name} read {vals} on side {side}"
+    a, b = (vals[0] for vals in values.values())
+    if a != b:
+        return f"counters moved between revisions: {name} a={a} b={b}"
+    return None
+
+
+def run_problems(runs_a: list[dict], runs_b: list[dict]) -> list[str]:
+    """Why the runs of two sides cannot be compared (empty when they can)."""
     problems = [
-        f"run {i}: correct={run['correct']} failed={run['failed']}"
+        f"run {side}{i}: correct={run['correct']} failed={run['failed']}"
+        for side, runs in (("a", runs_a), ("b", runs_b))
         for i, run in enumerate(runs)
         if not run["correct"] or run["failed"]
     ]
-    kv = {run["metrics"]["peak_kv_bytes"]["value"] for run in runs}
-    if len(kv) > 1:
-        problems.append(f"peak_kv_bytes differs between runs: {sorted(kv)}")
-    names = sorted({name for run in runs for name in run["counters"]})
-    moved = [n for n in names if len({run["counters"].get(n) for run in runs}) > 1]
-    if moved:
-        problems.append(f"exact counters differ between runs: {', '.join(moved)}")
+    sides = {"a": runs_a, "b": runs_b}
+    kv = {s: [run["metrics"]["peak_kv_bytes"]["value"] for run in r] for s, r in sides.items()}
+    names = sorted({name for run in runs_a + runs_b for name in run["counters"]})
+    counters = {
+        name: {s: [run["counters"].get(name) for run in r] for s, r in sides.items()}
+        for name in names
+    }
+    for name, values in [("peak_kv_bytes", kv), *counters.items()]:
+        problem = _unsteady(name, values)
+        if problem is not None:
+            problems.append(problem)
     return problems
 
 
@@ -119,7 +158,7 @@ def main(argv=None) -> int:
     parser.add_argument("rev_a")
     parser.add_argument("rev_b")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=6)
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
@@ -145,7 +184,7 @@ def main(argv=None) -> int:
         _git("worktree", "prune")
         workdir.rmdir()
 
-    problems = run_problems(runs["a"] + runs["b"])
+    problems = run_problems(runs["a"], runs["b"])
     for line in problems:
         print(f"FAILED {line}", file=sys.stderr)
     for entry in verdicts(spec, runs["a"], runs["b"]):
