@@ -402,10 +402,9 @@ class BatchedLayerKVCache:
 
     @property
     def keys(self) -> np.ndarray:
-        """Stored keys of every row slot (RoPE-rotated when the pool is
-        RoPE), ``(rows, H, L, d)``, for rows of one
-        length (the solo manager's); a zero-copy view for one row on
-        contiguous pages."""
+        """Stored keys of every row slot (RoPE-rotated in a RoPE pool),
+        ``(rows, H, L, d)``, for rows of one length (the solo manager's); a
+        zero-copy view for one row on contiguous pages."""
         return self._all_rows(self.pool.keys_view)
 
     @property
@@ -421,11 +420,12 @@ class BatchedLayerKVCache:
         tables: ``(keys, values, positions, lengths, max_len)``.
 
         ``keys`` are the pool's stored keys (:meth:`BlockPool.keys_view`).
-        Row ``b`` is valid up to ``lengths[b]``; padding is zero or stale finite values (a row
-        shrank, a slot was reused), inert under the float32 ``-inf`` mask and
-        the float64 exact-length slices.  A row copies only what it appended
-        since its last read (:meth:`_held`).  A lone active row on contiguous
-        pages is returned as zero-copy pool views (the paged read's fast path).
+        Row ``b`` is valid up to ``lengths[b]``; padding is zero or stale
+        finite values (a row shrank, a slot was reused), inert under the
+        float32 ``-inf`` mask and the float64 exact-length slices.  A row
+        copies only what it appended since its last read (:meth:`_held`).  A
+        lone active row on contiguous pages is returned as zero-copy pool
+        views (the paged read's fast path).
         """
         pool = self.pool
         lengths = self.lengths[:n_active]

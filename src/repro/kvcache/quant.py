@@ -81,7 +81,9 @@ class QuantizedBlockPool(BlockPool):
     under either manager, prefix sharing, truncate/fork rollback and the
     attention kernels run unchanged.  The one
     structural difference from the base pool: reads are always page-gather
-    copies (there is no zero-copy dequantized view of int8 codes).
+    copies (there is no zero-copy dequantized view of int8 codes), so the
+    chunked-prefill attention over a shared prefix sees dequantized — not
+    exact — prefix KV; see the accuracy contract in ``docs/quantization.md``.
     """
 
     #: The quantized streams: keys (as attention reads them) and values.
@@ -89,8 +91,7 @@ class QuantizedBlockPool(BlockPool):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        shape = (self.n_pages, self.n_heads)
-        names = self._qnames
+        shape, names = (self.n_pages, self.n_heads), self._qnames
         self._qscale = {n: np.ones(shape, dtype=np.float32) for n in names}
         self._qzero = {n: np.zeros(shape, dtype=np.float32) for n in names}
         self._qlo = {n: np.full(shape, np.inf, dtype=np.float32) for n in names}
