@@ -1145,21 +1145,43 @@ class KVStoreConfig:
             self.kv_dtype, mc.n_heads, mc.d_head, self.page_size, mc.np_dtype
         )
 
+    def tier0_frame_bytes(self, model_config) -> float:
+        """What ``tier0_budget`` pays for one frame across a model's layer
+        pools: :meth:`page_bytes`, plus one more key slab per layer for a
+        RoPE model (int8: its codes and four float32 rows per head).
+
+        Tier-0 budgets were calibrated when RoPE pages also held raw keys;
+        this price keeps an existing offload budget at the frames, and so at
+        the spill behaviour, it was chosen for.  The frames are smaller than
+        the price, so a tiered store stays under its budget.  To be removed
+        together with a re-tune of the budgets that rely on it (ROADMAP
+        22(e)); ``max_pool_bytes`` pays :meth:`page_bytes`."""
+        mc = model_config
+        page_bytes = self.page_bytes(mc)
+        if mc.rope_dims == 0:
+            return page_bytes
+        # Half of a page's K/V bytes (all of it but the int64 positions).
+        positions = mc.n_layers * self.page_size * mc.n_heads * 8
+        return page_bytes + (page_bytes - positions) / 2
+
     def resolve_pages(self, model_config=None, page_bytes=None) -> tuple[int | None, int | None]:
         """``(n_pages, tier0_pages)`` per layer pool — the only budget→pages
         conversion.  ``n_pages``: ``None`` for growable pools, else >= 1;
         ``tier0_pages``: ``None`` without offload, else >= 2 (copy-on-write
-        holds two pages).  Byte budgets divide by :meth:`page_bytes` of
-        ``model_config`` unless a ``page_bytes`` footprint is passed."""
+        holds two pages).  Byte budgets divide by :meth:`page_bytes` (tier 0:
+        :meth:`tier0_frame_bytes`) of ``model_config`` unless a
+        ``page_bytes`` footprint is passed, which both then divide by."""
         n_pages = tier0_pages = None
         if self.max_pool_tokens is not None:
             n_pages = max(pages_needed(self.max_pool_tokens, self.page_size), 1)
+        frame_bytes = page_bytes
         if page_bytes is None and (self.max_pool_bytes, self.tier0_budget) != (None, None):
             page_bytes = self.page_bytes(model_config)
+            frame_bytes = self.tier0_frame_bytes(model_config)
         if self.max_pool_bytes is not None:
             n_pages = max(int(self.max_pool_bytes // page_bytes), 1)
         if self.tier0_budget is not None:
-            tier0_pages = max(int(self.tier0_budget // page_bytes), 2)
+            tier0_pages = max(int(self.tier0_budget // frame_bytes), 2)
         return n_pages, tier0_pages
 
 

@@ -28,7 +28,7 @@ from repro.core.policies import (
 )
 from repro.generation.generator import Generator
 from repro.generation.sampler import GreedySampler
-from repro.kvcache.paged import PagedKVStore
+from repro.kvcache.paged import KVStoreConfig
 from repro.models.config import GenerationConfig, ModelConfig
 from repro.models.transformer import DecoderLM
 from repro.serving.engine import ContinuousBatchingEngine
@@ -81,15 +81,8 @@ _EXPECTED = {
 
 def _tier0_budget(kv_dtype: str | None, frames: int) -> int:
     """Bytes funding exactly ``frames`` tier-0 frames per layer pool."""
-    config = _MODEL.config
-    page_bytes = PagedKVStore.page_nbytes_for(
-        kv_dtype,
-        config.n_heads,
-        config.d_head,
-        PAGE_SIZE,
-        config.np_dtype,
-    )
-    return int(frames * config.n_layers * page_bytes)
+    config = KVStoreConfig(page_size=PAGE_SIZE, kv_dtype=kv_dtype)
+    return int(frames * config.tier0_frame_bytes(_MODEL.config))
 
 
 def _assert_drained(engine: ContinuousBatchingEngine) -> None:

@@ -395,16 +395,22 @@ class TestEngineConfig:
 
 def _parent_conversions(model_config, page_size, kv_dtype, max_pool_bytes, tier0_budget):
     """The two inline bytes→pages conversions ``ContinuousBatchingEngine``
-    carried before ``resolve_pages`` (kept here as the reference), over a
-    page of two K/V slabs plus int64 positions, written out."""
+    carried before ``resolve_pages`` (kept here as the reference), written
+    out: ``max_pool_bytes`` over a page of two K/V slabs plus int64
+    positions, ``tier0_budget`` over three key-sized slabs plus positions
+    (the RoPE price tier-0 budgets keep)."""
     h, d = model_config.n_heads, model_config.d_head
-    if kv_dtype is None:
-        layer_bytes = page_size * h * (2 * d * np.dtype(model_config.np_dtype).itemsize + 8)
-    else:  # int8 codes, plus float32 (scale, zero, lo, hi) rows per K/V stream
-        layer_bytes = page_size * h * (2 * d + 8) + 2 * h * 4 * 4
-    page_bytes = model_config.n_layers * layer_bytes
-    n_pages = max(int(max_pool_bytes // page_bytes), 1)
-    tier0_pages = max(int(tier0_budget // page_bytes), 2)
+
+    def page_bytes(slabs):
+        if kv_dtype is None:
+            itemsize = np.dtype(model_config.np_dtype).itemsize
+            layer_bytes = page_size * h * (slabs * d * itemsize + 8)
+        else:  # int8 codes, plus float32 (scale, zero, lo, hi) rows per stream
+            layer_bytes = page_size * h * (slabs * d + 8) + slabs * h * 4 * 4
+        return model_config.n_layers * layer_bytes
+
+    n_pages = max(int(max_pool_bytes // page_bytes(2)), 1)
+    tier0_pages = max(int(tier0_budget // page_bytes(3)), 2)
     return n_pages, tier0_pages
 
 
@@ -431,7 +437,7 @@ def test_resolve_pages_equals_parent_conversions(name, dtype, max_seq_len, budge
     )
     assert EngineConfig(tier0_budget=budget).resolve_pages(model_config) == (
         None,
-        114 if budget else None,
+        77 if budget else None,
     )
     budget = budget or 15_500_000
     want = _parent_conversions(model_config, 16, kv_dtype, budget, budget)

@@ -260,7 +260,7 @@ def test_sharded_process_backend_matches_inline():
 # ----------------------------------------------------------------------
 def _tight_tier0_budget(frames=3):
     """A tier-0 byte budget funding ``frames`` frames per layer pool."""
-    return frames * EngineConfig(page_size=PAGE).page_bytes(_MODEL_CONFIG)
+    return frames * EngineConfig(page_size=PAGE).tier0_frame_bytes(_MODEL_CONFIG)
 
 
 @pytest.mark.parametrize(
