@@ -73,10 +73,6 @@ PAIRS ?= 10
 ab:
 	$(PYTHON) tools/ab.py $(A) $(B) --workload $(WORKLOAD) --pairs $(PAIRS)
 
-# Without ruff on PATH the docstring step of docs-check prints "ruff not
-# installed — skipped": distinct from a pass, so a report can say which it was.
-RUFF_MISSING = echo "ruff not installed — skipped: $(1)"
-
 # Without ruff, lint still runs: every file must compile warning-free, and a
 # stdlib ast walk (tools/lint_fallback.py) fails on unused imports and
 # undefined names.  Formatting is checked by ruff only.
@@ -94,11 +90,16 @@ lint:
 # or stale `path/to/file` references, plus pydocstyle (ruff D) docstring
 # rules on the kvcache, serving and speculative subsystems, the tools they
 # ship with, and the benchmark runner, so the newest code stays documented.
+# Without ruff the same rules run as a stdlib ast walk (tools/lint_fallback.py).
+DOC_PATHS = src/repro/kvcache src/repro/speculative src/repro/serving tools benchmarks/run_bench.py
+
 docs-check:
 	$(PYTHON) tools/check_docs.py
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check --select D100,D101,D102,D103,D104,D419 src/repro/kvcache src/repro/speculative src/repro/serving tools benchmarks/run_bench.py; \
-	else $(call RUFF_MISSING,docstring rules D100-D104 / D419); fi
+		ruff check --select D100,D101,D102,D103,D104,D419 $(DOC_PATHS); \
+	else \
+		$(PYTHON) tools/lint_fallback.py --docstrings $(DOC_PATHS); \
+	fi
 
 serve-demo:
 	$(PYTHON) examples/serving_demo.py

@@ -131,9 +131,11 @@ class EvictionPolicy(ABC):
     shared_selection = False
     #: When true :meth:`prompt_scorer` reads the *values* of the prompt's
     #: attention, so the serving engine must run a full prompt forward and
-    #: cannot reuse a cached prefix for this request.  Shape-only policies
-    #: (full, window, sinks, dilated, random) leave this False and remain
-    #: prefix-shareable.
+    #: cannot reuse a cached prefix for this request.  Nor does the engine
+    #: register such a prompt for others to reuse: a registry pin would keep
+    #: the whole prompt resident beside the few tokens the row keeps.
+    #: Shape-only policies (full, window, sinks, dilated, random) leave this
+    #: False and both map and register prefixes.
     needs_prompt_attention = False
     #: When true the cache manager collects every layer's step tensors and
     #: calls ``step_selection(None, ...)`` once per generated token with them

@@ -639,7 +639,9 @@ class BatchedCacheManager:
         ``prompt_token_ids`` is given, the seeded prompt's page-aligned
         chunks are registered for future prefix sharing *before* the policy's
         prompt-phase eviction runs (eviction copy-on-writes away from
-        registered pages, so they stay pristine).
+        registered pages, so they stay pristine).  Without it (the engine
+        passes none for a policy that needs prompt attention) the row owns
+        its prompt pages alone and the eviction compacts them in place.
         """
         if self.n_active >= self.max_batch:
             raise RuntimeError(f"batch is full ({self.max_batch} rows)")
@@ -685,11 +687,13 @@ class BatchedCacheManager:
         try:
             self._evict_prompt(row)
         except Exception:
-            # The prompt-phase eviction can exhaust the pool too (a
-            # copy-on-write gather of registry-shared pages allocates fresh
-            # ones).  The row is fully admitted at this point, so unwind it
-            # through the normal retirement path before re-raising — the
-            # engine treats the failure as "join could not be funded".
+            # The prompt-phase eviction can exhaust the pool too when the
+            # row registered or mapped its prompt (a copy-on-write gather of
+            # shared pages allocates fresh ones); an unregistered row's
+            # gather compacts in place.  The row is fully admitted at this
+            # point, so unwind it through the normal retirement path before
+            # re-raising — the engine treats the failure as "join could not
+            # be funded".
             self.retire(row)
             raise
         return row

@@ -1167,7 +1167,8 @@ class ContinuousBatchingEngine:
         The computed rows' raw KV is bit-identical to a whole prompt
         forward's; mapped prefix pages join by reference.  The prompt
         registers in the prefix registry, so every prompt — chunked or
-        shared — seeds future sharing.
+        shared — seeds future sharing, except a prompt-attention row's
+        (see :meth:`_register_ids`).
         """
         state = pending.state
         return self._manager.join(
@@ -1191,8 +1192,18 @@ class ContinuousBatchingEngine:
         return _PREFILL_FAILED_FINAL
 
     def _register_ids(self, state: RequestState) -> np.ndarray | None:
-        """Prompt ids to register in the prefix registry (None disables)."""
-        if not self.config.enable_prefix_sharing:
+        """Prompt ids to register in the prefix registry (None registers
+        nothing).
+
+        A row whose policy needs prompt attention (Keyformer, H2O) never
+        registers: it cannot map a prefix itself, and a pin would keep its
+        whole prompt resident beside the few tokens the row keeps, since the
+        prompt eviction would then copy the survivors out instead of
+        compacting the row's own pages in place.  So a full-attention
+        request cannot reuse such a row's prompt pages in a mixed-policy
+        engine.
+        """
+        if not self.config.enable_prefix_sharing or state.policy.needs_prompt_attention:
             return None
         return state.request.prompt_ids[0]
 

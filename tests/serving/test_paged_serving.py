@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.config import CachePolicyConfig, KeyformerConfig
 from repro.core.keyformer import KeyformerPolicy
-from repro.core.policies import FullAttentionPolicy, WindowAttentionPolicy
+from repro.core.policies import FullAttentionPolicy, H2OPolicy, WindowAttentionPolicy
 from repro.generation.generator import Generator
 from repro.generation.sampler import GreedySampler
 from repro.kvcache.paged import PoolExhausted
@@ -130,6 +130,60 @@ class TestPrefixSharing:
         assert engine.prefill_computed_tokens == engine.prefill_prompt_tokens
         for state, prompt in zip(states, prompts):
             assert state.tokens == solo(model, factory, prompt, config).sequences[0]
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: KeyformerPolicy(KeyformerConfig(kv_fraction=0.5)),
+            lambda: H2OPolicy(CachePolicyConfig(kv_fraction=0.5, recent_ratio=0.5)),
+        ],
+        ids=["keyformer", "h2o"],
+    )
+    def test_score_policies_pin_nothing(self, factory):
+        """A prompt-attention row registers no prefix: after every step the
+        pool holds exactly the pages of the live rows' tables."""
+        model = make_model()
+        rng = np.random.default_rng(6)
+        prompts = shared_prompts(rng, n=4) + shared_prompts(rng, n=2, prefix_len=64)
+        config = GenerationConfig(max_new_tokens=6)
+        engine = ContinuousBatchingEngine(model, policy_factory=factory, max_batch_size=2)
+        for p in prompts:
+            engine.submit(p, config, sampler=GreedySampler())
+        while engine.has_work:
+            engine.step()
+            usage = engine.pool_usage()
+            manager = engine._manager
+            held = sum(
+                len(table.pages)
+                for cache in manager.caches
+                for table in cache.tables[: manager.n_active]
+            )
+            assert usage["registry_chunks"] == 0
+            assert usage["pages_used"] == held
+        assert engine.pool_usage()["pages_used"] == 0
+
+    def test_full_request_recomputes_a_keyformer_prompt(self):
+        """In a mixed engine a full-attention request cannot map the prompt
+        of a Keyformer request that ran before it: nothing was registered."""
+        model = make_model()
+        rng = np.random.default_rng(7)
+        prompt = rng.integers(0, VOCAB, size=96).astype(np.int64)  # 6 whole pages
+        config = GenerationConfig(max_new_tokens=6)
+        engine = ContinuousBatchingEngine(
+            model,
+            policy_factory=lambda: KeyformerPolicy(KeyformerConfig(kv_fraction=0.5)),
+            max_batch_size=2,
+        )
+        engine.submit(prompt, config, sampler=GreedySampler())
+        engine.run()
+        full = engine.submit(
+            prompt, config, sampler=GreedySampler(), policy=FullAttentionPolicy()
+        )
+        engine.run()
+        assert engine.prefill_computed_tokens == engine.prefill_prompt_tokens
+        reference = solo(model, FullAttentionPolicy, prompt, config)
+        assert full.tokens == reference.sequences[0]
+        assert full.result().log_probs == reference.log_probs
 
     def test_sharing_disabled_flag(self):
         model = make_model()

@@ -154,6 +154,8 @@ def _git(*args: str) -> None:
 
 
 def main(argv=None) -> int:
+    """Run the ABBA pairs of one workload and print a verdict per metric;
+    returns the exit status (1 on an incorrect run or a moved counter)."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev_a")
     parser.add_argument("rev_b")
