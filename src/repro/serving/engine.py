@@ -1195,13 +1195,11 @@ class ContinuousBatchingEngine:
         """Prompt ids to register in the prefix registry (None registers
         nothing).
 
-        A row whose policy needs prompt attention (Keyformer, H2O) never
-        registers: it cannot map a prefix itself, and a pin would keep its
-        whole prompt resident beside the few tokens the row keeps, since the
-        prompt eviction would then copy the survivors out instead of
-        compacting the row's own pages in place.  So a full-attention
-        request cannot reuse such a row's prompt pages in a mixed-policy
-        engine.
+        A prompt-attention row (Keyformer, H2O) registers nothing: it never
+        maps a prefix itself, and a pin would keep its whole prompt resident
+        beside the few tokens the row keeps.  The cost: in a mixed-policy
+        engine a full-attention request recomputes such a prompt instead of
+        mapping it.
         """
         if not self.config.enable_prefix_sharing or state.policy.needs_prompt_attention:
             return None
