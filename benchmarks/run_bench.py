@@ -85,13 +85,13 @@ ADMISSION_POOL_TOKENS = 256  # 16 pages/layer: hot chain pins 8
 QUANT_CONTEXT = 1024
 QUANT_POOL_BUDGET = 32 * 1024 * 1024  # bytes, per engine
 
-# Tiered-offload geometry: a byte budget funding OFFLOAD_FRAMES tier-0
-# frames per layer serves OFFLOAD_BATCH concurrent requests whose combined
-# KV footprint is ~4x the budget — the no-offload engine gets the *same*
-# bytes as its whole pool (max_pool_bytes), the offload engine as tier-0
-# residency (tier0_budget) under a 4x logical pool.  Deterministic (pure
-# page accounting on a pinned workload), so the capacity ratio is gated
-# exactly by check_regression.py; outputs must match bit for bit.
+# Tiered-offload geometry: OFFLOAD_FRAMES pages per layer serve
+# OFFLOAD_BATCH concurrent requests whose combined KV footprint is ~4x that
+# — the no-offload engine gets them as its whole pool (max_pool_bytes), the
+# offload engine as tier-0 frames (tier0_budget) under a 4x logical pool.
+# Deterministic (pure page accounting on a pinned workload), so the capacity
+# ratio is gated exactly by check_regression.py; outputs must match bit for
+# bit.
 OFFLOAD_FRAMES = 8
 OFFLOAD_LOGICAL_MULT = 4
 OFFLOAD_BATCH = 4
@@ -638,18 +638,20 @@ def bench_quantized_kv() -> dict[str, dict]:
 
 
 # ----------------------------------------------------------------------
-# tiered KV offload: resident-capacity amplification under one byte budget
+# tiered KV offload: resident-capacity amplification at one page count
 # ----------------------------------------------------------------------
 def bench_offload_capacity() -> dict[str, dict]:
-    """Serving capacity a fixed tier-0 byte budget funds with KV offload on.
+    """Serving capacity a fixed number of resident pages funds with KV offload on.
 
-    Two engines get the **same byte budget** (see the ``OFFLOAD_*`` geometry
-    constants): the baseline spends it as its entire page pool
-    (``max_pool_bytes``), the tiered engine as tier-0 residency
-    (``tier0_budget``) under a 4x larger logical pool whose cold pages spill
-    to the in-memory arena.  Both serve the identical 4-request workload;
-    the gated ``speedup`` is the ratio of **peak live mapped pages** — the
-    KV data each engine could keep in flight per byte of tier-0 memory.
+    Two engines get the **same page count** (see the ``OFFLOAD_*`` geometry
+    constants): the baseline as its entire page pool (``max_pool_bytes`` of
+    ``page_bytes`` each), the tiered engine as tier-0 residency
+    (``tier0_budget`` of ``tier0_frame_bytes`` each, the price a tier-0
+    frame pays until ROADMAP 22(e) removes it) under a 4x larger logical
+    pool whose cold pages spill to the in-memory arena.  Both serve the
+    identical 4-request workload; the gated ``speedup`` is the ratio of
+    **peak live mapped pages** — the KV data each engine could keep in
+    flight per resident page.
     **Deterministic** (pure page accounting on a pinned greedy workload, no
     wall clock), so check_regression.py gates the pinned ratio exactly; the
     component additionally hard-fails unless both engines' outputs are
@@ -658,7 +660,8 @@ def bench_offload_capacity() -> dict[str, dict]:
     otherwise measure nothing).
     """
     model = _model(max_seq_len=512)
-    budget = OFFLOAD_FRAMES * EngineConfig().page_bytes(model.config)
+    pool_bytes = OFFLOAD_FRAMES * EngineConfig().page_bytes(model.config)
+    tier0_budget = OFFLOAD_FRAMES * EngineConfig().tier0_frame_bytes(model.config)
     rng = np.random.default_rng(29)
     prompts = [
         rng.integers(0, 256, size=OFFLOAD_PROMPT_LEN).astype(np.int64)
@@ -672,7 +675,7 @@ def bench_offload_capacity() -> dict[str, dict]:
                 model,
                 max_batch_size=OFFLOAD_BATCH,
                 max_pool_tokens=OFFLOAD_LOGICAL_MULT * OFFLOAD_FRAMES * 16,
-                tier0_budget=budget,
+                tier0_budget=tier0_budget,
                 spill_backend="compressed",
                 enable_prefix_sharing=False,
             )
@@ -680,7 +683,7 @@ def bench_offload_capacity() -> dict[str, dict]:
             engine = ContinuousBatchingEngine(
                 model,
                 max_batch_size=OFFLOAD_BATCH,
-                max_pool_bytes=budget,
+                max_pool_bytes=pool_bytes,
                 enable_prefix_sharing=False,
             )
         states = [
@@ -706,10 +709,10 @@ def bench_offload_capacity() -> dict[str, dict]:
         )
     return {
         "offload_capacity_ratio": {
-            # Peak live mapped pages per fixed tier-0 byte budget, offload
+            # Peak live mapped pages per fixed resident page count, offload
             # over baseline — exact page counters, so the CI floor is exact.
             "speedup": round(tier_peak / max(1, base_peak), 2),
-            "tier0_budget_bytes": int(budget),
+            "tier0_budget_bytes": int(tier0_budget),
             "peak_pages_no_offload": int(base_peak),
             "peak_pages_offload": int(tier_peak),
             "spills": int(tier["spills"]),
@@ -1145,8 +1148,8 @@ def run_suite(smoke: bool = False) -> dict:
     # greedy accuracy probe — identical in smoke and full runs, so the CI
     # gate compares the pinned memory ratios exactly.
     components.update(bench_quantized_kv())
-    # Tiered-offload capacity: deterministic page accounting under one byte
-    # budget, identical in smoke and full runs; the ratio is gated exactly
+    # Tiered-offload capacity: deterministic page accounting at one page
+    # count, identical in smoke and full runs; the ratio is gated exactly
     # and the component itself asserts bit-identical outputs.
     components.update(bench_offload_capacity())
     # Speculative decoding runs the same 1k geometry in smoke and full modes

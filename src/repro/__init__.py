@@ -8,7 +8,7 @@ Public API overview
 * :mod:`repro.training` — Adam trainer for the mini model zoo.
 * :mod:`repro.tokenizer` / :mod:`repro.data` — tokenizers and synthetic corpora.
 * :mod:`repro.generation` — generator, beam search, task pipelines.
-* :mod:`repro.metrics` — ROUGE, perplexity, accuracy, attention statistics.
+* :mod:`repro.metrics` — ROUGE, accuracy, attention statistics.
 * :mod:`repro.perfmodel` — analytical A100-class latency/throughput model.
 * :mod:`repro.experiments` — one runner per paper table/figure.
 """

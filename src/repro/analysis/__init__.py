@@ -2,7 +2,7 @@
 
 from repro.analysis.heatmap import collect_attention_maps, heatmap_to_ascii
 from repro.analysis.sparsity import sparsity_by_layer, sparsity_threshold_sweep
-from repro.analysis.reporting import format_table, format_series, ResultTable
+from repro.analysis.reporting import format_table, ResultTable
 
 __all__ = [
     "collect_attention_maps",
@@ -10,6 +10,5 @@ __all__ = [
     "sparsity_by_layer",
     "sparsity_threshold_sweep",
     "format_table",
-    "format_series",
     "ResultTable",
 ]

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
-__all__ = ["format_table", "format_series", "ResultTable"]
+__all__ = ["format_table", "ResultTable"]
 
 
 def _fmt(value: Any, precision: int) -> str:
@@ -29,23 +29,6 @@ def format_table(
     for row in str_rows:
         lines.append(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_series(
-    x_values: Iterable[Any],
-    series: dict[str, Iterable[float]],
-    x_label: str = "x",
-    precision: int = 2,
-) -> str:
-    """Render one or more named series against shared x values as a table."""
-    x_values = list(x_values)
-    headers = [x_label] + list(series.keys())
-    columns = [list(v) for v in series.values()]
-    for col in columns:
-        if len(col) != len(x_values):
-            raise ValueError("all series must have the same length as x_values")
-    rows = [[x] + [col[i] for col in columns] for i, x in enumerate(x_values)]
-    return format_table(rows, headers, precision=precision)
 
 
 @dataclass

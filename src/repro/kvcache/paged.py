@@ -1164,24 +1164,19 @@ class KVStoreConfig:
         positions = mc.n_layers * self.page_size * mc.n_heads * 8
         return page_bytes + (page_bytes - positions) / 2
 
-    def resolve_pages(self, model_config=None, page_bytes=None) -> tuple[int | None, int | None]:
+    def resolve_pages(self, model_config=None) -> tuple[int | None, int | None]:
         """``(n_pages, tier0_pages)`` per layer pool — the only budget→pages
         conversion.  ``n_pages``: ``None`` for growable pools, else >= 1;
         ``tier0_pages``: ``None`` without offload, else >= 2 (copy-on-write
         holds two pages).  Byte budgets divide by :meth:`page_bytes` (tier 0:
-        :meth:`tier0_frame_bytes`) of ``model_config`` unless a
-        ``page_bytes`` footprint is passed, which both then divide by."""
+        :meth:`tier0_frame_bytes`) of ``model_config``."""
         n_pages = tier0_pages = None
         if self.max_pool_tokens is not None:
             n_pages = max(pages_needed(self.max_pool_tokens, self.page_size), 1)
-        frame_bytes = page_bytes
-        if page_bytes is None and (self.max_pool_bytes, self.tier0_budget) != (None, None):
-            page_bytes = self.page_bytes(model_config)
-            frame_bytes = self.tier0_frame_bytes(model_config)
         if self.max_pool_bytes is not None:
-            n_pages = max(int(self.max_pool_bytes // page_bytes), 1)
+            n_pages = max(int(self.max_pool_bytes // self.page_bytes(model_config)), 1)
         if self.tier0_budget is not None:
-            tier0_pages = max(int(self.tier0_budget // frame_bytes), 2)
+            tier0_pages = max(int(self.tier0_budget // self.tier0_frame_bytes(model_config)), 2)
         return n_pages, tier0_pages
 
 

@@ -1,7 +1,6 @@
-"""Evaluation metrics: ROUGE, perplexity, multiple-choice accuracy, attention statistics."""
+"""Evaluation metrics: ROUGE, multiple-choice accuracy, attention statistics."""
 
 from repro.metrics.rouge import RougeScore, rouge_n, rouge_l, rouge_all, aggregate_rouge
-from repro.metrics.perplexity import sequence_perplexity, corpus_perplexity
 from repro.metrics.accuracy import multiple_choice_accuracy
 from repro.metrics.attention_stats import (
     attention_sparsity,
@@ -16,8 +15,6 @@ __all__ = [
     "rouge_l",
     "rouge_all",
     "aggregate_rouge",
-    "sequence_perplexity",
-    "corpus_perplexity",
     "multiple_choice_accuracy",
     "attention_sparsity",
     "attention_score_cdf",

@@ -18,7 +18,6 @@ __all__ = [
     "layer_norm",
     "layer_norm_backward",
     "cross_entropy",
-    "one_hot",
 ]
 
 # Coefficient of the tanh GeLU approximation (same as GPT-2 / GPT-J).
@@ -188,10 +187,3 @@ def cross_entropy(
     dlogits *= mask[:, None] / max(n_valid, 1)
     return loss, dlogits
 
-
-def one_hot(indices: np.ndarray, depth: int) -> np.ndarray:
-    """One-hot encode an integer array to ``(..., depth)``."""
-    indices = np.asarray(indices)
-    out = np.zeros(indices.shape + (depth,), dtype=np.float64)
-    np.put_along_axis(out, indices[..., None], 1.0, axis=-1)
-    return out

@@ -1,4 +1,4 @@
-"""Analytical step-cost and expected-TTFT model for the serving harness.
+"""Analytical step-cost model for the serving harness.
 
 The load harness (``tools/run_load.py``, ``repro.serving.workload``) replays
 traces in **virtual step-time**: real wall-clock would make every latency
@@ -18,25 +18,13 @@ compute overlap:
   term per step at the chunk budget.
 * ``per_decode_row`` — the memory-bound per-sequence decode term (weights +
   KV stream per row).
-
-:class:`TTFTModel` turns the same three coefficients into closed-form
-expected TTFT for chunked vs. unchunked prefill and a per-step
-**decode-stall bound** — the number the chunked-prefill benchmark gate
-checks empirically (p99 TTFT improves when long prompts are chunked at
-equal throughput).  See ``docs/workloads.md`` for the derivation.
-
-:class:`ReplicaScalingModel` extends the step cost to the multi-replica
-front-end (:mod:`repro.serving.sharded`): aggregate decode throughput vs
-replica count with a router-overhead term and the prefix-hit dilution
-factor affinity routing avoids.  See ``docs/sharding.md``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-__all__ = ["StepCostModel", "TTFTModel", "ReplicaScalingModel"]
+__all__ = ["StepCostModel"]
 
 
 @dataclass(frozen=True)
@@ -69,148 +57,3 @@ class StepCostModel:
             + self.per_decode_row * decode_rows
         )
 
-
-@dataclass(frozen=True)
-class TTFTModel:
-    """Closed-form expected TTFT under chunked vs. unchunked prefill.
-
-    All formulas assume ``decode_rows`` co-resident sequences decoding at
-    the prompt's side and zero queue wait — they model the *prefill* part
-    of TTFT, which is the part chunking redistributes.
-    """
-
-    cost: StepCostModel
-
-    def unchunked_ttft(self, prompt_len: int, decode_rows: int = 0) -> float:
-        """Expected TTFT when the whole prompt prefills in one step.
-
-        One step computes ``prompt_len`` prefill tokens plus the resident
-        decode rows; the first output token is sampled in that same step.
-        """
-        return self.cost.step_cost(prompt_len, decode_rows)
-
-    def chunked_ttft(
-        self, prompt_len: int, chunk_tokens: int, decode_rows: int = 0
-    ) -> float:
-        """Expected TTFT when the prompt prefills in ``chunk_tokens`` chunks.
-
-        The engine absorbs a 1-token remainder into the previous chunk, so
-        the number of steps is ``ceil`` of the split with that adjustment;
-        every chunk step also pays the fixed cost and the resident decode
-        rows.  Chunking *raises* the long prompt's own TTFT — the win is
-        the neighbours' stall bound (:meth:`decode_stall_bound`), which is
-        what shows up in p99 TTFT across the whole trace.
-        """
-        if chunk_tokens < 2:
-            raise ValueError("chunk_tokens must be >= 2")
-        if prompt_len <= chunk_tokens + 1:
-            n_chunks = 1
-        else:
-            n_chunks = math.ceil(prompt_len / chunk_tokens)
-            # A trailing 1-token chunk is absorbed into its predecessor.
-            if prompt_len - (n_chunks - 1) * chunk_tokens == 1:
-                n_chunks -= 1
-        per_chunk = self.cost.step_cost(0, decode_rows)
-        return n_chunks * per_chunk + self.cost.per_prefill_token * prompt_len
-
-    def decode_stall_bound(self, chunk_tokens: int | None, max_prompt_len: int) -> float:
-        """Worst-case extra step time a decode row sees from a neighbour's
-        prefill: the whole prompt unchunked, one chunk's budget chunked
-        (+1 for the absorbed remainder)."""
-        if chunk_tokens is None:
-            return self.cost.per_prefill_token * max_prompt_len
-        return self.cost.per_prefill_token * min(chunk_tokens + 1, max_prompt_len)
-
-
-@dataclass(frozen=True)
-class ReplicaScalingModel:
-    """Aggregate decode throughput vs replica count for sharded serving.
-
-    The sharded front-end (:mod:`repro.serving.sharded`) steps ``N``
-    replicas in parallel; one **super-step** costs the slowest replica's
-    :class:`StepCostModel` step cost plus a fixed ``router_overhead``, and
-    produces the *sum* of the replicas' decode rows.  Throughput therefore
-    scales with ``N`` until the per-step fixed cost and the router overhead
-    dominate — the same saturating shape every scale-out system shows.
-
-    The second effect the model carries is **prefix-hit dilution**: routing
-    same-prefix traffic uniformly over ``N`` replicas makes every replica
-    pay its own cold prefill of each shared prefix, multiplying computed
-    prefill work by up to ``min(N, m)`` for prefixes reused ``m`` times
-    (:meth:`prefill_dilution`); the affinity router's whole purpose is to
-    keep that factor at 1.  The pinned test in
-    ``tests/perfmodel/test_serving_model.py`` checks both terms against
-    measured 1/2/4-replica virtual-time harness runs.
-    """
-
-    cost: StepCostModel
-    router_overhead: float = 0.0
-
-    def __post_init__(self):
-        if self.router_overhead < 0:
-            raise ValueError("router_overhead must be non-negative")
-
-    def super_step_cost(
-        self, rows_per_replica: float, prefill_tokens_per_replica: float = 0.0
-    ) -> float:
-        """Virtual-time cost of one front-end super-step.
-
-        Models the balanced case (every replica does the same work, so the
-        max over replicas equals any one of them) plus the router's fixed
-        per-super-step overhead.
-        """
-        return (
-            self.cost.step_cost(prefill_tokens_per_replica, rows_per_replica)
-            + self.router_overhead
-        )
-
-    def aggregate_throughput(
-        self,
-        n_replicas: int,
-        rows_per_replica: float,
-        prefill_tokens_per_replica: float = 0.0,
-    ) -> float:
-        """Decode tokens per virtual-time unit across all replicas.
-
-        One super-step emits ``n_replicas * rows_per_replica`` decode
-        tokens and costs :meth:`super_step_cost` — feed in the *measured*
-        average per-replica decode rows and prefill tokens per step to
-        predict a harness run's throughput.
-        """
-        if n_replicas < 1:
-            raise ValueError("n_replicas must be >= 1")
-        tokens = n_replicas * rows_per_replica
-        return tokens / self.super_step_cost(rows_per_replica, prefill_tokens_per_replica)
-
-    def speedup(
-        self,
-        n_replicas: int,
-        rows_per_replica: float,
-        prefill_tokens_per_replica: float = 0.0,
-    ) -> float:
-        """Predicted aggregate-throughput gain of ``N`` replicas over one.
-
-        Both sides run the same per-replica batch (a replica is a full
-        engine with its own ``max_batch_size``), so the gain is ``N`` times
-        the single-engine step cost over the super-step cost — sub-linear
-        exactly by the router overhead.
-        """
-        solo = self.cost.step_cost(prefill_tokens_per_replica, rows_per_replica)
-        return n_replicas * solo / self.super_step_cost(
-            rows_per_replica, prefill_tokens_per_replica
-        )
-
-    @staticmethod
-    def prefill_dilution(n_replicas: int, requests_per_prefix: float) -> float:
-        """Computed-prefill inflation of random routing vs prefix affinity.
-
-        A prefix reused by ``m`` requests costs one cold prefill under
-        affinity routing but up to ``min(N, m)`` cold prefills when its
-        requests spread uniformly over ``N`` replicas — the dilution the
-        rendezvous hash exists to avoid.
-        """
-        if n_replicas < 1:
-            raise ValueError("n_replicas must be >= 1")
-        if requests_per_prefix < 1:
-            raise ValueError("requests_per_prefix must be >= 1")
-        return min(float(n_replicas), float(requests_per_prefix))

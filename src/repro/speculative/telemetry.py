@@ -12,9 +12,7 @@ class SpeculationStats:
     """Counters of one speculative generation (or one serving request).
 
     ``acceptance_rate`` is the headline number: the fraction of drafted
-    tokens the target model agreed with.  Feed it to
-    :class:`repro.perfmodel.speculation.SpeculationModel` to compare the
-    measured speedup against the analytical expectation.
+    tokens the target model agreed with.
     """
 
     #: Verify rounds executed (one target pass each).

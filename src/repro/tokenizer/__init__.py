@@ -1,7 +1,6 @@
-"""Tokenization substrate: vocabulary, word-level and BPE tokenizers."""
+"""Tokenization substrate: vocabulary and the word-level tokenizer."""
 
 from repro.tokenizer.vocab import Vocabulary, SpecialTokens
 from repro.tokenizer.word import WordTokenizer
-from repro.tokenizer.bpe import BPETokenizer
 
-__all__ = ["Vocabulary", "SpecialTokens", "WordTokenizer", "BPETokenizer"]
+__all__ = ["Vocabulary", "SpecialTokens", "WordTokenizer"]

@@ -1,19 +1,12 @@
 """Training utilities for the NumPy transformer substrate."""
 
-from repro.training.optimizer import Adam, SGD
-from repro.training.lr_schedule import (
-    ConstantLR,
-    CosineWithWarmup,
-    LinearWarmup,
-)
+from repro.training.optimizer import Adam
+from repro.training.lr_schedule import CosineWithWarmup
 from repro.training.trainer import Trainer, TrainingConfig, TrainingResult
 
 __all__ = [
     "Adam",
-    "SGD",
-    "ConstantLR",
     "CosineWithWarmup",
-    "LinearWarmup",
     "Trainer",
     "TrainingConfig",
     "TrainingResult",

@@ -4,34 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ConstantLR", "LinearWarmup", "CosineWithWarmup"]
-
-
-class ConstantLR:
-    """Constant learning rate."""
-
-    def __init__(self, lr: float):
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        self.lr = lr
-
-    def __call__(self, step: int) -> float:
-        return self.lr
-
-
-class LinearWarmup:
-    """Linear warmup from 0 to ``lr`` over ``warmup_steps``, constant afterwards."""
-
-    def __init__(self, lr: float, warmup_steps: int):
-        if warmup_steps < 0:
-            raise ValueError("warmup_steps must be non-negative")
-        self.lr = lr
-        self.warmup_steps = warmup_steps
-
-    def __call__(self, step: int) -> float:
-        if self.warmup_steps == 0 or step >= self.warmup_steps:
-            return self.lr
-        return self.lr * (step + 1) / self.warmup_steps
+__all__ = ["CosineWithWarmup"]
 
 
 class CosineWithWarmup:

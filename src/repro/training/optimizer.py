@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.models.layers import Module
 
-__all__ = ["Adam", "SGD", "clip_gradients"]
+__all__ = ["Adam", "clip_gradients"]
 
 
 def clip_gradients(model: Module, max_norm: float) -> float:
@@ -18,22 +18,6 @@ def clip_gradients(model: Module, max_norm: float) -> float:
         for g in grads:
             g *= scale
     return total
-
-
-class SGD:
-    """Plain stochastic gradient descent (used in tests as a reference)."""
-
-    def __init__(self, model: Module, lr: float = 1e-2):
-        self.model = model
-        self.lr = lr
-
-    def step(self, lr: float | None = None) -> None:
-        """Apply one update using the gradients stored in the module tree."""
-        lr = self.lr if lr is None else lr
-        params = dict(self.model.named_parameters())
-        grads = dict(self.model.named_gradients())
-        for name, param in params.items():
-            param -= lr * grads[name]
 
 
 class Adam:
@@ -86,7 +70,3 @@ class Adam:
             m_hat = m / bias1
             v_hat = v / bias2
             param -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def state_size(self) -> int:
-        """Number of scalars held in optimizer state (for memory accounting)."""
-        return sum(arr.size for arr in self.m.values()) * 2

@@ -55,13 +55,6 @@ class TrainingResult:
     def initial_loss(self) -> float:
         return self.losses[0] if self.losses else float("inf")
 
-    def improved(self) -> bool:
-        """True when the smoothed final loss is below the initial loss."""
-        if len(self.losses) < 2:
-            return False
-        tail = float(np.mean(self.losses[-max(len(self.losses) // 10, 1):]))
-        return tail < self.losses[0]
-
 
 class Trainer:
     """Gradient-descent trainer for :class:`DecoderLM`."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.heatmap import collect_attention_maps, heatmap_to_ascii
-from repro.analysis.reporting import ResultTable, format_series, format_table
+from repro.analysis.reporting import ResultTable, format_table
 from repro.analysis.sparsity import sparsity_by_layer, sparsity_threshold_sweep
 from repro.models.transformer import DecoderLM
 from tests.conftest import tiny_config
@@ -61,14 +61,6 @@ class TestReporting:
     def test_format_table_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
             format_table([[1, 2], [3]], ["a", "b"])
-
-    def test_format_series(self):
-        text = format_series([1, 2, 3], {"x2": [2, 4, 6]}, x_label="n")
-        assert "x2" in text and "n" in text
-
-    def test_format_series_length_check(self):
-        with pytest.raises(ValueError):
-            format_series([1, 2], {"bad": [1]})
 
     def test_result_table_add_and_column(self):
         table = ResultTable("demo", ["model", "score"])

@@ -1,4 +1,4 @@
-"""Tests for perplexity, multiple-choice accuracy and attention statistics."""
+"""Tests for multiple-choice accuracy and attention statistics."""
 
 import numpy as np
 import pytest
@@ -10,45 +10,7 @@ from repro.metrics.attention_stats import (
     cumulative_attention_mass,
     head_sparsity_by_threshold,
 )
-from repro.metrics.perplexity import corpus_perplexity, sequence_perplexity
 from repro.models.tensor_ops import softmax
-
-
-class TestPerplexity:
-    def test_uniform_logits_give_vocab_size(self):
-        logits = np.zeros((5, 16))
-        targets = np.arange(5)
-        assert sequence_perplexity(logits, targets) == pytest.approx(16.0)
-
-    def test_perfect_prediction_gives_one(self):
-        logits = np.full((4, 8), -30.0)
-        targets = np.array([1, 3, 5, 7])
-        logits[np.arange(4), targets] = 30.0
-        assert sequence_perplexity(logits, targets) == pytest.approx(1.0, abs=1e-6)
-
-    def test_ignored_positions(self):
-        logits = np.zeros((3, 4))
-        targets = np.array([0, -100, 2])
-        assert sequence_perplexity(logits, targets) == pytest.approx(4.0)
-
-    def test_all_masked_raises(self):
-        with pytest.raises(ValueError):
-            sequence_perplexity(np.zeros((2, 4)), np.array([-100, -100]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            sequence_perplexity(np.zeros((2, 4)), np.array([0, 1, 2]))
-
-    def test_corpus_perplexity(self):
-        # Two sequences of 10 tokens each with total logprob -10 each:
-        # ppl = exp(20 / 20) = e.
-        assert corpus_perplexity([-10.0, -10.0], [10, 10]) == pytest.approx(np.e)
-
-    def test_corpus_perplexity_validation(self):
-        with pytest.raises(ValueError):
-            corpus_perplexity([], [])
-        with pytest.raises(ValueError):
-            corpus_perplexity([-1.0], [0])
 
 
 class TestAccuracy:

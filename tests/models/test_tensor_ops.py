@@ -151,12 +151,3 @@ class TestCrossEntropy:
             ops.cross_entropy(np.zeros((2, 3, 4)), np.zeros(2, dtype=int))
         with pytest.raises(ValueError):
             ops.cross_entropy(np.zeros((2, 3)), np.zeros(3, dtype=int))
-
-
-class TestOneHot:
-    def test_round_trip(self, rng):
-        idx = rng.integers(0, 7, size=(4, 5))
-        onehot = ops.one_hot(idx, 7)
-        assert onehot.shape == (4, 5, 7)
-        np.testing.assert_array_equal(np.argmax(onehot, axis=-1), idx)
-        np.testing.assert_allclose(onehot.sum(axis=-1), 1.0)

@@ -40,11 +40,6 @@ class TestMemoryModel:
             2 * memory.kv_cache_bytes(1000)
         )
 
-    def test_crossover_near_8k_with_beam_4(self):
-        """Figure 1b: KV cache exceeds model size around 8k tokens (beam 4)."""
-        crossover = MemoryModel(MPT_7B).crossover_seq_len(beam_size=4)
-        assert 4000 < crossover < 10000
-
     def test_fits_and_max_batch(self):
         memory = MemoryModel(MPT_7B)
         assert memory.fits(A100_80GB.capacity_bytes, seq_len=2048, batch_size=1, beam_size=4)
@@ -57,76 +52,6 @@ class TestMemoryModel:
         assert not memory.fits(A100_80GB.capacity_bytes, 8192, batch_size=2, beam_size=4)
         # With a 50% cache (2048 retained tokens) it fits again.
         assert memory.fits(A100_80GB.capacity_bytes, 2049, batch_size=2, beam_size=4)
-
-    def test_paged_kv_rounds_to_whole_pages(self):
-        memory = MemoryModel(MPT_7B)
-        assert memory.kv_pages(1, 16) == 1
-        assert memory.kv_pages(16, 16) == 1
-        assert memory.kv_pages(17, 16) == 2
-        # 17 cached tokens occupy two full pages — bounded fragmentation…
-        assert memory.paged_kv_cache_bytes(17, page_size=16) == pytest.approx(
-            memory.kv_cache_bytes(32)
-        )
-        # …never more than one page per sequence over the contiguous size.
-        assert memory.paged_kv_cache_bytes(1000, page_size=16) < memory.kv_cache_bytes(
-            1000
-        ) + memory.kv_page_bytes(16)
-
-    def test_paged_concurrency_beats_worst_case_reservation(self):
-        """Memory-aware paged admission holds more 512-token-resident windows
-        than reserving worst-case 4096-token slabs would."""
-        memory = MemoryModel(MPT_7B)
-        paged = memory.paged_max_concurrency(A100_80GB.capacity_bytes, seq_len=512)
-        worst_case = memory.max_batch_size(A100_80GB.capacity_bytes, seq_len=4096)
-        assert paged > worst_case
-
-    def test_tier0_frames_matches_engine_conversion(self):
-        memory = MemoryModel(MPT_7B)
-        page_bytes = memory.kv_page_bytes(16)
-        assert memory.tier0_frames(10 * page_bytes, page_size=16) == 10
-        # Budget below two pages still funds the copy-on-write minimum.
-        assert memory.tier0_frames(1, page_size=16) == 2
-        with pytest.raises(ValueError):
-            memory.tier0_frames(0)
-
-    def test_tiered_capacity_ratio_amplifies_with_seq_len(self):
-        memory = MemoryModel(MPT_7B)
-        # One resident (append) page per 512-token sequence: 32 pages cached
-        # per page pinned — the fixed tier-0 budget funds 32x the tokens.
-        assert memory.tiered_capacity_ratio(512, page_size=16) == 32
-        # A larger hot working set costs proportionally more residency.
-        assert memory.tiered_capacity_ratio(
-            512, page_size=16, resident_pages_per_seq=4
-        ) == 8
-        with pytest.raises(ValueError):
-            memory.tiered_capacity_ratio(512, resident_pages_per_seq=0)
-
-    def test_tiered_concurrency_is_seq_len_free(self):
-        """With offload, the frame budget bounds rows — not resident length —
-        so the same tier-0 bytes hold far more long sequences than paged
-        admission without a spill tier."""
-        memory = MemoryModel(MPT_7B)
-        budget = 64 * memory.kv_page_bytes(16)
-        tiered = memory.tiered_max_concurrency(budget, page_size=16)
-        paged = int(budget // memory.paged_kv_cache_bytes(512, 1, 16))
-        assert tiered > 2 * paged
-        # int8 pages are cheaper, so the same bytes fund more frames.
-        assert memory.tiered_max_concurrency(
-            budget, page_size=16, kv_dtype="int8"
-        ) > tiered
-
-    def test_spill_transfer_seconds_prices_page_traffic(self):
-        memory = MemoryModel(MPT_7B)
-        bw = A100_80GB.effective_bandwidth_bytes
-        one = memory.spill_transfer_seconds(1, bw, page_size=16)
-        assert one == pytest.approx(memory.kv_page_bytes(16) / bw)
-        # Symmetric and linear: restore + spill traffic just adds pages.
-        assert memory.spill_transfer_seconds(7, bw, page_size=16) == pytest.approx(7 * one)
-        assert memory.spill_transfer_seconds(0, bw) == 0.0
-        with pytest.raises(ValueError):
-            memory.spill_transfer_seconds(1, 0.0)
-        with pytest.raises(ValueError):
-            memory.spill_transfer_seconds(-1, bw)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -1,20 +1,10 @@
-"""Step-cost and expected-TTFT model: math, validation, engine consistency.
-
-The analytical model's chunk-count arithmetic must agree with what the
-engine actually does (including the 1-token-remainder absorption), and its
-qualitative predictions — chunking raises the long prompt's own TTFT while
-shrinking the per-step stall bound its neighbours see — are what the gated
-benchmark measures empirically.
-"""
+"""Step-cost model: the affine virtual-time cost and its validation."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.models.config import GenerationConfig, ModelConfig
-from repro.models.transformer import DecoderLM
-from repro.perfmodel.serving import StepCostModel, TTFTModel
+from repro.perfmodel.serving import StepCostModel
 
 
 def test_step_cost_affine():
@@ -30,178 +20,3 @@ def test_step_cost_validation():
         StepCostModel(fixed=-1.0)
     with pytest.raises(ValueError):
         StepCostModel(fixed=0.0, per_prefill_token=0.0, per_decode_row=0.0)
-
-
-def test_unchunked_ttft_is_one_step():
-    cost = StepCostModel()
-    model = TTFTModel(cost)
-    assert model.unchunked_ttft(128, decode_rows=3) == cost.step_cost(128, 3)
-
-
-def test_chunked_ttft_exceeds_unchunked_for_the_long_prompt():
-    """Chunking trades the long prompt's own TTFT for its neighbours'."""
-    model = TTFTModel(StepCostModel())
-    for prompt_len in (64, 129, 300):
-        assert model.chunked_ttft(prompt_len, 32) >= model.unchunked_ttft(prompt_len)
-
-
-def test_chunked_ttft_short_prompt_unchanged():
-    """Prompts at or below budget+1 run in one step either way."""
-    model = TTFTModel(StepCostModel())
-    assert model.chunked_ttft(33, 32) == model.unchunked_ttft(33)
-
-
-def test_stall_bound_shrinks_with_chunking():
-    model = TTFTModel(StepCostModel())
-    unbounded = model.decode_stall_bound(None, 512)
-    bounded = model.decode_stall_bound(32, 512)
-    assert bounded < unbounded
-    assert bounded == pytest.approx(0.1 * 33)  # budget + absorbed remainder
-    # A short prompt never stalls more than its own length.
-    assert model.decode_stall_bound(32, 16) == pytest.approx(0.1 * 16)
-
-
-def test_chunk_count_validation():
-    model = TTFTModel(StepCostModel())
-    with pytest.raises(ValueError):
-        model.chunked_ttft(64, 1)
-
-
-@pytest.mark.parametrize("prompt_len", [33, 34, 48, 49, 97])
-def test_chunk_count_matches_engine(prompt_len):
-    """The model's implied chunk count equals the engine's actual steps."""
-    from repro.serving.engine import ContinuousBatchingEngine
-    from repro.serving.scheduler import PagedScheduler
-
-    chunk = 16
-    cost = StepCostModel()
-    model = TTFTModel(cost)
-    # Back out the model's chunk count from the closed form.
-    per_chunk = cost.step_cost(0, 0)
-    n_chunks = round(
-        (model.chunked_ttft(prompt_len, chunk) - cost.per_prefill_token * prompt_len)
-        / per_chunk
-    )
-
-    lm = DecoderLM(
-        ModelConfig(
-            vocab_size=64,
-            d_model=32,
-            n_layers=2,
-            n_heads=4,
-            d_ff=64,
-            max_seq_len=256,
-            positional="rope",
-        ),
-        seed=0,
-    )
-    engine = ContinuousBatchingEngine(
-        lm, scheduler=PagedScheduler(max_batch_size=1, prefill_chunk_tokens=chunk)
-    )
-    prompt = np.random.default_rng(prompt_len).integers(0, 64, size=prompt_len)
-    engine.submit(prompt, GenerationConfig(max_new_tokens=2))
-    engine.run()
-    expected = engine.n_prefill_chunks if engine.n_prefill_chunks else 1
-    assert n_chunks == expected
-
-
-# ----------------------------------------------------------------------
-# replica scaling model
-# ----------------------------------------------------------------------
-def test_replica_scaling_math():
-    from repro.perfmodel.serving import ReplicaScalingModel
-
-    cost = StepCostModel(fixed=0.5, per_prefill_token=0.1, per_decode_row=1.0)
-    model = ReplicaScalingModel(cost)
-    assert model.speedup(1, rows_per_replica=4) == pytest.approx(1.0)
-    # Zero router overhead: N balanced replicas are exactly N times one.
-    assert model.speedup(4, rows_per_replica=4) == pytest.approx(4.0)
-    assert model.aggregate_throughput(2, 4) == pytest.approx(
-        2 * model.aggregate_throughput(1, 4)
-    )
-    # Router overhead makes scaling sub-linear, monotonically in overhead.
-    taxed = ReplicaScalingModel(cost, router_overhead=1.0)
-    assert taxed.speedup(4, 4) < 4.0
-    assert taxed.aggregate_throughput(4, 4) < model.aggregate_throughput(4, 4)
-    # Dilution: min(N, reuses) cold prefills without affinity routing.
-    assert ReplicaScalingModel.prefill_dilution(4, 12.0) == 4.0
-    assert ReplicaScalingModel.prefill_dilution(8, 3.0) == 3.0
-    with pytest.raises(ValueError):
-        ReplicaScalingModel(cost, router_overhead=-0.1)
-    with pytest.raises(ValueError):
-        model.aggregate_throughput(0, 4)
-    with pytest.raises(ValueError):
-        ReplicaScalingModel.prefill_dilution(0, 4)
-
-
-def test_replica_scaling_model_pins_measured_harness_runs():
-    """The model's speedup prediction tracks measured 1/2/4-replica replays.
-
-    The same pinned shared-prefix trace replays through the sharded
-    front-end at N = 1, 2, 4 (inline backend, spill-balanced router) in
-    virtual step-time.  Outputs are bit-identical across N, so measured
-    speedup is purely the makespan ratio; the model predicts it from the
-    measured per-replica step shape (average decode rows and prefill
-    tokens per replica-step).  The tolerance is loose — the model assumes
-    perfectly balanced, always-saturated replicas — but pins the shape:
-    monotone scaling, ≥2x at N=4, prediction within 35%.
-    """
-    from repro.perfmodel.serving import ReplicaScalingModel
-    from repro.serving.sharded import (
-        PrefixAffinityRouter,
-        ReplicaSpec,
-        ShardedEngine,
-    )
-    from repro.serving.workload import WorkloadConfig, generate_trace, replay_trace
-
-    cost = StepCostModel()
-    trace = generate_trace(
-        WorkloadConfig(
-            n_requests=32,
-            vocab_size=64,
-            mean_interarrival=0.3,
-            n_prefixes=4,
-            prefix_share_prob=0.8,
-            prefix_len_pages=2,
-            suffix_len_range=(4, 12),
-            prompt_len_range=(8, 40),
-            output_len_choices=(12,),
-            output_len_weights=(1.0,),
-        ),
-        seed=5,
-    )
-    spec = ReplicaSpec(
-        model_config=ModelConfig(
-            vocab_size=64,
-            d_model=32,
-            n_layers=2,
-            n_heads=4,
-            d_ff=64,
-            max_seq_len=256,
-            positional="rope",
-        ),
-        max_batch_size=4,
-    )
-
-    measured = {}
-    shape = {}
-    for n in (1, 2, 4):
-        router = PrefixAffinityRouter(n, spill_load=4)
-        with ShardedEngine(spec, n, router=router, backend="inline") as eng:
-            result = replay_trace(eng, trace, cost)
-            measured[n] = result.makespan
-            shape[n] = (
-                eng.decode_rows_total / (eng.step_count * n),
-                eng.prefill_computed_tokens / (eng.step_count * n),
-            )
-
-    # Monotone scaling, and the headline ≥2x at four replicas.
-    assert measured[1] > measured[2] > measured[4]
-    assert measured[1] / measured[4] >= 2.0
-
-    model = ReplicaScalingModel(cost)
-    for n in (2, 4):
-        rows, prefill = shape[n]
-        predicted = model.speedup(n, rows, prefill)
-        observed = measured[1] / measured[n]
-        assert predicted == pytest.approx(observed, rel=0.35)

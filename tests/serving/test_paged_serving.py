@@ -503,6 +503,15 @@ def test_resolve_pages_equals_parent_conversions(name, dtype, max_seq_len, budge
     assert (engine.max_pool_tokens, engine.tier0_pages) == (want[0] * 16, want[1])
 
 
+def test_tier0_budget_funds_at_least_two_frames():
+    """Copy-on-write holds a source and a destination page resident, so a
+    budget below two frames still buys two per layer."""
+    model_config = ModelConfig(
+        vocab_size=256, d_model=128, n_layers=4, n_heads=8, d_ff=512, positional="rope"
+    )
+    assert EngineConfig(tier0_budget=1).resolve_pages(model_config) == (None, 2)
+
+
 @pytest.mark.parametrize("kv_dtype", [None, "int8"])
 @pytest.mark.parametrize("mode", ["original", "new"])
 def test_byte_budget_buys_the_pages_the_built_store_holds(mode, kv_dtype):

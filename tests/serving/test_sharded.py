@@ -422,3 +422,43 @@ def test_sharded_n1_replay_report_byte_identical_to_solo():
     )
     assert sharded.makespan == solo.makespan
     assert sharded.engine_stats == solo.engine_stats
+
+
+def test_replay_makespan_shrinks_with_replicas():
+    """The same shared-prefix trace replays through 1, 2 and 4 replicas
+    (inline backend, spill-balanced router) in virtual step-time: the
+    makespan falls monotonically and four replicas are at least 2x one."""
+    trace = generate_trace(
+        WorkloadConfig(
+            n_requests=32,
+            vocab_size=64,
+            mean_interarrival=0.3,
+            n_prefixes=4,
+            prefix_share_prob=0.8,
+            prefix_len_pages=2,
+            suffix_len_range=(4, 12),
+            prompt_len_range=(8, 40),
+            output_len_choices=(12,),
+            output_len_weights=(1.0,),
+        ),
+        seed=5,
+    )
+    spec = ReplicaSpec(
+        model_config=ModelConfig(
+            vocab_size=64,
+            d_model=32,
+            n_layers=2,
+            n_heads=4,
+            d_ff=64,
+            max_seq_len=256,
+            positional="rope",
+        ),
+        max_batch_size=4,
+    )
+    makespan = {}
+    for n in (1, 2, 4):
+        router = PrefixAffinityRouter(n, spill_load=4)
+        with ShardedEngine(spec, n, router=router, backend="inline") as eng:
+            makespan[n] = replay_trace(eng, trace, StepCostModel()).makespan
+    assert makespan[1] > makespan[2] > makespan[4]
+    assert makespan[1] / makespan[4] >= 2.0

@@ -1,10 +1,9 @@
-"""Tests for vocabulary, word-level tokenizer and BPE tokenizer."""
+"""Tests for vocabulary and the word-level tokenizer."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tokenizer.bpe import BPETokenizer
 from repro.tokenizer.vocab import Vocabulary
 from repro.tokenizer.word import WordTokenizer
 
@@ -101,34 +100,3 @@ class TestWordTokenizer:
         text = " ".join(tokens)
         tokenizer = WordTokenizer.from_corpus([text])
         assert tokenizer.decode(tokenizer.encode(text)) == text.lower()
-
-
-class TestBPETokenizer:
-    def test_round_trip_on_training_corpus(self):
-        corpus = ["the cat sat on the mat", "the dog sat on the log"]
-        tokenizer = BPETokenizer.train(corpus, n_merges=50)
-        for text in corpus:
-            assert tokenizer.decode(tokenizer.encode(text)) == text
-
-    def test_merges_reduce_sequence_length(self):
-        corpus = ["banana banana banana bandana"] * 4
-        no_merge = BPETokenizer.train(corpus, n_merges=0)
-        merged = BPETokenizer.train(corpus, n_merges=60)
-        text = "banana bandana"
-        assert len(merged.encode(text)) < len(no_merge.encode(text))
-
-    def test_unseen_characters_become_unk(self):
-        tokenizer = BPETokenizer.train(["abc abc"], n_merges=5)
-        ids = tokenizer.encode("xyz")
-        assert all(i == tokenizer.vocab.unk_id for i in ids)
-
-    def test_vocab_size_positive(self):
-        tokenizer = BPETokenizer.train(["hello world"], n_merges=10)
-        assert tokenizer.vocab_size > 5
-
-    @given(words)
-    @settings(max_examples=15, deadline=None)
-    def test_property_round_trip_within_corpus(self, tokens):
-        text = " ".join(tokens)
-        tokenizer = BPETokenizer.train([text], n_merges=30)
-        assert tokenizer.decode(tokenizer.encode(text)) == text

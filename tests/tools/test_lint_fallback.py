@@ -1,5 +1,6 @@
 """The docstring rules of ``tools/lint_fallback.py`` (the ``make docs-check``
-stand-in for ``ruff check --select D100,D101,D102,D103,D104,D419``)."""
+stand-in for ``ruff check --select D100,D101,D102,D103,D104,D419``), and its
+stale-``__all__`` rule (ruff F822)."""
 
 import importlib.util
 from pathlib import Path
@@ -112,3 +113,15 @@ def test_docs_check_paths_are_clean(capsys):
              "benchmarks/run_bench.py"]
     assert lint_fallback.main(["--docstrings", *(str(ROOT / p) for p in paths)]) == 0
     assert "files clean" in capsys.readouterr().out
+
+
+def test_all_entries_must_be_defined_or_imported(tmp_path):
+    """A name deleted from a module but left in its ``__all__`` is flagged."""
+    path = tmp_path / "mod.py"
+    path.write_text(
+        'from os import sep\n\n__all__ = ["sep", "kept", "CONST", "gone"]\n'
+        "CONST = 1\n\n\ndef kept():\n    pass\n"
+    )
+    assert [f.split(": ", 1)[1] for f in lint_fallback.check(path)] == [
+        "undefined name 'gone' in __all__"
+    ]

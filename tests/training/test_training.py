@@ -5,8 +5,8 @@ import pytest
 
 from repro.models.layers import Linear, Module
 from repro.models.transformer import DecoderLM
-from repro.training.lr_schedule import ConstantLR, CosineWithWarmup, LinearWarmup
-from repro.training.optimizer import Adam, SGD, clip_gradients
+from repro.training.lr_schedule import CosineWithWarmup
+from repro.training.optimizer import Adam, clip_gradients
 from repro.training.trainer import Trainer, TrainingConfig
 from tests.conftest import tiny_config
 
@@ -35,14 +35,6 @@ class TestOptimizers:
             optimizer.step()
         np.testing.assert_allclose(model.params["w"], model.target, atol=1e-2)
 
-    def test_sgd_converges_on_quadratic(self):
-        model = _Quadratic(np.array([0.5, 0.25]))
-        optimizer = SGD(model, lr=0.1)
-        for _ in range(200):
-            model.loss_and_grad()
-            optimizer.step()
-        np.testing.assert_allclose(model.params["w"], model.target, atol=1e-3)
-
     def test_adam_invalid_lr(self):
         with pytest.raises(ValueError):
             Adam(_Quadratic(np.ones(2)), lr=0.0)
@@ -68,23 +60,8 @@ class TestOptimizers:
         total = np.sqrt(sum(float(np.sum(g * g)) for _, g in layer.named_gradients()))
         np.testing.assert_allclose(total, 1.0, atol=1e-9)
 
-    def test_state_size(self):
-        model = _Quadratic(np.ones(5))
-        assert Adam(model).state_size() == 10
-
 
 class TestSchedules:
-    def test_constant(self):
-        assert ConstantLR(0.1)(0) == 0.1
-        with pytest.raises(ValueError):
-            ConstantLR(0.0)
-
-    def test_linear_warmup(self):
-        schedule = LinearWarmup(1.0, warmup_steps=10)
-        assert schedule(0) == pytest.approx(0.1)
-        assert schedule(9) == pytest.approx(1.0)
-        assert schedule(50) == 1.0
-
     def test_cosine_decay(self):
         schedule = CosineWithWarmup(1.0, warmup_steps=5, total_steps=50, min_lr=0.1)
         assert schedule(0) < schedule(4)
@@ -109,7 +86,6 @@ class TestTrainer:
             pairs.append((seq, np.concatenate([seq[1:], [2]])))
         trainer = Trainer(model, TrainingConfig(n_steps=30, batch_size=4, log_every=0))
         result = trainer.train_on_dataset(pairs)
-        assert result.improved()
         assert result.final_loss < result.initial_loss
         assert result.n_steps == 30
         assert len(result.losses) == 30

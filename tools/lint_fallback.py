@@ -9,7 +9,8 @@ default, two pyflakes-class checks:
 * **unused import** — a name bound by ``import`` that the module never reads,
   does not list in ``__all__`` and does not mark ``# noqa``;
 * **undefined name** — a name read that no statement in the module binds
-  and that is not a builtin.
+  and that is not a builtin, or a name listed in ``__all__`` that the
+  module neither defines nor imports (ruff F822).
 
 Binding is judged per module, not per scope: this misses a name bound only
 in some *other* function, but it never flags working code, and it catches
@@ -92,6 +93,11 @@ def check(path: Path) -> list[str]:
         findings += [
             (node.lineno, f"undefined name {node.id!r}") for node in loads if node.id not in bound
         ]
+        findings += [
+            (lineno, f"undefined name {name!r} in __all__")
+            for name, lineno in _export_lines(tree) or []
+            if name not in bound
+        ]
     return [
         f"{path}:{lineno}: {message}"
         for lineno, message in findings
@@ -103,14 +109,23 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def _exports(tree: ast.Module) -> set[str] | None:
-    """The module's literal ``__all__``, or ``None`` when it defines none."""
+def _export_lines(tree: ast.Module) -> list[tuple[str, int]] | None:
+    """``(name, line)`` of each entry of the module's literal ``__all__``, or
+    ``None`` when it defines none."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ) and isinstance(node.value, (ast.List, ast.Tuple)):
-            return {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+            return [
+                (e.value, e.lineno) for e in node.value.elts if isinstance(e, ast.Constant)
+            ]
     return None
+
+
+def _exports(tree: ast.Module) -> set[str] | None:
+    """The module's literal ``__all__``, or ``None`` when it defines none."""
+    entries = _export_lines(tree)
+    return None if entries is None else {name for name, _ in entries}
 
 
 def _exempt(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
