@@ -124,6 +124,7 @@ def _definitions() -> dict[str, list[tuple[Path, int, int]]]:
 
 
 def _corpus() -> list[tuple[str, Path, int]]:
+    """``(word, path, line)`` for every call-capable word outside ``tests/``."""
     words = []
     for directory in CALLER_DIRS:
         for path in sorted((ROOT / directory).rglob("*.py")):

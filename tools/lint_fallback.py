@@ -95,7 +95,7 @@ def check(path: Path) -> list[str]:
         ]
         findings += [
             (lineno, f"undefined name {name!r} in __all__")
-            for name, lineno in _export_lines(tree) or []
+            for name, lineno in (_exports(tree) or {}).items()
             if name not in bound
         ]
     return [
@@ -109,23 +109,15 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def _export_lines(tree: ast.Module) -> list[tuple[str, int]] | None:
-    """``(name, line)`` of each entry of the module's literal ``__all__``, or
-    ``None`` when it defines none."""
+def _exports(tree: ast.Module) -> dict[str, int] | None:
+    """Each entry of the module's literal ``__all__`` → its line, or ``None``
+    when it defines none."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ) and isinstance(node.value, (ast.List, ast.Tuple)):
-            return [
-                (e.value, e.lineno) for e in node.value.elts if isinstance(e, ast.Constant)
-            ]
+            return {e.value: e.lineno for e in node.value.elts if isinstance(e, ast.Constant)}
     return None
-
-
-def _exports(tree: ast.Module) -> set[str] | None:
-    """The module's literal ``__all__``, or ``None`` when it defines none."""
-    entries = _export_lines(tree)
-    return None if entries is None else {name for name, _ in entries}
 
 
 def _exempt(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
@@ -140,7 +132,7 @@ def _exempt(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     return False
 
 
-def _definitions(body, scope: str, public: bool, exports: set[str] | None):
+def _definitions(body, scope: str, public: bool, exports: dict[str, int] | None):
     """Yield ``(node, kind, public)`` for every class and function under
     ``body``, where ``scope`` is ``"module"``, ``"class"`` or ``"function"``
     and ``public`` whether the enclosing scope is."""
