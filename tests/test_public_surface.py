@@ -32,9 +32,9 @@ KEPT = {
     "Generator.perplexity": "teacher-forced perplexity of a sequence under a cache policy",
     "KeyformerScore.noisy_softmax": "the paper's Eq. 9; the prompt-scoring reference calls it",
     "KeyformerScore.configure_schedule": "the paper's Eq. 10 temperature schedule",
-    "NoiseDistribution.pdf": "noise density (Table 4), checked against the sampler",
-    "GumbelNoise.pdf": "noise density (Table 4), checked against the sampler",
-    "GaussianNoise.pdf": "noise density (Table 4), checked against the sampler",
+    "NoiseDistribution.pdf": "noise density of the Table 4 distributions",
+    "GumbelNoise.pdf": "noise density of the Table 4 distributions",
+    "GaussianNoise.pdf": "noise density of the Table 4 distributions",
     "SummarizationDataset.corpus_text": "tokenizer-training text of a dataset",
     "ConversationDataset.corpus_text": "tokenizer-training text of a dataset",
     "FewShotTask.corpus_text": "tokenizer-training text of a dataset",
@@ -43,7 +43,7 @@ KEPT = {
     "BatchedCacheManager.total_kv_bytes": "test oracle: the bytes the rows hold",
     "WTinyLFUAdmissionPolicy.segments": "inspects the window/probation/protected split",
     "ShardedEngine.kill_replica": "fault injection on one replica",
-    "ShardedEngine.drain": "graceful shutdown of the front-end",
+    "ShardedEngine.drain": "steps until every in-flight request finishes",
     "Trace.from_json": "reader of Trace.to_json",
 }
 
