@@ -226,6 +226,33 @@ class TestScoring:
         with pytest.raises(ValueError):
             generator.perplexity([5])
 
+    def test_full_cache_perplexity_matches_one_forward_pass(self, tiny_model, rng):
+        """With nothing evicted, scoring token by token through the decode path
+        gives the perplexity of one teacher-forced forward pass."""
+        ids = rng.integers(0, 64, size=14)
+        log_probs = log_softmax(tiny_model.forward(ids[None])[0], axis=-1)
+        nll = -np.mean(log_probs[np.arange(13), ids[1:]])
+        generator = Generator(tiny_model, make_policy("full"))
+        assert generator.perplexity(ids) == pytest.approx(np.exp(nll), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "policy, knobs",
+        [
+            ("full", {}),
+            ("window", {"kv_fraction": 0.5}),
+            ("h2o", {"kv_fraction": 0.5}),
+            ("keyformer", {"kv_fraction": 0.5}),
+        ],
+        ids=["full", "window", "h2o", "keyformer"],
+    )
+    def test_uniform_logits_give_vocab_size(self, policy, knobs, rng):
+        """A model whose logits are all zero is exactly as perplexed as the
+        vocabulary is large, whatever the cache keeps."""
+        model = DecoderLM(tiny_config("rope"), seed=0)
+        model.token_embedding.params["weight"][...] = 0.0  # tied head: zero logits
+        generator = Generator(model, make_policy(policy, **knobs))
+        assert generator.perplexity(rng.integers(0, 64, size=20)) == pytest.approx(64, rel=1e-9)
+
 
 def _keyformer():
     return KeyformerPolicy(KeyformerConfig(kv_fraction=0.5))

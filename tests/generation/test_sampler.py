@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.generation.sampler import GreedySampler, TopKSampler, make_sampler
+from repro.generation.sampler import GreedySampler, TopKSampler, make_sampler, sample_rows
 
 
 class TestGreedy:
@@ -74,3 +74,25 @@ class TestTopKOne:
         logits = np.random.default_rng(3).normal(size=(4, 16))
         sampler = TopKSampler(top_k=1, seed=0)
         np.testing.assert_array_equal(sampler(logits), np.argmax(logits, axis=-1))
+
+
+class TestSampleRows:
+    def test_all_greedy_rows_are_one_argmax(self):
+        logits = np.random.default_rng(4).normal(size=(3, 16))
+        tokens = sample_rows([GreedySampler()] * 3, logits)
+        np.testing.assert_array_equal(tokens, np.argmax(logits, axis=-1))
+        assert tokens.dtype == np.int64
+
+    def test_each_row_draws_from_its_own_sampler(self):
+        """A stochastic row consumes only its own RNG stream, so a mixed batch
+        samples what each request would have sampled alone."""
+        logits = np.random.default_rng(5).normal(size=(3, 16))
+        batch = [TopKSampler(top_k=4, seed=1), GreedySampler(), TopKSampler(top_k=8, seed=2)]
+        alone = [TopKSampler(top_k=4, seed=1), GreedySampler(), TopKSampler(top_k=8, seed=2)]
+        for _ in range(5):
+            want = [int(s(logits[row : row + 1])[0]) for row, s in enumerate(alone)]
+            assert sample_rows(batch, logits).tolist() == want
+
+    def test_row_count_must_match_samplers(self):
+        with pytest.raises(ValueError, match="2 logit rows for 3 samplers"):
+            sample_rows([GreedySampler()] * 3, np.zeros((2, 8)))

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from repro.kvcache.batch import BatchedLayerKVCache
 from repro.kvcache.paged import (
     BlockPool,
+    KVStoreConfig,
     PagedKVStore,
     PageTable,
     PoolExhausted,
     PrefixRegistry,
+    pages_needed,
 )
+from repro.models.config import ModelConfig
 
 H, D, PS = 2, 4, 8
 
@@ -393,3 +396,37 @@ class TestRememberedContiguity:
             keep = np.delete(np.arange(table.length), 1)
             pool.gather(table, np.broadcast_to(keep, (H, keep.size)))
             assert table._contiguous is True
+
+
+@pytest.mark.parametrize(
+    "n_tokens, pages", [(0, 0), (1, 1), (PS, 1), (PS + 1, 2), (2 * PS + 1, 3)]
+)
+def test_pages_needed_is_ceil_division(n_tokens, pages):
+    assert pages_needed(n_tokens, PS) == pages
+    assert make_pool().pages_for(n_tokens) == pages
+
+
+class TestStoreByteAccounting:
+    @pytest.mark.parametrize("compute_dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("kv_dtype", [None, "int8"])
+    def test_built_store_holds_page_bytes_per_page(self, kv_dtype, compute_dtype):
+        """``KVStoreConfig.page_bytes`` is what a built store keeps resident
+        per page: every slab of every layer pool, RoPE keys included."""
+        mc = ModelConfig(
+            vocab_size=64, d_model=32, n_layers=2, n_heads=4, d_ff=64,
+            positional="rope", compute_dtype=compute_dtype,
+        )
+        config = KVStoreConfig(kv_dtype=kv_dtype, page_size=PS)
+        store = PagedKVStore(
+            mc.n_layers, mc.n_heads, mc.d_head, dtype=mc.np_dtype, rope_dims=mc.rope_dims,
+            n_pages=5, growable=False, config=config,
+        )
+        assert store.nbytes() == 5 * config.page_bytes(mc)
+
+    def test_page_totals_span_layers_and_admission_reads_the_tightest(self):
+        store = PagedKVStore(2, H, D, n_pages=5, growable=False, page_size=PS)
+        assert (store.total_pages, store.free_pages, store.used_pages) == (10, 10, 0)
+        assert store.pages_for_tokens(2 * PS + 1) == 3
+        store.pool(0).alloc(2)
+        assert (store.free_pages, store.used_pages) == (8, 2)
+        assert store.min_free_pages() == 3

@@ -96,6 +96,26 @@ class TestAlibi:
         with pytest.raises(ValueError):
             alibi_slopes(0)
 
+    @pytest.mark.parametrize("n_heads", [1, 2, 4, 8, 16])
+    def test_power_of_two_slopes_are_the_reference_sequence(self, n_heads):
+        """Press et al.: head ``h`` (from 0) gets ``2^(-8 (h + 1) / n)``."""
+        expected = 2.0 ** (-8.0 * np.arange(1, n_heads + 1) / n_heads)
+        np.testing.assert_allclose(alibi_slopes(n_heads), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("n_heads, closest", [(6, 4), (12, 8)])
+    def test_other_head_counts_interleave_the_next_power(self, n_heads, closest):
+        """The nearest lower power of two's slopes, then every other slope of
+        twice that many heads."""
+        extra = alibi_slopes(2 * closest)[0::2][: n_heads - closest]
+        np.testing.assert_allclose(
+            alibi_slopes(n_heads), np.concatenate([alibi_slopes(closest), extra]), rtol=1e-12
+        )
+
+    def test_slopes_are_a_fresh_array(self):
+        slopes = alibi_slopes(4)
+        slopes[:] = 0.0
+        assert np.all(alibi_slopes(4) > 0)
+
     def test_bias_matrix_shape_and_sign(self):
         bias = alibi_bias_matrix(4, 6)
         assert bias.shape == (4, 6, 6)

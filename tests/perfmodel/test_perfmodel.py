@@ -5,9 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.perfmodel.hardware import A100_40GB, A100_80GB, HardwareSpec
-from repro.perfmodel.latency import AttentionPolicyOverhead, LatencyModel
-from repro.perfmodel.memory import MPT_7B, GPT_J_6B, MemoryModel, PerfModelSpec
-from repro.perfmodel.throughput import ThroughputModel
+from repro.perfmodel.latency import AttentionPolicyOverhead, LatencyBreakdown, LatencyModel
+from repro.perfmodel.memory import (
+    CEREBRAS_GPT_6_7B,
+    GPT_J_6B,
+    MPT_7B,
+    MemoryModel,
+    PerfModelSpec,
+)
+from repro.perfmodel.throughput import ThroughputModel, ThroughputResult
+
+SPECS = [MPT_7B, GPT_J_6B, CEREBRAS_GPT_6_7B]
 
 
 class TestHardwareSpec:
@@ -20,6 +28,42 @@ class TestHardwareSpec:
             HardwareSpec("bad", hbm_bandwidth_gbps=0, peak_fp16_tflops=1, hbm_capacity_gb=1)
         with pytest.raises(ValueError):
             HardwareSpec("bad", 100, 100, 10, memory_efficiency=1.5)
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"peak_fp16_tflops": 0},
+            {"memory_efficiency": 0.0},
+            {"compute_efficiency": 0.0},
+            {"compute_efficiency": 1.01},
+        ],
+        ids=["zero-flops", "zero-memory-eff", "zero-compute-eff", "compute-eff-above-one"],
+    )
+    def test_rejects_out_of_range_knobs(self, knobs):
+        fields = dict(name="bad", hbm_bandwidth_gbps=100, peak_fp16_tflops=100, hbm_capacity_gb=10)
+        fields.update(knobs)
+        with pytest.raises(ValueError):
+            HardwareSpec(**fields)
+
+    def test_effective_rates_apply_the_efficiencies(self):
+        assert A100_80GB.effective_flops == pytest.approx(312e12 * 0.5)
+        assert A100_80GB.effective_bandwidth_bytes == pytest.approx(2039e9 * 0.8)
+        assert A100_80GB.capacity_bytes == 80e9
+        assert A100_40GB.capacity_bytes == 40e9
+
+
+class TestPerfModelSpec:
+    @pytest.mark.parametrize("spec", SPECS, ids=[s.name for s in SPECS])
+    def test_paper_models_are_six_to_seven_billion_parameters(self, spec):
+        assert spec.d_head * spec.n_heads == spec.d_model
+        d, ff = spec.d_model, spec.d_ff
+        expected = spec.n_layers * (4 * d * d + 2 * d * ff) + spec.vocab_size * d
+        assert spec.n_parameters() == expected
+        assert 5.5e9 < spec.n_parameters() < 7e9
+
+    def test_rejects_nonpositive_dtype_bytes(self):
+        with pytest.raises(ValueError, match="dtype_bytes"):
+            PerfModelSpec("bad", 2, 64, 4, 128, 100, dtype_bytes=0)
 
 
 class TestMemoryModel:
@@ -56,6 +100,46 @@ class TestMemoryModel:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             PerfModelSpec("bad", 2, 100, 3, 100, 100)
+
+    def test_beam_search_holds_a_second_cache_copy(self):
+        memory = MemoryModel(MPT_7B)
+        assert memory.kv_working_multiplier(beam_size=4) == 2.0
+        assert memory.kv_working_multiplier(beam_size=1) == 1.2
+
+    def test_activation_bytes_linear_in_batch_and_length(self):
+        memory = MemoryModel(MPT_7B)
+        one = memory.activation_bytes(1, 100)
+        assert one == 8 * 100 * 4096 * 2
+        assert memory.activation_bytes(2, 100) == 2 * one
+        assert memory.activation_bytes(1, 200) == 2 * one
+
+    @pytest.mark.parametrize("seq_len", [1000, 4096], ids=["short", "activations-capped"])
+    def test_fits_is_weights_plus_working_cache_plus_activations(self, seq_len):
+        """The boundary sits exactly at the sum; activations stop growing at
+        2048 tokens."""
+        memory = MemoryModel(MPT_7B)
+        batch, beam = 3, 2
+        total = (
+            memory.model_bytes()
+            + memory.kv_cache_bytes(seq_len, batch, beam) * memory.kv_working_multiplier(beam)
+            + memory.activation_bytes(batch, min(seq_len, 2048))
+        )
+        assert memory.fits(total, seq_len, batch, beam)
+        assert not memory.fits(total - 1, seq_len, batch, beam)
+
+    def test_max_batch_size_is_the_largest_that_fits(self):
+        memory = MemoryModel(MPT_7B)
+        capacity = A100_80GB.capacity_bytes
+        batch = memory.max_batch_size(capacity, 4096, beam_size=4)
+        assert memory.fits(capacity, 4096, batch, beam_size=4)
+        assert not memory.fits(capacity, 4096, batch + 1, beam_size=4)
+
+    def test_max_batch_size_zero_when_weights_alone_overflow(self):
+        memory = MemoryModel(MPT_7B)
+        assert memory.max_batch_size(memory.model_bytes() / 2, 128) == 0
+
+    def test_max_batch_size_stops_at_limit(self):
+        assert MemoryModel(MPT_7B).max_batch_size(1e18, 128, limit=8) == 8
 
 
 class TestLatencyModel:
@@ -121,6 +205,92 @@ class TestLatencyModel:
         full = model.generation_latency(prompt, 64, 1, 1, 1.0)
         assert 0 < reduced <= full * 1.0001
 
+    def test_decode_flops_split_into_dense_and_attention(self):
+        model = LatencyModel(MPT_7B)
+        dense = 2.0 * MPT_7B.n_parameters() * 3
+        for kv_len in (0, 1000, 4096):
+            attention = model.attention_step_flops(kv_len, batch_size=3)
+            assert attention == 4.0 * 32 * 4096 * kv_len * 3
+            assert model.decode_step_flops(kv_len, batch_size=3) == pytest.approx(dense + attention)
+
+    def test_prompt_attention_flops_are_quadratic(self):
+        model = LatencyModel(MPT_7B)
+
+        def attention(prompt_len):
+            return model.prompt_flops(prompt_len) - 2.0 * MPT_7B.n_parameters() * prompt_len
+
+        assert attention(1024) == pytest.approx(4.0 * 32 * 4096 * 1024**2)
+        assert attention(2048) == pytest.approx(4 * attention(1024))
+
+    def test_greedy_breakdown_counts_every_decode_step(self):
+        model = LatencyModel(MPT_7B)
+        breakdown = model.generation_breakdown(512, 100)
+        bandwidth = A100_80GB.effective_bandwidth_bytes
+        assert breakdown.n_decode_steps == 100
+        assert breakdown.step_overhead_time == pytest.approx(100 * A100_80GB.kernel_launch_overhead_s)
+        assert breakdown.weight_data_movement_time == pytest.approx(
+            100 * model.memory.model_bytes() / bandwidth
+        )
+        assert breakdown.score_overhead_time == 0.0
+        assert breakdown.prompt_time == model.prompt_latency(512)
+
+    @pytest.mark.parametrize(
+        "kv_fraction, cached_tokens",
+        [(1.0, 50 * 1000 + sum(range(50))), (0.5, 50 * 500)],
+        ids=["full-cache-grows", "reduced-cache-constant"],
+    )
+    def test_kv_traffic_streams_the_cached_tokens(self, kv_fraction, cached_tokens):
+        model = LatencyModel(MPT_7B)
+        breakdown = model.generation_breakdown(1000, 50, kv_fraction=kv_fraction)
+        expected = (
+            model.memory.kv_bytes_per_token() * cached_tokens / A100_80GB.effective_bandwidth_bytes
+        )
+        assert breakdown.kv_data_movement_time == pytest.approx(expected)
+
+    def test_beam_reorder_triples_kv_traffic(self):
+        """One read plus the re-order's read and write, at the same number of
+        sequences in flight."""
+        model = LatencyModel(MPT_7B)
+        beams = model.generation_breakdown(1024, 64, batch_size=1, beam_size=4)
+        batch = model.generation_breakdown(1024, 64, batch_size=4, beam_size=1)
+        assert beams.kv_data_movement_time == pytest.approx(3 * batch.kv_data_movement_time)
+        assert beams.compute_time == pytest.approx(batch.compute_time)
+
+    def test_policy_score_overhead_is_per_cached_token(self):
+        model = LatencyModel(MPT_7B)
+        keyformer = AttentionPolicyOverhead.keyformer()
+        breakdown = model.generation_breakdown(
+            1000, 20, batch_size=2, kv_fraction=0.5, policy_overhead=keyformer
+        )
+        per_step = (
+            keyformer.flops_per_cached_token * 500 * 32 * 2 / A100_80GB.effective_flops
+            + keyformer.fixed_seconds
+        )
+        assert breakdown.score_overhead_time == pytest.approx(20 * per_step)
+        none = AttentionPolicyOverhead.none()
+        assert none.flops_per_cached_token == none.fixed_seconds == 0.0
+        assert keyformer.flops_per_cached_token > AttentionPolicyOverhead.h2o().flops_per_cached_token
+
+
+class TestLatencyBreakdown:
+    def test_decode_overlaps_memory_with_compute(self):
+        breakdown = LatencyBreakdown(
+            prompt_time=1.0,
+            kv_data_movement_time=2.0,
+            weight_data_movement_time=3.0,
+            compute_time=4.0,
+            score_overhead_time=0.5,
+            step_overhead_time=0.25,
+        )
+        assert breakdown.decode_time == pytest.approx(5.0 + 0.75)
+        assert breakdown.total_time == pytest.approx(6.75)
+        assert breakdown.kv_movement_fraction == pytest.approx(2.0 / 6.75)
+        breakdown.compute_time = 7.0
+        assert breakdown.decode_time == pytest.approx(7.0 + 0.75)
+
+    def test_empty_breakdown_has_no_kv_fraction(self):
+        assert LatencyBreakdown().kv_movement_fraction == 0.0
+
 
 class TestThroughputModel:
     def test_throughput_improves_with_cache_reduction(self):
@@ -154,3 +324,24 @@ class TestThroughputModel:
         assert big.max_feasible_batch(4096, 4096, 1.0, beam_size=4) >= small.max_feasible_batch(
             4096, 4096, 1.0, beam_size=4
         )
+
+    def test_throughput_is_generated_tokens_over_latency(self):
+        model = ThroughputModel(MPT_7B)
+        keyformer = AttentionPolicyOverhead.keyformer()
+        result = model.evaluate(1024, 256, 2, 1, 0.5, keyformer)
+        assert not result.oom
+        assert result.total_time_s == model.latency.generation_latency(
+            1024, 256, 2, 1, 0.5, keyformer
+        )
+        assert result.tokens_per_second == pytest.approx(256 * 2 / result.total_time_s)
+        assert (result.batch_size, result.kv_fraction) == (2, 0.5)
+
+    def test_max_feasible_batch_is_the_oom_boundary(self):
+        model = ThroughputModel(MPT_7B)
+        batch = model.max_feasible_batch(4096, 4096, 1.0, beam_size=4)
+        assert not model.evaluate(4096, 4096, batch, 4, 1.0).oom
+        assert model.evaluate(4096, 4096, batch + 1, 4, 1.0).oom
+
+    def test_formatted_cell_rounds_to_one_decimal(self):
+        assert ThroughputResult(123.456, 1.0, 1, 1.0).formatted() == "123.5"
+        assert ThroughputResult(0.0, float("inf"), 2, 1.0, oom=True).formatted() == "OOM"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tokenizer.vocab import Vocabulary
+from repro.tokenizer.vocab import SpecialTokens, Vocabulary
 from repro.tokenizer.word import WordTokenizer
 
 words = st.lists(
@@ -51,6 +51,20 @@ class TestVocabulary:
         vocab = Vocabulary(["x"])
         assert "x" in vocab and "y" not in vocab
         assert len(vocab) == 6  # 5 specials + 1
+
+    def test_encode_tokens_maps_unknowns_to_unk(self):
+        vocab = Vocabulary(["a", "b"])
+        assert vocab.encode_tokens(["b", "zzz", "a"]) == [6, vocab.unk_id, 5]
+        assert vocab.decode_ids(vocab.encode_tokens(["a", "b"])) == ["a", "b"]
+
+    def test_renamed_specials_keep_their_ids(self):
+        specials = SpecialTokens(pad="[PAD]", bos="[CLS]", eos="[END]", unk="[UNK]", sep="[SEP]")
+        vocab = Vocabulary(["x"], specials=specials)
+        assert vocab.tokens()[:5] == list(specials.as_tuple())
+        assert (vocab.pad_id, vocab.bos_id, vocab.eos_id, vocab.unk_id, vocab.sep_id) == tuple(
+            range(5)
+        )
+        assert vocab.token_to_id("<unk>") == vocab.unk_id  # the default names are plain tokens
 
 
 class TestWordTokenizer:
