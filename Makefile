@@ -14,7 +14,7 @@ LOAD_REPORT_OUT ?= $(REPORT_DIR)/load_report.json
 SHARDED_LOAD_REPORT_OUT ?= $(REPORT_DIR)/sharded_load_report.json
 SHARDED1_LOAD_REPORT_OUT ?= $(REPORT_DIR)/sharded1_load_report.json
 
-.PHONY: test test-cov test-blas-threads bench bench-smoke bench-gate bench-e2e-smoke ab lint docs-check serve-demo chaos load load-smoke check
+.PHONY: test test-cov test-blas-threads bench bench-smoke bench-gate bench-e2e-smoke ab lint docs-check serve-demo chaos load load-smoke reach check
 
 test:
 	$(PYTHON) -m pytest -x -q tests
@@ -125,6 +125,14 @@ load-smoke:
 # stay bit-exact, and the store ends with zero leaked pages.
 chaos:
 	$(PYTHON) tools/run_chaos.py
+
+# Reach audit (tools/reach.py): every non-test driver runs under a call
+# recorder, and every function in src/repro that none of them enters must be
+# a protocol stub, a dunder, or carry a stated reason in one of the two
+# ledgers.  Writes $(REPORT_DIR)/reach.json.  About 10 minutes on two cores
+# with a warm model cache (20 with a cold one), so not a CI step.
+reach:
+	$(PYTHON) tools/reach.py --output $(REPORT_DIR)/reach.json
 
 check: test bench-smoke
 	@echo "check OK: tier-1 tests + benchmark smoke run passed"

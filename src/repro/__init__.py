@@ -24,7 +24,7 @@ from repro.core import (
     make_policy,
     POLICIES,
 )
-from repro.models import ModelConfig, DecoderLM, MODEL_ZOO, build_model, load_or_train
+from repro.models import ModelConfig, DecoderLM, MODEL_ZOO, load_or_train
 from repro.models.config import GenerationConfig
 from repro.generation import Generator, BeamSearch, SummarizationPipeline, ConversationPipeline
 from repro.kvcache import CacheManager
@@ -45,7 +45,6 @@ __all__ = [
     "GenerationConfig",
     "DecoderLM",
     "MODEL_ZOO",
-    "build_model",
     "load_or_train",
     "Generator",
     "BeamSearch",

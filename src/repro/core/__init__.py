@@ -8,7 +8,7 @@ This subpackage is the paper's primary contribution.  It implements:
 * the accumulated score functions — H2O-style accumulated attention and the
   Keyformer Gumbel-softmax score (Eq. 9);
 * the KV-cache eviction policies compared in the paper: full attention,
-  window / dilated-window attention, key-token-only attention, H2O,
+  window attention, key-token-only attention, H2O,
   StreamingLLM attention sinks, and Keyformer itself (Algorithm 1).
 """
 
@@ -27,11 +27,9 @@ from repro.core.policies import (
     EvictionPolicy,
     FullAttentionPolicy,
     WindowAttentionPolicy,
-    DilatedWindowPolicy,
     KeyAttentionPolicy,
     H2OPolicy,
     StreamingLLMPolicy,
-    RandomEvictionPolicy,
 )
 from repro.core.keyformer import KeyformerPolicy
 from repro.core.registry import POLICIES, make_policy
@@ -53,11 +51,9 @@ __all__ = [
     "EvictionPolicy",
     "FullAttentionPolicy",
     "WindowAttentionPolicy",
-    "DilatedWindowPolicy",
     "KeyAttentionPolicy",
     "H2OPolicy",
     "StreamingLLMPolicy",
-    "RandomEvictionPolicy",
     "KeyformerPolicy",
     "POLICIES",
     "make_policy",

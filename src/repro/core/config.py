@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
-from typing import Any
+from dataclasses import dataclass
 
 __all__ = ["CachePolicyConfig", "KeyformerConfig"]
 
@@ -37,7 +36,7 @@ class CachePolicyConfig:
         score over every prompt query row (H2O style), ``"last"`` uses only
         the final prompt row.
     seed:
-        Seed for stochastic components (Gumbel noise, random eviction).
+        Seed for stochastic components (the Keyformer noise).
     """
 
     kv_fraction: float = 0.5
@@ -83,9 +82,6 @@ class CachePolicyConfig:
             raise ValueError("budget must be positive")
         w = int(round(self.recent_ratio * budget))
         return int(min(max(w, 1), budget))
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 @dataclass

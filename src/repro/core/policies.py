@@ -1,4 +1,4 @@
-"""KV-cache eviction policies: full, window, dilated, key-only, H2O, sinks, random.
+"""KV-cache eviction policies: full, window, key-only, H2O, sinks.
 
 A policy decides which cache entries each decoder layer keeps.  The
 :class:`repro.kvcache.manager.CacheManager` drives policies through three
@@ -43,11 +43,9 @@ __all__ = [
     "EvictionPolicy",
     "FullAttentionPolicy",
     "WindowAttentionPolicy",
-    "DilatedWindowPolicy",
     "KeyAttentionPolicy",
     "H2OPolicy",
     "StreamingLLMPolicy",
-    "RandomEvictionPolicy",
     "evict_one_selection",
     "mixed_topk_selection",
 ]
@@ -134,7 +132,7 @@ class EvictionPolicy(ABC):
     #: cannot reuse a cached prefix for this request.  Nor does the engine
     #: register such a prompt for others to reuse: a registry pin would keep
     #: the whole prompt resident beside the few tokens the row keeps.
-    #: Shape-only policies (full, window, sinks, dilated, random) leave this
+    #: Shape-only policies (full, window, sinks) leave this
     #: False and both map and register prefixes.
     needs_prompt_attention = False
     #: When true the cache manager collects every layer's step tensors and
@@ -155,7 +153,6 @@ class EvictionPolicy(ABC):
         self.max_new_tokens = 0
         self.budget = 0
         self.recent_window = 0
-        self.rng = np.random.default_rng(self.config.seed)
 
     # ------------------------------------------------------------------
     def setup(
@@ -174,7 +171,6 @@ class EvictionPolicy(ABC):
         self.max_new_tokens = max_new_tokens
         self.budget = self.config.resolve_budget(prompt_len)
         self.recent_window = self.config.resolve_recent_window(self.budget)
-        self.rng = np.random.default_rng(self.config.seed)
 
     # ------------------------------------------------------------------
     def prompt_scorer(self, layer_idx: int, n_rows: int, width: int) -> PromptScorer | None:
@@ -265,39 +261,6 @@ class WindowAttentionPolicy(EvictionPolicy):
         if length <= self.budget:
             return None
         return self._window_selection(b, h, length)
-
-
-class DilatedWindowPolicy(EvictionPolicy):
-    """Keep every ``dilation + 1``-th token counting back from the newest."""
-
-    name = "dilated-window"
-
-    def __init__(self, config: CachePolicyConfig | None = None, dilation: int = 1):
-        super().__init__(config)
-        if dilation < 0:
-            raise ValueError("dilation must be non-negative")
-        self.dilation = dilation
-
-    def _dilated_indices(self, length: int, shape_prefix: tuple[int, ...]) -> np.ndarray | None:
-        if length <= self.budget:
-            return None
-        stride = self.dilation + 1
-        idx = length - 1 - stride * np.arange(self.budget)
-        idx = idx[idx >= 0]
-        if idx.size < self.budget:
-            # Fall back to a dense window for the remainder.
-            missing = self.budget - idx.size
-            extra = np.setdiff1d(np.arange(length), idx)[:missing]
-            idx = np.concatenate([idx, extra])
-        idx = np.sort(idx)
-        return np.broadcast_to(idx, shape_prefix + (self.budget,)).copy()
-
-    def initial_selection(self, layer_idx):
-        return self._dilated_indices(self.prompt_len, (self.batch_size, self.n_heads))
-
-    def step_selection(self, layer_idx, logits, probs, key_positions, step):
-        b, h, length = logits.shape
-        return self._dilated_indices(length, (b, h))
 
 
 class _ScoreBasedPolicy(EvictionPolicy):
@@ -419,29 +382,3 @@ class StreamingLLMPolicy(EvictionPolicy):
     def step_selection(self, layer_idx, logits, probs, key_positions, step):
         b, h, length = logits.shape
         return self._sink_selection(length, (b, h))
-
-
-class RandomEvictionPolicy(EvictionPolicy):
-    """Recent window + uniformly random older tokens (sanity-check baseline)."""
-
-    name = "random"
-
-    def _random_selection(self, length: int, shape_prefix: tuple[int, ...]) -> np.ndarray | None:
-        if length <= self.budget:
-            return None
-        n_key = self.budget - self.recent_window
-        recent = np.arange(length - self.recent_window, length)
-        total = int(np.prod(shape_prefix)) if shape_prefix else 1
-        picks = np.empty((total, n_key), dtype=np.int64)
-        for i in range(total):
-            picks[i] = self.rng.choice(length - self.recent_window, size=n_key, replace=False)
-        picks = picks.reshape(shape_prefix + (n_key,))
-        recent = np.broadcast_to(recent, shape_prefix + (self.recent_window,))
-        return np.sort(np.concatenate([picks, recent], axis=-1), axis=-1)
-
-    def initial_selection(self, layer_idx):
-        return self._random_selection(self.prompt_len, (self.batch_size, self.n_heads))
-
-    def step_selection(self, layer_idx, logits, probs, key_positions, step):
-        b, h, length = logits.shape
-        return self._random_selection(length, (b, h))

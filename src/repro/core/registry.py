@@ -7,12 +7,10 @@ from typing import Any
 from repro.core.config import CachePolicyConfig, KeyformerConfig
 from repro.core.keyformer import KeyformerPolicy
 from repro.core.policies import (
-    DilatedWindowPolicy,
     EvictionPolicy,
     FullAttentionPolicy,
     H2OPolicy,
     KeyAttentionPolicy,
-    RandomEvictionPolicy,
     StreamingLLMPolicy,
     WindowAttentionPolicy,
 )
@@ -22,11 +20,9 @@ __all__ = ["POLICIES", "make_policy"]
 POLICIES = (
     "full",
     "window",
-    "dilated-window",
     "key-only",
     "h2o",
     "streaming-llm",
-    "random",
     "keyformer",
 )
 
@@ -45,7 +41,7 @@ def make_policy(name: str, **kwargs: Any) -> EvictionPolicy:
 
     Budget options (``kv_fraction``, ``kv_budget``, ``recent_ratio``,
     ``positional_mode``, ``seed``, ...) are routed into the policy's config
-    dataclass; policy-specific options (``dilation``, ``n_sinks``, ``noise``,
+    dataclass; policy-specific options (``damping``, ``n_sinks``, ``noise``,
     ``tau_init``, ...) are routed to the policy constructor or Keyformer
     config as appropriate.
 
@@ -65,13 +61,6 @@ def make_policy(name: str, **kwargs: Any) -> EvictionPolicy:
         cfg_kwargs, rest = _split_kwargs(kwargs, _CONFIG_FIELDS)
         _reject_unknown(rest, key)
         return WindowAttentionPolicy(CachePolicyConfig(**cfg_kwargs) if cfg_kwargs else None)
-    if key == "dilated-window":
-        cfg_kwargs, rest = _split_kwargs(kwargs, _CONFIG_FIELDS)
-        dilation = rest.pop("dilation", 1)
-        _reject_unknown(rest, key)
-        return DilatedWindowPolicy(
-            CachePolicyConfig(**cfg_kwargs) if cfg_kwargs else None, dilation=dilation
-        )
     if key == "key-only":
         cfg_kwargs, rest = _split_kwargs(kwargs, _CONFIG_FIELDS)
         damping = rest.pop("damping", 1.0)
@@ -92,10 +81,6 @@ def make_policy(name: str, **kwargs: Any) -> EvictionPolicy:
         return StreamingLLMPolicy(
             CachePolicyConfig(**cfg_kwargs) if cfg_kwargs else None, n_sinks=n_sinks
         )
-    if key == "random":
-        cfg_kwargs, rest = _split_kwargs(kwargs, _CONFIG_FIELDS)
-        _reject_unknown(rest, key)
-        return RandomEvictionPolicy(CachePolicyConfig(**cfg_kwargs) if cfg_kwargs else None)
     if key == "keyformer":
         cfg_kwargs, rest = _split_kwargs(kwargs, _KEYFORMER_FIELDS)
         _reject_unknown(rest, key)

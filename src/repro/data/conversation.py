@@ -133,7 +133,15 @@ class ConversationDataset:
     def to_eval_prompts(
         self, tokenizer: WordTokenizer, limit: int | None = None
     ) -> list[tuple[list[int], str]]:
-        """(prompt_ids, reference_response) pairs for generation evaluation."""
+        """(prompt_ids, reference_response) pairs for generation evaluation.
+
+        ``limit`` takes the first examples; asking for more than the dataset
+        holds is a ``ValueError``, not a silently smaller evaluation.
+        """
+        if limit is not None and limit > len(self.examples):
+            raise ValueError(
+                f"limit {limit} exceeds the dataset's {len(self.examples)} examples"
+            )
         prompts = []
         for ex in self.examples[: limit or len(self.examples)]:
             prompt = (

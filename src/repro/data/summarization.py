@@ -159,7 +159,15 @@ class SummarizationDataset:
     def to_eval_prompts(
         self, tokenizer: WordTokenizer, limit: int | None = None
     ) -> list[tuple[list[int], str]]:
-        """Render examples as (prompt_ids, reference_summary) for generation."""
+        """Render examples as (prompt_ids, reference_summary) for generation.
+
+        ``limit`` takes the first examples; asking for more than the dataset
+        holds is a ``ValueError``, not a silently smaller evaluation.
+        """
+        if limit is not None and limit > len(self.examples):
+            raise ValueError(
+                f"limit {limit} exceeds the dataset's {len(self.examples)} examples"
+            )
         prompts = []
         for ex in self.examples[: limit or len(self.examples)]:
             prompt = (

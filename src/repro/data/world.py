@@ -55,13 +55,6 @@ class Fact:
         """Render the fact as a short declarative sentence."""
         return f"{self.entity} {self.relation} {self.value} ."
 
-    def question(self) -> str:
-        """Render the fact as a question whose answer is :attr:`value`."""
-        return f"what {self.relation} {self.entity} ?"
-
-    def answer(self) -> str:
-        return self.value
-
 
 class SyntheticWorld:
     """Deterministic generator of facts and filler text.

@@ -1,6 +1,6 @@
 """Autoregressive generation on top of the NumPy substrate with pluggable KV-cache policies."""
 
-from repro.generation.sampler import GreedySampler, TopKSampler, make_sampler
+from repro.generation.sampler import GreedySampler
 from repro.generation.generator import Generator, GenerationResult
 from repro.generation.beam import BeamSearch, BeamSearchResult
 from repro.generation.pipeline import (
@@ -12,8 +12,6 @@ from repro.generation.pipeline import (
 
 __all__ = [
     "GreedySampler",
-    "TopKSampler",
-    "make_sampler",
     "Generator",
     "GenerationResult",
     "BeamSearch",

@@ -28,7 +28,7 @@ from repro.kvcache.stats import CacheStats
 from repro.models.config import GenerationConfig
 from repro.models.tensor_ops import log_softmax
 from repro.models.transformer import DecoderLM
-from repro.generation.sampler import Sampler, make_sampler
+from repro.generation.sampler import GreedySampler, Sampler
 
 __all__ = ["Generator", "GenerationResult"]
 
@@ -124,14 +124,14 @@ class Generator:
         """Generate ``config.max_new_tokens`` tokens after the prompt.
 
         ``prompt_ids`` may be a single sequence or a batch of equal-length
-        sequences.  Generation is greedy unless ``config`` requests sampling
-        or a custom ``sampler`` is supplied.  Beam search lives in
+        sequences.  Generation is greedy unless a custom ``sampler`` is
+        supplied.  Beam search lives in
         :class:`repro.generation.beam.BeamSearch`.
         """
         config = config or GenerationConfig()
         prompt = self._as_batch(prompt_ids)
         batch_size = prompt.shape[0]
-        sampler = sampler or make_sampler(config.temperature, config.top_k, config.seed)
+        sampler = sampler or GreedySampler()
 
         logits, manager = self._prompt_forward(prompt, config.max_new_tokens)
         next_logits = logits[:, -1, :]

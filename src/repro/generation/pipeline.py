@@ -42,10 +42,6 @@ class EvaluationReport:
     peak_cache_length: int = 0
     n_examples: int = 0
 
-    def score(self, metric: str = "rouge2") -> float:
-        """Convenience accessor, e.g. ``report.score('rouge2')``."""
-        return self.rouge[metric]
-
 
 class GenerationEvaluator:
     """Generate continuations for (prompt, reference) pairs and score with ROUGE."""

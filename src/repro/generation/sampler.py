@@ -7,9 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.models.tensor_ops import softmax
-
-__all__ = ["Sampler", "GreedySampler", "TopKSampler", "make_sampler", "sample_rows"]
+__all__ = ["Sampler", "GreedySampler", "sample_rows"]
 
 
 class Sampler(ABC):
@@ -28,37 +26,12 @@ class GreedySampler(Sampler):
         return np.argmax(logits, axis=-1).astype(np.int64)
 
 
-class TopKSampler(Sampler):
-    """Temperature + top-k sampling."""
-
-    def __init__(self, top_k: int = 10, temperature: float = 1.0, seed: int = 0):
-        if top_k < 0:
-            raise ValueError("top_k must be non-negative (0 disables truncation)")
-        if temperature <= 0:
-            raise ValueError("temperature must be positive")
-        self.top_k = top_k
-        self.temperature = temperature
-        self.rng = np.random.default_rng(seed)
-
-    def __call__(self, logits: np.ndarray) -> np.ndarray:
-        logits = np.atleast_2d(np.asarray(logits, dtype=np.float64)) / self.temperature
-        if self.top_k:
-            k = min(self.top_k, logits.shape[-1])
-            thresholds = np.partition(logits, -k, axis=-1)[:, -k][:, None]
-            logits = np.where(logits < thresholds, -np.inf, logits)
-        probs = softmax(logits, axis=-1)
-        out = np.empty(probs.shape[0], dtype=np.int64)
-        for i, row in enumerate(probs):
-            out[i] = self.rng.choice(row.size, p=row)
-        return out
-
-
 def sample_rows(samplers: Sequence[Sampler], logits: np.ndarray) -> np.ndarray:
     """Sample one token per row, each row with its own sampler.
 
     Used by the continuous-batching engine: every in-flight request carries
-    its own sampler (and RNG stream), so stochastic sampling stays
-    bit-identical to running that request alone.  The all-greedy common case
+    its own sampler (greedy unless the caller passed one), so each row's
+    token is the one that request would sample alone.  The all-greedy case
     runs as a single batched argmax — ``np.argmax`` reduces each row
     independently, so the batched call matches per-row calls bit for bit.
     """
@@ -73,17 +46,3 @@ def sample_rows(samplers: Sequence[Sampler], logits: np.ndarray) -> np.ndarray:
     for row, sampler in enumerate(samplers):
         out[row] = sampler(logits[row : row + 1])[0]
     return out
-
-
-def make_sampler(
-    temperature: float = 1.0, top_k: int = 0, seed: int = 0
-) -> Sampler:
-    """Greedy when no randomness is requested, otherwise top-k sampling.
-
-    ``temperature == 0`` is the conventional spelling of greedy decoding
-    (the zero-temperature limit of softmax sampling is argmax), so it maps
-    to :class:`GreedySampler` regardless of ``top_k``.
-    """
-    if temperature == 0.0 or (top_k == 0 and temperature == 1.0):
-        return GreedySampler()
-    return TopKSampler(top_k=top_k or 0, temperature=temperature, seed=seed)

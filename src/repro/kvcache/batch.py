@@ -251,11 +251,6 @@ class BatchedLayerKVCache:
         return self.pool.d_head
 
     @property
-    def page_size(self) -> int:
-        """Tokens per KV page of the backing pool."""
-        return self.pool.page_size
-
-    @property
     def capacity(self) -> int:
         """Largest per-row allocated token span (whole pages)."""
         ps = self.pool.page_size

@@ -1169,7 +1169,15 @@ class KVStoreConfig:
         conversion.  ``n_pages``: ``None`` for growable pools, else >= 1;
         ``tier0_pages``: ``None`` without offload, else >= 2 (copy-on-write
         holds two pages).  Byte budgets divide by :meth:`page_bytes` (tier 0:
-        :meth:`tier0_frame_bytes`) of ``model_config``."""
+        :meth:`tier0_frame_bytes`) of ``model_config``, so they need one."""
+        if model_config is None and (
+            self.max_pool_bytes is not None or self.tier0_budget is not None
+        ):
+            raise ValueError(
+                "byte budgets (max_pool_bytes, tier0_budget) need the model's "
+                "geometry to price a page: pass n_pages/tier0_pages, or build "
+                "the serving engine, which resolves them from the model config"
+            )
         n_pages = tier0_pages = None
         if self.max_pool_tokens is not None:
             n_pages = max(pages_needed(self.max_pool_tokens, self.page_size), 1)

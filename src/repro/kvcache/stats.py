@@ -32,7 +32,7 @@ class CacheStats:
     #: reported by the backing pool's ``kv_token_nbytes`` — the storage
     #: dtype's size for full-precision pools, int8 codes plus amortized
     #: per-page scales for quantized ones.  0 means "not attached to a
-    #: store", in which case only the analytic fp16 numbers are reported.
+    #: store", in which case the ``*_actual`` readings are 0.
     kv_token_bytes: float = 0.0
 
     def record_step(self, lengths: list[int]) -> None:
@@ -79,22 +79,6 @@ class CacheStats:
         per_entry = 2 * self.n_heads * self.d_head * dtype_bytes
         return self.kv_entries_read() * per_entry * max(self.batch_size, 1)
 
-    def peak_kv_bytes(self, dtype_bytes: int = 2) -> int:
-        """Peak resident KV-cache size in bytes across all layers."""
-        per_entry = 2 * self.n_heads * self.d_head * dtype_bytes
-        return (
-            self.peak_cache_length()
-            * per_entry
-            * self.n_layers
-            * max(self.batch_size, 1)
-        )
-
-    def eviction_rate(self) -> float:
-        """Fraction of appended tokens that were eventually evicted."""
-        if self.total_appended == 0:
-            return 0.0
-        return self.total_evicted / self.total_appended
-
     def kv_bytes_read_actual(self) -> int:
         """Total bytes of KV data moved during generation at the *actual*
         storage cost per token (0 when no store was attached)."""
@@ -109,24 +93,3 @@ class CacheStats:
             * self.n_layers
             * max(self.batch_size, 1)
         )
-
-    def summary(self) -> dict:
-        """Dictionary summary for experiment reports.
-
-        ``kv_bytes_read_fp16`` keeps the paper's analytic fp16 convention;
-        the ``*_actual`` entries report what the backing store really moved
-        and held (and therefore shrink under ``kv_dtype="int8"``).
-        """
-        out = {
-            "n_steps": self.n_steps,
-            "mean_cache_length": self.mean_cache_length(),
-            "peak_cache_length": self.peak_cache_length(),
-            "kv_entries_read": self.kv_entries_read(),
-            "kv_bytes_read_fp16": self.kv_bytes_read(2),
-            "eviction_rate": self.eviction_rate(),
-        }
-        if self.kv_token_bytes:
-            out["kv_token_bytes"] = self.kv_token_bytes
-            out["kv_bytes_read_actual"] = self.kv_bytes_read_actual()
-            out["peak_kv_bytes_actual"] = self.peak_kv_bytes_actual()
-        return out

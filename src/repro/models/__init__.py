@@ -14,7 +14,6 @@ from repro.models.transformer import DecoderLM
 from repro.models.model_zoo import (
     MODEL_ZOO,
     get_model_config,
-    build_model,
     load_or_train,
 )
 
@@ -23,6 +22,5 @@ __all__ = [
     "DecoderLM",
     "MODEL_ZOO",
     "get_model_config",
-    "build_model",
     "load_or_train",
 ]

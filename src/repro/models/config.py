@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,31 +103,6 @@ class ModelConfig:
         dims = int(self.d_head * self.rope_fraction)
         return dims - (dims % 2)
 
-    def n_parameters(self) -> int:
-        """Approximate parameter count of a model built from this config."""
-        emb = self.vocab_size * self.d_model
-        pos = self.max_seq_len * self.d_model if self.positional == "learned" else 0
-        per_layer = (
-            4 * self.d_model * self.d_model  # q, k, v, o projections
-            + 4 * self.d_model  # projection biases
-            + 2 * self.d_model * self.d_ff  # feed-forward
-            + self.d_ff
-            + self.d_model
-            + 4 * self.d_model  # two layer norms (gamma + beta)
-        )
-        final_ln = 2 * self.d_model
-        head = 0 if self.tie_embeddings else self.vocab_size * self.d_model
-        return emb + pos + self.n_layers * per_layer + final_ln + head
-
-    def to_dict(self) -> dict[str, Any]:
-        """Serialize to a plain dictionary (JSON friendly)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ModelConfig":
-        """Build a config from :meth:`to_dict` output."""
-        return cls(**data)
-
 
 @dataclass
 class GenerationConfig:
@@ -139,33 +113,20 @@ class GenerationConfig:
     max_new_tokens:
         Number of tokens generated after the prompt.
     beam_size:
-        Beam width; ``1`` means greedy / sampling decoding.
-    temperature:
-        Softmax temperature used by samplers (not Keyformer's τ); ``0``
-        conventionally means greedy decoding (argmax).
-    top_k:
-        If positive, restrict sampling to the ``top_k`` most likely tokens.
+        Beam width; ``1`` means greedy decoding.
     eos_token_id:
         Optional end-of-sequence token id that terminates generation early.
     length_penalty:
         Beam-search length penalty exponent (>1 favors longer sequences).
-    seed:
-        Seed for stochastic samplers.
     """
 
     max_new_tokens: int = 32
     beam_size: int = 1
-    temperature: float = 1.0
-    top_k: int = 0
     eos_token_id: int | None = None
     length_penalty: float = 1.0
-    seed: int = 0
-    extras: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.max_new_tokens <= 0:
             raise ValueError("max_new_tokens must be positive")
         if self.beam_size <= 0:
             raise ValueError("beam_size must be positive")
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative (0 means greedy)")

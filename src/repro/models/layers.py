@@ -86,10 +86,6 @@ class Module:
             child.to_dtype(dtype)
         return self
 
-    def n_parameters(self) -> int:
-        """Total number of scalar parameters in this module tree."""
-        return sum(p.size for _, p in self.named_parameters())
-
     def state_dict(self) -> dict[str, np.ndarray]:
         """Return a flat ``name -> array`` mapping of all parameters."""
         return {name: param.copy() for name, param in self.named_parameters()}

@@ -20,7 +20,7 @@ import numpy as np
 from repro.models.config import ModelConfig
 from repro.models.transformer import DecoderLM
 
-__all__ = ["ZooEntry", "MODEL_ZOO", "get_model_config", "build_model", "load_or_train"]
+__all__ = ["ZooEntry", "MODEL_ZOO", "get_model_config", "load_or_train"]
 
 DEFAULT_CACHE_DIR = Path(
     os.environ.get("KEYFORMER_REPRO_CACHE", Path.cwd() / ".cache" / "models")
@@ -128,11 +128,6 @@ def get_model_config(name: str, vocab_size: int) -> ModelConfig:
         positional=entry.positional,
         name=name,
     )
-
-
-def build_model(name: str, vocab_size: int, seed: int = 0) -> DecoderLM:
-    """Instantiate an untrained model from the zoo."""
-    return DecoderLM(get_model_config(name, vocab_size), seed=seed)
 
 
 # ----------------------------------------------------------------------

@@ -54,8 +54,7 @@ exception in one row's step is **quarantined** — only that row retires
 (:attr:`FinishReason.ERROR`) or is retried through the preempt-and-restart
 machinery with deterministic step-based backoff, while the surviving rows
 replay the step bit-exactly from copy-on-write snapshots — and per-request
-step-count deadlines (:attr:`FinishReason.TIMEOUT`), load-shedding admission
-(:attr:`FinishReason.SHED`) and an
+step-count deadlines (:attr:`FinishReason.TIMEOUT`) and an
 :class:`~repro.serving.faults.EngineWatchdog` bound how long anything can go
 wrong quietly.  :meth:`ContinuousBatchingEngine.check_invariants` audits the
 paged store's refcounts against every live page-table reference.
@@ -71,7 +70,7 @@ import numpy as np
 
 from repro.core.policies import EvictionPolicy, FullAttentionPolicy
 from repro.generation.generator import GenerationResult, Generator
-from repro.generation.sampler import GreedySampler, Sampler, make_sampler, sample_rows
+from repro.generation.sampler import GreedySampler, Sampler, sample_rows
 from repro.kvcache.batch import BatchedCacheManager
 from repro.kvcache.paged import (
     KVStoreConfig,
@@ -123,8 +122,6 @@ class EngineConfig(KVStoreConfig):
     retry_backoff_steps: int = 4
     #: Default end-to-end step deadline (``FinishReason.TIMEOUT``).
     deadline_steps: int | None = None
-    #: Shed submissions once the queue is this deep and the fixed pool is pressed.
-    shed_queue_depth: int | None = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -133,9 +130,8 @@ class EngineConfig(KVStoreConfig):
         for knob in ("max_retries", "retry_backoff_steps"):
             if getattr(self, knob) < 0:
                 raise ValueError(f"{knob} must be non-negative")
-        for knob in ("deadline_steps", "shed_queue_depth"):
-            if getattr(self, knob) is not None and getattr(self, knob) <= 0:
-                raise ValueError(f"{knob} must be positive (or None)")
+        if self.deadline_steps is not None and self.deadline_steps <= 0:
+            raise ValueError("deadline_steps must be positive (or None)")
 
     def build_scheduler(self, scheduler_cls: type[FCFSScheduler] = PagedScheduler):
         """A fresh ``scheduler_cls`` sized by this config."""
@@ -299,8 +295,6 @@ class ContinuousBatchingEngine:
         self.n_retries = 0
         #: Requests retired with :attr:`FinishReason.TIMEOUT`.
         self.n_timeouts = 0
-        #: Requests refused at submission with :attr:`FinishReason.SHED`.
-        self.n_shed = 0
         #: Per-layer pool pages / tier-0 frames the budgets resolve to
         #: (``None``: growable pools / no offload).
         self._n_pages, self.tier0_pages = config.resolve_pages(model.config)
@@ -364,9 +358,8 @@ class ContinuousBatchingEngine:
     ) -> RequestState:
         """Queue one request; returns its state handle (results after finish).
 
-        ``deadline_steps`` overrides the engine default for this request; the
-        submission may also be refused outright (``FinishReason.SHED``) when
-        load shedding is configured and the engine is saturated.
+        ``deadline_steps`` overrides the engine default for this request.
+        Without a ``sampler`` the request decodes greedily.
         ``priority`` is the request's SLO tier (higher = more urgent); it
         only matters under a :class:`~repro.serving.slo.PriorityScheduler`
         and never affects what the request generates.
@@ -389,19 +382,13 @@ class ContinuousBatchingEngine:
                 "max_pool_tokens or shorten prompt/max_new_tokens"
             )
         self._next_id += 1
-        sampler_factory = None
-        if sampler is None:
-            sampler_factory = lambda: make_sampler(
-                config.temperature, config.top_k, config.seed
-            )
-            sampler = sampler_factory()
+        sampler = sampler or GreedySampler()
         policy = policy or self.policy_factory()
         if self.config.speculation is not None:
             if not isinstance(sampler, GreedySampler):
                 raise ValueError(
                     "speculative serving verifies greedily; submit greedy "
-                    "requests (temperature 0, or temperature 1 with "
-                    "top_k 0) or disable speculation"
+                    "requests or disable speculation"
                 )
             if not isinstance(policy, FullAttentionPolicy):
                 raise ValueError(
@@ -412,40 +399,13 @@ class ContinuousBatchingEngine:
             request=request,
             sampler=sampler,
             policy=policy,
-            sampler_factory=sampler_factory,
             deadline_steps=(
                 deadline_steps if deadline_steps is not None else self.config.deadline_steps
             ),
             submitted_step=self.step_count,
         )
-        if self._should_shed():
-            self.n_shed += 1
-            self._finish_unjoined(state, FinishReason.SHED)
-            return state
         self.scheduler.submit(state)
         return state
-
-    def _should_shed(self) -> bool:
-        """Load-shedding admission check: deep queue *and* pool pressure."""
-        if self.config.shed_queue_depth is None:
-            return False
-        if len(self.scheduler) < self.config.shed_queue_depth:
-            return False
-        return self._pool_pressed()
-
-    def _pool_pressed(self) -> bool:
-        """True when the fixed pool is below the scheduler's admission
-        watermark (counting reclaimable registry pages) — the same headroom
-        rule :class:`PagedScheduler` admits against."""
-        if self._manager is None:
-            return False
-        store = self._manager.store
-        if store.growable:
-            return False
-        reclaimable = self._manager.registry.reclaimable_pages()
-        watermark = getattr(self.scheduler, "watermark", 0.1)
-        headroom = max(int(watermark * store.pools[0].n_pages), 1)
-        return store.min_free_pages() + reclaimable <= headroom
 
     def abort(self, request_id: int) -> bool:
         """Cancel a request wherever it currently lives.
@@ -598,7 +558,7 @@ class ContinuousBatchingEngine:
     # fault tolerance: deadlines, retries, quarantine
     # ------------------------------------------------------------------
     def _finish_unjoined(self, state: RequestState, reason: FinishReason) -> None:
-        """Finish a request that never held a cache row (shed, queued-abort,
+        """Finish a request that never held a cache row (queued-abort,
         queued-timeout, final prefill failure) — nothing to release."""
         state.status = RequestStatus.FINISHED
         state.finish_reason = reason
@@ -1460,7 +1420,6 @@ class ContinuousBatchingEngine:
             "faults": self.n_faults,
             "retries": self.n_retries,
             "timeouts": self.n_timeouts,
-            "shed": self.n_shed,
             "preemptions": self.n_preemptions,
             "faults_fired": len(self.faults.fired) if self.faults is not None else 0,
         }

@@ -1,19 +1,19 @@
 """Request model for the continuous-batching serving engine.
 
 A :class:`Request` is the immutable description of one generation job — the
-prompt, the decoding budget and the sampling configuration.  The engine wraps
+prompt, the decoding budget and the SLO tier.  The engine wraps
 it in a :class:`RequestState` that tracks the mutable per-request machinery:
-lifecycle status, the request's own sampler and eviction-policy instances
+lifecycle status, the request's sampler and its own eviction-policy instance
 (per-request instances are what make batched execution bit-identical to solo
-execution — policy score accumulators and sampler RNG streams never mix
-between requests), generated tokens and accumulated log-probability.
+execution — policy score accumulators never mix between requests), generated
+tokens and accumulated log-probability.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,9 +42,8 @@ class FinishReason(enum.Enum):
     ``EOS`` and ``LENGTH`` are the normal completions.  The rest form the
     error taxonomy of the fault-tolerance layer (``docs/robustness.md``):
     ``ABORTED`` is a client cancellation, ``ERROR`` a quarantined exception
-    (message and traceback preserved on the state), ``TIMEOUT`` a missed
-    step-count deadline, and ``SHED`` a request refused at admission under
-    queue-depth + pool-pressure overload.
+    (message and traceback preserved on the state), and ``TIMEOUT`` a missed
+    step-count deadline.
     """
 
     EOS = "eos"  # sampled the end-of-sequence token
@@ -52,7 +51,6 @@ class FinishReason(enum.Enum):
     ABORTED = "aborted"  # cancelled by the client before finishing
     ERROR = "error"  # quarantined after an unrecovered exception in its row
     TIMEOUT = "timeout"  # exceeded its step-count deadline
-    SHED = "shed"  # load-shed at submission (queue depth + pool pressure)
 
 
 @dataclass(frozen=True)
@@ -63,9 +61,6 @@ class Request:
     prompt_ids: np.ndarray  # shape (1, T), int64
     max_new_tokens: int = 32
     eos_token_id: int | None = None
-    temperature: float = 1.0
-    top_k: int = 0
-    seed: int = 0
     #: SLO tier — higher values are more urgent.  Priority affects *when* a
     #: request is admitted (and which running request a
     #: :class:`~repro.serving.slo.PriorityScheduler` preempts under
@@ -107,9 +102,6 @@ class Request:
             prompt_ids=prompt,
             max_new_tokens=config.max_new_tokens,
             eos_token_id=config.eos_token_id,
-            temperature=config.temperature,
-            top_k=config.top_k,
-            seed=config.seed,
             priority=priority,
         )
 
@@ -131,11 +123,6 @@ class RequestState:
     finish_reason: FinishReason | None = None
     cache_stats: "CacheStats | None" = None
     n_steps: int = 0
-    #: Rebuilds a bit-identical fresh sampler after preemption (set by the
-    #: engine when it constructed the sampler itself; a caller-supplied
-    #: sampler instance is reused as-is and must be stateless to be safely
-    #: preemptible).
-    sampler_factory: "Callable[[], Sampler] | None" = None
     #: Times this request was preempted back to the queue (pages reclaimed).
     preemptions: int = 0
     #: Engine-internal admission sequence number (newest admitted is the
@@ -193,9 +180,10 @@ class RequestState:
         """Discard all generated state so the request restarts from scratch.
 
         The eviction policy is re-``setup`` at join and the sampler is
-        rebuilt from its factory, so the rerun is bit-identical to an
-        uninterrupted run — a restart can change *when* a request finishes,
-        never *what* it generates.
+        reused as-is (it must be stateless, as
+        :class:`~repro.generation.sampler.GreedySampler` is), so the rerun is
+        bit-identical to an uninterrupted run — a restart can change *when* a
+        request finishes, never *what* it generates.
         """
         self.tokens.clear()
         self.total_logprob = 0.0
@@ -209,8 +197,6 @@ class RequestState:
         self.n_steps = 0
         self.admitted_seq = -1
         self.first_token_step = None
-        if self.sampler_factory is not None:
-            self.sampler = self.sampler_factory()
 
     def reset_for_requeue(self) -> None:
         """Return to the queued state after preemption."""

@@ -304,17 +304,14 @@ class _ReplicaServer:
         }
 
     def _cmd_submit(self, prompt, config, priority, deadline_steps) -> dict:
-        """Queue one request; reply carries the replica-local id (and the
-        retirement payload immediately when the engine shed it)."""
+        """Queue one request; reply carries the replica-local id."""
         state = self.engine.submit(
             prompt, config, deadline_steps=deadline_steps, priority=priority
         )
         lid = state.request_id
-        if state.finished:  # shed at admission
-            return {"local_id": lid, "finished": self._retire_payload(state)}
         self._handles[lid] = state
         self._sent[lid] = 0
-        return {"local_id": lid, "finished": None}
+        return {"local_id": lid}
 
     def _cmd_step(self) -> dict:
         """One engine step; reply streams token deltas and retirements.
@@ -709,12 +706,7 @@ class ShardedEngine:
         priority: int = 0,
         deadline_steps: int | None = None,
     ) -> ShardedRequest:
-        """Route one request to a replica; returns its front-end handle.
-
-        Same contract as the solo engine's ``submit``: the handle may come
-        back already finished (``FinishReason.SHED``) when the target
-        replica refuses it at admission.
-        """
+        """Route one request to a replica; returns its front-end handle."""
         config = config or GenerationConfig()
         request = Request.from_config(
             self._next_id, prompt_ids, config, priority=int(priority)
@@ -741,9 +733,6 @@ class ShardedEngine:
             return
         handle.replica = target
         handle.local_id = reply["local_id"]
-        if reply["finished"] is not None:  # shed at admission
-            self._finalize(handle, reply["finished"])
-            return
         handle.status = RequestStatus.QUEUED
         self._handles[handle.request_id] = handle
         self._local_to_global[(target, reply["local_id"])] = handle.request_id

@@ -315,7 +315,7 @@ class LatencyReport:
         """Fraction of *all submitted* requests that completed within SLO.
 
         1.0 without an :class:`SLOSpec` only if everything completed
-        normally; sheds, timeouts and errors always count against goodput.
+        normally; aborts, timeouts and errors always count against goodput.
         """
         if not self.records:
             return 0.0

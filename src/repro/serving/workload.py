@@ -361,8 +361,6 @@ def replay_trace(
     trace: Trace,
     cost_model: "StepCostModel",
     slo: SLOSpec | None = None,
-    temperature: float = 0.0,
-    seed: int = 0,
 ) -> ReplayResult:
     """Drive an engine front-end through ``trace`` in virtual step-time.
 
@@ -383,13 +381,11 @@ def replay_trace(
     multi-replica :class:`~repro.serving.sharded.ShardedEngine` do (for the
     sharded front-end a step's cost is the *max* over its replicas' costs —
     replicas run in parallel, so the wall clock follows the slowest one).
-
-    ``temperature``/``seed`` set the per-request sampling config (greedy by
-    default, which makes replay output independent of the sampling seed).
+    Every request decodes greedily.
     """
     events = sorted(trace.events, key=lambda e: (e.arrival_time,))
-    # step index -> virtual time at which that step *completed*.  Step 0 is
-    # "before any step" so submissions shed at admission still resolve.
+    # step index -> virtual time at which that step *completed*; the entry
+    # for the starting step is "before any step".
     step_time: dict[int, float] = {engine.step_count: 0.0}
     vtime = 0.0
     submit_times: dict[int, float] = {}
@@ -401,11 +397,7 @@ def replay_trace(
             step_time[engine.step_count] = vtime
         while i < len(events) and events[i].arrival_time <= vtime:
             ev = events[i]
-            cfg = GenerationConfig(
-                max_new_tokens=ev.max_new_tokens,
-                temperature=temperature,
-                seed=seed,
-            )
+            cfg = GenerationConfig(max_new_tokens=ev.max_new_tokens)
             state = engine.submit(list(ev.prompt_ids), cfg, priority=ev.priority)
             submit_times[state.request_id] = float(ev.arrival_time)
             states.append(state)

@@ -103,7 +103,3 @@ class Vocabulary:
                 continue
             out.append(self.id_to_token(idx))
         return out
-
-    def tokens(self) -> list[str]:
-        """All token strings ordered by id."""
-        return list(self._id_to_token)

@@ -66,10 +66,3 @@ class WordTokenizer:
         """Decode token ids back to a whitespace-joined string."""
         tokens = self.vocab.decode_ids([int(i) for i in ids], skip_special=skip_special)
         return " ".join(tokens)
-
-    def pad(self, ids: Sequence[int], length: int, left: bool = False) -> np.ndarray:
-        """Pad (or truncate) ``ids`` to exactly ``length`` using the pad id."""
-        ids = list(ids)[:length]
-        padding = [self.vocab.pad_id] * (length - len(ids))
-        padded = padding + ids if left else ids + padding
-        return np.asarray(padded, dtype=np.int64)

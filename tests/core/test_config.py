@@ -54,12 +54,6 @@ class TestCachePolicyConfig:
         with pytest.raises(ValueError):
             config.resolve_recent_window(0)
 
-    def test_to_dict_round_trip(self):
-        config = CachePolicyConfig(kv_fraction=0.7, recent_ratio=0.2)
-        data = config.to_dict()
-        assert data["kv_fraction"] == 0.7
-        assert CachePolicyConfig(**data) == config
-
 
 class TestKeyformerConfig:
     def test_defaults_match_paper(self):

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from repro.core.config import CachePolicyConfig
 from repro.core.policies import (
-    DilatedWindowPolicy,
     FullAttentionPolicy,
     H2OPolicy,
     KeyAttentionPolicy,
-    RandomEvictionPolicy,
     StreamingLLMPolicy,
     WindowAttentionPolicy,
     mixed_topk_selection,
@@ -121,19 +119,6 @@ class TestWindowAttention:
         assert policy.step_selection(0, step_logits, step_logits, None, 1) is None
 
 
-class TestDilatedWindow:
-    def test_stride_pattern(self, rng):
-        policy = setup_policy(DilatedWindowPolicy(CachePolicyConfig(kv_fraction=0.25), dilation=1))
-        logits, probs = prompt_tensors(rng)
-        selection = initial(policy, probs, logits)
-        # Budget 5, dilation 1 -> every other token counting back from 19.
-        np.testing.assert_array_equal(selection[0, 0], [11, 13, 15, 17, 19])
-
-    def test_invalid_dilation(self):
-        with pytest.raises(ValueError):
-            DilatedWindowPolicy(dilation=-1)
-
-
 class TestH2O:
     def test_keeps_heavy_hitters(self, rng):
         policy = setup_policy(H2OPolicy(CachePolicyConfig(kv_fraction=0.5, recent_ratio=0.5)))
@@ -186,17 +171,6 @@ class TestStreamingLLM:
             StreamingLLMPolicy(n_sinks=-1)
 
 
-class TestRandomEviction:
-    def test_selection_valid_and_deterministic_per_seed(self, rng):
-        policy_a = setup_policy(RandomEvictionPolicy(CachePolicyConfig(kv_fraction=0.5, seed=3)))
-        policy_b = setup_policy(RandomEvictionPolicy(CachePolicyConfig(kv_fraction=0.5, seed=3)))
-        logits, probs = prompt_tensors(rng)
-        sel_a = initial(policy_a, probs, logits)
-        sel_b = initial(policy_b, probs, logits)
-        np.testing.assert_array_equal(sel_a, sel_b)
-        assert sel_a.shape[-1] == policy_a.budget
-
-
 class TestRegistry:
     @pytest.mark.parametrize("name", POLICIES)
     def test_make_all_policies(self, name):
@@ -205,16 +179,17 @@ class TestRegistry:
 
     def test_policy_specific_kwargs(self):
         assert make_policy("streaming-llm", n_sinks=2).n_sinks == 2
-        assert make_policy("dilated-window", dilation=3).dilation == 3
+        assert make_policy("key-only", damping=0.5).damping == 0.5
         assert make_policy("keyformer", tau_end=4.0).config.tau_end == 4.0
 
-    def test_unknown_policy(self):
+    @pytest.mark.parametrize("name", ["topk-magic", "dilated-window", "random"])
+    def test_unknown_policy(self, name):
         with pytest.raises(KeyError):
-            make_policy("topk-magic")
+            make_policy(name)
 
     def test_unknown_option_rejected(self):
         with pytest.raises(TypeError):
-            make_policy("window", dilation=2)
+            make_policy("window", n_sinks=2)
 
     def test_describe_contains_budget(self):
         policy = make_policy("h2o", kv_fraction=0.4)

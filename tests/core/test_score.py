@@ -348,3 +348,19 @@ class TestAddressableNoise:
         score_prompt(score, 0, logits)
         score.noise.draw(np.empty(logits.shape), reference.rng)
         assert score.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+def test_copies_and_pickles_leave_the_scratch_behind():
+    """A serving row's policy is deep-copied into every step snapshot: the
+    copy must not carry (or share) the noisy softmax's scratch buffers, and
+    the noise it will draw stays the same."""
+    import copy
+    import pickle
+
+    score = KeyformerScore(seed=5, max_positions=32)
+    score._scratch["buf"] = np.ones(8)
+    for clone in (copy.deepcopy(score), pickle.loads(pickle.dumps(score))):
+        assert clone._scratch == {}
+        np.testing.assert_array_equal(clone.zeta, score.zeta)
+        assert clone.rng.bit_generator.state == score.rng.bit_generator.state
+    assert "buf" in score._scratch

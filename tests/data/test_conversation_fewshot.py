@@ -37,6 +37,11 @@ class TestConversation:
         assert len(prompts) == 2
         assert prompts[0][0][-1] == tokenizer.vocab.sep_id
 
+    def test_eval_prompts_limit_beyond_dataset_rejected(self, dataset, tokenizer):
+        assert len(dataset.to_eval_prompts(tokenizer, limit=8)) == 8
+        with pytest.raises(ValueError, match="limit 64 exceeds the dataset's 8 examples"):
+            dataset.to_eval_prompts(tokenizer, limit=64)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ConversationConfig(n_examples=0)

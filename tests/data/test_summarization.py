@@ -73,6 +73,13 @@ class TestTokenization:
             assert prompt_ids[-1] == tokenizer.vocab.sep_id
             assert isinstance(reference, str) and reference
 
+    def test_eval_prompts_limit_beyond_dataset_rejected(self, dataset, tokenizer):
+        n = len(dataset)
+        assert len(dataset.to_eval_prompts(tokenizer, limit=n)) == n
+        assert len(dataset.to_eval_prompts(tokenizer)) == n
+        with pytest.raises(ValueError, match=f"limit {n + 1} exceeds the dataset's {n} examples"):
+            dataset.to_eval_prompts(tokenizer, limit=n + 1)
+
     def test_summary_lengths(self, dataset, tokenizer):
         lengths = dataset.summary_lengths(tokenizer)
         assert len(lengths) == len(dataset)

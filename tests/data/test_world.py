@@ -4,11 +4,9 @@ from repro.data.world import Fact, SyntheticWorld
 
 
 class TestFact:
-    def test_sentence_and_question(self):
+    def test_sentence(self):
         fact = Fact("alice", "likes", "chess")
         assert fact.sentence() == "alice likes chess ."
-        assert fact.question() == "what likes alice ?"
-        assert fact.answer() == "chess"
 
 
 class TestSyntheticWorld:

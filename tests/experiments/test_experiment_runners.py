@@ -7,6 +7,8 @@ model zoo; the benchmark harness runs the same runners against the trained
 models to regenerate the paper's numbers.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,7 +44,7 @@ def context():
     for name in MODEL_ZOO:
         config = get_model_config(name, vocab_size=ctx.tokenizer.vocab_size)
         # Shrink for speed; the runners only need a working model.
-        config = type(config)(**{**config.to_dict(), "d_model": 32, "d_ff": 64})
+        config = dataclasses.replace(config, d_model=32, d_ff=64)
         ctx._models[name] = DecoderLM(config, seed=0)
     return ctx
 

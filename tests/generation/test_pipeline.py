@@ -34,11 +34,6 @@ class TestGenerationEvaluator:
         assert report.policy["policy"] == "window"
         assert report.mean_cache_length > 0
 
-    def test_score_accessor(self, pipeline_model, tokenizer, small_summarization):
-        evaluator = SummarizationPipeline(pipeline_model, tokenizer)
-        report = evaluator.evaluate_dataset(small_summarization, limit=1, max_new_tokens=4)
-        assert report.score("rouge2") == report.rouge["rouge2"]
-
     def test_conversation_pipeline(self, pipeline_model, tokenizer, small_conversation):
         evaluator = ConversationPipeline(pipeline_model, tokenizer)
         report = evaluator.evaluate_dataset(

@@ -118,8 +118,7 @@ class TestDecodeFlow:
         assert stats.total_evicted > 0
         assert stats.kv_entries_read() == sum(sum(step) for step in stats.lengths_per_step)
         assert stats.peak_cache_length() == 7
-        summary = stats.summary()
-        assert summary["n_steps"] == 3
+        assert stats.n_steps == 3
 
     def test_shared_selection_applies_to_all_layers(self, rng):
         policy = KeyformerPolicy(KeyformerConfig(kv_fraction=0.5, shared_score=True))

@@ -27,22 +27,23 @@ class TestCacheStats:
 
     def test_peak_bytes(self):
         stats = self.make()
-        assert stats.peak_kv_bytes(2) == 12 * 128 * 2  # peak length * per-entry * layers
-
-    def test_eviction_rate(self):
-        stats = self.make()
-        stats.total_appended = 100
-        stats.total_evicted = 25
-        assert stats.eviction_rate() == 0.25
+        assert stats.peak_kv_bytes_actual() == 0  # no store attached
+        stats.kv_token_bytes = 128.0
+        assert stats.peak_kv_bytes_actual() == 12 * 128 * 2  # peak length * per-token * layers
+        assert stats.kv_bytes_read_actual() == stats.kv_entries_read() * 128
 
     def test_empty_stats(self):
         stats = CacheStats()
         assert stats.mean_cache_length() == 0.0
         assert stats.peak_cache_length() == 0
         assert stats.kv_entries_read() == 0
-        assert stats.eviction_rate() == 0.0
+        assert stats.peak_kv_bytes_actual() == 0
 
-    def test_summary_keys(self):
-        summary = self.make().summary()
-        for key in ("n_steps", "mean_cache_length", "peak_cache_length", "kv_entries_read"):
-            assert key in summary
+    def test_backdated_steps_end_at_the_final_lengths(self):
+        """A verify commit of 3 tokens records the 3 steps leading up to the
+        lengths the cache holds now, one token shorter per step back."""
+        stats = CacheStats(n_layers=2)
+        stats.record_backdated_steps([10, 12], 3)
+        assert stats.lengths_per_step == [[8, 10], [9, 11], [10, 12]]
+        stats.record_backdated_steps([11, 13], 1)
+        assert stats.n_steps == 4 and stats.lengths_per_step[-1] == [11, 13]

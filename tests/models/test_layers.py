@@ -124,4 +124,4 @@ class TestModuleTree:
     def test_n_parameters(self, rng):
         module = self._Composite(rng)
         expected = (3 * 3 + 3) + (3 + 3) + (3 * 2 + 2) + (2 * 3 + 3)
-        assert module.n_parameters() == expected
+        assert sum(p.size for _, p in module.named_parameters()) == expected

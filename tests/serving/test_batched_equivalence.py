@@ -123,20 +123,6 @@ class TestBatchEqualsSequential:
         ).generate_batch(prompts, config, sampler=GreedySampler())
         assert_identical(sequential, batched)
 
-    def test_stochastic_sampling_per_request_rngs(self):
-        """Per-request samplers keep top-k sampling bit-identical to solo runs."""
-        model = make_model("rope")
-        prompts = make_prompts()
-        config = GenerationConfig(max_new_tokens=12, temperature=0.9, top_k=8, seed=3)
-        sequential = [
-            Generator(model, FullAttentionPolicy()).generate(p, config)
-            for p in prompts
-        ]
-        batched = BatchedGenerator(
-            model, policy_factory=FullAttentionPolicy, max_batch_size=4
-        ).generate_batch(prompts, config)
-        assert_identical(sequential, batched)
-
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("positional", ["rope", "alibi", "learned"])
     @pytest.mark.parametrize("policy", sorted(POLICY_FACTORIES))

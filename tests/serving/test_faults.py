@@ -1,6 +1,6 @@
 """Unit tests for the fault-tolerance layer: injector determinism and replay,
-watchdog livelock detection, deadlines, retries, load shedding and the
-engine's pool-integrity audit."""
+watchdog livelock detection, deadlines, retries and the engine's
+pool-integrity audit."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from repro.serving.faults import (
     InjectedFault,
     LivelockError,
 )
-from repro.serving.request import FinishReason, RequestStatus
+from repro.serving.request import FinishReason
 
 VOCAB = 96
 
@@ -176,7 +176,7 @@ class TestEngineWatchdog:
 
 
 # ----------------------------------------------------------------------
-# Engine: deadlines, retries, shedding, quarantine, auditing
+# Engine: deadlines, retries, quarantine, auditing
 # ----------------------------------------------------------------------
 class TestDeadlines:
     def test_running_request_times_out(self):
@@ -362,55 +362,6 @@ class TestQuarantine:
         reference = solo(model, prompt, GenerationConfig(max_new_tokens=6))
         assert state.tokens == reference.sequences[0]
         assert engine.check_invariants() == []
-
-
-class TestShedding:
-    def test_shed_requires_queue_depth_and_pool_pressure(self):
-        model = make_model()
-        engine = ContinuousBatchingEngine(
-            model,
-            max_batch_size=1,
-            max_pool_tokens=256,
-            shed_queue_depth=2,
-        )
-        rng = np.random.default_rng(10)
-        config = GenerationConfig(max_new_tokens=96)
-        prompts = prompts_for(rng, 6, length=48)
-        first = engine.submit(prompts[0], config, sampler=GreedySampler())
-        # Run a few steps so the lone row grows into the fixed pool.
-        for _ in range(80):
-            engine.step()
-        queued = [
-            engine.submit(p, config, sampler=GreedySampler()) for p in prompts[1:5]
-        ]
-        # Queue is deep; whether the last submission sheds depends on pool
-        # pressure, which the long-running row has built up by now.
-        late = engine.submit(prompts[5], config, sampler=GreedySampler())
-        if engine.n_shed:
-            assert late.finish_reason is FinishReason.SHED
-            assert late.status is RequestStatus.FINISHED
-            assert late.tokens == []
-        engine.run()
-        assert first.finish_reason is FinishReason.LENGTH
-        for state in queued:
-            assert state.finish_reason is FinishReason.LENGTH
-
-    def test_no_shedding_on_growable_store(self):
-        model = make_model()
-        engine = ContinuousBatchingEngine(model, max_batch_size=1, shed_queue_depth=1)
-        rng = np.random.default_rng(11)
-        config = GenerationConfig(max_new_tokens=4)
-        states = [
-            engine.submit(p, config, sampler=GreedySampler())
-            for p in prompts_for(rng, 4)
-        ]
-        engine.run()
-        assert engine.n_shed == 0
-        assert all(s.finish_reason is FinishReason.LENGTH for s in states)
-
-    def test_shed_validation(self):
-        with pytest.raises(ValueError):
-            ContinuousBatchingEngine(make_model(), shed_queue_depth=0)
 
 
 class TestAuditingAndTelemetry:

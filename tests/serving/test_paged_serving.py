@@ -12,12 +12,13 @@ from repro.core.config import CachePolicyConfig, KeyformerConfig
 from repro.core.keyformer import KeyformerPolicy
 from repro.core.policies import FullAttentionPolicy, H2OPolicy, WindowAttentionPolicy
 from repro.generation.generator import Generator
-from repro.generation.sampler import GreedySampler
+from repro.generation.sampler import GreedySampler, Sampler
+from repro.kvcache.batch import BatchedCacheManager
 from repro.kvcache.paged import PoolExhausted
 from repro.models.config import GenerationConfig, ModelConfig
 from repro.models.transformer import DecoderLM
 from repro.serving.engine import BatchedGenerator, ContinuousBatchingEngine, EngineConfig
-from repro.serving.request import FinishReason, RequestStatus
+from repro.serving.request import FinishReason, Request, RequestStatus
 from repro.serving.scheduler import PagedScheduler
 from repro.serving.sharded import ReplicaSpec
 from repro.speculative import SpeculationConfig
@@ -223,6 +224,59 @@ class TestPreemption:
             assert state.tokens == reference.sequences[0]
             assert state.result().log_probs == reference.log_probs
 
+    def _preempting_engine(self, model):
+        return ContinuousBatchingEngine(
+            model,
+            policy_factory=FullAttentionPolicy,
+            max_batch_size=4,
+            max_pool_tokens=256,
+            enable_prefix_sharing=False,
+        )
+
+    def _prompts(self):
+        rng = np.random.default_rng(6)
+        return [rng.integers(0, VOCAB, size=n).astype(np.int64) for n in (60, 55, 70, 50)]
+
+    def test_default_sampler_is_greedy_and_survives_preemption(self):
+        """Without a sampler a request decodes greedily, and a preempted
+        request restarts with the very same (stateless) sampler object."""
+        model = make_model()
+        prompts = self._prompts()
+        config = GenerationConfig(max_new_tokens=24)
+        engine = self._preempting_engine(model)
+        states = [engine.submit(p, config) for p in prompts]
+        samplers = [state.sampler for state in states]
+        assert all(type(sampler) is GreedySampler for sampler in samplers)
+        engine.run()
+        assert any(state.preemptions for state in states)
+        assert all(state.sampler is sampler for state, sampler in zip(states, samplers))
+        for state, prompt in zip(states, prompts):
+            reference = solo(model, FullAttentionPolicy, prompt, config)
+            assert state.tokens == reference.sequences[0]
+            assert state.result().log_probs == reference.log_probs
+
+    def test_caller_sampler_decides_every_row_across_preemption(self):
+        """A caller's own stateless sampler picks that row's tokens, restarts
+        included: the output is what ``Generator`` samples with it alone."""
+
+        class Lowest(Sampler):
+            def __call__(self, logits):
+                return np.argmin(np.atleast_2d(logits), axis=-1).astype(np.int64)
+
+        model = make_model()
+        prompts = self._prompts()
+        config = GenerationConfig(max_new_tokens=24)
+        engine = self._preempting_engine(model)
+        states = [engine.submit(p, config, sampler=Lowest()) for p in prompts]
+        engine.run()
+        assert any(state.preemptions for state in states)
+        for state, prompt in zip(states, prompts):
+            want = Generator(model, FullAttentionPolicy()).generate(
+                prompt, config, sampler=Lowest()
+            )
+            assert state.tokens == want.sequences[0]
+            assert state.result().log_probs == want.log_probs
+
     def test_preemption_preserves_fcfs_completion_order(self):
         """Older requests are never the victim: with equal budgets they finish
         no later than the requests admitted after them."""
@@ -399,7 +453,6 @@ NON_DEFAULT_KNOBS = dict(
     max_retries=2,
     retry_backoff_steps=1,
     deadline_steps=500,
-    shed_queue_depth=9,
 )
 
 #: (knobs, message) — every combination the one ``__post_init__`` rejects.
@@ -413,7 +466,6 @@ INVALID_KNOBS = [
     (dict(max_retries=-1), "max_retries must be non-negative"),
     (dict(retry_backoff_steps=-1), "retry_backoff_steps must be non-negative"),
     (dict(deadline_steps=0), "deadline_steps must be positive"),
-    (dict(shed_queue_depth=0), "shed_queue_depth must be positive"),
     (dict(tier0_budget=0), "tier0_budget must be positive"),
 ]
 
@@ -512,6 +564,21 @@ def test_tier0_budget_funds_at_least_two_frames():
     assert EngineConfig(tier0_budget=1).resolve_pages(model_config) == (None, 2)
 
 
+@pytest.mark.parametrize("knob", ["max_pool_bytes", "tier0_budget"])
+def test_byte_budget_without_model_geometry_is_a_value_error(knob):
+    """A byte budget is priced by the model's page geometry: a manager built
+    from a config alone says so instead of dereferencing a missing model
+    config, and pre-resolved pages need no pricing."""
+    with pytest.raises(ValueError, match="byte budgets .* need the model's geometry"):
+        BatchedCacheManager(2, 4, 8, 2, dtype="float32", **{knob: 1_000_000})
+    with pytest.raises(ValueError, match="pass n_pages/tier0_pages"):
+        EngineConfig(**{knob: 1_000_000}).resolve_pages()
+    manager = BatchedCacheManager(
+        2, 4, 8, 2, dtype="float32", n_pages=8, tier0_pages=4, **{knob: 1_000_000}
+    )
+    assert manager.store.pools[0].n_pages == 8
+
+
 @pytest.mark.parametrize("kv_dtype", [None, "int8"])
 @pytest.mark.parametrize("mode", ["original", "new"])
 def test_byte_budget_buys_the_pages_the_built_store_holds(mode, kv_dtype):
@@ -530,3 +597,13 @@ def test_byte_budget_buys_the_pages_the_built_store_holds(mode, kv_dtype):
     assert n_pages == budget // sum(pool.page_nbytes() for pool in store.pools)
     assert all(pool.n_pages == n_pages for pool in store.pools)
     assert store.nbytes() <= budget
+
+
+def test_finish_reasons_are_the_ones_the_engine_produces():
+    """Normal completions plus the fault layer's abort, error and timeout."""
+    assert [r.value for r in FinishReason] == ["eos", "length", "aborted", "error", "timeout"]
+
+
+def test_request_carries_no_sampling_knobs():
+    fields = {f.name for f in dataclasses.fields(Request)}
+    assert fields == {"request_id", "prompt_ids", "max_new_tokens", "eos_token_id", "priority"}

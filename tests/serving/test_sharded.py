@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import signal
 import subprocess
 import sys
 
@@ -300,7 +301,6 @@ def test_spec_config_survives_the_process_boundary():
         tier0_budget=_tight_tier0_budget(),
         speculation=SpeculationConfig(k=2),
         max_retries=2,
-        shed_queue_depth=64,
     )
     clone = pickle.loads(pickle.dumps(spec))
     assert clone == spec and clone.config == spec.config
@@ -342,6 +342,57 @@ def test_replica_death_reroutes_and_stays_bit_exact():
         FinishReason.LENGTH,
         FinishReason.EOS,
     }
+
+
+def _step_once_and_pick_victim(eng, handles):
+    """One super-step, then a replica that holds unfinished requests."""
+    eng.step()
+    victim = next(h.replica for h in handles if not h.finished)
+    n_victims = sum(1 for h in handles if not h.finished and h.replica == victim)
+    assert n_victims > 0
+    return victim, n_victims
+
+
+def _assert_rerouted(eng, handles, want, victim, n_victims):
+    eng.drain()
+    _assert_results_equal(handles, want)
+    assert sum(h.retries for h in handles) >= n_victims
+    assert all(h.replica != victim for h in handles if h.retries)
+    stats = eng.stats()
+    assert stats["n_replica_failures"] == 1
+    assert stats["replicas"][victim]["alive"] is False
+
+
+def test_process_replica_killed_from_outside_is_detected_on_next_step():
+    """A worker process that dies without a word (SIGKILL) is found dead by
+    the next step's pipe round-trip; its requests rerun on the survivor and
+    every request's tokens and log-probs still equal a solo run."""
+    want = _solo_results()
+    with ShardedEngine(_spec(), 2, backend="process") as eng:
+        handles = [eng.submit(p, _CONFIG) for p in _PROMPTS]
+        victim, n_victims = _step_once_and_pick_victim(eng, handles)
+        process = eng._replicas[victim].process
+        os.kill(process.pid, signal.SIGKILL)
+        process.join(timeout=10)
+        assert eng._replicas[victim].alive  # nobody has noticed yet
+        eng.step()
+        assert not eng._replicas[victim].alive
+        assert eng.n_replica_failures == 1
+        _assert_rerouted(eng, handles, want, victim, n_victims)
+
+
+def test_process_kill_replica_reroutes_and_stays_bit_exact():
+    """``kill_replica`` on a process-backed replica terminates its worker and
+    re-routes its requests at once."""
+    want = _solo_results()
+    with ShardedEngine(_spec(), 2, backend="process") as eng:
+        handles = [eng.submit(p, _CONFIG) for p in _PROMPTS]
+        victim, n_victims = _step_once_and_pick_victim(eng, handles)
+        process = eng._replicas[victim].process
+        eng.kill_replica(victim)
+        assert not process.is_alive()
+        assert all(h.replica != victim for h in handles if not h.finished)
+        _assert_rerouted(eng, handles, want, victim, n_victims)
 
 
 def test_all_replicas_dead_raises():

@@ -190,10 +190,10 @@ def test_latency_record_metrics():
 
 def test_latency_record_edge_cases():
     assert _record(n_tokens=1).tpot is None
-    shed = _record(finish_reason="shed", first_token_time=None, finish_time=11.0)
-    assert not shed.completed
-    assert shed.ttft is None
-    assert shed.e2e == 1.0
+    aborted = _record(finish_reason="aborted", first_token_time=None, finish_time=11.0)
+    assert not aborted.completed
+    assert aborted.ttft is None
+    assert aborted.e2e == 1.0
 
 
 def test_slo_target_and_spec():

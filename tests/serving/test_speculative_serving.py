@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import CachePolicyConfig
 from repro.core.policies import WindowAttentionPolicy
+from repro.generation.sampler import Sampler
 from repro.models.config import GenerationConfig
 from repro.models.transformer import DecoderLM
 from repro.serving.engine import ContinuousBatchingEngine
@@ -229,19 +230,15 @@ class TestSpeculativeServingLifecycle:
 
 class TestSpeculativeServingValidation:
     def test_rejects_stochastic_sampling(self, model):
+        class ArgminSampler(Sampler):
+            def __call__(self, logits):
+                return np.argmin(np.atleast_2d(logits), axis=-1)
+
         engine = ContinuousBatchingEngine(model, speculation=SPEC)
         with pytest.raises(ValueError, match="greedy"):
             engine.submit(
-                _prompts(1)[0], GenerationConfig(max_new_tokens=4, temperature=0.7, top_k=5)
+                _prompts(1)[0], GenerationConfig(max_new_tokens=4), sampler=ArgminSampler()
             )
-
-    def test_temperature_zero_counts_as_greedy(self, model):
-        engine = ContinuousBatchingEngine(model, speculation=SPEC)
-        state = engine.submit(
-            _prompts(1)[0], GenerationConfig(max_new_tokens=4, temperature=0.0)
-        )
-        engine.run()
-        assert len(state.tokens) == 4
 
     def test_rejects_sparse_target_policy(self, model):
         engine = ContinuousBatchingEngine(
