@@ -173,10 +173,6 @@ class FrequencySketch:
         idxs = self._indexes(key)
         return int(min(self._tables[row, idx] for row, idx in enumerate(idxs)))
 
-    def counters(self) -> np.ndarray:
-        """Copy of the raw counter matrix, shape ``(depth, width)`` (tests)."""
-        return self._tables.copy()
-
 
 class RecencyOrder(dict):
     """Keys from least to most recently used: dict insertion order.

@@ -524,7 +524,9 @@ class BatchedCacheManager:
     geometry already resolved by the caller
     (:meth:`~repro.kvcache.paged.KVStoreConfig.resolve_pages` — the serving
     engine does this, since byte budgets need the model config); left
-    ``None``, the manager resolves the config's token budget itself.  A fixed
+    ``None``, the manager resolves the config's token budget itself; a
+    budget whose page count is left ``None`` beside the other one given is
+    a ``ValueError``.  A fixed
     pool never grows: running out becomes
     :class:`~repro.kvcache.paged.PoolExhausted`, which the engine answers
     with registry reclamation and preemption.  With ``tier0_pages`` set the
@@ -550,6 +552,14 @@ class BatchedCacheManager:
         self.config = config = KVStoreConfig.of(config, **knobs)
         if n_pages is None and tier0_pages is None:
             n_pages, tier0_pages = config.resolve_pages()
+        elif (
+            n_pages is None
+            and (config.max_pool_tokens is not None or config.max_pool_bytes is not None)
+        ) or (tier0_pages is None and config.tier0_budget is not None):
+            raise ValueError(
+                "a budget beside pre-resolved pages would be dropped: pass n_pages "
+                "and tier0_pages both, as KVStoreConfig.resolve_pages returns them"
+            )
         self.store = PagedKVStore(
             n_layers,
             n_heads,

@@ -36,10 +36,6 @@ class PerfModelSpec:
         if self.dtype_bytes <= 0:
             raise ValueError("dtype_bytes must be positive")
 
-    @property
-    def d_head(self) -> int:
-        return self.d_model // self.n_heads
-
     def n_parameters(self) -> int:
         """Approximate parameter count (attention + MLP + embeddings)."""
         per_layer = 4 * self.d_model**2 + 2 * self.d_model * self.d_ff

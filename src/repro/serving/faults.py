@@ -230,8 +230,3 @@ class EngineWatchdog:
                 f"preemption thrash: {self.preemptions_since_progress} preemptions "
                 "since the last progressing step"
             )
-
-    def reset(self) -> None:
-        """Clear both counters (e.g. after an intentional pause)."""
-        self.stalled_steps = 0
-        self.preemptions_since_progress = 0

@@ -38,7 +38,6 @@ Metric definitions (``docs/workloads.md`` derives them with pictures):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -283,9 +282,10 @@ def _round(obj):
 class LatencyReport:
     """Aggregate latency percentiles, throughput and SLO goodput.
 
-    Built by :meth:`from_records`; :meth:`to_dict` / :meth:`to_json` emit a
-    deterministic structure (floats rounded to six decimals, keys sorted) —
-    replaying the same trace yields a byte-identical report.
+    Built by :meth:`from_records`; :meth:`to_dict` emits a deterministic
+    structure (floats rounded to six decimals) — replaying the same trace
+    yields an identical report, and ``json.dumps(..., sort_keys=True)`` of
+    it byte-identical text.
     """
 
     records: tuple[LatencyRecord, ...]
@@ -368,7 +368,3 @@ class LatencyReport:
             },
         }
         return _round(out)
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """Deterministic JSON text of :meth:`to_dict` (sorted keys)."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

@@ -164,12 +164,6 @@ class TestEngineWatchdog:
         with pytest.raises(LivelockError, match="thrash"):
             dog.observe(False, preemptions=2)
 
-    def test_reset_clears(self):
-        dog = EngineWatchdog(no_progress_patience=2)
-        dog.observe(False)
-        dog.reset()
-        assert dog.stalled_steps == 0
-
     def test_rejects_nonpositive_patience(self):
         with pytest.raises(ValueError):
             EngineWatchdog(no_progress_patience=0)

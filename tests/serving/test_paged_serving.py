@@ -579,6 +579,22 @@ def test_byte_budget_without_model_geometry_is_a_value_error(knob):
     assert manager.store.pools[0].n_pages == 8
 
 
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"max_pool_bytes": 1_000_000, "tier0_pages": 4},
+        {"max_pool_tokens": 64, "tier0_pages": 4},
+        {"tier0_budget": 1_000_000, "n_pages": 8},
+    ],
+    ids=["max_pool_bytes", "max_pool_tokens", "tier0_budget"],
+)
+def test_budget_beside_one_resolved_page_count_is_a_value_error(knobs):
+    """A budget whose page count is left unresolved while the other count is
+    given would build a pool without it; the manager refuses instead."""
+    with pytest.raises(ValueError, match="would be dropped"):
+        BatchedCacheManager(2, 4, 8, 2, dtype="float32", **knobs)
+
+
 @pytest.mark.parametrize("kv_dtype", [None, "int8"])
 @pytest.mark.parametrize("mode", ["original", "new"])
 def test_byte_budget_buys_the_pages_the_built_store_holds(mode, kv_dtype):

@@ -179,7 +179,7 @@ def test_replay_determinism_property(seed, arrival, max_batch_size):
     first, tokens_a = _replay(trace, max_batch_size=max_batch_size)
     second, tokens_b = _replay(trace, max_batch_size=max_batch_size)
     assert tokens_a == tokens_b
-    assert first.report.to_json() == second.report.to_json()
+    assert first.report.to_dict() == second.report.to_dict()
     assert first.engine_stats == second.engine_stats
 
 

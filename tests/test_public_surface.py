@@ -3,9 +3,9 @@
 A public module-level function or class, or a public method, counts as
 called when its name appears as a word in ``src/``, ``benchmarks/``,
 ``tools/``, ``examples/`` or the ``Makefile`` outside its own definition.
-Imports (the ``__init__`` re-exports among them), ``__all__`` lists,
-docstrings, comments and the name token of a ``def``/``class`` statement are
-not calls; any other string literal is (the e2e tracer names its targets in
+Imports (the ``__init__`` re-exports among them), ``__all__`` lists, the
+``REACH_KEPT`` ledger of ``tools/reach.py``, docstrings, comments and the
+name token of a ``def``/``class`` statement are not calls; any other string literal is (the e2e tracer names its targets in
 strings).  Dropping an uncalled name also drops the words inside its body, so
 the search repeats until nothing changes.  The names in :data:`KEPT`, and the
 public methods of a kept class, are entry points that are never dropped;
@@ -24,6 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 CALLER_DIRS = ("src", "benchmarks", "tools", "examples")
 WORD = re.compile(r"[A-Za-z_]\w*")
+LISTS = ("__all__", "REACH_KEPT")  # assignments that name, never call
 
 #: Public names no code outside ``tests/`` calls, each kept for a reason.
 KEPT = {
@@ -65,13 +66,14 @@ def _docstring_lines(tree: ast.Module) -> set[int]:
 
 
 def _skipped_lines(tree: ast.Module) -> set[int]:
-    """Lines of import statements and ``__all__`` assignments."""
+    """Lines of import statements and of ``__all__`` and ``REACH_KEPT``
+    assignments: listing a name there does not call it."""
     lines = set()
     for node in ast.walk(tree):
         skip = isinstance(node, (ast.Import, ast.ImportFrom))
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            skip = any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+            skip = any(isinstance(t, ast.Name) and t.id in LISTS for t in targets)
         if skip:
             lines.update(range(node.lineno, node.end_lineno + 1))
     return lines
@@ -176,3 +178,19 @@ def test_every_public_name_is_called_or_kept():
     assert not dropped, f"uncalled outside tests/, delete or keep: {sorted(dropped)}"
     called = set(KEPT) - kept_uncalled
     assert not called, f"in KEPT but called or gone: {sorted(called)}"
+
+
+def test_a_name_only_the_reach_ledger_lists_is_uncalled(tmp_path, monkeypatch):
+    """``tools/reach.py``'s ``REACH_KEPT`` strings name functions without
+    calling them, so listing a name there does not satisfy this guard."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text("def spin():\n    return 1\n\n\ndef run():\n    return 2\n")
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "reach.py").write_text(
+        'REACH_KEPT = {\n    "spin": "a reason",\n}\nDRIVERS = ["run"]\n'
+    )
+    (tmp_path / "Makefile").write_text("")
+    monkeypatch.setitem(globals(), "ROOT", tmp_path)
+    monkeypatch.setitem(globals(), "SRC", package)
+    assert surface({}) == ({"spin"}, set())

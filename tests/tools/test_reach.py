@@ -2,6 +2,7 @@
 definition index, stub detection, the two ledgers and the recorder."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -272,13 +273,19 @@ def test_drivers_are_every_entry_point(tmp_path):
     assert len(found) == 5 + 1 + 10 + 4 + 1 + 1 + 18 + 1
 
 
-def test_main_audits_records_and_writes_the_same_report_twice(package, tmp_path, monkeypatch):
-    records = tmp_path / "records"
-    records.mkdir()
+def test_main_audits_what_the_drivers_entered_and_writes_the_same_report_twice(
+    package, tmp_path, monkeypatch
+):
     path = (package / "mod.py").resolve()
     lines = {fn.qualname: fn.line for fn in reach.definitions(package)}
     entered = ["plain", "decorated", "Worker.work", "Worker.work.<locals>.helper"]
-    (records / "1.rec").write_text("".join(f"{path}\t{lines[n]}\n" for n in entered))
+
+    def run_drivers(records, scratch):  # what the recorder leaves behind
+        records.mkdir(parents=True)
+        (records / "1.rec").write_text("".join(f"{path}\t{lines[n]}\n" for n in entered))
+        return []
+
+    monkeypatch.setattr(reach, "run_drivers", run_drivers)
     monkeypatch.setattr(reach, "PACKAGE", package)
     monkeypatch.setattr(reach, "REACH_KEPT", {"child": "a stated reason"})
     surface = tmp_path / "surface.py"
@@ -286,12 +293,23 @@ def test_main_audits_records_and_writes_the_same_report_twice(package, tmp_path,
     monkeypatch.setattr(reach, "SURFACE_TEST", surface)
     outputs = [tmp_path / "a.json", tmp_path / "b.json"]
     for out in outputs:
-        assert reach.main(["--records", str(records), "--no-run", "--output", str(out)]) == 0
+        assert reach.main(["--output", str(out)]) == 0
     assert outputs[0].read_bytes() == outputs[1].read_bytes()
     monkeypatch.setattr(reach, "REACH_KEPT", {})
-    assert reach.main(["--records", str(records), "--no-run", "--output", str(outputs[0])]) == 1
+    assert reach.main(["--output", str(outputs[0])]) == 1
 
 
-def test_no_run_needs_records():
-    with pytest.raises(SystemExit):
-        reach.main(["--no-run"])
+def test_a_failed_driver_is_a_finding(package, tmp_path, monkeypatch):
+    def run_drivers(records, scratch):
+        records.mkdir(parents=True)
+        return ["examples/broken.py"]
+
+    monkeypatch.setattr(reach, "run_drivers", run_drivers)
+    monkeypatch.setattr(reach, "PACKAGE", package)
+    monkeypatch.setattr(reach, "REACH_KEPT", {})
+    surface = tmp_path / "surface.py"
+    surface.write_text('KEPT = {"Proto": "x", "Worker": "x", "plain": "x", "decorated": "x", "child": "x"}\n')
+    monkeypatch.setattr(reach, "SURFACE_TEST", surface)
+    out = tmp_path / "r.json"
+    assert reach.main(["--output", str(out)]) == 1
+    assert json.loads(out.read_text())["problems"] == ["driver failed: examples/broken.py"]

@@ -1,7 +1,6 @@
 """Reach audit: which functions under ``src/repro`` the drivers enter.
 
-    python3 tools/reach.py [--output reports/reach.json] [--jobs N]
-                           [--records DIR] [--no-run]
+    python3 tools/reach.py [--output reports/reach.json]
 
 Every driver (:func:`drivers`: the examples, the end-to-end benchmark, the
 load and chaos harnesses, the microbenchmarks, every experiment id and the
@@ -25,12 +24,9 @@ that both ledgers cover, and on a :data:`REACH_KEPT` entry that covers no
 never-entered function (a driver entered it, or it names nothing).
 
 The report (``--output``) is sorted and holds no timings, so two runs give
-the same bytes.  The drivers take about ten minutes on two cores with a
-warm model cache and about twenty with a cold one, which trains the zoo
-models; ``--jobs 2`` runs two at a time once the cache is warm (two cold
-drivers would train the same zoo model side by side).
-``--records DIR`` keeps the raw records and the drivers' logs, and
-``--no-run`` re-audits the records already in ``DIR``.
+the same bytes.  The drivers run one at a time and take about ten minutes
+on two cores with a warm model cache, twenty with a cold one, which trains
+the zoo models.
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,7 +57,6 @@ REACH_KEPT = {
     "_RecordArena.close": "releases a spill arena's map",
     "FaultInjector.fired_schedule": "one-line repro of a chaos failure",
     "FaultInjector.replay": "one-line repro of a chaos failure",
-    "EngineWatchdog.reset": "clears the watchdog after an intentional pause",
     "_ProcessReplica._died": "a replica worker died (tests kill one)",
     "_ProcessReplica.kill": "hard-kills a replica worker (tests kill one)",
     "_InlineReplica.kill": "the inline backend's replica death",
@@ -84,9 +78,6 @@ REACH_KEPT = {
     "PagedKVStore.pool": "test oracle: one layer's block pool",
     "BaseScore.set": "test oracle: installs a layer's scores",
     "RopeTable.capacity": "test oracle: positions the shared table holds",
-    "FrequencySketch.counters": "test oracle: the raw counter matrix",
-    "PerfModelSpec.d_head": "per-head width of a modelled deployment",
-    "LatencyReport.to_json": "deterministic text of a latency report",
     # Entry points no driver calls.
     "ContinuousBatchingEngine.abort": "client cancellation",
     "FCFSScheduler.cancel": "client cancellation of a queued request",
@@ -345,9 +336,9 @@ def drivers(scratch: Path) -> list[tuple[str, list[str], dict[str, str]]]:
     return found
 
 
-def run_drivers(records: Path, scratch: Path, jobs: int) -> list[str]:
-    """Run every driver under the recorder, writing their outputs under
-    ``scratch``; the names of those that failed."""
+def run_drivers(records: Path, scratch: Path) -> list[str]:
+    """Run every driver, one at a time, under the recorder, writing their
+    outputs under ``scratch``; the names of those that failed."""
     records.mkdir(parents=True, exist_ok=True)
     (records / "sitecustomize.py").write_text(RECORDER)
     env = dict(os.environ)
@@ -356,17 +347,16 @@ def run_drivers(records: Path, scratch: Path, jobs: int) -> list[str]:
     )
     env["REPRO_REACH_PACKAGE"] = str(PACKAGE.resolve())
     env["REPRO_REACH_RECORDS"] = str(records.resolve())
-
-    def run(index_driver):
-        index, (name, argv, extra) = index_driver
+    failed = []
+    for index, (name, argv, extra) in enumerate(drivers(scratch)):
         start = time.perf_counter()
-        with open(records / f"driver{index:02d}.log", "w") as log:
-            code = subprocess.call(argv, cwd=ROOT, env={**env, **extra}, stdout=log, stderr=log)
+        log = scratch / f"driver{index:02d}.log"
+        with open(log, "w") as out:
+            code = subprocess.call(argv, cwd=ROOT, env={**env, **extra}, stdout=out, stderr=out)
         print(f"[{time.perf_counter() - start:6.1f} s] exit {code}  {name}", file=sys.stderr)
-        return name if code else None
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        failed = [name for name in pool.map(run, enumerate(drivers(scratch))) if name]
+        if code:
+            failed.append(name)
+            print("".join(log.read_text().splitlines(True)[-20:]), file=sys.stderr)
     return failed
 
 
@@ -374,15 +364,10 @@ def main(argv: list[str] | None = None) -> int:
     """Run the drivers, audit the records, write the report; 1 on a finding."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", type=Path, default=ROOT / "reports" / "reach.json")
-    parser.add_argument("--jobs", type=int, default=1, help="drivers run at once")
-    parser.add_argument("--records", type=Path, help="keep records and logs here")
-    parser.add_argument("--no-run", action="store_true", help="audit the records in --records")
     args = parser.parse_args(argv)
-    if args.no_run and args.records is None:
-        parser.error("--no-run needs --records")
     with tempfile.TemporaryDirectory(prefix="reach-") as scratch:
-        records = args.records or Path(scratch) / "records"
-        failed = [] if args.no_run else run_drivers(records, Path(scratch), max(args.jobs, 1))
+        records = Path(scratch) / "records"
+        failed = run_drivers(records, Path(scratch))
         report = audit(
             definitions(PACKAGE),
             load_records(records, PACKAGE),
