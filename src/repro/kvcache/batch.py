@@ -226,9 +226,12 @@ class BatchedLayerKVCache:
         self.dtype = pool.dtype
         self.rope_dims = pool.rope_dims
         self.tables: list[PageTable] = [PageTable() for _ in range(max_batch)]
-        # Persistent padded-batch workspace (keys, values, positions), grown
-        # on demand.  A row slot keeps its tokens between steps; ``_synced``
-        # records ``(table, epoch, length)`` of what each holds.
+        # Padded-batch workspace (keys, values, positions).  When a read
+        # needs more slots or width, it is sized to the active rows and the
+        # longest row rounded up to a page; a lone row reads zero-copy and
+        # drops it.  A row slot keeps its tokens between steps; ``_synced``
+        # records ``(table, epoch, length)`` of what each holds (``None``
+        # for every slot the workspace lacks).
         # Zero initialization (and only ever overwriting with stored values)
         # keeps every slot finite for the masked float32 path.
         self._ws: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -426,6 +429,7 @@ class BatchedLayerKVCache:
         lengths = self.lengths[:n_active]
         max_len = int(lengths.max(initial=0))
         if n_active == 1:
+            self._ws = None
             self._synced = [None] * self.max_batch
             table = self.tables[0]
             return (
@@ -435,15 +439,10 @@ class BatchedLayerKVCache:
                 lengths,
                 max_len,
             )
-        if self._ws is None or self._ws[0].shape[2] < max_len:
-            h, d = self.n_heads, self.d_head
-            cap = max(max_len, 2 * (self._ws[0].shape[2] if self._ws else 0), 16)
-            self._ws = (
-                np.zeros((self.max_batch, h, cap, d), dtype=self.dtype),
-                np.zeros((self.max_batch, h, cap, d), dtype=self.dtype),
-                np.zeros((self.max_batch, h, cap), dtype=np.int64),
-            )
-            self._synced = [None] * self.max_batch
+        rows, width = self._ws[2].shape[::2] if self._ws is not None else (0, 0)
+        if rows < n_active or width < max_len:
+            ps = pool.page_size
+            self._resize_workspace(n_active, -(-max_len // ps) * ps)
         keys = self._ws[0][:n_active, :, :max_len]
         values = self._ws[1][:n_active, :, :max_len]
         positions = self._ws[2][:n_active, :, :max_len]
@@ -459,6 +458,24 @@ class BatchedLayerKVCache:
                 raise
             self._synced[row] = (table, table.epoch, table.length)
         return keys, values, positions, lengths, max_len
+
+    def _resize_workspace(self, rows: int, cap: int) -> None:
+        """Reallocate the workspace at ``rows`` row slots of ``cap`` tokens,
+        copying over what the slots it keeps hold (a copy, not a re-read).
+        Only a read that outgrows it resizes it: a retirement alone would
+        pay a copy per layer for memory the next join takes back."""
+        h, d = self.n_heads, self.d_head
+        old, self._ws = self._ws, (
+            np.zeros((rows, h, cap, d), dtype=self.dtype),
+            np.zeros((rows, h, cap, d), dtype=self.dtype),
+            np.zeros((rows, h, cap), dtype=np.int64),
+        )
+        kept = 0
+        if old is not None:
+            kept, width = min(rows, old[0].shape[0]), min(cap, old[0].shape[2])
+            for new, arr in zip(self._ws, old):
+                new[:kept, :, :width] = arr[:kept, :, :width]
+        self._synced[kept:] = [None] * (self.max_batch - kept)
 
     def _held(self, row: int) -> int:
         """Tokens of ``row`` the workspace holds: the last read's length while

@@ -234,11 +234,12 @@ class BlockPool:
     Parameters
     ----------
     growable:
-        When true (solo generation) the pool doubles on demand like the old
-        slabs did.  When false (the serving engine's memory-aware mode) an
-        allocation that cannot be satisfied first asks the ``reclaimer`` (the
-        prefix registry) to drop cold pinned pages and then raises
-        :class:`PoolExhausted`, which the engine turns into preemption.
+        When true (solo generation) the pool grows by a quarter on demand
+        (or to the pages an allocation needs, if more).  When false (the
+        serving engine's memory-aware mode) an allocation that cannot be
+        satisfied first asks the ``reclaimer`` (the prefix registry) to drop
+        cold pinned pages and then raises :class:`PoolExhausted`, which the
+        engine turns into preemption.
     """
 
     def __init__(
@@ -400,7 +401,8 @@ class BlockPool:
     # allocation / refcounting
     # ------------------------------------------------------------------
     def _grow(self, min_pages: int) -> None:
-        new_pages = max(min_pages, 2 * self.n_pages)
+        # By a quarter: doubling can leave a slab half empty at its peak.
+        new_pages = max(min_pages, self.n_pages + self.n_pages // 4)
         n_slots = new_pages * self.page_size
 
         def grown(slab: np.ndarray, trailing: tuple[int, ...]) -> np.ndarray:

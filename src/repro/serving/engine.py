@@ -107,8 +107,10 @@ class EngineConfig(KVStoreConfig):
     max_batch_size: int = 8
     #: Worst-case token cap of the default scheduler.
     max_total_tokens: int | None = None
-    #: Chunked prefill: at most this many prompt tokens per step, so decode
-    #: rows interleave (stored on the scheduler; ``None`` disables).
+    #: Chunked prefill: a prompt longer than this runs this many rows per
+    #: step (its last chunk up to one more), one such prompt at a time, so
+    #: decode rows interleave.  A request admitted beside it still runs its
+    #: whole prompt in its step (stored on the scheduler; ``None`` disables).
     prefill_chunk_tokens: int | None = None
     #: Map resident prompt-prefix pages instead of recomputing them.
     enable_prefix_sharing: bool = True
@@ -490,8 +492,9 @@ class ContinuousBatchingEngine:
         """Advance the batch by one decoding step.
 
         Order of operations (the continuous-batching contract): record the
-        previous step's sampled tokens and retire finished requests, admit
-        queued requests into the freed capacity (prefill + first token),
+        previous step's sampled tokens and retire finished requests, advance
+        an in-flight chunked prefill by one chunk, admit at most one queued
+        request into the freed capacity (its prompt pass + first token),
         then run one batched decode step for everything still running —
         preempting back to the queue first if the page pool cannot fund the
         step's appends.  Returns the requests that finished during this step.
@@ -674,38 +677,33 @@ class ContinuousBatchingEngine:
             self._chunked.state.request.prompt_len + 1
         )
 
-    def _admit_queued(self, admitted_already: list[RequestState]) -> list[RequestState]:
-        """One scheduler admission pass with full in-flight accounting."""
-        reserved = self._chunked_reserved_pages()
-        if self._manager is not None:
-            # Earlier admissions this step have not joined yet; their prompt
-            # pages are promised but unallocated, exactly like the chunked
-            # prefill's.
-            reserved += sum(
-                self._manager.store.pages_for_tokens(st.request.prompt_len + 1)
-                for st in admitted_already
-            )
-        return self.scheduler.admit(
-            self._n_admission_slots() + len(admitted_already),
-            self._tokens_in_flight()
-            + sum(st.request.token_budget for st in admitted_already),
+    def _admit_head(self) -> RequestState | None:
+        """One scheduler admission pass with full in-flight accounting, cut
+        to the queue head: whatever else fitted goes back in arrival order
+        (see :meth:`_admit_and_prefill`)."""
+        admitted = self.scheduler.admit(
+            self._n_admission_slots(),
+            self._tokens_in_flight(),
             store=self._manager.store if self._manager is not None else None,
             registry=self._manager.registry if self._manager is not None else None,
             now_step=self.step_count,
-            reserved_pages=reserved,
+            reserved_pages=self._chunked_reserved_pages(),
         )
+        self.scheduler.requeue_many(admitted[1:])
+        return admitted[0] if admitted else None
 
-    def _preempt_for_priority(self, admitted: list[RequestState]) -> None:
+    def _preempt_for_priority(self) -> RequestState | None:
         """Preempt running lower-priority requests for a blocked
-        higher-priority queue head, extending ``admitted`` in place.
+        higher-priority queue head; returns the head once admitted.
 
         Only runs when the scheduler opts in (``priority_preemption``,
-        :class:`~repro.serving.slo.PriorityScheduler`).  Each iteration
-        preempts exactly one victim — the lowest-priority, newest-admitted
-        running request — then retries admission; the loop ends when the
-        head is admitted, out-prioritized, or there is nothing left to
-        preempt.  Preemption restarts regenerate bit-identically, so this
-        trades the victims' completion time for the head's, never output.
+        :class:`~repro.serving.slo.PriorityScheduler`) and nothing else was
+        admitted this step.  Each iteration preempts exactly one victim —
+        the lowest-priority, newest-admitted running request — then retries
+        admission; the loop ends when the head is admitted, out-prioritized,
+        or there is nothing left to preempt.  Preemption restarts regenerate
+        bit-identically, so this trades the victims' completion time for the
+        head's, never output.
         """
         while len(self.scheduler) and self._states:
             head = self.scheduler.pending[0]
@@ -716,20 +714,27 @@ class ContinuousBatchingEngine:
             ):
                 break
             self._preempt_victim()
-            admitted.extend(self._admit_queued(admitted))
+            admitted = self._admit_head()
+            if admitted is not None:
+                return admitted
+        return None
 
     def _admit_and_prefill(self) -> list[RequestState]:
-        """Advance the chunked prefill, admit queued requests, prefill them.
+        """Advance the chunked prefill, then admit and prefill the queue head.
 
-        Builds the store before the first admission so memory-aware
-        admission sees real page counts from the very first request.  A
-        failed join (the pool could not be funded; a victim was preempted)
-        requeues the failing request and every younger admission behind it,
-        in order — letting the younger ones jump in would break the
-        head-of-line FCFS contract.  When nothing is running, nothing could
-        join and the queue is non-empty, the pool is as free as it will ever
-        get and the head request can never fit, so this raises
-        :class:`PoolExhausted`.  Returns the requests that joined.
+        At most one queued request is admitted per step.  Each prompt pass
+        is its own batch-1 forward, so running several in one step saves no
+        work and holds every first token back until the last pass is done;
+        one per step lets the running rows decode between passes.  The rest
+        stay queued in arrival order, and an in-flight chunked prefill
+        advances one chunk besides.  Builds the store before the first
+        admission so memory-aware admission sees real page counts from the
+        very first request.  A failed join (the pool could not be funded; a
+        victim was preempted) requeues the request in arrival order.  When
+        nothing is running, nothing could join and the queue is non-empty,
+        the pool is as free as it will ever get and the head request can
+        never fit, so this raises :class:`PoolExhausted`.  Returns the
+        requests that joined.
         """
         joined: list[RequestState] = []
         if self._chunked is not None:
@@ -738,30 +743,21 @@ class ContinuousBatchingEngine:
                 joined.append(completed)
         if self._manager is None and len(self.scheduler):
             self._build_manager(self.scheduler.pending[0].policy)
-        admitted = self._admit_queued([])
-        if getattr(self.scheduler, "priority_preemption", False):
-            self._preempt_for_priority(admitted)
-        for i, state in enumerate(admitted):
+        state = self._admit_head()
+        if state is None and getattr(self.scheduler, "priority_preemption", False):
+            state = self._preempt_for_priority()
+        if state is not None:
             outcome = self._prefill(state)
             if outcome == _PREFILL_JOINED:
                 joined.append(state)
-                continue
-            if outcome == _PREFILL_CHUNKED:
-                continue  # first chunk ran; the join happens in a later step
-            if outcome == _PREFILL_FAILED_FINAL:
-                continue  # retired with ERROR; younger admissions may proceed
-            if outcome == _PREFILL_FAILED_RETRY:
-                # The failing request is already requeued (with backoff);
-                # younger admissions go back behind it in arrival order.
-                self.scheduler.requeue_many(admitted[i + 1 :])
-            else:  # _PREFILL_BLOCKED: pool could not fund the join
-                self.scheduler.requeue_many(admitted[i:])
-            break
-        if (
+            elif outcome == _PREFILL_BLOCKED:
+                self.scheduler.requeue(state)
+            # _PREFILL_FAILED_RETRY requeued it already, _PREFILL_FAILED_FINAL
+            # retired it, and _PREFILL_CHUNKED joins after its last chunk.
+        elif (
             not self._states
             and self._chunked is None
             and not joined
-            and not admitted
             and len(self.scheduler)
         ):
             head = self.scheduler.pending[0]
@@ -975,8 +971,7 @@ class ContinuousBatchingEngine:
         except PoolExhausted:
             # The watermark under-estimated (e.g. concurrent COW growth).
             # Free pages by preempting the newest running request; the caller
-            # requeues this request (and any younger admissions) so the next
-            # step retries in arrival order.
+            # requeues this request so the next step retries in arrival order.
             if not self._states:
                 raise  # nothing to preempt — the pool simply cannot fit it
             self._preempt_victim()

@@ -32,9 +32,13 @@ engine decides *how* the batch executes.  Two schedulers are provided:
 Admission is head-of-line blocking by design in both: if the oldest queued
 request does not fit, nothing behind it is admitted either.  Skipping ahead
 would improve utilization slightly but makes admission latency unpredictable
-under load; and because batched execution is bit-exact per sequence,
-admission order (and preemption) affects *when* a request finishes, never
-*what* it generates (the property tests pin this invariant).
+under load.  :meth:`FCFSScheduler.admit` pops every request that fits; the
+engine keeps only the head and requeues the rest in arrival order, so one
+request joins per engine step (each prompt pass is its own forward, and a
+step that ran several would hold every first token back until its last).
+Because batched execution is bit-exact per sequence, admission order (and
+preemption) affects *when* a request finishes, never *what* it generates
+(the property tests pin this invariant).
 """
 
 from __future__ import annotations

@@ -717,6 +717,66 @@ class TestIncrementalPaddedRead:
         assert max(incremental.starts) > 0 and max(full.starts) == 0
 
 
+class TestWorkspaceSize:
+    def test_workspace_is_sized_to_the_live_rows_when_it_grows(self):
+        """As rows join, grow, retire and join again, a read that outgrows
+        the workspace sizes it to the active rows and the longest row
+        rounded up to a page; a retirement leaves it as it is; a lone row
+        reads zero-copy and drops it.  A resize copies what the kept slots
+        held: the next read of a kept row starts where its last one ended."""
+        rng = np.random.default_rng(11)
+        cache = BatchedLayerKVCache(
+            max_batch=4, n_heads=HEADS, d_head=D_HEAD, pool=_pool(BlockPool)
+        )
+        starts = []
+        fill_row = cache.pool.fill_row
+
+        def spy(table, out_k, out_v, out_pos, start=0):
+            starts.append(start)
+            fill_row(table, out_k, out_v, out_pos, start)
+
+        cache.pool.fill_row = spy
+
+        def read(n_active, shape):
+            """Read the batch; returns where each row's read started."""
+            starts.clear()
+            _check_padded_read(cache, n_active)
+            read_from = list(starts)
+            assert cache.check_workspace() == []
+            if shape is None:
+                assert cache._ws is None
+            else:
+                assert [ws.shape[:3:2] for ws in cache._ws] == [shape] * 3
+            return read_from
+
+        def append(n_active, count=1):
+            for _ in range(count):
+                k = rng.normal(size=(n_active, HEADS, D_HEAD))
+                cache.append_rows(n_active, k, k.copy(), np.zeros(n_active, np.int64))
+
+        cache.join_row(0, *_prompt(rng, 5))
+        cache.join_row(1, *_prompt(rng, 7))
+        assert read(2, (2, 8)) == [0, 0]
+        append(2)  # row 1 fills its page: the width stays
+        assert read(2, (2, 8)) == [5, 7]
+        append(2)  # row 1 crosses a page: wider, and nothing is re-read
+        assert read(2, (2, 12)) == [6, 8]
+        cache.join_row(2, *_prompt(rng, 13))
+        assert read(3, (3, 16)) == [7, 9, 0]
+        cache.free_row(2, 2)  # the longest row retires: no reallocation
+        assert read(2, (3, 16)) == [7, 9]
+        append(2, 8)  # lengths 15 and 17: sized again, to two rows
+        assert read(2, (2, 20)) == [7, 9]
+        assert cache._synced[2:] == [None, None]
+        cache.free_row(0, 1)
+        assert read(1, None) == []  # zero-copy
+        for row in (1, 2, 3):
+            cache.join_row(row, *_prompt(rng, 3 * row))
+        append(4, 3)
+        assert [t.length for t in cache.tables] == [20, 6, 9, 12]
+        assert read(4, (4, 20)) == [0, 0, 0, 0]
+
+
 class TestWorkspaceAudit:
     def _manager(self):
         manager = BatchedCacheManager(1, HEADS, D_HEAD, max_batch=2, page_size=PS)

@@ -68,6 +68,21 @@ class TestBlockPoolAllocation:
         assert len(pages) == 5
         assert pool.n_pages >= 5
 
+    def test_growable_pool_grows_by_a_quarter(self):
+        pool = make_pool(n_pages=8)
+        pool.alloc(9)
+        assert pool.n_pages == 10
+        pool.alloc(6)
+        assert pool.n_pages == 15  # 12 would not fit: growth reaches the need
+
+    @pytest.mark.parametrize("n_pages", [1, 2, 3])
+    def test_small_growable_pool_reaches_what_an_alloc_needs(self, n_pages):
+        """A quarter of fewer than 4 pages is none; growth still covers
+        the allocation."""
+        pool = make_pool(n_pages=n_pages)
+        pool.alloc(n_pages + 1)
+        assert pool.n_pages == n_pages + 1 and pool.free_pages == 0
+
     def test_fixed_pool_raises_pool_exhausted(self):
         pool = make_pool(n_pages=2, growable=False)
         pool.alloc(2)

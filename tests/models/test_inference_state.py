@@ -135,6 +135,7 @@ class TestInferenceWritesNothing:
         engine = ContinuousBatchingEngine(model, policy_factory=_keyformer)
         for t in (PROMPT_LEN, PROMPT_LEN - 7):
             engine.submit(_ids(model, t, seed=t), GenerationConfig(max_new_tokens=4))
+        engine.step()  # one request joins per step
         engine.step()
         assert engine.n_running == 2 and engine.n_queued == 0
         before = model_state(model)

@@ -93,10 +93,14 @@ class TestAbortAcrossStates:
 
     def test_abort_running_request_frees_pages(self, mode):
         engine = self._engine(mode)
-        config = GenerationConfig(max_new_tokens=MAX_NEW)
+        # Long enough that the first request, which a speculative round
+        # advances by up to k + 1 tokens a step, still runs when the second
+        # joins a step later.
+        config = GenerationConfig(max_new_tokens=2 * MAX_NEW)
         p1, p2 = prompts(2, seed=1)
         first = engine.submit(p1, config)
         second = engine.submit(p2, config)
+        engine.step()  # one request joins per step
         engine.step()
         assert engine.n_running == 2
         assert engine.abort(first.request_id)

@@ -25,7 +25,7 @@ from repro.generation.generator import Generator
 from repro.generation.sampler import GreedySampler
 from repro.models.config import GenerationConfig, ModelConfig
 from repro.models.transformer import DecoderLM
-from repro.serving.engine import BatchedGenerator
+from repro.serving.engine import BatchedGenerator, ContinuousBatchingEngine
 
 VOCAB = 96
 PROMPT_LENGTHS = (48, 31, 40, 23)
@@ -93,6 +93,29 @@ class TestBatchEqualsSequential:
             model, policy_factory=factory, max_batch_size=len(prompts)
         ).generate_batch(prompts, config, sampler=GreedySampler())
         assert_identical(sequential, batched)
+
+    @pytest.mark.parametrize("policy_name", sorted(POLICY_FACTORIES))
+    def test_burst_joins_one_request_per_step(self, policy_name):
+        """Four requests submitted at once join one per engine step: request
+        ``i`` samples its first token in step ``i + 1``, and every output
+        still equals its dedicated run."""
+        model = make_model()
+        factory = POLICY_FACTORIES[policy_name]
+        prompts = make_prompts()
+        config = GenerationConfig(max_new_tokens=MAX_NEW_TOKENS)
+        engine = ContinuousBatchingEngine(
+            model, policy_factory=factory, max_batch_size=len(prompts)
+        )
+        states = [engine.submit(p, config, sampler=GreedySampler()) for p in prompts]
+        running = []
+        for _ in prompts:
+            engine.step()
+            running.append(engine.n_running)
+        assert running == [1, 2, 3, 4] and engine.n_queued == 0
+        engine.run()
+        assert [s.first_token_step for s in states] == [1, 2, 3, 4]
+        sequential = sequential_results(model, factory, prompts, config)
+        assert_identical(sequential, [s.result() for s in states])
 
     def test_keyformer_renumbered_positions(self):
         """Keyformer (New Pos) exercises the renumbered-position batch path."""

@@ -110,7 +110,7 @@ def test_chunked_prefill_bit_exact(policy_name):
         assert engine.n_prefill_chunks == 0
     else:
         # One chunked prefill at a time: the longest prompt chunks while
-        # the rest (admitted in the same step) prefill normally alongside.
+        # the rest, admitted one per step, prefill whole alongside.
         assert engine.n_prefill_chunks == _expected_chunks(PROMPT_LENGTHS[0], CHUNK)
     for state, expected in zip(states, _EXPECTED[policy_name]):
         result = state.result()
@@ -184,6 +184,27 @@ def test_decode_interleaves_with_chunked_prefill():
     engine.run()
     assert short.result().sequences[0] == _EXPECTED["full"][3].sequences[0]
     assert long.result().sequences[0] == _EXPECTED["full"][0].sequences[0]
+
+
+def test_chunked_prefill_and_queue_each_advance_every_step():
+    """A chunked prefill in flight and a queue both move every step: one
+    chunk, and one admission (prefilled whole — one prompt chunks at a
+    time).  The 97-token prompt runs six chunks and joins in step 6."""
+    engine = ContinuousBatchingEngine(
+        _MODEL, scheduler=PagedScheduler(max_batch_size=4, prefill_chunk_tokens=CHUNK)
+    )
+    order = (0, 3, 1, 2)  # the long prompt first, then 9, 33 and 48 tokens
+    states = [engine.submit(_PROMPTS[i], _CONFIG, sampler=GreedySampler()) for i in order]
+    seen = []
+    for _ in range(6):
+        engine.step()
+        seen.append((engine.n_prefill_chunks, engine.n_running, engine.n_queued))
+    assert seen == [(1, 0, 3), (2, 1, 2), (3, 2, 1), (4, 3, 0), (5, 3, 0), (6, 4, 0)]
+    assert [s.first_token_step for s in states] == [6, 2, 3, 4]
+    engine.run()
+    for state, i in zip(states, order):
+        assert state.result().sequences[0] == _EXPECTED["full"][i].sequences[0]
+        assert state.result().log_probs[0] == _EXPECTED["full"][i].log_probs[0]
 
 
 def test_abort_mid_chunk_leaks_nothing():

@@ -349,7 +349,8 @@ class TestAbort:
 
     def test_abort_queued_request(self):
         _, engine, states, _, _ = self._engine_and_states()
-        engine.step()  # admits the first two; 2 and 3 stay queued
+        engine.step()  # one request joins per step: the first two, then
+        engine.step()  # 2 and 3 stay queued (max_batch_size=2)
         assert engine.abort(states[3].request_id)
         assert states[3].status is RequestStatus.FINISHED
         assert states[3].finish_reason is FinishReason.ABORTED
@@ -408,7 +409,8 @@ class TestPagedScheduler:
             enable_prefix_sharing=False,
         )
         states = [engine.submit(p, config, sampler=GreedySampler()) for p in prompts]
-        engine.step()
+        for _ in prompts:
+            engine.step()  # one request joins per step
         # Worst-case accounting (3 × 72 = 216 tokens = 15 pages + watermark)
         # would block the third request in a 20-page pool; memory-aware
         # admission runs all three because evicted prompt pages come back.

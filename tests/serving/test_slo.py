@@ -49,6 +49,8 @@ _MODEL = DecoderLM(
 _RNG = np.random.default_rng(7)
 _PROMPTS = [_RNG.integers(0, VOCAB, size=n).astype(np.int64) for n in (12, 14, 10)]
 
+_RNG_LATE = np.random.default_rng(8)
+
 _EXPECTED = [
     Generator(_MODEL).generate(p, _CONFIG, sampler=GreedySampler()) for p in _PROMPTS
 ]
@@ -135,6 +137,36 @@ def test_priority_preemption_bit_exact():
         assert state.first_token_step is not None
         assert state.finished_step is not None
         assert state.finished_step >= state.first_token_step
+
+
+def test_priority_preemption_only_for_the_request_it_admits():
+    """Two interactive arrivals at a full batch-tier batch: a step admits
+    one request, so it preempts one victim — for the head it admits — and
+    the second arrival's victim waits for the second arrival's step."""
+    late = _RNG_LATE.integers(0, VOCAB, size=11).astype(np.int64)
+    expected = Generator(_MODEL).generate(late, _CONFIG, sampler=GreedySampler())
+    engine = ContinuousBatchingEngine(_MODEL, scheduler=PriorityScheduler(max_batch_size=2))
+    low0 = engine.submit(_PROMPTS[0], _CONFIG, priority=TIER_BATCH)
+    low1 = engine.submit(_PROMPTS[1], _CONFIG, priority=TIER_BATCH)
+    engine.step()
+    engine.step()
+    assert engine.n_running == 2
+    high0 = engine.submit(_PROMPTS[2], _CONFIG, priority=TIER_INTERACTIVE)
+    high1 = engine.submit(late, _CONFIG, priority=TIER_INTERACTIVE)
+    engine.step()
+    assert engine.n_preemptions == 1 and low1.preemptions == 1
+    assert [s.request_id for s in engine._states] == [low0.request_id, high0.request_id]
+    assert [s.request_id for s in engine.scheduler.pending] == [
+        high1.request_id,
+        low1.request_id,
+    ]
+    engine.step()
+    assert engine.n_preemptions == 2 and low0.preemptions == 1
+    assert {s.request_id for s in engine._states} == {high0.request_id, high1.request_id}
+    engine.run()
+    for state, want in zip((low0, low1, high0, high1), (*_EXPECTED, expected)):
+        assert state.result().sequences[0] == want.sequences[0]
+        assert state.result().log_probs[0] == want.log_probs[0]
 
 
 def test_no_preemption_among_equal_priorities():
