@@ -73,9 +73,8 @@ class BeamSearch:
         # Replicate the prompt across beams so each beam owns a cache row.
         batch_prompt = np.tile(prompt[None, :], (beam_size, 1))
         logits, manager = self.generator._prompt_forward(batch_prompt, config.max_new_tokens)
-        next_logits = logits[:, -1, :]
 
-        logprobs = log_softmax(next_logits[0:1], axis=-1)[0]
+        logprobs = log_softmax(logits[0:1], axis=-1)[0]
         top = np.argsort(-logprobs)[:beam_size]
         beam_tokens: list[list[int]] = [[int(t)] for t in top]
         beam_scores = logprobs[top].astype(np.float64)

@@ -85,7 +85,8 @@ class Generator:
         self, prompt_ids: np.ndarray, max_new_tokens: int
     ) -> tuple[np.ndarray, CacheManager]:
         """Run the prompt through the model, scoring it into each row's
-        policy, and build the reduced KV cache."""
+        policy, and build the reduced KV cache; returns the next-token
+        logits ``(B, vocab)`` and the cache manager."""
         config = self.model.config
         manager = CacheManager(
             self.policy,
@@ -133,8 +134,7 @@ class Generator:
         batch_size = prompt.shape[0]
         sampler = sampler or GreedySampler()
 
-        logits, manager = self._prompt_forward(prompt, config.max_new_tokens)
-        next_logits = logits[:, -1, :]
+        next_logits, manager = self._prompt_forward(prompt, config.max_new_tokens)
         # The per-layer cache views are stateless facades; build them once and
         # reuse them every step instead of reallocating view objects per token.
         layer_views = manager.layer_views()

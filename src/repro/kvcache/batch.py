@@ -1103,19 +1103,24 @@ class BatchedCacheManager:
         return usage
 
     def prefetch_decode(self) -> int:
-        """Bulk-restore the spilled pages of every active row before a decode
-        step — one :meth:`repro.kvcache.offload._TieredMixin.restore_pages`
-        call per layer, so the step's reads hit resident frames instead of
-        issuing one restore per page access.  No-op (returns 0) on
-        single-tier pools."""
+        """Bulk-restore the spilled pages the decode step will read — one
+        :meth:`repro.kvcache.offload._TieredMixin.restore_pages` call per
+        layer, so the step's reads hit resident frames instead of issuing
+        one restore per page access.  A row of a padded read copies only
+        what its workspace slot does not hold yet, so its pages are taken
+        from the one holding its first unread token (:meth:`BatchedLayerKVCache._held`,
+        before this step's append); a lone row reads zero-copy views of all
+        of them.  No-op (returns 0) on single-tier pools."""
         restored = 0
+        ps = self.store.page_size
         for cache in self.caches:
             restore = getattr(cache.pool, "restore_pages", None)
             if restore is None:
                 return 0
             pages: list[int] = []
-            for table in cache.tables[: self.n_active]:
-                pages.extend(table.pages)
+            for row, table in enumerate(cache.tables[: self.n_active]):
+                held = cache._held(row) if self.n_active > 1 else 0
+                pages.extend(table.pages[(table.offset + held) // ps :])
             if pages:
                 restored += restore(pages)
         return restored

@@ -713,12 +713,13 @@ class TieredBlockPool(_TieredMixin, BlockPool):
         start: int = 0,
     ) -> None:
         """Padded-batch read streamed page by page (each page restored just
-        for its memcpy — rows longer than tier-0 read fine).  Pages before
-        ``start`` still pass ``_page_base`` (recency touch, restore) uncopied."""
+        for its memcpy — rows longer than tier-0 read fine).  Only the pages
+        it copies, from ``start``'s on, pass ``_page_base`` (recency touch,
+        restore): the buffers already hold the rest."""
         for logical, page, within, chunk in self._page_chunks(table):
-            base = self._page_base(page) + within
             if logical + chunk <= start:
                 continue
+            base = self._page_base(page) + within
             dst = slice(logical, logical + chunk)
             out_k[:, dst] = self._k[:, base : base + chunk]
             out_v[:, dst] = self._v[:, base : base + chunk]

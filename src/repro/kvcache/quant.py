@@ -390,12 +390,13 @@ class QuantizedBlockPool(BlockPool):
     ) -> None:
         """Dequantize one table's live tokens into padded batch buffers from
         the first slot of ``start``'s page on (an append re-encodes its page);
-        every page still passes ``_page_base``, the tiered LRU touch."""
+        only those pages pass ``_page_base`` (the tiered recency touch and
+        restore): the buffers already hold the rest."""
         first = start - (table.offset + start) % self.page_size
         for logical, page, within, chunk in self._page_chunks(table):
-            base = self._page_base(page) + within
             if logical < first:
                 continue
+            base = self._page_base(page) + within
             dst = slice(logical, logical + chunk)
             out_k[:, dst] = self._decode(
                 self._k[:, base : base + chunk],

@@ -33,6 +33,10 @@ __all__ = ["MultiHeadAttention"]
 #: Query rows per block of the prompt pass: block ``[i0, i1)`` of
 #: :meth:`MultiHeadAttention.forward` works on keys ``[0, i1)`` only.
 _ROW_BLOCK = 32
+#: Fewest rows a prompt-pass GEMM over part of the pass's rows may have: from
+#: 16 rows on, BLAS computes an output row the same way whatever the row
+#: count (``tests/models/test_blas_rows.py``).
+GEMM_ROW_FLOOR = 16
 
 
 def _layout_empty(shape: tuple, dtype, key_strided: bool) -> np.ndarray:
@@ -148,6 +152,7 @@ class MultiHeadAttention(Module):
         scorers: Sequence[tuple] = (),
         keep_attention: bool = False,
         workspace: dict | None = None,
+        keep: int = 0,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """The one prompt-attention kernel: causal attention of the ``S``
         query rows ``q_rot``, rows ``[i0, i_end)`` of a prompt, over its keys
@@ -163,9 +168,12 @@ class MultiHeadAttention(Module):
         Each ``(b, scorer)`` of ``scorers`` is handed batch row ``b`` of every
         block's masked logits and probabilities, ``(1, H, n, c)``, while the
         block is hot.  A ``workspace`` dict lends the probability buffer, so
-        the layers of one pass share one.  Returns the ``(B, H, S, d_head)``
-        context and, when ``keep_attention``, the ``(B, H, S, width)``
-        probabilities.
+        the layers of one pass share one.  Only rows ``[keep, S)`` of the
+        context are read: a block that ends before ``keep`` skips its scores
+        and softmax (unless scorers need them) and its A·V, except that below
+        float64 A·V stays the one matmul over every row, sliced after.
+        Returns the ``(B, H, S - keep, d_head)`` context and, when
+        ``keep_attention``, the ``(B, H, S, width)`` probabilities.
         """
         b, _, s, _ = q_rot.shape
         end = k_rot.shape[2]
@@ -203,6 +211,8 @@ class MultiHeadAttention(Module):
         workspace = {} if workspace is None else workspace
         if spec not in workspace:
             workspace[spec] = _layout_empty(*spec)
+            if keep and not exact_av:  # the one A·V matmul reads skipped rows
+                workspace[spec].fill(0.0)
         attn = workspace[spec]
         if exact_av:
             # einsum's output layout: (b, q, h, d) in memory over key-strided
@@ -216,6 +226,8 @@ class MultiHeadAttention(Module):
         for i0, i1 in zip(bounds, bounds[1:]):
             n = i1 - i0
             r0, r1 = i0 - start, i1 - start  # the block's rows in the buffers
+            if r1 <= keep and not scorers:
+                continue
             sc = scores[:, :, :n, :i1]
             r = sc if raw is None else raw[:, :, :n, :i1]
             if exact:
@@ -240,12 +252,12 @@ class MultiHeadAttention(Module):
 
             for at, scorer in scorers:
                 scorer(r0, sc[at : at + 1], e[at : at + 1])
-            if exact_av:
+            if exact_av and r1 > keep:
                 np.einsum("bhqk,bhkd->bhqd", e, v[:, :, :i1], out=ctx[:, :, r0:r1])
 
         if not exact_av:
             ctx = attn[..., :end] @ v
-        return ctx, attn if keep_attention else None
+        return ctx[:, :, keep:], attn if keep_attention else None
 
     def __call__(self, x: np.ndarray, **kwargs) -> np.ndarray:
         return self.forward(x, **kwargs)
@@ -294,6 +306,7 @@ class MultiHeadAttention(Module):
         prompt_len: int | None = None,
         scorers: Sequence[tuple] = (),
         workspace: dict | None = None,
+        keep: int = 0,
     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """Prompt attention for rows ``[P, P + S)`` (``x``, ``(B, S,
         d_model)``) over the prompt's first ``P = prefix_len`` keys and
@@ -308,18 +321,24 @@ class MultiHeadAttention(Module):
         exact at any length.  A prefix computed inside a prompt of another
         length summed its rows at that width, so it is ulp-close, not exact.
         ``scorers`` score the rows' attention block by block, and
-        ``workspace`` lends its buffer (:meth:`_attend_rows`).
+        ``workspace`` lends its buffer (:meth:`_attend_rows`).  Only output
+        rows ``[keep, S)`` are computed; ``keep = S`` computes no query.
 
-        Returns the ``(B, S, d_model)`` output and the chunk's unrotated keys
-        and values (``(B, H, S, d)``) for seeding the cache.
+        Returns the ``(B, S - keep, d_model)`` output and the chunk's
+        unrotated keys and values (``(B, H, S, d)``) for seeding the cache.
         """
         s = x.shape[1]
+        if keep == s:  # no output row is read: this layer's K and V only
+            kv = self._split_heads(self.w_k.apply(x)), self._split_heads(self.w_v.apply(x))
+            return x[:, :0], kv
         q, k, v = self.w_q.apply(x), self.w_k.apply(x), self.w_v.apply(x)
         q_rot, k_rot, k_raw, v = self._project(q, k, v, np.arange(prefix_len, prefix_len + s))
         keys = np.concatenate([prefix_keys, k_rot], axis=2)
         values = np.concatenate([prefix_values, v], axis=2)
         width = prefix_len + s if prompt_len is None else prompt_len
-        ctx, _ = self._attend_rows(q_rot, keys, values, width, scorers, workspace=workspace)
+        ctx, _ = self._attend_rows(
+            q_rot, keys, values, width, scorers, workspace=workspace, keep=keep
+        )
         return self.w_o.apply(self._merge_heads(ctx)), (k_raw, v)
 
     # ------------------------------------------------------------------

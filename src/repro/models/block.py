@@ -89,17 +89,19 @@ class DecoderBlock(Module):
         prompt_len: int | None = None,
         scorers: Sequence[tuple] = (),
         workspace: dict | None = None,
+        keep: int = 0,
     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """Process prompt rows ``[P, P + S)`` attending over a cached prefix.
 
         ``x`` has shape ``(B, S, d_model)``.  Returns ``(hidden, (k_raw,
-        v))`` (see :meth:`MultiHeadAttention.attend_prefill`).
+        v))`` with the hidden rows ``[keep, S)`` only, ``(B, S - keep,
+        d_model)`` (see :meth:`MultiHeadAttention.attend_prefill`).
         """
         a_in = self.ln_attn.apply(x)
         attn_out, kv = self.attn.attend_prefill(
-            a_in, prefix_keys, prefix_values, prefix_len, prompt_len, scorers, workspace
+            a_in, prefix_keys, prefix_values, prefix_len, prompt_len, scorers, workspace, keep
         )
-        x = x + attn_out
+        x = x[:, keep:] + attn_out
         return x + self.mlp.apply(self.ln_mlp.apply(x)), kv
 
     # ------------------------------------------------------------------

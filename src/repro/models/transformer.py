@@ -7,6 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.models import tensor_ops as ops
+from repro.models.attention import GEMM_ROW_FLOOR
 from repro.models.block import DecodeCache, DecoderBlock
 from repro.models.config import ModelConfig
 from repro.models.layers import Embedding, LayerNorm, Linear, Module, dot_rows
@@ -193,7 +194,7 @@ class DecoderLM(Module):
         prefix_len: int = 0,
         prompt_len: int | None = None,
         scorers: Sequence = (),
-    ) -> tuple[np.ndarray, list]:
+    ) -> tuple[np.ndarray | None, list]:
         """The inference prompt pass: rows ``[P, P + S)`` over cached prefix KV.
 
         ``suffix_ids`` has shape ``(B, S)``; ``prefix_kv`` holds one ``(keys,
@@ -201,7 +202,7 @@ class DecoderLM(Module):
         (keys RoPE-rotated for RoPE models), or ``None`` for an empty prefix.
         With ``P > 0``, ``S >= 2`` (a one-row chunk would run BLAS gemv).
         ``prompt_len`` (default ``P + S``) is the prompt's full length;
-        chunked prefill passes it.  The logits are the rows of
+        chunked prefill passes it.  The KV and logits are those of
         :meth:`forward` on the full prompt, bit for bit for a whole prompt
         (``P = 0``, ``S = T``), and for a chunk when ``S >= 16`` and the prefix
         KV is that forward's (conditions: :meth:`MultiHeadAttention.attend_prefill`).
@@ -211,7 +212,12 @@ class DecoderLM(Module):
         block (the whole prompt in one pass): no ``(B, H, T, T)`` tensor
         outlives its row block.
 
-        Returns the logits ``(B, S, vocab)`` and per-layer ``(k_raw, v)``.
+        Returns the next-token logits ``(B, vocab)`` of the prompt's last row
+        (``None`` for a chunk that does not end the prompt) and per-layer
+        ``(k_raw, v)``.  Only those logits are read, so the last layer runs
+        its queries, attention output, MLP and LM head over the last
+        ``GEMM_ROW_FLOOR`` rows (all of them below that; none for a chunk
+        that does not end the prompt), where BLAS rows match the whole pass.
         """
         suffix_ids = np.asarray(suffix_ids)
         if suffix_ids.ndim == 1:
@@ -231,6 +237,8 @@ class DecoderLM(Module):
                 f"expected {len(self.blocks)} layers of prefix KV, got {len(prefix_kv)}"
             )
         width = prefix_len + s if prompt_len is None else prompt_len
+        final = width == prefix_len + s
+        last = len(self.blocks) - 1
         h = self.embed(suffix_ids, positions=np.arange(prefix_len, prefix_len + s))
         # The layers share one attention buffer: one freed per layer can be
         # split by what a layer leaves on the heap, and the next would grow it.
@@ -243,11 +251,14 @@ class DecoderLM(Module):
             ]
             if layer_scorers and width != s:
                 raise ValueError("a prompt is scored in one pass over the whole prompt")
+            keep = 0 if layer_idx < last else max(0, s - GEMM_ROW_FLOOR) if final else s
             h, layer_kv = block.prefill_chunk(
-                h, keys, values, prefix_len, prompt_len, layer_scorers, workspace
+                h, keys, values, prefix_len, prompt_len, layer_scorers, workspace, keep
             )
             kv.append(layer_kv)
-        return self.lm_logits(self.ln_final.apply(h)), kv
+        if not final:
+            return None, kv
+        return self.lm_logits(self.ln_final.apply(h))[:, -1].copy(), kv
 
     # ------------------------------------------------------------------
     # incremental decode path

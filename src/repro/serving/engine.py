@@ -1072,7 +1072,7 @@ class ContinuousBatchingEngine:
                 for k, v in chunk_kv
             ])
         else:
-            pending.next_row = logits[:, -1, :]
+            pending.next_row = logits
         if pending.chunk_tokens is not None:
             # A chunked prompt is never mapped, so both sharing counters
             # advance together, chunk by chunk, and mid-flight aborts keep

@@ -403,6 +403,51 @@ class TestKnobPlumbing:
         assert pool.tier_page_state(kept) == "resident"
 
 
+class TestDecodeRestoresOnlyWhatItReads:
+    """A padded decode read copies only what each row appended since its last
+    read, so ``prefetch_decode`` and the read restore only the pages holding
+    it: a steady decode whose working set (each row's last page) fits in
+    tier-0 restores nothing once it is resident, where reading the rows whole
+    restores pages every step.  The rows read are the same."""
+
+    def _decode(self, kv_dtype: str, whole: bool) -> tuple[list, list]:
+        rng = np.random.default_rng(3)
+        manager = BatchedCacheManager(
+            2, HEADS, D_HEAD, max_batch=2, n_pages=24, tier0_pages=4, page_size=PAGE,
+            kv_dtype=kv_dtype,
+        )
+        t = 3 * PAGE  # two rows of three pages per layer, over four frames
+        for _ in range(2):
+            kv = [tuple(rng.standard_normal((1, HEADS, t, D_HEAD)) for _ in "kv")] * 2
+            manager.join(kv, set_up(FullAttentionPolicy(), manager, t, 16))
+        reads, restores = [], []
+        for _ in range(12):
+            if whole:
+                for cache in manager.caches:
+                    cache._synced = [None] * cache.max_batch
+            manager.prefetch_decode()
+            for layer in range(2):
+                k = rng.standard_normal((2, HEADS, D_HEAD))
+                manager.append_batch(layer, k, k + 1.0)
+                keys, values, positions, _, lengths, _ = manager.attention_view_batch(layer)
+                reads += [arr[row, :, :n].tobytes() for arr in (keys, values, positions)
+                          for row, n in enumerate(lengths)]
+            manager.advance()
+            restores.append(sum(pool.n_restores for pool in manager.store.pools))
+        return reads, restores
+
+    @pytest.mark.parametrize("kv_dtype", ["native", "int8"])
+    def test_steady_decode_restores_nothing(self, kv_dtype):
+        reads, restores = self._decode(kv_dtype, whole=False)
+        whole_reads, whole_restores = self._decode(kv_dtype, whole=True)
+        assert reads == whole_reads
+        # The first read is whole, the second brings each row's last page
+        # back; from then on nothing is restored.
+        assert restores[1:] == [restores[1]] * 11
+        assert whole_restores[-1] > whole_restores[0]
+        assert all(a <= b for a, b in zip(restores, whole_restores))
+
+
 class TestObserveBatchUnderOffload:
     """FINDING 4 of ``benchmarks/e2e/README.md``: a policy that keeps the base
     no-op ``step_selection`` reads none of its arguments, so observing its row

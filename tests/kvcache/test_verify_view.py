@@ -81,7 +81,7 @@ def _sequential_reference(positional: str, mode: str, dtype: str):
     model = _model(positional, dtype)
     logits, manager = _solo_manager(model, mode)
     views = manager.layer_views()
-    tokens = [int(np.argmax(logits[:, -1, :]))]
+    tokens = [int(np.argmax(logits))]
     rows = []
     for _ in range(MAX_BLOCK):
         row = model.decode_step(np.asarray([tokens[-1]]), manager.query_positions(), views)

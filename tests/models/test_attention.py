@@ -141,17 +141,18 @@ REFERENCE_LENGTHS = (1, 2, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 97, 600)
 def _prompt_pass(config, ids, positions, reference=False):
     """Logits and each layer's stored attention from ``forward`` and, without
     ``positions`` (which neither ``forward_suffix`` nor
-    ``train_step_gradients`` takes), the inference prompt pass's logits, KV,
-    the attention and masked logits it feeds its scorers (recorded) plus
-    every parameter gradient.  Under ``reference`` the prompt-pass tensors
-    are those ``reference_forward`` keeps on the module."""
+    ``train_step_gradients`` takes), the inference prompt pass's last-row
+    logits, KV, the attention and masked logits it feeds its scorers
+    (recorded) plus every parameter gradient.  Under ``reference`` the
+    prompt-pass tensors are those ``reference_forward`` keeps on the
+    module."""
     model = DecoderLM(config, seed=0)
     out = {"logits": model.forward(ids, positions=positions, store_attention=True)}
     for i, block in enumerate(model.blocks):
         out[f"{i}.attention"] = block.attn.last_attention
     if positions is None:
         if reference:
-            logits = out["logits"]
+            logits = out["logits"][:, -1]
             layers = [(b.attn.last_kv, b.attn.last_attention, b.attn.last_scores)
                       for b in model.blocks]
         else:
@@ -266,8 +267,8 @@ class TestPrefillChunkIsForwardRows:
     @pytest.mark.parametrize("positional", ["rope", "alibi", "learned"])
     def test_whole_prompt_is_the_forward(self, positional, dtype, t, monkeypatch):
         """``P = 0, S = T``: the inference prompt pass returns
-        :func:`reference_forward`'s logits and ``(k_raw, v)``, bytes and
-        strides, and feeds its scorers the attention and masked logits'
+        :func:`reference_forward`'s last-row logits and ``(k_raw, v)``, bytes
+        and strides, and feeds its scorers the attention and masked logits'
         bytes, block by block."""
         config = ModelConfig(positional=positional, compute_dtype=dtype, n_layers=2,
                              **BENCH_GEOMETRY)
@@ -280,7 +281,7 @@ class TestPrefillChunkIsForwardRows:
             a, sc = recorded([recorder], i)
             got.update({f"{i}.k": k, f"{i}.v": v, f"{i}.attention": a, f"{i}.scores": sc})
         monkeypatch.setattr(MultiHeadAttention, "forward", reference_forward)
-        want = {"logits": model.forward(ids, store_attention=True)}
+        want = {"logits": model.forward(ids, store_attention=True)[:, -1]}
         for i, block in enumerate(model.blocks):
             (k, v), a, sc = block.attn.last_kv, block.attn.last_attention, block.attn.last_scores
             want.update({f"{i}.k": k, f"{i}.v": v, f"{i}.attention": a, f"{i}.scores": sc})
@@ -296,11 +297,12 @@ class TestPrefillChunkIsForwardRows:
 
     def test_pass_returns_logits_and_kv_only(self):
         """The pass keeps no attention tensor: scorers see each block while it
-        is hot, and a prompt is scored only in one whole pass."""
+        is hot, and a prompt is scored only in one whole pass.  It returns
+        the last row's next-token logits only."""
         model = DecoderLM(tiny_config("rope"), seed=0)
         ids = np.arange(12).reshape(2, 6)
         logits, kv = model.forward_suffix(ids)
-        assert logits.shape == (2, 6, model.config.vocab_size)
+        assert logits.shape == (2, model.config.vocab_size)
         assert len(kv) == len(model.blocks)
         prefix = [(k[:, :, :3], v[:, :, :3]) for k, v in kv]
         with pytest.raises(ValueError, match="whole prompt"):

@@ -144,22 +144,23 @@ def _ids(t: int, seed: int = 0) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _engine_chunk_rows(
-    positional: str, t: int, dtype: str = "float64"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every logit row of a ``t``-token prompt prefilled by the serving engine
-    in ``CHUNK_TOKENS`` chunks, captured from its ``forward_suffix`` calls,
-    beside the whole forward's rows."""
+def _engine_chunks(positional: str, t: int, dtype: str = "float64") -> tuple[dict, dict]:
+    """What a ``t``-token prompt prefilled by the serving engine in
+    ``CHUNK_TOKENS`` chunks hands on, captured from its ``forward_suffix``
+    calls — the last row's logits and every layer's keys and values, the
+    chunks' concatenated — beside the whole forward's."""
     config = ModelConfig(positional=positional, compute_dtype=dtype, **CHUNKED_CONFIG)
     model = DecoderLM(config, seed=0)
     ids = _ids(t)
-    whole = model.forward(ids)[0]
-    rows = []
+    want = {"logits": model.forward(ids)[:, -1]}
+    for i, (k, v) in enumerate(model.forward_suffix(ids)[1]):
+        want.update({f"{i}.k": k, f"{i}.v": v})
+    chunks = []
     forward_suffix = model.forward_suffix
 
     def capture(*args, **kwargs):
         out = forward_suffix(*args, **kwargs)
-        rows.append(out[0][0])
+        chunks.append(out)
         return out
 
     model.forward_suffix = capture
@@ -168,25 +169,33 @@ def _engine_chunk_rows(
     )
     engine.submit(ids[0], GenerationConfig(max_new_tokens=1))
     engine.run()
-    assert engine.n_prefill_chunks == len(rows) > 1
-    return np.concatenate(rows), whole
+    assert engine.n_prefill_chunks == len(chunks) > 1
+    assert all(logits is None for logits, _ in chunks[:-1])
+    got = {"logits": chunks[-1][0]}
+    for i in range(config.n_layers):
+        for j, name in enumerate("kv"):
+            got[f"{i}.{name}"] = np.concatenate([kv[i][j] for _, kv in chunks], axis=2)
+    return got, want
 
 
 class TestChunkedPrefillRowStability:
-    """The float64 chunked-prefill contract (ROADMAP item 5(a)).
+    """The float64 chunked-prefill contract (ROADMAP item 5(a)), on what a
+    chunked prompt pass hands on: every layer's keys and values and the
+    prompt's last-row logits.
 
     Every chunk, the first included, is rows ``[P, P + S)`` of the prompt
-    through ``forward_suffix`` at the prompt's width, so every row of every
-    chunk is bit-equal to the whole forward's — except where the final chunk
-    is shorter than 16 rows, below which this BLAS computes ``(M, 512)``
-    GEMM rows differently; those rows stay within ``ULP_BOUND``.
+    through ``forward_suffix`` at the prompt's width, so all of it is
+    bit-equal to the whole forward's — except where the final chunk is
+    shorter than 16 rows, below which this BLAS computes ``(M, 512)`` GEMM
+    rows differently; those values stay within ``ULP_BOUND``.
     """
 
     @pytest.mark.parametrize("positional", ["rope", "alibi", "learned"])
     @pytest.mark.parametrize("t", [97, 131, 200, 257, 300, 384])
-    def test_chunk_rows_within_measured_bound(self, positional, t):
-        chunked, whole = _engine_chunk_rows(positional, t)
-        np.testing.assert_allclose(chunked, whole, rtol=0, atol=ULP_BOUND)
+    def test_chunked_pass_within_measured_bound(self, positional, t):
+        got, want = _engine_chunks(positional, t)
+        for name, expected in want.items():
+            np.testing.assert_allclose(got[name], expected, rtol=0, atol=ULP_BOUND, err_msg=name)
 
     @pytest.mark.parametrize("positional", ["rope", "alibi", "learned"])
     @pytest.mark.parametrize(
@@ -197,28 +206,30 @@ class TestChunkedPrefillRowStability:
             for t in (131, 200)
         ],
     )
-    def test_every_chunk_row_equals_whole_forward(self, positional, t):
-        chunked, whole = _engine_chunk_rows(positional, t)
-        assert chunked.shape == whole.shape
-        for i, (got, want) in enumerate(zip(chunked, whole)):
-            assert got.tobytes() == want.tobytes(), f"row {i}"
+    def test_chunked_pass_equals_whole_forward(self, positional, t):
+        got, want = _engine_chunks(positional, t)
+        assert got.keys() == want.keys()
+        for name, expected in want.items():
+            assert got[name].shape == expected.shape, name
+            assert got[name].tobytes() == expected.tobytes(), name
 
     @pytest.mark.parametrize("positional", ["rope", "alibi", "learned"])
     @pytest.mark.parametrize("t", [131, 300])
-    def test_float32_chunk_rows_within_tolerance(self, positional, t):
+    def test_float32_chunked_pass_within_tolerance(self, positional, t):
         """Below float64 a chunk's A·V matmul has a truncated K, so only
-        closeness is promised (measured: <= 5.1e-7, 0 at T = 300)."""
-        chunked, whole = _engine_chunk_rows(positional, t, "float32")
-        np.testing.assert_allclose(chunked, whole, rtol=0, atol=2e-6)
+        closeness is promised (measured: <= 4.8e-7, 0 at T = 300)."""
+        got, want = _engine_chunks(positional, t, "float32")
+        for name, expected in want.items():
+            np.testing.assert_allclose(got[name], expected, rtol=0, atol=2e-6, err_msg=name)
 
 
-def _shared_prefix_rows(
+def _shared_prefix_pass(
     prefix_len: int, donor_len: int, prompt_len: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Suffix logits of a ``prompt_len``-token prompt whose first
-    ``prefix_len`` tokens' KV comes from the forward of a ``donor_len``-token
-    prompt sharing them (as a registered prefix would), beside the prompt's
-    own whole-forward rows."""
+) -> tuple[dict, dict]:
+    """The last-row logits and every layer's suffix keys and values of a
+    ``prompt_len``-token prompt whose first ``prefix_len`` tokens' KV comes
+    from the pass over a ``donor_len``-token prompt sharing them (as a
+    registered prefix would), beside the prompt's own whole pass."""
     model = DecoderLM(ModelConfig(positional="rope", **CHUNKED_CONFIG), seed=0)
     ids = _ids(prompt_len)
     donor = np.concatenate([ids[:, :prefix_len], _ids(donor_len - prefix_len, 1)], axis=1)
@@ -227,8 +238,12 @@ def _shared_prefix_rows(
         (table.rotate(k[:, :, :prefix_len], np.arange(prefix_len)), v[:, :, :prefix_len])
         for k, v in model.forward_suffix(donor)[1]
     ]
-    logits = model.forward_suffix(ids[:, prefix_len:], prefix_kv, prefix_len)[0]
-    return logits[0], model.forward(ids)[0, prefix_len:]
+    got, want = {}, {"logits": model.forward(ids)[:, -1]}
+    got["logits"], kv = model.forward_suffix(ids[:, prefix_len:], prefix_kv, prefix_len)
+    for i, ((k, v), (k_all, v_all)) in enumerate(zip(kv, model.forward_suffix(ids)[1])):
+        got.update({f"{i}.k": k, f"{i}.v": v})
+        want.update({f"{i}.k": k_all[:, :, prefix_len:], f"{i}.v": v_all[:, :, prefix_len:]})
+    return got, want
 
 
 class TestSharedPrefixWidth:
@@ -242,16 +257,69 @@ class TestSharedPrefixWidth:
 
     @pytest.mark.xfail(strict=True, reason="prefix KV summed at the donor prompt's width")
     def test_prefix_from_another_length_is_not_bit_exact(self):
-        got, want = _shared_prefix_rows(256, 272, 352)
-        assert got.tobytes() == want.tobytes()
+        got, want = _shared_prefix_pass(256, 272, 352)
+        assert all(got[name].tobytes() == want[name].tobytes() for name in want)
 
     def test_prefix_from_another_length_within_measured_bound(self):
-        got, want = _shared_prefix_rows(256, 272, 352)
-        np.testing.assert_allclose(got, want, rtol=0, atol=ULP_BOUND)
+        got, want = _shared_prefix_pass(256, 272, 352)
+        for name, expected in want.items():
+            np.testing.assert_allclose(got[name], expected, rtol=0, atol=ULP_BOUND, err_msg=name)
 
     def test_short_prompts_share_exactly(self):
-        got, want = _shared_prefix_rows(64, 96, 128)
-        assert got.tobytes() == want.tobytes()
+        got, want = _shared_prefix_pass(64, 96, 128)
+        for name, expected in want.items():
+            assert got[name].tobytes() == expected.tobytes(), name
+
+
+def _rows_seen(model: DecoderLM) -> dict:
+    """Spy on the row counts the last layer's output projection and MLP and
+    the LM head receive, and on its query projection's calls."""
+    seen = {"w_q": [], "w_o": [], "mlp": [], "lm_head": []}
+    attn, last = model.blocks[-1].attn, model.blocks[-1]
+    for name, owner, method in [
+        ("w_q", attn.w_q, "apply"),
+        ("w_o", attn.w_o, "apply"),
+        ("mlp", last.mlp, "apply"),
+        ("lm_head", model, "lm_logits"),
+    ]:
+        real = getattr(owner, method)
+
+        def spy(x, real=real, rows=seen[name]):
+            rows.append(x.shape[1])
+            return real(x)
+
+        setattr(owner, method, spy)
+    return seen
+
+
+class TestPromptPassComputesWhatIsRead:
+    """Only the prompt's last row's logits are read, so the last layer runs
+    its output projection, MLP and the LM head over the last block's rows
+    (at most two row blocks' worth, 33 rows), and a chunk that does not end
+    the prompt computes only that layer's keys and values."""
+
+    @pytest.mark.parametrize("t", [2, 15, 16, 17, 40, 97, 300])
+    def test_last_layer_sees_at_most_33_rows(self, t):
+        model = DecoderLM(ModelConfig(positional="rope", **CHUNKED_CONFIG), seed=0)
+        seen = _rows_seen(model)
+        logits, _ = model.forward_suffix(_ids(t))
+        assert logits.shape == (1, CHUNKED_CONFIG["vocab_size"])
+        assert seen["w_q"] == [t]
+        for name in ("w_o", "mlp", "lm_head"):
+            assert seen[name] == [min(t, 16)], name
+            assert seen[name][0] <= 33
+
+    def test_chunk_not_ending_the_prompt_returns_no_logits(self):
+        model = DecoderLM(ModelConfig(positional="learned", **CHUNKED_CONFIG), seed=0)
+        ids = _ids(128)
+        seen = _rows_seen(model)
+        logits, kv = model.forward_suffix(ids[:, :64], prompt_len=128)
+        assert logits is None
+        assert seen["w_q"] == [] and seen["lm_head"] == []
+        assert not any(rows for name in ("w_o", "mlp") for rows in seen[name])
+        for (k, v), (k_all, v_all) in zip(kv, model.forward_suffix(ids)[1]):
+            assert k.tobytes() == k_all[:, :, :64].tobytes()
+            assert v.tobytes() == v_all[:, :, :64].tobytes()
 
 
 class TestModelZoo:

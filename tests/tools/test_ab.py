@@ -13,13 +13,14 @@ ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab)
 
 
-def _run(correct=True, failed=0, counters=None, **values) -> dict:
+def _run(correct=True, failed=0, counters=None, extras=None, **values) -> dict:
     metrics = {"peak_kv_bytes": 100, **values}
     return {
         "correct": correct,
         "failed": failed,
         "metrics": {name: {"value": v} for name, v in metrics.items()},
         "counters": counters or {"models.decode_calls": 64, "kvcache.gather_calls": 8},
+        "extras": {name: {"value": v, "unit": "s"} for name, v in (extras or {}).items()},
     }
 
 
@@ -107,3 +108,30 @@ class TestRunProblems:
     def test_a_counter_missing_from_one_run_is_a_change(self):
         (problem,) = ab.run_problems([_run()], [_run(counters={"models.decode_calls": 64})])
         assert problem == "counters moved between revisions: kvcache.gather_calls a=8 b=None"
+
+
+class TestReportOnlyRows:
+    SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+    def test_tail_metrics_both_sides_carry_are_reported_not_judged(self):
+        """``tpot_p99_s`` halving on every pair is a row with the verdict's
+        arithmetic, but no ``resolved``; a metric one run lacks has no row."""
+        a = [_run(extras={"tpot_p99_s": 0.2 + i / 100, "ttft_p90_s": 0.1}) for i in range(10)]
+        b = [_run(extras={"tpot_p99_s": 0.1, "ttft_p90_s": 0.1}) for _ in range(9)]
+        b.append(_run(extras={"tpot_p99_s": 0.1}))
+        (row,) = ab.report_only(self.SPEC, a, b)
+        assert row["metric"] == "tpot_p99_s" and row["report_only"] is True
+        assert (row["wins"], row["n"], row["better"]) == (10, 10, "lower")
+        assert "resolved" not in row
+        assert json.loads(json.dumps(row)) == row
+
+    def test_contract_metrics_are_never_report_only(self):
+        names = [m["name"] for m in self.SPEC["end_to_end"]]
+        run = _run(extras={name: 1.0 for name in names} | {"tpot_p90_s": 0.01})
+        assert [row["metric"] for row in ab.report_only(self.SPEC, [run], [run])] == [
+            "tpot_p90_s"
+        ]
+
+    def test_runs_without_extras_give_no_rows(self):
+        assert ab.report_only(self.SPEC, [_run()], [_run()]) == []
+        assert ab.report_only(self.SPEC, [], []) == []

@@ -18,6 +18,13 @@ untied pairs, one side wins at least nine tenths of them, and the medians
 differ by more than ``iqr_a``: fewer pairs, a split verdict or a shift
 inside A's own spread is reported as unresolved, not as a change.
 
+After the verdicts come report-only rows, one per metric that every run of
+both sides carries beyond that list (the report's ``not_in_contract``
+entries: ``ttft_p90_s``, ``tpot_p90_s``, ``tpot_p99_s`` and the warm-up
+round's ``cold_round_s``).  They hold the same arithmetic, lower being
+better, and ``"report_only": true`` in place of ``resolved``: they are never
+part of a verdict or of the exit status.
+
 The run fails (exit 1) if any run is incorrect or failed a request, or if
 ``peak_kv_bytes`` or an exact counter (the ``counters`` of the run's
 ``reports/e2e/<workload>.seed<S>.trace0.json``) is not the same in every
@@ -135,9 +142,31 @@ def verdicts(spec: dict, runs_a: list[dict], runs_b: list[dict]) -> list[dict]:
     return out
 
 
+def report_only(spec: dict, runs_a: list[dict], runs_b: list[dict]) -> list[dict]:
+    """One row per metric every run of both sides carries beyond ``spec``'s
+    end-to-end list, with :func:`verdict`'s arithmetic but no ``resolved``:
+    these are tail latencies and times, so lower is better."""
+    contract = {metric["name"] for metric in spec["end_to_end"]}
+    runs = runs_a + runs_b
+    names = [
+        name
+        for name in (runs[0].get("extras", {}) if runs else {})
+        if name not in contract and all(name in run.get("extras", {}) for run in runs)
+    ]
+    out = []
+    for name in names:
+        a = [run["extras"][name]["value"] for run in runs_a]
+        b = [run["extras"][name]["value"] for run in runs_b]
+        row = verdict(name, "lower", a, b)
+        del row["resolved"]
+        out.append({**row, "report_only": True})
+    return out
+
+
 def _run(tree: Path, workload: str, seed: int) -> dict:
     """One untraced run in ``tree``: its last stdout line, plus the exact
-    ``counters`` of the report it wrote."""
+    ``counters`` and the ``not_in_contract`` metrics (as ``extras``) of the
+    report it wrote."""
     proc = subprocess.run(
         [sys.executable, RUNNER, "--workload", workload, "--trace", "0", "--seed", str(seed)],
         cwd=tree, capture_output=True, text=True,
@@ -145,8 +174,13 @@ def _run(tree: Path, workload: str, seed: int) -> dict:
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"{tree.name}: no output (exit {proc.returncode})\n{proc.stderr}")
-    report = tree / "reports" / "e2e" / f"{workload}.seed{seed}.trace0.json"
-    return {**json.loads(lines[-1]), "counters": json.loads(report.read_text())["counters"]}
+    path = tree / "reports" / "e2e" / f"{workload}.seed{seed}.trace0.json"
+    report = json.loads(path.read_text())
+    return {
+        **json.loads(lines[-1]),
+        "counters": report["counters"],
+        "extras": report["not_in_contract"],
+    }
 
 
 def _git(*args: str) -> None:
@@ -189,7 +223,7 @@ def main(argv=None) -> int:
     problems = run_problems(runs["a"], runs["b"])
     for line in problems:
         print(f"FAILED {line}", file=sys.stderr)
-    for entry in verdicts(spec, runs["a"], runs["b"]):
+    for entry in verdicts(spec, runs["a"], runs["b"]) + report_only(spec, runs["a"], runs["b"]):
         print(json.dumps({"workload": args.workload, **entry}))
     return 1 if problems else 0
 
