@@ -61,7 +61,7 @@ def _bench_decode_1k(benchmark, model, policy_name, n_tokens=32):
 
     def decode(manager, logits):
         views = manager.layer_views()
-        tokens = np.argmax(logits[:, -1, :], axis=-1)
+        tokens = np.argmax(logits, axis=-1)
         for _ in range(n_tokens):
             step_logits = model.decode_step(tokens, manager.query_positions(), views)
             manager.advance()

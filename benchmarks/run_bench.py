@@ -153,7 +153,7 @@ def _time(setup, run, rounds: int) -> dict:
 def _decode_loop(model: DecoderLM, manager, next_logits: np.ndarray, n_tokens: int) -> None:
     """The token-generation phase: ``n_tokens`` incremental decode steps."""
     views = manager.layer_views()
-    tokens = np.argmax(next_logits[:, -1, :], axis=-1)
+    tokens = np.argmax(next_logits, axis=-1)
     for _ in range(n_tokens):
         logits = model.decode_step(tokens, manager.query_positions(), views)
         manager.advance()
@@ -592,7 +592,7 @@ def bench_quantized_kv() -> dict[str, dict]:
             logits, manager = generator._prompt_forward(prompt, DECODE_TOKENS)
             views = manager.layer_views()
             toks, logprobs = [], []
-            step_logits = logits[:, -1, :]
+            step_logits = logits
             for _ in range(DECODE_TOKENS):
                 token = int(np.argmax(step_logits[0]))
                 toks.append(token)
