@@ -294,9 +294,10 @@ def _rows_seen(model: DecoderLM) -> dict:
 
 class TestPromptPassComputesWhatIsRead:
     """Only the prompt's last row's logits are read, so the last layer runs
-    its output projection, MLP and the LM head over the last block's rows
-    (at most two row blocks' worth, 33 rows), and a chunk that does not end
-    the prompt computes only that layer's keys and values."""
+    its output projection, MLP and the LM head over its last 16 rows (all of
+    them below 16, never more than the 33 of a last row block), and a chunk
+    that does not end the prompt computes only that layer's keys and
+    values."""
 
     @pytest.mark.parametrize("t", [2, 15, 16, 17, 40, 97, 300])
     def test_last_layer_sees_at_most_33_rows(self, t):
